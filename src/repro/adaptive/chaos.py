@@ -478,11 +478,10 @@ class _AdaptiveVehicle:
             timestamp_ns=timestamp, seq=self.seq,
         ))
         self.seq += 1
-        while self.cursor < len(self.records):
-            record = self.records[self.cursor]
-            self.spooler.append(record)
-            self.offered.add(record.seq)
-            self.cursor += 1
+        batch = self.records[self.cursor:]
+        self.spooler.append_many(batch)
+        self.offered.update(record.seq for record in batch)
+        self.cursor = len(self.records)
 
     @property
     def drained(self) -> bool:
@@ -508,10 +507,7 @@ class _AdaptiveVehicle:
     # ------------------------------------------------------------------
     def kill(self, torn_tail: bool) -> None:
         self.alive = False
-        handle = self.spooler._file
-        if handle is not None and not handle.closed:
-            handle.flush()
-            handle.close()
+        self.spooler.abandon()
         if torn_tail:
             self._tear_tail()
         self.agent.close()

@@ -364,6 +364,7 @@ class _Vehicle:
         self.lives = 0
         self.recoveries = 0
         self.truncated_lines = 0
+        self.mark_truncated_lines = 0
         # Ground-truth ledger sets (survive endpoint crashes).
         self.offered: Set[int] = set()
         self.acked: Set[int] = set()
@@ -409,12 +410,10 @@ class _Vehicle:
 
     # ------------------------------------------------------------------
     def emit(self, budget: int) -> None:
-        while budget > 0 and self.cursor < len(self.records):
-            record = self.records[self.cursor]
-            self.spooler.append(record)
-            self.offered.add(record.seq)
-            self.cursor += 1
-            budget -= 1
+        batch = self.records[self.cursor:self.cursor + budget]
+        self.spooler.append_many(batch)
+        self.offered.update(record.seq for record in batch)
+        self.cursor += len(batch)
 
     @property
     def drained(self) -> bool:
@@ -426,10 +425,7 @@ class _Vehicle:
         *torn_tail*, mid-append: the newest WAL line is half-written."""
         self.alive = False
         self.fold_proto()
-        handle = self.spooler._file
-        if handle is not None and not handle.closed:
-            handle.flush()
-            handle.close()
+        self.spooler.abandon()
         if torn_tail:
             self._tear_tail()
 
@@ -459,11 +455,23 @@ class _Vehicle:
         self.lives += 1
         self.recoveries += 1
         self.truncated_lines += report.truncated_lines
+        self.mark_truncated_lines += report.mark_truncated_lines
         self.client = self._make_client()
         self._wire()
         self.alive = True
 
     # ------------------------------------------------------------------
+    def recovery_json(self) -> dict:
+        doc = {
+            "recoveries": self.recoveries,
+            "truncated_lines": self.truncated_lines,
+        }
+        if self.mark_truncated_lines:
+            # Present only when a mark line was torn, so every other
+            # run's report keeps the bytes it had before the journal.
+            doc["mark_truncated_lines"] = self.mark_truncated_lines
+        return doc
+
     def ledger_json(self) -> dict:
         spooled = set(self.spooler.pending_seqs())
         union = self.acked | spooled | self.evicted | self.shed
@@ -715,10 +723,7 @@ class ChaosDriver:
         result.recoveries = {
             "server": self.server_recoveries,
             "vehicles": {
-                v.source: {
-                    "recoveries": v.recoveries,
-                    "truncated_lines": v.truncated_lines,
-                }
+                v.source: v.recovery_json()
                 for v in self.vehicles if v.recoveries
             },
         }

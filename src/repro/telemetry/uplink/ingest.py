@@ -425,7 +425,10 @@ class UplinkIngestor:
         path = self._checkpoint_path()
         tmp = path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, separators=(",", ":"), sort_keys=True)
+            # json.dumps takes the C encoder; json.dump never does.
+            handle.write(
+                json.dumps(doc, separators=(",", ":"), sort_keys=True)
+            )
             handle.flush()
             if self.fsync != "never":
                 os.fsync(handle.fileno())

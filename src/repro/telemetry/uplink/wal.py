@@ -31,6 +31,16 @@ Two log flavors live here:
 
 Both share one line format: ``crc32(body):body`` where ``body`` is the
 record's compact JSON wire line, so corruption is detected per line.
+
+The spooler's cumulative acknowledgment is durable in a third file of
+the same format, the *ack-mark journal* (``ackmark.log``): a schema
+header line, then one CRC-framed ``[seq]`` line appended per advancing
+ack on a handle that stays open.  Once it holds ``segment_max_records``
+marks it is rewritten to header + the current mark (``tmp`` +
+``os.replace``), so it never outgrows a segment.  Only its last line
+can be torn by a mid-write crash; recovery then falls back to the
+previous mark -- counted, never silent -- which can only re-offer
+records the fleet's dedup absorbs, never lose one.
 """
 
 from __future__ import annotations
@@ -51,8 +61,8 @@ from repro.telemetry.records import (
 #: Schema identifier written into every WAL segment header.
 WAL_SCHEMA = "repro-uplink-wal/1"
 
-#: Schema of the acknowledgment-watermark sidecar file.
-WAL_MARK_SCHEMA = "repro-uplink-walmark/1"
+#: Schema written into the header of the acknowledgment-mark journal.
+WAL_MARK_SCHEMA = "repro-uplink-walmark/2"
 
 #: First element of a watermark marker entry in a :class:`RecordLog`.
 MARKER_TAG = "~wm"
@@ -101,6 +111,58 @@ def _entry_to_record(fields: list) -> Optional[TelemetryRecord]:
         return None
 
 
+def _scan_log(
+    path: Path, schema: str, parse: Callable[[list, str], object],
+    tail_may_tear: bool = True,
+) -> Tuple[Optional[dict], list, int, int]:
+    """Read one header + CRC-framed-entries file.
+
+    Returns ``(header, entries, kept_bytes, torn)``: ``parse(fields,
+    line)`` maps each decoded entry to what the caller keeps, or
+    ``None`` when the entry is damaged.  A damaged or unterminated
+    *last* line is a torn tail -- the only line a mid-write crash can
+    damage: it is physically truncated away and counted in ``torn``;
+    damage anywhere else raises
+    :class:`WalCorruptionError`.  That covers the header too: a crash
+    while the file was being created leaves it empty or with a torn
+    first line and nothing after (``header`` is ``None``; each log has
+    its own rule for that); an unreadable header followed by entries is
+    corruption.
+    """
+    text = path.read_bytes().decode("utf-8", errors="replace")
+    lines = text.split("\n")
+    if lines.pop():
+        # No final newline: that write never completed, whatever its
+        # bytes parse as (appending after it would fuse two lines).
+        lines.append("")
+    try:
+        header = json.loads(lines[0]) if lines else None
+    except ValueError:
+        header = None
+    if not isinstance(header, dict):
+        if len(lines) > 1:
+            raise WalCorruptionError(f"{path}: unreadable header")
+        return None, [], 0, len(lines)
+    if header.get("schema") != schema:
+        raise SchemaVersionError(str(path), header.get("schema"), schema)
+    entries = []
+    kept = len(lines[0].encode("utf-8")) + 1
+    for line_no, line in enumerate(lines[1:], start=2):
+        fields = decode_entry(line)
+        entry = parse(fields, line) if fields is not None else None
+        if entry is None:
+            if not tail_may_tear or line_no != len(lines):
+                raise WalCorruptionError(
+                    f"{path}:{line_no}: corrupt entry mid-file"
+                )
+            with open(path, "r+b") as handle:
+                handle.truncate(kept)
+            return header, entries, kept, 1
+        entries.append(entry)
+        kept += len(line.encode("utf-8")) + 1
+    return header, entries, kept, 0
+
+
 # ----------------------------------------------------------------------
 # Configuration / reports
 # ----------------------------------------------------------------------
@@ -143,6 +205,9 @@ class RecoveryReport:
     last_seq: int = -1
     #: Persisted cumulative acknowledgment watermark.
     ack_through: int = -1
+    #: Torn tail lines of the ack-mark journal (recovery fell back to
+    #: the previous, fully written mark).
+    mark_truncated_lines: int = 0
 
 
 class _Segment:
@@ -185,6 +250,9 @@ class WalSpooler:
         self.source = source
         self.segments: List[_Segment] = []
         self._file = None
+        #: Append handle on the ack-mark journal, and its mark lines.
+        self._mark_file = None
+        self._mark_lines = 0
         self._next_index = 0
         self.last_seq = -1
         self.ack_mark = -1
@@ -202,6 +270,7 @@ class WalSpooler:
                     f"use WalSpooler.recover()"
                 )
             self._open_segment()
+            self._compact_mark()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -214,7 +283,7 @@ class WalSpooler:
         return self.config.directory / f"wal-{index:08d}.log"
 
     def _mark_path(self) -> Path:
-        return self.config.directory / "ackmark.json"
+        return self.config.directory / "ackmark.log"
 
     def _open_segment(self) -> None:
         segment = _Segment(self._next_index, self._segment_path(self._next_index))
@@ -364,6 +433,13 @@ class WalSpooler:
         """
         if seq <= self.ack_mark:
             return []
+        # Mark first, release second: a crash mid-write falls back to
+        # the previous mark with every record above it still on disk.
+        self.ack_mark = seq
+        if self._mark_lines >= self.config.segment_max_records:
+            self._compact_mark()
+        else:
+            self._write_mark()
         released: List[TelemetryRecord] = []
         for segment in list(self.segments):
             if segment.records and segment.records[0].seq <= seq:
@@ -380,31 +456,53 @@ class WalSpooler:
             if segment.closed and segment.max_seq <= seq:
                 segment.path.unlink(missing_ok=True)
                 self.segments.remove(segment)
-        self.ack_mark = seq
-        self._write_mark()
         self.acked += len(released)
         return released
 
     def _write_mark(self) -> None:
+        """Append the current mark to the journal, durably."""
+        self._mark_file.write(encode_entry(f"[{self.ack_mark}]") + "\n")
+        self._mark_lines += 1
+        self._mark_file.flush()
+        if self.config.fsync != "never":
+            os.fsync(self._mark_file.fileno())
+
+    def _compact_mark(self) -> None:
+        """Atomically rewrite the journal as header + the current mark.
+
+        Also how the journal is created and how recovery repairs a torn
+        tail.  The handle stays open across the ``os.replace`` (a rename
+        moves the name, not the open file), so later marks append to it.
+        """
+        if self._mark_file is not None:
+            self._mark_file.close()
         path = self._mark_path()
         tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"schema": WAL_MARK_SCHEMA, "ack_through": self.ack_mark},
-                handle,
-            )
-            handle.flush()
-            if self.config.fsync != "never":
-                os.fsync(handle.fileno())
+        header = json.dumps(
+            {"schema": WAL_MARK_SCHEMA, "source": self.source},
+            separators=(",", ":"), sort_keys=True,
+        )
+        self._mark_file = open(tmp, "w", encoding="utf-8")
+        self._mark_file.write(header + "\n")
+        self._mark_lines = 0
+        self._write_mark()
         os.replace(tmp, path)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._file is not None and not self._file.closed:
-            self._file.flush()
-            if self.config.fsync != "never":
-                self._fsync()
-            self._file.close()
+        for handle in (self._file, self._mark_file):
+            if handle is not None and not handle.closed:
+                handle.flush()
+                if self.config.fsync != "never":
+                    os.fsync(handle.fileno())
+        self.abandon()
+
+    def abandon(self) -> None:
+        """Drop the file handles the way process death does: what was
+        written reaches the OS, nothing is fsynced (crash harnesses)."""
+        for handle in (self._file, self._mark_file):
+            if handle is not None:
+                handle.close()
 
     def stats(self) -> dict:
         return {
@@ -429,14 +527,17 @@ class WalSpooler:
         A torn *tail* line of the *last* segment (the only line a
         mid-write crash can damage) is physically truncated away and
         counted; damage anywhere else raises
-        :class:`WalCorruptionError`.  Records at or below the persisted
-        ack watermark are not resurrected.
+        :class:`WalCorruptionError`.  The ack-mark journal follows the
+        same rule (:meth:`_read_mark`).  Records at or below the
+        persisted ack watermark are not resurrected.
         """
         spooler = cls(config, source, _from_recover=True)
         report = RecoveryReport()
         config.directory.mkdir(parents=True, exist_ok=True)
         paths = sorted(config.directory.glob("wal-*.log"))
-        spooler.ack_mark = cls._read_mark(config.directory)
+        spooler.ack_mark, report.mark_truncated_lines = cls._read_mark(
+            spooler._mark_path()
+        )
         report.ack_through = spooler.ack_mark
         last_seq = spooler.ack_mark
 
@@ -475,24 +576,29 @@ class WalSpooler:
             spooler._file = open(tail.path, "a", encoding="utf-8")
         else:
             spooler._open_segment()
+        spooler._compact_mark()
         report.segments = len(spooler.segments)
         report.pending = spooler.pending
         report.last_seq = spooler.last_seq
         return spooler, report
 
     @staticmethod
-    def _read_mark(directory: Path) -> int:
-        path = directory / "ackmark.json"
+    def _read_mark(path: Path) -> Tuple[int, int]:
+        """Parse the ack-mark journal -> (highest valid mark, torn lines).
+
+        A torn mark line falls back to the previous mark; a torn header
+        can only be the whole file of a journal that never held a mark.
+        """
         if not path.exists():
-            return -1
-        try:
-            data = json.loads(path.read_text())
-        except ValueError:
-            return -1  # torn sidecar: fall back to re-acking duplicates
-        if data.get("schema") != WAL_MARK_SCHEMA:
-            raise SchemaVersionError("WAL ack mark", data.get("schema"),
-                                     WAL_MARK_SCHEMA)
-        return int(data["ack_through"])
+            return -1, 0
+
+        def parse(fields: list, _line: str) -> Optional[int]:
+            if len(fields) == 1 and isinstance(fields[0], int):
+                return fields[0]
+            return None
+
+        _, marks, _, torn = _scan_log(path, WAL_MARK_SCHEMA, parse)
+        return max(marks, default=-1), torn
 
     @staticmethod
     def _read_segment(
@@ -503,53 +609,24 @@ class WalSpooler:
         Repairs a torn tail in place (truncate); ``segment is None``
         when the last file's *header* was torn (file removed).
         """
-        raw = path.read_bytes()
-        text = raw.decode("utf-8", errors="replace")
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        index = int(path.stem.split("-")[1])
-        segment = _Segment(index, path)
+        def parse(fields: list, line: str):
+            record = _entry_to_record(fields)
+            return None if record is None else (record, line)
 
-        # Header line.
-        header: Optional[dict] = None
-        if lines:
-            try:
-                parsed = json.loads(lines[0])
-                header = parsed if isinstance(parsed, dict) else None
-            except ValueError:
-                header = None
+        header, entries, kept_bytes, dropped = _scan_log(
+            path, WAL_SCHEMA, parse, tail_may_tear=is_last
+        )
         if header is None:
             if is_last:
                 path.unlink(missing_ok=True)
                 return None, [], 1
             raise WalCorruptionError(f"{path}: unreadable segment header")
-        if header.get("schema") != WAL_SCHEMA:
-            raise SchemaVersionError(str(path), header.get("schema"),
-                                     WAL_SCHEMA)
-
-        seqs: List[int] = []
-        kept_bytes = len(lines[0].encode("utf-8")) + 1
-        dropped = 0
-        for line_no, line in enumerate(lines[1:], start=2):
-            fields = decode_entry(line)
-            record = _entry_to_record(fields) if fields is not None else None
-            if record is None:
-                at_tail = is_last and line_no == len(lines)
-                if not at_tail:
-                    raise WalCorruptionError(
-                        f"{path}:{line_no}: corrupt WAL entry mid-file"
-                    )
-                # Torn tail: physically truncate the damaged line away.
-                with open(path, "r+b") as handle:
-                    handle.truncate(kept_bytes)
-                dropped = 1
-                break
-            segment.records.append(record)
-            segment.lines.append(line)
-            segment.max_seq = record.seq
-            seqs.append(record.seq)
-            kept_bytes += len(line.encode("utf-8")) + 1
+        segment = _Segment(int(path.stem.split("-")[1]), path)
+        segment.records = [record for record, _ in entries]
+        segment.lines = [line for _, line in entries]
+        seqs = [record.seq for record in segment.records]
+        if seqs:
+            segment.max_seq = seqs[-1]
         segment.nbytes = kept_bytes
         return segment, seqs, dropped
 
@@ -593,12 +670,13 @@ class RecordLog:
             self._file = open(self.path, "w", encoding="utf-8")
             self._write_header()
 
+    _HEADER = json.dumps(
+        {"schema": WAL_SCHEMA, "segment": 0, "source": "*fleet*"},
+        separators=(",", ":"), sort_keys=True,
+    )
+
     def _write_header(self) -> None:
-        header = json.dumps(
-            {"schema": WAL_SCHEMA, "segment": 0, "source": "*fleet*"},
-            separators=(",", ":"), sort_keys=True,
-        )
-        self._file.write(header + "\n")
+        self._file.write(self._HEADER + "\n")
         self._file.flush()
 
     # ------------------------------------------------------------------
@@ -629,8 +707,8 @@ class RecordLog:
 
     def reset(self) -> None:
         """Truncate after a checkpoint absorbed every entry."""
-        self._file.close()
-        self._file = open(self.path, "w", encoding="utf-8")
+        self._file.seek(0)
+        self._file.truncate()
         self._write_header()
         if self.fsync != "never":
             os.fsync(self._file.fileno())
@@ -650,48 +728,25 @@ class RecordLog:
         path = Path(path)
         if not path.exists():
             return cls(path, fsync)
-        log = cls(path, fsync, _replay=True)
-        raw = path.read_text(encoding="utf-8", errors="replace")
-        lines = raw.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
-            return cls(path, fsync)
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
-            header = None
-        if not isinstance(header, dict):
+
+        def parse(fields: list, _line: str):
+            if (
+                len(fields) == 3 and fields[0] == MARKER_TAG
+                and isinstance(fields[2], int)
+            ):
+                return None, (fields[1], fields[2])
+            record = _entry_to_record(fields)
+            return None if record is None else (record, None)
+
+        header, entries, _, torn = _scan_log(path, WAL_SCHEMA, parse)
+        if header is None:
+            if not torn:
+                return cls(path, fsync)  # empty file: nothing to replay
             raise WalCorruptionError(f"{path}: unreadable log header")
-        if header.get("schema") != WAL_SCHEMA:
-            raise SchemaVersionError(str(path), header.get("schema"),
-                                     WAL_SCHEMA)
-        kept = len(lines[0].encode("utf-8")) + 1
-        for line_no, line in enumerate(lines[1:], start=2):
-            fields = decode_entry(line)
-            entry = None
-            if fields is not None:
-                if (
-                    len(fields) == 3 and fields[0] == MARKER_TAG
-                    and isinstance(fields[2], int)
-                ):
-                    entry = (None, (fields[1], fields[2]))
-                else:
-                    record = _entry_to_record(fields)
-                    if record is not None:
-                        entry = (record, None)
-            if entry is None:
-                if line_no != len(lines):
-                    raise WalCorruptionError(
-                        f"{path}:{line_no}: corrupt log entry mid-file"
-                    )
-                with open(path, "r+b") as handle:
-                    handle.truncate(kept)
-                log.truncated = 1
-                break
-            log.replayed.append(entry)
-            log.entries += 1
-            kept += len(line.encode("utf-8")) + 1
+        log = cls(path, fsync, _replay=True)
+        log.replayed = entries
+        log.entries = len(entries)
+        log.truncated = torn
         log._file = open(path, "a", encoding="utf-8")
         return log
 

@@ -79,8 +79,7 @@ def write_chrome_trace(recorder: SpanRecorder, path: str) -> int:
     """Write the Chrome trace of *recorder* to *path*; returns #events."""
     document = chrome_trace(recorder)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, separators=(",", ":"))
-        handle.write("\n")
+        handle.write(json.dumps(document, separators=(",", ":")) + "\n")
     return len(document["traceEvents"])
 
 

@@ -61,6 +61,59 @@ class TestGatewayScenarios:
         assert result.protocol["hellos"] >= QUICK.vehicles + 1
 
 
+class TestDurabilitySyscallBudget:
+    def test_clean_episode_pays_one_rename_per_checkpoint_or_compaction(
+        self, tmp_path, monkeypatch
+    ):
+        """The clock-free regression guard of the durability path: on a
+        clean 4 x 30 episode an ack mark is an append, so renames are
+        bounded by checkpoints + journal compactions and opens by
+        segments + compactions + checkpoints."""
+        import collections
+        import os
+
+        from repro.telemetry.gateway.chaos import GatewayChaosScenario
+        from repro.telemetry.uplink import ingest, wal
+
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(os, "replace", counted("replace", os.replace))
+        for module in (wal, ingest):  # shadow the builtin in these only
+            monkeypatch.setattr(
+                module, "open", counted("open", open), raising=False
+            )
+        for name in ("_compact_mark", "_write_mark", "_open_segment"):
+            monkeypatch.setattr(
+                wal.WalSpooler, name,
+                counted(name, getattr(wal.WalSpooler, name)),
+            )
+        config = ChaosConfig(vehicles=4, frames=30, protocol="windowed")
+        result = GatewayChaosScenario(name="clean").make_driver(
+            config, tmp_path
+        ).run()
+        assert result.ok, [c for c in result.checks if not c["ok"]]
+
+        checkpoints = result.ingest["checkpoints"]
+        compactions = calls["_compact_mark"]
+        assert checkpoints >= 20 and calls["_write_mark"] >= 100
+        assert calls["replace"] <= checkpoints + compactions
+        # One compaction per vehicle creates the journal, one more per
+        # segment_max_records marks; every other ack is an append.
+        assert compactions <= config.vehicles + (
+            calls["_write_mark"] // config.segment_max_records
+        )
+        # + 2: the ingest log, opened live and by the cold-recovery check.
+        assert calls["open"] <= (
+            calls["_open_segment"] + compactions + checkpoints + 2
+        )
+
+
 class TestChaosReport:
     def _report(self, counters):
         return {

@@ -95,6 +95,36 @@ class TestScenarios:
         assert server.ok
         assert server.recoveries["server"] == 3
 
+    def test_torn_ack_mark_is_reported_never_silent(
+        self, tmp_path, monkeypatch
+    ):
+        """A kill that also tears the newest ack-mark line: recovery
+        falls back one mark, the re-offered records are absorbed by the
+        fleet's dedup (digest still converges), and the report says so."""
+        from repro.telemetry.uplink.chaos import _Vehicle
+
+        real_kill = _Vehicle.kill
+
+        def kill_and_tear_mark(vehicle, torn_tail):
+            real_kill(vehicle, torn_tail)
+            path = vehicle.wal_config.directory / "ackmark.log"
+            raw = path.read_bytes()
+            lines = raw.split(b"\n")
+            if len(lines) >= 4:  # header, an older mark, the newest, ""
+                path.write_bytes(raw[: len(raw) - len(lines[-2]) // 2 - 1])
+
+        monkeypatch.setattr(_Vehicle, "kill", kill_and_tear_mark)
+        result = ChaosDriver(
+            _by_name("vehicle_crash"), _quick_config(frames=24), tmp_path
+        ).run()
+        stats = result.recoveries["vehicles"]
+        assert sum(
+            entry.get("mark_truncated_lines", 0) for entry in stats.values()
+        ) >= 1
+        checks = {c["name"]: c["ok"] for c in result.checks}
+        assert checks["converged"] and checks["digest"]
+        assert checks["recovery_digest"]
+
     def test_sweep_is_deterministic(self, tmp_path):
         scenario = _by_name("chaos_mixed")
         first = ChaosDriver(scenario, _quick_config(), tmp_path / "a").run()

@@ -223,6 +223,46 @@ class TestIngestor:
         assert ack["ack_through"] == 14
         assert store_digest(recovered.service) == live
 
+    def test_checkpoint_bytes_are_the_canonical_dump(self, tmp_path):
+        """One C-encoded write must leave exactly the bytes json.dump
+        left: compact, key-sorted, no trailing newline."""
+        config = ServiceConfig(store=StoreConfig(mk_by_chain={"c": (2, 10)}))
+        ingestor = UplinkIngestor(
+            _service(), tmp_path, fsync="never", checkpoint_every=None
+        )
+        for source in ("v1", "v0"):
+            ingestor.handle_payload(encode_batch(
+                source, 0, [_rec(source, seq, miss=seq == 3)
+                            for seq in range(7)],
+            ))
+        ingestor.checkpoint()
+        raw = (tmp_path / "checkpoint.json").read_text(encoding="utf-8")
+        doc = {
+            "schema": CHECKPOINT_SCHEMA,
+            "store": ingestor.service.snapshot(),
+            "dedup": {s: d.to_json() for s, d in ingestor.dedup.items()},
+            "held": {},
+        }
+        assert raw == json.dumps(doc, separators=(",", ":"), sort_keys=True)
+        assert not (tmp_path / "checkpoint.tmp").exists()
+        live = store_digest(ingestor.service)
+        ingestor.close()
+        recovered, report = UplinkIngestor.recover(
+            tmp_path, config, fsync="never", checkpoint_every=None
+        )
+        assert report.checkpoint_loaded and report.replayed_records == 0
+        assert store_digest(recovered.service) == live
+        # The recovered log handle is append-mode: resetting it in
+        # place must still leave header + new entries, nothing stale.
+        recovered.handle_payload(encode_batch("v0", 1, [_rec("v0", 7)]))
+        recovered.checkpoint()
+        recovered.handle_payload(encode_batch("v0", 2, [_rec("v0", 8)]))
+        live = store_digest(recovered.service)
+        recovered.close()
+        again, report = UplinkIngestor.recover(tmp_path, config, fsync="never")
+        assert (report.replayed_records, report.replayed_markers) == (1, 1)
+        assert store_digest(again.service) == live
+
     def test_unknown_checkpoint_schema_refused(self, tmp_path):
         ingestor = UplinkIngestor(
             _service(), tmp_path, fsync="never", checkpoint_every=1

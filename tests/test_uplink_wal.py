@@ -1,5 +1,6 @@
 """Vehicle WAL spooler + fleet record log: rotation, ack, eviction,
-crash recovery with torn tails, and the replay round-trip property."""
+crash recovery with torn tails, the ack-mark journal, and the replay
+round-trip / crash-interleaving properties."""
 
 import tempfile
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from repro.telemetry.records import RecordKind, SchemaVersionError, TelemetryRecord
 from repro.telemetry.uplink.wal import (
     RecordLog,
+    WAL_MARK_SCHEMA,
     WalConfig,
     WalCorruptionError,
     WalSpooler,
@@ -152,6 +154,25 @@ class TestSpoolerRecovery:
         assert report2.truncated_lines == 0
         assert again.pending == 5
 
+    def test_record_missing_only_its_newline_is_a_torn_tail(self, tmp_path):
+        """Its bytes parse, but the write never completed: keeping it
+        would fuse the next append onto the same line and lose both."""
+        config = _config(tmp_path, segment_max_records=16)
+        spooler = WalSpooler.open_fresh(config, "v0")
+        spooler.append_many([_rec("v0", i) for i in range(3)])
+        spooler.close()
+        path = sorted(config.directory.glob("wal-*.log"))[-1]
+        path.write_bytes(path.read_bytes()[:-1])
+        recovered, report = WalSpooler.recover(config, "v0")
+        assert report.truncated_lines == 1
+        assert recovered.pending_seqs() == [0, 1]
+        recovered.append_many([_rec("v0", 2), _rec("v0", 3)])
+        recovered.close()
+        again, report = WalSpooler.recover(config, "v0")
+        again.close()
+        assert report.truncated_lines == 0
+        assert again.pending_seqs() == [0, 1, 2, 3]
+
     def test_mid_file_corruption_raises(self, tmp_path):
         config = _config(tmp_path, segment_max_records=100)
         spooler = WalSpooler.open_fresh(config, "v0")
@@ -182,6 +203,143 @@ class TestSpoolerRecovery:
         WalSpooler.open_fresh(config, "v0").close()
         with pytest.raises(FileExistsError):
             WalSpooler.open_fresh(_config(tmp_path), "v0")
+
+
+def _mark_lines(config):
+    return (config.directory / "ackmark.log").read_text().split("\n")[:-1]
+
+
+def _recovery_report(config):
+    spooler, report = WalSpooler.recover(config, "v0")
+    spooler.close()
+    return report
+
+
+class TestAckMarkJournal:
+    def test_acks_append_and_recover_to_the_last_mark(self, tmp_path):
+        config = _config(tmp_path, segment_max_records=16)
+        spooler = WalSpooler.open_fresh(config, "v0")
+        spooler.append_many([_rec("v0", i) for i in range(10)])
+        assert len(_mark_lines(config)) == 2  # header + the initial -1
+        for seq in (2, 5, 5, 3, 7):  # stale/equal acks write nothing
+            spooler.ack_through(seq)
+        lines = _mark_lines(config)
+        assert WAL_MARK_SCHEMA in lines[0]
+        assert [decode_entry(line) for line in lines[1:]] == [
+            [-1], [2], [5], [7]
+        ]
+        spooler.close()
+
+        recovered, report = WalSpooler.recover(config, "v0")
+        assert (report.ack_through, report.mark_truncated_lines) == (7, 0)
+        assert recovered.pending_seqs() == [8, 9]
+        # Recovery compacts, and the journal keeps taking marks.
+        assert [decode_entry(ln) for ln in _mark_lines(config)[1:]] == [[7]]
+        recovered.ack_through(8)
+        recovered.close()
+        assert _recovery_report(config).ack_through == 8
+
+    def test_full_journal_compacts_to_the_current_mark(self, tmp_path):
+        config = _config(tmp_path, segment_max_records=4)
+        spooler = WalSpooler.open_fresh(config, "v0")
+        spooler.append_many([_rec("v0", i) for i in range(3)])
+        for seq in range(3):
+            spooler.ack_through(seq)
+        assert len(_mark_lines(config)) == 4 + 1  # full: header + 4 marks
+        spooler.append_many([_rec("v0", i) for i in range(3, 9)])
+        spooler.ack_through(5)
+        assert [decode_entry(ln) for ln in _mark_lines(config)[1:]] == [[5]]
+        assert not (config.directory / "ackmark.tmp").exists()
+        spooler.ack_through(6)
+        assert [decode_entry(ln) for ln in _mark_lines(config)[1:]] == [
+            [5], [6]
+        ]
+        spooler.close()
+        assert _recovery_report(config).ack_through == 6
+
+    def test_journal_never_outgrows_a_segment(self, tmp_path):
+        # Acks that keep pace (the segment never fills, nothing rotates)
+        # and acks draining a backlog after many rotations alike.
+        config = _config(tmp_path, segment_max_records=5)
+        spooler = WalSpooler.open_fresh(config, "v0")
+        for i in range(40):
+            spooler.append(_rec("v0", i))
+            spooler.ack_through(i)
+            assert len(_mark_lines(config)) <= 5 + 1
+        assert len(spooler.segments) == 1
+        spooler.append_many([_rec("v0", i) for i in range(40, 80)])
+        assert len(spooler.segments) > 5
+        for i in range(40, 80):
+            spooler.ack_through(i)
+            assert len(_mark_lines(config)) <= 5 + 1
+        spooler.close()
+        assert _recovery_report(config).ack_through == 79
+
+    def test_torn_tail_at_every_byte_falls_back_one_mark(self, tmp_path):
+        config = _config(tmp_path, segment_max_records=16)
+        spooler = WalSpooler.open_fresh(config, "v0")
+        spooler.append_many([_rec("v0", i) for i in range(10)])
+        spooler.ack_through(3)
+        spooler.ack_through(7)
+        spooler.close()
+        path = config.directory / "ackmark.log"
+        raw = path.read_bytes()
+        last = raw.split(b"\n")[-2]
+        start = len(raw) - len(last) - 1
+        for cut in range(len(last) + 2):
+            path.write_bytes(raw[: start + cut])
+            recovered, report = WalSpooler.recover(config, "v0")
+            recovered.close()
+            # Complete with its newline -> 7; anything less -> the
+            # previous mark, never lower, and counted unless the line
+            # is absent altogether.
+            whole = cut == len(last) + 1
+            assert report.ack_through == (7 if whole else 3), cut
+            assert report.mark_truncated_lines == (
+                0 if whole or cut == 0 else 1
+            ), cut
+            assert recovered.pending_seqs() == list(
+                range(report.ack_through + 1, 10)
+            )
+            # The repair is physical: a second recovery is clean.
+            again, report2 = WalSpooler.recover(config, "v0")
+            again.close()
+            assert report2.mark_truncated_lines == 0
+            assert report2.ack_through == report.ack_through
+
+    def test_torn_header_of_a_fresh_journal_is_counted(self, tmp_path):
+        config = _config(tmp_path)
+        WalSpooler.open_fresh(config, "v0").close()
+        path = config.directory / "ackmark.log"
+        path.write_bytes(path.read_bytes()[:9])
+        report = _recovery_report(config)
+        assert (report.ack_through, report.mark_truncated_lines) == (-1, 1)
+
+    def test_mid_file_damage_raises(self, tmp_path):
+        config = _config(tmp_path, segment_max_records=16)
+        spooler = WalSpooler.open_fresh(config, "v0")
+        spooler.append_many([_rec("v0", i) for i in range(6)])
+        for seq in (1, 2, 3):
+            spooler.ack_through(seq)
+        spooler.close()
+        path = config.directory / "ackmark.log"
+        good = path.read_text().split("\n")
+        for line_no in (0, 2):  # header, or a mark that is not the tail
+            lines = list(good)
+            lines[line_no] = lines[line_no][:-3] + "XXX"
+            path.write_text("\n".join(lines))
+            with pytest.raises(WalCorruptionError):
+                WalSpooler.recover(config, "v0")
+
+    def test_foreign_schema_raises(self, tmp_path):
+        config = _config(tmp_path)
+        WalSpooler.open_fresh(config, "v0").close()
+        path = config.directory / "ackmark.log"
+        path.write_text(path.read_text().replace(
+            WAL_MARK_SCHEMA, "repro-uplink-walmark/9"
+        ))
+        with pytest.raises(SchemaVersionError):
+            WalSpooler.recover(config, "v0")
 
 
 class TestRecordLog:
@@ -274,3 +432,98 @@ class TestReplayRoundTripProperty:
             recovered.append(_rec("v0", next_seq))
             assert recovered.pending_records()[-1].seq == next_seq
             recovered.close()
+
+
+class _Crash(Exception):
+    """Raised by the torn mark write standing in for process death."""
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("append"), st.integers(1, 9)),
+    st.tuples(st.just("ack"), st.integers(1, 12)),
+    st.tuples(st.just("crash"), st.just(0)),
+    # Die inside ack_through(+n), the mark line cut at this fraction.
+    st.tuples(st.just("crash_mid_ack"), st.integers(1, 12),
+              st.floats(0.0, 1.0)),
+)
+
+
+class TestCrashInterleavingProperty:
+    @given(
+        ops=st.lists(_OPS, min_size=1, max_size=30),
+        segment_max=st.integers(min_value=1, max_value=6),
+        budget=st.one_of(st.none(), st.integers(600, 2000)),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_ledger_law_and_marks_survive_any_interleaving(
+        self, ops, segment_max, budget
+    ):
+        """append_many / ack_through / kill (optionally mid-mark-write)
+        / recover in any order: every offered seq is in exactly one of
+        acked, spooled, evicted, and nothing at or below a fully
+        written mark is ever offered again."""
+        with tempfile.TemporaryDirectory() as tmp:
+            config = WalConfig(
+                directory=Path(tmp) / "wal", fsync="never",
+                segment_max_records=segment_max, max_bytes=budget,
+            )
+            offered, acked, evicted = set(), set(), set()
+            durable_mark = -1
+
+            def wire(spooler):
+                spooler.on_evict = lambda lost: evicted.update(
+                    record.seq for record in lost
+                )
+                return spooler
+
+            def check(spooler):
+                spooled = set(spooler.pending_seqs())
+                assert offered == acked | spooled | evicted
+                assert len(offered) == (
+                    len(acked) + len(spooled) + len(evicted)
+                )
+                assert spooler.ack_mark == durable_mark
+                assert all(seq > durable_mark for seq in spooled)
+                lines = (config.directory / "ackmark.log").read_text()
+                assert lines.count("\n") <= segment_max + 1
+
+            def recover():
+                spooler, report = WalSpooler.recover(config, "v0")
+                assert report.ack_through == durable_mark
+                check(wire(spooler))
+                return spooler
+
+            spooler = wire(WalSpooler.open_fresh(config, "v0"))
+            next_seq = 0
+            for op in ops:
+                if op[0] == "append":
+                    batch = [_rec("v0", next_seq + i) for i in range(op[1])]
+                    next_seq += op[1]
+                    spooler.append_many(batch)
+                    offered.update(record.seq for record in batch)
+                elif op[0] == "crash":
+                    spooler.abandon()
+                    spooler = recover()
+                else:
+                    target = min(spooler.ack_mark + op[1], next_seq - 1)
+                    if target <= spooler.ack_mark:
+                        continue
+                    if op[0] == "ack":
+                        released = spooler.ack_through(target)
+                        acked.update(record.seq for record in released)
+                        durable_mark = target
+                    else:
+                        def torn_write(spooler=spooler, cut=op[2]):
+                            line = encode_entry(f"[{spooler.ack_mark}]")
+                            keep = 1 + int(cut * (len(line) - 2))
+                            spooler._mark_file.write(line[:keep])
+                            raise _Crash()
+
+                        spooler._write_mark = torn_write
+                        with pytest.raises(_Crash):
+                            spooler.ack_through(target)
+                        spooler.abandon()
+                        spooler = recover()
+                check(spooler)
+            spooler.close()
+            recover().close()
