@@ -21,7 +21,6 @@ from typing import List, Optional
 
 from repro.bench.harness import (
     DEFAULT_THRESHOLD,
-    check_throughput_floors,
     compare_suites,
     load_suite,
     render_suite,
@@ -59,8 +58,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="BENCH",
         help="run only the named benchmark(s); repeatable and "
-        "comma-separable.  Floor references are pulled in "
-        "automatically; --compare is restricted to the selected names",
+        "comma-separable; --compare is restricted to the selected names",
     )
     parser.add_argument(
         "--out",
@@ -146,10 +144,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         results = run_suite(suite, quick=args.quick, only=suite_only)
         print(f"==> {suite}")
         print(render_suite(results))
-        floor_report = check_throughput_floors(suite_to_json(suite, results))
-        if floor_report.checks:
-            print(floor_report.render())
-            failed = failed or not floor_report.passed
         if args.out is not None:
             if only is not None:
                 print("--only with --out would write a partial baseline; "

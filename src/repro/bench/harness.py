@@ -18,31 +18,13 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 #: Schema identifier written into (and required from) every bench file.
 SCHEMA = "repro-bench/1"
 
 #: Default slowdown tolerance for --compare (fraction of baseline median).
 DEFAULT_THRESHOLD = 0.30
-
-#: Relative throughput floors checked on every suite run: bench name
-#: -> (reference bench in the same suite, minimum units_per_s ratio).
-#: These encode *designed* speedups -- the pipelined windowed uplink
-#: exists to beat stop-and-wait, so the gate fails if it stops doing
-#: so -- and are robust to machine speed because both sides run on the
-#: same host in the same invocation.
-THROUGHPUT_FLOORS: Dict[str, tuple] = {
-    "uplink_roundtrip_windowed": ("uplink_roundtrip", 2.0),
-    # Calendar-queue engine vs the old lazy-cancel heap on identical
-    # rearm/cancel-storm workloads (the ``*_heap`` twins pin the
-    # reference engine in-process).
-    "timer_rearm": ("timer_rearm_heap", 2.0),
-    "kernel_cancel_sweep": ("kernel_cancel_sweep_heap", 2.0),
-    # Batched SoA ingest vs the per-record scalar telemetry path on the
-    # same pre-materialized fleet stream.
-    "ingest_batched": ("telemetry_ingest", 2.0),
-}
 
 
 @dataclass
@@ -235,70 +217,6 @@ def compare_suites(
                 regressed=ratio > 1.0 + threshold,
             )
         )
-    return report
-
-
-@dataclass
-class FloorCheck:
-    """One relative-throughput-floor verdict."""
-
-    name: str
-    reference: str
-    ratio: Optional[float]  # None: one side missing from the run
-    required: float
-    ok: bool
-
-
-@dataclass
-class FloorReport:
-    """Outcome of checking a suite run against THROUGHPUT_FLOORS."""
-
-    checks: List[FloorCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def render(self) -> str:
-        lines = []
-        for c in self.checks:
-            shown = "?" if c.ratio is None else f"{c.ratio:.2f}x"
-            verdict = "ok" if c.ok else "BELOW FLOOR"
-            lines.append(
-                f"floor {c.name} >= {c.required:.1f}x {c.reference}: "
-                f"{shown}  {verdict}"
-            )
-        return "\n".join(lines)
-
-
-def check_throughput_floors(
-    data: dict, floors: Optional[Dict[str, tuple]] = None
-) -> FloorReport:
-    """Check a suite document's designed relative speedups.
-
-    A floored bench absent from the run is skipped (old baselines stay
-    valid); a floored bench whose *reference* is absent fails -- the
-    ratio it exists to prove can no longer be measured."""
-    validate_suite(data)
-    floors = THROUGHPUT_FLOORS if floors is None else floors
-    benchmarks: Dict[str, dict] = data["benchmarks"]
-    report = FloorReport()
-    for name, (reference, required) in sorted(floors.items()):
-        entry = benchmarks.get(name)
-        if entry is None:
-            continue
-        base = benchmarks.get(reference)
-        if base is None or not base.get("units_per_s"):
-            report.checks.append(FloorCheck(
-                name=name, reference=reference, ratio=None,
-                required=required, ok=False,
-            ))
-            continue
-        ratio = entry["units_per_s"] / base["units_per_s"]
-        report.checks.append(FloorCheck(
-            name=name, reference=reference, ratio=ratio,
-            required=required, ok=ratio >= required,
-        ))
     return report
 
 

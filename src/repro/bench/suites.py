@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bench.harness import THROUGHPUT_FLOORS, BenchResult, run_bench
+from repro.bench.harness import BenchResult, run_bench
 
 #: name -> (factory kwargs) registries, filled below.
 KERNEL_SUITE = "kernel"
@@ -50,11 +50,9 @@ def bench_kernel_cancel_sweep() -> int:
     Each sweep cancels a quarter of the armed events outright and
     rearms the survivors at a later deadline -- the pattern a
     NORMAL->DEGRADED transition produces when deadline monitors are
-    torn down and re-armed en masse.  The heap engine pays a lazy
-    O(log n) pop for every dead entry plus a fresh handle per rearm;
-    the calendar queue retires dead entries in bulk compactions and
-    rearms in place.  Units are queue operations (schedule, cancel,
-    rearm, fire).
+    torn down and re-armed en masse.  The calendar queue retires dead
+    entries in bulk compactions and rearms in place.  Units are queue
+    operations (schedule, cancel, rearm, fire).
     """
     from repro.sim import Simulator
 
@@ -319,10 +317,10 @@ def bench_fault_scenario() -> int:
     return frames
 
 
-#: Lazily-built fleet stream shared by the telemetry ingest bench pair.
+#: Lazily-built fleet stream of the telemetry ingest bench.
 #: Generation happens once, *outside* any timed iteration, so the
-#: measured work is the service's (queue, store, alert engine) and the
-#: floor ratio compares engines rather than a common generator cost.
+#: measured work is the service's (queue, store, alert engine), not the
+#: generator's.
 _FLEET_STREAM = None
 
 
@@ -334,53 +332,24 @@ def _fleet_stream():
         from repro.telemetry.batch import RecordBatch
 
         generator = FleetLoadGenerator(FleetConfig(vehicles=4, frames=120))
-        records = generator.materialize()
         _FLEET_STREAM = (
             generator.config.store_config(),
-            records,
-            RecordBatch.from_records(records),
+            RecordBatch.from_records(generator.materialize()),
         )
     return _FLEET_STREAM
 
 
-def bench_telemetry_ingest() -> int:
-    """Fleet record stream through the per-record ingest -> alert path.
-
-    The stream is pre-materialized (see ``_fleet_stream``) so the
-    measured work is the service's, not the generator's.  The scalar
-    engine is pinned explicitly: this bench is the reference side of
-    the ``ingest_batched`` throughput floor.
-    """
-    from repro.telemetry import ServiceConfig, TelemetryService
-
-    store_config, records, _ = _fleet_stream()
-    service = TelemetryService(ServiceConfig(
-        store=store_config, engine="scalar",
-    ))
-    service.ingest_many(records)
-    service.drain()
-    assert service.accounting_ok(), "telemetry accounting violated"
-    return len(records)
-
-
 def bench_telemetry_ingest_batched() -> int:
-    """The same fleet stream through the columnar batched ingest path.
+    """A fleet record stream through the columnar ingest -> alert path.
 
-    Identical records, store config, and alert policy as
-    ``telemetry_ingest`` -- the only difference is the engine: one
-    struct-of-arrays :class:`~repro.telemetry.batch.RecordBatch`
+    One struct-of-arrays :class:`~repro.telemetry.batch.RecordBatch`
     through :meth:`~repro.telemetry.service.TelemetryService.ingest_batch`
-    and the store's grouped/vectorized ``apply_batch``.  The floor gate
-    holds this at >= 2x the scalar reference's throughput; the
-    differential suite separately proves both engines produce
-    byte-identical store digests and alert logs.
+    and the store's grouped/vectorized ``apply_batch``.
     """
     from repro.telemetry import ServiceConfig, TelemetryService
 
-    store_config, _records, batch = _fleet_stream()
-    service = TelemetryService(ServiceConfig(
-        store=store_config, engine="batched",
-    ))
+    store_config, batch = _fleet_stream()
+    service = TelemetryService(ServiceConfig(store=store_config))
     service.ingest_batch(batch)
     service.drain()
     assert service.accounting_ok(), "telemetry accounting violated"
@@ -388,36 +357,31 @@ def bench_telemetry_ingest_batched() -> int:
 
 
 #: Wall-clock cost (seconds) of one simulated channel step in the
-#: uplink roundtrip benches.  The adversarial channel is a
+#: uplink roundtrip bench.  The adversarial channel is a
 #: discrete-event simulation; with free steps, "throughput" would
-#: measure only the encode/apply CPU both protocols share and a
-#: pipelined protocol would be indistinguishable from a lockstep one.
-#: Charging a fixed quantum per step turns link delay into wall time,
-#: which is the regime an ARQ window exists for: stop-and-wait pays
-#: ~1 RTT per batch while the windowed client keeps the link full.
-#: Because both benches run the identical loop, the ratio the floor
-#: gate checks is dominated by step counts, not host speed.
+#: measure only the encode/apply CPU and say nothing about how well
+#: the ARQ window keeps the link full.  Charging a fixed quantum per
+#: step turns link delay into wall time, so the number is dominated by
+#: step counts, not host speed.
 _LINK_STEP_S = 0.001
 #: One-way link delay in simulated steps (RTT is twice this, plus the
 #: turnaround step).  At 1 ms/step this models a ~8 ms-RTT link.
 _LINK_DELAY_STEPS = 4
-#: Ack timeout (steps) for both clients; above the clean-channel RTT
-#: so neither protocol retransmits spuriously.
+#: Ack timeout (steps); above the clean-channel RTT so the client
+#: never retransmits spuriously.
 _LINK_ACK_TIMEOUT = 16
 
 
-def _run_uplink_roundtrip(windowed: bool) -> int:
+def bench_uplink_roundtrip_windowed() -> int:
     """One fleet stream through the store-and-forward uplink path.
 
     Every record is durably spooled (WAL append), carried over a
     clean but latency-modeled channel (``_LINK_STEP_S`` of wall time
-    per simulated step, ``_LINK_DELAY_STEPS`` each way), deduplicated,
-    logged append-before-ack, applied, and acknowledged.  The two
-    public benches differ *only* in the client wired in: the lockstep
-    stop-and-wait :class:`RetryingUplinkClient` versus the pipelined
-    :class:`WindowedUplinkClient` (multi-record frames, sliding
-    window, cumulative acks, zero-re-encode relay of cached WAL wire
-    lines).
+    per simulated step, ``_LINK_DELAY_STEPS`` each way) by the
+    pipelined :class:`WindowedUplinkClient` (multi-record frames,
+    sliding window, cumulative acks, zero-re-encode relay of cached
+    WAL wire lines), deduplicated, logged append-before-ack, applied,
+    and acknowledged.
     """
     import tempfile
     import time as _time
@@ -431,8 +395,6 @@ def _run_uplink_roundtrip(windowed: bool) -> int:
     )
     from repro.telemetry.uplink import (
         AdversarialChannel,
-        RetryingUplinkClient,
-        UplinkClientConfig,
         UplinkIngestor,
         WalConfig,
         WalSpooler,
@@ -453,7 +415,7 @@ def _run_uplink_roundtrip(windowed: bool) -> int:
             TelemetryService(ServiceConfig(store=fleet.store_config())),
             root / "fleet", fsync="never", checkpoint_every=None,
         )
-        clients: Dict[str, object] = {}
+        clients: Dict[str, WindowedUplinkClient] = {}
         down = AdversarialChannel(
             "down",
             lambda frame, now: clients[frame.dst].on_ack(
@@ -479,21 +441,13 @@ def _run_uplink_roundtrip(windowed: bool) -> int:
             send = lambda payload, now, src=source: up.send(
                 payload, src, "fleet", now
             )
-            if windowed:
-                clients[source] = WindowedUplinkClient(
-                    spooler, send,
-                    WindowedClientConfig(
-                        frame_records=64, window_frames=8,
-                        ack_timeout=_LINK_ACK_TIMEOUT,
-                    ),
-                )
-            else:
-                clients[source] = RetryingUplinkClient(
-                    spooler, send,
-                    UplinkClientConfig(
-                        batch_records=64, ack_timeout=_LINK_ACK_TIMEOUT,
-                    ),
-                )
+            clients[source] = WindowedUplinkClient(
+                spooler, send,
+                WindowedClientConfig(
+                    frame_records=64, window_frames=8,
+                    ack_timeout=_LINK_ACK_TIMEOUT,
+                ),
+            )
         now = 0
         while any(not c.idle() for c in clients.values()) and now < 10_000:
             for client in clients.values():
@@ -505,29 +459,6 @@ def _run_uplink_roundtrip(windowed: bool) -> int:
         assert ingestor.service.store.applied == len(records), \
             "uplink lost records on a clean channel"
     return len(records)
-
-
-def bench_uplink_roundtrip() -> int:
-    """Fleet stream through the stop-and-wait uplink over a modeled link.
-
-    The lockstep baseline: one batch in flight, the next send gated on
-    the previous ack, so wall time is ~one RTT per batch (see
-    :func:`_run_uplink_roundtrip` for the shared data path and latency
-    model).
-    """
-    return _run_uplink_roundtrip(windowed=False)
-
-
-def bench_uplink_roundtrip_windowed() -> int:
-    """The same fleet stream through the pipelined windowed-ARQ path.
-
-    Identical data path and latency model as ``uplink_roundtrip``, but
-    the sliding window keeps ``window_frames`` frames in flight, so the
-    link stays full instead of draining once per RTT.  The floor gate
-    holds this at >= 2x the stop-and-wait baseline's throughput
-    (``THROUGHPUT_FLOORS``).
-    """
-    return _run_uplink_roundtrip(windowed=True)
 
 
 def bench_budget_resolve() -> int:
@@ -655,44 +586,14 @@ def bench_warehouse_query() -> int:
     return rows
 
 
-def _engine_pinned(engine: str, fn: Callable[[], int]) -> Callable[[], int]:
-    """Run a bench body with the sim engine forced to *engine*.
-
-    The ``*_heap`` reference twins are the same workload pinned to the
-    old lazy-cancel heap, so the ``timer_rearm`` / ``kernel_cancel_sweep``
-    throughput floors compare the two queue engines on identical work
-    in the same process (shared-runner noise cancels instead of
-    biasing one side).
-    """
-    import os
-
-    @functools.wraps(fn)
-    def wrapper() -> int:
-        previous = os.environ.get("REPRO_SIM_ENGINE")
-        os.environ["REPRO_SIM_ENGINE"] = engine
-        try:
-            return fn()
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_SIM_ENGINE", None)
-            else:
-                os.environ["REPRO_SIM_ENGINE"] = previous
-
-    return wrapper
-
-
 #: suite name -> ordered list of (bench name, layer, unit, fn).
 SUITES: Dict[str, List[Tuple[str, str, str, Callable[[], int]]]] = {
     KERNEL_SUITE: [
         ("kernel_dispatch", "kernel", "events", bench_kernel_dispatch),
         ("kernel_cancel_sweep", "kernel", "events", bench_kernel_cancel_sweep),
-        ("kernel_cancel_sweep_heap", "kernel", "events",
-         _engine_pinned("heap", bench_kernel_cancel_sweep)),
         ("tracing_spans_off", "tracing", "events", bench_tracing_spans_off),
         ("tracing_spans_on", "tracing", "events", bench_tracing_spans_on),
         ("timer_rearm", "kernel", "arms", bench_timer_rearm),
-        ("timer_rearm_heap", "kernel", "arms",
-         _engine_pinned("heap", bench_timer_rearm)),
         ("scheduler_pingpong", "scheduler", "switches", bench_scheduler_pingpong),
         ("scheduler_preempt", "scheduler", "periods", bench_scheduler_preempt),
         ("dds_local_pubsub", "dds", "roundtrips", bench_dds_local_pubsub),
@@ -703,10 +604,8 @@ SUITES: Dict[str, List[Tuple[str, str, str, Callable[[], int]]]] = {
         ("perception_numerics", "perception", "points", bench_perception_numerics),
         ("budgeting_solve", "budgeting", "solves", bench_budgeting_solve),
         ("fault_scenario", "faults", "frames", bench_fault_scenario),
-        ("telemetry_ingest", "telemetry", "records", bench_telemetry_ingest),
         ("ingest_batched", "telemetry", "records",
          bench_telemetry_ingest_batched),
-        ("uplink_roundtrip", "telemetry", "records", bench_uplink_roundtrip),
         ("uplink_roundtrip_windowed", "telemetry", "records",
          bench_uplink_roundtrip_windowed),
         ("budget_resolve", "adaptive", "records", bench_budget_resolve),
@@ -723,12 +622,8 @@ def run_suite(
 ) -> List[BenchResult]:
     """Run every benchmark of *suite*; quick mode = 1 iteration, no warmup.
 
-    *only* restricts the run to the named benchmarks, expanded to keep
-    floor gates meaningful: selecting a bench that has a throughput
-    floor pulls in its reference bench automatically (a ratio needs
-    both sides), so ``--only ingest_batched`` still checks the >= 2x
-    gate instead of silently failing on a missing reference.  Unknown
-    names raise rather than silently measuring nothing.
+    *only* restricts the run to the named benchmarks.  Unknown names
+    raise rather than silently measuring nothing.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r} (have {sorted(SUITES)})")
@@ -741,12 +636,7 @@ def run_suite(
                 f"unknown benchmark(s) {unknown} in suite {suite!r} "
                 f"(have {sorted(available)})"
             )
-        wanted = set(only)
-        for name in only:
-            floor = THROUGHPUT_FLOORS.get(name)
-            if floor is not None and floor[0] in available:
-                wanted.add(floor[0])
-        entries = [e for e in entries if e[0] in wanted]
+        entries = [e for e in entries if e[0] in only]
     iterations = 1 if quick else 7
     warmup = 0 if quick else 1
     results = []

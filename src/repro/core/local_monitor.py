@@ -37,7 +37,7 @@ from repro.core.weakly_hard import MissWindow, MKConstraint
 from repro.dds.reader import DataReader
 from repro.dds.topic import Sample, Topic
 from repro.dds.writer import DataWriter
-from repro.sim.calendar import CalendarQueue, CancelToken, EagerHeapQueue
+from repro.sim.calendar import CalendarQueue, CancelToken
 from repro.sim.cpu import Ecu
 from repro.sim.kernel import usec
 from repro.sim.sync import Semaphore
@@ -507,14 +507,9 @@ class MonitorThread:
         self.costs = costs or MonitorCosts()
         self.sem = Semaphore(self.sim, name=f"{ecu.name}.{name}.sem")
         self.segments: List[LocalSegmentRuntime] = []
-        # Timeout queue: same engine family as the hosting kernel so the
-        # differential suite exercises both.  Either way cancelled
-        # entries are compacted eagerly instead of leaking until their
-        # deadline would have surfaced at the heap root.
-        if getattr(self.sim, "engine", "heap") == "calendar":
-            self._timeout_queue: Any = CalendarQueue()
-        else:
-            self._timeout_queue = EagerHeapQueue()
+        # Timeout queue: cancelled entries are compacted eagerly
+        # instead of leaking until their deadline would have surfaced.
+        self._timeout_queue = CalendarQueue()
         self._timeout_seq = 0
         self._remote_queue: Deque[Callable[[], None]] = deque()
         self.wakeups = 0

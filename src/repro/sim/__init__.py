@@ -23,7 +23,7 @@ accumulation errors; use the helpers :func:`usec`, :func:`msec` and
 :func:`sec` to build durations.
 """
 
-from repro.sim.calendar import CalendarQueue, CancelToken, EagerHeapQueue
+from repro.sim.calendar import CalendarQueue, CancelToken
 from repro.sim.kernel import (
     Simulator,
     ScheduledEvent,
@@ -64,7 +64,6 @@ __all__ = [
     "Simulator",
     "ScheduledEvent",
     "CalendarQueue",
-    "EagerHeapQueue",
     "CancelToken",
     "nsec",
     "usec",

@@ -1,12 +1,12 @@
 """Bucketed calendar queue for the simulation kernel and monitor timers.
 
-The kernel's original priority queue is a binary heap of
+The kernel's original priority queue was a binary heap of
 ``(time, priority, seq, event)`` tuples.  Heaps are O(log n) per
 operation and -- worse for the timer-heavy workloads -- cancelled
 entries stay resident until they surface at the root, paying a full
 O(log n) pop each.  ``timer_rearm`` style workloads (cancel + re-push on
-every rearm) therefore pay three heap traversals per timer cycle and
-keep the heap artificially large.
+every rearm) therefore paid three heap traversals per timer cycle and
+kept the heap artificially large.
 
 :class:`CalendarQueue` replaces the heap with a calendar of buckets
 keyed by ``time >> shift``:
@@ -38,11 +38,9 @@ output.  ``tests/test_calendar_queue.py`` proves pop-order equality
 against ``heapq`` with Hypothesis over arbitrary
 schedule/cancel/rearm/advance interleavings.
 
-The module also provides :class:`EagerHeapQueue`: the same eager-cancel
-accounting layered over a plain heap.  The monitor thread uses it when
-the kernel runs the reference ``heap`` engine, so stale timeout entries
-are freed eagerly under *both* engines (they used to leak until their
-deadline surfaced).
+The monitor thread keeps its timeout deadlines in a second
+:class:`CalendarQueue`, so stale timeout entries are freed eagerly too
+(they used to leak until their deadline surfaced).
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, List, Optional, Tuple
 
-__all__ = ["CalendarQueue", "EagerHeapQueue", "CancelToken", "DEFAULT_SHIFT"]
+__all__ = ["CalendarQueue", "CancelToken", "DEFAULT_SHIFT"]
 
 #: Default bucket width exponent: ``1 << 20`` ns (~1.05 ms) per bucket.
 #: Chain periods, monitor deadlines, and timer rearm horizons in this
@@ -316,72 +314,3 @@ class CalendarQueue:
                 self._dead -= 1
                 continue
             return entry
-
-
-class EagerHeapQueue:
-    """Binary heap with the calendar queue's eager-cancel compaction.
-
-    Same entry layout and pop order as a plain ``heapq`` (it *is* one),
-    but cancelled entries are counted and the heap is rebuilt without
-    them once they outnumber the compaction threshold -- so a
-    cancel-heavy producer can no longer grow the heap without bound.
-    Used by the monitor thread under the reference ``heap`` engine and
-    by differential tests as the order oracle.
-    """
-
-    __slots__ = ("_heap", "_dead", "_compact_at")
-
-    def __init__(self) -> None:
-        self._heap: List[Entry] = []
-        self._dead = 0
-        self._compact_at = _MIN_COMPACT
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def live(self) -> int:
-        return len(self._heap) - self._dead
-
-    def __bool__(self) -> bool:
-        return self.live > 0
-
-    def push(self, time: int, priority: int, seq: int, payload: Any) -> None:
-        payload._cq = self
-        payload._seq = seq
-        heapq.heappush(self._heap, (time, priority, seq, payload))
-
-    def note_cancel(self) -> None:
-        self._dead += 1
-        if self._dead >= self._compact_at:
-            heap = [e for e in self._heap if e[3]._seq == e[2]]
-            heapq.heapify(heap)
-            self._heap = heap
-            self._dead = 0
-            self._compact_at = max(_MIN_COMPACT, len(heap))
-
-    def pop(self, limit: Optional[int] = None) -> Optional[Entry]:
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3]._seq != entry[2]:
-                heapq.heappop(heap)
-                self._dead -= 1
-                continue
-            if limit is not None and entry[0] > limit:
-                return None
-            heapq.heappop(heap)
-            entry[3]._cq = None
-            return entry
-        return None
-
-    def peek(self) -> Optional[Entry]:
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3]._seq != entry[2]:
-                heapq.heappop(heap)
-                self._dead -= 1
-                continue
-            return entry
-        return None

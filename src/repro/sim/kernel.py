@@ -23,19 +23,13 @@ trace emission is skipped entirely while no hook is registered.  None of
 this changes observable behavior: the golden-trace suite
 (``tests/test_golden_traces.py``) pins the event order bit-for-bit.
 
-Two queue engines are available behind the ``engine`` constructor
-argument (default from ``REPRO_SIM_ENGINE``):
-
-``calendar`` (default)
-    A bucketed calendar queue (:mod:`repro.sim.calendar`): O(1)
-    amortized insert, one sort per time bucket, and eager reclamation
-    of cancelled entries.  This is what makes rearm/cancel-heavy timer
-    workloads cheap.
-``heap``
-    The original binary heap with lazy cancellation, kept verbatim as
-    the differential reference: ``tests/test_differential_engines.py``
-    replays whole scenario suites under both engines and asserts
-    byte-identical golden fingerprints and digests.
+The queue is a bucketed calendar queue (:mod:`repro.sim.calendar`):
+O(1) amortized insert, one sort per time bucket, and eager reclamation
+of cancelled entries, which is what makes rearm/cancel-heavy timer
+workloads cheap.  The binary heap it replaced lives on as the test
+oracle ``tests/_reference/heap_kernel.py``;
+``tests/test_differential_engines.py`` replays whole scenario suites
+on both and asserts byte-identical golden fingerprints and digests.
 """
 
 from __future__ import annotations
@@ -43,9 +37,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -105,8 +98,9 @@ def fmt_time(t_ns: int) -> str:
 class ScheduledEvent:
     """Handle for an event sitting in the simulator's queue.
 
-    Cancellation is lazy: :meth:`cancel` marks the handle and the kernel
-    skips cancelled entries when they surface at the head of the heap.
+    Cancellation is eager in aggregate: :meth:`cancel` retires the
+    resident queue entry by generation stamp and tells the queue, which
+    compacts once enough entries have died.
     """
 
     __slots__ = (
@@ -129,8 +123,8 @@ class ScheduledEvent:
         #: stays None while ``sim.spans`` is unset).
         self.ctx = None
         #: Back-reference to the calendar queue while the event is
-        #: resident there (None under the heap engine and after pop),
-        #: so cancellation can be accounted eagerly.
+        #: resident there (None after pop), so cancellation can be
+        #: accounted eagerly.
         self._cq = None
         #: Generation stamp: the calendar entry ``(time, prio, seq, ev)``
         #: is live iff ``seq == self._seq``.  Cancel and reschedule
@@ -153,11 +147,6 @@ class ScheduledEvent:
         return f"<ScheduledEvent {self.label or self.callback} @{fmt_time(self.time)} {state}>"
 
 
-#: Heap entry layout: ``(time, priority, seq, event)``.  ``seq`` is unique,
-#: so tuple comparison never reaches the (incomparable) event object.
-_HeapEntry = Tuple[int, int, int, ScheduledEvent]
-
-
 class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (e.g. scheduling into the past)."""
 
@@ -169,12 +158,6 @@ class Simulator:
     ----------
     seed:
         Master seed for all named random streams.
-    engine:
-        Event-queue implementation: ``"calendar"`` (bucketed calendar
-        queue, the default) or ``"heap"`` (the original lazy-cancel
-        binary heap, kept as the differential reference).  ``None``
-        reads ``REPRO_SIM_ENGINE``.  Both engines pop in identical
-        ``(time, priority, seq)`` order, so traces are bit-identical.
 
     Examples
     --------
@@ -187,18 +170,10 @@ class Simulator:
     (5000000, ['hello'])
     """
 
-    def __init__(self, seed: int = 0, engine: Optional[str] = None) -> None:
-        if engine is None:
-            engine = os.environ.get("REPRO_SIM_ENGINE", "calendar")
-        if engine not in ("calendar", "heap"):
-            raise ValueError(f"unknown sim engine {engine!r}")
-        self.engine = engine
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.now: int = 0
-        self._heap: List[_HeapEntry] = []
-        self._cal: Optional[CalendarQueue] = (
-            CalendarQueue() if engine == "calendar" else None
-        )
+        self._cal = CalendarQueue()
         self._next_seq = itertools.count().__next__
         self._entity_ids: Dict[str, int] = {}
         self._rngs: Dict[str, np.random.Generator] = {}
@@ -265,27 +240,24 @@ class Simulator:
         event = ScheduledEvent(callback, args, time, label=label)
         if self.spans is not None:
             event.ctx = self.spans.current
+        # CalendarQueue.push, inlined: this is the hottest call site
+        # in the repository and the call overhead is measurable.
         cal = self._cal
-        if cal is None:
-            heapq.heappush(self._heap, (time, priority, self._next_seq(), event))
+        seq = self._next_seq()
+        event._cq = cal
+        event._seq = seq
+        key = time >> cal._shift
+        entry = (time, priority, seq, event)
+        if key <= cal._act_key:
+            heapq.heappush(cal._extra, entry)
         else:
-            # CalendarQueue.push, inlined: this is the hottest call site
-            # in the repository and the call overhead is measurable.
-            seq = self._next_seq()
-            event._cq = cal
-            event._seq = seq
-            key = time >> cal._shift
-            entry = (time, priority, seq, event)
-            if key <= cal._act_key:
-                heapq.heappush(cal._extra, entry)
+            pend = cal._pend
+            lst = pend.get(key)
+            if lst is None:
+                pend[key] = [entry]
+                heapq.heappush(cal._keys, key)
             else:
-                pend = cal._pend
-                lst = pend.get(key)
-                if lst is None:
-                    pend[key] = [entry]
-                    heapq.heappush(cal._keys, key)
-                else:
-                    lst.append(entry)
+                lst.append(entry)
         return event
 
     def schedule_after(
@@ -303,26 +275,23 @@ class Simulator:
         event = ScheduledEvent(callback, args, time, label=label)
         if self.spans is not None:
             event.ctx = self.spans.current
+        # CalendarQueue.push, inlined (see schedule_at).
         cal = self._cal
-        if cal is None:
-            heapq.heappush(self._heap, (time, priority, self._next_seq(), event))
+        seq = self._next_seq()
+        event._cq = cal
+        event._seq = seq
+        key = time >> cal._shift
+        entry = (time, priority, seq, event)
+        if key <= cal._act_key:
+            heapq.heappush(cal._extra, entry)
         else:
-            # CalendarQueue.push, inlined (see schedule_at).
-            seq = self._next_seq()
-            event._cq = cal
-            event._seq = seq
-            key = time >> cal._shift
-            entry = (time, priority, seq, event)
-            if key <= cal._act_key:
-                heapq.heappush(cal._extra, entry)
+            pend = cal._pend
+            lst = pend.get(key)
+            if lst is None:
+                pend[key] = [entry]
+                heapq.heappush(cal._keys, key)
             else:
-                pend = cal._pend
-                lst = pend.get(key)
-                if lst is None:
-                    pend[key] = [entry]
-                    heapq.heappush(cal._keys, key)
-                else:
-                    lst.append(entry)
+                lst.append(entry)
         return event
 
     def call_now(
@@ -332,11 +301,7 @@ class Simulator:
         event = ScheduledEvent(callback, args, self.now, label=label)
         if self.spans is not None:
             event.ctx = self.spans.current
-        cal = self._cal
-        if cal is None:
-            heapq.heappush(self._heap, (self.now, 0, self._next_seq(), event))
-        else:
-            cal.push(self.now, 0, self._next_seq(), event)
+        self._cal.push(self.now, 0, self._next_seq(), event)
         return event
 
     def reschedule(
@@ -347,12 +312,10 @@ class Simulator:
         This is the deadline-QoS rearm primitive: timers that cancel
         and immediately re-schedule on every sample should use it
         instead of ``cancel()`` + ``schedule_at()``.  Returns the
-        handle to keep -- under the calendar engine the *same* handle
-        is reused (the stale queue entry is retired by generation
-        stamp, O(1) amortized, no allocation); under the heap engine it
-        falls back to lazy-cancel + fresh handle, which is exactly what
-        the old rearm pattern did.  Both consume one sequence number,
-        so event ordering stays bit-identical across engines.
+        handle to keep: the *same* handle is reused (the stale queue
+        entry is retired by generation stamp, O(1) amortized, no
+        allocation) and one sequence number is consumed, exactly as
+        ``cancel()`` + ``schedule_at()`` would.
         """
         if time < self.now:
             raise SimulationError(
@@ -360,17 +323,6 @@ class Simulator:
                 f"now is {fmt_time(self.now)}"
             )
         cal = self._cal
-        if cal is None:
-            event.cancel()
-            fresh = ScheduledEvent(
-                event.callback, event.args, time, label=event.label
-            )
-            if self.spans is not None:
-                fresh.ctx = self.spans.current
-            heapq.heappush(
-                self._heap, (time, priority, self._next_seq(), fresh)
-            )
-            return fresh
         if event._cq is not None:
             # A live entry is resident: retire it (the new generation
             # stamp set by push makes it stale) and account it dead.
@@ -404,31 +356,16 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Fire the next pending event.  Return False when queue is empty."""
-        cal = self._cal
-        if cal is not None:
-            entry = cal.pop()
-            if entry is None:
-                return False
-            self.now = entry[0]
-            event = entry[3]
-            spans = self.spans
-            if spans is not None:
-                spans.current = event.ctx
-            event.callback(*event.args)
-            return True
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap:
-            _time, _prio, _seq, event = heappop(heap)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            spans = self.spans
-            if spans is not None:
-                spans.current = event.ctx
-            event.callback(*event.args)
-            return True
-        return False
+        entry = self._cal.pop()
+        if entry is None:
+            return False
+        self.now = entry[0]
+        event = entry[3]
+        spans = self.spans
+        if spans is not None:
+            spans.current = event.ctx
+        event.callback(*event.args)
+        return True
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run the simulation.
@@ -448,64 +385,6 @@ class Simulator:
         int
             The number of events that fired.
         """
-        count = 0
-        cal = self._cal
-        if cal is not None:
-            return self._run_calendar(until, max_events)
-        heap = self._heap
-        heappop = heapq.heappop
-        if until is None and max_events is None:
-            if self.spans is None:
-                # Fast path: the overwhelmingly common full-drain loop.
-                # A recorder attached mid-drain only takes effect at the
-                # next run() call (attach before running, as documented).
-                while heap:
-                    time, _prio, _seq, event = heappop(heap)
-                    if event.cancelled:
-                        continue
-                    self.now = time
-                    event.callback(*event.args)
-                    count += 1
-                return count
-            spans = self.spans
-            while heap:
-                time, _prio, _seq, event = heappop(heap)
-                if event.cancelled:
-                    continue
-                self.now = time
-                spans.current = event.ctx
-                event.callback(*event.args)
-                count += 1
-            spans.current = None
-            return count
-        while heap:
-            entry = heap[0]
-            if entry[3].cancelled:
-                heappop(heap)
-                continue
-            if until is not None and entry[0] > until:
-                self.now = until
-                break
-            heappop(heap)
-            self.now = entry[0]
-            spans = self.spans
-            if spans is not None:
-                spans.current = entry[3].ctx
-            entry[3].callback(*entry[3].args)
-            count += 1
-            if max_events is not None and count >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-        if until is not None and self.now < until:
-            self.now = until
-        spans = self.spans
-        if spans is not None:
-            spans.current = None
-        return count
-
-    def _run_calendar(
-        self, until: Optional[int], max_events: Optional[int]
-    ) -> int:
-        """Drain loop for the calendar engine (same contract as run())."""
         count = 0
         cal = self._cal
         pop = cal.pop
@@ -584,10 +463,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        cal = self._cal
-        if cal is not None:
-            return cal.live
-        return sum(1 for entry in self._heap if not entry[3].cancelled)
+        return self._cal.live
 
     # ------------------------------------------------------------------
     # Tracing hooks (used by repro.tracing)

@@ -1,11 +1,10 @@
 """Struct-of-arrays record batches for the telemetry hot path.
 
-The scalar ingest path touches one :class:`TelemetryRecord` object at a
-time: every field read is a slot-descriptor lookup and every record
-pays the full per-call overhead of ``ChainStateStore.apply``.  At fleet
-rates the per-record constant dominates, so the batched engine works on
-a :class:`RecordBatch` instead -- ten parallel Python lists, one per
-wire field -- which lets the store group records by key once, bind
+Folding one :class:`TelemetryRecord` object at a time makes every field
+read a slot-descriptor lookup and charges every record a full method
+call.  At fleet rates that per-record constant dominates, so the store
+works on a :class:`RecordBatch` instead -- ten parallel Python lists,
+one per wire field -- which lets it group records by key once, bind
 columns to locals, and run vectorized (m,k) automaton updates per
 shard.
 

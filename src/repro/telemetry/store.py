@@ -24,9 +24,9 @@ Per source the store tracks heartbeat (last-seen timestamp), sequence
 continuity (gaps/reorders from the per-source ``seq`` field) and the
 last reported degradation level.
 
-:meth:`ChainStateStore.apply` returns an :class:`ApplyOutcome` of plain
-facts; converting facts into alerts is the
-:class:`~repro.telemetry.alerts.AlertEngine`'s business.
+:meth:`ChainStateStore.apply_batch` returns plain facts, one
+:class:`ApplyOutcome` per flagged record; converting facts into alerts
+is the :class:`~repro.telemetry.alerts.AlertEngine`'s business.
 """
 
 from __future__ import annotations
@@ -320,7 +320,7 @@ class ApplyOutcome:
 
     __slots__ = (
         "record", "mk_violation", "margin", "margin_exhausted_now",
-        "latency_window_over_streak", "seq_gap", "duplicate",
+        "latency_window_over_streak", "seq_gap",
     )
 
     def __init__(self, record: TelemetryRecord):
@@ -336,8 +336,6 @@ class ApplyOutcome:
         self.latency_window_over_streak = 0
         #: Sequence numbers skipped right before this record.
         self.seq_gap = 0
-        #: The record's seq was already seen for this source.
-        self.duplicate = False
 
 
 class ChainStateStore:
@@ -382,104 +380,15 @@ class ChainStateStore:
         return sum(len(shard) for shard in self.shards)
 
     # ------------------------------------------------------------------
-    def apply(self, record: TelemetryRecord) -> ApplyOutcome:
-        """Fold one record into the store; return the produced facts."""
-        outcome = ApplyOutcome(record)
-        config = self.config
-        self.applied += 1
-
-        source = self.source_state(record.source)
-        source.records += 1
-        if record.timestamp_ns > source.last_seen_ns:
-            source.last_seen_ns = record.timestamp_ns
-        source.gap_open = False
-        seq = record.seq
-        if seq > source.last_seq:
-            # Emitter seqs start at 0, so skipped numbers -- including
-            # before the first record we ever saw -- open a gap.
-            if seq > source.last_seq + 1:
-                outcome.seq_gap = seq - source.last_seq - 1
-                source.seq_gaps += outcome.seq_gap
-                source.note_missing(source.last_seq + 1, seq)
-            source.last_seq = seq
-        elif seq in source.missing:
-            # A late arrival filled a counted gap: it was reordering,
-            # not loss -- heal the gap count.
-            source.missing.discard(seq)
-            source.seq_gaps -= 1
-            source.reorders += 1
-        else:
-            source.duplicates += 1
-            outcome.duplicate = True
-
-        kind = record.kind
-        if kind is RecordKind.SEGMENT:
-            state = self.chain_state(record.source, record.chain)
-            state.records += 1
-            if record.activation > state.last_activation:
-                state.last_activation = record.activation
-            seg = state.segments.get(record.segment)
-            if seg is None:
-                seg = _SegmentState(
-                    alpha=config.alpha,
-                    budget_ns=config.budget_for(record.segment),
-                )
-                state.segments[record.segment] = seg
-            verdict = record.verdict
-            seg.verdicts[verdict] = seg.verdicts.get(verdict, 0) + 1
-            latency = record.latency_ns
-            if latency is not None:
-                seg.hist.add(latency)
-                if seg.budget_ns is not None:
-                    seg.win_records += 1
-                    if latency > seg.budget_ns:
-                        seg.win_over += 1
-                    if seg.win_records >= config.window_records:
-                        over = (
-                            seg.win_over
-                            > WINDOW_OVER_FRACTION * seg.win_records
-                        )
-                        seg.win_records = 0
-                        seg.win_over = 0
-                        if over:
-                            seg.consec_over_windows += 1
-                            if (seg.consec_over_windows
-                                    % config.latency_windows == 0):
-                                outcome.latency_window_over_streak = (
-                                    seg.consec_over_windows
-                                )
-                        else:
-                            seg.consec_over_windows = 0
-        elif kind is RecordKind.CHAIN:
-            state = self.chain_state(record.source, record.chain)
-            state.records += 1
-            if record.activation > state.last_activation:
-                state.last_activation = record.activation
-            automaton = state.automaton
-            violated = automaton.record(record.verdict == "miss")
-            outcome.margin = automaton.margin
-            if violated:
-                outcome.mk_violation = True
-                state.margin_exhausted = True
-            elif automaton.margin <= 0:
-                if not state.margin_exhausted:
-                    state.margin_exhausted = True
-                    outcome.margin_exhausted_now = True
-            else:
-                state.margin_exhausted = False
-        elif kind is RecordKind.MODE:
-            source.level = record.level
-        # EXCEPTION / HEARTBEAT only refresh the source state above.
-        return outcome
-
-    # ------------------------------------------------------------------
     def apply_batch(self, batch: RecordBatch) -> List[ApplyOutcome]:
         """Fold a columnar batch into the store; return *flagged* outcomes.
 
-        State-for-state equivalent to calling :meth:`apply` on every
-        row in order (``tests/test_batched_store.py`` and the
-        differential suite prove byte-identical snapshots), but records
-        are grouped by key so per-record constants are paid per group:
+        State-for-state equivalent to folding every row in order
+        through the per-record oracle
+        ``tests/_reference/scalar_store.py`` (``tests/test_batched_store.py``
+        and the differential suite prove byte-identical snapshots), but
+        records are grouped by key so per-record constants are paid per
+        group:
 
         1. one in-order pass runs the per-source sequence/liveness
            logic (inherently serial) and buckets chain/segment work;
@@ -531,7 +440,6 @@ class ChainStateStore:
         seg_groups: Dict[Tuple[str, str, str], List[int]] = {}
         #: (source, chain) -> [record count, max activation] this batch.
         key_touch: Dict[Tuple[str, str], List[int]] = {}
-        dup_indices: List[int] = []
         src_name: Optional[str] = None
         src_state: Optional[SourceState] = None
         for i in range(n):
@@ -562,7 +470,6 @@ class ChainStateStore:
                 src_state.reorders += 1
             else:
                 src_state.duplicates += 1
-                dup_indices.append(i)
 
             kind = kinds[i]
             if kind is SEGMENT:
@@ -681,12 +588,6 @@ class ChainStateStore:
             if samples:
                 seg.hist.add_many(samples)
 
-        if not flagged:
-            return []
-        for i in dup_indices:
-            out = flagged.get(i)
-            if out is not None:
-                out.duplicate = True
         return [flagged[i] for i in sorted(flagged)]
 
     # ------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Differential fixture layer: run one scenario under every engine.
+"""Differential fixture layer: run one scenario on production and oracle.
 
 The batched/columnar rework (calendar queue in the simulator kernel,
 struct-of-arrays ingest in the telemetry store) is sold on a single
 claim: *the fast path is observationally identical to the reference
-path*.  This module is the machinery that proves it.  It pins the
-engine feature flags (``REPRO_SIM_ENGINE`` / ``REPRO_TELEMETRY_ENGINE``)
-around a scenario callable, collects one result per engine, and
+path*.  Production ships only the fast paths; the references live in
+``tests/_reference/`` (:class:`~_reference.heap_kernel.HeapSimulator`,
+:func:`~_reference.scalar_store.pump_scalar`).  This module substitutes
+them around a scenario callable, collects one result per engine, and
 asserts byte-identical canonical JSON across the set -- so a test body
-only has to say *what* to run, never *how* to flip engines.
+only has to say *what* to run, never *how* to swap engines.
 
 Canonicalization matters: "the dicts compare equal" is a weaker claim
 than the suite makes.  Every payload is serialized with sorted keys and
@@ -19,42 +20,54 @@ ten-kilobyte blobs.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import json
-import os
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Tuple
+from unittest import mock
 
-#: Simulator event-queue engines (see ``repro.sim.kernel``).
+from _reference.heap_kernel import EagerHeapQueue, HeapSimulator
+from _reference.scalar_store import pump_scalar
+
+#: Simulator event queues: production first, then the reference.
 SIM_ENGINES: Tuple[str, ...] = ("calendar", "heap")
-#: Telemetry ingest engines (see ``repro.telemetry.service``).
+#: Telemetry ingest paths: production first, then the reference.
 TELEMETRY_ENGINES: Tuple[str, ...] = ("batched", "scalar")
 
-SIM_ENV = "REPRO_SIM_ENGINE"
-TELEMETRY_ENV = "REPRO_TELEMETRY_ENGINE"
+#: Every module that constructs a ``Simulator`` for a scenario (the
+#: three production sites plus the tests' pipeline harness).
+_SIMULATOR_SITES = (
+    "repro.perception.stack",
+    "repro.experiments.fig06_interarrival",
+    "repro.experiments.fig12_remote_entry",
+    "_harness",
+)
 
 
 @contextlib.contextmanager
-def engine_env(
-    sim: Optional[str] = None, telemetry: Optional[str] = None
+def reference_engines(
+    sim: bool = False, telemetry: bool = False
 ) -> Iterator[None]:
-    """Pin the engine env vars for the duration of the block.
+    """Run the block on the reference implementations.
 
-    ``None`` leaves a variable untouched; previous values (including
-    absence) are restored on exit even when the body raises.
+    ``sim`` substitutes :class:`HeapSimulator` at every construction
+    site and :class:`EagerHeapQueue` for the monitor's timeout queue;
+    ``telemetry`` substitutes the per-record pump.  Everything is
+    restored on exit even when the body raises.
     """
-    saved: Dict[str, Optional[str]] = {}
-    try:
-        for var, value in ((SIM_ENV, sim), (TELEMETRY_ENV, telemetry)):
-            if value is None:
-                continue
-            saved[var] = os.environ.get(var)
-            os.environ[var] = value
+    with contextlib.ExitStack() as stack:
+        if sim:
+            for site in _SIMULATOR_SITES:
+                stack.enter_context(mock.patch.object(
+                    importlib.import_module(site), "Simulator", HeapSimulator
+                ))
+            stack.enter_context(mock.patch(
+                "repro.core.local_monitor.CalendarQueue", EagerHeapQueue
+            ))
+        if telemetry:
+            stack.enter_context(mock.patch(
+                "repro.telemetry.service.TelemetryService.pump", pump_scalar
+            ))
         yield
-    finally:
-        for var, previous in saved.items():
-            if previous is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = previous
 
 
 def canonical(payload: Any) -> str:
@@ -68,25 +81,29 @@ def canonical(payload: Any) -> str:
     )
 
 
-def run_under_sim_engines(
-    fn: Callable[[], Any], engines: Tuple[str, ...] = SIM_ENGINES
-) -> Dict[str, Any]:
-    """Run *fn* once per simulator engine; returns ``{engine: result}``."""
-    results = {}
-    for engine in engines:
-        with engine_env(sim=engine):
-            results[engine] = fn()
+def run_under_sim_engines(fn: Callable[[], Any]) -> Dict[str, Any]:
+    """Run *fn* on the production kernel, then on the heap reference."""
+    production, reference = SIM_ENGINES
+    results = {production: fn()}
+    with reference_engines(sim=True):
+        results[reference] = fn()
     return results
 
 
-def run_under_telemetry_engines(
-    fn: Callable[[], Any], engines: Tuple[str, ...] = TELEMETRY_ENGINES
-) -> Dict[str, Any]:
-    """Run *fn* once per telemetry engine; returns ``{engine: result}``."""
-    results = {}
-    for engine in engines:
-        with engine_env(telemetry=engine):
-            results[engine] = fn()
+def run_under_telemetry_engines(fn: Callable[[], Any]) -> Dict[str, Any]:
+    """Run *fn* on the production pump, then on the scalar reference."""
+    production, reference = TELEMETRY_ENGINES
+    results = {production: fn()}
+    with reference_engines(telemetry=True):
+        results[reference] = fn()
+    return results
+
+
+def run_under_engine_corners(fn: Callable[[], Any]) -> Dict[str, Any]:
+    """Run *fn* all-production, then all-reference (both layers)."""
+    results = {"calendar+batched": fn()}
+    with reference_engines(sim=True, telemetry=True):
+        results["heap+scalar"] = fn()
     return results
 
 

@@ -10,7 +10,8 @@ scalar references over arbitrary inputs *and* arbitrary chunkings:
   chunk boundaries land mid-window (the regression-prone case: the
   vectorized update must reconstruct the partially-filled window
   exactly).
-* :meth:`ChainStateStore.apply_batch` vs a loop of :meth:`apply` --
+* :meth:`ChainStateStore.apply_batch` vs a loop of the scalar oracle
+  ``tests/_reference/scalar_store.py::apply_scalar`` --
   byte-identical store snapshots and byte-identical alert logs after
   feeding both outcome streams through an :class:`AlertEngine`.
   Streams mix every record kind across several (source, chain) keys on
@@ -21,6 +22,8 @@ scalar references over arbitrary inputs *and* arbitrary chunkings:
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from _reference.scalar_store import apply_scalar
 
 from repro.telemetry.alerts import AlertEngine
 from repro.telemetry.automata import _VECTOR_MIN, MKAutomaton
@@ -163,7 +166,7 @@ def test_apply_batch_equals_looped_apply(events, data):
     scalar_store = ChainStateStore(StoreConfig(**STORE_CONFIG))
     scalar_alerts = AlertEngine()
     for record in records:
-        scalar_alerts.observe(scalar_store.apply(record))
+        scalar_alerts.observe(apply_scalar(scalar_store, record))
 
     batched_store = ChainStateStore(StoreConfig(**STORE_CONFIG))
     batched_alerts = AlertEngine()
@@ -188,7 +191,7 @@ def test_single_batch_round_trip(events):
 
     scalar_store = ChainStateStore(StoreConfig(**STORE_CONFIG))
     for record in records:
-        scalar_store.apply(record)
+        apply_scalar(scalar_store, record)
     batched_store = ChainStateStore(StoreConfig(**STORE_CONFIG))
     if len(batch):
         batched_store.apply_batch(batch)

@@ -224,13 +224,10 @@ class TestCli:
 
 
 class TestOnlyFilter:
-    """The --only selector: validation, floor expansion, compare scope."""
+    """The --only selector: validation and compare scope."""
 
     @pytest.fixture
     def paired_suite(self, monkeypatch):
-        """Two benches where "fast" is floor-gated against "slow"."""
-        import repro.bench.harness as harness
-
         monkeypatch.setitem(
             SUITES,
             "kernel",
@@ -241,11 +238,6 @@ class TestOnlyFilter:
             ],
         )
         monkeypatch.setitem(SUITES, "e2e", [])
-        # A floor that any timing satisfies: the point is reference
-        # expansion, not the ratio.
-        monkeypatch.setitem(
-            harness.THROUGHPUT_FLOORS, "fast", ("slow", 1e-9)
-        )
 
     def test_runs_only_selected(self, paired_suite, capsys):
         code = bench_cli.main(["--quick", "--only", "other"])
@@ -253,15 +245,6 @@ class TestOnlyFilter:
         out = capsys.readouterr().out
         assert "other" in out
         assert "fast" not in out
-
-    def test_floor_reference_pulled_in(self, paired_suite, capsys):
-        results = run_suite("kernel", quick=True, only=["fast"])
-        assert {r.name for r in results} == {"fast", "slow"}
-        code = bench_cli.main(["--quick", "--only", "fast"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "slow" in out  # reference ran alongside
-        assert "floor fast" in out  # and the gate was checked
 
     def test_unknown_name_rejected(self, paired_suite, capsys):
         code = bench_cli.main(["--quick", "--only", "nonsense"])

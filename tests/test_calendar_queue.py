@@ -4,7 +4,7 @@ The kernel swapped its binary heap for the bucketed
 :class:`~repro.sim.calendar.CalendarQueue` on the strength of one
 invariant: entries are the same ``(time, priority, seq)`` tuples, so
 pop order is the identical total order.  This module drives both the
-calendar queue and :class:`~repro.sim.calendar.EagerHeapQueue` through
+calendar queue and the reference ``EagerHeapQueue`` through
 arbitrary interleavings of schedule / cancel / rearm / pop /
 pop-with-limit operations, generated under the kernel's monotonicity
 contract (``push time >= last popped time``), and checks every pop
@@ -19,12 +19,9 @@ trigger compaction sweeps.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.calendar import (
-    CalendarQueue,
-    CancelToken,
-    DEFAULT_SHIFT,
-    EagerHeapQueue,
-)
+from _reference.heap_kernel import EagerHeapQueue
+
+from repro.sim.calendar import CalendarQueue, CancelToken, DEFAULT_SHIFT
 
 BUCKET = 1 << DEFAULT_SHIFT
 

@@ -1,13 +1,13 @@
-"""The differential suite: fast engines vs reference engines, byte for byte.
+"""The differential suite: production vs reference engines, byte for byte.
 
 Every observable artifact the repo pins -- golden-trace fingerprints,
 fault-campaign scenario payloads, DAG campaign digests, gateway/adaptive
 chaos reports, telemetry store digests and alert logs -- is produced
-twice: once under the fast engines (``calendar`` simulator queue,
-``batched`` columnar telemetry ingest) and once under the reference
-engines (``heap``, ``scalar``).  The canonical JSON serializations must
-match byte for byte; see ``tests/_differential.py`` for the fixture
-layer.
+twice: once by production (``calendar`` simulator queue, ``batched``
+columnar telemetry ingest) and once with the oracles of
+``tests/_reference/`` substituted in (``heap`` kernel, ``scalar``
+per-record pump).  The canonical JSON serializations must match byte
+for byte; see ``tests/_differential.py`` for the fixture layer.
 
 The expensive matrices (11 fault scenarios, 9 DAG scenarios) run once
 per engine as module-scoped fixtures and are compared per scenario, so
@@ -22,12 +22,14 @@ import pytest
 
 from _differential import (
     SIM_ENGINES,
-    TELEMETRY_ENGINES,
     assert_identical,
-    engine_env,
+    reference_engines,
+    run_under_engine_corners,
     run_under_sim_engines,
     run_under_telemetry_engines,
 )
+from _reference.heap_kernel import EagerHeapQueue, HeapSimulator
+from _reference.scalar_store import pump_scalar
 
 from repro.adaptive.chaos import (
     AdaptConfig,
@@ -56,45 +58,36 @@ from repro.tracing.golden import GOLDEN_FRAMES, golden_scenarios, stack_fingerpr
 #: Whole module re-runs stacks and campaigns under multiple engines.
 pytestmark = pytest.mark.slow
 
-#: The two corners of the engine matrix: everything-fast vs
-#: everything-reference.  Identity across the corners proves both
-#: feature flags jointly inert; the per-flag suites below isolate each.
-ENGINE_PAIRS = (
-    {"sim": "calendar", "telemetry": "batched"},
-    {"sim": "heap", "telemetry": "scalar"},
-)
-
 CAMPAIGN_FRAMES = 24
 GATEWAY_QUICK = ChaosConfig(vehicles=3, frames=10, seed=2025)
 ADAPT_QUICK = AdaptConfig(frames=96)
 
 
-def run_under_engine_pairs(fn):
-    """Run *fn* under both corners of the engine matrix."""
-    results = {}
-    for pair in ENGINE_PAIRS:
-        with engine_env(**pair):
-            results[f"{pair['sim']}+{pair['telemetry']}"] = fn()
-    return results
+class TestReferenceSubstitution:
+    """The substitution really swaps engines (otherwise the whole suite
+    would vacuously compare production against itself) and really
+    restores production afterwards."""
 
+    def test_sim_reference_swaps_kernel_and_timeout_queue(self):
+        from _harness import PipelineWorld
+        from repro.perception.stack import PerceptionStack, StackConfig
+        from repro.sim.calendar import CalendarQueue
 
-class TestFlagPlumbing:
-    """The env flags really do select different engines (otherwise the
-    whole suite would vacuously compare an engine against itself)."""
+        with reference_engines(sim=True):
+            assert type(PerceptionStack(StackConfig()).sim) is HeapSimulator
+            world = PipelineWorld()
+            assert type(world.sim) is HeapSimulator
+            assert type(world.monitor._timeout_queue) is EagerHeapQueue
+        assert type(PerceptionStack(StackConfig()).sim) is Simulator
+        world = PipelineWorld()
+        assert type(world.sim) is Simulator
+        assert type(world.monitor._timeout_queue) is CalendarQueue
 
-    def test_sim_engine_env_selects_queue(self):
-        engines = set()
-        for engine in SIM_ENGINES:
-            with engine_env(sim=engine):
-                engines.add(Simulator(seed=1).engine)
-        assert engines == set(SIM_ENGINES)
-
-    def test_telemetry_engine_env_selects_ingest(self):
-        engines = set()
-        for engine in TELEMETRY_ENGINES:
-            with engine_env(telemetry=engine):
-                engines.add(TelemetryService().ingest_engine)
-        assert engines == set(TELEMETRY_ENGINES)
+    def test_telemetry_reference_swaps_the_pump(self):
+        production = TelemetryService.pump
+        with reference_engines(telemetry=True):
+            assert TelemetryService.pump is pump_scalar
+        assert TelemetryService.pump is production
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +105,7 @@ class TestGoldenTraces:
 
 
 # ----------------------------------------------------------------------
-# Fault campaign: all 11 scenarios (both flags at once)
+# Fault campaign: all 11 scenarios (both references at once)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def campaign_by_engine():
@@ -124,7 +117,7 @@ def campaign_by_engine():
             s.name: dataclasses.asdict(s) for s in result.scenarios
         }
 
-    return run_under_engine_pairs(run)
+    return run_under_engine_corners(run)
 
 
 class TestFaultCampaign:
@@ -177,8 +170,8 @@ class TestDagCampaign:
 
 
 # ----------------------------------------------------------------------
-# Gateway chaos (both flags: drivers run a Simulator feeding a
-# TelemetryService through the uplink)
+# Gateway chaos (both references; the drivers own a step clock, so
+# only the telemetry one bites)
 # ----------------------------------------------------------------------
 class TestGatewayChaos:
     @pytest.mark.parametrize("name", [s.name for s in gateway_scenarios()])
@@ -188,7 +181,7 @@ class TestGatewayChaos:
             with tempfile.TemporaryDirectory() as tmp:
                 return scenario.make_driver(GATEWAY_QUICK, Path(tmp)).run().to_json()
 
-        assert_identical(run_under_engine_pairs(run), context=f"gateway:{name}")
+        assert_identical(run_under_engine_corners(run), context=f"gateway:{name}")
 
 
 # ----------------------------------------------------------------------
@@ -216,9 +209,9 @@ class TestTelemetryFleetStream:
     """One fleet record stream through every ingest path.
 
     Three runs must converge: per-record ingest drained by the scalar
-    engine, per-record ingest drained by the batched engine, and the
-    native columnar ``ingest_batch`` fast path.  Store digest, alert
-    log, and the conservation counters are all compared.
+    reference pump, per-record ingest drained by the production pump,
+    and the native columnar ``ingest_batch`` fast path.  Store digest,
+    alert log, and the conservation counters are all compared.
     """
 
     FLEET = FleetConfig(vehicles=4, frames=60)
@@ -237,56 +230,40 @@ class TestTelemetryFleetStream:
             "accounting_ok": stats["accounting_ok"],
         }
 
-    def _service(self, engine=None):
+    def _service(self):
         return TelemetryService(
-            ServiceConfig(
-                store=self.FLEET.store_config(), engine=engine
-            )
+            ServiceConfig(store=self.FLEET.store_config())
         )
 
     def _records(self):
         return FleetLoadGenerator(self.FLEET).materialize()
 
+    def _pumped(self, records):
+        service = self._service()
+        service.ingest_many(records)
+        return self._observables(service)
+
     def test_pump_engines_identical(self):
         records = self._records()
-
-        def run_with(engine):
-            service = self._service(engine)
-            service.ingest_many(records)
-            return self._observables(service)
-
         assert_identical(
-            {engine: run_with(engine) for engine in TELEMETRY_ENGINES},
+            run_under_telemetry_engines(lambda: self._pumped(records)),
             context="fleet:pump",
         )
 
     def test_columnar_batch_matches_scalar_reference(self):
         records = self._records()
 
-        scalar = self._service("scalar")
-        scalar.ingest_many(records)
+        with reference_engines(telemetry=True):
+            scalar = self._pumped(records)
 
-        columnar = self._service("batched")
+        columnar = self._service()
         accepted = columnar.ingest_batch(RecordBatch.from_records(records))
         assert accepted == len(records)
 
         assert_identical(
-            {
-                "scalar": self._observables(scalar),
-                "columnar": self._observables(columnar),
-            },
+            {"scalar": scalar, "columnar": self._observables(columnar)},
             context="fleet:columnar",
         )
-
-    def test_engine_resolution_from_env(self):
-        records = self._records()
-
-        def run():
-            service = self._service()  # engine=None -> env
-            service.ingest_many(records)
-            return self._observables(service)
-
-        assert_identical(run_under_telemetry_engines(run), context="fleet:env")
 
 
 # ----------------------------------------------------------------------
@@ -310,15 +287,17 @@ class TestChainReportStream:
             world.run(until=msec(200 * frames))
             report = world.chain_runtime.finalize()
             return {
-                "engine": world.sim.engine,
+                "engine": type(world.sim).__name__,
                 "report": dataclasses.asdict(report),
                 "latencies": world.runtime.latencies,
                 "exceptions": world.runtime.exceptions,
             }
 
         results = run_under_sim_engines(run)
-        # The engine field is the flag itself -- normalize it out after
-        # checking the plumbing took effect.
-        engines = {r.pop("engine") for r in results.values()}
-        assert engines == set(SIM_ENGINES)
+        # The kernel class is the substitution itself -- normalize it
+        # out after checking it took effect.
+        kernels = {e: r.pop("engine") for e, r in results.items()}
+        assert kernels == dict(
+            zip(SIM_ENGINES, ("Simulator", "HeapSimulator"))
+        )
         assert_identical(results, context=f"chain_report:{worker_ms}ms")

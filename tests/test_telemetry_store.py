@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _telemetry import apply_one
+
 from repro.telemetry.records import (
     RecordKind,
     TelemetryRecord,
@@ -46,8 +48,8 @@ class TestSharding:
 
     def test_keys_land_on_their_shard(self):
         store = ChainStateStore(StoreConfig(n_shards=4))
-        store.apply(_segment("v0", 0, 0, 10))
-        store.apply(_segment("v1", 0, 0, 10))
+        apply_one(store, _segment("v0", 0, 0, 10))
+        apply_one(store, _segment("v1", 0, 0, 10))
         for shard_i, shard in enumerate(store.shards):
             for source, chain in shard:
                 assert ChainStateStore.shard_index(source, chain, 4) == shard_i
@@ -59,7 +61,7 @@ class TestApplyFacts:
         store = ChainStateStore(StoreConfig(mk_by_chain={"c": (1, 3)}))
         verdicts = [True, True, True, False]
         facts = [
-            store.apply(_chain("v0", i, i, violated))
+            apply_one(store, _chain("v0", i, i, violated))
             for i, violated in enumerate(verdicts)
         ]
         assert [f.mk_violation for f in facts] == [False, True, True, True]
@@ -69,7 +71,7 @@ class TestApplyFacts:
         store = ChainStateStore(StoreConfig(mk_by_chain={"c": (1, 4)}))
         facts = []
         for i, violated in enumerate([True, False, False, False, False, True]):
-            facts.append(store.apply(_chain("v0", i, i, violated)))
+            facts.append(apply_one(store, _chain("v0", i, i, violated)))
         # Record 0 exhausts the margin (m=1) and the flag fires once; it
         # stays silent while the miss remains in the k=4 window, resets
         # when the window clears (record 4), and record 5 opens a new
@@ -81,15 +83,15 @@ class TestApplyFacts:
 
     def test_sequence_gap_reported_once_per_gap(self):
         store = ChainStateStore()
-        assert store.apply(_segment("v0", 0, 0, 10)).seq_gap == 0
-        assert store.apply(_segment("v0", 4, 1, 10)).seq_gap == 3
-        assert store.apply(_segment("v0", 5, 2, 10)).seq_gap == 0
+        assert apply_one(store, _segment("v0", 0, 0, 10)).seq_gap == 0
+        assert apply_one(store, _segment("v0", 4, 1, 10)).seq_gap == 3
+        assert apply_one(store, _segment("v0", 5, 2, 10)).seq_gap == 0
         assert store.sources["v0"].seq_gaps == 3
 
     def test_reorder_counted_not_gap(self):
         store = ChainStateStore()
-        store.apply(_segment("v0", 1, 0, 10))
-        outcome = store.apply(_segment("v0", 0, 1, 10))
+        apply_one(store, _segment("v0", 1, 0, 10))
+        outcome = apply_one(store, _segment("v0", 0, 1, 10))
         assert outcome.seq_gap == 0
         assert store.sources["v0"].reorders == 1
 
@@ -104,7 +106,7 @@ class TestApplyFacts:
         # 4 windows of 5 records, every record over budget: the streak
         # fact fires at exact multiples of latency_windows (2 and 4).
         for i in range(20):
-            outcome = store.apply(_segment("v0", i, i, 500))
+            outcome = apply_one(store, _segment("v0", i, i, 500))
             if outcome.latency_window_over_streak:
                 streaks.append((i, outcome.latency_window_over_streak))
         assert streaks == [(9, 2), (19, 4)]
@@ -115,7 +117,7 @@ class TestApplyFacts:
             kind=RecordKind.MODE, source="v0", verdict="fault",
             level="degraded", timestamp_ns=5, seq=0,
         )
-        store.apply(record)
+        apply_one(store, record)
         assert store.sources["v0"].level == "degraded"
 
 
@@ -127,12 +129,12 @@ class TestSnapshotRestore:
             budget_by_segment={"front/s0": 150},
         ))
         for i in range(40):
-            store.apply(_segment(
+            apply_one(store, _segment(
                 f"v{i % 3}", 2 * i, i, 90 + 7 * (i % 11),
                 chain="front", segment="front/s0",
             ))
-            store.apply(_chain(f"v{i % 3}", 2 * i + 1, i, i % 7 == 0,
-                               chain="front"))
+            apply_one(store, _chain(f"v{i % 3}", 2 * i + 1, i, i % 7 == 0,
+                                    chain="front"))
         return store
 
     def test_round_trip_identity_through_json(self):
@@ -149,8 +151,8 @@ class TestSnapshotRestore:
         more = [_chain("v9", i, i, i % 2 == 0, chain="front")
                 for i in range(12)]
         for record in more:
-            a = store.apply(record)
-            b = restored.apply(record)
+            a = apply_one(store, record)
+            b = apply_one(restored, record)
             assert (a.mk_violation, a.margin, a.seq_gap) == (
                 b.mk_violation, b.margin, b.seq_gap
             )
