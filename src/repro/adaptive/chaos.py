@@ -60,11 +60,7 @@ from repro.faults.degradation import DegradationMode
 from repro.telemetry.records import RecordKind, TelemetryRecord, segment_record
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.store import StoreConfig
-from repro.telemetry.uplink.chaos import CrashEvent
-from repro.telemetry.uplink.client import (
-    RetryingUplinkClient,
-    UplinkClientConfig,
-)
+from repro.telemetry.uplink.chaos import ChaosConfig, CrashEvent, _Vehicle
 from repro.telemetry.uplink.ingest import UplinkIngestor, store_digest
 from repro.telemetry.uplink.transport import (
     ACK_SCHEMA,
@@ -74,7 +70,8 @@ from repro.telemetry.uplink.transport import (
     ChannelFaultPlan,
     decode_envelope,
 )
-from repro.telemetry.uplink.wal import WalConfig, WalSpooler
+from repro.telemetry.uplink.wal import WalConfig
+from repro.telemetry.uplink.window import WindowedClientConfig
 
 _MS = 1_000_000
 
@@ -108,12 +105,9 @@ class AdaptConfig:
     def vehicle_ids(self) -> List[str]:
         return [f"vehicle-{i:03d}" for i in range(self.vehicles)]
 
-    def client_config(self) -> UplinkClientConfig:
-        return UplinkClientConfig(
-            batch_records=16, ack_timeout=6, backoff_base=2,
-            backoff_max=32, failure_threshold=4, cooldown=10,
-            seed=self.seed,
-        )
+    def client_config(self) -> WindowedClientConfig:
+        """The uplink sweep's client policy, on this sweep's seed."""
+        return ChaosConfig(seed=self.seed).windowed_client_config()
 
     def service_config(self, epoch0: BudgetEpoch) -> ServiceConfig:
         chain = fleet_chain()
@@ -357,9 +351,10 @@ class AdaptResult:
 # ----------------------------------------------------------------------
 # Driver internals
 # ----------------------------------------------------------------------
-class _AdaptiveVehicle:
-    """One vehicle: seeded latency stream scored against its *active*
-    epoch's budgets, uplink spool + client, epoch agent + ledger."""
+class _AdaptiveVehicle(_Vehicle):
+    """The uplink sweep's vehicle endpoint (spool + client + ledger
+    sets + crash/recover) plus a seeded latency stream scored against
+    its *active* epoch's budgets and an epoch agent + ledger."""
 
     def __init__(
         self,
@@ -369,20 +364,11 @@ class _AdaptiveVehicle:
         scenario: AdaptScenario,
         workdir: Path,
         epoch0: BudgetEpoch,
-        send_batch,
-        send_epoch_ack,
+        send,
     ):
-        self.source = source
         self.chain = chain
         self.config = config
         self.scenario = scenario
-        self._send_batch = send_batch
-        self._send_epoch_ack = send_epoch_ack
-        self.wal_config = WalConfig(
-            directory=workdir / source / "spool",
-            fsync=config.fsync,
-            segment_max_records=config.segment_max_records,
-        )
         self.epoch_dir = workdir / source / "epochs"
         self.rng = np.random.default_rng(
             (config.seed * 0x9E3779B1 + zlib.crc32(source.encode()))
@@ -392,40 +378,24 @@ class _AdaptiveVehicle:
         self.active_budgets: Dict[str, int] = {}
         #: Every epoch id the install hook ever handed us (any life).
         self.installed_ids: Set[int] = set()
-        self.alive = True
-        self.lives = 0
-        self.recoveries = 0
         self.pending_recoveries = 0
         self.deferred_acks = 0
         self.activation = 0  # next activation index to generate
         self.seq = 0
-        self.records: List[TelemetryRecord] = []
-        self.cursor = 0  # next record index to spool
-        # Ground-truth uplink ledger sets (survive crashes).
-        self.offered: Set[int] = set()
-        self.acked: Set[int] = set()
-        self.evicted: Set[int] = set()
-        self.spooler = WalSpooler.open_fresh(self.wal_config, source)
-        self.client = self._make_client()
+        # ``records`` grows one activation per step; ``cursor`` is the
+        # next record index to spool.
+        super().__init__(
+            source, [],
+            WalConfig(
+                directory=workdir / source / "spool",
+                fsync=config.fsync,
+                segment_max_records=config.segment_max_records,
+            ),
+            config.client_config(), send,
+        )
         self.agent = VehicleEpochAgent(
             source, self.epoch_dir, fsync=config.fsync,
             install=self._install, initial=epoch0,
-        )
-        self._wire()
-
-    # ------------------------------------------------------------------
-    def _make_client(self) -> RetryingUplinkClient:
-        return RetryingUplinkClient(
-            self.spooler, self._send_batch, self.config.client_config(),
-            life=self.lives,
-        )
-
-    def _wire(self) -> None:
-        self.spooler.on_evict = lambda lost: self.evicted.update(
-            record.seq for record in lost
-        )
-        self.client.on_acked = lambda released: self.acked.update(
-            record.seq for record in released
         )
 
     def _install(self, epoch: BudgetEpoch) -> None:
@@ -478,10 +448,7 @@ class _AdaptiveVehicle:
             timestamp_ns=timestamp, seq=self.seq,
         ))
         self.seq += 1
-        batch = self.records[self.cursor:]
-        self.spooler.append_many(batch)
-        self.offered.update(record.seq for record in batch)
-        self.cursor = len(self.records)
+        self.emit(len(self.records) - self.cursor)
 
     @property
     def drained(self) -> bool:
@@ -497,68 +464,43 @@ class _AdaptiveVehicle:
         if ack is not None:
             if self.agent.pending is not None:
                 self.deferred_acks += 1
-            self._send_epoch_ack(ack, now)
+            self._send(ack, now)
 
     def set_mode(self, mode: DegradationMode, now: int) -> None:
         ack = self.agent.set_mode(mode, now)
         if ack is not None:
-            self._send_epoch_ack(ack, now)
+            self._send(ack, now)
 
     # ------------------------------------------------------------------
     def kill(self, torn_tail: bool) -> None:
-        self.alive = False
-        self.spooler.abandon()
-        if torn_tail:
-            self._tear_tail()
+        super().kill(torn_tail)
         self.agent.close()
 
-    def _tear_tail(self) -> None:
-        active = self.spooler.segments[-1]
-        if not active.records:
-            return
-        raw = active.path.read_bytes()
-        lines = raw.split(b"\n")
-        if len(lines) < 3:
-            return
-        last = lines[-2]
-        kept = raw[: len(raw) - len(last) - 1]
-        active.path.write_bytes(kept + last[: len(last) // 2])
-        torn_seq = self.spooler.last_seq
-        self.offered.discard(torn_seq)
-        self.cursor -= 1
-
     def recover(self, now: int) -> None:
-        self.spooler, _ = WalSpooler.recover(self.wal_config, self.source)
-        self.lives += 1
-        self.recoveries += 1
-        self.client = self._make_client()
+        super().recover()
         self.agent, report = VehicleEpochAgent.recover(
             self.source, self.epoch_dir, fsync=self.config.fsync,
             install=self._install,
         )
         if report.pending_apply:
             self.pending_recoveries += 1
-        self._wire()
-        self.alive = True
         # The torn-apply window closes here: exactly one apply, acked.
         ack = self.agent.apply_pending_if_normal(now)
         if ack is not None:
-            self._send_epoch_ack(ack, now)
+            self._send(ack, now)
 
-    # ------------------------------------------------------------------
-    def uplink_ledger_json(self) -> dict:
-        spooled = set(self.spooler.pending_seqs())
-        union = self.acked | spooled | self.evicted
-        disjoint = (
-            len(self.acked) + len(spooled) + len(self.evicted) == len(union)
-        )
-        return {
-            "offered": len(self.offered),
-            "acked": len(self.acked),
-            "spooled": len(spooled),
-            "evicted": len(self.evicted),
-            "balanced": self.offered == union and disjoint,
+    def recovery_json(self) -> dict:
+        doc = {
+            "recoveries": self.recoveries,
+            "pending_applies": self.pending_recoveries,
         }
+        # Torn spool lines appear only when there were any, so a
+        # crash-free or cleanly-killed run reports what it always did.
+        if self.truncated_lines:
+            doc["truncated_lines"] = self.truncated_lines
+        if self.mark_truncated_lines:
+            doc["mark_truncated_lines"] = self.mark_truncated_lines
+        return doc
 
 
 class AdaptDriver:
@@ -589,8 +531,7 @@ class AdaptDriver:
         self.vehicles: List[_AdaptiveVehicle] = [
             _AdaptiveVehicle(
                 source, self.chain, config, scenario, self.workdir,
-                self.epoch0, self._make_batch_send(source),
-                self._make_epoch_ack_send(source),
+                self.epoch0, self._make_send(source),
             )
             for source in config.vehicle_ids()
         ]
@@ -629,12 +570,7 @@ class AdaptDriver:
     # ------------------------------------------------------------------
     # Channel plumbing
     # ------------------------------------------------------------------
-    def _make_batch_send(self, source: str):
-        return lambda payload, now: self.up.send(
-            payload, src=source, dst="fleet", now=now
-        )
-
-    def _make_epoch_ack_send(self, source: str):
+    def _make_send(self, source: str):
         return lambda payload, now: self.up.send(
             payload, src=source, dst="fleet", now=now
         )
@@ -910,7 +846,7 @@ class AdaptDriver:
             if not balanced else "",
         )
         result.uplink_ledger = {
-            vehicle.source: vehicle.uplink_ledger_json()
+            vehicle.source: vehicle.ledger_json()
             for vehicle in self.vehicles
         }
         up_balanced = all(
@@ -1018,10 +954,7 @@ class AdaptDriver:
             "server": self.server_recoveries,
             "server_info": self.server_recovery_info,
             "vehicles": {
-                vehicle.source: {
-                    "recoveries": vehicle.recoveries,
-                    "pending_applies": vehicle.pending_recoveries,
-                }
+                vehicle.source: vehicle.recovery_json()
                 for vehicle in self.vehicles if vehicle.recoveries
             },
         }

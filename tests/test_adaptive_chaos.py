@@ -54,6 +54,16 @@ class TestScenarios:
         assert checks["pending_recovery"]
         assert checks["epoch_ledger"]
 
+    def test_torn_tail_vehicle_crash_reports_truncated_lines(self):
+        # vehicle-001 dies mid-append (torn_tail=True at step 30): the
+        # spool recovery must be counted, as the uplink sweep counts it,
+        # while the cleanly killed vehicle-000 reports no such key.
+        (doc,) = run_named("vehicle_crash_mid_apply")
+        vehicles = doc["recoveries"]["vehicles"]
+        assert vehicles["vehicle-001"]["truncated_lines"] >= 1
+        assert "truncated_lines" not in vehicles["vehicle-000"]
+        assert checks_of(doc)["uplink_ledger"]
+
     def test_degraded_vehicle_defers_then_applies(self):
         (doc,) = run_named("deferred_apply")
         assert doc["ok"], doc["checks"]

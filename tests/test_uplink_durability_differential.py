@@ -8,11 +8,14 @@ and servers, and so drive ack-mark, checkpoint and ingest-log recovery
 checkpoint a single C-encoded write.  A change to how a durability
 point is written must not move one byte of what a scenario reports:
 counters, ledgers, convergence step, store digests, recovery stats.
+(The ten adaptive entries were re-pinned once since, when the adaptive
+vehicles moved from the stop-and-wait client onto the windowed one:
+same checks, same verdicts, different retransmit timing.)
 
 Regenerate (after an *intentional* change to modelled behaviour) with::
 
-    PYTHONPATH=src python -c "
-    import json, tests.test_uplink_durability_differential as t
+    PYTHONPATH=src:tests python -c "
+    import json, test_uplink_durability_differential as t
     print(json.dumps(dict(t.HEADER, scenarios=t.report_digests()),
                      indent=2, sort_keys=True))"
 """
@@ -23,6 +26,8 @@ from pathlib import Path
 
 import pytest
 
+from _differential import canonical
+
 from repro.adaptive.chaos import AdaptConfig, run_adapt
 from repro.adaptive.chaos import default_scenarios as adaptive_scenarios
 from repro.telemetry.gateway import gateway_scenarios
@@ -31,8 +36,6 @@ from repro.telemetry.uplink.chaos import (
     default_scenarios,
     run_chaos,
 )
-
-from tests._differential import canonical
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "chaos_reports.json"
 
