@@ -11,7 +11,7 @@ Four stages, all through the public `repro.telemetry.uplink` API
    line a crash can tear), recover, and show the repair is *counted*,
    never silent.
 3. **Lossy delivery** -- drive two vehicles through a dropping,
-   duplicating channel with the retrying client into the idempotent
+   duplicating channel with the windowed client into the idempotent
    fleet ingestor, then check the ledger law by hand:
    ``offered == acked + spooled + evicted``.
 4. **Server crash** -- kill the ingestor, recover from checkpoint +
@@ -32,11 +32,11 @@ from repro.telemetry import (
 from repro.telemetry.uplink import (
     AdversarialChannel,
     ChannelFaultPlan,
-    RetryingUplinkClient,
-    UplinkClientConfig,
     UplinkIngestor,
     WalConfig,
     WalSpooler,
+    WindowedClientConfig,
+    WindowedUplinkClient,
     decode_envelope,
     store_digest,
 )
@@ -99,7 +99,7 @@ def main() -> None:
         spooler.append(stream[-1])  # the vehicle re-emits the torn record
 
         # --------------------------------------------------------------
-        # 3. Lossy delivery: retrying clients vs a dropping,
+        # 3. Lossy delivery: windowed clients vs a dropping,
         #    duplicating channel; the ingestor applies exactly once.
         # --------------------------------------------------------------
         ingestor = UplinkIngestor(
@@ -115,13 +115,13 @@ def main() -> None:
             if doc is not None:
                 clients[frame.dst].on_ack(doc, now)
 
-        def deliver_batch(frame, now):
+        def deliver_frame(frame, now):
             ack = ingestor.handle_payload(frame.payload, now)
             if ack is not None:
                 down.send(ack, "fleet", frame.src, now)
 
         plan = ChannelFaultPlan(drop_prob=0.15, dup_prob=0.15)
-        up = AdversarialChannel("up", deliver_batch, plan, seed=11)
+        up = AdversarialChannel("up", deliver_frame, plan, seed=11)
         down = AdversarialChannel("down", deliver_ack, plan, seed=12)
 
         spoolers = {source: spooler}
@@ -133,10 +133,11 @@ def main() -> None:
                 spoolers[src].append(record)
         for src, sp in spoolers.items():
             ledger[src]["offered"] = set(sp.pending_seqs())
-            clients[src] = RetryingUplinkClient(
+            clients[src] = WindowedUplinkClient(
                 sp,
                 lambda payload, now, s=src: up.send(payload, s, "fleet", now),
-                UplinkClientConfig(batch_records=32, ack_timeout=6, seed=3),
+                WindowedClientConfig(frame_records=8, window_frames=4,
+                                     ack_timeout=6, seed=3),
             )
             clients[src].on_acked = (
                 lambda released, s=src: ledger[s]["acked"].update(

@@ -14,7 +14,7 @@ with a deterministic multi-vehicle :mod:`~repro.telemetry.loadgen`.
 
 Getting records from the vehicle to the fleet over a real (lossy,
 partitioning, crashing) link is :mod:`repro.telemetry.uplink`: durable
-store-and-forward spooling, a retrying transport client, idempotent
+store-and-forward spooling, a windowed-ARQ transport client, idempotent
 at-least-once ingestion, and the ``python -m repro chaos`` sweep that
 proves the whole path under adversarial faults.
 """

@@ -23,7 +23,7 @@ The fleet is deliberately imperfect, so every alert rule has traffic:
 :func:`run_load` drives a :class:`~repro.telemetry.service.TelemetryService`
 with the stream and measures sustained ingest throughput (records/s,
 p95 per-batch latency) -- the number the acceptance criterion and the
-``telemetry_ingest`` benchmark report.
+``ingest_batched`` benchmark report.
 """
 
 from __future__ import annotations

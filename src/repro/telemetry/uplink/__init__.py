@@ -1,11 +1,12 @@
 """Durable store-and-forward telemetry uplink.
 
 Vehicle side: :class:`WalSpooler` (append-before-emit write-ahead log)
-drained by :class:`RetryingUplinkClient` (timeout, exponential backoff
-with deterministic jitter, circuit breaker) over an
-:class:`AdversarialChannel`.  Fleet side: :class:`UplinkIngestor`
-(at-least-once in, exactly-once applied via :class:`DedupWatermark`,
-append-before-ack durability, checkpoint + WAL-replay recovery).
+drained by :class:`WindowedUplinkClient` (sliding frame window,
+per-frame timeout with exponential backoff and deterministic jitter,
+circuit breaker) over an :class:`AdversarialChannel`.  Fleet side:
+:class:`UplinkIngestor` (at-least-once in, exactly-once applied via
+:class:`DedupWatermark`, append-before-ack durability, checkpoint +
+WAL-replay recovery).
 :mod:`repro.telemetry.uplink.chaos` sweeps fault x crash schedules and
 asserts the ledger law ``offered == acked + spooled + evicted``.
 """
@@ -18,11 +19,6 @@ from repro.telemetry.uplink.chaos import (
     default_scenarios,
     run_chaos,
 )
-from repro.telemetry.uplink.client import (
-    CircuitState,
-    RetryingUplinkClient,
-    UplinkClientConfig,
-)
 from repro.telemetry.uplink.ingest import (
     CHECKPOINT_SCHEMA,
     DedupWatermark,
@@ -32,20 +28,18 @@ from repro.telemetry.uplink.ingest import (
 )
 from repro.telemetry.uplink.transport import (
     ACK_SCHEMA,
-    BATCH_SCHEMA,
     FRAME_SCHEMA,
     AdversarialChannel,
     ChannelFaultPlan,
     ChannelStats,
-    decode_batch,
     decode_envelope,
     decode_frame,
     encode_ack,
-    encode_batch,
     encode_envelope,
     encode_frame,
 )
 from repro.telemetry.uplink.window import (
+    CircuitState,
     WindowedClientConfig,
     WindowedUplinkClient,
 )
@@ -62,7 +56,6 @@ from repro.telemetry.uplink.wal import (
 __all__ = [
     "ACK_SCHEMA",
     "AdversarialChannel",
-    "BATCH_SCHEMA",
     "CHECKPOINT_SCHEMA",
     "ChannelFaultPlan",
     "ChannelStats",
@@ -77,8 +70,6 @@ __all__ = [
     "IngestRecoveryReport",
     "RecordLog",
     "RecoveryReport",
-    "RetryingUplinkClient",
-    "UplinkClientConfig",
     "UplinkIngestor",
     "WAL_SCHEMA",
     "WalConfig",
@@ -86,12 +77,10 @@ __all__ = [
     "WalSpooler",
     "WindowedClientConfig",
     "WindowedUplinkClient",
-    "decode_batch",
     "decode_envelope",
     "decode_frame",
     "default_scenarios",
     "encode_ack",
-    "encode_batch",
     "encode_envelope",
     "encode_frame",
     "run_chaos",

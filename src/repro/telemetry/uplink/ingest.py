@@ -1,15 +1,15 @@
 """Fleet-side at-least-once ingestion with idempotent deduplication.
 
-The transport is allowed to deliver a batch zero, one, or five times,
+The transport is allowed to deliver a frame zero, one, or five times,
 in any order.  :class:`UplinkIngestor` turns that into *exactly-once
 application* against the :class:`~repro.telemetry.service.TelemetryService`
 using one :class:`DedupWatermark` per source: a cumulative watermark
 (every seq at or below it has been seen) plus a bounded set of
 above-watermark seqs.  Duplicates therefore never double-count (m,k)
-misses, and reordered stale batches are absorbed silently.
+misses, and reordered stale frames are absorbed silently.
 
 Durability follows the vehicle-side rule, mirrored: **append before
-ack**.  Fresh records and the per-batch watermark marker are written to
+ack**.  Fresh records and the per-frame watermark marker are written to
 an append-only :class:`~repro.telemetry.uplink.wal.RecordLog` and
 synced *before* the acknowledgment envelope is produced, so a fleet
 crash after an ack can always rebuild the acknowledged state:
@@ -31,8 +31,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.telemetry.records import SchemaVersionError, TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.uplink.transport import (
-    BATCH_SCHEMA,
-    decode_batch,
     decode_envelope,
     decode_frame,
     encode_ack,
@@ -50,7 +48,7 @@ class DedupWatermark:
     (or explicitly skipped via :meth:`advance_to`).  Seqs above it that
     have been seen wait in ``seen`` until the watermark sweeps past
     them, so the structure stays small when delivery is mostly in
-    order -- the common case under a stop-and-wait client.
+    order -- it is bounded by the client's window.
     """
 
     __slots__ = ("watermark", "seen", "admitted", "duplicates")
@@ -74,16 +72,14 @@ class DedupWatermark:
     def advance_to(self, seq: int) -> None:
         """Declare every seq at or below *seq* settled.
 
-        Sound under the stop-and-wait client: a batch's records arrive
-        in spool (seq) order and anything below the batch is either
-        already admitted or evicted vehicle-side -- it will never be
-        offered again, so collapsing the window loses nothing.
-
-        The pipelined protocol must NOT call this with a frame maximum
-        (frames arrive out of order; a lower frame may still be in
-        flight).  It calls it with ``floor - 1`` instead, where
-        ``floor`` is the lowest seq the vehicle can still offer -- see
-        :func:`~repro.telemetry.uplink.transport.encode_frame`.
+        Frames arrive out of order, so this must NOT be called with a
+        frame maximum (a lower frame may still be in flight).  The
+        ingestor calls it with ``floor - 1``, where ``floor`` is the
+        lowest seq the vehicle can still offer -- see
+        :func:`~repro.telemetry.uplink.transport.encode_frame`:
+        anything below it is either already admitted or evicted
+        vehicle-side and will never be offered again, so collapsing
+        the window loses nothing.
         """
         if seq <= self.watermark:
             return
@@ -162,7 +158,7 @@ class IngestRecoveryReport:
 
 
 class UplinkIngestor:
-    """Batches in, acks out; durable before every acknowledgment."""
+    """Frames in, acks out; durable before every acknowledgment."""
 
     def __init__(
         self,
@@ -187,7 +183,7 @@ class UplinkIngestor:
         #: watermark, waiting for lower seqs).  Durable in the log /
         #: checkpoint; bounded by the client's window.
         self._held: Dict[str, Dict[int, TelemetryRecord]] = {}
-        #: Called with each batch's *fresh* (deduplicated) records just
+        #: Called with each frame's *fresh* (deduplicated) records just
         #: after they were applied -- the control plane's observation
         #: tap.  Soft state: recovery replay does not re-fire it.
         self.on_fresh: Optional[Callable[[List[TelemetryRecord]], None]] = None
@@ -199,7 +195,6 @@ class UplinkIngestor:
         self.payloads = 0
         self.corrupt_payloads = 0
         self.foreign_payloads = 0
-        self.batches = 0
         self.frames = 0
         self.records_seen = 0
         self.records_fresh = 0
@@ -240,67 +235,21 @@ class UplinkIngestor:
     # ------------------------------------------------------------------
     def handle_payload(self, payload: str, now: int = 0) -> Optional[str]:
         """Process one uplink datagram; returns the ack payload or
-        ``None`` when the datagram was corrupt / not a batch (counted,
+        ``None`` when the datagram was corrupt / not a frame (counted,
         never silent)."""
         self.payloads += 1
         if isinstance(payload, str) and "\n" in payload:
-            # Pipelined multi-record frame (header line + entry lines).
+            # A frame: header line + entry lines.
             header = self.ingest_frame(payload, now)
             if header is None:
                 return None
             return self.ack_payload(header["source"], header["frame_id"])
-        doc = decode_envelope(payload)
-        if doc is None:
+        # A single line cannot be a frame; count what it was instead.
+        if decode_envelope(payload) is None:
             self.corrupt_payloads += 1
-            return None
-        if doc.get("schema") != BATCH_SCHEMA or not isinstance(
-            doc.get("source"), str
-        ):
+        else:
             self.foreign_payloads += 1
-            return None
-        records = decode_batch(doc)
-        if records is None:
-            self.corrupt_payloads += 1
-            return None
-        source = doc["source"]
-        dedup = self._dedup(source)
-        self.batches += 1
-        self.records_seen += len(records)
-
-        fresh: List[TelemetryRecord] = []
-        for record in records:
-            if dedup.admit(record.seq):
-                fresh.append(record)
-            else:
-                self.records_duplicate += 1
-        if records:
-            batch_max = max(record.seq for record in records)
-            dedup.advance_to(batch_max)
-        # Durability before acknowledgment: fresh records plus the
-        # watermark marker hit the log and are synced first.
-        if fresh:
-            for record in fresh:
-                self.log.append_record(record)
-            self.records_fresh += len(fresh)
-        if records:
-            self.log.append_marker(source, dedup.watermark)
-        self.log.sync()
-        if fresh:
-            self.service.ingest_many(fresh)
-            self.service.pump()
-            if self.on_fresh is not None:
-                self.on_fresh(fresh)
-        self._since_checkpoint += 1
-        if (
-            self.checkpoint_every is not None
-            and self._since_checkpoint >= self.checkpoint_every
-        ):
-            self.checkpoint()
-        ack = encode_ack(
-            source, int(doc.get("batch_id", -1)), dedup.watermark
-        )
-        self.acks_sent += 1
-        return ack
+        return None
 
     # ------------------------------------------------------------------
     def ingest_frame(
@@ -310,7 +259,7 @@ class UplinkIngestor:
         sync: bool = True,
         shed: Optional[Callable[[List[TelemetryRecord]], Set[int]]] = None,
     ) -> Optional[dict]:
-        """Ingest one pipelined frame; returns its header (or ``None``
+        """Ingest one frame; returns its header (or ``None``
         when the frame was damaged -- counted, never silent).
 
         Frames arrive out of order, so the dedup watermark is advanced
@@ -357,8 +306,8 @@ class UplinkIngestor:
                 # applied below only once every lower seq is settled --
                 # out-of-order frames must not perturb the store's
                 # per-source gap/reorder accounting, which is what
-                # keeps the pipelined store state byte-identical to
-                # stop-and-wait.
+                # keeps the store state byte-identical to fault-free
+                # direct ingest.
                 self.log.append_raw(line)
                 held[record.seq] = record
                 self.records_fresh += 1
@@ -516,7 +465,9 @@ class UplinkIngestor:
             "payloads": self.payloads,
             "corrupt_payloads": self.corrupt_payloads,
             "foreign_payloads": self.foreign_payloads,
-            "batches": self.batches,
+            # The batch envelope is gone; the key stays so pinned
+            # chaos reports keep their bytes.
+            "batches": 0,
             "frames": self.frames,
             "records_seen": self.records_seen,
             "records_fresh": self.records_fresh,

@@ -1,10 +1,11 @@
 """Uplink wire envelopes and the adversarial transport channel.
 
-The uplink speaks two CRC-framed JSON envelopes over an unreliable
-datagram channel:
+The uplink speaks two CRC-framed messages over an unreliable datagram
+channel:
 
-- a **batch** (vehicle -> fleet): ``repro-uplink-batch/1`` carrying an
-  ordered slice of spooled wire records, and
+- a **frame** (vehicle -> fleet): ``repro-uplink-frame/1``, a header
+  line followed by an ordered slice of the spool's WAL entry lines,
+  verbatim, and
 - an **ack** (fleet -> vehicle): ``repro-uplink-ack/1`` carrying the
   per-source *cumulative* acknowledgment watermark (every spooled seq
   at or below it is durable fleet-side).
@@ -38,12 +39,11 @@ from repro.network.link import Frame, JitterModel
 from repro.telemetry.records import TelemetryRecord
 
 #: Envelope schema identifiers.
-BATCH_SCHEMA = "repro-uplink-batch/1"
 ACK_SCHEMA = "repro-uplink-ack/1"
-#: Pipelined multi-record frame: a CRC-framed header line followed by
-#: the records' WAL entry lines verbatim (one per line).  Unlike a
-#: batch envelope there is no re-serialization: the vehicle sends the
-#: exact bytes its WAL holds, and the ingestor appends them verbatim.
+#: Multi-record frame: a CRC-framed header line followed by the
+#: records' WAL entry lines verbatim (one per line).  There is no
+#: re-serialization: the vehicle sends the exact bytes its WAL holds,
+#: and the ingestor appends them verbatim.
 FRAME_SCHEMA = "repro-uplink-frame/1"
 #: Control-plane epoch distribution rides the same channel: an epoch
 #: frame travels the downlink (fleet -> vehicle), its ack the uplink.
@@ -83,29 +83,6 @@ def decode_envelope(payload: str) -> Optional[dict]:
     return doc if isinstance(doc, dict) else None
 
 
-def encode_batch(
-    source: str, batch_id: int, records: Sequence[TelemetryRecord]
-) -> str:
-    """One uplink batch envelope (records stay in spool order)."""
-    return encode_envelope({
-        "schema": BATCH_SCHEMA,
-        "source": source,
-        "batch_id": batch_id,
-        "records": [list(record.to_wire()) for record in records],
-    })
-
-
-def decode_batch(doc: dict) -> Optional[List[TelemetryRecord]]:
-    """Rebuild the record list of a decoded batch envelope."""
-    try:
-        return [
-            TelemetryRecord.from_wire(tuple(fields))
-            for fields in doc["records"]
-        ]
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
 def encode_ack(
     source: str,
     batch_id: int,
@@ -116,9 +93,8 @@ def encode_ack(
 ) -> str:
     """One cumulative acknowledgment envelope.
 
-    The pipelined protocol rides three additive fields on the same
-    ``repro-uplink-ack/1`` schema (absent fields mean stop-and-wait
-    semantics, so old acks stay decodable):
+    Three optional fields ride the ``repro-uplink-ack/1`` schema (an
+    ack without them is a bare cumulative ack):
 
     - ``sack`` -- selective-ack ``[lo, hi]`` ranges above the
       cumulative watermark that are already durable fleet-side, so the
@@ -146,12 +122,12 @@ def encode_ack(
 
 
 # ----------------------------------------------------------------------
-# Pipelined multi-record frames
+# Multi-record frames
 # ----------------------------------------------------------------------
 def encode_frame(
     source: str, frame_id: int, floor: int, entries: Sequence[str]
 ) -> str:
-    """One pipelined uplink frame.
+    """One uplink frame.
 
     ``entries`` are CRC-framed WAL lines (from
     :meth:`~repro.telemetry.uplink.wal.WalSpooler.pending_entries`),

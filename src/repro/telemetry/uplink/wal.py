@@ -680,16 +680,11 @@ class RecordLog:
         self._file.flush()
 
     # ------------------------------------------------------------------
-    def append_record(self, record: TelemetryRecord) -> None:
-        self._file.write(encode_entry(record.encode_line()) + "\n")
-        self.entries += 1
-
     def append_raw(self, entry: str) -> None:
         """Append an already CRC-framed entry line verbatim.
 
         The frame path hands the vehicle's WAL lines straight through:
-        the CRC was verified at decode, so re-encoding (the single
-        hottest cost of the stop-and-wait ingest path) is skipped.
+        the CRC was verified at decode, so nothing is re-encoded.
         """
         self._file.write(entry + "\n")
         self.entries += 1

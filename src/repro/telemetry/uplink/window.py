@@ -1,10 +1,9 @@
 """Pipelined sliding-window ARQ over the WAL spooler.
 
-The stop-and-wait client (:mod:`repro.telemetry.uplink.client`) keeps
-exactly one batch in flight; round-trip latency therefore bounds
-throughput.  :class:`WindowedUplinkClient` keeps up to
-``window_frames`` multi-record frames in flight and overlaps the acks,
-while preserving the invariants the fleet side depends on:
+:class:`WindowedUplinkClient` keeps up to ``window_frames``
+multi-record frames in flight and overlaps their acks, so throughput is
+bounded by the window rather than by one round trip per frame, while
+preserving the invariants the fleet side depends on:
 
 - **exactly-once ingest** -- every record travels as the exact
   CRC-framed WAL line the spool holds (see
@@ -18,20 +17,29 @@ while preserving the invariants the fleet side depends on:
   unacked frame (not of every frame in a burst) trip the breaker, and
   while HALF_OPEN exactly one designated probe frame may fly.
 
-Because frames arrive out of order, the stop-and-wait trick of
-collapsing the dedup window to the batch maximum is unsound here.
-Instead every frame carries a **floor**: the lowest seq the vehicle can
-still offer (the spool's oldest pending seq, which evictions raise).
-The ingestor advances its watermark to ``floor - 1`` and otherwise only
-through contiguous admission, so no undelivered seq is ever declared
-settled.
+Frames arrive out of order, so the ingestor may not settle its dedup
+window at a frame's highest seq (a lower frame may still be in
+flight).  Instead every frame carries a **floor**: the lowest seq the
+vehicle can still offer (the spool's oldest pending seq, which
+evictions raise).  The ingestor advances its watermark to
+``floor - 1`` and otherwise only through contiguous admission, so no
+undelivered seq is ever declared settled.
 
-Failure handling mirrors the stop-and-wait client, per frame and in
-deterministic virtual steps: per-frame retransmit timers with
-exponential backoff and seeded jitter, **fast retransmit** of the
-oldest unacked frame after ``dup_ack_threshold`` duplicate cumulative
-acks, and selective acks (``sack``) that suppress retransmission of
-frames already durable above the watermark.
+Failure handling is per frame and in deterministic virtual steps:
+per-frame retransmit timers with exponential backoff
+(``backoff_base * 2^(n-1)``, capped) plus jitter drawn from the
+client's seeded RNG stream, so a fleet of clients desynchronizes
+identically on every run; **fast retransmit** of the oldest unacked
+frame after ``dup_ack_threshold`` duplicate cumulative acks; and
+selective acks (``sack``) that suppress retransmission of frames
+already durable above the watermark.  After ``failure_threshold``
+consecutive timeouts the circuit opens for ``cooldown`` steps (no sends
+at all), which keeps a partitioned vehicle from hammering the link.
+
+The client owns no durability: records live in the
+:class:`~repro.telemetry.uplink.wal.WalSpooler` until acked, so a
+client crash loses nothing -- a fresh client over the recovered spool
+resumes exactly where the acks stopped.
 
 Gateway sessions are optional: give the config a ``token`` and the
 client performs the HELLO/WELCOME handshake first, honors advertised
@@ -45,6 +53,7 @@ a ``hello`` reject.  Without a token the client speaks to a bare
 
 from __future__ import annotations
 
+import enum
 import zlib
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Set, Tuple
@@ -52,7 +61,6 @@ from typing import Callable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.telemetry.records import TelemetryRecord
-from repro.telemetry.uplink.client import CircuitState
 from repro.telemetry.uplink.transport import (
     ACK_SCHEMA,
     REJECT_SCHEMA,
@@ -61,6 +69,12 @@ from repro.telemetry.uplink.transport import (
     encode_hello,
 )
 from repro.telemetry.uplink.wal import WalSpooler
+
+
+class CircuitState(enum.Enum):
+    CLOSED = "closed"
+    OPEN = "open"
+    HALF_OPEN = "half_open"
 
 
 @dataclass
@@ -146,8 +160,8 @@ class WindowedUplinkClient:
         self._send = send
         self.config = config or WindowedClientConfig()
         self.life = life
-        # Deterministic jitter stream, salted by restart life like the
-        # stop-and-wait client.
+        # Deterministic jitter stream; ``life`` salts restarts so a
+        # recovered client doesn't replay its predecessor's jitter.
         self._rng = np.random.default_rng(
             (self.config.seed * 0x9E3779B1
              + zlib.crc32(self.source.encode()) + life) & 0xFFFFFFFF

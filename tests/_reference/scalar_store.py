@@ -24,7 +24,9 @@ from repro.telemetry.store import (
 )
 
 
-def apply_scalar(store: ChainStateStore, record: TelemetryRecord) -> ApplyOutcome:
+def apply_scalar(
+    store: ChainStateStore, record: TelemetryRecord
+) -> ApplyOutcome:
     """Fold one record into *store*; return the produced facts."""
     outcome = ApplyOutcome(record)
     config = store.config

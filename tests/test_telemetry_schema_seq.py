@@ -177,4 +177,6 @@ class TestSequenceContinuity:
         live = apply_one(store, _segment("v0", 1))
         replica = apply_one(restored, _segment("v0", 1))
         assert live.seq_gap == replica.seq_gap
-        assert restored.sources["v0"].to_json() == store.sources["v0"].to_json()
+        assert (
+            restored.sources["v0"].to_json() == store.sources["v0"].to_json()
+        )

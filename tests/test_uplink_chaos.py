@@ -170,6 +170,21 @@ class TestCli:
             main(["--scenario", "no-such-scenario"])
 
 
+class TestOneProtocol:
+    """The stop-and-wait client is gone; nothing may select it."""
+
+    def test_protocol_field_has_one_legal_value(self):
+        assert ChaosConfig().protocol == "windowed"
+        assert ChaosConfig(protocol="windowed").protocol == "windowed"
+        with pytest.raises(ValueError):
+            ChaosConfig(protocol="stop_and_wait")
+
+    def test_cli_has_no_protocol_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--protocol", "windowed", "--list"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestCrashEventValidation:
     def test_rejects_bad_side_and_steps(self):
         with pytest.raises(ValueError):

@@ -22,9 +22,10 @@ from repro.telemetry.uplink.ingest import (
 )
 from repro.telemetry.uplink.transport import (
     decode_envelope,
-    encode_batch,
     encode_envelope,
+    encode_frame,
 )
+from repro.telemetry.uplink.wal import encode_entry
 
 
 def _rec(source, seq, miss=False):
@@ -32,6 +33,13 @@ def _rec(source, seq, miss=False):
         kind=RecordKind.CHAIN, source=source, chain="c",
         activation=seq, verdict="miss" if miss else "ok",
         timestamp_ns=(seq + 1) * 100, seq=seq,
+    )
+
+
+def _frame(source, frame_id, records, floor=0):
+    return encode_frame(
+        source, frame_id, floor,
+        [encode_entry(record.encode_line()) for record in records],
     )
 
 
@@ -147,7 +155,7 @@ class TestDedupWatermark:
 class TestIngestor:
     def test_batch_applied_once_and_acked(self, tmp_path):
         ingestor = UplinkIngestor(_service(), tmp_path, fsync="never")
-        payload = encode_batch("v0", 0, [_rec("v0", i) for i in range(4)])
+        payload = _frame("v0", 0, [_rec("v0", i) for i in range(4)])
         ack = decode_envelope(ingestor.handle_payload(payload))
         assert ack["ack_through"] == 3
         assert ingestor.service.store.applied == 4
@@ -165,21 +173,20 @@ class TestIngestor:
         assert ingestor.handle_payload(
             encode_envelope({"schema": "other/1", "source": "v0"})
         ) is None
-        payload = encode_batch("v0", 0, [_rec("v0", 0)])
+        payload = _frame("v0", 0, [_rec("v0", 0)])
         assert ingestor.handle_payload(payload[:-3] + "###") is None
         assert ingestor.corrupt_payloads == 2
         assert ingestor.foreign_payloads == 1
         assert ingestor.service.store.applied == 0
 
     def test_durable_before_ack_without_checkpoint(self, tmp_path):
-        """A crash immediately after the ack must not lose the batch:
+        """A crash immediately after the ack must not lose the frame:
         the WAL carries it even when no checkpoint ever ran."""
         ingestor = UplinkIngestor(
             _service(), tmp_path, fsync="never", checkpoint_every=None
         )
         ingestor.handle_payload(
-            encode_batch("v0", 0, [_rec("v0", i, miss=i == 2)
-                                   for i in range(5)])
+            _frame("v0", 0, [_rec("v0", i, miss=i == 2) for i in range(5)])
         )
         live = store_digest(ingestor.service)
         ingestor.close()  # crash: no checkpoint was written
@@ -199,7 +206,7 @@ class TestIngestor:
         )
         for batch_no in range(5):
             lo = batch_no * 3
-            ingestor.handle_payload(encode_batch(
+            ingestor.handle_payload(_frame(
                 "v0", batch_no,
                 [_rec("v0", seq, miss=seq % 4 == 0)
                  for seq in range(lo, lo + 3)],
@@ -218,7 +225,7 @@ class TestIngestor:
         assert report.replayed_fresh == 3
         assert store_digest(recovered.service) == live
         # The recovered ingestor keeps deduplicating correctly.
-        stale = encode_batch("v0", 9, [_rec("v0", 2)])
+        stale = _frame("v0", 9, [_rec("v0", 2)])
         ack = decode_envelope(recovered.handle_payload(stale))
         assert ack["ack_through"] == 14
         assert store_digest(recovered.service) == live
@@ -231,7 +238,7 @@ class TestIngestor:
             _service(), tmp_path, fsync="never", checkpoint_every=None
         )
         for source in ("v1", "v0"):
-            ingestor.handle_payload(encode_batch(
+            ingestor.handle_payload(_frame(
                 source, 0, [_rec(source, seq, miss=seq == 3)
                             for seq in range(7)],
             ))
@@ -254,9 +261,9 @@ class TestIngestor:
         assert store_digest(recovered.service) == live
         # The recovered log handle is append-mode: resetting it in
         # place must still leave header + new entries, nothing stale.
-        recovered.handle_payload(encode_batch("v0", 1, [_rec("v0", 7)]))
+        recovered.handle_payload(_frame("v0", 1, [_rec("v0", 7)]))
         recovered.checkpoint()
-        recovered.handle_payload(encode_batch("v0", 2, [_rec("v0", 8)]))
+        recovered.handle_payload(_frame("v0", 2, [_rec("v0", 8)]))
         live = store_digest(recovered.service)
         recovered.close()
         again, report = UplinkIngestor.recover(tmp_path, config, fsync="never")
@@ -267,7 +274,7 @@ class TestIngestor:
         ingestor = UplinkIngestor(
             _service(), tmp_path, fsync="never", checkpoint_every=1
         )
-        ingestor.handle_payload(encode_batch("v0", 0, [_rec("v0", 0)]))
+        ingestor.handle_payload(_frame("v0", 0, [_rec("v0", 0)]))
         ingestor.close()
         path = tmp_path / "checkpoint.json"
         doc = json.loads(path.read_text())
@@ -287,11 +294,11 @@ class TestIngestor:
             _service(), tmp_path / "a", fsync="never"
         )
         for source, records in sorted(batches.items()):
-            first.handle_payload(encode_batch(source, 0, records))
+            first.handle_payload(_frame(source, 0, records))
         second = UplinkIngestor(
             _service(), tmp_path / "b", fsync="never"
         )
         for source, records in sorted(batches.items(), reverse=True):
             for i, record in enumerate(records):
-                second.handle_payload(encode_batch(source, i, [record]))
+                second.handle_payload(_frame(source, i, [record]))
         assert store_digest(first.service) == store_digest(second.service)

@@ -4,15 +4,16 @@ deterministic fault injection, and channel accounting."""
 from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.uplink.transport import (
     ACK_SCHEMA,
-    BATCH_SCHEMA,
+    FRAME_SCHEMA,
     AdversarialChannel,
     ChannelFaultPlan,
-    decode_batch,
     decode_envelope,
+    decode_frame,
     encode_ack,
-    encode_batch,
     encode_envelope,
+    encode_frame,
 )
+from repro.telemetry.uplink.wal import encode_entry
 
 
 def _rec(seq):
@@ -41,11 +42,13 @@ class TestEnvelopes:
 
     def test_batch_round_trip(self):
         records = [_rec(i) for i in range(5)]
-        doc = decode_envelope(encode_batch("v0", 3, records))
-        assert doc["schema"] == BATCH_SCHEMA
-        assert doc["source"] == "v0"
-        assert doc["batch_id"] == 3
-        assert decode_batch(doc) == records
+        lines = [encode_entry(record.encode_line()) for record in records]
+        header, decoded, raw = decode_frame(encode_frame("v0", 3, 0, lines))
+        assert header["schema"] == FRAME_SCHEMA
+        assert header["source"] == "v0"
+        assert header["frame_id"] == 3
+        assert decoded == records
+        assert raw == lines  # relayed verbatim, no re-encode
 
     def test_ack_round_trip(self):
         doc = decode_envelope(encode_ack("v0", 3, 41))
@@ -55,9 +58,10 @@ class TestEnvelopes:
         }
 
     def test_malformed_batch_records_rejected(self):
-        doc = decode_envelope(encode_batch("v0", 0, [_rec(0)]))
-        doc["records"][0] = ["nonsense"]
-        assert decode_batch(doc) is None
+        # A well-framed (valid CRC) entry that is not a wire record
+        # rejects the whole frame.
+        frame = encode_frame("v0", 0, 0, [encode_entry('["nonsense"]')])
+        assert decode_frame(frame) is None
 
 
 class TestChannel:

@@ -346,9 +346,9 @@ class TestRecordLog:
     def test_replay_records_and_markers(self, tmp_path):
         path = Path(tmp_path) / "fleet.log"
         log = RecordLog(path, fsync="never")
-        log.append_record(_rec("v0", 0))
+        log.append_raw(encode_entry(_rec("v0", 0).encode_line()))
         log.append_marker("v0", 0)
-        log.append_record(_rec("v1", 7))
+        log.append_raw(encode_entry(_rec("v1", 7).encode_line()))
         log.sync()
         log.close()
 
@@ -362,7 +362,7 @@ class TestRecordLog:
     def test_reset_truncates_after_checkpoint(self, tmp_path):
         path = Path(tmp_path) / "fleet.log"
         log = RecordLog(path, fsync="never")
-        log.append_record(_rec("v0", 0))
+        log.append_raw(encode_entry(_rec("v0", 0).encode_line()))
         log.sync()
         log.reset()
         log.close()
@@ -372,7 +372,7 @@ class TestRecordLog:
         path = Path(tmp_path) / "fleet.log"
         log = RecordLog(path, fsync="never")
         for i in range(4):
-            log.append_record(_rec("v0", i))
+            log.append_raw(encode_entry(_rec("v0", i).encode_line()))
         log.sync()
         log.close()
         raw = path.read_bytes()

@@ -13,9 +13,9 @@ from repro.telemetry.uplink import (
     WindowedUplinkClient,
     decode_envelope,
 )
-from repro.telemetry.uplink.client import CircuitState
 from repro.telemetry.uplink.ingest import store_digest
 from repro.telemetry.uplink.transport import decode_frame
+from repro.telemetry.uplink.window import CircuitState
 
 
 def _rec(seq, source="veh00"):

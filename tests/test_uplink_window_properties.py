@@ -1,12 +1,13 @@
-"""Property-based differential testing of the two uplink protocols.
+"""Property-based differential testing of the uplink protocol.
 
-The pipelined windowed-ARQ client must be *observationally identical*
-to the stop-and-wait baseline: under any mix of drops, duplicates,
-reordering, corruption, and partitions, both converge to the exact
-same fleet store content (byte-identical digest) as a fault-free
-direct ingest.  Window invariants ride along on every step: at most
-``window_frames`` frames in flight, and the cumulative ack mark never
-moves backwards.
+The windowed-ARQ client must be *observationally identical* to a
+fault-free direct ingest: under any mix of drops, duplicates,
+reordering, corruption, and partitions it converges to the exact same
+fleet store content (byte-identical digest).  ``window_frames`` is
+drawn from ``{1, 4}``, so the degenerate one-frame window (stop and
+wait) is generated alongside the pipelined one.  Window invariants
+ride along on every step: at most ``window_frames`` frames in flight,
+and the cumulative ack mark never moves backwards.
 """
 
 import tempfile
@@ -20,8 +21,6 @@ from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.uplink import (
     AdversarialChannel,
     ChannelFaultPlan,
-    RetryingUplinkClient,
-    UplinkClientConfig,
     UplinkIngestor,
     WalConfig,
     WalSpooler,
@@ -29,6 +28,7 @@ from repro.telemetry.uplink import (
     WindowedUplinkClient,
     decode_envelope,
 )
+from repro.telemetry.uplink.ingest import store_digest
 
 N_RECORDS = 48
 MAX_STEPS = 4000
@@ -45,10 +45,17 @@ def _records():
     ]
 
 
-def _run_protocol(windowed: bool, plan: ChannelFaultPlan, seed: int) -> str:
-    """Records -> spool -> faulty channel -> ingest; returns the digest."""
-    from repro.telemetry.uplink.ingest import store_digest
+def _direct_ingest_digest() -> str:
+    reference = TelemetryService(ServiceConfig())
+    reference.ingest_many(_records())
+    reference.drain()
+    return store_digest(reference)
 
+
+def _run_protocol(
+    window_frames: int, plan: ChannelFaultPlan, seed: int
+) -> str:
+    """Records -> spool -> faulty channel -> ingest; returns the digest."""
     records = _records()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -76,24 +83,16 @@ def _run_protocol(windowed: bool, plan: ChannelFaultPlan, seed: int) -> str:
 
         up = AdversarialChannel("up", deliver_up, plan=plan, seed=seed + 1)
         send = lambda payload, now: up.send(payload, "veh00", "fleet", now)
-        if windowed:
-            config = WindowedClientConfig(
-                frame_records=8, window_frames=4, ack_timeout=8, seed=seed
-            )
-            client = WindowedUplinkClient(spooler, send, config)
-        else:
-            client = RetryingUplinkClient(
-                spooler, send,
-                UplinkClientConfig(batch_records=8, ack_timeout=8, seed=seed),
-            )
+        client = WindowedUplinkClient(spooler, send, WindowedClientConfig(
+            frame_records=8, window_frames=window_frames, ack_timeout=8,
+            seed=seed,
+        ))
         ack_marks = [spooler.ack_mark]
         for now in range(MAX_STEPS):
             client.tick(now)
             up.step(now)
             down.step(now)
-            if windowed:
-                assert len(client._flight) <= config.window_frames, \
-                    "window overrun"
+            assert len(client._flight) <= window_frames, "window overrun"
             ack_marks.append(spooler.ack_mark)
             if client.idle():
                 break
@@ -124,17 +123,19 @@ def fault_plans(draw):
 
 class TestProtocolEquivalence:
     @settings(max_examples=15, deadline=None)
-    @given(plan=fault_plans(), seed=st.integers(0, 2**16))
-    def test_windowed_equals_stop_and_wait_byte_identical(self, plan, seed):
-        reference = TelemetryService(ServiceConfig())
-        reference.ingest_many(_records())
-        reference.drain()
-        from repro.telemetry.uplink.ingest import store_digest
-
-        expected = store_digest(reference)
-        assert _run_protocol(True, plan, seed) == expected
-        assert _run_protocol(False, plan, seed) == expected
+    @given(
+        plan=fault_plans(), seed=st.integers(0, 2**16),
+        window_frames=st.sampled_from((1, 4)),
+    )
+    def test_windowed_equals_direct_ingest_byte_identical(
+        self, plan, seed, window_frames
+    ):
+        assert _run_protocol(window_frames, plan, seed) == (
+            _direct_ingest_digest()
+        )
 
     def test_clean_channel_smoke(self):
         plan = ChannelFaultPlan()
-        assert _run_protocol(True, plan, 7) == _run_protocol(False, plan, 7)
+        expected = _direct_ingest_digest()
+        assert _run_protocol(1, plan, 7) == expected
+        assert _run_protocol(4, plan, 7) == expected
