@@ -50,7 +50,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="single iteration, no warmup (CI smoke mode)",
+        help="one warm-up call, then 3 timed iterations instead of 7 (CI smoke mode)",
     )
     parser.add_argument(
         "--only",

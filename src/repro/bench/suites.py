@@ -620,7 +620,13 @@ def run_suite(
     quick: bool = False,
     only: Optional[List[str]] = None,
 ) -> List[BenchResult]:
-    """Run every benchmark of *suite*; quick mode = 1 iteration, no warmup.
+    """Run every benchmark of *suite*; quick mode = 3 timed iterations.
+
+    Every bench gets one untimed warm-up call first, quick or not: the
+    first call pays imports and cold caches, which made the quick rows
+    fail ``--compare`` against baselines recorded warm; and the median
+    of three survives the one GC pause or neighbour burst a few-ms
+    bench meets on a shared host.
 
     *only* restricts the run to the named benchmarks.  Unknown names
     raise rather than silently measuring nothing.
@@ -637,14 +643,10 @@ def run_suite(
                 f"(have {sorted(available)})"
             )
         entries = [e for e in entries if e[0] in only]
-    iterations = 1 if quick else 7
-    warmup = 0 if quick else 1
+    iterations = 3 if quick else 7
     results = []
     for name, layer, unit, fn in entries:
         results.append(
-            run_bench(
-                name, fn, layer=layer, unit=unit,
-                iterations=iterations, warmup=warmup,
-            )
+            run_bench(name, fn, layer=layer, unit=unit, iterations=iterations)
         )
     return results

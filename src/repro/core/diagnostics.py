@@ -73,6 +73,19 @@ class _SegmentHealth:
 StateChangeFn = Callable[[str, Health, Health], None]
 
 
+class _Shim:
+    """The reporter :meth:`HealthSupervisor.attach` adds to a runtime."""
+
+    def __init__(self, supervisor: "HealthSupervisor"):
+        self.supervisor = supervisor
+
+    def report(self, segment_name, activation, outcome, **_kw):
+        self.supervisor.observe(segment_name, outcome)
+
+    def report_exception(self, exception):
+        pass
+
+
 class HealthSupervisor:
     """Aggregates monitor outcomes into segment/system health."""
 
@@ -109,16 +122,7 @@ class HealthSupervisor:
     def attach(self, runtime) -> None:
         """Mirror a :class:`LocalSegmentRuntime`/monitor into this
         supervisor by appending a reporting shim to its reporters."""
-        supervisor = self
-
-        class _Shim:
-            def report(self, segment_name, activation, outcome, **_kw):
-                supervisor.observe(segment_name, outcome)
-
-            def report_exception(self, exception):
-                pass
-
-        runtime.reporters.append(_Shim())
+        runtime.reporters.append(_Shim(self))
 
     # ------------------------------------------------------------------
     def _transition(self, name: str, health: _SegmentHealth) -> None:

@@ -279,9 +279,10 @@ class LocalSegmentRuntime:
             # Runs inside the start-event delivery: the ambient context
             # is the transport span that delivered the start sample.
             self._span_ctx[n] = spans.current
-        monitor.sim.emit_trace(
-            "monitor.start_event", segment=self.segment.name, n=n, ts=ts
-        )
+        if monitor.sim.tracing_active:
+            monitor.sim.emit_trace(
+                "monitor.start_event", segment=self.segment.name, n=n, ts=ts
+            )
         monitor.sem.post()
 
     def _on_end_sample(self, sample: Sample) -> None:
@@ -295,9 +296,10 @@ class LocalSegmentRuntime:
             )
             self.end_overhead_samples.append(overhead)
         self.end_buffer.post((n, ts))
-        monitor.sim.emit_trace(
-            "monitor.end_event", segment=self.segment.name, n=n, ts=ts
-        )
+        if monitor.sim.tracing_active:
+            monitor.sim.emit_trace(
+                "monitor.end_event", segment=self.segment.name, n=n, ts=ts
+            )
         # Deliberately no sem.post(): end events are not time critical.
 
     def post_error_propagation(self, activation: int) -> None:
@@ -440,13 +442,14 @@ class LocalSegmentRuntime:
                     self.segment.name, n, detected_at - entry.deadline,
                     detected_at,
                 )
-        monitor.sim.emit_trace(
-            "monitor.exception",
-            segment=self.segment.name,
-            n=n,
-            recovered=recovered,
-            detection_latency=detected_at - entry.deadline,
-        )
+        if monitor.sim.tracing_active:
+            monitor.sim.emit_trace(
+                "monitor.exception",
+                segment=self.segment.name,
+                n=n,
+                recovered=recovered,
+                detection_latency=detected_at - entry.deadline,
+            )
         if exc_span is not None:
             exc_span.attrs["recovered"] = recovered
             exc_span.attrs["detection_latency"] = detected_at - entry.deadline

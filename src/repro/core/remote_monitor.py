@@ -185,9 +185,10 @@ class SyncRemoteMonitor:
             # Arrived after its exception: discard the receive event to
             # preserve the constant-rate assumption.
             self.late_discarded += 1
-            self.sim.emit_trace(
-                "syncmon.late_discarded", segment=self.segment.name, n=n
-            )
+            if self.sim.tracing_active:
+                self.sim.emit_trace(
+                    "syncmon.late_discarded", segment=self.segment.name, n=n
+                )
             return False
         # Rare: a later sample overtakes an undetected missing one (only
         # possible when d_mon approaches P); treat the gap as misses.
@@ -215,12 +216,13 @@ class SyncRemoteMonitor:
         self.awaiting = n + 1
         self.deadline_local = ts + self.period + self.segment.d_mon
         self._timer.start_at(self._to_sim_time(self.deadline_local))
-        self.sim.emit_trace(
-            "syncmon.armed",
-            segment=self.segment.name,
-            n=self.awaiting,
-            deadline=self.deadline_local,
-        )
+        if self.sim.tracing_active:
+            self.sim.emit_trace(
+                "syncmon.armed",
+                segment=self.segment.name,
+                n=self.awaiting,
+                deadline=self.deadline_local,
+            )
         return True
 
     def _to_sim_time(self, local_time: int) -> int:
@@ -339,13 +341,14 @@ class SyncRemoteMonitor:
                 sink.exception_event(
                     self.segment.name, n, entered_at - nominal, entered_at
                 )
-        self.sim.emit_trace(
-            "syncmon.exception",
-            segment=self.segment.name,
-            n=n,
-            recovered=recovered,
-            entry_latency=entered_at - nominal,
-        )
+        if self.sim.tracing_active:
+            self.sim.emit_trace(
+                "syncmon.exception",
+                segment=self.segment.name,
+                n=n,
+                recovered=recovered,
+                entry_latency=entered_at - nominal,
+            )
 
     def _issue_receive(self, n: int, data: Any) -> None:
         sample = Sample(
@@ -384,12 +387,13 @@ class SyncRemoteMonitor:
         self.awaiting = activation
         self.deadline_local = deadline_local
         self._timer.start_at(self._to_sim_time(deadline_local))
-        self.sim.emit_trace(
-            "syncmon.rearmed",
-            segment=self.segment.name,
-            n=activation,
-            deadline=deadline_local,
-        )
+        if self.sim.tracing_active:
+            self.sim.emit_trace(
+                "syncmon.rearmed",
+                segment=self.segment.name,
+                n=activation,
+                deadline=deadline_local,
+            )
 
     def stop(self) -> None:
         """Disarm the monitor's timer (end of experiment)."""
@@ -553,9 +557,10 @@ class InterArrivalMonitor:
     def _handle_violation(self, nominal: int) -> None:
         entered_at = self.ecu.now()
         self.detections.append((nominal, entered_at))
-        self.sim.emit_trace(
-            "iamon.violation", reader=self.reader.guid, nominal=nominal
-        )
+        if self.sim.tracing_active:
+            self.sim.emit_trace(
+                "iamon.violation", reader=self.reader.guid, nominal=nominal
+            )
         if self.on_violation is not None:
             self.on_violation(nominal)
 

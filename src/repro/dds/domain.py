@@ -230,12 +230,13 @@ class DdsDomain:
             )
         else:
             self.frames_dropped += 1
-            self.sim.emit_trace(
-                "dds.sample_dropped",
-                topic=sample.topic.name,
-                seq=sample.sequence_number,
-                attempts=attempt + 1,
-            )
+            if self.sim.tracing_active:
+                self.sim.emit_trace(
+                    "dds.sample_dropped",
+                    topic=sample.topic.name,
+                    seq=sample.sequence_number,
+                    attempts=attempt + 1,
+                )
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -90,7 +90,7 @@ class DataReader:
             age = now_local - sample.source_timestamp
             if age > self.qos.lifespan:
                 self.lifespan_expired += 1
-                if sim._trace_hooks:
+                if sim.tracing_active:
                     sim.emit_trace(
                         "dds.lifespan_expired",
                         topic=self.topic.name,
@@ -108,7 +108,7 @@ class DataReader:
         for receive_filter in self.receive_filters:
             if not receive_filter(sample):
                 self.filtered += 1
-                if sim._trace_hooks:
+                if sim.tracing_active:
                     sim.emit_trace(
                         "dds.receive_filtered",
                         topic=self.topic.name,
@@ -117,7 +117,7 @@ class DataReader:
                     )
                 return
         self.received += 1
-        if sim._trace_hooks:
+        if sim.tracing_active:
             sim.emit_trace(
                 "dds.receive",
                 topic=self.topic.name,
@@ -203,12 +203,13 @@ class DataReader:
         # Entry into the timeout routine happens on the middleware event
         # thread -- its scheduling latency is what Fig. 12 measures.
         self.deadline_missed_total += 1
-        self.participant.sim.emit_trace(
-            "dds.deadline_expired",
-            topic=self.topic.name,
-            reader=self.guid,
-            key=key,
-        )
+        if self.participant.sim.tracing_active:
+            self.participant.sim.emit_trace(
+                "dds.deadline_expired",
+                topic=self.topic.name,
+                reader=self.guid,
+                key=key,
+            )
         self.participant.post_middleware_event(
             self.listener.on_requested_deadline_missed,
             self,
@@ -254,9 +255,10 @@ class DataReader:
 
     def _liveliness_lost(self, writer_id: str) -> None:
         self.writer_alive[writer_id] = False
-        self.participant.sim.emit_trace(
-            "dds.liveliness_lost", reader=self.guid, writer=writer_id
-        )
+        if self.participant.sim.tracing_active:
+            self.participant.sim.emit_trace(
+                "dds.liveliness_lost", reader=self.guid, writer=writer_id
+            )
         self.participant.post_middleware_event(
             self.listener.on_liveliness_changed, self, writer_id, False
         )

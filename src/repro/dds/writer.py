@@ -77,7 +77,7 @@ class DataWriter:
         for publish_filter in self.publish_filters:
             if not publish_filter(sample):
                 self.suppressed += 1
-                if sim._trace_hooks:
+                if sim.tracing_active:
                     sim.emit_trace(
                         "dds.publish_suppressed",
                         topic=self.topic.name,
@@ -86,7 +86,7 @@ class DataWriter:
                     )
                 return None
         self.published += 1
-        if sim._trace_hooks:
+        if sim.tracing_active:
             sim.emit_trace(
                 "dds.publish",
                 topic=self.topic.name,

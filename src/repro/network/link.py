@@ -146,7 +146,7 @@ class Link:
         forced_loss = self.loss_filter is not None and self.loss_filter(frame)
         if forced_loss or (self.loss_prob > 0 and rng.random() < self.loss_prob):
             self.stats.lost += 1
-            if self.sim._trace_hooks:
+            if self.sim.tracing_active:
                 self.sim.emit_trace(
                     "link.loss", link=self.name, seq=frame.seq, dst=frame.dst
                 )
@@ -174,7 +174,7 @@ class Link:
 
     def _deliver(self, frame: Frame, deliver: Callable[[Frame], None]) -> None:
         self.stats.delivered += 1
-        if self.sim._trace_hooks:
+        if self.sim.tracing_active:
             self.sim.emit_trace(
                 "link.deliver", link=self.name, seq=frame.seq, dst=frame.dst
             )

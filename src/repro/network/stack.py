@@ -91,7 +91,7 @@ class NetworkStack:
                 yield Compute(cost)
             handler = self._ports.get(port)
             self.frames_processed += 1
-            if self.sim._trace_hooks:
+            if self.sim.tracing_active:
                 self.sim.emit_trace(
                     "netstack.rx",
                     ecu=self.ecu.name,

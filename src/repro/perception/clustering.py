@@ -9,16 +9,20 @@ as noise.
 
 Points sharing a cell are trivially connected, so the components are
 computed over *occupied cells*, not points: each cell is packed into one
-int64 key, the sorted unique keys are probed for the 13 half-space
-neighbour offsets with one ``searchsorted``, the resulting cell edges
-are merged by vectorised min-label hooking with pointer jumping, and the
-points are labelled through the unique-inverse map.  A dense stack frame
-is ~2.9k points in ~1.7k occupied cells joined by ~3k edges; that costs
-~1 ms where the per-point BFS it replaced (now the differential oracle
-in ``tests/_reference/clustering_bfs.py``) cost ~45 ms.  Python
-union-find over the same edges measured 1.5 ms/frame against 1.0 for
-label hooking (two rounds per frame on scenario traffic), so hooking is
-the one shipped.
+int64 key with z at stride 1, so the three dz of one (dx, dy) neighbour
+column are three consecutive keys.  The sorted unique keys are probed
+with one ``searchsorted`` per column -- 4 x n probes, plus the two slots
+that follow each, for the 13 half-space neighbour offsets -- the
+resulting cell edges are merged by vectorised min-label hooking with
+pointer jumping, and the points are labelled through the unique-inverse
+map.  A dense stack frame is ~2.9k points in ~1.7k occupied cells joined
+by ~3k edges; that costs ~0.5 ms (0.9 ms with one 13 x n ``searchsorted``,
+now ``tests/_reference/perception_kernels.py``) where the per-point BFS
+before it (the differential oracle in
+``tests/_reference/clustering_bfs.py``) cost ~45 ms.  Python union-find
+over the same edges measured 1.5 ms/frame against 1.0 for label hooking
+(two rounds per frame on scenario traffic), so hooking is the one
+shipped.
 """
 
 from __future__ import annotations
@@ -63,20 +67,14 @@ class BoundingBox:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
 
-#: The 13 cell offsets of the half space (dx, dy, dz) > (0, 0, 0): every
-#: adjacent pair of cells is found once, from its lexicographically
-#: smaller side.
-_HALF_SPACE_OFFSETS = [
-    (dx, dy, dz)
-    for dx in (0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-    if (dx, dy, dz) > (0, 0, 0)
-]
-
 #: Cell coordinates are cast to int64 and then shifted and packed; past
 #: this magnitude the cast (or the shift) is undefined.
 _MAX_CELL = 2**62
+
+#: Three keys larger than every packed key (the packed grid fits int64):
+#: appended to the sorted keys so that a probe of three consecutive
+#: slots may start at their very end.
+_NO_CELLS = np.full(3, np.iinfo(np.int64).max)
 
 
 def _occupied_cells(
@@ -120,18 +118,31 @@ def _occupied_cells(
 def _adjacent_cells(
     cell_keys: np.ndarray, strides: Tuple[int, int]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Index pairs (into *cell_keys*) of occupied cells that touch."""
+    """Index pairs (into *cell_keys*) of occupied cells that touch.
+
+    Every adjacent pair is found once, from its lexicographically
+    smaller side: the half space (dx, dy, dz) > (0, 0, 0).  A step in z
+    is a key step of 1, so the three dz of one (dx, dy) column are three
+    consecutive keys and sit in consecutive slots of the sorted unique
+    *cell_keys*: one ``searchsorted`` per column for its dz = -1 key,
+    then whichever of that slot and the next two still hold a key of the
+    column.  (0, 0, +1) is the cell's own successor slot.
+    """
     stride_x, stride_y = strides
-    deltas = np.array(
-        [dx * stride_x + dy * stride_y + dz for dx, dy, dz in _HALF_SPACE_OFFSETS],
-        dtype=np.int64,
-    )
     n_cells = len(cell_keys)
-    wanted = (cell_keys + deltas[:, None]).ravel()
-    found = np.searchsorted(cell_keys, wanted)
-    np.minimum(found, n_cells - 1, out=found)
-    hits = np.flatnonzero(cell_keys[found] == wanted)
-    return hits % n_cells, found[hits]
+    # The dz = -1 key of the columns (0, +1), (+1, -1), (+1, 0), (+1, +1).
+    columns = np.array(
+        [[stride_y], [stride_x - stride_y], [stride_x], [stride_x + stride_y]]
+    )
+    bottom = (cell_keys + (columns - 1)).ravel()
+    slots = np.searchsorted(cell_keys, bottom) + np.arange(3)[:, None]
+    padded = np.concatenate((cell_keys, _NO_CELLS))
+    hits = np.flatnonzero(padded[slots] <= bottom + 2)
+    above = np.flatnonzero(cell_keys[1:] == cell_keys[:-1] + 1)
+    return (
+        np.concatenate((above, hits % n_cells)),
+        np.concatenate((above + 1, slots.ravel()[hits])),
+    )
 
 
 def _component_labels(n_cells: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,6 +22,17 @@ from repro.sim.threads import Compute
 from repro.sim.workload import AffineModel, ExecutionTimeModel
 
 
+def _ray_walk_order(ray: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Point indices sorted by (ray, radius): ``np.lexsort((radius, ray))``.
+
+    Two stable passes, least significant key first, give exactly
+    lexsort's order -- ties keep index order -- at half its cost when
+    *ray* is a 16-bit or narrower integer, which numpy radix-sorts.
+    """
+    by_radius = np.argsort(radius, kind="stable")
+    return by_radius[np.argsort(ray[by_radius], kind="stable")]
+
+
 def classify_ground(
     cloud: PointCloud,
     sensor_height: float = 1.8,
@@ -36,30 +47,36 @@ def classify_ground(
     """
     if len(cloud) == 0:
         return np.zeros(0, dtype=bool)
-    xyz = cloud.xyz
-    x, y, z = xyz[:, 0].astype(np.float64), xyz[:, 1].astype(np.float64), xyz[:, 2].astype(np.float64)
+    x, y, z = np.ascontiguousarray(cloud.xyz.T, dtype=np.float64)
     radius = np.hypot(x, y)
-    azimuth = np.arctan2(y, x)
-    ray = ((azimuth + np.pi) / (2 * np.pi) * n_rays).astype(np.int64) % n_rays
+    turn = np.arctan2(y, x)
+    turn += np.pi
+    turn /= 2 * np.pi
+    turn *= n_rays
+    ray = turn.astype(np.int64)
+    ray %= n_rays
+    # The narrowest type that holds a ray number: see _ray_walk_order.
+    ray = ray.astype(np.min_scalar_type(n_rays - 1))
     ground_level = -sensor_height
-    # Sort points by (ray, radius); within a ray compare each point to
-    # its radially preceding neighbour (vectorized approximation of the
-    # sequential ground-chain walk).
-    order = np.lexsort((radius, ray))
+    # Within a ray compare each point to its radially preceding
+    # neighbour (vectorized approximation of the sequential ground-chain
+    # walk); a ray's first point to the foot of the sensor.
+    order = _ray_walk_order(ray, radius)
     ray_s = ray[order]
     radius_s = radius[order]
     z_s = z[order]
-    first_of_ray = np.empty(len(order), dtype=bool)
-    first_of_ray[0] = True
-    first_of_ray[1:] = ray_s[1:] != ray_s[:-1]
-    prev_r = np.empty_like(radius_s)
-    prev_z = np.empty_like(z_s)
-    prev_r[1:] = radius_s[:-1]
-    prev_z[1:] = z_s[:-1]
-    prev_r[first_of_ray] = 0.0
-    prev_z[first_of_ray] = ground_level
-    dr = np.maximum(radius_s - prev_r, 1e-3)
-    slope = np.abs(z_s - prev_z) / dr
+    first_of_ray = np.flatnonzero(
+        np.concatenate(([True], ray_s[1:] != ray_s[:-1]))
+    )
+    dr = np.empty_like(radius_s)
+    dz = np.empty_like(z_s)
+    np.subtract(radius_s[1:], radius_s[:-1], out=dr[1:])
+    np.subtract(z_s[1:], z_s[:-1], out=dz[1:])
+    dr[first_of_ray] = radius_s[first_of_ray]
+    dz[first_of_ray] = z_s[first_of_ray] - ground_level
+    np.maximum(dr, 1e-3, out=dr)
+    slope = np.abs(dz, out=dz)
+    slope /= dr
     near_ground = np.abs(z_s - ground_level) < height_threshold
     ground_sorted = near_ground & (slope < slope_threshold)
     mask = np.zeros(len(cloud), dtype=bool)

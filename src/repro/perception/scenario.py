@@ -77,6 +77,14 @@ class DrivingScenario:
         self._objects: List[_SceneObject] = []
         self._frame = -1
         self._snapshots: dict = {}
+        # The ground rings are a fixed polar grid: x and y of every
+        # sweep, synthesised once.  Never handed out (sweeps copy it).
+        cfg = self.config
+        radii = np.arange(1, cfg.ground_rings + 1) * cfg.ring_spacing_m
+        angles = np.linspace(0, 2 * np.pi, cfg.points_per_ring, endpoint=False)
+        self._ground_xy = np.empty((len(radii) * len(angles), 2), dtype=np.float32)
+        self._ground_xy[:, 0] = np.outer(radii, np.cos(angles)).ravel()
+        self._ground_xy[:, 1] = np.outer(radii, np.sin(angles)).ravel()
 
     # ------------------------------------------------------------------
     # World evolution
@@ -162,20 +170,17 @@ class DrivingScenario:
             if x_sign * obj.x < -5:
                 continue
             parts.append(self._object_returns(rng, obj))
-        points = np.vstack(parts).astype(np.float32)
-        return PointCloud(points=points, frame_index=frame, stamp=stamp,
-                          frame_id=f"lidar_{mount}")
+        return PointCloud(points=np.concatenate(parts), frame_index=frame,
+                          stamp=stamp, frame_id=f"lidar_{mount}")
 
     def _ground_sweep(self, rng: np.random.Generator) -> np.ndarray:
         cfg = self.config
-        radii = (np.arange(1, cfg.ground_rings + 1) * cfg.ring_spacing_m)
-        angles = np.linspace(0, 2 * np.pi, cfg.points_per_ring, endpoint=False)
-        rr, aa = np.meshgrid(radii, angles, indexing="ij")
-        x = (rr * np.cos(aa)).ravel()
-        y = (rr * np.sin(aa)).ravel()
-        z = rng.normal(-cfg.sensor_height_m, cfg.ground_noise_m, size=x.shape)
-        intensity = rng.uniform(0.1, 0.4, size=x.shape)
-        return np.column_stack([x, y, z, intensity])
+        xy = self._ground_xy
+        sweep = np.empty((len(xy), 4), dtype=np.float32)
+        sweep[:, :2] = xy
+        sweep[:, 2] = rng.normal(-cfg.sensor_height_m, cfg.ground_noise_m, size=len(xy))
+        sweep[:, 3] = rng.uniform(0.1, 0.4, size=len(xy))
+        return sweep
 
     def _object_returns(self, rng: np.random.Generator, obj: _SceneObject) -> np.ndarray:
         cfg = self.config
@@ -185,8 +190,9 @@ class DrivingScenario:
             10,
             int(rng.poisson(cfg.points_per_object_mean * min(1.0, 10.0 / distance))),
         )
-        x = rng.uniform(-obj.length / 2, obj.length / 2, count) + obj.x
-        y = rng.uniform(-obj.width / 2, obj.width / 2, count) + obj.y
-        z = rng.uniform(0, obj.height, count) - cfg.sensor_height_m
-        intensity = rng.uniform(0.4, 1.0, count)
-        return np.column_stack([x, y, z, intensity])
+        returns = np.empty((count, 4), dtype=np.float32)
+        returns[:, 0] = rng.uniform(-obj.length / 2, obj.length / 2, count) + obj.x
+        returns[:, 1] = rng.uniform(-obj.width / 2, obj.width / 2, count) + obj.y
+        returns[:, 2] = rng.uniform(0, obj.height, count) - cfg.sensor_height_m
+        returns[:, 3] = rng.uniform(0.4, 1.0, count)
+        return returns

@@ -143,7 +143,9 @@ class StackConfig:
     #: behaviour-preserving, which the identity test suite pins down to
     #: byte-identical traces and campaign results.
     via_dag: bool = False
-    # Tracing.
+    # Tracing.  Event-name prefixes the stack's ``Tracer`` records: None
+    # records every trace point, ``()`` none -- no hook is registered
+    # and the emitters skip building their fields.
     trace_prefixes: tuple = ("dds.", "monitor.", "syncmon.", "lidar.")
     #: Causal span tracing (critical-path attribution).  Off by default:
     #: the kernel hot path then keeps its span-free fast loop and runs

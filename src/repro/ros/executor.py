@@ -97,11 +97,12 @@ class SingleThreadedExecutor:
             except Exception as error:  # noqa: BLE001 - isolation boundary
                 self.callback_errors += 1
                 self.last_error = error
-                self.sim.emit_trace(
-                    "executor.callback_error",
-                    executor=self.name,
-                    error=repr(error),
-                )
+                if self.sim.tracing_active:
+                    self.sim.emit_trace(
+                        "executor.callback_error",
+                        executor=self.name,
+                        error=repr(error),
+                    )
             self.callbacks_executed += 1
             if span is not None:
                 spans.end(span)

@@ -32,8 +32,10 @@ class Tracer:
     sim:
         Simulator to attach to.
     prefixes:
-        Only record events whose name starts with one of these (None
-        records everything).
+        Only record events whose name starts with one of these.  None
+        records everything; an empty sequence records nothing, and the
+        tracer then registers no hook, so ``sim.tracing_active`` stays
+        false and emitters skip building their fields.
     capacity_per_name:
         Ring-buffer bound per event name (None = unbounded).
     """
@@ -45,13 +47,14 @@ class Tracer:
         capacity_per_name: Optional[int] = None,
     ):
         self.sim = sim
-        self.prefixes = tuple(prefixes) if prefixes else None
+        self.prefixes = None if prefixes is None else tuple(prefixes)
         self.capacity = capacity_per_name
         self._by_name: Dict[str, Deque[TraceEvent]] = {}
         self.recorded = 0
         self.discarded = 0
         self.enabled = True
-        sim.add_trace_hook(self._on_event)
+        if self.prefixes != ():
+            sim.add_trace_hook(self._on_event)
 
     def _on_event(self, name: str, timestamp: int, fields: dict) -> None:
         if not self.enabled:

@@ -5,6 +5,8 @@ import pytest
 from _harness import Message, PipelineWorld
 
 from repro.core import EventKind, EventPoint
+from repro.perception import PerceptionStack, StackConfig
+from repro.perception.stack import SEGMENT_NAMES
 from repro.sim import Simulator, msec
 from repro.tracing import Tracer, endpoint_events, segment_latencies_from_trace
 
@@ -27,6 +29,41 @@ class TestTracer:
         sim.emit_trace("monitor.start_event", segment="s")
         assert tracer.count("dds.publish") == 1
         assert tracer.count("monitor.start_event") == 0
+
+    def test_no_prefixes_records_everything(self):
+        sim = Simulator()
+        tracer = Tracer(sim, prefixes=None)
+        sim.emit_trace("dds.publish", topic="t")
+        sim.emit_trace("anything.else")
+        assert sim.tracing_active
+        assert tracer.names() == ["anything.else", "dds.publish"]
+        assert tracer.recorded == 2
+
+    @pytest.mark.parametrize("empty", [(), []])
+    def test_empty_prefixes_record_nothing_and_register_no_hook(self, empty):
+        sim = Simulator()
+        tracer = Tracer(sim, prefixes=empty)
+        assert not sim.tracing_active
+        sim.emit_trace("dds.publish", topic="t")
+        assert tracer.names() == []
+        assert tracer.recorded == 0
+
+    def test_empty_prefix_tracer_costs_a_stack_run_nothing(self, monkeypatch):
+        """``trace_prefixes=()`` is what the benches pass: no hook, so
+        no emitter on the frame path even builds its fields."""
+        stack = PerceptionStack(StackConfig(seed=2, trace_prefixes=()))
+        assert not stack.sim.tracing_active
+
+        # Recorded, not raised: the executors isolate callback errors.
+        emitted = []
+        monkeypatch.setattr(
+            stack.sim, "emit_trace", lambda name, **fields: emitted.append(name)
+        )
+        stack.run(n_frames=4)
+        assert emitted == []
+        assert stack.tracer.recorded == 0
+        assert stack.tracer.names() == []
+        assert sum(len(stack.monitored_latencies(n)) for n in SEGMENT_NAMES) > 0
 
     def test_capacity_ring_buffer(self):
         sim = Simulator()
