@@ -10,12 +10,13 @@ Four stages, all through the public `repro.telemetry.uplink` API
 2. **Torn-tail crash** -- damage the last WAL line mid-write (the only
    line a crash can tear), recover, and show the repair is *counted*,
    never silent.
-3. **Lossy delivery** -- drive two vehicles through a dropping,
-   duplicating channel with the windowed client into the idempotent
-   fleet ingestor, then check the ledger law by hand:
-   ``offered == acked + spooled + evicted``.
-4. **Server crash** -- kill the ingestor, recover from checkpoint +
-   log replay, and prove the store digest is unchanged.
+3. **Lossy delivery** -- run two vehicles through a dropping,
+   duplicating channel pair with the chaos episode driver (windowed
+   clients into the idempotent fleet ingestor) and read the ledger law
+   off its result: ``offered == acked + spooled + evicted + shed``.
+4. **Server crash** -- recover the ingestor that episode left on disk
+   from checkpoint + log replay, and prove the store digest is
+   unchanged.
 
 Run:  python examples/telemetry_uplink.py
 """
@@ -23,21 +24,15 @@ Run:  python examples/telemetry_uplink.py
 import tempfile
 from pathlib import Path
 
-from repro.telemetry import (
-    FleetConfig,
-    FleetLoadGenerator,
-    ServiceConfig,
-    TelemetryService,
-)
+from repro.telemetry import FleetConfig, FleetLoadGenerator
 from repro.telemetry.uplink import (
-    AdversarialChannel,
     ChannelFaultPlan,
+    ChaosConfig,
+    ChaosDriver,
+    ChaosScenario,
     UplinkIngestor,
     WalConfig,
     WalSpooler,
-    WindowedClientConfig,
-    WindowedUplinkClient,
-    decode_envelope,
     store_digest,
 )
 
@@ -57,12 +52,6 @@ def main() -> None:
     streams = {}
     for record in records:
         streams.setdefault(record.source, []).append(record)
-
-    # Fault-free reference: what the fleet store must converge to.
-    reference = TelemetryService(ServiceConfig(store=FLEET.store_config()))
-    reference.ingest_many(records)
-    reference.pump()
-    want_digest = store_digest(reference)
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -97,90 +86,48 @@ def main() -> None:
         assert report.truncated_lines == 1
         assert report.pending == len(stream) - 1
         spooler.append(stream[-1])  # the vehicle re-emits the torn record
+        spooler.close()
 
         # --------------------------------------------------------------
         # 3. Lossy delivery: windowed clients vs a dropping,
         #    duplicating channel; the ingestor applies exactly once.
+        #    The episode driver owns the step clock and the ledger.
         # --------------------------------------------------------------
-        ingestor = UplinkIngestor(
-            TelemetryService(ServiceConfig(store=FLEET.store_config())),
-            root / "fleet", fsync="never", checkpoint_every=4,
-        )
-        ledger = {src: {"offered": set(), "acked": set()}
-                  for src in streams}
-        clients = {}
-
-        def deliver_ack(frame, now):
-            doc = decode_envelope(frame.payload)
-            if doc is not None:
-                clients[frame.dst].on_ack(doc, now)
-
-        def deliver_frame(frame, now):
-            ack = ingestor.handle_payload(frame.payload, now)
-            if ack is not None:
-                down.send(ack, "fleet", frame.src, now)
-
         plan = ChannelFaultPlan(drop_prob=0.15, dup_prob=0.15)
-        up = AdversarialChannel("up", deliver_frame, plan, seed=11)
-        down = AdversarialChannel("down", deliver_ack, plan, seed=12)
-
-        spoolers = {source: spooler}
-        for src, st in sorted(streams.items())[1:]:
-            spoolers[src] = WalSpooler.open_fresh(
-                WalConfig(root / src, fsync="never",
-                          segment_max_records=64), src)
-            for record in st:
-                spoolers[src].append(record)
-        for src, sp in spoolers.items():
-            ledger[src]["offered"] = set(sp.pending_seqs())
-            clients[src] = WindowedUplinkClient(
-                sp,
-                lambda payload, now, s=src: up.send(payload, s, "fleet", now),
-                WindowedClientConfig(frame_records=8, window_frames=4,
-                                     ack_timeout=6, seed=3),
-            )
-            clients[src].on_acked = (
-                lambda released, s=src: ledger[s]["acked"].update(
-                    r.seq for r in released))
-
-        now = 0
-        while any(not c.idle() for c in clients.values()) and now < 10_000:
-            for client in clients.values():
-                client.tick(now)
-            up.step(now)
-            down.step(now)
-            now += 1
-
+        config = ChaosConfig(vehicles=FLEET.vehicles, frames=FLEET.frames,
+                             seed=FLEET.seed)
+        driver = ChaosDriver(
+            ChaosScenario(name="lossy", up=plan, down=plan), config, root
+        )
+        result = driver.run()
+        up = result.channels["up"]
         print("\n--- 3. lossy delivery ---")
-        print(f"converged after {now} steps; channel up: "
-              f"dropped={up.stats.dropped} duplicated={up.stats.duplicated}")
-        print(f"ingestor: fresh={ingestor.records_fresh} "
-              f"duplicates={ingestor.records_duplicate}")
-        for src, entry in sorted(ledger.items()):
-            spooled = spoolers[src].pending
-            ok = entry["offered"] == entry["acked"] and spooled == 0
-            print(f"  {src}: offered={len(entry['offered'])} "
-                  f"acked={len(entry['acked'])} spooled={spooled} "
-                  f"evicted=0 {'OK' if ok else 'VIOLATED'}")
-            assert ok, "ledger law violated"
-        assert store_digest(ingestor.service) == want_digest
+        print(f"converged after {result.converged_at} steps; channel up: "
+              f"dropped={up['dropped']} duplicated={up['duplicated']}")
+        print(f"ingestor: fresh={result.ingest['records_fresh']} "
+              f"duplicates={result.ingest['records_duplicate']}")
+        for src, entry in sorted(result.ledger.items()):
+            print(f"  {src}: offered={entry['offered']} "
+                  f"acked={entry['acked']} spooled={entry['spooled']} "
+                  f"evicted={entry['evicted']} shed={entry['shed']} "
+                  f"{'OK' if entry['balanced'] else 'VIOLATED'}")
+        assert result.ok, [c for c in result.checks if not c["ok"]]
         print("store digest matches the fault-free reference")
 
         # --------------------------------------------------------------
         # 4. Server crash: checkpoint + append-before-ack log replay
         #    rebuild the exact same store.
         # --------------------------------------------------------------
-        ingestor.close()
         recovered, rec_report = UplinkIngestor.recover(
-            root / "fleet",
-            service_config=ServiceConfig(store=FLEET.store_config()),
+            driver.server_dir, service_config=config.service_config(),
             fsync="never",
         )
         print("\n--- 4. server recovery ---")
         print(f"checkpoint_loaded={rec_report.checkpoint_loaded} "
               f"replayed_records={rec_report.replayed_records} "
               f"(fresh={rec_report.replayed_fresh})")
-        assert store_digest(recovered.service) == want_digest
+        assert store_digest(recovered.service) == driver.reference_digest
+        recovered.close()
         print("recovered store digest matches -- no record lost, "
               "none double-counted")
 

@@ -1,9 +1,11 @@
 """Deterministic chaos harness for the adaptive budget control plane.
 
-This is the closed-loop sibling of the uplink chaos sweep
-(:mod:`repro.telemetry.uplink.chaos`): a small fleet drives one event
-chain, each vehicle computes its per-segment verdicts against the
-budgets of its **currently active epoch**, telemetry flows up through
+This is the closed-loop sibling of the uplink chaos sweep, run by the
+same episode driver (:class:`repro.telemetry.uplink.chaos.ChaosDriver`,
+whose vehicle and server role hooks :class:`AdaptDriver` overrides): a
+small fleet drives one event chain, each vehicle computes its
+per-segment verdicts against the budgets of its **currently active
+epoch**, telemetry flows up through
 the store-and-forward uplink, and the control plane re-derives,
 shadow-validates, canaries, promotes and -- when a canary regresses --
 rolls back budget epochs over the downlink.  Faults hit both channel
@@ -23,20 +25,16 @@ End-of-run conservation laws, per scenario:
 - **vehicle epoch ledger** -- per vehicle,
   ``received == applied + parked + superseded`` as a disjoint union;
 - **uplink ledger** -- the store-and-forward law,
-  ``offered == acked + spooled + evicted``, still holds underneath;
+  ``offered == acked + spooled + evicted + shed``, still holds
+  underneath;
 - **recovery equivalence** -- both the fleet store and the epoch
   ledger, recovered cold from disk, match their live counterparts.
 
-Run it: ``python -m repro adapt`` (``--quick`` in CI, ``-j N`` for a
-parallel sweep whose report is byte-identical to the serial one).
+Run it: ``python -m repro adapt`` (add ``--quick`` in CI).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import tempfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,20 +56,26 @@ from repro.core.segments import local_segment, remote_segment
 from repro.core.weakly_hard import MKConstraint
 from repro.faults.degradation import DegradationMode
 from repro.telemetry.records import RecordKind, TelemetryRecord, segment_record
-from repro.telemetry.service import ServiceConfig, TelemetryService
+from repro.telemetry.service import ServiceConfig
 from repro.telemetry.store import StoreConfig
-from repro.telemetry.uplink.chaos import ChaosConfig, CrashEvent, _Vehicle
-from repro.telemetry.uplink.ingest import UplinkIngestor, store_digest
+from repro.telemetry.uplink.chaos import (
+    ChaosDriver,
+    CrashEvent,
+    EpisodeResult,
+    EpisodeScenario,
+    _Vehicle,
+    client_config,
+    run_sweep,
+    sweep_main,
+)
+from repro.telemetry.uplink.ingest import store_digest
 from repro.telemetry.uplink.transport import (
-    ACK_SCHEMA,
     EPOCH_ACK_SCHEMA,
     EPOCH_FRAME_SCHEMA,
-    AdversarialChannel,
     ChannelFaultPlan,
     decode_envelope,
 )
 from repro.telemetry.uplink.wal import WalConfig
-from repro.telemetry.uplink.window import WindowedClientConfig
 
 _MS = 1_000_000
 
@@ -104,10 +108,6 @@ class AdaptConfig:
 
     def vehicle_ids(self) -> List[str]:
         return [f"vehicle-{i:03d}" for i in range(self.vehicles)]
-
-    def client_config(self) -> WindowedClientConfig:
-        """The uplink sweep's client policy, on this sweep's seed."""
-        return ChaosConfig(seed=self.seed).windowed_client_config()
 
     def service_config(self, epoch0: BudgetEpoch) -> ServiceConfig:
         chain = fleet_chain()
@@ -146,14 +146,9 @@ _BASE_NS = {"seg0": 4 * _MS, "seg1": 6 * _MS, "seg2": 8 * _MS}
 
 
 @dataclass
-class AdaptScenario:
+class AdaptScenario(EpisodeScenario):
     """One named fault x crash x control-plane schedule."""
 
-    name: str
-    description: str = ""
-    up: ChannelFaultPlan = field(default_factory=ChannelFaultPlan)
-    down: ChannelFaultPlan = field(default_factory=ChannelFaultPlan)
-    crashes: Tuple[CrashEvent, ...] = ()
     #: ``(step, vehicle_index, mode)`` degradation-ladder transitions.
     mode_events: Tuple[Tuple[int, int, str], ...] = ()
     #: ``(first_frame, last_frame, factor, segment)`` latency-drift
@@ -183,6 +178,11 @@ class AdaptScenario:
     expect_deferral: bool = False
     expect_pending_recovery: bool = False
     expect_abandoned: bool = False
+
+    def make_driver(
+        self, config: "AdaptConfig", workdir: Path
+    ) -> "AdaptDriver":
+        return AdaptDriver(self, config, workdir)
 
 
 def _control(rederive_every: int = 48) -> ControlPlaneConfig:
@@ -308,44 +308,14 @@ def default_scenarios() -> List[AdaptScenario]:
 # Results
 # ----------------------------------------------------------------------
 @dataclass
-class AdaptResult:
-    """Outcome of one scenario run (JSON-friendly)."""
+class AdaptResult(EpisodeResult):
+    """Outcome of one adapt scenario."""
 
-    name: str
-    ok: bool = True
-    converged_at: Optional[int] = None
-    checks: List[dict] = field(default_factory=list)
     epochs: dict = field(default_factory=dict)
     vehicles: dict = field(default_factory=dict)
     uplink_ledger: dict = field(default_factory=dict)
-    channels: dict = field(default_factory=dict)
-    recoveries: dict = field(default_factory=dict)
 
-    def check(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append({"name": name, "ok": bool(ok), "detail": detail})
-        if not ok:
-            self.ok = False
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "converged_at": self.converged_at,
-            "checks": self.checks,
-            "epochs": self.epochs,
-            "vehicles": self.vehicles,
-            "uplink_ledger": self.uplink_ledger,
-            "channels": self.channels,
-            "recoveries": self.recoveries,
-        }
-
-    def render(self) -> str:
-        flags = " ".join(
-            f"{c['name']}={'OK' if c['ok'] else 'FAIL'}" for c in self.checks
-        )
-        status = "PASS" if self.ok else "FAIL"
-        at = self.converged_at if self.converged_at is not None else "-"
-        return f"{status:4s} {self.name:<26s} converged@{at!s:<6} {flags}"
+    name_width = 26
 
 
 # ----------------------------------------------------------------------
@@ -369,6 +339,7 @@ class _AdaptiveVehicle(_Vehicle):
         self.chain = chain
         self.config = config
         self.scenario = scenario
+        self.epoch0 = epoch0
         self.epoch_dir = workdir / source / "epochs"
         self.rng = np.random.default_rng(
             (config.seed * 0x9E3779B1 + zlib.crc32(source.encode()))
@@ -379,7 +350,6 @@ class _AdaptiveVehicle(_Vehicle):
         #: Every epoch id the install hook ever handed us (any life).
         self.installed_ids: Set[int] = set()
         self.pending_recoveries = 0
-        self.deferred_acks = 0
         self.activation = 0  # next activation index to generate
         self.seq = 0
         # ``records`` grows one activation per step; ``cursor`` is the
@@ -391,7 +361,7 @@ class _AdaptiveVehicle(_Vehicle):
                 fsync=config.fsync,
                 segment_max_records=config.segment_max_records,
             ),
-            config.client_config(), send,
+            client_config(config.seed), send,
         )
         self.agent = VehicleEpochAgent(
             source, self.epoch_dir, fsync=config.fsync,
@@ -413,9 +383,14 @@ class _AdaptiveVehicle(_Vehicle):
     def generate_and_spool(self) -> None:
         """Emit one chain activation: three SEGMENT records scored
         against the active epoch's budgets, plus the CHAIN record whose
-        verdict feeds the fleet's (m,k) automata."""
-        if self.activation >= self.config.frames:
-            return
+        verdict feeds the fleet's (m,k) automata.  Past the last
+        activation only a torn tail is left to re-spool."""
+        if self.activation < self.config.frames:
+            self._generate()
+        if self.cursor < len(self.records):
+            self.emit(len(self.records) - self.cursor)
+
+    def _generate(self) -> None:
         activation = self.activation
         self.activation += 1
         timestamp = (activation + 1) * self.chain.period
@@ -448,7 +423,6 @@ class _AdaptiveVehicle(_Vehicle):
             timestamp_ns=timestamp, seq=self.seq,
         ))
         self.seq += 1
-        self.emit(len(self.records) - self.cursor)
 
     @property
     def drained(self) -> bool:
@@ -460,14 +434,12 @@ class _AdaptiveVehicle(_Vehicle):
     # ------------------------------------------------------------------
     def handle_epoch_frame(self, payload: str, now: int) -> None:
         """May raise :class:`SimulatedApplyCrash` (armed by scenario)."""
-        ack = self.agent.handle_frame(payload, now)
-        if ack is not None:
-            if self.agent.pending is not None:
-                self.deferred_acks += 1
-            self._send(ack, now)
+        self._reply(self.agent.handle_frame(payload, now), now)
 
     def set_mode(self, mode: DegradationMode, now: int) -> None:
-        ack = self.agent.set_mode(mode, now)
+        self._reply(self.agent.set_mode(mode, now), now)
+
+    def _reply(self, ack: Optional[str], now: int) -> None:
         if ack is not None:
             self._send(ack, now)
 
@@ -477,41 +449,41 @@ class _AdaptiveVehicle(_Vehicle):
         self.agent.close()
 
     def recover(self, now: int) -> None:
-        super().recover()
+        super().recover(now)
+        # The factory baseline is firmware, not WAL content: a vehicle
+        # that dies before its first epoch frame comes back on it.
         self.agent, report = VehicleEpochAgent.recover(
             self.source, self.epoch_dir, fsync=self.config.fsync,
-            install=self._install,
+            install=self._install, initial=self.epoch0,
         )
         if report.pending_apply:
             self.pending_recoveries += 1
         # The torn-apply window closes here: exactly one apply, acked.
-        ack = self.agent.apply_pending_if_normal(now)
-        if ack is not None:
-            self._send(ack, now)
+        self._reply(self.agent.apply_pending_if_normal(now), now)
+
+    def close(self) -> None:
+        super().close()
+        self.agent.close()
 
     def recovery_json(self) -> dict:
-        doc = {
-            "recoveries": self.recoveries,
-            "pending_applies": self.pending_recoveries,
-        }
+        doc = super().recovery_json()
+        doc["pending_applies"] = self.pending_recoveries
         # Torn spool lines appear only when there were any, so a
         # crash-free or cleanly-killed run reports what it always did.
-        if self.truncated_lines:
-            doc["truncated_lines"] = self.truncated_lines
-        if self.mark_truncated_lines:
-            doc["mark_truncated_lines"] = self.mark_truncated_lines
+        if not self.truncated_lines:
+            del doc["truncated_lines"]
         return doc
 
 
-class AdaptDriver:
-    """Runs one scenario to convergence and verifies its invariants."""
+class AdaptDriver(ChaosDriver):
+    """The episode driver with adaptive vehicles and, next to the
+    ingestor, a budget control plane as the server endpoint."""
+
+    result_class = AdaptResult
 
     def __init__(
         self, scenario: AdaptScenario, config: AdaptConfig, workdir: Path
     ):
-        self.scenario = scenario
-        self.config = config
-        self.workdir = Path(workdir) / scenario.name
         self.chain = fleet_chain()
         self.chains = {self.chain.name: self.chain}
         self.epoch0 = BudgetEpoch(
@@ -522,157 +494,130 @@ class AdaptDriver:
             }},
             basis={"bootstrap": True},
         )
-        self.up = AdversarialChannel(
-            "uplink", self._deliver_up, scenario.up, seed=config.seed
-        )
-        self.down = AdversarialChannel(
-            "downlink", self._deliver_down, scenario.down, seed=config.seed
-        )
-        self.vehicles: List[_AdaptiveVehicle] = [
-            _AdaptiveVehicle(
-                source, self.chain, config, scenario, self.workdir,
-                self.epoch0, self._make_send(source),
-            )
-            for source in config.vehicle_ids()
-        ]
-        self.server_dir = self.workdir / "fleet"
-        self.server_up = True
-        self.server_recoveries = 0
         self.server_recovery_info: List[dict] = []
-        self.dead_up = 0
-        self.dead_down = 0
         self.deferred_acks_seen = 0
         self.staged_abandon_id: Optional[int] = None
-        self.ingestor = UplinkIngestor(
-            TelemetryService(config.service_config(self.epoch0)),
-            self.server_dir,
-            fsync=config.fsync,
-            checkpoint_every=config.checkpoint_every,
-        )
-        self.ingestor.on_fresh = self._observe
+        self._pending_modes = sorted(scenario.mode_events)
+        super().__init__(scenario, config, workdir)
         self.plane = BudgetControlPlane(
             self.chains, config.vehicle_ids(), self.server_dir,
-            self._down_send,
-            config=scenario.control or _control(),
-            resolver_config=scenario.resolver or ResolverConfig(),
-            shadow_config=ShadowConfig(),
-            fsync=config.fsync,
-            baseline=self.epoch0,
+            self._down_send, baseline=self.epoch0, **self._plane_options(),
         )
-        self.plane.percentile_provider = (
-            lambda: self.ingestor.service.store.segment_percentiles()
-        )
-        self._pending_recoveries: Dict[int, List[CrashEvent]] = {}
+        self._wire_server()
         if scenario.crash_on_recv is not None:
             index = scenario.crash_on_recv % len(self.vehicles)
             self.vehicles[index].agent.fail_after_recv = True
 
-    # ------------------------------------------------------------------
-    # Channel plumbing
-    # ------------------------------------------------------------------
-    def _make_send(self, source: str):
-        return lambda payload, now: self.up.send(
-            payload, src=source, dst="fleet", now=now
-        )
-
-    def _down_send(self, payload: str, vehicle: str, now: int) -> None:
-        self.down.send(payload, src="fleet", dst=vehicle, now=now)
-
-    def _observe(self, records: List[TelemetryRecord]) -> None:
-        self.plane.observe_many(records)
-
-    def _violation_counts(self) -> Dict[str, int]:
-        return self.ingestor.service.store.violations_by_source()
-
-    def _deliver_up(self, frame, now: int) -> None:
-        if not self.server_up:
-            self.up.stats.dead_letter += 1
-            self.dead_up += 1
-            return
-        doc = decode_envelope(frame.payload)
-        if doc is not None and doc.get("schema") == EPOCH_ACK_SCHEMA:
-            if doc.get("status") == "deferred":
-                self.deferred_acks_seen += 1
-            self.plane.on_ack(doc, now)
-            return
-        ack = self.ingestor.handle_payload(frame.payload, now)
-        if ack is not None:
-            self.down.send(ack, src="fleet", dst=frame.src, now=now)
-
-    def _deliver_down(self, frame, now: int) -> None:
-        vehicle = next(
-            (v for v in self.vehicles if v.source == frame.dst), None
-        )
-        if vehicle is None or not vehicle.alive:
-            self.down.stats.dead_letter += 1
-            self.dead_down += 1
-            return
-        doc = decode_envelope(frame.payload)
-        if doc is None:
-            return  # corrupt: CRC already counted by the channel user
-        if doc.get("schema") == ACK_SCHEMA:
-            vehicle.client.on_ack(doc, now)
-        elif doc.get("schema") == EPOCH_FRAME_SCHEMA:
-            try:
-                vehicle.handle_epoch_frame(frame.payload, now)
-            except SimulatedApplyCrash:
-                vehicle.kill(torn_tail=False)
-                self._pending_recoveries.setdefault(
-                    now + self.scenario.crash_down_for, []
-                ).append(CrashEvent(
-                    step=now, side="vehicle",
-                    vehicle=self.vehicles.index(vehicle),
-                    down_for=self.scenario.crash_down_for,
-                ))
-
-    # ------------------------------------------------------------------
-    # Crash machinery
-    # ------------------------------------------------------------------
-    def _kill(self, event: CrashEvent) -> bool:
-        if event.side == "server":
-            return self._kill_server()
-        vehicle = self.vehicles[event.vehicle % len(self.vehicles)]
-        if not vehicle.alive:
-            return False
-        vehicle.kill(event.torn_tail)
-        return True
-
-    def _kill_server(self) -> bool:
-        if not self.server_up:
-            return False
-        self.server_up = False
-        self.ingestor.close()
-        self.plane.close()
-        return True
-
-    def _recover(self, event: CrashEvent, now: int) -> None:
-        if event.side == "server":
-            self._recover_server(now)
-        else:
-            self.vehicles[event.vehicle % len(self.vehicles)].recover(now)
-
-    def _recover_server(self, now: int) -> None:
-        self.ingestor, _ = UplinkIngestor.recover(
-            self.server_dir,
-            self.config.service_config(self.epoch0),
-            fsync=self.config.fsync,
-            checkpoint_every=self.config.checkpoint_every,
-        )
-        self.ingestor.on_fresh = self._observe
-        self.plane, recovery = BudgetControlPlane.recover(
-            self.chains, self.config.vehicle_ids(), self.server_dir,
-            self._down_send,
+    def _plane_options(self) -> dict:
+        return dict(
             config=self.scenario.control or _control(),
             resolver_config=self.scenario.resolver or ResolverConfig(),
             shadow_config=ShadowConfig(),
             fsync=self.config.fsync,
         )
+
+    def _wire_server(self) -> None:
+        """Cross-wire the current ingestor and plane (either may have
+        just been replaced by a recovery)."""
+        self.ingestor.on_fresh = (
+            lambda records: self.plane.observe_many(records)
+        )
         self.plane.percentile_provider = (
             lambda: self.ingestor.service.store.segment_percentiles()
         )
-        self.server_up = True
-        self.server_recoveries += 1
+
+    def _down_send(self, payload: str, vehicle: str, now: int) -> None:
+        self.down.send(payload, src="fleet", dst=vehicle, now=now)
+
+    # ------------------------------------------------------------------
+    # Role hooks
+    # ------------------------------------------------------------------
+    def _service_config(self) -> ServiceConfig:
+        return self.config.service_config(self.epoch0)
+
+    def _make_vehicles(self) -> list:
+        return [
+            _AdaptiveVehicle(
+                source, self.chain, self.config, self.scenario,
+                self.workdir, self.epoch0, self._make_send(source),
+            )
+            for source in self.config.vehicle_ids()
+        ]
+
+    def _vehicle_step(self, vehicle: _AdaptiveVehicle) -> None:
+        vehicle.generate_and_spool()
+
+    def _vehicle_receive(
+        self, vehicle: _AdaptiveVehicle, doc: dict, frame, now: int
+    ) -> None:
+        if doc.get("schema") != EPOCH_FRAME_SCHEMA:
+            super()._vehicle_receive(vehicle, doc, frame, now)
+            return
+        try:
+            vehicle.handle_epoch_frame(frame.payload, now)
+        except SimulatedApplyCrash:
+            self._crash(CrashEvent(
+                step=now, side="vehicle",
+                vehicle=self.vehicles.index(vehicle),
+                down_for=self.scenario.crash_down_for,
+            ), now)
+
+    def _server_receive(self, frame, now: int) -> None:
+        doc = decode_envelope(frame.payload)
+        if doc is not None and doc.get("schema") == EPOCH_ACK_SCHEMA:
+            if doc.get("status") == "deferred":
+                self.deferred_acks_seen += 1
+            self.plane.on_ack(doc, now)
+        else:
+            super()._server_receive(frame, now)
+
+    def _server_tick(self, now: int) -> None:
+        self.plane.tick(
+            now, self.ingestor.service.store.violations_by_source
+        )
+
+    def _server_idle(self) -> bool:
+        target = self.plane.last_good.digest()
+        return (
+            not self._pending_modes
+            and self.plane.state is ControlPlaneState.IDLE
+            and self.plane.distributor.idle()
+            and all(
+                v.agent.pending is None and v.agent.active is not None
+                and v.agent.active.digest() == target
+                for v in self.vehicles
+            )
+        )
+
+    def _server_close(self) -> None:
+        super()._server_close()
+        self.plane.close()
+
+    def _server_recover(self) -> None:
+        super()._server_recover()
+        self.plane, recovery = BudgetControlPlane.recover(
+            self.chains, self.config.vehicle_ids(), self.server_dir,
+            self._down_send, **self._plane_options(),
+        )
+        self._wire_server()
         self.server_recovery_info.append(recovery)
+
+    def _interventions(self, now: int) -> None:
+        scenario = self.scenario
+        while self._pending_modes and self._pending_modes[0][0] == now:
+            _, index, mode = self._pending_modes.pop(0)
+            vehicle = self.vehicles[index % len(self.vehicles)]
+            if vehicle.alive:
+                vehicle.set_mode(DegradationMode(mode), now)
+        if scenario.validate_then_crash_at == now:
+            self._stage_validate_then_crash(now)
+        if self.server_up:
+            if scenario.inject_bad_at == now:
+                self.plane.consider(
+                    now, candidate=self._doctored_candidate(now)
+                )
+            if scenario.force_rederive_at == now:
+                self.plane.consider(now)
 
     # ------------------------------------------------------------------
     # Scenario interventions
@@ -715,82 +660,13 @@ class AdaptDriver:
                         candidate.epoch_id, verdict.to_json()
                     )
                     self.staged_abandon_id = candidate.epoch_id
-        if self._kill_server():
-            self._pending_recoveries.setdefault(
-                now + self.scenario.crash_down_for, []
-            ).append(CrashEvent(step=now, side="server",
-                                down_for=self.scenario.crash_down_for))
+        self._crash(CrashEvent(
+            step=now, side="server", down_for=self.scenario.crash_down_for,
+        ), now)
 
     # ------------------------------------------------------------------
-    def run(self) -> AdaptResult:
-        result = AdaptResult(name=self.scenario.name)
-        pending_kills = sorted(self.scenario.crashes, key=lambda e: e.step)
-        pending_modes = sorted(self.scenario.mode_events)
-
-        for now in range(self.config.max_steps):
-            for event in self._pending_recoveries.pop(now, []):
-                self._recover(event, now)
-            while pending_modes and pending_modes[0][0] == now:
-                _, index, mode = pending_modes.pop(0)
-                vehicle = self.vehicles[index % len(self.vehicles)]
-                if vehicle.alive:
-                    vehicle.set_mode(DegradationMode(mode), now)
-            while pending_kills and pending_kills[0].step == now:
-                event = pending_kills.pop(0)
-                if self._kill(event):
-                    self._pending_recoveries.setdefault(
-                        now + event.down_for, []
-                    ).append(event)
-            if self.scenario.validate_then_crash_at == now:
-                self._stage_validate_then_crash(now)
-            if self.server_up:
-                if self.scenario.inject_bad_at == now:
-                    self.plane.consider(
-                        now, candidate=self._doctored_candidate(now)
-                    )
-                if self.scenario.force_rederive_at == now:
-                    self.plane.consider(now)
-            for vehicle in self.vehicles:
-                if vehicle.alive:
-                    vehicle.generate_and_spool()
-            self.up.step(now)
-            self.down.step(now)
-            for vehicle in self.vehicles:
-                if vehicle.alive:
-                    vehicle.client.tick(now)
-            if self.server_up:
-                self.plane.tick(now, self._violation_counts)
-            if (
-                not pending_kills and not self._pending_recoveries
-                and not pending_modes
-                and self.server_up
-                and all(v.alive and v.drained for v in self.vehicles)
-                and all(v.client.idle() for v in self.vehicles)
-                and self.up.pending() == 0 and self.down.pending() == 0
-                and self.plane.state is ControlPlaneState.IDLE
-                and self.plane.distributor.idle()
-                and all(v.agent.pending is None for v in self.vehicles)
-                and all(
-                    v.agent.active is not None
-                    and v.agent.active.digest()
-                    == self.plane.last_good.digest()
-                    for v in self.vehicles
-                )
-            ):
-                result.converged_at = now
-                break
-
-        self._finish(result)
-        return result
-
-    # ------------------------------------------------------------------
-    def _finish(self, result: AdaptResult) -> None:
+    def _verify(self, result: AdaptResult) -> None:
         scenario = self.scenario
-        result.check(
-            "converged", result.converged_at is not None,
-            f"not converged within {self.config.max_steps} steps"
-            if result.converged_at is None else "",
-        )
 
         # --- epoch invariant: nothing unvalidated ever ran anywhere.
         ledger = self.plane.ledger
@@ -845,36 +721,14 @@ class AdaptDriver:
             "received != applied + pending + superseded (disjoint)"
             if not balanced else "",
         )
-        result.uplink_ledger = {
-            vehicle.source: vehicle.ledger_json()
-            for vehicle in self.vehicles
-        }
-        up_balanced = all(
-            entry["balanced"] for entry in result.uplink_ledger.values()
+        result.uplink_ledger = self._check_uplink_ledger(
+            result, "uplink_ledger"
         )
-        result.check(
-            "uplink_ledger", up_balanced,
-            "offered != acked + spooled + evicted (disjoint) somewhere"
-            if not up_balanced else "",
-        )
-        result.check(
-            "accounting", self.ingestor.service.accounting_ok(),
-            "fleet service accounting law violated",
-        )
+        self._check_accounting(result)
 
         # --- recovery equivalence (store and epoch ledger).
-        live_digest = store_digest(self.ingestor.service)
-        self.ingestor.close()
-        recovered, _ = UplinkIngestor.recover(
-            self.server_dir,
-            self.config.service_config(self.epoch0),
-            fsync=self.config.fsync,
-            checkpoint_every=self.config.checkpoint_every,
-        )
-        recovered_digest = store_digest(recovered.service)
-        recovered.close()
-        result.check(
-            "store_recovery", recovered_digest == live_digest,
+        self._check_cold_store(
+            result, "store_recovery", store_digest(self.ingestor.service),
             "cold store recovery != live store",
         )
         live_ledger = ledger.to_json()
@@ -888,9 +742,6 @@ class AdaptDriver:
             "ledger_recovery", cold_json == live_ledger,
             "cold epoch-ledger replay != live ledger",
         )
-        for vehicle in self.vehicles:
-            vehicle.spooler.close()
-            vehicle.agent.close()
 
         # --- scenario expectations, all derived from the durable ledger
         # (crash-proof, unlike in-memory counters).
@@ -946,163 +797,36 @@ class AdaptDriver:
             "promoted": promoted,
             "staged_abandoned": self.staged_abandon_id,
         }
-        result.channels = {
-            "up": self.up.stats.to_json(),
-            "down": self.down.stats.to_json(),
-        }
-        result.recoveries = {
-            "server": self.server_recoveries,
-            "server_info": self.server_recovery_info,
-            "vehicles": {
-                vehicle.source: vehicle.recovery_json()
-                for vehicle in self.vehicles if vehicle.recoveries
-            },
-        }
+        result.recoveries["server_info"] = self.server_recovery_info
 
 
 # ----------------------------------------------------------------------
 # Sweep + CLI
 # ----------------------------------------------------------------------
-def _run_one(
-    scenario: AdaptScenario, config: AdaptConfig, workdir: Optional[Path]
-) -> AdaptResult:
-    if workdir is None:
-        with tempfile.TemporaryDirectory(prefix="repro-adapt-") as tmp:
-            return AdaptDriver(scenario, config, Path(tmp)).run()
-    return AdaptDriver(scenario, config, Path(workdir)).run()
-
-
-def _worker_init(package_root: str) -> None:  # pragma: no cover
-    if package_root not in sys.path:
-        sys.path.insert(0, package_root)
-
-
-def _run_scenario_by_name(payload: Tuple[str, dict]) -> dict:
-    """Worker task: rebuild one named default scenario and run it in an
-    isolated tempdir.  Names cross the process boundary, results come
-    back as JSON -- merged in input order, the parallel report is
-    byte-identical to the serial one."""
-    name, config_fields = payload
-    matching = [s for s in default_scenarios() if s.name == name]
-    if not matching:
-        raise KeyError(f"unknown adapt scenario {name!r}")
-    config = AdaptConfig(**config_fields)
-    return _run_one(matching[0], config, None).to_json()
-
-
 def run_adapt(
     config: Optional[AdaptConfig] = None,
     scenarios: Optional[List[AdaptScenario]] = None,
     workdir: Optional[Path] = None,
-    jobs: int = 1,
 ) -> dict:
     """Run a scenario sweep; returns the JSON report document."""
-    config = config or AdaptConfig()
-    scenarios = scenarios if scenarios is not None else default_scenarios()
-    if jobs > 1 and workdir is None:
-        import multiprocessing
-        import os
-
-        package_root = str(Path(__file__).resolve().parents[2])
-        config_fields = {
-            "vehicles": config.vehicles, "frames": config.frames,
-            "seed": config.seed, "max_steps": config.max_steps,
-            "fsync": config.fsync,
-            "segment_max_records": config.segment_max_records,
-            "checkpoint_every": config.checkpoint_every,
-            "sigma": config.sigma,
-        }
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(
-            processes=min(jobs, len(scenarios), os.cpu_count() or 1),
-            initializer=_worker_init, initargs=(package_root,),
-        ) as pool:
-            docs = pool.map(
-                _run_scenario_by_name,
-                [(s.name, config_fields) for s in scenarios],
-            )
-    else:
-        docs = [
-            _run_one(scenario, config, workdir).to_json()
-            for scenario in scenarios
-        ]
-    return {
-        "schema": "repro-adapt-report/1",
-        "config": {
-            "vehicles": config.vehicles,
-            "frames": config.frames,
-            "seed": config.seed,
-            "fsync": config.fsync,
-        },
-        "ok": all(doc["ok"] for doc in docs),
-        "scenarios": docs,
-    }
+    return run_sweep(
+        "repro-adapt-report/1",
+        config or AdaptConfig(),
+        scenarios if scenarios is not None else default_scenarios(),
+        workdir,
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro adapt",
+    return sweep_main(
+        argv,
+        prog="adapt",
         description="closed-loop budget control plane chaos sweep "
                     "(epochs, shadow validation, canary, rollback)",
+        run=run_adapt,
+        scenarios=default_scenarios(),
+        config_class=AdaptConfig,
+        quick={"frames": 96},
+        result_class=AdaptResult,
     )
-    parser.add_argument("--quick", action="store_true",
-                        help="shorter run (CI smoke)")
-    parser.add_argument("--vehicles", type=int, default=None)
-    parser.add_argument("--frames", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=2025)
-    parser.add_argument("--scenario", action="append", default=None,
-                        metavar="NAME", help="run only NAME (repeatable)")
-    parser.add_argument("--list", action="store_true",
-                        help="list scenarios and exit")
-    parser.add_argument("--report", type=Path, default=None,
-                        metavar="PATH", help="write the JSON report here")
-    parser.add_argument("--dir", type=Path, default=None,
-                        metavar="PATH", help="work under PATH (kept)")
-    parser.add_argument("--fsync", choices=("always", "rotate", "never"),
-                        default="never")
-    parser.add_argument("-j", "--jobs", type=int, default=1,
-                        help="scenarios run in N worker processes")
-    args = parser.parse_args(argv)
 
-    scenarios = default_scenarios()
-    if args.list:
-        for scenario in scenarios:
-            print(f"{scenario.name:<26s} {scenario.description}")
-        return 0
-    if args.scenario:
-        known = {scenario.name for scenario in scenarios}
-        unknown = [name for name in args.scenario if name not in known]
-        if unknown:
-            parser.error(f"unknown scenario(s): {', '.join(unknown)}")
-        scenarios = [s for s in scenarios if s.name in set(args.scenario)]
-
-    config = AdaptConfig(
-        vehicles=args.vehicles or 3,
-        frames=args.frames or (96 if args.quick else 120),
-        seed=args.seed,
-        fsync=args.fsync,
-    )
-    report = run_adapt(config, scenarios, workdir=args.dir, jobs=args.jobs)
-    for entry in report["scenarios"]:
-        result = AdaptResult(
-            name=entry["name"], ok=entry["ok"],
-            converged_at=entry["converged_at"], checks=entry["checks"],
-        )
-        print(result.render())
-    print(
-        f"adapt: {'ALL PASS' if report['ok'] else 'FAILURES'} "
-        f"({len(report['scenarios'])} scenarios, "
-        f"vehicles={config.vehicles}, frames={config.frames}, "
-        f"seed={config.seed})"
-    )
-    if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"report -> {args.report}")
-    return 0 if report["ok"] else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -1,8 +1,9 @@
 """Gateway chaos scenarios: overload, backpressure, and crash healing.
 
-Extends the uplink chaos harness (:mod:`repro.telemetry.uplink.chaos`)
-with a :class:`FleetGateway` standing between the adversarial channel
-and the ingestor.  Same determinism contract -- seeded RNG, virtual
+Overrides the server role of the one episode driver
+(:class:`repro.telemetry.uplink.chaos.ChaosDriver`) with a
+:class:`FleetGateway` standing between the adversarial channel and the
+ingestor.  Same determinism contract -- seeded RNG, virtual
 step clock, byte-identical replay -- plus the gateway-specific
 invariants:
 
@@ -17,13 +18,12 @@ invariants:
 - explicit backpressure (window-update acks, rate ``retry_after``)
   stalls clients without losing records.
 
-``python -m repro chaos`` appends these scenarios to the sweep when
-the protocol is ``windowed`` (the default).
+``python -m repro chaos`` appends these scenarios to the sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -62,8 +62,8 @@ class GatewayChaosScenario(ChaosScenario):
 
     recv_window: int = 128
     drain_per_step: int = 256
-    rate: RateLimitConfig = None  # type: ignore[assignment]
-    overload: OverloadPolicy = None  # type: ignore[assignment]
+    rate: RateLimitConfig = field(default_factory=RateLimitConfig)
+    overload: OverloadPolicy = field(default_factory=OverloadPolicy)
     #: Stream fault cadence (nonzero gives a dashboard/telemetry/alert
     #: class mix, which overload shedding needs).
     faulty_every: int = 0
@@ -73,12 +73,6 @@ class GatewayChaosScenario(ChaosScenario):
     expect_rate_rejects: bool = False
     expect_window_stalls: bool = False
     expect_auth_reject: bool = False
-
-    def __post_init__(self) -> None:
-        if self.rate is None:
-            self.rate = RateLimitConfig()
-        if self.overload is None:
-            self.overload = OverloadPolicy()
 
     def make_driver(
         self, config: ChaosConfig, workdir: Path
@@ -152,18 +146,15 @@ class GatewayChaosDriver(ChaosDriver):
         self, scenario: GatewayChaosScenario, config: ChaosConfig,
         workdir: Path,
     ):
-        # Gateway scenarios need frames + sessions: force the windowed
-        # protocol, and adopt the scenario's stream fault cadence.
-        config = replace(
-            config, protocol="windowed",
-            faulty_every=scenario.faulty_every,
-        )
-        self._vehicle_index: Dict[str, int] = {}
         #: Gateway counters folded across gateway lives (soft state
         #: dies with the process; ground truth lives in the driver).
         self.gw_totals: Dict[str, int] = {}
         self.gw_shed_by_class: Dict[str, int] = {}
-        super().__init__(scenario, config, workdir)
+        # Adopt the scenario's stream fault cadence.
+        super().__init__(
+            scenario, replace(config, faulty_every=scenario.faulty_every),
+            workdir,
+        )
         self.gateway = FleetGateway(
             self.ingestor.service, self.server_dir,
             self._gateway_config(), _ingestor=self.ingestor,
@@ -181,26 +172,18 @@ class GatewayChaosDriver(ChaosDriver):
             checkpoint_every=self.config.checkpoint_every,
         )
 
-    def _vehicle_client_config(self, source: str):
-        index = self._vehicle_index.setdefault(
-            source, len(self._vehicle_index)
-        )
-        token = GATEWAY_TOKEN
-        if index == self.scenario.bad_token_vehicle:
-            token = "not-the-secret"
-        return self.config.windowed_client_config(token)
-
     # ------------------------------------------------------------------
-    def _deliver_up(self, frame, now: int) -> None:
-        if not self.server_up:
-            self.up.stats.dead_letter += 1
-            self.dead_ingests += 1
-            return
+    # Role hooks
+    # ------------------------------------------------------------------
+    def _client_token(self, index: int) -> str:
+        if index == self.scenario.bad_token_vehicle:
+            return "not-the-secret"
+        return GATEWAY_TOKEN
+
+    def _server_receive(self, frame, now: int) -> None:
         self.gateway.handle_payload(frame.payload, now)
 
     def _server_step(self, now: int) -> None:
-        if not self.server_up:
-            return
         self.gateway.step(now)
         for source, payload in self.gateway.poll_outbox():
             self.down.send(payload, src="fleet", dst=source, now=now)
@@ -208,7 +191,17 @@ class GatewayChaosDriver(ChaosDriver):
     def _server_idle(self) -> bool:
         return self.gateway.idle()
 
-    # ------------------------------------------------------------------
+    def _server_close(self) -> None:
+        self._fold_gateway()
+        super()._server_close()
+
+    def _server_recover(self) -> None:
+        self.gateway, _ = FleetGateway.recover(
+            self.server_dir, self._gateway_config(),
+            self._service_config(),
+        )
+        self.ingestor = self.gateway.ingestor
+
     def _fold_gateway(self) -> None:
         stats = self.gateway.stats()
         for src_key, dst_key in _GATEWAY_FOLD.items():
@@ -220,25 +213,8 @@ class GatewayChaosDriver(ChaosDriver):
                 self.gw_shed_by_class.get(name, 0) + count
             )
 
-    def _kill(self, event: CrashEvent) -> bool:
-        if event.side == "server" and self.server_up:
-            self._fold_gateway()
-        return super()._kill(event)
-
-    def _recover(self, event: CrashEvent) -> None:
-        if event.side != "server":
-            super()._recover(event)
-            return
-        self.gateway, _ = FleetGateway.recover(
-            self.server_dir, self._gateway_config(),
-            self.config.service_config(),
-        )
-        self.ingestor = self.gateway.ingestor
-        self.server_up = True
-        self.server_recoveries += 1
-
-    # ------------------------------------------------------------------
-    def _finish_server(self, result: ScenarioResult) -> None:
+    def _verify(self, result: ScenarioResult) -> None:
+        super()._verify(result)
         scenario = self.scenario
         if self.server_up:
             self._fold_gateway()

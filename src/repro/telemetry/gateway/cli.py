@@ -16,31 +16,28 @@ import argparse
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
-from repro.telemetry.gateway.chaos import GatewayChaosScenario
-from repro.telemetry.gateway.overload import OverloadPolicy
+from repro.telemetry.gateway.chaos import (
+    GatewayChaosScenario,
+    gateway_scenarios,
+)
 from repro.telemetry.gateway.status import render_status, status_report
-from repro.telemetry.uplink.chaos import ChaosConfig, ScenarioResult
+from repro.telemetry.uplink.chaos import ChaosConfig, write_report
 
 
 def episode_scenario(overload: bool) -> GatewayChaosScenario:
     """The episode the CLI (and the example) runs."""
     if overload:
-        return GatewayChaosScenario(
+        # The sweep's drain-starved scenario, under the episode's name.
+        return replace(
+            next(s for s in gateway_scenarios()
+                 if s.name == "gw_overload_shed"),
             name="episode_overload",
             description="drain-starved episode: ladder escalates, "
                         "sheds by class, recovers",
-            drain_per_step=8,
-            recv_window=64,
-            overload=OverloadPolicy(
-                degraded_above=24, safe_above=64, recover_below=8,
-                dwell=4,
-            ),
-            faulty_every=2,
-            check_digest=False,
-            expect_shed=True,
         )
     return GatewayChaosScenario(
         name="episode",
@@ -75,7 +72,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     with tempfile.TemporaryDirectory(prefix="repro-gateway-") as tmp:
         driver = scenario.make_driver(config, Path(tmp))
-        result: ScenarioResult = driver.run()
+        result = driver.run()
         report = status_report(
             driver.ingestor.service, gateway=driver.gateway
         )
@@ -88,11 +85,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print()
         print(result.render())
     if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"report -> {args.report}")
+        write_report(args.report, report)
     return 0 if result.ok else 1
 
 

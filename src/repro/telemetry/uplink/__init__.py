@@ -8,7 +8,7 @@ circuit breaker) over an :class:`AdversarialChannel`.  Fleet side:
 :class:`DedupWatermark`, append-before-ack durability, checkpoint +
 WAL-replay recovery).
 :mod:`repro.telemetry.uplink.chaos` sweeps fault x crash schedules and
-asserts the ledger law ``offered == acked + spooled + evicted``.
+asserts the ledger law ``offered == acked + spooled + evicted + shed``.
 """
 
 from repro.telemetry.uplink.chaos import (

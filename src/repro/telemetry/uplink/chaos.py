@@ -1,20 +1,26 @@
 """Deterministic chaos harness for the store-and-forward uplink.
 
 One scenario = one fault plan per channel direction + a crash schedule.
-The driver owns virtual time (a bare step counter), emits each
-vehicle's share of the deterministic fleet stream into its WAL spool,
-ticks the windowed clients, steps the adversarial channels, and kills /
-recovers either endpoint exactly on schedule.  Because every random
-draw comes from a seeded stream and no wall clock is read, a scenario
-replays byte-identically -- a failing schedule is a repro, not a flake.
+:class:`ChaosDriver` is the one episode driver of the three fleet
+sweeps (``repro chaos``, its gateway leg, ``repro adapt``): it owns
+virtual time (a bare step counter), the adversarial channel pair, the
+vehicle list and the crash schedule, and kills / recovers either
+endpoint exactly on schedule.  What a *vehicle* emits and what the
+*server* does with a frame are role hooks (``_make_vehicles``,
+``_vehicle_step``, ``_server_receive``, ... ``_verify``); the gateway
+and adapt drivers override those and nothing else.  Because every
+random draw comes from a seeded stream and no wall clock is read, a
+scenario replays byte-identically -- a failing schedule is a repro, not
+a flake.
 
 The driver is the *omniscient ledger*: component counters die with the
 process they live in, so ground truth is kept here, as per-vehicle seq
-sets fed by the spool's ``on_evict`` and the client's ``on_acked``
-hooks.  At the end of every scenario it asserts:
+sets fed by the spool's ``on_evict`` and the client's ``on_acked`` /
+``on_shed`` hooks.  At the end of every uplink scenario it asserts:
 
-- **ledger law** -- ``offered == acked + spooled + evicted`` as a
-  *disjoint set union* per vehicle (no record lost, none double-lived);
+- **ledger law** -- ``offered == acked + spooled + evicted + shed`` as
+  a *disjoint set union* per vehicle (no record lost, none
+  double-lived; only a gateway ever sheds);
 - **digest convergence** -- the fleet store's content digest equals a
   fault-free reference fed the same stream directly (fault classes
   that lose nothing), which also proves no (m,k) miss was
@@ -32,10 +38,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
@@ -59,20 +65,6 @@ from repro.telemetry.uplink.window import (
 #: and pins them; anything but this value raises.
 PROTOCOL = "windowed"
 
-#: Cumulative per-scenario protocol counters the report may carry.
-#: ``load_report`` warns on anything else (additive evolution, same
-#: contract as the telemetry schema guards).
-KNOWN_PROTOCOL_COUNTERS = frozenset({
-    # windowed client
-    "frames_sent", "retransmits", "fast_retransmits", "dup_acks",
-    "window_stalls", "probes", "floor_probes", "shed_records", "hellos",
-    "rate_rejects", "hello_rejects",
-    "records_sent", "timeouts", "acks", "stale_acks", "circuit_opens",
-    # gateway side
-    "shed_by_class", "auth_rejects", "session_rejects",
-    "window_rejects", "gateway_rate_rejects",
-})
-
 #: Client counters folded into the per-scenario protocol section
 #: (cumulative only -- gauges like ``in_flight`` stay out).
 _CLIENT_COUNTER_KEYS = frozenset({
@@ -81,6 +73,15 @@ _CLIENT_COUNTER_KEYS = frozenset({
     "rate_rejects", "hello_rejects",
     "records_sent", "timeouts", "acks", "stale_acks", "circuit_opens",
 })
+
+#: Cumulative per-scenario protocol counters the report may carry: the
+#: client's plus the gateway side's.  ``load_report`` warns on anything
+#: else (additive evolution, same contract as the telemetry schema
+#: guards).
+KNOWN_PROTOCOL_COUNTERS = _CLIENT_COUNTER_KEYS | {
+    "shed_by_class", "auth_rejects", "session_rejects",
+    "window_rejects", "gateway_rate_rejects",
+}
 
 
 # ----------------------------------------------------------------------
@@ -136,15 +137,16 @@ class ChaosConfig:
             store=self.fleet_config().store_config(),
         )
 
-    def windowed_client_config(
-        self, token: Optional[str] = None
-    ) -> WindowedClientConfig:
-        return WindowedClientConfig(
-            frame_records=16, window_frames=8, ack_timeout=6,
-            backoff_base=2, backoff_max=32, failure_threshold=4,
-            cooldown=10, dup_ack_threshold=3, seed=self.seed,
-            token=token,
-        )
+
+def client_config(
+    seed: int, token: Optional[str] = None
+) -> WindowedClientConfig:
+    """The windowed-client policy every sweep's vehicles run."""
+    return WindowedClientConfig(
+        frame_records=16, window_frames=8, ack_timeout=6,
+        backoff_base=2, backoff_max=32, failure_threshold=4,
+        cooldown=10, dup_ack_threshold=3, seed=seed, token=token,
+    )
 
 
 @dataclass(frozen=True)
@@ -165,14 +167,21 @@ class CrashEvent:
 
 
 @dataclass
-class ChaosScenario:
-    """One named fault x crash schedule."""
+class EpisodeScenario:
+    """What every sweep's scenario is made of: a name, one fault plan
+    per channel direction and a crash schedule."""
 
     name: str
     description: str = ""
     up: ChannelFaultPlan = field(default_factory=ChannelFaultPlan)
     down: ChannelFaultPlan = field(default_factory=ChannelFaultPlan)
     crashes: Tuple[CrashEvent, ...] = ()
+
+
+@dataclass
+class ChaosScenario(EpisodeScenario):
+    """One named fault x crash schedule of the uplink sweep."""
+
     #: Vehicle WAL disk budget (None: unbounded).
     wal_max_bytes: Optional[int] = None
     #: Compare the fleet store digest against the fault-free reference
@@ -276,20 +285,19 @@ def default_scenarios() -> List[ChaosScenario]:
 # Results
 # ----------------------------------------------------------------------
 @dataclass
-class ScenarioResult:
-    """Outcome of one scenario run (JSON-friendly)."""
+class EpisodeResult:
+    """Outcome of one scenario run (JSON-friendly); each sweep's result
+    class adds its own report sections as further fields."""
 
     name: str
     ok: bool = True
     converged_at: Optional[int] = None
     checks: List[dict] = field(default_factory=list)
-    ledger: dict = field(default_factory=dict)
     channels: dict = field(default_factory=dict)
-    ingest: dict = field(default_factory=dict)
     recoveries: dict = field(default_factory=dict)
-    #: Cumulative protocol counters (retransmits, dup-acks, window
-    #: stalls, shed-by-class, ...) summed across vehicle lives.
-    protocol: dict = field(default_factory=dict)
+
+    #: Column width of the scenario name in ``render`` and ``--list``.
+    name_width = 14
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append({"name": name, "ok": bool(ok), "detail": detail})
@@ -297,17 +305,7 @@ class ScenarioResult:
             self.ok = False
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "converged_at": self.converged_at,
-            "checks": self.checks,
-            "ledger": self.ledger,
-            "channels": self.channels,
-            "ingest": self.ingest,
-            "recoveries": self.recoveries,
-            "protocol": self.protocol,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def render(self) -> str:
         flags = " ".join(
@@ -315,7 +313,21 @@ class ScenarioResult:
         )
         status = "PASS" if self.ok else "FAIL"
         at = self.converged_at if self.converged_at is not None else "-"
-        return f"{status:4s} {self.name:<14s} converged@{at!s:<6} {flags}"
+        return (
+            f"{status:4s} {self.name:<{self.name_width}s} "
+            f"converged@{at!s:<6} {flags}"
+        )
+
+
+@dataclass
+class ScenarioResult(EpisodeResult):
+    """Outcome of one uplink or gateway scenario."""
+
+    ledger: dict = field(default_factory=dict)
+    ingest: dict = field(default_factory=dict)
+    #: Cumulative protocol counters (retransmits, dup-acks, window
+    #: stalls, shed-by-class, ...) summed across vehicle lives.
+    protocol: dict = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +351,6 @@ class _Vehicle:
         self._send = send
         self.cursor = 0
         self.alive = True
-        self.lives = 0
         self.recoveries = 0
         self.truncated_lines = 0
         self.mark_truncated_lines = 0
@@ -353,15 +364,15 @@ class _Vehicle:
         #: Protocol counters folded across client lives.
         self.proto: Dict[str, int] = {}
         self.spooler = WalSpooler.open_fresh(wal_config, source)
-        self.client = self._make_client()
-        self._wire()
+        self._connect()
 
-    def _make_client(self) -> WindowedUplinkClient:
-        return WindowedUplinkClient(
-            self.spooler, self._send, self.client_config, life=self.lives
+    def _connect(self) -> None:
+        """A fresh client life on the current spool, both feeding the
+        ledger sets."""
+        self.client = WindowedUplinkClient(
+            self.spooler, self._send, self.client_config,
+            life=self.recoveries,
         )
-
-    def _wire(self) -> None:
         self.spooler.on_evict = lambda lost: self.evicted.update(
             record.seq for record in lost
         )
@@ -420,17 +431,18 @@ class _Vehicle:
         self.offered.discard(torn_seq)
         self.cursor -= 1
 
-    def recover(self) -> None:
+    def recover(self, now: int) -> None:
         self.spooler, report = WalSpooler.recover(
             self.wal_config, self.source
         )
-        self.lives += 1
         self.recoveries += 1
         self.truncated_lines += report.truncated_lines
         self.mark_truncated_lines += report.mark_truncated_lines
-        self.client = self._make_client()
-        self._wire()
+        self._connect()
         self.alive = True
+
+    def close(self) -> None:
+        self.spooler.close()
 
     # ------------------------------------------------------------------
     def recovery_json(self) -> dict:
@@ -462,14 +474,53 @@ class _Vehicle:
 
 
 class ChaosDriver:
-    """Runs one scenario to convergence and verifies its invariants."""
+    """Runs one scenario to convergence and verifies its invariants.
 
-    def __init__(
-        self, scenario: ChaosScenario, config: ChaosConfig, workdir: Path
-    ):
+    The step clock, crash schedule, channel pair, dead-letter handling
+    and convergence predicate live here once; the methods under *role
+    hooks* are the uplink sweep's bare-ingestor server and replaying
+    vehicles, and the only things another sweep's driver overrides."""
+
+    result_class = ScenarioResult
+
+    def __init__(self, scenario, config, workdir: Path):
         self.scenario = scenario
         self.config = config
         self.workdir = Path(workdir) / scenario.name
+        self.up = AdversarialChannel(
+            "uplink", self._deliver_up, scenario.up, seed=config.seed
+        )
+        self.down = AdversarialChannel(
+            "downlink", self._deliver_down, scenario.down, seed=config.seed
+        )
+        self.server_dir = self.workdir / "fleet"
+        self.server_up = True
+        self.server_recoveries = 0
+        #: ``{step: [events]}`` of every endpoint currently down --
+        #: scheduled crashes and the ones a role hook triggers.
+        self._pending_recoveries: Dict[int, List[CrashEvent]] = {}
+        self.vehicles = self._make_vehicles()
+        self.ingestor = UplinkIngestor(
+            TelemetryService(self._service_config()),
+            self.server_dir,
+            fsync=config.fsync,
+            checkpoint_every=config.checkpoint_every,
+        )
+
+    # ------------------------------------------------------------------
+    # Role hooks
+    # ------------------------------------------------------------------
+    def _service_config(self) -> ServiceConfig:
+        return self.config.service_config()
+
+    def _client_token(self, index: int) -> Optional[str]:
+        """Shared secret of vehicle *index* (only a gateway asks)."""
+        return None
+
+    def _make_vehicles(self) -> list:
+        """One vehicle per share of the materialized fleet stream (the
+        stream also feeds ``reference_digest``, while it is at hand)."""
+        config = self.config
         fleet = config.fleet_config()
         all_records = FleetLoadGenerator(fleet).materialize()
         streams: Dict[str, List[TelemetryRecord]] = {
@@ -479,168 +530,61 @@ class ChaosDriver:
             streams[record.source].append(record)
 
         # The fault-free reference: the same stream, ingested directly.
-        reference = TelemetryService(config.service_config())
+        reference = TelemetryService(self._service_config())
         reference.ingest_many(all_records)
         reference.pump()
         self.reference_digest = store_digest(reference)
 
-        self.up = AdversarialChannel(
-            "uplink", self._deliver_up, scenario.up, seed=config.seed
-        )
-        self.down = AdversarialChannel(
-            "downlink", self._deliver_down, scenario.down, seed=config.seed
-        )
-        self.vehicles: List[_Vehicle] = []
-        for source in fleet.vehicle_ids():
-            wal_config = WalConfig(
-                directory=self.workdir / source,
-                fsync=config.fsync,
-                segment_max_records=config.segment_max_records,
-                max_bytes=scenario.wal_max_bytes,
-            )
-            self.vehicles.append(_Vehicle(
-                source, streams[source], wal_config,
-                self._vehicle_client_config(source),
+        return [
+            _Vehicle(
+                source, streams[source],
+                WalConfig(
+                    directory=self.workdir / source,
+                    fsync=config.fsync,
+                    segment_max_records=config.segment_max_records,
+                    max_bytes=self.scenario.wal_max_bytes,
+                ),
+                client_config(config.seed, self._client_token(index)),
                 self._make_send(source),
-            ))
-        self.server_dir = self.workdir / "fleet"
-        self.server_up = True
-        self.server_recoveries = 0
-        self.dead_ingests = 0
-        self.dead_acks = 0
-        self.ingestor = UplinkIngestor(
-            TelemetryService(config.service_config()),
-            self.server_dir,
-            fsync=config.fsync,
-            checkpoint_every=config.checkpoint_every,
-        )
-        self._now = 0
+            )
+            for index, source in enumerate(fleet.vehicle_ids())
+        ]
 
-    # ------------------------------------------------------------------
-    def _vehicle_client_config(self, source: str):
-        """Per-vehicle client config (gateway driver injects tokens)."""
-        return self.config.windowed_client_config()
+    def _vehicle_step(self, vehicle) -> None:
+        vehicle.emit(self.config.emit_per_step)
 
-    def _make_send(self, source: str):
-        return lambda payload, now: self.up.send(
-            payload, src=source, dst="fleet", now=now
-        )
+    def _vehicle_receive(self, vehicle, doc: dict, frame, now: int) -> None:
+        vehicle.client.on_ack(doc, now)
 
-    def _deliver_up(self, frame, now: int) -> None:
-        if not self.server_up:
-            self.up.stats.dead_letter += 1
-            self.dead_ingests += 1
-            return
+    def _server_receive(self, frame, now: int) -> None:
         ack = self.ingestor.handle_payload(frame.payload, now)
         if ack is not None:
             self.down.send(ack, src="fleet", dst=frame.src, now=now)
 
     def _server_step(self, now: int) -> None:
-        """Per-step server work (the gateway driver drains its backlog
-        and outbox here; the bare ingestor is purely reactive)."""
+        """Server work between the uplink and downlink deliveries (the
+        gateway drains its backlog and outbox here; the bare ingestor
+        is purely reactive)."""
+
+    def _server_tick(self, now: int) -> None:
+        """Server work after the clients ticked."""
 
     def _server_idle(self) -> bool:
         """Extra convergence predicate for stateful servers."""
         return True
 
-    def _deliver_down(self, frame, now: int) -> None:
-        vehicle = next(
-            (v for v in self.vehicles if v.source == frame.dst), None
-        )
-        if vehicle is None or not vehicle.alive:
-            self.down.stats.dead_letter += 1
-            self.dead_acks += 1
-            return
-        doc = decode_envelope(frame.payload)
-        if doc is not None:
-            vehicle.client.on_ack(doc, now)
+    def _server_close(self) -> None:
+        self.ingestor.close()
 
-    # ------------------------------------------------------------------
-    def _kill(self, event: CrashEvent) -> bool:
-        if event.side == "server":
-            if not self.server_up:
-                return False
-            self.server_up = False
-            self.ingestor.close()
-            return True
-        vehicle = self.vehicles[event.vehicle % len(self.vehicles)]
-        if not vehicle.alive:
-            return False
-        vehicle.kill(event.torn_tail)
-        return True
+    def _server_recover(self) -> None:
+        self.ingestor = self._recover_ingestor()
 
-    def _recover(self, event: CrashEvent) -> None:
-        if event.side == "server":
-            self.ingestor, _ = UplinkIngestor.recover(
-                self.server_dir,
-                self.config.service_config(),
-                fsync=self.config.fsync,
-                checkpoint_every=self.config.checkpoint_every,
-            )
-            self.server_up = True
-            self.server_recoveries += 1
-        else:
-            self.vehicles[event.vehicle % len(self.vehicles)].recover()
+    def _interventions(self, now: int) -> None:
+        """Scenario-scripted actions other than crashes."""
 
-    # ------------------------------------------------------------------
-    def run(self) -> ScenarioResult:
-        result = ScenarioResult(name=self.scenario.name)
-        kills = sorted(self.scenario.crashes, key=lambda e: e.step)
-        pending_kills = list(kills)
-        pending_recoveries: Dict[int, List[CrashEvent]] = {}
-
-        for now in range(self.config.max_steps):
-            self._now = now
-            for event in pending_recoveries.pop(now, []):
-                self._recover(event)
-            while pending_kills and pending_kills[0].step == now:
-                event = pending_kills.pop(0)
-                if self._kill(event):
-                    pending_recoveries.setdefault(
-                        now + event.down_for, []
-                    ).append(event)
-            for vehicle in self.vehicles:
-                if vehicle.alive:
-                    vehicle.emit(self.config.emit_per_step)
-            self.up.step(now)
-            self._server_step(now)
-            self.down.step(now)
-            for vehicle in self.vehicles:
-                if vehicle.alive:
-                    vehicle.client.tick(now)
-            if (
-                not pending_kills and not pending_recoveries
-                and self.server_up
-                and all(v.alive and v.drained for v in self.vehicles)
-                and all(v.client.idle() for v in self.vehicles)
-                and self.up.pending() == 0 and self.down.pending() == 0
-                and self._server_idle()
-            ):
-                result.converged_at = now
-                break
-
-        self._finish(result)
-        return result
-
-    # ------------------------------------------------------------------
-    def _finish(self, result: ScenarioResult) -> None:
+    def _verify(self, result: ScenarioResult) -> None:
         scenario = self.scenario
-        result.check(
-            "converged", result.converged_at is not None,
-            f"not converged within {self.config.max_steps} steps"
-            if result.converged_at is None else "",
-        )
-        result.ledger = {
-            v.source: v.ledger_json() for v in self.vehicles
-        }
-        balanced = all(
-            entry["balanced"] for entry in result.ledger.values()
-        )
-        result.check(
-            "ledger", balanced,
-            "offered != acked + spooled + evicted (disjoint) somewhere"
-            if not balanced else "",
-        )
+        result.ledger = self._check_uplink_ledger(result, "ledger")
         evicted_total = sum(len(v.evicted) for v in self.vehicles)
         if scenario.expect_evictions:
             result.check(
@@ -652,37 +596,17 @@ class ChaosDriver:
                 "no_evictions", evicted_total == 0,
                 f"{evicted_total} records evicted without a budget",
             )
-        result.check(
-            "accounting", self.ingestor.service.accounting_ok(),
-            "fleet service accounting law violated",
-        )
-
+        self._check_accounting(result)
         live_digest = store_digest(self.ingestor.service)
         if scenario.check_digest:
             result.check(
                 "digest", live_digest == self.reference_digest,
                 "fleet store diverged from the fault-free reference",
             )
-        self.ingestor.close()
-        recovered, _ = UplinkIngestor.recover(
-            self.server_dir,
-            self.config.service_config(),
-            fsync=self.config.fsync,
-            checkpoint_every=self.config.checkpoint_every,
-        )
-        recovered_digest = store_digest(recovered.service)
-        recovered.close()
-        result.check(
-            "recovery_digest", recovered_digest == live_digest,
+        self._check_cold_store(
+            result, "recovery_digest", live_digest,
             "cold recovery (checkpoint + WAL replay) != live store",
         )
-        for vehicle in self.vehicles:
-            vehicle.spooler.close()
-
-        result.channels = {
-            "up": self.up.stats.to_json(),
-            "down": self.down.stats.to_json(),
-        }
         result.ingest = self.ingestor.stats()
         totals: Dict[str, int] = {}
         for vehicle in self.vehicles:
@@ -691,7 +615,145 @@ class ChaosDriver:
             for key, value in vehicle.proto.items():
                 totals[key] = totals.get(key, 0) + value
         result.protocol = totals
-        self._finish_server(result)
+
+    # ------------------------------------------------------------------
+    # Shared law checkers
+    # ------------------------------------------------------------------
+    def _check_uplink_ledger(self, result, name: str) -> dict:
+        ledger = {v.source: v.ledger_json() for v in self.vehicles}
+        balanced = all(entry["balanced"] for entry in ledger.values())
+        result.check(
+            name, balanced,
+            "offered != acked + spooled + evicted (disjoint) somewhere"
+            if not balanced else "",
+        )
+        return ledger
+
+    def _check_accounting(self, result) -> None:
+        result.check(
+            "accounting", self.ingestor.service.accounting_ok(),
+            "fleet service accounting law violated",
+        )
+
+    def _check_cold_store(
+        self, result, name: str, live_digest: str, detail: str
+    ) -> None:
+        """Close the live ingestor; one recovered cold from its
+        directory must hold the same store."""
+        self.ingestor.close()
+        recovered = self._recover_ingestor()
+        recovered_digest = store_digest(recovered.service)
+        recovered.close()
+        result.check(name, recovered_digest == live_digest, detail)
+
+    def _recover_ingestor(self) -> UplinkIngestor:
+        ingestor, _ = UplinkIngestor.recover(
+            self.server_dir,
+            self._service_config(),
+            fsync=self.config.fsync,
+            checkpoint_every=self.config.checkpoint_every,
+        )
+        return ingestor
+
+    # ------------------------------------------------------------------
+    # Channel plumbing and crash machinery
+    # ------------------------------------------------------------------
+    def _make_send(self, source: str):
+        return lambda payload, now: self.up.send(
+            payload, src=source, dst="fleet", now=now
+        )
+
+    def _deliver_up(self, frame, now: int) -> None:
+        if not self.server_up:
+            self.up.stats.dead_letter += 1
+            return
+        self._server_receive(frame, now)
+
+    def _deliver_down(self, frame, now: int) -> None:
+        vehicle = next(
+            (v for v in self.vehicles if v.source == frame.dst), None
+        )
+        if vehicle is None or not vehicle.alive:
+            self.down.stats.dead_letter += 1
+            return
+        doc = decode_envelope(frame.payload)
+        if doc is not None:
+            self._vehicle_receive(vehicle, doc, frame, now)
+
+    def _kill(self, event: CrashEvent) -> bool:
+        if event.side == "server":
+            if not self.server_up:
+                return False
+            self.server_up = False
+            self._server_close()
+            return True
+        vehicle = self.vehicles[event.vehicle % len(self.vehicles)]
+        if not vehicle.alive:
+            return False
+        vehicle.kill(event.torn_tail)
+        return True
+
+    def _recover(self, event: CrashEvent, now: int) -> None:
+        if event.side == "server":
+            self._server_recover()
+            self.server_up = True
+            self.server_recoveries += 1
+        else:
+            self.vehicles[event.vehicle % len(self.vehicles)].recover(now)
+
+    def _crash(self, event: CrashEvent, now: int) -> None:
+        """Kill now (a no-op on an endpoint already down) and schedule
+        the recovery ``down_for`` steps later."""
+        if self._kill(event):
+            self._pending_recoveries.setdefault(
+                now + event.down_for, []
+            ).append(event)
+
+    # ------------------------------------------------------------------
+    def run(self):
+        result = self.result_class(name=self.scenario.name)
+        pending_kills = sorted(self.scenario.crashes, key=lambda e: e.step)
+
+        for now in range(self.config.max_steps):
+            for event in self._pending_recoveries.pop(now, []):
+                self._recover(event, now)
+            while pending_kills and pending_kills[0].step == now:
+                self._crash(pending_kills.pop(0), now)
+            self._interventions(now)
+            for vehicle in self.vehicles:
+                if vehicle.alive:
+                    self._vehicle_step(vehicle)
+            self.up.step(now)
+            if self.server_up:
+                self._server_step(now)
+            self.down.step(now)
+            for vehicle in self.vehicles:
+                if vehicle.alive:
+                    vehicle.client.tick(now)
+            if self.server_up:
+                # After the client ticks: what the server sends here
+                # (epoch frames) must not enter the channel a step early.
+                self._server_tick(now)
+            if (
+                not pending_kills and not self._pending_recoveries
+                and self.server_up
+                and all(v.alive and v.drained for v in self.vehicles)
+                and all(v.client.idle() for v in self.vehicles)
+                and self.up.pending() == 0 and self.down.pending() == 0
+                and self._server_idle()
+            ):
+                result.converged_at = now
+                break
+
+        result.check(
+            "converged", result.converged_at is not None,
+            f"not converged within {self.config.max_steps} steps"
+            if result.converged_at is None else "",
+        )
+        result.channels = {
+            "up": self.up.stats.to_json(),
+            "down": self.down.stats.to_json(),
+        }
         result.recoveries = {
             "server": self.server_recoveries,
             "vehicles": {
@@ -699,46 +761,54 @@ class ChaosDriver:
                 for v in self.vehicles if v.recoveries
             },
         }
-
-    def _finish_server(self, result: ScenarioResult) -> None:
-        """Server-side scenario checks (gateway driver adds its own)."""
+        self._verify(result)
+        for vehicle in self.vehicles:
+            vehicle.close()
+        return result
 
 
 # ----------------------------------------------------------------------
 # Sweep + CLI
 # ----------------------------------------------------------------------
+def run_sweep(
+    schema: str,
+    config,
+    scenarios: list,
+    workdir: Optional[Path] = None,
+    header: Tuple[str, ...] = ("vehicles", "frames", "seed", "fsync"),
+) -> dict:
+    """Run *scenarios* under *workdir* (default: a temporary directory
+    removed afterwards); returns the JSON report document, whose
+    ``config`` section carries the *header* fields of *config*."""
+    with (
+        tempfile.TemporaryDirectory(prefix="repro-sweep-")
+        if workdir is None else nullcontext(workdir)
+    ) as root:
+        docs = [
+            scenario.make_driver(config, Path(root)).run().to_json()
+            for scenario in scenarios
+        ]
+    return {
+        "schema": schema,
+        "config": {key: getattr(config, key) for key in header},
+        "ok": all(doc["ok"] for doc in docs),
+        "scenarios": docs,
+    }
+
+
 def run_chaos(
     config: Optional[ChaosConfig] = None,
     scenarios: Optional[List[ChaosScenario]] = None,
     workdir: Optional[Path] = None,
 ) -> dict:
-    """Run a scenario sweep; returns the JSON report document."""
-    config = config or ChaosConfig()
-    scenarios = scenarios if scenarios is not None else default_scenarios()
-    results: List[ScenarioResult] = []
-    if workdir is None:
-        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-            for scenario in scenarios:
-                results.append(
-                    scenario.make_driver(config, Path(tmp)).run()
-                )
-    else:
-        for scenario in scenarios:
-            results.append(
-                scenario.make_driver(config, Path(workdir)).run()
-            )
-    return {
-        "schema": "repro-chaos-report/1",
-        "config": {
-            "vehicles": config.vehicles,
-            "frames": config.frames,
-            "seed": config.seed,
-            "fsync": config.fsync,
-            "protocol": config.protocol,
-        },
-        "ok": all(r.ok for r in results),
-        "scenarios": [r.to_json() for r in results],
-    }
+    """Run an uplink scenario sweep; returns the JSON report document."""
+    return run_sweep(
+        "repro-chaos-report/1",
+        config or ChaosConfig(),
+        scenarios if scenarios is not None else default_scenarios(),
+        workdir,
+        header=("vehicles", "frames", "seed", "fsync", "protocol"),
+    )
 
 
 def load_report(source: Union[str, Path, dict]) -> dict:
@@ -767,13 +837,33 @@ def load_report(source: Union[str, Path, dict]) -> dict:
     return report
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def write_report(path: Path, report: dict) -> None:
+    """What ``--report PATH`` does, in every fleet CLI."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print(f"report -> {path}")
+
+
+def sweep_main(
+    argv: Optional[List[str]],
+    *,
+    prog: str,
+    description: str,
+    run,
+    scenarios: list,
+    config_class,
+    quick: dict,
+    result_class,
+) -> int:
+    """The ``python -m repro <prog>`` command line of a sweep: *run* is
+    its ``run_chaos``-shaped sweep function, *scenarios* everything
+    ``--list`` shows, *quick* the *config_class* fields ``--quick``
+    shrinks."""
     parser = argparse.ArgumentParser(
-        prog="repro chaos",
-        description="uplink fault x crash chaos sweep with ledger checks",
+        prog=f"repro {prog}", description=description
     )
     parser.add_argument("--quick", action="store_true",
-                        help="small fleet (CI smoke)")
+                        help="smaller run (CI smoke)")
     parser.add_argument("--vehicles", type=int, default=None)
     parser.add_argument("--frames", type=int, default=None)
     parser.add_argument("--seed", type=int, default=2025)
@@ -789,12 +879,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default="never")
     args = parser.parse_args(argv)
 
-    from repro.telemetry.gateway.chaos import gateway_scenarios
-
-    scenarios = default_scenarios() + gateway_scenarios()
+    width = result_class.name_width
     if args.list:
         for scenario in scenarios:
-            print(f"{scenario.name:<14s} {scenario.description}")
+            print(f"{scenario.name:<{width}s} {scenario.description}")
         return 0
     if args.scenario:
         known = {scenario.name for scenario in scenarios}
@@ -803,33 +891,47 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"unknown scenario(s): {', '.join(unknown)}")
         scenarios = [s for s in scenarios if s.name in set(args.scenario)]
 
-    config = ChaosConfig(
-        vehicles=args.vehicles or (2 if args.quick else 3),
-        frames=args.frames or (16 if args.quick else 40),
-        seed=args.seed,
-        fsync=args.fsync,
-    )
-    report = run_chaos(config, scenarios, workdir=args.dir)
+    shape = dict(quick) if args.quick else {}
+    for key in ("vehicles", "frames"):
+        if getattr(args, key) is not None:
+            shape[key] = getattr(args, key)
+    try:
+        config = config_class(seed=args.seed, fsync=args.fsync, **shape)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        report = run(config, scenarios, workdir=args.dir)
+    except FileExistsError as exc:
+        # A spool refuses a directory that already holds one; wiping a
+        # directory the user named is not ours to do.
+        parser.error(f"--dir {args.dir} already holds a run ({exc})")
     for entry in report["scenarios"]:
-        result = ScenarioResult(
+        print(result_class(
             name=entry["name"], ok=entry["ok"],
             converged_at=entry["converged_at"], checks=entry["checks"],
-        )
-        print(result.render())
+        ).render())
     print(
-        f"chaos: {'ALL PASS' if report['ok'] else 'FAILURES'} "
+        f"{prog}: {'ALL PASS' if report['ok'] else 'FAILURES'} "
         f"({len(report['scenarios'])} scenarios, "
         f"vehicles={config.vehicles}, frames={config.frames}, "
         f"seed={config.seed})"
     )
     if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"report -> {args.report}")
+        write_report(args.report, report)
     return 0 if report["ok"] else 1
 
 
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+def main(argv: Optional[List[str]] = None) -> int:
+    from repro.telemetry.gateway.chaos import gateway_scenarios
+
+    return sweep_main(
+        argv,
+        prog="chaos",
+        description="uplink fault x crash chaos sweep with ledger checks",
+        run=run_chaos,
+        scenarios=default_scenarios() + gateway_scenarios(),
+        config_class=ChaosConfig,
+        quick={"vehicles": 2, "frames": 16},
+        result_class=ScenarioResult,
+    )
+

@@ -1,15 +1,13 @@
-"""End-to-end adapt chaos scenarios (the ``python -m repro adapt`` sweep)."""
-
-import json
-
-import pytest
+"""End-to-end adapt chaos scenarios (the ``python -m repro adapt`` sweep;
+its CLI is tested with the uplink sweep's in ``test_uplink_chaos.py``)."""
 
 from repro.adaptive.chaos import (
     AdaptConfig,
+    AdaptScenario,
     default_scenarios,
-    main as adapt_main,
     run_adapt,
 )
+from repro.telemetry.uplink.chaos import CrashEvent
 
 QUICK = AdaptConfig(frames=96)
 
@@ -77,31 +75,43 @@ class TestScenarios:
         assert len(names) == len(set(names))
         assert len(scenarios) >= 10
 
-
-class TestCli:
-    def test_quick_sweep_writes_a_passing_report(self, tmp_path, capsys):
-        report_path = tmp_path / "adapt.json"
-        code = adapt_main([
-            "--quick", "--scenario", "adapt_baseline",
-            "--scenario", "epoch_frame_lost",
-            "--report", str(report_path), "--dir", str(tmp_path / "work"),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
-        report = json.loads(report_path.read_text())
-        assert report["schema"] == "repro-adapt-report/1"
-        assert report["ok"]
-        assert [s["name"] for s in report["scenarios"]] == [
-            "adapt_baseline", "epoch_frame_lost"
+    def test_torn_tail_after_the_last_activation_is_respooled(self):
+        """Found by the generated schedules: the kill tears a record of
+        the final activation, and the recovered vehicle -- with nothing
+        left to generate -- must still re-spool it, or ``drained`` stays
+        false and the run burns every step."""
+        scenario = AdaptScenario(
+            name="torn_tail_at_the_end",
+            drift=((40, 10 ** 9, 1.5, ""),),
+            crashes=(
+                CrashEvent(step=96, side="vehicle", vehicle=0, down_for=1,
+                           torn_tail=True),
+            ),
+        )
+        (doc,) = run_adapt(AdaptConfig(frames=96, seed=0), [scenario])[
+            "scenarios"
         ]
+        assert doc["ok"], [c for c in doc["checks"] if not c["ok"]]
+        torn = doc["recoveries"]["vehicles"]["vehicle-000"]
+        assert torn["truncated_lines"] == 1
 
-    def test_unknown_scenario_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            adapt_main(["--scenario", "no-such-scenario"])
-
-    def test_list_prints_scenarios(self, capsys):
-        assert adapt_main(["--list"]) == 0
-        out = capsys.readouterr().out
-        for scenario in default_scenarios():
-            assert scenario.name in out
+    def test_vehicle_killed_before_its_first_epoch_keeps_the_baseline(self):
+        """Also found by the generated schedules: vehicle-000 dies at
+        step 2 with an empty epoch WAL, and the server crash keeps the
+        run from ever promoting an epoch -- the fleet's last-good stays
+        the factory baseline, which the recovered vehicle must still be
+        running (it came back with no active epoch at all)."""
+        scenario = AdaptScenario(
+            name="killed_on_the_baseline",
+            drift=((40, 10 ** 9, 1.5, ""),),
+            crashes=(
+                CrashEvent(step=2, side="vehicle", vehicle=0, down_for=1),
+                CrashEvent(step=28, side="server", down_for=12),
+            ),
+        )
+        (doc,) = run_adapt(AdaptConfig(frames=96, seed=20000), [scenario])[
+            "scenarios"
+        ]
+        assert doc["ok"], [c for c in doc["checks"] if not c["ok"]]
+        assert doc["epochs"]["last_good"] == 0
+        assert doc["vehicles"]["vehicle-000"]["active"] == 0

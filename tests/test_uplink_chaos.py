@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.adaptive.chaos import AdaptDriver, main as adapt_main
+from repro.telemetry.gateway.chaos import GatewayChaosDriver
 from repro.telemetry.uplink.chaos import (
     ChaosConfig,
     ChaosDriver,
@@ -148,26 +150,78 @@ class TestScenarios:
         )
 
 
+@pytest.mark.parametrize("cli, schema, names", [
+    pytest.param(main, "repro-chaos-report/1", ["baseline", "drop"],
+                 id="chaos"),
+    pytest.param(adapt_main, "repro-adapt-report/1",
+                 ["adapt_baseline", "epoch_frame_lost"], id="adapt"),
+])
 class TestCli:
-    def test_cli_smoke_writes_report(self, tmp_path, capsys):
-        report_path = tmp_path / "out" / "chaos.json"
-        code = main([
-            "--quick", "--frames", "8",
-            "--scenario", "baseline", "--scenario", "drop",
-            "--report", str(report_path), "--dir", str(tmp_path / "work"),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "ALL PASS" in out
-        report = json.loads(report_path.read_text())
-        assert report["schema"] == "repro-chaos-report/1"
-        assert [s["name"] for s in report["scenarios"]] == ["baseline", "drop"]
+    """``repro chaos`` and ``repro adapt`` are one command line."""
 
-    def test_cli_list_and_unknown_scenario(self, capsys):
-        assert main(["--list"]) == 0
-        assert "eviction" in capsys.readouterr().out
+    @staticmethod
+    def _argv(names, tmp_path):
+        argv = ["--quick", "--dir", str(tmp_path / "work"),
+                "--report", str(tmp_path / "out" / "report.json")]
+        for name in names:
+            argv += ["--scenario", name]
+        return argv
+
+    def test_quick_sweep_writes_a_passing_report(
+        self, cli, schema, names, tmp_path, capsys
+    ):
+        assert cli(self._argv(names, tmp_path)) == 0
+        out = capsys.readouterr().out
+        assert "ALL PASS" in out and "FAIL" not in out
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["schema"] == schema
+        assert report["ok"]
+        assert [s["name"] for s in report["scenarios"]] == names
+
+    def test_list_prints_scenarios(self, cli, schema, names, capsys):
+        assert cli(["--list"]) == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in names)
+
+    def test_unknown_scenario_rejected(self, cli, schema, names):
         with pytest.raises(SystemExit):
-            main(["--scenario", "no-such-scenario"])
+            cli(["--scenario", "no-such-scenario"])
+
+    def test_dir_holding_a_run_is_refused_not_wiped(
+        self, cli, schema, names, tmp_path, capsys
+    ):
+        argv = self._argv(names[:1], tmp_path)
+        assert cli(argv) == 0
+        kept = sorted((tmp_path / "work").rglob("wal-*.log"))
+        assert kept
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as refused:
+            cli(argv)
+        assert refused.value.code == 2
+        assert str(tmp_path / "work") in capsys.readouterr().err
+        assert sorted((tmp_path / "work").rglob("wal-*.log")) == kept
+
+    @pytest.mark.parametrize("flag", ["--vehicles", "--frames"])
+    def test_zero_is_an_error_not_the_default(
+        self, cli, schema, names, flag, capsys
+    ):
+        with pytest.raises(SystemExit) as refused:
+            cli([flag, "0", "--scenario", names[0]])
+        assert refused.value.code == 2
+        assert ">=" in capsys.readouterr().err
+
+
+class TestOneDriver:
+    """The three sweeps share one episode loop: a sweep's driver
+    overrides role hooks, never the loop or its plumbing."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["run", "_deliver_up", "_deliver_down", "_kill", "_recover"],
+    )
+    def test_no_sweep_carries_its_own_copy(self, name):
+        for driver in (AdaptDriver, GatewayChaosDriver):
+            assert getattr(driver, name) is getattr(ChaosDriver, name)
 
 
 class TestOneProtocol:
