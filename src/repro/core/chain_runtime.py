@@ -118,11 +118,11 @@ class ChainRuntime:
         detection_latency: Optional[int] = None,
     ) -> None:
         """Record one segment outcome for one activation."""
-        per_segment = self.records.setdefault(activation, {})
+        per_segment = self.records.get(activation)
+        if per_segment is None:
+            per_segment = self.records[activation] = {}
         per_segment[segment_name] = SegmentRecord(
-            outcome=outcome,
-            latency=latency,
-            detection_latency=detection_latency,
+            outcome, latency, detection_latency
         )
 
     def report_exception(self, exception: TemporalException) -> None:

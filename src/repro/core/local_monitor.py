@@ -80,7 +80,7 @@ class EventRingBuffer:
         return len(self._items)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonitorCosts:
     """CPU work charged to the monitor thread per action (ns)."""
 
@@ -252,52 +252,48 @@ class LocalSegmentRuntime:
     # ------------------------------------------------------------------
     # Endpoint-context callbacks (zero simulated time)
     # ------------------------------------------------------------------
-    def _activation_of(self, sample: Sample, counter: str) -> int:
-        if self.activation_fn is not None:
-            n = self.activation_fn(sample)
-            if n is not None:
-                return n
-        if counter == "start":
-            n = self._start_count
-        else:
-            n = self._end_count
-        return n
-
     def _on_start_sample(self, sample: Sample) -> None:
-        monitor = self._require_monitor()
-        n = self._activation_of(sample, "start")
+        monitor = self.monitor or self._require_monitor()
+        n = None if self.activation_fn is None else self.activation_fn(sample)
+        if n is None:
+            n = self._start_count
         self._start_count += 1
         ts = monitor.ecu.now()
+        sim = monitor.sim
         if self.start_overhead is not None:
             overhead = self.start_overhead.sample(
-                monitor.sim.rng(f"monitor-overhead:{self.segment.name}:start")
+                sim.rng(f"monitor-overhead:{self.segment.name}:start")
             )
             self.start_overhead_samples.append(overhead)
-        self.start_buffer.post((n, ts, sample.data))
-        spans = monitor.sim.spans
-        if spans is not None:
+        posted = self.start_buffer.post((n, ts, sample.data))
+        if posted and sim.spans is not None:
             # Runs inside the start-event delivery: the ambient context
             # is the transport span that delivered the start sample.
-            self._span_ctx[n] = spans.current
-        if monitor.sim.tracing_active:
-            monitor.sim.emit_trace(
+            # A dropped start event is never armed, so nothing would
+            # ever consume its context.
+            self._span_ctx[n] = sim.spans.current
+        if sim.tracing_active:
+            sim.emit_trace(
                 "monitor.start_event", segment=self.segment.name, n=n, ts=ts
             )
         monitor.sem.post()
 
     def _on_end_sample(self, sample: Sample) -> None:
-        monitor = self._require_monitor()
-        n = self._activation_of(sample, "end")
+        monitor = self.monitor or self._require_monitor()
+        n = None if self.activation_fn is None else self.activation_fn(sample)
+        if n is None:
+            n = self._end_count
         self._end_count += 1
         ts = monitor.ecu.now()
+        sim = monitor.sim
         if self.end_overhead is not None:
             overhead = self.end_overhead.sample(
-                monitor.sim.rng(f"monitor-overhead:{self.segment.name}:end")
+                sim.rng(f"monitor-overhead:{self.segment.name}:end")
             )
             self.end_overhead_samples.append(overhead)
         self.end_buffer.post((n, ts))
-        if monitor.sim.tracing_active:
-            monitor.sim.emit_trace(
+        if sim.tracing_active:
+            sim.emit_trace(
                 "monitor.end_event", segment=self.segment.name, n=n, ts=ts
             )
         # Deliberately no sem.post(): end events are not time critical.
@@ -340,14 +336,15 @@ class LocalSegmentRuntime:
         return self.monitor
 
     def _arm(self, n: int, ts: int, data: Any) -> None:
-        monitor = self._require_monitor()
+        monitor = self.monitor or self._require_monitor()
         assert self.segment.d_mon is not None
         deadline = ts + self.segment.d_mon
         old = self.pending.get(n)
         if old is not None and old.token is not None:
             old.token.cancel()
-        self.pending[n] = _Pending(start_ts=ts, deadline=deadline, data=data)
-        monitor._push_timeout(deadline, self, n)
+        token = CancelToken((self, n))
+        self.pending[n] = _Pending(ts, deadline, data, token)
+        monitor._push_timeout(deadline, token)
         self.monitor_latency_samples.append(monitor.ecu.now() - ts)
 
     def _complete(self, n: int, end_ts: int) -> None:
@@ -476,12 +473,6 @@ class LocalSegmentRuntime:
             f"endpoint attached"
         )
 
-    def next_expiry(self) -> Optional[int]:
-        """Earliest pending deadline of this segment, or None."""
-        if not self.pending:
-            return None
-        return min(entry.deadline for entry in self.pending.values())
-
 
 class MonitorThread:
     """The high-priority monitor thread of one ECU/process.
@@ -519,6 +510,22 @@ class MonitorThread:
         self.exceptions_raised = 0
         self.thread = ecu.spawn(name, self._body, priority=priority)
 
+    @property
+    def costs(self) -> MonitorCosts:
+        """Per-action CPU costs (replace the object to change them)."""
+        return self._costs
+
+    @costs.setter
+    def costs(self, costs: MonitorCosts) -> None:
+        self._costs = costs
+        # The two per-event syscalls, built once (None = free).
+        self._start_cost = (
+            Compute(costs.start_event) if costs.start_event > 0 else None
+        )
+        self._end_cost = (
+            Compute(costs.end_event) if costs.end_event > 0 else None
+        )
+
     # ------------------------------------------------------------------
     def add_segment(self, runtime: LocalSegmentRuntime) -> LocalSegmentRuntime:
         """Register a local segment; buffer processing follows this order."""
@@ -535,60 +542,60 @@ class MonitorThread:
         self._remote_queue.append(fn)
         self.sem.post()
 
-    def _push_timeout(
-        self, deadline: int, runtime: LocalSegmentRuntime, n: int
-    ) -> None:
-        token = CancelToken((runtime, n))
-        entry = runtime.pending.get(n)
-        if entry is not None:
-            entry.token = token
+    def _push_timeout(self, deadline: int, token: CancelToken) -> None:
         seq = self._timeout_seq
         self._timeout_seq = seq + 1
         self._timeout_queue.push(deadline, 0, seq, token)
 
-    def _next_expiry(self) -> Optional[int]:
-        entry = self._timeout_queue.peek()
-        return None if entry is None else entry[0]
-
     # ------------------------------------------------------------------
     def _body(self, _thread):
+        queue = self._timeout_queue
+        remote_queue = self._remote_queue
+        # One syscall object, re-aimed per wait: the scheduler reads it
+        # before the thread runs again.
+        wait = WaitSem(self.sem)
         while True:
-            next_expiry = self._next_expiry()
-            if next_expiry is None:
-                timeout = None
-            else:
-                timeout = max(0, next_expiry - self.ecu.now())
-            yield WaitSem(self.sem, timeout=timeout)
+            yield wait
             self.wakeups += 1
             # 1) Remote timeout forwards (Sec. V-B path).
-            while self._remote_queue:
-                fn = self._remote_queue.popleft()
+            while remote_queue:
+                fn = remote_queue.popleft()
                 if self.costs.remote_entry > 0:
                     yield Compute(self.costs.remote_entry)
                 fn()
-            # 2) Drain buffers in fixed segment order.
+            # 2) Drain buffers in fixed segment order.  Most are empty on
+            # any one wake-up and are not touched.
             for runtime in self.segments:
-                for n, ts, data in runtime.start_buffer.drain():
-                    if self.costs.start_event > 0:
-                        yield Compute(self.costs.start_event)
-                    runtime._arm(n, ts, data)
-                for n, ts in runtime.end_buffer.drain():
-                    if self.costs.end_event > 0:
-                        yield Compute(self.costs.end_event)
-                    runtime._complete(n, ts)
-            # 3) Raise exceptions for expired timeouts, earliest first.
+                if runtime.start_buffer._items:
+                    for n, ts, data in runtime.start_buffer.drain():
+                        if self._start_cost is not None:
+                            yield self._start_cost
+                        runtime._arm(n, ts, data)
+                if runtime.end_buffer._items:
+                    for n, ts in runtime.end_buffer.drain():
+                        if self._end_cost is not None:
+                            yield self._end_cost
+                        runtime._complete(n, ts)
+            # 3) Raise exceptions for expired timeouts, earliest first;
+            # then sleep until the earliest live deadline.  No simulated
+            # time passes between the last clock reading and the wait.
             while True:
-                expiry = self._next_expiry()
-                if expiry is None or expiry > self.ecu.now():
+                head = queue.peek()
+                if head is None:
+                    wait.timeout = None
                     break
-                popped = self._timeout_queue.pop()
+                timeout = head[0] - self.ecu.now()
+                if timeout > 0:
+                    wait.timeout = timeout
+                    break
+                popped = queue.pop()
                 assert popped is not None  # peek just saw a live entry
                 runtime, n = popped[3].data
                 # Last-moment check: the end event may have been posted
                 # while we were processing other segments.
                 for end_n, end_ts in runtime.end_buffer.drain():
-                    if self.costs.end_event > 0:
-                        yield Compute(self.costs.end_event)
+                    if self._end_cost is not None:
+                        yield self._end_cost
                     runtime._complete(end_n, end_ts)
                 if n not in runtime.pending:
                     continue

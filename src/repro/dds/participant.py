@@ -79,8 +79,9 @@ class DomainParticipant:
         self._event_sem.post()
 
     def _event_thread_body(self, _thread):
+        wait = WaitSem(self._event_sem)
         while True:
-            yield WaitSem(self._event_sem)
+            yield wait
             if not self._event_queue:
                 continue
             fn, args = self._event_queue.popleft()

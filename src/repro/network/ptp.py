@@ -46,7 +46,11 @@ class DriftingClock:
 
     def now(self) -> int:
         """Current local time in ns."""
-        return self.sim.now + self._current_offset()
+        # _current_offset(), inlined: every monitored event is stamped here.
+        now = self.sim.now
+        return now + self._offset0 + int(
+            (now - self._sync_time) * self.drift_ppm * 1e-6
+        )
 
     def _current_offset(self) -> int:
         elapsed = self.sim.now - self._sync_time

@@ -79,8 +79,9 @@ class NetworkStack:
 
     # ------------------------------------------------------------------
     def _ksoftirq_body(self, _thread):
+        wait = WaitSem(self._rx_sem)
         while True:
-            got = yield WaitSem(self._rx_sem)
+            got = yield wait
             if not got:  # pragma: no cover - no timeout is ever armed
                 continue
             if not self._rx_queue:

@@ -59,8 +59,9 @@ class SingleThreadedExecutor:
         return len(self._queue)
 
     def _body(self, _thread):
+        wait = WaitSem(self._sem)
         while True:
-            yield WaitSem(self._sem)
+            yield wait
             if not self._queue:
                 continue
             callback, args, enqueued_at, ctx = self._queue.popleft()

@@ -177,6 +177,9 @@ class PerfectClock:
 class Ecu:
     """An electronic control unit: cores + scheduler + local clock.
 
+    ``ecu.now()`` reads the ECU-local clock, which may differ from
+    global sim time.
+
     Parameters
     ----------
     sim:
@@ -210,12 +213,20 @@ class Ecu:
                 governor = governor_factory()
                 core.governor = governor
                 governor.attach(core, sim)
-        #: Local clock; replaced by a drifting PTP clock in network setups.
         self.clock = PerfectClock(sim)
 
-    def now(self) -> int:
-        """Read the ECU-local clock (may differ from global sim time)."""
-        return self.clock.now()
+    @property
+    def clock(self):
+        """Local clock; replaced by a drifting PTP clock in network setups."""
+        return self._clock
+
+    @clock.setter
+    def clock(self, clock) -> None:
+        self._clock = clock
+        # ``ecu.now()`` is the clock's own bound method: the monitors
+        # stamp every event with it, and a forwarding method would
+        # double the calls.
+        self.now = clock.now
 
     def spawn(
         self,

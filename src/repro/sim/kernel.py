@@ -18,10 +18,14 @@ This module is the hottest path of the repository: every simulated
 microsecond of every experiment flows through :meth:`Simulator.run`.
 Queue entries are therefore plain ``(time, priority, seq, event)`` tuples
 (tuple comparison is C-level and the unique ``seq`` guarantees the event
-object itself is never compared), the queue primitives are pre-bound, and
-trace emission is skipped entirely while no hook is registered.  None of
-this changes observable behavior: the golden-trace suite
-(``tests/test_golden_traces.py``) pins the event order bit-for-bit.
+object itself is never compared), ``run`` and the ``schedule_*`` methods
+carry the queue's pop and push inlined, hot schedule sites pass no
+``label`` (only ``ScheduledEvent.__repr__`` reads one; formatting it per
+event costs more than the event), and trace emission is skipped entirely
+while no hook is registered.  None of this changes observable behavior:
+the golden-trace suite (``tests/test_golden_traces.py``) pins the event
+order bit-for-bit, and ``tests/test_hot_path_budget.py`` pins the number
+of events a perception frame fires.
 
 The queue is a bucketed calendar queue (:mod:`repro.sim.calendar`):
 O(1) amortized insert, one sort per time bucket, and eager reclamation
@@ -177,8 +181,11 @@ class Simulator:
         self._next_seq = itertools.count().__next__
         self._entity_ids: Dict[str, int] = {}
         self._rngs: Dict[str, np.random.Generator] = {}
-        self._running = False
         self._trace_hooks: List[Callable[[str, int, dict], None]] = []
+        #: True once a trace hook is registered.  Hot emitters check
+        #: this before building their field dicts, so untraced runs
+        #: (benchmarks, workers) skip the cost entirely.
+        self.tracing_active = False
         #: Optional :class:`repro.tracing.spans.SpanRecorder`.  Duck-typed
         #: like ``telemetry_sinks``: every hot-path consumer performs one
         #: is-None check when tracing is off.  Attach *before* ``run()``.
@@ -387,77 +394,67 @@ class Simulator:
         """
         count = 0
         cal = self._cal
-        pop = cal.pop
-        if until is None and max_events is None:
-            if self.spans is None:
-                # Fast path: the overwhelmingly common full-drain loop.
-                # While the overflow heap is empty, walk the active
-                # sorted run directly instead of paying a pop() call
-                # per event.  Callbacks can schedule (possibly into the
-                # overflow heap), cancel, or trigger a compaction that
-                # rebuilds the run, so the loop re-reads the queue
-                # state after every fired event and falls back to
-                # pop() whenever a merge with the overflow is needed.
-                while True:
-                    act = cal._act_sorted
-                    i = cal._act_idx
-                    if i < len(act) and not cal._extra:
-                        n = len(act)
-                        while i < n:
-                            entry = act[i]
-                            i += 1
-                            cal._act_idx = i
-                            event = entry[3]
-                            if event._seq != entry[2]:
-                                cal._dead -= 1
-                            else:
-                                event._cq = None
-                                self.now = entry[0]
-                                event.callback(*event.args)
-                                count += 1
-                                if cal._extra:
-                                    break
-                                act = cal._act_sorted
-                                n = len(act)
-                                i = cal._act_idx
-                        continue
-                    entry = pop()
-                    if entry is None:
-                        return count
-                    self.now = entry[0]
-                    event = entry[3]
+        spans = self.spans
+        if spans is None and max_events is None:
+            # The one production loop: CalendarQueue.pop, inlined, with
+            # the ``until`` compare folded in.  Nearly every event of a
+            # monitored run is scheduled a few microseconds ahead, into
+            # the bucket being drained, so the merge of the sorted run
+            # with the overflow heap is the common case, not the
+            # exception.  Callbacks can schedule, cancel, or trigger a
+            # compaction that rebuilds both, so the queue state is
+            # re-read for every entry.
+            limit = float("inf") if until is None else until
+            heappop = heapq.heappop
+            while True:
+                act = cal._act_sorted
+                i = cal._act_idx
+                extra = cal._extra
+                if i < len(act):
+                    entry = act[i]
+                    if extra and extra[0] < entry:
+                        entry = extra[0]
+                        i = -1
+                elif extra:
+                    entry = extra[0]
+                    i = -1
+                elif cal._activate():
+                    continue
+                else:
+                    break
+                time, _, seq, event = entry
+                live = event._seq == seq
+                if live and time > limit:
+                    break
+                if i < 0:
+                    heappop(extra)
+                else:
+                    cal._act_idx = i + 1
+                if live:
+                    event._cq = None
+                    self.now = time
                     event.callback(*event.args)
                     count += 1
-            spans = self.spans
+                else:
+                    cal._dead -= 1  # cancelled: consumed, not fired
+        else:
+            pop = cal.pop
             while True:
-                entry = pop()
+                entry = pop(until)
                 if entry is None:
                     break
                 self.now = entry[0]
                 event = entry[3]
-                spans.current = event.ctx
+                if spans is not None:
+                    spans.current = event.ctx
                 event.callback(*event.args)
                 count += 1
-            spans.current = None
-            return count
-        while True:
-            entry = pop(until)
-            if entry is None:
-                break
-            self.now = entry[0]
-            event = entry[3]
-            spans = self.spans
+                if max_events is not None and count >= max_events:
+                    raise SimulationError(f"exceeded max_events={max_events}")
             if spans is not None:
-                spans.current = event.ctx
-            event.callback(*event.args)
-            count += 1
-            if max_events is not None and count >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
+                spans.current = None
         if until is not None and self.now < until:
             self.now = until
-        spans = self.spans
-        if spans is not None:
-            spans.current = None
         return count
 
     @property
@@ -471,15 +468,7 @@ class Simulator:
     def add_trace_hook(self, hook: Callable[[str, int, dict], None]) -> None:
         """Register *hook(name, time_ns, fields)* for kernel trace points."""
         self._trace_hooks.append(hook)
-
-    @property
-    def tracing_active(self) -> bool:
-        """True when at least one trace hook is registered.
-
-        Hot emitters check this before building their field dicts, so
-        untraced runs (microbenchmarks, workers) skip the cost entirely.
-        """
-        return bool(self._trace_hooks)
+        self.tracing_active = True
 
     def emit_trace(self, name: str, **fields: Any) -> None:
         """Deliver a trace point to all registered hooks."""

@@ -44,6 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cpu import FrequencyGovernor
 
 
+_priority_key = attrgetter("priority")
+
+
 class SchedulerPolicy(enum.Enum):
     """Thread-to-core mapping discipline."""
 
@@ -122,8 +125,11 @@ class MulticoreScheduler:
         self.cores: List[Core] = [Core(i, self) for i in range(n_cores)]
         self.threads: List[SimThread] = []
         self._ready: List[SimThread] = []
+        #: True while a scheduling pass (or a compute completion) runs:
+        #: wake-ups raised from inside it only join the ready set, and
+        #: the running pass, which rescans after every dispatch, places
+        #: them.
         self._busy = False
-        self._pending_kick = False
         self.context_switches = 0
         #: Observers notified as ``fn(kind, thread)`` on dispatch/preempt.
         self.observers: List[Callable[[str, SimThread], None]] = []
@@ -166,15 +172,19 @@ class MulticoreScheduler:
     # ------------------------------------------------------------------
     def make_ready(self, thread: SimThread) -> None:
         """Transition *thread* to READY and trigger a scheduling pass."""
-        if thread.done:
-            return
-        if thread.state is ThreadState.RUNNING:
+        state = thread.state
+        if state is ThreadState.DONE or state is ThreadState.RUNNING:
             return
         thread.state = ThreadState.READY
         if thread not in self._ready:
             self._ready.append(thread)
         thread.activations += 1
-        self._kick()
+        if not self._busy:
+            self._busy = True
+            try:
+                self._schedule_pass()
+            finally:
+                self._busy = False
 
     # ------------------------------------------------------------------
     # Core speed changes (called via Core.set_speed)
@@ -196,61 +206,49 @@ class MulticoreScheduler:
     # ------------------------------------------------------------------
     # Scheduling core
     # ------------------------------------------------------------------
-    def _kick(self) -> None:
-        """Run scheduling passes until the assignment is stable."""
-        if self._busy:
-            self._pending_kick = True
-            return
-        self._busy = True
-        try:
-            while True:
-                self._pending_kick = False
-                self._schedule_pass()
-                if not self._pending_kick:
-                    break
-        finally:
-            self._busy = False
-
-    def _eligible_cores(self, thread: SimThread) -> List[Core]:
-        if thread.affinity is not None:
-            return [self.cores[thread.affinity]]
-        return self.cores
-
-    _priority_key = attrgetter("priority")
-
     def _schedule_pass(self) -> None:
-        while True:
-            if not self._ready:
-                return
+        """Dispatch ready threads, best first, until none can be placed.
+
+        Each candidate takes the first idle core it may run on; failing
+        that it preempts the lowest-priority running thread (youngest on
+        ties) if it outranks it.  Every dispatch restarts the scan (the
+        dispatched thread may have blocked again, or woken others), so
+        the assignment is stable when the pass returns.
+        """
+        ready = self._ready
+        cores = self.cores
+        while ready:
             # Deterministic order: priority desc; stable sort keeps FIFO
             # order among equal priorities (SCHED_FIFO semantics).
             # (reverse=True preserves the relative order of equal keys.)
-            if len(self._ready) > 1:
-                self._ready.sort(key=self._priority_key, reverse=True)
-            dispatched = False
-            for thread in list(self._ready):
-                eligible = self._eligible_cores(thread)
-                idle = next((c for c in eligible if c.idle), None)
-                if idle is not None:
-                    self._ready.remove(thread)
-                    self._dispatch(idle, thread)
-                    dispatched = True
-                    break
-                # No idle eligible core: try to preempt the lowest-priority
-                # running thread among eligible cores.
-                victim_core = min(
-                    eligible,
-                    key=lambda c: (c.thread.priority, -c.thread.tid),  # type: ignore[union-attr]
-                )
-                victim = victim_core.thread
-                assert victim is not None
-                if thread.priority > victim.priority:
-                    self._preempt(victim_core)
-                    self._ready.remove(thread)
-                    self._dispatch(victim_core, thread)
-                    dispatched = True
-                    break
-            if not dispatched:
+            if len(ready) > 1:
+                ready.sort(key=_priority_key, reverse=True)
+            for thread in ready:
+                if thread.affinity is not None:
+                    target = cores[thread.affinity]
+                    victim = target.thread
+                else:
+                    target = victim = None
+                    for core in cores:
+                        running = core.thread
+                        if running is None:
+                            target, victim = core, None
+                            break
+                        if (
+                            victim is None
+                            or running.priority < victim.priority
+                            or (running.priority == victim.priority
+                                and running.tid > victim.tid)
+                        ):
+                            target, victim = core, running
+                if victim is not None:
+                    if thread.priority <= victim.priority:
+                        continue
+                    self._preempt(target)
+                ready.remove(thread)
+                self._dispatch(target, thread)
+                break
+            else:
                 return
 
     def _preempt(self, core: Core) -> None:
@@ -263,10 +261,7 @@ class MulticoreScheduler:
             done_work = int(elapsed_wall * core.slice_speed)
             thread.remaining_work = max(0, thread.remaining_work - done_work)
             core.completion_event = None
-        self._charge_slice(core)
-        core.thread = None
-        thread.core_index = None
-        thread.state = ThreadState.READY
+        self._leave_core(core, thread, ThreadState.READY)
         thread.preemptions += 1
         self.context_switches += 1
         if thread not in self._ready:
@@ -274,128 +269,123 @@ class MulticoreScheduler:
             # (SCHED_FIFO), ahead of equal-priority threads that were
             # already waiting.
             self._ready.insert(0, thread)
-        self._notify("preempt", thread)
+        if self.observers:
+            self._notify("preempt", thread)
         if core.governor is not None:
             core.governor.on_core_idle(core)
 
-    def _charge_slice(self, core: Core) -> None:
-        thread = core.thread
-        if thread is None:
-            return
-        elapsed = self.sim.now - core.slice_start
+    def _leave_core(
+        self, core: Core, thread: SimThread, state: ThreadState
+    ) -> None:
+        """Charge the slice that just ended and vacate *core*."""
+        now = self.sim.now
+        elapsed = now - core.slice_start
         if elapsed > 0:
             core.busy_time += elapsed
             thread.total_cpu_time += elapsed
-        core.slice_start = self.sim.now
+        core.slice_start = now
+        core.thread = None
+        thread.core_index = None
+        thread.state = state
 
     def _dispatch(self, core: Core, thread: SimThread) -> None:
         """Place *thread* on *core* and drive it until it blocks or computes."""
-        was_idle = core.idle
         core.thread = thread
         core.slice_start = self.sim.now
         core.dispatch_count += 1
         thread.core_index = core.index
         thread.state = ThreadState.RUNNING
-        self._notify("dispatch", thread)
-        if was_idle and core.governor is not None:
+        if self.observers:
+            self._notify("dispatch", thread)
+        if core.governor is not None:
             core.governor.on_core_busy(core)
         self._drive(core)
 
     def _drive(self, core: Core) -> None:
         """Advance the thread on *core* until it starts a compute slice,
-        blocks, yields, or finishes."""
+        blocks, yields, or finishes.
+
+        Runs with ``_busy`` set; the caller's scheduling pass hands a
+        vacated core to the next ready thread.
+        """
         thread = core.thread
         assert thread is not None
+        sim = self.sim
+        gen = thread._gen
         while True:
             if thread.remaining_work > 0:
                 # Resume a preempted compute slice.
                 self._begin_compute_slice(core, thread)
                 return
-            spans = self.sim.spans
+            spans = sim.spans
             if spans is not None:
                 # Restore the thread-carried ambient context: the kernel
                 # event that resumed us belongs to the scheduler, not to
                 # whatever work this thread was doing when it suspended.
                 spans.current = thread.span_ctx
-            syscall = thread.advance()
-            if syscall is None:
-                # Thread finished.
-                self._charge_slice(core)
-                core.thread = None
-                thread.core_index = None
+            # The result of the previous syscall is delivered as the value
+            # of the thread's yield expression.
+            value = thread.pending_value
+            thread.pending_value = None
+            try:
+                # next() works for generators and plain iterators alike.
+                syscall = next(gen) if value is None else gen.send(value)
+            except StopIteration:
+                self._leave_core(core, thread, ThreadState.DONE)
                 if core.governor is not None:
                     core.governor.on_core_idle(core)
-                self._notify("exit", thread)
-                self._kick_or_flag()
+                if self.observers:
+                    self._notify("exit", thread)
                 return
-            if isinstance(syscall, Compute):
+            kind = type(syscall)
+            if kind is Compute:
                 if syscall.duration == 0:
                     continue
                 thread.remaining_work = syscall.duration
                 self._begin_compute_slice(core, thread)
                 return
-            if isinstance(syscall, Sleep):
-                self._charge_slice(core)
-                core.thread = None
-                thread.core_index = None
-                thread.state = ThreadState.SLEEPING
-                self._notify("block", thread)
-                if core.governor is not None:
-                    core.governor.on_core_idle(core)
-                self.sim.schedule_after(
-                    syscall.duration,
-                    self._wake_from_sleep,
-                    thread,
-                    label=f"sleep:{thread.name}",
-                )
-                self._kick_or_flag()
-                return
-            if isinstance(syscall, WaitSem):
+            if kind is WaitSem:
                 if syscall.semaphore._try_acquire():
                     thread.pending_value = True
                     continue
-                # Must block.
-                self._charge_slice(core)
-                core.thread = None
-                thread.core_index = None
-                thread.state = ThreadState.BLOCKED
-                self._notify("block", thread)
-                if core.governor is not None:
-                    core.governor.on_core_idle(core)
+                state, edge = ThreadState.BLOCKED, "block"
+            elif kind is Sleep:
+                state, edge = ThreadState.SLEEPING, "block"
+            elif kind is Yield:
+                state, edge = ThreadState.READY, "yield"
+            elif isinstance(syscall, Syscall):
+                raise TypeError(f"unhandled syscall {syscall!r}")
+            else:
+                raise TypeError(
+                    f"thread {thread.name!r} yielded {syscall!r}, "
+                    f"expected a Syscall"
+                )
+            self._leave_core(core, thread, state)
+            if self.observers:
+                self._notify(edge, thread)
+            if core.governor is not None:
+                core.governor.on_core_idle(core)
+            if kind is WaitSem:
                 syscall.semaphore._enqueue(thread, syscall.timeout)
-                self._kick_or_flag()
-                return
-            if isinstance(syscall, Yield):
-                self._charge_slice(core)
-                core.thread = None
-                thread.core_index = None
-                thread.state = ThreadState.READY
-                self._notify("yield", thread)
-                if core.governor is not None:
-                    core.governor.on_core_idle(core)
-                if thread not in self._ready:
-                    self._ready.append(thread)
-                self._kick_or_flag()
-                return
-            raise TypeError(f"unhandled syscall {syscall!r}")
-
-    def _kick_or_flag(self) -> None:
-        """Request a scheduling pass (immediately or via the active one)."""
-        if self._busy:
-            self._pending_kick = True
-        else:
-            self._kick()
+            elif kind is Sleep:
+                sim.schedule_after(
+                    syscall.duration, self._wake_from_sleep, thread
+                )
+            elif thread not in self._ready:
+                self._ready.append(thread)
+            return
 
     def _begin_compute_slice(self, core: Core, thread: SimThread) -> None:
-        core.slice_start = self.sim.now
-        core.slice_speed = core.speed
-        wall = max(1, math.ceil(thread.remaining_work / core.speed))
-        core.completion_event = self.sim.schedule_after(
-            wall,
-            self._complete_compute,
-            core,
-            thread,
-            label=f"compute:{thread.name}",
+        sim = self.sim
+        speed = core.speed
+        core.slice_start = sim.now
+        core.slice_speed = speed
+        work = thread.remaining_work
+        # Integer-exact at nominal speed; ceil() only when a governor
+        # has scaled the core.
+        wall = work if speed == 1.0 else math.ceil(work / speed)
+        core.completion_event = sim.schedule_after(
+            wall if wall > 0 else 1, self._complete_compute, core, thread
         )
 
     def _complete_compute(self, core: Core, thread: SimThread) -> None:
@@ -403,18 +393,17 @@ class MulticoreScheduler:
             return
         core.completion_event = None
         thread.remaining_work = 0
-        self._charge_slice(core)
-        if self._busy:
-            # Completion events fire from kernel context; _busy should be
-            # False, but guard against re-entrant use.
-            self._pending_kick = True
-            return
+        now = self.sim.now
+        elapsed = now - core.slice_start
+        if elapsed > 0:
+            core.busy_time += elapsed
+            thread.total_cpu_time += elapsed
+        core.slice_start = now
+        # Completion events fire from the kernel, never inside a pass.
         self._busy = True
         try:
             self._drive(core)
-            while self._pending_kick:
-                self._pending_kick = False
-                self._schedule_pass()
+            self._schedule_pass()
         finally:
             self._busy = False
 

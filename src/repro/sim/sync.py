@@ -14,7 +14,7 @@ can be targeted by the :class:`~repro.sim.threads.WaitSem` syscall;
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.sim.kernel import ScheduledEvent, Simulator
 from repro.sim.threads import SimThread, ThreadState
@@ -43,6 +43,10 @@ class Semaphore:
         self.name = name
         self._count = initial
         self._waiters: List[_Waiter] = []
+        #: One reusable waiter record (and timeout event handle) per
+        #: thread that ever blocked here: a thread waits at most once at
+        #: a time, and a handful of threads share any one semaphore.
+        self._records: Dict[SimThread, _Waiter] = {}
         #: Statistics: number of posts that found no waiter.
         self.posts = 0
         self.timeouts = 0
@@ -65,34 +69,38 @@ class Semaphore:
         return False
 
     def _enqueue(self, thread: SimThread, timeout: Optional[int]) -> None:
-        timeout_event = None
-        waiter = _Waiter(thread, None)
+        waiter = self._records.get(thread)
+        if waiter is None:
+            waiter = self._records[thread] = _Waiter(thread, None)
         if timeout is not None:
-            timeout_event = self.sim.schedule_after(
-                timeout,
-                self._on_timeout,
-                waiter,
-                label=f"semtimeout:{self.name}:{thread.name}",
-            )
-            waiter.timeout_event = timeout_event
+            sim = self.sim
+            handle = waiter.timeout_event
+            if handle is None:
+                handle = sim.schedule_after(timeout, self._on_timeout, waiter)
+            else:
+                # Re-arm the thread's one handle: no allocation, and one
+                # sequence number consumed, as a fresh event would.
+                handle = sim.reschedule(handle, sim.now + timeout)
+            waiter.timeout_event = handle
         self._waiters.append(waiter)
 
     # -- public API ------------------------------------------------------
     def post(self) -> None:
         """Release the semaphore, waking the best waiter if any."""
         self.posts += 1
-        waiter = self._pop_best_waiter()
-        if waiter is None:
+        waiters = self._waiters
+        if not waiters:
             self._count += 1
             return
+        waiter = waiters.pop() if len(waiters) == 1 else self._pop_best_waiter()
         if waiter.timeout_event is not None:
+            # A no-op on the spent handle of an earlier timed wait.
             waiter.timeout_event.cancel()
-        waiter.thread.pending_value = True
-        waiter.thread.scheduler.make_ready(waiter.thread)
+        thread = waiter.thread
+        thread.pending_value = True
+        thread.scheduler.make_ready(thread)
 
-    def _pop_best_waiter(self) -> Optional[_Waiter]:
-        if not self._waiters:
-            return None
+    def _pop_best_waiter(self) -> _Waiter:
         best_index = 0
         for i, waiter in enumerate(self._waiters[1:], start=1):
             if waiter.thread.priority > self._waiters[best_index].thread.priority:
@@ -138,10 +146,7 @@ class EventFlag:
         waiter = _Waiter(thread, None)
         if timeout is not None:
             waiter.timeout_event = self.sim.schedule_after(
-                timeout,
-                self._on_timeout,
-                waiter,
-                label=f"flagtimeout:{self.name}:{thread.name}",
+                timeout, self._on_timeout, waiter
             )
         self._waiters.append(waiter)
 

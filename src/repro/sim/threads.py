@@ -32,7 +32,11 @@ from typing import Any, Callable, Generator, Iterator, Optional, Union
 
 
 class Syscall:
-    """Base class for requests a thread yields to the scheduler."""
+    """Base class for requests a thread yields to the scheduler.
+
+    The four concrete syscalls below are final: the scheduler
+    dispatches on their exact type.
+    """
 
     __slots__ = ()
 
@@ -143,14 +147,13 @@ class SimThread:
         else:
             self._gen = body  # type: ignore[assignment]
         self.state = ThreadState.NEW
-        #: Value delivered to the generator on next advance (syscall result).
+        #: Value the scheduler delivers to the generator when it next
+        #: resumes it (the result of the syscall the thread yielded).
         self.pending_value: Any = None
         #: Remaining compute work (ns at speed 1.0) if preempted mid-compute.
         self.remaining_work: int = 0
         #: Core index the thread currently runs on, or None.
         self.core_index: Optional[int] = None
-        #: Bookkeeping for blocked states (set by scheduler/sync objects).
-        self.wakeup_event: Any = None
         #: Scheduler owning this thread (set on scheduler.add_thread).
         self.scheduler: Any = None
         #: Cumulative statistics.
@@ -160,29 +163,6 @@ class SimThread:
         #: Span context carried across suspensions (span tracing only;
         #: restored by the scheduler before every generator resumption).
         self.span_ctx: Any = None
-
-    # ------------------------------------------------------------------
-    def advance(self) -> Optional[Syscall]:
-        """Resume the generator; return the next syscall or None when done.
-
-        ``pending_value`` is delivered as the result of the previous yield
-        and reset to ``None``.
-        """
-        value, self.pending_value = self.pending_value, None
-        try:
-            if value is None:
-                # Works for generators and plain iterators alike.
-                syscall = next(self._gen)
-            else:
-                syscall = self._gen.send(value)
-        except StopIteration:
-            self.state = ThreadState.DONE
-            return None
-        if not isinstance(syscall, Syscall):
-            raise TypeError(
-                f"thread {self.name!r} yielded {syscall!r}, expected a Syscall"
-            )
-        return syscall
 
     @property
     def done(self) -> bool:

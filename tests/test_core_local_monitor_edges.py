@@ -7,6 +7,7 @@ from _harness import Message, PipelineWorld, activation_of
 from repro.core import MKConstraint, Outcome, SkipGate
 from repro.core.local_monitor import MonitorCosts
 from repro.dds.topic import Sample, Topic
+from repro.tracing.spans import SpanRecorder
 
 
 class TestSkipGateCounterMode:
@@ -66,6 +67,7 @@ class TestBufferOverflow:
         from repro.core.local_monitor import EventRingBuffer
 
         world.runtime.start_buffer = EventRingBuffer(capacity=1)
+        world.sim.spans = SpanRecorder(world.sim)
         # Hog every core at a priority above the monitor so it can never
         # drain the buffer.
         for i in range(len(world.ecu.scheduler.cores)):
@@ -74,6 +76,18 @@ class TestBufferOverflow:
         world.publish_frames(5)
         world.run(until=msec(600))
         assert world.runtime.start_buffer.overflows >= 3
+        # Once the hogs are gone the one buffered start is armed (and
+        # expires), and one more frame wakes the monitor to find the
+        # end events of the dropped starts stale.  A dropped start must
+        # not have left a span context behind: nothing would ever
+        # consume it.
+        world.sim.schedule_at(
+            msec(10_500), lambda: world.pub_a.publish(Message(frame_index=5))
+        )
+        world.run(until=msec(11_000))
+        assert world.runtime.stale_end_events >= 3
+        assert world.runtime.pending == {}
+        assert world.runtime._span_ctx == {}
 
 
 class TestMonitorCosts:

@@ -1,0 +1,126 @@
+"""Clock-free budget of the monitor -> scheduler -> kernel wake-up path.
+
+The monitor is a simulated high-priority thread, so every event it
+handles is paid for in the scheduler and the kernel.  This module runs
+the sparse perception stack (tiny clouds: the simulator, not the
+numerics, does the work) for 30 frames under a ``sys.setprofile``
+counter and pins three host-independent quantities:
+
+* Python-level calls into ``repro`` per frame, monitored and
+  unmonitored, and their difference (what the monitor adds) -- as
+  ceilings, 3% above what the code reaches on CPython <= 3.11 (3.12
+  inlines comprehensions and counts lower);
+* the *exact* number of events ``Simulator.run`` fires, so a cheaper
+  frame can only come from cheaper events, never from different ones;
+* what a hot event may not cost: a ``CalendarQueue.pop`` call per fired
+  event on the ``run(until=...)`` route the stack takes, or a formatted
+  label (only ``ScheduledEvent.__repr__`` ever reads one).
+"""
+
+import os
+import sys
+
+import pytest
+
+import repro
+from repro.perception import PerceptionStack, StackConfig
+from repro.perception.scenario import ScenarioConfig
+from repro.sim.calendar import CalendarQueue
+from repro.sim.kernel import ScheduledEvent, Simulator
+
+FRAMES = 30
+
+#: Calls per frame reached by this code on CPython 3.11: 648.9
+#: monitored, 399.6 unmonitored, 249.2 added by the monitor.
+MONITORED_CEILING = 668
+UNMONITORED_CEILING = 412
+ADDED_CEILING = 257
+
+#: Events fired over the 30 frames (27.67 / 18.17 per frame).
+MONITORED_EVENTS = 830
+UNMONITORED_EVENTS = 545
+
+#: Labelled events per frame: link and DDS deliveries (3 + 3) plus the
+#: odd PTP round and timer, 6.3 in all.  The compute slices, sleeps and
+#: semaphore timeouts the scheduler schedules (18 per monitored frame)
+#: carry none.
+LABELLED_CEILING = 7
+
+_ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+_POP = CalendarQueue.pop.__code__
+_EVENT_INIT = ScheduledEvent.__init__.__code__
+
+
+class _Run:
+    """Counters of one profiled 30-frame run."""
+
+    def __init__(self, monitoring: bool) -> None:
+        stack = PerceptionStack(StackConfig(
+            seed=1, monitoring=monitoring, trace_prefixes=(),
+            scenario=ScenarioConfig(
+                seed=1, ground_rings=2, points_per_ring=24, max_objects=1,
+                points_per_object_mean=10,
+            ),
+        ))
+        self.calls = self.pops = self.labelled = self.fired = 0
+        run = Simulator.run
+
+        def counting_run(sim, *args, **kwargs):
+            fired = run(sim, *args, **kwargs)
+            self.fired += fired
+            return fired
+
+        def profile(frame, event, _arg):
+            if event != "call":
+                return
+            code = frame.f_code
+            if not code.co_filename.startswith(_ROOT):
+                return
+            self.calls += 1
+            if code is _POP:
+                self.pops += 1
+            elif code is _EVENT_INIT and frame.f_locals["label"]:
+                self.labelled += 1
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(Simulator, "run", counting_run)
+            sys.setprofile(profile)
+            try:
+                stack.run(n_frames=FRAMES)
+            finally:
+                sys.setprofile(None)
+        self.per_frame = self.calls / FRAMES
+
+
+@pytest.fixture(scope="module")
+def runs():
+    return _Run(monitoring=True), _Run(monitoring=False)
+
+
+def test_calls_per_frame_under_ceiling(runs):
+    monitored, unmonitored = runs
+    assert monitored.per_frame <= MONITORED_CEILING
+    assert unmonitored.per_frame <= UNMONITORED_CEILING
+
+
+def test_monitor_adds_calls_under_its_own_ceiling(runs):
+    monitored, unmonitored = runs
+    assert monitored.per_frame - unmonitored.per_frame <= ADDED_CEILING
+
+
+def test_cheaper_events_not_different_events(runs):
+    monitored, unmonitored = runs
+    assert monitored.fired == MONITORED_EVENTS
+    assert unmonitored.fired == UNMONITORED_EVENTS
+
+
+def test_bounded_run_pays_no_pop_call_per_event(runs):
+    # PerceptionStack.run drives sim.run(until=horizon) with no span
+    # recorder: that route is the inlined walk, not a pop() per event.
+    for run in runs:
+        assert run.pops * 10 < run.fired
+
+
+def test_hot_schedule_sites_format_no_label(runs):
+    for run in runs:
+        assert run.labelled / FRAMES <= LABELLED_CEILING

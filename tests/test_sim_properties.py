@@ -5,11 +5,16 @@ Random task sets are executed and global invariants checked:
   at a scheduling quiescence point;
 - work conservation: total CPU time charged equals the busy time cores
   accumulated;
-- determinism: identical seeds yield identical schedules.
+- determinism: identical seeds yield identical schedules;
+- bounded runs: a schedule driven as ``run(until=t1); run(until=t2);
+  ...; run()`` fires the same events, in the same order, as one
+  ``run()`` and as the heap reference kernel driven the same way.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from _reference.heap_kernel import HeapSimulator
 
 from repro.sim import (
     Compute,
@@ -19,6 +24,7 @@ from repro.sim import (
     msec,
     usec,
 )
+from repro.sim.calendar import DEFAULT_SHIFT
 from repro.sim.threads import ThreadState
 
 
@@ -139,3 +145,117 @@ class TestSchedulerProperties:
             for (t_b, p_b) in finish.values():
                 if p_a > p_b:
                     assert t_a <= t_b
+
+
+# ----------------------------------------------------------------------
+# Bounded runs: run(until=t1); run(until=t2); ...; run() == one run()
+# ----------------------------------------------------------------------
+#: Half a calendar bucket, so generated times tie, share a bucket, land
+#: in the bucket being drained (the overflow heap) and cross buckets.
+STEP = 1 << (DEFAULT_SHIFT - 1)
+#: Deltas around the grid: an instant, a tie, and one tick either side.
+deltas = st.sampled_from([0, 1, STEP - 1, STEP, STEP + 1, 2 * STEP, 5 * STEP])
+priorities = st.integers(min_value=0, max_value=2)
+
+#: What a fired event does, in order.  ``pick`` indexes the handles
+#: issued so far (modulo their number), so every draw is valid.
+actions = st.lists(
+    st.one_of(
+        st.tuples(st.just("after"), deltas, priorities),
+        st.tuples(st.just("now")),
+        st.tuples(st.just("cancel"), st.integers(0, 63)),
+        st.tuples(st.just("reschedule"), st.integers(0, 63), deltas),
+    ),
+    max_size=4,
+)
+#: Scripts are shared by index, so events scheduled by callbacks have
+#: behaviour of their own without a recursive strategy.
+scripts = st.lists(actions, min_size=1, max_size=6)
+initial_events = st.lists(
+    st.tuples(deltas, deltas, priorities), min_size=1, max_size=12
+)
+cut_points = st.lists(deltas, max_size=6)
+
+#: A script may re-arm its own (fired) handle at ``now`` forever.
+MAX_FIRED = 150
+
+
+class _Schedule:
+    """One generated schedule bound to one simulator."""
+
+    def __init__(self, sim, scripts, initial):
+        self.sim = sim
+        self.scripts = scripts
+        self.handles = []
+        self.fired = []
+        for i, (a, b, priority) in enumerate(initial):
+            self.handles.append(
+                sim.schedule_at(a + b, self._fire, i, i, priority=priority)
+            )
+
+    def _fire(self, ident, script):
+        sim = self.sim
+        self.fired.append((ident, sim.now))
+        if len(self.fired) >= MAX_FIRED:
+            return
+        for op in self.scripts[script % len(self.scripts)]:
+            if op[0] == "after":
+                self.handles.append(sim.schedule_after(
+                    op[1], self._fire, len(self.handles), script + 1,
+                    priority=op[2],
+                ))
+            elif op[0] == "now":
+                self.handles.append(sim.call_now(
+                    self._fire, len(self.handles), script + 2
+                ))
+            elif op[0] == "cancel":
+                self.handles[op[1] % len(self.handles)].cancel()
+            else:
+                pick = op[1] % len(self.handles)
+                # reschedule() returns the handle to keep.
+                self.handles[pick] = sim.reschedule(
+                    self.handles[pick], sim.now + op[2]
+                )
+
+    def run_sliced(self, cuts):
+        """``(now, fired, pending)`` after every slice, then a drain."""
+        trail = []
+        until = 0
+        for delta in cuts:
+            until += delta
+            count = self.sim.run(until=until)
+            assert self.sim.now == until
+            assert all(time <= until for _ident, time in self.fired)
+            trail.append((self.sim.now, count, self.sim.pending_events))
+        trail.append((None, self.sim.run(), self.sim.pending_events))
+        return trail
+
+
+class TestBoundedRun:
+    @given(scripts, initial_events, cut_points)
+    @settings(max_examples=200, deadline=None)
+    def test_sliced_run_equals_one_run_and_the_heap_reference(
+        self, scripts, initial, cuts
+    ):
+        whole = _Schedule(Simulator(), scripts, initial)
+        whole_count = whole.sim.run()
+
+        sliced = _Schedule(Simulator(), scripts, initial)
+        trail = sliced.run_sliced(cuts)
+        assert sliced.fired == whole.fired
+        assert sum(count for _now, count, _pending in trail) == whole_count
+        assert sliced.sim.pending_events == whole.sim.pending_events
+
+        reference = _Schedule(HeapSimulator(), scripts, initial)
+        assert reference.run_sliced(cuts) == trail
+        assert reference.fired == whole.fired
+
+    def test_events_at_exactly_until_fire_and_empty_slices_advance(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(STEP, fired.append, "at")
+        sim.schedule_at(STEP + 1, fired.append, "beyond")
+        assert sim.run(until=STEP - 1) == 0 and sim.now == STEP - 1
+        assert sim.run(until=STEP) == 1 and fired == ["at"]
+        assert sim.run(until=STEP) == 0 and sim.now == STEP
+        assert sim.run() == 1 and sim.now == STEP + 1
