@@ -12,7 +12,7 @@ Two rejection oracles:
 
 - **(m,k) regression** -- per ``(source, chain)``, feed the re-derived
   propagated miss series through a fresh
-  :class:`~repro.core.weakly_hard.MissWindow`; reject when the
+  :class:`~repro.core.weakly_hard.MKAutomaton`; reject when the
   candidate's total violation count exceeds the baseline's.
 - **silent chain violation** -- ground truth the monitors cannot see
   directly: an activation whose end-to-end latency exceeds ``B_e2e``
@@ -33,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.adaptive.epochs import BudgetEpoch
 from repro.adaptive.resolver import align_window
 from repro.core.chains import EventChain
-from repro.core.weakly_hard import MissWindow
+from repro.core.weakly_hard import MKAutomaton
 from repro.telemetry.records import TelemetryRecord
 
 
@@ -88,10 +88,10 @@ def _replay(
     """Replay aligned rows under one budget map.
 
     Returns ``(mk_violations, silent_violations)``: per-source
-    :class:`MissWindow` totals over the propagated miss series, and
+    :class:`MKAutomaton` totals over the propagated miss series, and
     the count of true e2e violations no segment deadline caught.
     """
-    windows: Dict[str, MissWindow] = {}
+    windows: Dict[str, MKAutomaton] = {}
     violations = 0
     silent = 0
     for source, _activation, latencies in rows:
@@ -101,7 +101,7 @@ def _replay(
         )
         window = windows.get(source)
         if window is None:
-            window = windows[source] = MissWindow((chain.mk.m, chain.mk.k))
+            window = windows[source] = MKAutomaton(chain.mk)
         if window.record(detected):
             violations += 1
         e2e = sum(latencies[segment.name] for segment in chain.segments)

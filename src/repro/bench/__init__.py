@@ -1,35 +1,2 @@
-"""Benchmark harness: hot-path microbenches, JSON baselines, regression
-comparison (``python -m repro bench``)."""
-
-from repro.bench.harness import (
-    DEFAULT_THRESHOLD,
-    SCHEMA,
-    BenchResult,
-    CompareReport,
-    Comparison,
-    compare_suites,
-    load_suite,
-    render_suite,
-    run_bench,
-    suite_to_json,
-    validate_suite,
-    write_suite,
-)
-from repro.bench.suites import SUITES, run_suite
-
-__all__ = [
-    "BenchResult",
-    "CompareReport",
-    "Comparison",
-    "DEFAULT_THRESHOLD",
-    "SCHEMA",
-    "SUITES",
-    "compare_suites",
-    "load_suite",
-    "render_suite",
-    "run_bench",
-    "run_suite",
-    "suite_to_json",
-    "validate_suite",
-    "write_suite",
-]
+"""Per-layer microbenchmarks: harness, JSON baselines, regression
+comparison (``python -m repro bench``; end to end: ``python -m e2e_bench``)."""

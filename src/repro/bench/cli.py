@@ -2,12 +2,13 @@
 
 Examples
 --------
-Run everything and write ``BENCH_kernel.json`` / ``BENCH_e2e.json``::
+Run everything and write ``BENCH_kernel.json`` / ``BENCH_layers.json``::
 
     python -m repro bench --suite all --out .
 
 Regression-check the kernel suite against a committed baseline (exits
-non-zero when any benchmark got more than ``--threshold`` slower)::
+non-zero when any benchmark got more than ``--threshold`` slower relative
+to the reference loop timed beside it)::
 
     python -m repro bench --suite kernel --quick --compare BENCH_kernel.json
 """
@@ -38,8 +39,8 @@ def bench_file_name(suite: str) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
-        description="Micro/e2e benchmarks with JSON baselines and "
-        "regression comparison.",
+        description="Per-layer microbenchmarks with JSON baselines and "
+        "regression comparison (end-to-end: python -m e2e_bench).",
     )
     parser.add_argument(
         "--suite",
@@ -50,7 +51,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="one warm-up call, then 3 timed iterations instead of 7 (CI smoke mode)",
+        help="one warm-up call, then 5 timed iterations instead of 7 (CI smoke mode)",
     )
     parser.add_argument(
         "--only",

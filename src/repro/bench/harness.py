@@ -2,16 +2,21 @@
 comparison.
 
 A benchmark is a callable returning the number of *units* it processed
-(events fired, frames simulated, CSP solves...).  The harness times
-repeated calls with ``perf_counter_ns``, reports median / p95 / min wall
-time per iteration and derived units-per-second throughput, and persists
-suites as machine-readable ``BENCH_<suite>.json`` files with a stable
-schema, so CI can archive them and ``--compare`` can fail the build on
-slowdowns.
+(events fired, CSP solves, records ingested...).  Every bench is
+single-threaded CPU work, so calls are timed with ``process_time_ns``
+(time off the CPU is not charged) with the collector off.  CPU time
+still swells with the host -- this one switches between speed regimes
+1.6x apart every few hundred milliseconds -- so one fixed pure-Python
+loop (:func:`reference_ns`) is timed before and after every call and
+each call is also expressed in units of the reference beside it.
+Suites persist as ``BENCH_<suite>.json``; ``--compare`` fails on
+slowdowns of that *relative* median, so a baseline recorded on a quiet
+host still judges a run made on a slow one.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import statistics
@@ -21,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Dict, List
 
 #: Schema identifier written into (and required from) every bench file.
-SCHEMA = "repro-bench/1"
+SCHEMA = "repro-bench/2"
 
 #: Default slowdown tolerance for --compare (fraction of baseline median).
 DEFAULT_THRESHOLD = 0.30
@@ -33,7 +38,7 @@ class BenchResult:
 
     name: str
     #: Which layer of the system the benchmark exercises (kernel, dds,
-    #: monitor, perception, budgeting, faults, e2e).
+    #: perception, budgeting, telemetry, warehouse, ...).
     layer: str
     iterations: int
     units: int
@@ -43,9 +48,17 @@ class BenchResult:
     min_ns: int
     #: Units processed per second at the median iteration time.
     units_per_s: float
+    #: Median of the :func:`reference_ns` timings taken between calls.
+    reference_ns: int
+    #: Median over the timed calls of ``call time / reference beside
+    #: it`` (mean of the one before and the one after): what
+    #: ``--compare`` judges.
+    relative: float
 
     def to_json(self) -> dict:
         return {
+            "reference_ns": self.reference_ns,
+            "relative": round(self.relative, 4),
             "layer": self.layer,
             "iterations": self.iterations,
             "units": self.units,
@@ -55,6 +68,24 @@ class BenchResult:
             "min_ns": self.min_ns,
             "units_per_s": round(self.units_per_s, 1),
         }
+
+
+def reference_ns() -> int:
+    """CPU ns of one fixed pure-Python loop: this host's speed just now.
+
+    The fastest of three passes: the first refills the caches the call
+    before it turned over.
+    """
+    def timed_pass() -> int:
+        t0 = time.process_time_ns()
+        table = {}
+        for i in range(5_000):
+            table[i, i + 1] = i
+        for i in range(5_000):
+            table[i, i + 1]
+        return time.process_time_ns() - t0
+
+    return min(timed_pass() for _ in range(3))
 
 
 def run_bench(
@@ -73,14 +104,25 @@ def run_bench(
     for _ in range(warmup):
         units = int(fn())
     samples: List[int] = []
-    for _ in range(iterations):
-        t0 = time.perf_counter_ns()
-        units = int(fn())
-        samples.append(time.perf_counter_ns() - t0)
+    gc.collect()  # as timeit does: the previous bench's garbage is not ours
+    gc.disable()
+    try:
+        references = [reference_ns()]
+        for _ in range(iterations):
+            t0 = time.process_time_ns()
+            units = int(fn())
+            samples.append(time.process_time_ns() - t0)
+            references.append(reference_ns())
+    finally:
+        gc.enable()
+    relative = statistics.median(
+        2 * sample / (before + after)
+        for sample, before, after in zip(samples, references, references[1:])
+    )
     samples.sort()
-    median_ns = int(statistics.median(samples))
+    median_ns = max(1, int(statistics.median(samples)))
     p95_index = min(len(samples) - 1, int(round(0.95 * (len(samples) - 1))))
-    per_second = units / (median_ns / 1e9) if median_ns > 0 else 0.0
+    per_second = units / (median_ns / 1e9)
     return BenchResult(
         name=name,
         layer=layer,
@@ -91,6 +133,8 @@ def run_bench(
         p95_ns=int(samples[p95_index]),
         min_ns=int(samples[0]),
         units_per_s=per_second,
+        reference_ns=int(statistics.median(references)),
+        relative=max(relative, 1e-9),
     )
 
 
@@ -130,13 +174,17 @@ def validate_suite(data: dict) -> None:
             raise ValueError(f"bench file missing {key!r}")
     if not isinstance(data["benchmarks"], dict):
         raise ValueError("'benchmarks' must be an object")
-    required = {"median_ns", "p95_ns", "units", "unit", "units_per_s", "layer"}
+    required = {
+        "median_ns", "p95_ns", "units", "unit", "units_per_s", "layer",
+        "reference_ns", "relative",
+    }
     for name, entry in data["benchmarks"].items():
         missing = required - set(entry)
         if missing:
             raise ValueError(f"benchmark {name!r} missing fields {sorted(missing)}")
-        if entry["median_ns"] <= 0:
-            raise ValueError(f"benchmark {name!r} has non-positive median_ns")
+        for key in ("median_ns", "reference_ns", "relative"):
+            if entry[key] <= 0:
+                raise ValueError(f"benchmark {name!r} has non-positive {key}")
 
 
 @dataclass
@@ -146,7 +194,9 @@ class Comparison:
     name: str
     baseline_median_ns: int
     current_median_ns: int
-    #: current / baseline median -- above 1.0 means slower.
+    #: current / baseline ``relative`` median (call time in units of the
+    #: reference loop timed beside it) -- above 1.0 means slower at
+    #: equal host speed.
     ratio: float
     regressed: bool
 
@@ -179,7 +229,8 @@ class CompareReport:
         for name in self.missing:
             lines.append(f"{name:32s} {'-':>12s} {'-':>12s} {'-':>7s}  MISSING")
         lines.append(
-            f"compare ({self.suite}, threshold +{self.threshold:.0%}): "
+            f"compare ({self.suite}, threshold +{self.threshold:.0%} "
+            f"at equal host speed): "
             f"{'PASS' if self.passed else 'FAIL'}"
         )
         return "\n".join(lines)
@@ -192,6 +243,8 @@ def compare_suites(
 ) -> CompareReport:
     """Compare a fresh suite against a baseline; flag >threshold slowdowns.
 
+    What is compared is ``relative``: the median call time in units of
+    the reference loop timed beside each call, i.e. at equal host speed.
     Benchmarks present only in the current run are ignored (new benches
     must not fail old baselines); benchmarks present only in the
     baseline are reported as missing and fail the comparison.
@@ -207,7 +260,7 @@ def compare_suites(
         if entry is None:
             report.missing.append(name)
             continue
-        ratio = entry["median_ns"] / base["median_ns"]
+        ratio = entry["relative"] / base["relative"]
         report.comparisons.append(
             Comparison(
                 name=name,

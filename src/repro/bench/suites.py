@@ -1,19 +1,21 @@
-"""The benchmark suites: hot-path microbenches + end-to-end layers.
+"""The benchmark suites: per-layer microbenches.
 
-Two suites are defined:
+End-to-end numbers (a perception frame with and without monitors, a
+fault scenario, the vehicle -> WAL -> ARQ -> gateway -> store path) are
+``e2e_bench``'s five workloads and are measured nowhere else.  The two
+suites here time what no workload isolates:
 
-- ``kernel`` (``BENCH_kernel.json``) -- microbenchmarks of the
-  simulation substrate itself: kernel event dispatch, cancellation
-  sweeps, scheduler context switches and preemption, timer re-arming,
-  and a full DDS publish -> executor -> callback round trip.
-- ``e2e`` (``BENCH_e2e.json``) -- per-layer costs of the paper
-  workloads: the perception stack with and without monitoring (their
-  difference is the monitor bookkeeping overhead), the vectorized
-  perception numerics, the budgeting CSP solvers, and one fault-campaign
-  scenario end to end.
+- ``kernel`` (``BENCH_kernel.json``) -- the simulation substrate
+  itself: kernel event dispatch (with and without a span recorder),
+  cancellation sweeps, scheduler context switches and preemption, timer
+  re-arming, and a full DDS publish -> executor -> callback round trip.
+- ``layers`` (``BENCH_layers.json``) -- one row per layer above it: the
+  vectorized perception numerics, the budgeting CSP solvers, columnar
+  telemetry ingest, budget re-derivation + shadow validation, and
+  warehouse ingest and query.
 
-Every benchmark is deterministic (fixed seeds) so timings are
-attributable to code changes, not workload drift.
+Every benchmark is deterministic (fixed seeds) and single-threaded CPU
+work, so timings are attributable to code changes, not workload drift.
 """
 
 from __future__ import annotations
@@ -25,23 +27,23 @@ import numpy as np
 
 from repro.bench.harness import BenchResult, run_bench
 
-#: name -> (factory kwargs) registries, filled below.
-KERNEL_SUITE = "kernel"
-E2E_SUITE = "e2e"
-
 
 # ----------------------------------------------------------------------
 # kernel suite
 # ----------------------------------------------------------------------
-def bench_kernel_dispatch() -> int:
-    """Schedule-and-fire cost of bare kernel events."""
-    from repro.sim import Simulator
-
-    sim = Simulator()
+def _dispatch_workload(sim) -> int:
+    """Schedule and fire 5000 bare kernel events on *sim*."""
     callback = (lambda: None)
     for i in range(5000):
         sim.schedule_at(i, callback)
     return sim.run()
+
+
+def bench_kernel_dispatch() -> int:
+    """Schedule-and-fire cost of bare kernel events."""
+    from repro.sim import Simulator
+
+    return _dispatch_workload(Simulator())
 
 
 def bench_kernel_cancel_sweep() -> int:
@@ -140,20 +142,9 @@ def bench_scheduler_preempt() -> int:
     return periods
 
 
-def _tracing_workload(sim) -> int:
-    """The shared dispatch workload for the tracing on/off pair."""
-    callback = (lambda: None)
-    for i in range(5000):
-        sim.schedule_at(i, callback)
-    return sim.run()
-
-
 def bench_tracing_spans_off() -> int:
     """Kernel dispatch with the span recorder absent (guards only)."""
-    from repro.sim import Simulator
-
-    sim = Simulator()
-    return _tracing_workload(sim)
+    return bench_kernel_dispatch()
 
 
 def bench_tracing_spans_on() -> int:
@@ -167,7 +158,7 @@ def bench_tracing_spans_on() -> int:
     sim.spans = recorder
     root = recorder.begin("bench", "compute", parent=None)
     recorder.current = root.context
-    fired = _tracing_workload(sim)
+    fired = _dispatch_workload(sim)
     recorder.end(root)
     return fired
 
@@ -196,31 +187,8 @@ def bench_dds_local_pubsub() -> int:
 
 
 # ----------------------------------------------------------------------
-# e2e suite
+# layers suite
 # ----------------------------------------------------------------------
-_E2E_FRAMES = 10
-
-
-def _run_stack(monitoring: bool) -> int:
-    from repro.perception import PerceptionStack, StackConfig
-
-    stack = PerceptionStack(
-        StackConfig(seed=3, monitoring=monitoring, trace_prefixes=())
-    )
-    stack.run(n_frames=_E2E_FRAMES)
-    return _E2E_FRAMES
-
-
-def bench_stack_monitored() -> int:
-    """Full two-ECU perception stack, monitors on (per-frame cost)."""
-    return _run_stack(True)
-
-
-def bench_stack_unmonitored() -> int:
-    """Same stack without monitors (their difference = bookkeeping)."""
-    return _run_stack(False)
-
-
 @functools.lru_cache(maxsize=None)
 def _fused_frames():
     """Eight fused front+rear frames of the default driving scenario.
@@ -305,38 +273,22 @@ def bench_budgeting_solve() -> int:
     return 3
 
 
-def bench_fault_scenario() -> int:
-    """One loss-burst campaign scenario end to end (both oracles)."""
-    from repro.faults.campaign import CampaignConfig, FaultCampaign, default_scenarios
-
-    frames = 24
-    scenario = next(s for s in default_scenarios() if s.name == "loss_burst")
-    campaign = FaultCampaign([scenario], CampaignConfig(n_frames=frames))
-    result = campaign.run()
-    assert result.scenarios, "scenario did not run"
-    return frames
-
-
-#: Lazily-built fleet stream of the telemetry ingest bench.
-#: Generation happens once, *outside* any timed iteration, so the
-#: measured work is the service's (queue, store, alert engine), not the
-#: generator's.
-_FLEET_STREAM = None
-
-
+@functools.lru_cache(maxsize=None)
 def _fleet_stream():
-    global _FLEET_STREAM
-    if _FLEET_STREAM is None:
-        from repro.telemetry import FleetConfig, FleetLoadGenerator
+    """The fleet stream of the telemetry ingest bench.
 
-        from repro.telemetry.batch import RecordBatch
+    Cached: generation happens once, outside the timed iterations, so
+    the measured work is the service's (queue, store, alert engine),
+    not the generator's.
+    """
+    from repro.telemetry import FleetConfig, FleetLoadGenerator
+    from repro.telemetry.batch import RecordBatch
 
-        generator = FleetLoadGenerator(FleetConfig(vehicles=4, frames=120))
-        _FLEET_STREAM = (
-            generator.config.store_config(),
-            RecordBatch.from_records(generator.materialize()),
-        )
-    return _FLEET_STREAM
+    generator = FleetLoadGenerator(FleetConfig(vehicles=4, frames=120))
+    return (
+        generator.config.store_config(),
+        RecordBatch.from_records(generator.materialize()),
+    )
 
 
 def bench_telemetry_ingest_batched() -> int:
@@ -354,111 +306,6 @@ def bench_telemetry_ingest_batched() -> int:
     service.drain()
     assert service.accounting_ok(), "telemetry accounting violated"
     return len(batch)
-
-
-#: Wall-clock cost (seconds) of one simulated channel step in the
-#: uplink roundtrip bench.  The adversarial channel is a
-#: discrete-event simulation; with free steps, "throughput" would
-#: measure only the encode/apply CPU and say nothing about how well
-#: the ARQ window keeps the link full.  Charging a fixed quantum per
-#: step turns link delay into wall time, so the number is dominated by
-#: step counts, not host speed.
-_LINK_STEP_S = 0.001
-#: One-way link delay in simulated steps (RTT is twice this, plus the
-#: turnaround step).  At 1 ms/step this models a ~8 ms-RTT link.
-_LINK_DELAY_STEPS = 4
-#: Ack timeout (steps); above the clean-channel RTT so the client
-#: never retransmits spuriously.
-_LINK_ACK_TIMEOUT = 16
-
-
-def bench_uplink_roundtrip_windowed() -> int:
-    """One fleet stream through the store-and-forward uplink path.
-
-    Every record is durably spooled (WAL append), carried over a
-    clean but latency-modeled channel (``_LINK_STEP_S`` of wall time
-    per simulated step, ``_LINK_DELAY_STEPS`` each way) by the
-    pipelined :class:`WindowedUplinkClient` (multi-record frames,
-    sliding window, cumulative acks, zero-re-encode relay of cached
-    WAL wire lines), deduplicated, logged append-before-ack, applied,
-    and acknowledged.
-    """
-    import tempfile
-    import time as _time
-    from pathlib import Path
-
-    from repro.telemetry import (
-        FleetConfig,
-        FleetLoadGenerator,
-        ServiceConfig,
-        TelemetryService,
-    )
-    from repro.telemetry.uplink import (
-        AdversarialChannel,
-        UplinkIngestor,
-        WalConfig,
-        WalSpooler,
-        WindowedClientConfig,
-        WindowedUplinkClient,
-        decode_envelope,
-    )
-
-    fleet = FleetConfig(vehicles=2, frames=120, faulty_every=0)
-    records = FleetLoadGenerator(fleet).materialize()
-    streams: Dict[str, list] = {}
-    for record in records:
-        streams.setdefault(record.source, []).append(record)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        ingestor = UplinkIngestor(
-            TelemetryService(ServiceConfig(store=fleet.store_config())),
-            root / "fleet", fsync="never", checkpoint_every=None,
-        )
-        clients: Dict[str, WindowedUplinkClient] = {}
-        down = AdversarialChannel(
-            "down",
-            lambda frame, now: clients[frame.dst].on_ack(
-                decode_envelope(frame.payload), now
-            ),
-            base_delay=_LINK_DELAY_STEPS,
-        )
-        up = AdversarialChannel(
-            "up",
-            lambda frame, now: down.send(
-                ingestor.handle_payload(frame.payload, now),
-                "fleet", frame.src, now,
-            ),
-            base_delay=_LINK_DELAY_STEPS,
-        )
-        for source, stream in sorted(streams.items()):
-            spooler = WalSpooler.open_fresh(
-                WalConfig(root / source, fsync="never",
-                          segment_max_records=128),
-                source,
-            )
-            spooler.append_many(stream)
-            send = lambda payload, now, src=source: up.send(
-                payload, src, "fleet", now
-            )
-            clients[source] = WindowedUplinkClient(
-                spooler, send,
-                WindowedClientConfig(
-                    frame_records=64, window_frames=8,
-                    ack_timeout=_LINK_ACK_TIMEOUT,
-                ),
-            )
-        now = 0
-        while any(not c.idle() for c in clients.values()) and now < 10_000:
-            for client in clients.values():
-                client.tick(now)
-            up.step(now)
-            down.step(now)
-            _time.sleep(_LINK_STEP_S)
-            now += 1
-        assert ingestor.service.store.applied == len(records), \
-            "uplink lost records on a clean channel"
-    return len(records)
 
 
 def bench_budget_resolve() -> int:
@@ -588,7 +435,7 @@ def bench_warehouse_query() -> int:
 
 #: suite name -> ordered list of (bench name, layer, unit, fn).
 SUITES: Dict[str, List[Tuple[str, str, str, Callable[[], int]]]] = {
-    KERNEL_SUITE: [
+    "kernel": [
         ("kernel_dispatch", "kernel", "events", bench_kernel_dispatch),
         ("kernel_cancel_sweep", "kernel", "events", bench_kernel_cancel_sweep),
         ("tracing_spans_off", "tracing", "events", bench_tracing_spans_off),
@@ -598,16 +445,11 @@ SUITES: Dict[str, List[Tuple[str, str, str, Callable[[], int]]]] = {
         ("scheduler_preempt", "scheduler", "periods", bench_scheduler_preempt),
         ("dds_local_pubsub", "dds", "roundtrips", bench_dds_local_pubsub),
     ],
-    E2E_SUITE: [
-        ("stack_monitored", "e2e", "frames", bench_stack_monitored),
-        ("stack_unmonitored", "e2e", "frames", bench_stack_unmonitored),
+    "layers": [
         ("perception_numerics", "perception", "points", bench_perception_numerics),
         ("budgeting_solve", "budgeting", "solves", bench_budgeting_solve),
-        ("fault_scenario", "faults", "frames", bench_fault_scenario),
         ("ingest_batched", "telemetry", "records",
          bench_telemetry_ingest_batched),
-        ("uplink_roundtrip_windowed", "telemetry", "records",
-         bench_uplink_roundtrip_windowed),
         ("budget_resolve", "adaptive", "records", bench_budget_resolve),
         ("warehouse_ingest", "warehouse", "spans", bench_warehouse_ingest),
         ("warehouse_query", "warehouse", "rows", bench_warehouse_query),
@@ -620,13 +462,13 @@ def run_suite(
     quick: bool = False,
     only: Optional[List[str]] = None,
 ) -> List[BenchResult]:
-    """Run every benchmark of *suite*; quick mode = 3 timed iterations.
+    """Run every benchmark of *suite*; quick mode = 5 timed iterations.
 
     Every bench gets one untimed warm-up call first, quick or not: the
     first call pays imports and cold caches, which made the quick rows
     fail ``--compare`` against baselines recorded warm; and the median
-    of three survives the one GC pause or neighbour burst a few-ms
-    bench meets on a shared host.
+    of five survives the two neighbour bursts a few-ms bench meets on
+    a shared host.
 
     *only* restricts the run to the named benchmarks.  Unknown names
     raise rather than silently measuring nothing.
@@ -643,7 +485,7 @@ def run_suite(
                 f"(have {sorted(available)})"
             )
         entries = [e for e in entries if e[0] in only]
-    iterations = 3 if quick else 7
+    iterations = 5 if quick else 7
     results = []
     for name, layer, unit, fn in entries:
         results.append(

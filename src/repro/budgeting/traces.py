@@ -10,7 +10,7 @@ trace leaves room to detect-and-handle within the budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -102,24 +102,3 @@ class ChainTrace:
         if missing:
             raise KeyError(f"{self.chain_name}: no trace for {missing}")
         return [self.segments[name].extended for name in order]
-
-
-def trace_from_chain_runtime(runtime, d_ex_by_segment: Optional[Dict[str, int]] = None) -> ChainTrace:
-    """Build a ChainTrace from a finished :class:`ChainRuntime`.
-
-    Uses the recorded monitored/unmonitored latencies per segment; the
-    intended use is on *unmonitored* runs (monitors in observe-only
-    deployments), matching the paper's measurement phase.
-    """
-    d_ex_by_segment = d_ex_by_segment or {}
-    trace = ChainTrace(runtime.chain.name)
-    for segment in runtime.chain.segments:
-        latencies = runtime.segment_latencies(segment.name)
-        trace.add(
-            SegmentTrace(
-                segment.name,
-                latencies,
-                d_ex=d_ex_by_segment.get(segment.name, segment.d_ex),
-            )
-        )
-    return trace

@@ -22,7 +22,7 @@ Mechanisms (Sec. III-B, IV)
 from repro.core.events import EventKind, EventPoint
 from repro.core.weakly_hard import (
     MKConstraint,
-    MissWindow,
+    MKAutomaton,
     max_window_misses,
     satisfies_mk,
 )
@@ -51,7 +51,7 @@ __all__ = [
     "EventKind",
     "EventPoint",
     "MKConstraint",
-    "MissWindow",
+    "MKAutomaton",
     "max_window_misses",
     "satisfies_mk",
     "Segment",

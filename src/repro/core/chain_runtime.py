@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.chains import EventChain
 from repro.core.exceptions import TemporalException
-from repro.core.weakly_hard import MissWindow, max_window_misses
+from repro.core.weakly_hard import MKAutomaton, max_window_misses
 
 
 class Outcome(enum.Enum):
@@ -94,7 +94,7 @@ class ChainRuntime:
         on_activation: Optional[Callable[[int, bool], None]] = None,
     ):
         self.chain = chain
-        self.window = MissWindow(chain.mk)
+        self.window = MKAutomaton(chain.mk)
         #: activation n -> segment name -> record
         self.records: Dict[int, Dict[str, SegmentRecord]] = {}
         self.exceptions: List[TemporalException] = []
@@ -104,7 +104,6 @@ class ChainRuntime:
         #: supervisors can de-escalate after a clean streak.
         self.on_activation = on_activation
         self._finalized_through = -1
-        self._known_violations: Dict[int, bool] = {}
 
     # ------------------------------------------------------------------
     # Reporting (called by monitors)
@@ -141,7 +140,6 @@ class ChainRuntime:
         """
         for n in range(self._finalized_through + 1, through_activation + 1):
             violated = self._activation_violated(n)
-            self._known_violations[n] = violated
             if self.window.record(violated) and self.on_violation is not None:
                 self.on_violation(n, self.window.misses_in_window)
             if self.on_activation is not None:

@@ -244,8 +244,8 @@ class DagChain:
 
         The projected chain carries the sink's end-to-end budget and
         (m,k) constraint, which is how every existing linear-chain
-        mechanism (budgeting CSP, monitors, telemetry automata) applies
-        unchanged to DAG instances.
+        mechanism (budgeting CSP, monitors, ``ChainRuntime``, the fleet
+        store's (m,k) windows) applies unchanged to DAG instances.
         """
         return EventChain(
             name=f"{self.name}:{path.path_id}",

@@ -1,13 +1,13 @@
 """Per-path (m,k) supervision of DAG event chains.
 
 A :class:`DagChainRuntime` is the DAG analogue of
-:class:`~repro.core.chain_runtime.ChainRuntime`: segment monitors report
-per-activation outcomes, and the runtime folds them into one weakly-hard
-verdict *per root->sink path*.  Path windows are tracked by the
-bit-packed :class:`~repro.telemetry.automata.MKAutomaton` (O(1) memory
-per path) keyed by path id -- the same automaton the fleet store uses,
-whose record-for-record equivalence to
-:class:`~repro.core.weakly_hard.MissWindow` is proven by property tests.
+:class:`~repro.core.chain_runtime.ChainRuntime`, and is built from it:
+:meth:`DagChain.path_chain` projects every root->sink path onto a
+linear :class:`~repro.core.chains.EventChain` (same name, budget and
+(m,k)), and each projection gets its own ``ChainRuntime``.  The
+per-activation fold -- which activations violated, the sliding (m,k)
+window, the aggregate :class:`ChainReport` -- is ``ChainRuntime``'s; this
+class only decides which paths a report lands on.
 
 Reports route two ways:
 
@@ -24,16 +24,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.core.chain_runtime import (
-    ActivationOutcome,
-    ChainReport,
-    Outcome,
-    SegmentRecord,
-)
-from repro.core.dag import DagChain, DagPath
+from repro.core.chain_runtime import ChainReport, ChainRuntime, Outcome
+from repro.core.dag import DagChain
 from repro.core.exceptions import TemporalException
-from repro.core.weakly_hard import max_window_misses
-from repro.telemetry.automata import MKAutomaton
 
 
 class DagChainRuntime:
@@ -45,26 +38,29 @@ class DagChainRuntime:
         on_violation: Optional[Callable[[str, int, int], None]] = None,
     ):
         self.dag = dag
-        self.paths: List[DagPath] = dag.paths()
-        #: path id -> bit-packed online (m,k) checker.
-        self.automata: Dict[str, MKAutomaton] = {
-            p.path_id: MKAutomaton(dag.mk[p.sink]) for p in self.paths
+        #: path id -> the linear runtime of that path's projection.
+        self.path_runtimes: Dict[str, ChainRuntime] = {}
+        #: segment name -> runtimes of the paths containing it.
+        self._membership: Dict[str, List[ChainRuntime]] = {
+            s: [] for s in dag.segments
         }
-        #: path id -> activation -> segment name -> record.
-        self.records: Dict[str, Dict[int, Dict[str, SegmentRecord]]] = {
-            p.path_id: {} for p in self.paths
-        }
-        #: segment name -> path ids containing it.
-        self.membership: Dict[str, List[str]] = {s: [] for s in dag.segments}
-        for path in self.paths:
+        for path in dag.paths():
+            runtime = ChainRuntime(
+                dag.path_chain(path),
+                on_violation=self._path_violation(path.path_id),
+            )
+            self.path_runtimes[path.path_id] = runtime
             for name in path.segment_names:
-                self.membership[name].append(path.path_id)
+                self._membership[name].append(runtime)
         self.exceptions: List[TemporalException] = []
         #: Called as ``on_violation(path_id, activation, window_misses)``.
         self.on_violation = on_violation
-        self._finalized_through: Dict[str, int] = {
-            p.path_id: -1 for p in self.paths
-        }
+
+    def _path_violation(self, path_id: str) -> Callable[[int, int], None]:
+        def fire(activation: int, window_misses: int) -> None:
+            if self.on_violation is not None:
+                self.on_violation(path_id, activation, window_misses)
+        return fire
 
     # ------------------------------------------------------------------
     # Reporting
@@ -83,19 +79,15 @@ class DagChainRuntime:
         (mirroring :meth:`report_path`) -- a misspelled monitor name
         must not silently drop its outcomes.
         """
-        if segment_name not in self.membership:
+        if segment_name not in self._membership:
             raise KeyError(
                 f"unknown segment {segment_name!r} in DAG {self.dag.name!r} "
-                f"(have {sorted(self.membership)})"
+                f"(have {sorted(self._membership)})"
             )
-        record = SegmentRecord(
-            outcome=outcome,
-            latency=latency,
-            detection_latency=detection_latency,
-        )
-        for path_id in self.membership[segment_name]:
-            per_activation = self.records[path_id].setdefault(activation, {})
-            per_activation[segment_name] = record
+        for runtime in self._membership[segment_name]:
+            runtime.report(
+                segment_name, activation, outcome, latency, detection_latency
+            )
 
     def report_path(
         self,
@@ -109,12 +101,9 @@ class DagChainRuntime:
 
         The record is filed under the path's sink segment.
         """
-        path = self.dag.path_by_id(path_id)
-        per_activation = self.records[path_id].setdefault(activation, {})
-        per_activation[path.sink] = SegmentRecord(
-            outcome=outcome,
-            latency=latency,
-            detection_latency=detection_latency,
+        sink = self.dag.path_by_id(path_id).sink
+        self.path_runtimes[path_id].report(
+            sink, activation, outcome, latency, detection_latency
         )
 
     def report_exception(self, exception: TemporalException) -> None:
@@ -124,33 +113,17 @@ class DagChainRuntime:
     # ------------------------------------------------------------------
     # Online supervision
     # ------------------------------------------------------------------
-    def _activation_violated(self, path_id: str, activation: int) -> bool:
-        per_segment = self.records[path_id].get(activation, {})
-        return any(
-            record.outcome is Outcome.MISS for record in per_segment.values()
-        )
-
     def advance_window(self, through_activation: int) -> None:
-        """Feed completed activations into every path's automaton."""
-        for path in self.paths:
-            path_id = path.path_id
-            automaton = self.automata[path_id]
-            for n in range(
-                self._finalized_through[path_id] + 1, through_activation + 1
-            ):
-                violated = self._activation_violated(path_id, n)
-                if automaton.record(violated) and self.on_violation is not None:
-                    self.on_violation(path_id, n, automaton.misses_in_window)
-            self._finalized_through[path_id] = max(
-                self._finalized_through[path_id], through_activation
-            )
+        """Feed completed activations into every path's (m,k) window."""
+        for runtime in self.path_runtimes.values():
+            runtime.advance_window(through_activation)
 
     @property
     def violated_paths(self) -> List[str]:
         """Path ids whose (m,k) constraint was ever violated."""
         return [
-            path_id for path_id, automaton in self.automata.items()
-            if automaton.violated
+            path_id for path_id, runtime in self.path_runtimes.items()
+            if runtime.window.violated
         ]
 
     # ------------------------------------------------------------------
@@ -160,44 +133,13 @@ class DagChainRuntime:
         self, through_activation: Optional[int] = None
     ) -> Dict[str, ChainReport]:
         """Aggregate per-path reports over all observed activations."""
-        out: Dict[str, ChainReport] = {}
-        for path in self.paths:
-            path_id = path.path_id
-            records = self.records[path_id]
-            through = through_activation
-            if through is None:
-                through = max(records, default=-1)
-            activations: List[ActivationOutcome] = []
-            misses: List[bool] = []
-            counts = {outcome: 0 for outcome in Outcome}
-            for n in range(through + 1):
-                per_segment = records.get(n, {})
-                violated = any(
-                    r.outcome is Outcome.MISS for r in per_segment.values()
-                )
-                activations.append(ActivationOutcome(
-                    activation=n, violated=violated, segments=per_segment
-                ))
-                misses.append(violated)
-                for record in per_segment.values():
-                    counts[record.outcome] += 1
-            mk = self.dag.mk[path.sink]
-            worst = max_window_misses(misses, mk.k) if misses else 0
-            out[path_id] = ChainReport(
-                chain_name=f"{self.dag.name}:{path_id}",
-                activations=activations,
-                misses=misses,
-                mk_satisfied=worst <= mk.m,
-                max_window_misses=worst,
-                ok_count=counts[Outcome.OK],
-                recovered_count=counts[Outcome.RECOVERED],
-                miss_count=counts[Outcome.MISS],
-                skipped_count=counts[Outcome.SKIPPED],
-            )
-        return out
+        return {
+            path_id: runtime.finalize(through_activation)
+            for path_id, runtime in self.path_runtimes.items()
+        }
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"<DagChainRuntime {self.dag.name} paths={len(self.paths)} "
+            f"<DagChainRuntime {self.dag.name} paths={len(self.path_runtimes)} "
             f"violated={len(self.violated_paths)}>"
         )

@@ -33,7 +33,7 @@ from repro.core.exceptions import (
 )
 from repro.core.events import EventKind
 from repro.core.segments import Segment, SegmentKind
-from repro.core.weakly_hard import MissWindow, MKConstraint
+from repro.core.weakly_hard import MKAutomaton, MKConstraint
 from repro.dds.reader import DataReader
 from repro.dds.topic import Sample, Topic
 from repro.dds.writer import DataWriter
@@ -194,7 +194,7 @@ class LocalSegmentRuntime:
             raise ValueError(f"{segment.name} has no monitored deadline assigned")
         self.segment = segment
         self.handler = handler or PropagateAlways()
-        self.window = MissWindow(mk)
+        self.window = MKAutomaton(mk)
         self.activation_fn = activation_fn
         self.start_overhead = start_overhead
         self.end_overhead = end_overhead

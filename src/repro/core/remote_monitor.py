@@ -43,7 +43,7 @@ from repro.core.exceptions import (
 )
 from repro.core.local_monitor import LocalSegmentRuntime, MonitorThread
 from repro.core.segments import Segment, SegmentKind
-from repro.core.weakly_hard import MissWindow, MKConstraint
+from repro.core.weakly_hard import MKAutomaton, MKConstraint
 from repro.dds.reader import DataReader
 from repro.dds.topic import Sample
 from repro.sim.timers import Timer
@@ -127,7 +127,7 @@ class SyncRemoteMonitor:
         self.reader = reader
         self.period = int(period)
         self.handler = handler or PropagateAlways()
-        self.window = MissWindow(mk)
+        self.window = MKAutomaton(mk)
         self.context = context
         self.monitor_thread = monitor_thread
         if next_local is None:

@@ -4,13 +4,24 @@ An (m,k) constraint (Bernat/Burns/Llamosi) tolerates at most ``m``
 deadline misses within *any* ``k`` consecutive executions.  The paper
 applies it to end-to-end chain executions and -- thanks to miss
 propagation -- reuses the same (m,k) for individual segment deadlines.
+
+:class:`MKAutomaton` is the one online window: chain runtimes, segment
+monitors, the shadow validator and the fleet store all feed it.  The
+window is one integer (bit i set = the i-th most recent outcome was a
+miss), a record is two shifts and a mask, and the whole state
+serializes to a handful of integers.  The deque of the last k outcomes
+it replaced is the test oracle ``tests/_reference/miss_window.py``;
+``tests/test_telemetry_automaton.py`` proves record-for-record
+equivalence on random verdict streams.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, List, Sequence, Tuple, Union
+from typing import Deque, Dict, Iterable, List, Sequence, Tuple, Union
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -45,12 +56,17 @@ class MKConstraint:
         return f"({self.m},{self.k})"
 
 
-class MissWindow:
-    """Online sliding window of the last k outcomes.
+#: Below this many outcomes :meth:`MKAutomaton.record_many` loops over
+#: :meth:`MKAutomaton.record` instead of paying numpy array setup.
+_VECTOR_MIN = 16
 
-    Feed outcomes with :meth:`record`; the window reports the current
-    miss count and whether the constraint has been violated at any point
-    so far.
+
+class MKAutomaton:
+    """O(1) online (m,k) checker over a bit-packed outcome window.
+
+    Feed outcomes with :meth:`record`: it returns True whenever the
+    window of the last k outcomes holds more than m misses, and every
+    such position counts one violation.
 
     Accepts a validated :class:`MKConstraint` or a plain ``(m, k)``
     tuple, which is validated on construction -- a degenerate window
@@ -58,27 +74,44 @@ class MissWindow:
     immediately instead of silently mis-counting later.
     """
 
+    __slots__ = (
+        "m", "k", "_state", "_mask", "_out_shift", "_filled",
+        "misses_in_window", "total", "total_misses", "violations",
+        "last_violation",
+    )
+
     def __init__(self, constraint: Union[MKConstraint, Tuple[int, int]]):
         if isinstance(constraint, tuple):
             constraint = MKConstraint(*constraint)
         if not isinstance(constraint, MKConstraint):
             raise ValueError(
-                "MissWindow needs an MKConstraint or an (m, k) tuple, "
+                f"MKAutomaton needs an MKConstraint or (m, k) tuple, "
                 f"got {constraint!r}"
             )
-        self.constraint = constraint
-        self._window: Deque[bool] = deque(maxlen=constraint.k)
-        self._misses_in_window = 0
+        self.m = constraint.m
+        self.k = constraint.k
+        self._state = 0
+        self._mask = (1 << constraint.k) - 1
+        self._out_shift = constraint.k - 1
+        self._filled = 0
+        self.misses_in_window = 0
         self.total = 0
         self.total_misses = 0
         self.violations = 0
-        #: Activation indices (0-based, counting records) of violations.
-        self.violation_indices: List[int] = []
+        #: Activation index (0-based record count) of the last violation,
+        #: or -1.  Counts are kept, not per-violation lists: a fleet key
+        #: may violate millions of times over its lifetime.
+        self.last_violation = -1
 
     @property
-    def misses_in_window(self) -> int:
-        """Miss count within the current window."""
-        return self._misses_in_window
+    def constraint(self) -> MKConstraint:
+        """The checked constraint (reconstructed; not stored)."""
+        return MKConstraint(self.m, self.k)
+
+    @property
+    def margin(self) -> int:
+        """How many further misses the current window tolerates."""
+        return self.m - self.misses_in_window
 
     @property
     def violated(self) -> bool:
@@ -86,31 +119,124 @@ class MissWindow:
         return self.violations > 0
 
     def record(self, miss: bool) -> bool:
-        """Record one outcome; return True if the window now violates.
-
-        A violation is counted at every position where the window
-        contains more than m misses.
-        """
-        if (
-            len(self._window) == self.constraint.k
-            and self._window[0]
-        ):
-            self._misses_in_window -= 1
-        self._window.append(miss)
+        """Record one outcome; True if the window now violates."""
+        if self._filled == self.k:
+            # The outgoing (oldest) bit leaves the window.
+            self.misses_in_window -= (self._state >> self._out_shift) & 1
+        else:
+            self._filled += 1
         if miss:
-            self._misses_in_window += 1
+            self._state = ((self._state << 1) | 1) & self._mask
+            self.misses_in_window += 1
             self.total_misses += 1
+        else:
+            self._state = (self._state << 1) & self._mask
         self.total += 1
-        if self._misses_in_window > self.constraint.m:
+        if self.misses_in_window > self.m:
             self.violations += 1
-            self.violation_indices.append(self.total - 1)
+            self.last_violation = self.total - 1
             return True
         return False
 
+    def record_many(
+        self, misses: Sequence[bool]
+    ) -> Tuple[List[bool], List[int]]:
+        """Record a run of outcomes; returns (violated, margin) per outcome.
+
+        Bit-for-bit equivalent to calling :meth:`record` in a loop
+        (``tests/test_batched_store.py`` proves it with hypothesis,
+        including window-boundary cases): the packed ``_state``, every
+        counter, and the returned per-outcome verdicts are identical.
+        The vectorized path reconstructs the buffered window, computes
+        all windowed miss counts with one cumulative sum, and repacks
+        the tail bits -- O(n + k) instead of n automaton steps.
+        """
+        n = len(misses)
+        if n < _VECTOR_MIN:
+            violated: List[bool] = []
+            margins: List[int] = []
+            m = self.m
+            for miss in misses:
+                violated.append(self.record(bool(miss)))
+                margins.append(m - self.misses_in_window)
+            return violated, margins
+        k = self.k
+        m = self.m
+        filled0 = self._filled
+        # Prior window, oldest outcome first, as 0/1.
+        state = self._state
+        prior = np.empty(filled0, dtype=np.int64)
+        for i in range(filled0):
+            prior[i] = (state >> (filled0 - 1 - i)) & 1
+        new = np.asarray(misses, dtype=np.int64)
+        full = np.concatenate((prior, new))
+        csum = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(full)))
+        # Outcome j sits at position p = filled0 + j; its window covers
+        # full[max(0, p-k+1) .. p].
+        positions = np.arange(filled0, filled0 + n)
+        starts = np.maximum(positions - k + 1, 0)
+        in_window = csum[positions + 1] - csum[starts]
+        violated_arr = in_window > m
+        margins_arr = m - in_window
+        # Fold the batch into the scalar counters.
+        total0 = self.total
+        self.total = total0 + n
+        self.total_misses += int(new.sum())
+        n_violations = int(violated_arr.sum())
+        if n_violations:
+            self.violations += n_violations
+            last = int(np.nonzero(violated_arr)[0][-1])
+            self.last_violation = total0 + last
+        self.misses_in_window = int(in_window[-1])
+        filled = min(k, filled0 + n)
+        self._filled = filled
+        # Repack the last `filled` outcomes (newest at bit 0).
+        packed = 0
+        for bit in full[len(full) - filled:]:
+            packed = (packed << 1) | int(bit)
+        self._state = packed
+        return violated_arr.tolist(), margins_arr.tolist()
+
+    def window_bits(self) -> List[bool]:
+        """The buffered window, oldest outcome first (diagnostics)."""
+        n = self._filled
+        return [bool((self._state >> (n - 1 - i)) & 1) for i in range(n)]
+
+    # ------------------------------------------------------------------
+    # Snapshot / restore
+    # ------------------------------------------------------------------
+    def snapshot(self) -> Dict[str, int]:
+        """JSON-able exact state (restored by :meth:`restore`)."""
+        return {
+            "m": self.m,
+            "k": self.k,
+            "state": self._state,
+            "filled": self._filled,
+            "misses_in_window": self.misses_in_window,
+            "total": self.total,
+            "total_misses": self.total_misses,
+            "violations": self.violations,
+            "last_violation": self.last_violation,
+        }
+
+    @classmethod
+    def restore(cls, data: Dict[str, int]) -> "MKAutomaton":
+        """Rebuild an automaton from :meth:`snapshot` output."""
+        automaton = cls((data["m"], data["k"]))
+        automaton._state = data["state"]
+        automaton._filled = data["filled"]
+        automaton.misses_in_window = data["misses_in_window"]
+        automaton.total = data["total"]
+        automaton.total_misses = data["total_misses"]
+        automaton.violations = data["violations"]
+        automaton.last_violation = data["last_violation"]
+        return automaton
+
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"<MissWindow {self.constraint} misses={self._misses_in_window} "
-            f"total={self.total_misses}/{self.total}>"
+            f"<MKAutomaton ({self.m},{self.k}) "
+            f"misses={self.misses_in_window} total={self.total} "
+            f"violations={self.violations}>"
         )
 
 

@@ -220,12 +220,6 @@ class DataReader:
         # new sample arrives.
         self._arm_deadline(key)
 
-    def cancel_deadline(self, key: Optional[str] = None) -> None:
-        """Disarm the deadline timer (e.g. at shutdown)."""
-        timer = self._deadline_timers.get(key)
-        if timer is not None:
-            timer.cancel()
-
     # ------------------------------------------------------------------
     # Liveliness QoS
     # ------------------------------------------------------------------

@@ -145,7 +145,7 @@ EXPERIMENTS: Dict[str, Callable[[], str]] = {
 SUBCOMMANDS: Dict[str, str] = {
     "adapt": "closed-loop budget control plane chaos sweep",
     "all": "run every figure experiment in sequence",
-    "bench": "micro/e2e benchmark suites with baseline comparison",
+    "bench": "per-layer microbenchmark suites with baseline comparison",
     "budgeting": "deadline-budgeting study (independent, greedy, B&B)",
     "chaos": "uplink fault+crash chaos sweep with ledger verification",
     "faults": "linear + fork/join DAG fault campaigns with oracle verdicts",

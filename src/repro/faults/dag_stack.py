@@ -16,16 +16,18 @@ Monitored segments (a genuine join at ``s_xfer``, fork to two sinks)::
 
 Four root->sink paths (cam/lid x plan/viz) with *different* sink
 deadlines, each supervised end-to-end by a per-path monitor feeding the
-bit-packed (m,k) automata of :class:`~repro.core.dag_runtime.DagChainRuntime`.
+per-path chain runtimes of :class:`~repro.core.dag_runtime.DagChainRuntime`.
 
 Compute stages dispatch through the faithful ROS 2 executor models of
 :mod:`repro.ros.executors` -- the executor is a *scenario parameter*, so
 the same fault hypothesis runs under single-threaded polling-point,
 multi-threaded callback-group, and priority-driven semantics.
 
-Everything is seeded: per-stream ``np.random.Generator`` instances are
-derived from ``(seed, stream index)`` so runs are bit-identical across
-processes and platforms (the same discipline the main simulator uses).
+The pipeline runs on the production kernel
+(:class:`~repro.sim.kernel.Simulator`).  Everything is seeded:
+per-stream ``np.random.Generator`` instances are derived from
+``(seed, stream index)`` so runs are bit-identical across processes and
+platforms (the same discipline the simulator's own streams use).
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from repro.core.dag import DagChain
 from repro.core.dag_runtime import DagChainRuntime
 from repro.core.segments import local_segment, remote_segment
 from repro.core.weakly_hard import MKConstraint
-from repro.ros.executors import EXECUTOR_MODELS, EventLoop
-from repro.sim.kernel import msec, usec
+from repro.ros.executors import EXECUTOR_MODELS, CallbackGroup, CallbackSpec
+from repro.sim.kernel import Simulator, msec, usec
 
 #: The DAG's segment names, registration order.
 DAG_SEGMENT_NAMES = (
@@ -218,10 +220,10 @@ class PathMonitor:
         # The timeout fires when the monitor's clock reads the deadline;
         # invert the (piecewise constant per frame) error estimate.
         fire_at = max(
-            self.stack.loop.now,
+            self.stack.sim.now,
             nominal + self.deadline - self.stack.monitor_clock_error(nominal),
         )
-        self.stack.loop.schedule_at(fire_at, lambda: self._timeout(frame))
+        self.stack.sim.schedule_at(fire_at, self._timeout, frame)
 
     def on_completion(self, frame: int, global_time: int) -> None:
         if frame in self.reported:
@@ -256,7 +258,7 @@ class DagStack:
                 f"(have {sorted(EXECUTOR_MODELS)})"
             )
         self.dag = build_perception_dag(cfg)
-        self.loop = EventLoop()
+        self.sim = Simulator()
         self.truth = DagGroundTruth(cfg.period)
         self.runtime = DagChainRuntime(self.dag)
         self._rng: Dict[str, np.random.Generator] = {
@@ -266,8 +268,8 @@ class DagStack:
             for index, name in enumerate(_RNG_STREAMS)
         }
         factory = EXECUTOR_MODELS[cfg.executor_model]
-        self.exec_ecu1 = factory(self.loop, "ecu1")
-        self.exec_ecu2 = factory(self.loop, "ecu2")
+        self.exec_ecu1 = factory(self.sim, "ecu1")
+        self.exec_ecu2 = factory(self.sim, "ecu2")
         self._register_callbacks()
         #: frame -> set of branches whose input reached fusion.
         self._join_state: Dict[int, set] = {}
@@ -284,8 +286,6 @@ class DagStack:
 
     # ------------------------------------------------------------------
     def _register_callbacks(self) -> None:
-        from repro.ros.executors import CallbackGroup, CallbackSpec
-
         # Fusion callbacks share a mutually exclusive group (they mutate
         # the join buffer); the fuse work itself is in the same group.
         self.exec_ecu1.add_group(CallbackGroup("fusion_group"))
@@ -363,23 +363,20 @@ class DagStack:
         ):
             if self._dropped(branch, frame):
                 continue
-            publish_at = self.loop.now + int(
+            publish_at = self.sim.now + int(
                 abs(self._rng[jitter_stream].normal(0.0, 1.0)) * usec(50)
             )
-            self.loop.schedule_at(
-                publish_at,
-                lambda b=branch, f=frame, s=link_stream: self._publish(b, f, s),
+            self.sim.schedule_at(
+                publish_at, self._publish, branch, frame, link_stream
             )
 
     def _publish(self, branch: str, frame: int, link_stream: str) -> None:
-        self.truth.source_pub[branch][frame] = self.loop.now
+        self.truth.source_pub[branch][frame] = self.sim.now
         delay = self._link_delay(link_stream, frame, f"link_{branch}")
-        self.loop.schedule(
-            delay, lambda: self._arrive(branch, frame)
-        )
+        self.sim.schedule_after(delay, self._arrive, branch, frame)
 
     def _arrive(self, branch: str, frame: int) -> None:
-        self.truth.arrival[branch][frame] = self.loop.now
+        self.truth.arrival[branch][frame] = self.sim.now
         callback = "on_cam" if branch == "cam" else "on_lid"
         exec_ns = int(
             self._noisy("store_exec", self.config.store_exec_ns)
@@ -400,12 +397,12 @@ class DagStack:
             self.exec_ecu1.submit("fuse", exec_ns, payload=frame)
 
     def _on_fused(self, frame: int) -> None:
-        self.truth.fused_pub[frame] = self.loop.now
+        self.truth.fused_pub[frame] = self.sim.now
         delay = self._link_delay("link_xfer", frame, "link_xfer")
-        self.loop.schedule(delay, lambda: self._xfer_arrive(frame))
+        self.sim.schedule_after(delay, self._xfer_arrive, frame)
 
     def _xfer_arrive(self, frame: int) -> None:
-        self.truth.xfer_arrival[frame] = self.loop.now
+        self.truth.xfer_arrival[frame] = self.sim.now
         plan_ns = int(
             self._noisy("plan_exec", self.config.plan_exec_ns)
             * self._scale("plan", frame)
@@ -418,10 +415,10 @@ class DagStack:
         self.exec_ecu2.submit("viz", viz_ns, payload=frame)
 
     def _on_sink(self, sink: str, frame: int) -> None:
-        self.truth.completion[sink].setdefault(frame, self.loop.now)
+        self.truth.completion[sink].setdefault(frame, self.sim.now)
         for monitor in self.monitors:
             if monitor.sink == sink:
-                monitor.on_completion(frame, self.loop.now)
+                monitor.on_completion(frame, self.sim.now)
 
     def _frame_start(self, frame: int) -> None:
         for hook in self.config.stall_exec:
@@ -438,26 +435,17 @@ class DagStack:
         self.n_frames = n_frames
         cfg = self.config
         for frame in range(n_frames):
-            self.loop.schedule_at(
-                frame * cfg.period, lambda f=frame: self._frame_start(f)
-            )
+            self.sim.schedule_at(frame * cfg.period, self._frame_start, frame)
         # Settle long enough for the last frame's timeout monitors.
         horizon = (n_frames + 3) * cfg.period + max(
             m.deadline for m in self.monitors
         )
-        self.loop.run(until=horizon)
+        self.sim.run(until=horizon)
         self.runtime.advance_window(n_frames - 1)
 
     # ------------------------------------------------------------------
     # Results access
     # ------------------------------------------------------------------
-    def monitor_by_path(self, path_id: str) -> PathMonitor:
-        """Look up the monitor supervising one path."""
-        for monitor in self.monitors:
-            if monitor.path_id == path_id:
-                return monitor
-        raise KeyError(f"no monitor for path {path_id}")
-
     def detections(self, first: int, last: int) -> int:
         """Reported MISS verdicts across paths in ``[first, last)``."""
         return sum(
@@ -466,10 +454,3 @@ class DagStack:
             for frame, verdict in monitor.reported.items()
             if first <= frame < last and verdict.outcome is Outcome.MISS
         )
-
-    def executor_dispatches(self) -> Dict[str, int]:
-        """Callbacks executed per ECU executor (diagnostics)."""
-        return {
-            "ecu1": self.exec_ecu1.callbacks_executed,
-            "ecu2": self.exec_ecu2.callbacks_executed,
-        }

@@ -20,7 +20,6 @@ from repro.ros.executors import (
     CallbackGroup,
     CallbackSpec,
     Dispatch,
-    EventLoop,
     Ros2MultiThreadedExecutor,
     Ros2SingleThreadedExecutor,
     run_schedule,
@@ -33,7 +32,6 @@ __all__ = [
     "CallbackGroup",
     "CallbackSpec",
     "Dispatch",
-    "EventLoop",
     "Ros2MultiThreadedExecutor",
     "Ros2SingleThreadedExecutor",
     "run_schedule",

@@ -20,19 +20,22 @@ Multi-threaded Executors"; Casini et al.'s response-time analysis):
   callbacks are picked strictly by priority instead of wait-set order,
   removing the polling-point latency anomaly for urgent chains.
 
-These models run on a minimal deterministic event loop
-(:class:`EventLoop`) so conformance tests can pin hand-computed
-schedules, and the DAG fault stack drives whole scenarios through them.
-All tie-breaks are explicit (submission sequence), so schedules are
-reproducible run to run and across processes.
+These models run on the simulation kernel
+(:class:`~repro.sim.kernel.Simulator`, every event at the default
+priority, so same-instant events fire in scheduling order) so
+conformance tests can pin hand-computed schedules, and the DAG fault
+stack drives whole scenarios through them.  All tie-breaks are explicit
+(submission sequence), so schedules are reproducible run to run and
+across processes.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+
+from repro.sim.kernel import Simulator
 
 #: Wait-set kind rank: timers are polled before subscriptions (rclcpp).
 _KIND_RANK = {"timer": 0, "subscription": 1}
@@ -40,37 +43,6 @@ _KIND_RANK = {"timer": 0, "subscription": 1}
 #: Dispatch policies.
 POLICY_WAITSET = "waitset"      # rclcpp wait-set order (kind, registration)
 POLICY_PRIORITY = "priority"    # priority-driven (PiCAS-style)
-
-
-class EventLoop:
-    """Minimal deterministic discrete-event loop (integer ns)."""
-
-    def __init__(self) -> None:
-        self.now = 0
-        self._heap: List[Tuple[int, int, Callable[[], None]]] = []
-        self._seq = 0
-
-    def schedule_at(self, time: int, fn: Callable[[], None]) -> None:
-        """Run *fn* at absolute time *time* (>= now)."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
-        heapq.heappush(self._heap, (time, self._seq, fn))
-        self._seq += 1
-
-    def schedule(self, delay: int, fn: Callable[[], None]) -> None:
-        """Run *fn* after *delay* ns."""
-        self.schedule_at(self.now + delay, fn)
-
-    def run(self, until: Optional[int] = None) -> None:
-        """Drain the event heap (up to time *until*, if given)."""
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
-                break
-            time, _seq, fn = heapq.heappop(self._heap)
-            self.now = time
-            fn()
-        if until is not None and until > self.now:
-            self.now = until
 
 
 @dataclass(frozen=True)
@@ -119,8 +91,8 @@ class _Job:
 class _ExecutorBase:
     """Registration, submission bookkeeping and dispatch recording."""
 
-    def __init__(self, loop: EventLoop, name: str = "executor"):
-        self.loop = loop
+    def __init__(self, sim: Simulator, name: str = "executor"):
+        self.sim = sim
         self.name = name
         self.specs: Dict[str, CallbackSpec] = {}
         self.groups: Dict[str, CallbackGroup] = {}
@@ -128,7 +100,6 @@ class _ExecutorBase:
         self._handlers: Dict[str, Callable[[Any], None]] = {}
         self._seq = 0
         self.dispatches: List[Dispatch] = []
-        self.callbacks_executed = 0
 
     def add_group(self, group: CallbackGroup) -> CallbackGroup:
         """Register a callback group (idempotent by name)."""
@@ -163,10 +134,9 @@ class _ExecutorBase:
             callback=job.callback,
             release=job.release,
             start=start,
-            finish=self.loop.now,
+            finish=self.sim.now,
             thread=thread,
         ))
-        self.callbacks_executed += 1
         handler = self._handlers.get(job.callback)
         if handler is not None:
             handler(job.payload)
@@ -200,11 +170,11 @@ class Ros2SingleThreadedExecutor(_ExecutorBase):
 
     def __init__(
         self,
-        loop: EventLoop,
+        sim: Simulator,
         name: str = "executor",
         policy: str = POLICY_WAITSET,
     ):
-        super().__init__(loop, name)
+        super().__init__(sim, name)
         self.policy = policy
         self._pending: Dict[str, Deque[_Job]] = {}
         self._snapshot: List[_Job] = []
@@ -218,7 +188,7 @@ class Ros2SingleThreadedExecutor(_ExecutorBase):
     def submit(self, callback: str, exec_time: int, payload: Any = None) -> None:
         self._pending[callback].append(_Job(
             callback=callback,
-            release=self.loop.now,
+            release=self.sim.now,
             exec_time=exec_time,
             seq=self._seq,
             payload=payload,
@@ -246,8 +216,8 @@ class Ros2SingleThreadedExecutor(_ExecutorBase):
     def _start_next(self) -> None:
         job = self._snapshot.pop(0)
         self._busy = True
-        start = self.loop.now
-        self.loop.schedule(job.exec_time, lambda: self._finish(job, start))
+        start = self.sim.now
+        self.sim.schedule_after(job.exec_time, self._finish, job, start)
 
     def _finish(self, job: _Job, start: int) -> None:
         # _busy stays True while the user handler runs: a handler that
@@ -275,14 +245,14 @@ class Ros2MultiThreadedExecutor(_ExecutorBase):
 
     def __init__(
         self,
-        loop: EventLoop,
+        sim: Simulator,
         name: str = "executor",
         n_threads: int = 2,
         policy: str = POLICY_WAITSET,
     ):
         if n_threads < 1:
             raise ValueError("n_threads must be >= 1")
-        super().__init__(loop, name)
+        super().__init__(sim, name)
         self.n_threads = n_threads
         self.policy = policy
         self._ready: List[_Job] = []
@@ -294,7 +264,7 @@ class Ros2MultiThreadedExecutor(_ExecutorBase):
             raise KeyError(f"{self.name}: unknown callback {callback!r}")
         self._ready.append(_Job(
             callback=callback,
-            release=self.loop.now,
+            release=self.sim.now,
             exec_time=exec_time,
             seq=self._seq,
             payload=payload,
@@ -330,9 +300,9 @@ class Ros2MultiThreadedExecutor(_ExecutorBase):
             self._group_inflight[spec.group] = (
                 self._group_inflight.get(spec.group, 0) + 1
             )
-            start = self.loop.now
-            self.loop.schedule(
-                job.exec_time, lambda j=job, s=start, t=thread: self._finish(j, s, t)
+            start = self.sim.now
+            self.sim.schedule_after(
+                job.exec_time, self._finish, job, start, thread
             )
 
     def _finish(self, job: _Job, start: int, thread: int) -> None:
@@ -345,12 +315,12 @@ class Ros2MultiThreadedExecutor(_ExecutorBase):
 
 
 #: Executor-model registry used by DAG scenarios: name -> factory taking
-#: ``(loop, executor_name)``.
-EXECUTOR_MODELS: Dict[str, Callable[[EventLoop, str], _ExecutorBase]] = {
-    "single": lambda loop, name: Ros2SingleThreadedExecutor(loop, name),
-    "multi": lambda loop, name: Ros2MultiThreadedExecutor(loop, name, n_threads=2),
-    "priority": lambda loop, name: Ros2MultiThreadedExecutor(
-        loop, name, n_threads=2, policy=POLICY_PRIORITY
+#: ``(sim, executor_name)``.
+EXECUTOR_MODELS: Dict[str, Callable[[Simulator, str], _ExecutorBase]] = {
+    "single": lambda sim, name: Ros2SingleThreadedExecutor(sim, name),
+    "multi": lambda sim, name: Ros2MultiThreadedExecutor(sim, name, n_threads=2),
+    "priority": lambda sim, name: Ros2MultiThreadedExecutor(
+        sim, name, n_threads=2, policy=POLICY_PRIORITY
     ),
 }
 
@@ -362,13 +332,10 @@ def run_schedule(
     """Drive *executor* with ``(release, callback, exec_time)`` jobs.
 
     Conformance-test harness: schedules every submission on the
-    executor's loop, runs to quiescence and returns the dispatch log
+    executor's simulator, runs to quiescence and returns the dispatch log
     sorted by (start, thread).
     """
     for release, callback, exec_time in jobs:
-        executor.loop.schedule_at(
-            release,
-            lambda c=callback, e=exec_time: executor.submit(c, e),
-        )
-    executor.loop.run()
+        executor.sim.schedule_at(release, executor.submit, callback, exec_time)
+    executor.sim.run()
     return sorted(executor.dispatches, key=lambda d: (d.start, d.thread))

@@ -33,7 +33,6 @@ from repro.telemetry.alerts import (
     RULE_QUEUE_SATURATION,
     RULE_SEQ_GAP,
 )
-from repro.telemetry.automata import MKAutomaton
 from repro.telemetry.emitter import (
     MonitorTelemetrySink,
     TelemetryEmitter,
@@ -78,7 +77,6 @@ __all__ = [
     "FleetLoadGenerator",
     "IngestQueue",
     "LoadReport",
-    "MKAutomaton",
     "MonitorTelemetrySink",
     "RecordKind",
     "RULE_HEARTBEAT",

@@ -102,18 +102,6 @@ class AlertLog:
     def count(self, rule: str) -> int:
         return sum(1 for alert in self.alerts if alert.rule == rule)
 
-    def for_rule(self, rule: str) -> List[Alert]:
-        return [alert for alert in self.alerts if alert.rule == rule]
-
-    def counts_by_source(self, rule: str) -> Dict[str, int]:
-        """Per-source counts of one rule (canary cohorts are compared
-        on exactly this view)."""
-        counts: Dict[str, int] = {}
-        for alert in self.alerts:
-            if alert.rule == rule:
-                counts[alert.source] = counts.get(alert.source, 0) + 1
-        return dict(sorted(counts.items()))
-
     def to_jsonl(self) -> str:
         """The persisted form: one JSON object per line."""
         return "".join(

@@ -112,12 +112,6 @@ class FleetConfig:
             budget_by_segment=budgets,
         )
 
-    def records_expected(self) -> int:
-        """Upper bound on generated records (before transport loss)."""
-        per_frame = self.vehicles * len(self.chains) * (self.segments_per_chain + 1)
-        heartbeats = self.vehicles * (self.frames // max(1, self.heartbeat_frames) + 1)
-        return self.frames * per_frame + heartbeats
-
 
 class FleetLoadGenerator:
     """Generates the deterministic fleet record stream."""

@@ -11,7 +11,7 @@ Per key the store maintains exactly the paper-shaped online state, none
 of which grows with the record count:
 
 - an incremental (m,k) window automaton
-  (:class:`~repro.telemetry.automata.MKAutomaton`) over chain verdicts;
+  (:class:`~repro.core.weakly_hard.MKAutomaton`) over chain verdicts;
 - one streaming latency histogram per segment
   (:class:`~repro.telemetry.histogram.StreamingHistogram`: p50/p95/p99
   without raw samples);
@@ -36,8 +36,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.weakly_hard import MKConstraint
-from repro.telemetry.automata import MKAutomaton
+from repro.core.weakly_hard import MKAutomaton, MKConstraint
 from repro.telemetry.batch import RecordBatch
 from repro.telemetry.histogram import DEFAULT_ALPHA, StreamingHistogram
 from repro.telemetry.records import (
@@ -393,7 +392,7 @@ class ChainStateStore:
         1. one in-order pass runs the per-source sequence/liveness
            logic (inherently serial) and buckets chain/segment work;
         2. CHAIN groups run through the vectorized
-           :meth:`~repro.telemetry.automata.MKAutomaton.record_many`;
+           :meth:`~repro.core.weakly_hard.MKAutomaton.record_many`;
         3. SEGMENT groups update verdict counters, windows, and
            histograms with column locals bound once per group.
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from _reference.scalar_store import apply_scalar
 
 from repro.telemetry.alerts import AlertEngine
-from repro.telemetry.automata import _VECTOR_MIN, MKAutomaton
+from repro.core.weakly_hard import _VECTOR_MIN, MKAutomaton
 from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.store import ChainStateStore, StoreConfig

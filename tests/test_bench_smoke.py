@@ -23,7 +23,7 @@ from repro.bench.harness import (
 from repro.bench.suites import SUITES, run_suite
 
 
-def synthetic_suite(medians):
+def synthetic_suite(medians, reference_ns=1000):
     """A valid suite dict with the given name -> median_ns mapping."""
     return {
         "schema": SCHEMA,
@@ -39,6 +39,8 @@ def synthetic_suite(medians):
                 "p95_ns": median,
                 "min_ns": median,
                 "units_per_s": 100 / (median / 1e9),
+                "reference_ns": reference_ns,
+                "relative": median / reference_ns,
             }
             for name, median in medians.items()
         },
@@ -55,6 +57,7 @@ class TestRunBench:
         assert result.min_ns <= result.median_ns <= result.p95_ns
         assert result.units_per_s > 0
         assert result.iterations == 5
+        assert result.reference_ns > 0 and result.relative > 0
 
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
@@ -97,6 +100,18 @@ class TestSchema:
         with pytest.raises(ValueError, match="schema"):
             validate_suite(suite)
 
+    def test_validate_refuses_the_wall_clock_schema(self):
+        # Files written before the CPU clock + reference loop carry
+        # wall-time medians: refused outright, never mis-compared.
+        suite = synthetic_suite({"a": 100})
+        suite["schema"] = "repro-bench/1"
+        with pytest.raises(ValueError, match="schema"):
+            validate_suite(suite)
+        del suite["benchmarks"]["a"]["reference_ns"]
+        suite["schema"] = SCHEMA
+        with pytest.raises(ValueError, match="reference_ns"):
+            validate_suite(suite)
+
     def test_validate_rejects_missing_fields(self):
         suite = synthetic_suite({"a": 100})
         del suite["benchmarks"]["a"]["median_ns"]
@@ -108,7 +123,7 @@ class TestSchema:
         from pathlib import Path
 
         repo_root = Path(__file__).resolve().parent.parent
-        for name in ("BENCH_kernel.json", "BENCH_e2e.json"):
+        for name in ("BENCH_kernel.json", "BENCH_layers.json"):
             path = repo_root / name
             assert path.exists(), f"{name} baseline missing"
             data = load_suite(path)
@@ -140,6 +155,18 @@ class TestCompare:
         current = synthetic_suite({"a": 125})  # +25% < 30%
         assert compare_suites(current, base, threshold=0.3).passed
 
+    def test_slow_host_is_not_a_regression(self):
+        # Twice the median on a host whose reference loop also takes
+        # twice as long is the same speed; the same median on a host
+        # twice as fast is a 2x slowdown.
+        base = synthetic_suite({"a": 100}, reference_ns=1000)
+        slow_host = synthetic_suite({"a": 200}, reference_ns=2000)
+        report = compare_suites(slow_host, base, threshold=0.3)
+        assert report.passed and report.comparisons[0].ratio == 1.0
+        fast_host = synthetic_suite({"a": 100}, reference_ns=500)
+        report = compare_suites(fast_host, base, threshold=0.3)
+        assert not report.passed and report.comparisons[0].ratio == 2.0
+
     def test_missing_benchmark_fails(self):
         base = synthetic_suite({"a": 100, "gone": 100})
         current = synthetic_suite({"a": 100})
@@ -160,7 +187,7 @@ def tiny_suite(monkeypatch):
         SUITES, "kernel", [("noop", "kernel", "events", lambda: 10)]
     )
     monkeypatch.setitem(
-        SUITES, "e2e", [("noop2", "e2e", "frames", lambda: 5)]
+        SUITES, "layers", [("noop2", "layers", "frames", lambda: 5)]
     )
 
 
@@ -190,7 +217,7 @@ class TestCli:
         assert "PASS" in capsys.readouterr().out
         # A baseline with an impossibly fast median must fail.
         data = json.loads(baseline.read_text())
-        data["benchmarks"]["noop"]["median_ns"] = 1
+        data["benchmarks"]["noop"]["relative"] = 1e-9
         baseline.write_text(json.dumps(data))
         code = bench_cli.main(
             ["--suite", "kernel", "--quick", "--compare", str(baseline)]
@@ -237,7 +264,7 @@ class TestOnlyFilter:
                 ("other", "kernel", "events", lambda: 10),
             ],
         )
-        monkeypatch.setitem(SUITES, "e2e", [])
+        monkeypatch.setitem(SUITES, "layers", [])
 
     def test_runs_only_selected(self, paired_suite, capsys):
         code = bench_cli.main(["--quick", "--only", "other"])

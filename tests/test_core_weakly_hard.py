@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MKConstraint, MissWindow, max_window_misses, satisfies_mk
+from repro.core import MKAutomaton, MKConstraint, max_window_misses, satisfies_mk
 from repro.core.weakly_hard import miss_indices
+
+from _reference.miss_window import MissWindow
 
 
 class TestMKConstraint:
@@ -73,8 +75,10 @@ class TestMaxWindowMisses:
 
 
 class TestMissWindow:
+    """The production online window (the bit-packed automaton)."""
+
     def test_no_violation_within_budget(self):
-        window = MissWindow(MKConstraint(1, 3))
+        window = MKAutomaton(MKConstraint(1, 3))
         assert window.record(True) is False
         assert window.record(False) is False
         assert window.record(False) is False
@@ -82,21 +86,24 @@ class TestMissWindow:
         assert not window.violated
 
     def test_violation_detected(self):
-        window = MissWindow(MKConstraint(1, 3))
+        window = MKAutomaton(MKConstraint(1, 3))
+        oracle = MissWindow(MKConstraint(1, 3))
         window.record(True)
-        assert window.record(True) is True
+        oracle.record(True)
+        assert window.record(True) is oracle.record(True) is True
         assert window.violated
-        assert window.violation_indices == [1]
+        assert window.last_violation == 1
+        assert oracle.violation_indices == [1]
 
     def test_window_slides(self):
-        window = MissWindow(MKConstraint(0, 2))
+        window = MKAutomaton(MKConstraint(0, 2))
         window.record(True)  # violation (1 > 0)
         window.record(False)
         window.record(False)  # miss slid out
         assert window.misses_in_window == 0
 
     def test_totals(self):
-        window = MissWindow(MKConstraint(5, 10))
+        window = MKAutomaton(MKConstraint(5, 10))
         for outcome in [True, False, True, False]:
             window.record(outcome)
         assert window.total == 4
@@ -109,7 +116,7 @@ class TestMissWindow:
     @settings(max_examples=200)
     def test_online_window_matches_offline(self, trace, k):
         m = k // 2
-        window = MissWindow(MKConstraint(m, k))
+        window = MKAutomaton(MKConstraint(m, k))
         for outcome in trace:
             window.record(outcome)
         assert window.violated == (not satisfies_mk(trace, m, k))
@@ -118,7 +125,7 @@ class TestMissWindow:
     @given(st.lists(st.booleans(), min_size=1, max_size=80))
     @settings(max_examples=100)
     def test_window_miss_count_never_exceeds_k(self, trace):
-        window = MissWindow(MKConstraint(2, 4))
+        window = MKAutomaton(MKConstraint(2, 4))
         for outcome in trace:
             window.record(outcome)
             assert 0 <= window.misses_in_window <= 4

@@ -14,7 +14,9 @@ counter and pins three host-independent quantities:
   frame can only come from cheaper events, never from different ones;
 * what a hot event may not cost: a ``CalendarQueue.pop`` call per fired
   event on the ``run(until=...)`` route the stack takes, or a formatted
-  label (only ``ScheduledEvent.__repr__`` ever reads one).
+  label (only ``ScheduledEvent.__repr__`` ever reads one);
+* that tracing off is free: with no span recorder and no trace prefix
+  the run makes no call into ``repro.tracing`` at all.
 """
 
 import os
@@ -47,6 +49,7 @@ UNMONITORED_EVENTS = 545
 LABELLED_CEILING = 7
 
 _ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+_TRACING = _ROOT + "tracing" + os.sep
 _POP = CalendarQueue.pop.__code__
 _EVENT_INIT = ScheduledEvent.__init__.__code__
 
@@ -62,7 +65,10 @@ class _Run:
                 points_per_object_mean=10,
             ),
         ))
+        self.spans = stack.sim.spans
+        self.tracing_active = stack.sim.tracing_active
         self.calls = self.pops = self.labelled = self.fired = 0
+        self.tracing_calls = 0
         run = Simulator.run
 
         def counting_run(sim, *args, **kwargs):
@@ -77,6 +83,8 @@ class _Run:
             if not code.co_filename.startswith(_ROOT):
                 return
             self.calls += 1
+            if code.co_filename.startswith(_TRACING):
+                self.tracing_calls += 1
             if code is _POP:
                 self.pops += 1
             elif code is _EVENT_INIT and frame.f_locals["label"]:
@@ -124,3 +132,15 @@ def test_bounded_run_pays_no_pop_call_per_event(runs):
 def test_hot_schedule_sites_format_no_label(runs):
     for run in runs:
         assert run.labelled / FRAMES <= LABELLED_CEILING
+
+
+def test_tracing_off_is_free(runs):
+    # What the disabled-tracing contract costs is counted, not timed:
+    # with no span recorder and no trace prefix the kernel stays on its
+    # one production loop (the generic ``pop(until)`` loop that restores
+    # span contexts is never entered) and nothing under repro.tracing
+    # runs -- no hook, no span context capture, no field dict.
+    for run in runs:
+        assert run.spans is None and not run.tracing_active
+        assert run.tracing_calls == 0
+        assert run.pops == 0

@@ -28,8 +28,6 @@ event is consumed as stale before its start is armed, and the
 activation later raises a false exception (ROADMAP 6(b)).
 """
 
-from collections import deque
-
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -45,6 +43,8 @@ from repro.core.local_monitor import MonitorCosts
 from repro.core.segments import local_segment
 from repro.dds.topic import Sample, Topic
 from repro.sim import Ecu, Simulator, usec
+
+from _reference.miss_window import MissWindow
 
 COSTS = MonitorCosts()
 HANDLER_COST = usec(20)
@@ -197,7 +197,7 @@ class LocalMonitorSpec(RuleBasedStateMachine):
             ), "every activation reported exactly once"
             raised = {exc.activation: exc for exc in runtime.exceptions}
             assert len(raised) == len(runtime.exceptions)
-            window = deque(maxlen=mk.k)
+            window = MissWindow(mk)
             for n, outcome, latency, detection in chain.log:
                 start_ts = self.started[seg][n]
                 deadline = start_ts + d_mon
@@ -206,7 +206,7 @@ class LocalMonitorSpec(RuleBasedStateMachine):
                     assert n not in raised
                     assert end_ts is not None
                     assert latency == end_ts - start_ts
-                    window.append(False)
+                    window.record(False)
                     continue
                 exc = raised[n]
                 assert exc.deadline == deadline
@@ -221,12 +221,12 @@ class LocalMonitorSpec(RuleBasedStateMachine):
                 recover = (
                     isinstance(handler, RecoverUpTo)
                     and not handler.declines(n)
-                    and sum(window) + 1 <= mk.m
+                    and window.misses_in_window + 1 <= mk.m
                 )
                 assert outcome is (
                     Outcome.RECOVERED if recover else Outcome.MISS
                 )
-                window.append(not recover)
+                window.record(not recover)
             for n, end_ts in self.ended[seg].items():
                 if end_ts < self.started[seg][n] + d_mon:
                     assert n not in raised, "timely end event flagged"
@@ -234,6 +234,12 @@ class LocalMonitorSpec(RuleBasedStateMachine):
                 outcome is Outcome.RECOVERED for _n, outcome, *_ in chain.log
             )
             assert runtime.pending == {}
+            # The production bit-packed window saw the spec's stream.
+            assert (
+                runtime.window.total,
+                runtime.window.misses_in_window,
+                runtime.window.violations,
+            ) == (window.total, window.misses_in_window, window.violations)
         assert self.monitor._timeout_queue.live == 0
 
 

@@ -54,7 +54,7 @@ def test_no_wall_clock_in_src():
     """Simulated time is integer nanoseconds from the kernel; reading
     the host's wall clock (``time.time``, ``datetime.now``/``utcnow``)
     from model code would leak nondeterminism into traces and records.
-    (``perf_counter_ns`` in the bench harness measures the host on
+    (``process_time_ns`` in the bench harness measures the host on
     purpose and is allowed.)
     """
     pattern = re.compile(r"\btime\.time\(|\bdatetime\.now\(|\butcnow\(")
@@ -65,7 +65,7 @@ def test_no_wall_clock_in_src():
             if pattern.search(code):
                 offenders.append(f"{path.relative_to(SRC)}:{lineno}")
     assert not offenders, (
-        "wall-clock reads found in src (use sim.now / perf_counter_ns):\n"
+        "wall-clock reads found in src (use sim.now / process_time_ns):\n"
         + "\n".join(offenders)
     )
 

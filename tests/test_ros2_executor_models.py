@@ -13,11 +13,11 @@ from repro.ros.executors import (
     POLICY_PRIORITY,
     CallbackGroup,
     CallbackSpec,
-    EventLoop,
     Ros2MultiThreadedExecutor,
     Ros2SingleThreadedExecutor,
     run_schedule,
 )
+from repro.sim import Simulator
 
 
 def tuples(dispatches):
@@ -25,40 +25,13 @@ def tuples(dispatches):
             for d in dispatches]
 
 
-class TestEventLoop:
-    def test_runs_in_time_order_with_fifo_ties(self):
-        loop = EventLoop()
-        order = []
-        loop.schedule_at(5, lambda: order.append("b"))
-        loop.schedule_at(3, lambda: order.append("a"))
-        loop.schedule_at(5, lambda: order.append("c"))
-        loop.run()
-        assert order == ["a", "b", "c"]
-        assert loop.now == 5
-
-    def test_cannot_schedule_into_the_past(self):
-        loop = EventLoop()
-        loop.schedule_at(10, lambda: loop.schedule_at(5, lambda: None))
-        with pytest.raises(ValueError, match="past"):
-            loop.run()
-
-    def test_run_until_stops_and_advances_clock(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule_at(50, lambda: fired.append(50))
-        loop.run(until=20)
-        assert fired == [] and loop.now == 20
-        loop.run()
-        assert fired == [50]
-
-
 class TestPollingPointSemantics:
     """The single-threaded executor's polling-point latency anomaly."""
 
     def build(self, policy=None):
-        loop = EventLoop()
+        sim = Simulator()
         kwargs = {} if policy is None else {"policy": policy}
-        ex = Ros2SingleThreadedExecutor(loop, "ecu", **kwargs)
+        ex = Ros2SingleThreadedExecutor(sim, "ecu", **kwargs)
         ex.add_callback(CallbackSpec("A", priority=1))
         ex.add_callback(CallbackSpec("B", priority=5))
         return ex
@@ -90,8 +63,8 @@ class TestPollingPointSemantics:
         ]
 
     def test_timers_polled_before_subscriptions(self):
-        loop = EventLoop()
-        ex = Ros2SingleThreadedExecutor(loop, "ecu")
+        sim = Simulator()
+        ex = Ros2SingleThreadedExecutor(sim, "ecu")
         ex.add_callback(CallbackSpec("C"))
         ex.add_callback(CallbackSpec("S"))
         ex.add_callback(CallbackSpec("T", kind="timer"))
@@ -105,8 +78,8 @@ class TestPollingPointSemantics:
         ]
 
     def test_at_most_one_instance_per_callback_per_snapshot(self):
-        loop = EventLoop()
-        ex = Ros2SingleThreadedExecutor(loop, "ecu")
+        sim = Simulator()
+        ex = Ros2SingleThreadedExecutor(sim, "ecu")
         ex.add_callback(CallbackSpec("A"))
         ex.add_callback(CallbackSpec("B"))
         # Three A instances and one B queue while A@0 drains.  Each
@@ -127,8 +100,8 @@ class TestPollingPointSemantics:
             CallbackSpec("X", kind="service")
 
     def test_duplicate_registration_rejected(self):
-        loop = EventLoop()
-        ex = Ros2SingleThreadedExecutor(loop, "ecu")
+        sim = Simulator()
+        ex = Ros2SingleThreadedExecutor(sim, "ecu")
         ex.add_callback(CallbackSpec("A"))
         with pytest.raises(ValueError, match="duplicate"):
             ex.add_callback(CallbackSpec("A"))
@@ -145,17 +118,17 @@ class TestReentrantHandlerSubmission:
     """
 
     def test_handler_submit_with_pending_work_stays_serialized(self):
-        loop = EventLoop()
-        ex = Ros2SingleThreadedExecutor(loop, "ecu")
+        sim = Simulator()
+        ex = Ros2SingleThreadedExecutor(sim, "ecu")
         ex.add_callback(CallbackSpec("a"), lambda _payload: ex.submit("c", 100))
         ex.add_callback(CallbackSpec("b"))
         ex.add_callback(CallbackSpec("c"))
         # b arrives while a drains; a's completion handler submits c.
         # The buggy executor ran b(1000-2000) and c(1000-1100)
         # concurrently on thread 0.
-        loop.schedule_at(0, lambda: ex.submit("a", 1000))
-        loop.schedule_at(500, lambda: ex.submit("b", 1000))
-        loop.run()
+        sim.schedule_at(0, lambda: ex.submit("a", 1000))
+        sim.schedule_at(500, lambda: ex.submit("b", 1000))
+        sim.run()
         log = sorted(ex.dispatches, key=lambda d: d.start)
         assert tuples(log) == [
             ("a", 0, 0, 1000, 0),
@@ -164,8 +137,8 @@ class TestReentrantHandlerSubmission:
         ]
 
     def test_handler_submit_mid_snapshot_waits_for_next_poll(self):
-        loop = EventLoop()
-        ex = Ros2SingleThreadedExecutor(loop, "ecu")
+        sim = Simulator()
+        ex = Ros2SingleThreadedExecutor(sim, "ecu")
         ex.add_callback(CallbackSpec("a"), lambda _payload: ex.submit("c", 5))
         ex.add_callback(CallbackSpec("b"))
         ex.add_callback(CallbackSpec("c"))
@@ -181,8 +154,8 @@ class TestReentrantHandlerSubmission:
     @pytest.mark.parametrize("policy", [None, POLICY_PRIORITY])
     def test_single_thread_dispatches_never_overlap(self, policy):
         kwargs = {} if policy is None else {"policy": policy}
-        loop = EventLoop()
-        ex = Ros2SingleThreadedExecutor(loop, "ecu", **kwargs)
+        sim = Simulator()
+        ex = Ros2SingleThreadedExecutor(sim, "ecu", **kwargs)
         ex.add_callback(CallbackSpec("a", priority=1),
                         lambda _payload: ex.submit("c", 7))
         ex.add_callback(CallbackSpec("b", priority=9))
@@ -198,8 +171,8 @@ class TestCallbackGroups:
     """Multi-threaded executor: group serialization vs reentrancy."""
 
     def build(self, reentrant):
-        loop = EventLoop()
-        ex = Ros2MultiThreadedExecutor(loop, "ecu", n_threads=2)
+        sim = Simulator()
+        ex = Ros2MultiThreadedExecutor(sim, "ecu", n_threads=2)
         ex.add_group(CallbackGroup("g", reentrant=reentrant))
         ex.add_callback(CallbackSpec("X", group="g"))
         ex.add_callback(CallbackSpec("Y", group="g"))
@@ -222,8 +195,8 @@ class TestCallbackGroups:
         ]
 
     def test_distinct_groups_run_concurrently(self):
-        loop = EventLoop()
-        ex = Ros2MultiThreadedExecutor(loop, "ecu", n_threads=2)
+        sim = Simulator()
+        ex = Ros2MultiThreadedExecutor(sim, "ecu", n_threads=2)
         ex.add_callback(CallbackSpec("X", group="g1"))
         ex.add_callback(CallbackSpec("Y", group="g2"))
         log = run_schedule(ex, [(0, "X", 10), (0, "Y", 10)])
@@ -231,22 +204,22 @@ class TestCallbackGroups:
         assert all(d.start == 0 for d in log)
 
     def test_unknown_callback_submission_rejected(self):
-        loop = EventLoop()
-        ex = Ros2MultiThreadedExecutor(loop, "ecu")
+        sim = Simulator()
+        ex = Ros2MultiThreadedExecutor(sim, "ecu")
         with pytest.raises(KeyError, match="unknown callback"):
             ex.submit("ghost", 10)
 
     def test_nonpositive_thread_count_rejected(self):
         with pytest.raises(ValueError, match="n_threads"):
-            Ros2MultiThreadedExecutor(EventLoop(), "ecu", n_threads=0)
+            Ros2MultiThreadedExecutor(Simulator(), "ecu", n_threads=0)
 
 
 class TestPriorityDispatch:
     """Priority-driven dispatch vs FIFO release order (PiCAS-style)."""
 
     def build(self, policy):
-        loop = EventLoop()
-        ex = Ros2MultiThreadedExecutor(loop, "ecu", n_threads=1,
+        sim = Simulator()
+        ex = Ros2MultiThreadedExecutor(sim, "ecu", n_threads=1,
                                        policy=policy)
         ex.add_callback(CallbackSpec("low", priority=0))
         ex.add_callback(CallbackSpec("mid", priority=1))
@@ -272,7 +245,7 @@ class TestRegistryAndDeterminism:
     def test_registry_models(self):
         assert set(EXECUTOR_MODELS) == {"single", "multi", "priority"}
         for name, factory in EXECUTOR_MODELS.items():
-            ex = factory(EventLoop(), name)
+            ex = factory(Simulator(), name)
             assert ex.name == name
 
     @pytest.mark.parametrize("model", sorted(EXECUTOR_MODELS))
@@ -280,7 +253,7 @@ class TestRegistryAndDeterminism:
         jobs = [(0, "A", 7), (0, "B", 3), (4, "A", 2), (9, "B", 5)]
 
         def one_run():
-            ex = EXECUTOR_MODELS[model](EventLoop(), model)
+            ex = EXECUTOR_MODELS[model](Simulator(), model)
             ex.add_callback(CallbackSpec("A", priority=2))
             ex.add_callback(CallbackSpec("B", priority=7))
             return tuples(run_schedule(ex, jobs))

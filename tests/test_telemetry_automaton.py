@@ -1,18 +1,19 @@
 """Equivalence of the bit-packed (m,k) automaton with the reference.
 
-The telemetry store replaces :class:`repro.core.weakly_hard.MissWindow`
-(deque of the last k outcomes) with the O(1)-memory bit-packed
-:class:`repro.telemetry.automata.MKAutomaton`.  The replacement is only
-licensed by record-for-record equivalence, proven here over random
-verdict streams.
+The O(1)-memory bit-packed :class:`repro.core.weakly_hard.MKAutomaton`
+is the only online (m,k) window under ``src/``; the deque of the last k
+outcomes it replaced is the oracle ``tests/_reference/miss_window.py``.
+The replacement is only licensed by record-for-record equivalence,
+proven here over random verdict streams.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.weakly_hard import MKConstraint, MissWindow
-from repro.telemetry.automata import MKAutomaton
+from repro.core.weakly_hard import MKAutomaton, MKConstraint
+
+from _reference.miss_window import MissWindow
 
 miss_sequences = st.lists(st.booleans(), max_size=80)
 

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.bench import cli as bench_cli
-from repro.bench.harness import compare_suites
+from repro.bench.harness import SCHEMA, compare_suites
 from repro.bench.suites import SUITES
 from repro.experiments.runner import main as runner_main
 from repro.perception.stack import PerceptionStack, StackConfig
@@ -175,7 +175,7 @@ class TestTraceExportIntegration:
 
 def synthetic_suite(medians, suite="kernel"):
     return {
-        "schema": "repro-bench/1",
+        "schema": SCHEMA,
         "suite": suite,
         "python": "3.x",
         "benchmarks": {
@@ -183,6 +183,7 @@ def synthetic_suite(medians, suite="kernel"):
                 "layer": suite, "iterations": 3, "units": 100,
                 "unit": "events", "median_ns": median, "p95_ns": median,
                 "min_ns": median, "units_per_s": 100 / (median / 1e9),
+                "reference_ns": 10**6, "relative": median / 10**6,
             }
             for name, median in medians.items()
         },
@@ -227,10 +228,10 @@ class TestBenchGate:
             artifact = build_regression_artifact(
                 store, RunSelector.parse("commit=cA"),
                 RunSelector.parse("commit=cB"),
-                flagged=["ingest_frame"], suite="e2e", threshold=0.25,
+                flagged=["ingest_frame"], suite="layers", threshold=0.25,
             )
         assert artifact["bench"] == {
-            "suite": "e2e", "flagged": ["ingest_frame"], "threshold": 0.25,
+            "suite": "layers", "flagged": ["ingest_frame"], "threshold": 0.25,
         }
         for entry in artifact["regressed_categories"]:
             assert entry["ratio_p95"] > 1.25

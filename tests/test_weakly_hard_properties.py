@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.core.weakly_hard import (
+    MKAutomaton,
     MKConstraint,
-    MissWindow,
     max_window_misses,
     satisfies_mk,
 )
@@ -45,7 +45,7 @@ class TestSlidingWindowProperties:
     @settings(max_examples=200, deadline=None)
     def test_online_window_agrees_with_offline(self, misses, k, data):
         m = data.draw(st.integers(min_value=0, max_value=k))
-        window = MissWindow(MKConstraint(m, k))
+        window = MKAutomaton(MKConstraint(m, k))
         step_verdicts = [window.record(miss) for miss in misses]
         # Each step's verdict is the brute-force windowed check there.
         for i, verdict in enumerate(step_verdicts):
@@ -59,7 +59,7 @@ class TestSlidingWindowProperties:
     @given(misses=miss_sequences, k=window_sizes)
     @settings(max_examples=100, deadline=None)
     def test_hard_constraint_violated_iff_any_miss(self, misses, k):
-        window = MissWindow(MKConstraint(0, k))
+        window = MKAutomaton(MKConstraint(0, k))
         for miss in misses:
             window.record(miss)
         assert window.violated == any(misses)
@@ -84,12 +84,12 @@ class TestParameterValidation:
             MKConstraint(1, "5")
 
     def test_miss_window_coerces_tuples(self):
-        window = MissWindow((1, 5))
+        window = MKAutomaton((1, 5))
         assert window.constraint == MKConstraint(1, 5)
         with pytest.raises(ValueError):
-            MissWindow((3, 2))
+            MKAutomaton((3, 2))
         with pytest.raises(ValueError):
-            MissWindow("not a constraint")
+            MKAutomaton("not a constraint")
 
     def test_function_level_validation(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
