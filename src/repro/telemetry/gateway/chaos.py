@@ -196,7 +196,7 @@ class GatewayChaosDriver(ChaosDriver):
         super()._server_close()
 
     def _server_recover(self) -> None:
-        self.gateway, _ = FleetGateway.recover(
+        self.gateway, self.last_recovery = FleetGateway.recover(
             self.server_dir, self._gateway_config(),
             self._service_config(),
         )

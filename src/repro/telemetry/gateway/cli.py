@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -77,6 +77,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             driver.ingestor.service, gateway=driver.gateway
         )
     report["episode"] = result.to_json()
+    # The episode's cold-recovery check: what a restart would read.
+    report["recovery"] = asdict(driver.last_recovery)
 
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -84,6 +86,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_status(report))
         print()
         print(result.render())
+        print("cold recovery read: " + ", ".join(
+            f"{name}={value}" for name, value in report["recovery"].items()
+        ))
     if args.report is not None:
         write_report(args.report, report)
     return 0 if result.ok else 1

@@ -29,8 +29,8 @@ validates and queues; :meth:`step` drains up to
 ``drain_records_per_step`` records through the ingestor with **one**
 log sync and **one coalesced ack per source**.
 
-Crash semantics: everything except the ingestor's WAL + checkpoint is
-soft state.  :meth:`recover` rebuilds the ingestor (replay through
+Crash semantics: everything except the ingestor's journal is soft
+state.  :meth:`recover` rebuilds the ingestor (replay through
 dedup), comes back with no sessions and an empty backlog, and the
 protocol heals: clients re-handshake on REJECT ``hello`` and
 retransmit whatever the backlog lost.

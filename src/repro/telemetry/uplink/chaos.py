@@ -496,6 +496,9 @@ class ChaosDriver:
         self.server_dir = self.workdir / "fleet"
         self.server_up = True
         self.server_recoveries = 0
+        #: What the latest ingest recovery read (``repro gateway
+        #: --report`` shows it).
+        self.last_recovery = None
         #: ``{step: [events]}`` of every endpoint currently down --
         #: scheduled crashes and the ones a role hook triggers.
         self._pending_recoveries: Dict[int, List[CrashEvent]] = {}
@@ -647,7 +650,7 @@ class ChaosDriver:
         result.check(name, recovered_digest == live_digest, detail)
 
     def _recover_ingestor(self) -> UplinkIngestor:
-        ingestor, _ = UplinkIngestor.recover(
+        ingestor, self.last_recovery = UplinkIngestor.recover(
             self.server_dir,
             self._service_config(),
             fsync=self.config.fsync,

@@ -10,12 +10,16 @@ misses, and reordered stale frames are absorbed silently.
 
 Durability follows the vehicle-side rule, mirrored: **append before
 ack**.  Fresh records and the per-frame watermark marker are written to
-an append-only :class:`~repro.telemetry.uplink.wal.RecordLog` and
-synced *before* the acknowledgment envelope is produced, so a fleet
-crash after an ack can always rebuild the acknowledged state:
-:meth:`UplinkIngestor.recover` restores the last atomic checkpoint
-(written with the usual ``tmp`` + ``os.replace`` dance) and replays the
-log *through the dedup layer*, which makes replay idempotent by
+an append-only :class:`~repro.telemetry.uplink.wal.RecordLog` -- the
+ingestor's only durable file -- and synced *before* the acknowledgment
+envelope is produced, so a fleet crash after an ack can always rebuild
+the acknowledged state.  A checkpoint is one more entry of that journal
+holding only what changed since the previous one; nothing is truncated,
+and once the journal has outgrown its base it is rewritten as header +
+one full-state entry with a single rename.
+:meth:`UplinkIngestor.recover` is one scan: the newest checkpointed
+state of every key, then the entries after the last complete checkpoint
+replayed *through the dedup layer*, which makes replay idempotent by
 construction -- replaying twice is the same as replaying once.
 """
 
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -35,10 +38,18 @@ from repro.telemetry.uplink.transport import (
     decode_frame,
     encode_ack,
 )
-from repro.telemetry.uplink.wal import RecordLog
+from repro.telemetry.uplink.wal import (
+    CHECKPOINT_TAG,
+    RecordLog,
+    encode_entry,
+)
 
-#: Schema identifier of the durable ingest checkpoint document.
-CHECKPOINT_SCHEMA = "repro-uplink-checkpoint/1"
+#: Schema identifier of a journal checkpoint entry's document.
+CHECKPOINT_SCHEMA = "repro-uplink-checkpoint/2"
+
+#: A checkpoint compacts the journal once it is this many times the
+#: size compaction last left it at.
+JOURNAL_COMPACT_FACTOR = 8
 
 
 class DedupWatermark:
@@ -151,6 +162,10 @@ class IngestRecoveryReport:
     """What :meth:`UplinkIngestor.recover` rebuilt from disk."""
 
     checkpoint_loaded: bool = False
+    #: Checkpoint entries read (the base and every fragment after it)
+    #: and journal bytes scanned: what a recovery's time is made of.
+    fragments_read: int = 0
+    journal_bytes: int = 0
     replayed_records: int = 0
     replayed_fresh: int = 0
     replayed_markers: int = 0
@@ -191,6 +206,8 @@ class UplinkIngestor:
         #: overload ``shed`` hook rejects records (gateway accounting).
         self.on_shed_settled: Optional[Callable[[str, List[int]], None]] = None
         self._since_checkpoint = 0
+        #: Sources whose dedup state moved since the last checkpoint.
+        self._dirty_dedup: Set[str] = set()
         # Counters.
         self.payloads = 0
         self.corrupt_payloads = 0
@@ -206,9 +223,6 @@ class UplinkIngestor:
     # ------------------------------------------------------------------
     def _wal_path(self) -> Path:
         return self.directory / "ingest-wal.log"
-
-    def _checkpoint_path(self) -> Path:
-        return self.directory / "checkpoint.json"
 
     def _dedup(self, source: str) -> DedupWatermark:
         dedup = self.dedup.get(source)
@@ -284,6 +298,7 @@ class UplinkIngestor:
         header, records, lines = decoded
         source = header["source"]
         dedup = self._dedup(source)
+        self._dirty_dedup.add(source)
         self.frames += 1
         self.records_seen += len(records)
         floor = header["floor"]
@@ -350,39 +365,38 @@ class UplinkIngestor:
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> None:
-        """Atomically persist store + dedup state, then truncate the
-        log (its contents are now folded into the checkpoint)."""
+        """Durably append one checkpoint entry to the journal: the
+        store keys, sources and dedup states dirtied since the previous
+        one.  Once the journal has outgrown its base the entry holds
+        the full state instead and replaces the file."""
         self.service.pump()
-        doc = {
-            "schema": CHECKPOINT_SCHEMA,
-            "store": self.service.snapshot(),
-            "dedup": {
-                source: dedup.to_json()
-                for source, dedup in sorted(self.dedup.items())
-            },
-            # Admitted-but-unapplied records must survive the log
-            # truncation below -- they are durable, just waiting for
-            # lower seqs before the store may see them.
-            "held": {
-                source: [
-                    list(record.to_wire())
-                    for _, record in sorted(held.items())
-                ]
-                for source, held in sorted(self._held.items()) if held
-            },
+        log, store = self.log, self.service.store
+        compact = log.nbytes > JOURNAL_COMPACT_FACTOR * log.base_bytes
+        doc: dict = {"schema": CHECKPOINT_SCHEMA}
+        if compact:
+            doc["store"] = self.service.snapshot()
+            store.dirty_keys.clear()
+            store.dirty_sources.clear()
+        else:
+            doc["delta"] = store.fragment()
+        doc["dedup"] = {
+            source: self.dedup[source].to_json()
+            for source in sorted(self.dedup if compact else self._dirty_dedup)
         }
-        path = self._checkpoint_path()
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            # json.dumps takes the C encoder; json.dump never does.
-            handle.write(
-                json.dumps(doc, separators=(",", ":"), sort_keys=True)
-            )
-            handle.flush()
-            if self.fsync != "never":
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        self.log.reset()
+        self._dirty_dedup = set()
+        # json.dumps takes the C encoder; json.dump never does.
+        body = json.dumps([CHECKPOINT_TAG, doc], separators=(",", ":"))
+        if compact:
+            # Admitted-but-unapplied records are durable, just waiting
+            # for lower seqs before the store may see them: their
+            # journal lines are their only copy, so those move along.
+            log.compact([
+                encode_entry(record.encode_line())
+                for _, held in sorted(self._held.items())
+                for _, record in sorted(held.items())
+            ], body)
+        else:
+            log.append_checkpoint(body)
         self.checkpoints += 1
         self._since_checkpoint = 0
 
@@ -398,49 +412,66 @@ class UplinkIngestor:
         fsync: str = "rotate",
         checkpoint_every: Optional[int] = 8,
     ) -> Tuple["UplinkIngestor", IngestRecoveryReport]:
-        """Rebuild an ingestor after a crash: checkpoint, then log
-        replay *through the dedup layer* (idempotent by construction)."""
+        """Rebuild an ingestor after a crash: one journal scan, the
+        newest checkpointed state per key, then the entries after the
+        last checkpoint replayed *through the dedup layer* (idempotent
+        by construction)."""
         directory = Path(directory)
+        legacy = sorted(directory.glob("checkpoint.*"))
+        if legacy:
+            # Written by a build that kept the state beside the log:
+            # replaying the near-empty log next to it would lose it.
+            raise SchemaVersionError(
+                str(legacy[0]), "a pre-journal checkpoint file",
+                CHECKPOINT_SCHEMA,
+            )
         report = IngestRecoveryReport()
         service = TelemetryService(service_config)
         dedup: Dict[str, DedupWatermark] = {}
         held: Dict[str, Dict[int, TelemetryRecord]] = {}
 
-        checkpoint_path = directory / "checkpoint.json"
-        if checkpoint_path.exists():
-            data = json.loads(checkpoint_path.read_text(encoding="utf-8"))
-            if data.get("schema") != CHECKPOINT_SCHEMA:
-                raise SchemaVersionError(
-                    "uplink checkpoint", data.get("schema"), CHECKPOINT_SCHEMA
-                )
-            service.restore(data["store"])
-            dedup = {
-                source: DedupWatermark.from_json(state)
-                for source, state in data.get("dedup", {}).items()
-            }
-            for source, rows in data.get("held", {}).items():
-                restored = [TelemetryRecord.from_wire(tuple(row))
-                            for row in rows]
-                held[source] = {r.seq: r for r in restored}
-            report.checkpoint_loaded = True
-
         log = RecordLog.open_existing(directory / "ingest-wal.log", fsync)
         report.truncated_lines = log.truncated
+        report.journal_bytes = log.nbytes
+        report.fragments_read = len(log.checkpoints)
+        if log.checkpoints:
+            dedup_docs: Dict[str, dict] = {}
+            for doc in log.checkpoints:
+                if doc.get("schema") != CHECKPOINT_SCHEMA:
+                    raise SchemaVersionError(
+                        "uplink checkpoint", doc.get("schema"),
+                        CHECKPOINT_SCHEMA,
+                    )
+                dedup_docs.update(doc["dedup"])
+            # compact() leaves the full state on top; deltas follow.
+            service.restore(
+                log.checkpoints[0]["store"],
+                [doc["delta"] for doc in log.checkpoints[1:]],
+            )
+            dedup = {
+                source: DedupWatermark.from_json(state)
+                for source, state in dedup_docs.items()
+            }
+            # A record logged before the last checkpoint entry matters
+            # only if that checkpoint still held it, and a record stays
+            # held exactly until the watermark passes it.
+            floor = min((d.watermark for d in dedup.values()), default=-1)
+            for record in log.settled_above(floor):
+                if record.seq > dedup[record.source].watermark:
+                    held.setdefault(record.source, {})[record.seq] = record
+            report.checkpoint_loaded = True
+
         for record, marker in log.replayed:
             if record is not None:
                 report.replayed_records += 1
-                source_dedup = dedup.get(record.source)
-                if source_dedup is None:
-                    source_dedup = dedup[record.source] = DedupWatermark()
-                if source_dedup.admit(record.seq):
+                if dedup.setdefault(
+                    record.source, DedupWatermark()
+                ).admit(record.seq):
                     held.setdefault(record.source, {})[record.seq] = record
                     report.replayed_fresh += 1
-            elif marker is not None:
+            else:
                 source, seq = marker
-                source_dedup = dedup.get(source)
-                if source_dedup is None:
-                    source_dedup = dedup[source] = DedupWatermark()
-                source_dedup.advance_to(seq)
+                dedup.setdefault(source, DedupWatermark()).advance_to(seq)
                 report.replayed_markers += 1
         # Apply in seq order per source, exactly as the live path
         # would have; what stays held is above the watermark.
@@ -456,6 +487,7 @@ class UplinkIngestor:
             checkpoint_every=checkpoint_every, _log=log,
         )
         ingestor.dedup = dedup
+        ingestor._dirty_dedup = set(dedup)
         ingestor._held = {s: h for s, h in held.items() if h}
         return ingestor, report
 

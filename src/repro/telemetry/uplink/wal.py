@@ -24,10 +24,11 @@ Two log flavors live here:
   tolerates a torn tail line (a mid-write crash) by truncating it --
   counted -- while any *mid-file* damage raises
   :class:`WalCorruptionError` loudly.
-- :class:`RecordLog` -- the fleet side.  A plain append-only record log
-  (records from many sources, plus watermark markers) that the ingestor
-  appends to *before acknowledging* and truncates at each durable
-  checkpoint.
+- :class:`RecordLog` -- the fleet side.  The ingestor's append-only
+  journal (records from many sources, watermark markers, checkpoint
+  entries): appended to *before acknowledging*, never truncated, and
+  rewritten to header + one full-state checkpoint entry (``tmp`` +
+  ``os.replace``) once it has outgrown that entry several times over.
 
 Both share one line format: ``crc32(body):body`` where ``body`` is the
 record's compact JSON wire line, so corruption is detected per line.
@@ -67,6 +68,11 @@ WAL_MARK_SCHEMA = "repro-uplink-walmark/2"
 #: First element of a watermark marker entry in a :class:`RecordLog`.
 MARKER_TAG = "~wm"
 
+#: First element of a checkpoint entry in a :class:`RecordLog`; the
+#: second is the ingestor's checkpoint document.
+CHECKPOINT_TAG = "~ck"
+_CHECKPOINT_PREFIX = f'["{CHECKPOINT_TAG}",'
+
 #: Accepted fsync policies.
 FSYNC_POLICIES = ("always", "rotate", "never")
 
@@ -84,8 +90,8 @@ def encode_entry(body: str) -> str:
     return f"{crc:08x}:{body}"
 
 
-def decode_entry(line: str) -> Optional[list]:
-    """Parse a CRC-framed line; ``None`` when torn or corrupt."""
+def _entry_body(line: str) -> Optional[str]:
+    """The body of a CRC-framed line; ``None`` when torn or corrupt."""
     if len(line) < 10 or line[8] != ":":
         return None
     body = line[9:]
@@ -95,11 +101,20 @@ def decode_entry(line: str) -> Optional[list]:
         return None
     if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != crc:
         return None
+    return body
+
+
+def _body_fields(body: Optional[str]) -> Optional[list]:
     try:
-        fields = json.loads(body)
+        fields = json.loads(body) if body is not None else None
     except ValueError:
         return None
     return fields if isinstance(fields, list) else None
+
+
+def decode_entry(line: str) -> Optional[list]:
+    """Parse a CRC-framed line; ``None`` when torn or corrupt."""
+    return _body_fields(_entry_body(line))
 
 
 def _entry_to_record(fields: list) -> Optional[TelemetryRecord]:
@@ -112,14 +127,14 @@ def _entry_to_record(fields: list) -> Optional[TelemetryRecord]:
 
 
 def _scan_log(
-    path: Path, schema: str, parse: Callable[[list, str], object],
+    path: Path, schema: str, parse: Callable[[str], object],
     tail_may_tear: bool = True,
 ) -> Tuple[Optional[dict], list, int, int]:
     """Read one header + CRC-framed-entries file.
 
-    Returns ``(header, entries, kept_bytes, torn)``: ``parse(fields,
-    line)`` maps each decoded entry to what the caller keeps, or
-    ``None`` when the entry is damaged.  A damaged or unterminated
+    Returns ``(header, entries, kept_bytes, torn)``: ``parse(line)``
+    maps each entry line to what the caller keeps, or ``None`` when the
+    entry is damaged.  A damaged or unterminated
     *last* line is a torn tail -- the only line a mid-write crash can
     damage: it is physically truncated away and counted in ``torn``;
     damage anywhere else raises
@@ -148,8 +163,7 @@ def _scan_log(
     entries = []
     kept = len(lines[0].encode("utf-8")) + 1
     for line_no, line in enumerate(lines[1:], start=2):
-        fields = decode_entry(line)
-        entry = parse(fields, line) if fields is not None else None
+        entry = parse(line)
         if entry is None:
             if not tail_may_tear or line_no != len(lines):
                 raise WalCorruptionError(
@@ -592,7 +606,8 @@ class WalSpooler:
         if not path.exists():
             return -1, 0
 
-        def parse(fields: list, _line: str) -> Optional[int]:
+        def parse(line: str) -> Optional[int]:
+            fields = decode_entry(line) or ()
             if len(fields) == 1 and isinstance(fields[0], int):
                 return fields[0]
             return None
@@ -609,8 +624,8 @@ class WalSpooler:
         Repairs a torn tail in place (truncate); ``segment is None``
         when the last file's *header* was torn (file removed).
         """
-        def parse(fields: list, line: str):
-            record = _entry_to_record(fields)
+        def parse(line: str):
+            record = _entry_to_record(decode_entry(line) or ())
             return None if record is None else (record, line)
 
         header, entries, kept_bytes, dropped = _scan_log(
@@ -638,16 +653,19 @@ class WalSpooler:
 
 
 # ----------------------------------------------------------------------
-# Fleet-side append-before-ack log
+# Fleet-side append-before-ack journal
 # ----------------------------------------------------------------------
 class RecordLog:
-    """Plain append-only record log with watermark markers.
+    """The ingestor's one durable file: records, watermark markers and
+    checkpoint entries, CRC-framed lines appended on one open handle.
 
-    The ingestor appends every *fresh* record here (then the per-batch
-    watermark marker) before acknowledging the batch, and calls
-    :meth:`reset` after each durable checkpoint folds the log's
-    contents into the snapshot.  :meth:`open_existing` replays the log
-    after a crash, tolerating (and truncating) a torn tail line.
+    The ingestor appends every *fresh* record here (then the per-frame
+    watermark marker) before acknowledging the frame.  A checkpoint is
+    one more entry (:meth:`append_checkpoint`) and truncates nothing;
+    :meth:`compact` rewrites the file as header + the records still
+    waiting + one full-state checkpoint entry.  :meth:`open_existing`
+    reads it back after a crash, tolerating (and truncating) a torn
+    tail line, and decodes only what a recovery can still need.
     """
 
     def __init__(self, path: Path, fsync: str = "rotate",
@@ -660,24 +678,32 @@ class RecordLog:
         self.fsync = fsync
         self.entries = 0
         self.truncated = 0
-        #: Replayed (record, None) / (None, (source, seq)) entries --
-        #: populated by :meth:`open_existing` only.
+        #: Bytes in the file, and in the full-state checkpoint entry
+        #: :meth:`compact` last left at its top (0: never compacted).
+        self.nbytes = 0
+        self.base_bytes = 0
+        #: What :meth:`open_existing` read: the checkpoint documents,
+        #: the bodies of the other lines before the last of them, and
+        #: the (record, None) / (None, (source, seq)) entries after it.
+        self.checkpoints: List[dict] = []
+        self.settled: List[str] = []
         self.replayed: List[
             Tuple[Optional[TelemetryRecord], Optional[Tuple[str, int]]]
         ] = []
         if not _replay:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._file = open(self.path, "w", encoding="utf-8")
-            self._write_header()
+            self._write(self._HEADER)
+            self._file.flush()
 
     _HEADER = json.dumps(
         {"schema": WAL_SCHEMA, "segment": 0, "source": "*fleet*"},
         separators=(",", ":"), sort_keys=True,
     )
 
-    def _write_header(self) -> None:
-        self._file.write(self._HEADER + "\n")
-        self._file.flush()
+    def _write(self, line: str) -> None:
+        self._file.write(line + "\n")
+        self.nbytes += len(line) + 1
 
     # ------------------------------------------------------------------
     def append_raw(self, entry: str) -> None:
@@ -686,12 +712,12 @@ class RecordLog:
         The frame path hands the vehicle's WAL lines straight through:
         the CRC was verified at decode, so nothing is re-encoded.
         """
-        self._file.write(entry + "\n")
+        self._write(entry)
         self.entries += 1
 
     def append_marker(self, source: str, seq: int) -> None:
         body = json.dumps([MARKER_TAG, source, seq], separators=(",", ":"))
-        self._file.write(encode_entry(body) + "\n")
+        self._write(encode_entry(body))
         self.entries += 1
 
     def sync(self) -> None:
@@ -700,50 +726,110 @@ class RecordLog:
         if self.fsync == "always":
             os.fsync(self._file.fileno())
 
-    def reset(self) -> None:
-        """Truncate after a checkpoint absorbed every entry."""
-        self._file.seek(0)
-        self._file.truncate()
-        self._write_header()
+    def append_checkpoint(self, body: str) -> None:
+        """Durably append one checkpoint entry (*body*: its JSON)."""
+        self._write(encode_entry(body))
+        self._flush()
+
+    def compact(self, waiting: List[str], body: str) -> None:
+        """Atomically rewrite the journal as header + the *waiting*
+        record lines + one checkpoint entry holding the full state
+        (``tmp`` + ``os.replace``; the handle stays open across the
+        rename).  Unless the policy is ``never`` the directory is
+        fsynced before anything is appended to the new inode: a power
+        cut must not keep a later append and lose the rename."""
+        self._file.close()
+        tmp = self.path.with_suffix(".tmp")
+        self._file = open(tmp, "w", encoding="utf-8")
+        entry = encode_entry(body)
+        self.nbytes, self.base_bytes = 0, len(entry) + 1
+        for line in [self._HEADER] + waiting + [entry]:
+            self._write(line)
+        self._flush()
+        os.replace(tmp, self.path)
+        if self.fsync != "never":
+            fd = os.open(self.path.parent, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+
+    def _flush(self) -> None:
+        self._file.flush()
         if self.fsync != "never":
             os.fsync(self._file.fileno())
-        self.entries = 0
 
     def close(self) -> None:
         if not self._file.closed:
-            self._file.flush()
-            if self.fsync != "never":
-                os.fsync(self._file.fileno())
+            self._flush()
             self._file.close()
 
     # ------------------------------------------------------------------
     @classmethod
     def open_existing(cls, path: Path, fsync: str = "rotate") -> "RecordLog":
-        """Replay an existing log (crash recovery); creates if absent."""
+        """Read an existing journal (crash recovery); creates if absent."""
         path = Path(path)
         if not path.exists():
             return cls(path, fsync)
+        log = cls(path, fsync, _replay=True)
 
-        def parse(fields: list, _line: str):
-            if (
-                len(fields) == 3 and fields[0] == MARKER_TAG
-                and isinstance(fields[2], int)
-            ):
-                return None, (fields[1], fields[2])
-            record = _entry_to_record(fields)
-            return None if record is None else (record, None)
+        def parse(line: str):
+            # Only checkpoint entries are decoded on the way: whatever
+            # precedes the last of them is settled, and CRC-checked only.
+            body = _entry_body(line)
+            if body is None or not body.startswith(_CHECKPOINT_PREFIX):
+                return body
+            fields = _body_fields(body) or ()
+            if len(fields) != 2 or not isinstance(fields[1], dict):
+                return None
+            log.base_bytes = log.base_bytes or len(line) + 1
+            return fields[1]
 
-        header, entries, _, torn = _scan_log(path, WAL_SCHEMA, parse)
+        header, entries, log.nbytes, log.truncated = _scan_log(
+            path, WAL_SCHEMA, parse
+        )
         if header is None:
-            if not torn:
+            if not log.truncated:
                 return cls(path, fsync)  # empty file: nothing to replay
             raise WalCorruptionError(f"{path}: unreadable log header")
-        log = cls(path, fsync, _replay=True)
-        log.replayed = entries
+        live = 1 + max(
+            (i for i, e in enumerate(entries) if isinstance(e, dict)),
+            default=-1,
+        )
+        for entry in entries[:live]:
+            if isinstance(entry, dict):
+                log.checkpoints.append(entry)
+            else:
+                log.settled.append(entry)
+        log.replayed = [log._decode(body) for body in entries[live:]]
         log.entries = len(entries)
-        log.truncated = torn
         log._file = open(path, "a", encoding="utf-8")
         return log
+
+    def _decode(self, body: str):
+        fields = _body_fields(body) or ()
+        if (
+            len(fields) == 3 and fields[0] == MARKER_TAG
+            and isinstance(fields[2], int)
+        ):
+            return None, (fields[1], fields[2])
+        record = _entry_to_record(fields)
+        if record is None:
+            raise WalCorruptionError(
+                f"{self.path}: intact line is neither record nor marker"
+            )
+        return record, None
+
+    def settled_above(self, floor: int) -> List[TelemetryRecord]:
+        """The records logged before the last checkpoint entry with a
+        seq above *floor*: the only ones a recovery can still need, so
+        the only ones decoded (every record and marker body ends
+        ``,<seq>]``)."""
+        entries = [
+            self._decode(body) for body in self.settled
+            if int(body[body.rfind(",") + 1:-1]) > floor
+        ]
+        return [record for record, _ in entries if record is not None]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RecordLog {self.path.name} entries={self.entries}>"

@@ -66,9 +66,10 @@ class TestDurabilitySyscallBudget:
         self, tmp_path, monkeypatch
     ):
         """The clock-free regression guard of the durability path: on a
-        clean 4 x 30 episode an ack mark is an append, so renames are
-        bounded by checkpoints + journal compactions and opens by
-        segments + compactions + checkpoints."""
+        clean 4 x 30 episode an ack mark and a checkpoint are appends,
+        so renames are bounded by the compactions of the ack-mark and
+        ingest journals, opens by segments + those compactions, and at
+        most every fourth checkpoint compacts."""
         import collections
         import os
 
@@ -88,11 +89,11 @@ class TestDurabilitySyscallBudget:
             monkeypatch.setattr(
                 module, "open", counted("open", open), raising=False
             )
-        for name in ("_compact_mark", "_write_mark", "_open_segment"):
-            monkeypatch.setattr(
-                wal.WalSpooler, name,
-                counted(name, getattr(wal.WalSpooler, name)),
-            )
+        for cls, name in (
+            (wal.WalSpooler, "_compact_mark"), (wal.WalSpooler, "_write_mark"),
+            (wal.WalSpooler, "_open_segment"), (wal.RecordLog, "compact"),
+        ):
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
         config = ChaosConfig(vehicles=4, frames=30, protocol="windowed")
         result = GatewayChaosScenario(name="clean").make_driver(
             config, tmp_path
@@ -100,17 +101,19 @@ class TestDurabilitySyscallBudget:
         assert result.ok, [c for c in result.checks if not c["ok"]]
 
         checkpoints = result.ingest["checkpoints"]
-        compactions = calls["_compact_mark"]
+        mark_compactions = calls["_compact_mark"]
         assert checkpoints >= 20 and calls["_write_mark"] >= 100
-        assert calls["replace"] <= checkpoints + compactions
+        assert 1 <= calls["compact"] <= checkpoints / 4
+        assert calls["replace"] <= mark_compactions + calls["compact"]
         # One compaction per vehicle creates the journal, one more per
         # segment_max_records marks; every other ack is an append.
-        assert compactions <= config.vehicles + (
+        assert mark_compactions <= config.vehicles + (
             calls["_write_mark"] // config.segment_max_records
         )
-        # + 2: the ingest log, opened live and by the cold-recovery check.
+        # + 2: the ingest journal, opened live and by the cold-recovery
+        # check.
         assert calls["open"] <= (
-            calls["_open_segment"] + compactions + checkpoints + 2
+            calls["_open_segment"] + mark_compactions + calls["compact"] + 2
         )
 
 
@@ -149,6 +152,24 @@ class TestChaosReport:
         report = load_report(path)
         counters = report["scenarios"][0]["protocol"]
         assert set(counters) <= KNOWN_PROTOCOL_COUNTERS
+
+
+class TestGatewayCommandReport:
+    def test_report_says_what_a_cold_recovery_read(self, tmp_path, capsys):
+        """A recovery that got slow must be visible without a profiler:
+        checkpoint entries read and journal bytes scanned."""
+        from repro.telemetry.gateway.cli import main
+
+        path = tmp_path / "status.json"
+        assert main(["--vehicles", "3", "--frames", "12",
+                     "--report", str(path)]) == 0
+        recovery = json.loads(path.read_text())["recovery"]
+        assert recovery["checkpoint_loaded"] is True
+        assert recovery["fragments_read"] >= 1
+        assert recovery["journal_bytes"] > 0
+        assert f"journal_bytes={recovery['journal_bytes']}" in (
+            capsys.readouterr().out
+        )
 
 
 class TestSocketAdapter:

@@ -25,7 +25,7 @@ from repro.telemetry.uplink.transport import (
     encode_envelope,
     encode_frame,
 )
-from repro.telemetry.uplink.wal import encode_entry
+from repro.telemetry.uplink.wal import decode_entry, encode_entry
 
 
 def _rec(source, seq, miss=False):
@@ -231,43 +231,85 @@ class TestIngestor:
         assert store_digest(recovered.service) == live
 
     def test_checkpoint_bytes_are_the_canonical_dump(self, tmp_path):
-        """One C-encoded write must leave exactly the bytes json.dump
-        left: compact, key-sorted, no trailing newline."""
+        """A checkpoint is one CRC-framed ``~ck`` line of the journal,
+        C-encoded once and compact, and its bytes are a function of the
+        per-source histories alone: not of the order sources first
+        showed up in (dict order), nor of a hash seed (set order)."""
         config = ServiceConfig(store=StoreConfig(mk_by_chain={"c": (2, 10)}))
-        ingestor = UplinkIngestor(
-            _service(), tmp_path, fsync="never", checkpoint_every=None
+
+        def journal_after(directory, order):
+            ingestor = UplinkIngestor(
+                _service(), directory, fsync="never", checkpoint_every=None
+            )
+            for source in order:
+                ingestor.handle_payload(_frame(
+                    source, 0, [_rec(source, seq, miss=seq == 3)
+                                for seq in range(7)],
+                ))
+            ingestor.checkpoint()  # no base yet: the full state
+            for source in order:
+                ingestor.handle_payload(_frame(source, 1, [_rec(source, 7)]))
+            ingestor.checkpoint()  # a fragment
+            lines = (directory / "ingest-wal.log").read_text(
+                encoding="utf-8"
+            ).split("\n")
+            # header, base, per source 1 record + 1 marker, fragment.
+            assert len(lines) == 2 + 4 + 1 + 1 and lines[-1] == ""
+            return ingestor, lines[1], lines[-2]
+
+        ingestor, base_line, fragment_line = journal_after(
+            tmp_path / "a", ("v1", "v0")
         )
-        for source in ("v1", "v0"):
-            ingestor.handle_payload(_frame(
-                source, 0, [_rec(source, seq, miss=seq == 3)
-                            for seq in range(7)],
-            ))
-        ingestor.checkpoint()
-        raw = (tmp_path / "checkpoint.json").read_text(encoding="utf-8")
-        doc = {
-            "schema": CHECKPOINT_SCHEMA,
-            "store": ingestor.service.snapshot(),
-            "dedup": {s: d.to_json() for s, d in ingestor.dedup.items()},
-            "held": {},
+        store = ingestor.service.store
+        tag, base = decode_entry(base_line)
+        assert tag == "~ck" and base_line[9:] == json.dumps(
+            ["~ck", base], separators=(",", ":")
+        )
+        assert sorted(base) == ["dedup", "schema", "store"]
+        assert base["schema"] == CHECKPOINT_SCHEMA
+        assert base["store"]["applied"] == 14
+        assert base["dedup"] == {
+            source: {"watermark": 6, "seen": [], "admitted": 7,
+                     "duplicates": 0}
+            for source in ("v0", "v1")
         }
-        assert raw == json.dumps(doc, separators=(",", ":"), sort_keys=True)
-        assert not (tmp_path / "checkpoint.tmp").exists()
+        assert decode_entry(fragment_line) == ["~ck", {
+            "schema": CHECKPOINT_SCHEMA,
+            "delta": {
+                "applied": 16,
+                "keys": [[s, "c", store.chain_state(s, "c").to_json()]
+                         for s in ("v0", "v1")],
+                "sources": {s: store.sources[s].to_json()
+                            for s in ("v0", "v1")},
+            },
+            "dedup": {s: ingestor.dedup[s].to_json() for s in ("v0", "v1")},
+        }]
+        assert [p.name for p in (tmp_path / "a").iterdir()] == [
+            "ingest-wal.log"
+        ]
         live = store_digest(ingestor.service)
         ingestor.close()
+        other, *other_lines = journal_after(tmp_path / "b", ("v0", "v1"))
+        other.close()
+        assert other_lines == [base_line, fragment_line]
+
         recovered, report = UplinkIngestor.recover(
-            tmp_path, config, fsync="never", checkpoint_every=None
+            tmp_path / "a", config, fsync="never", checkpoint_every=None
         )
         assert report.checkpoint_loaded and report.replayed_records == 0
+        assert report.fragments_read == 2
         assert store_digest(recovered.service) == live
-        # The recovered log handle is append-mode: resetting it in
-        # place must still leave header + new entries, nothing stale.
-        recovered.handle_payload(_frame("v0", 1, [_rec("v0", 7)]))
-        recovered.checkpoint()
+        # The recovered handle appends after what it read.
         recovered.handle_payload(_frame("v0", 2, [_rec("v0", 8)]))
+        recovered.checkpoint()
+        recovered.handle_payload(_frame("v0", 3, [_rec("v0", 9)]))
         live = store_digest(recovered.service)
         recovered.close()
-        again, report = UplinkIngestor.recover(tmp_path, config, fsync="never")
+        again, report = UplinkIngestor.recover(
+            tmp_path / "a", config, fsync="never"
+        )
         assert (report.replayed_records, report.replayed_markers) == (1, 1)
+        assert report.fragments_read == 3
         assert store_digest(again.service) == live
 
     def test_unknown_checkpoint_schema_refused(self, tmp_path):
@@ -276,11 +318,14 @@ class TestIngestor:
         )
         ingestor.handle_payload(_frame("v0", 0, [_rec("v0", 0)]))
         ingestor.close()
-        path = tmp_path / "checkpoint.json"
-        doc = json.loads(path.read_text())
+        path = tmp_path / "ingest-wal.log"
+        header, entry, _ = path.read_text().split("\n")
+        tag, doc = decode_entry(entry)
         assert doc["schema"] == CHECKPOINT_SCHEMA
         doc["schema"] = "repro-uplink-checkpoint/9"
-        path.write_text(json.dumps(doc))
+        path.write_text(
+            header + "\n" + encode_entry(json.dumps([tag, doc])) + "\n"
+        )
         with pytest.raises(SchemaVersionError) as err:
             UplinkIngestor.recover(tmp_path, fsync="never")
         assert "repro-uplink-checkpoint/9" in str(err.value)

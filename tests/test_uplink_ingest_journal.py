@@ -1,0 +1,380 @@
+"""The ingest journal: a checkpoint is one ``~ck`` entry of
+``ingest-wal.log`` holding what changed, a compaction is the only
+rename.
+
+- The crash-interleaving property of ``test_uplink_wal.py`` carried to
+  the ingestor: frames, checkpoints, compactions and crashes in any
+  order -- a crash may cut the journal anywhere inside the last ``~ck``
+  entry, or land on either side of a compaction's rename -- recover to
+  the store digest, dedup state and held records of the full-snapshot
+  oracle ``_reference/full_snapshot_ingest.py``.
+- On the store alone: snapshot + fragments, newest per key, restore to
+  the bytes of ``snapshot()``.
+- The clock-free budgets of the path: ``to_json`` calls per checkpoint,
+  ``from_json`` calls per recovery, directory fsyncs per policy.
+"""
+
+import collections
+import json
+import os
+import stat
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _reference.full_snapshot_ingest import FullSnapshotIngestor
+from repro.telemetry.batch import RecordBatch
+from repro.telemetry.records import (
+    RecordKind,
+    SchemaVersionError,
+    TelemetryRecord,
+)
+from repro.telemetry.service import ServiceConfig, TelemetryService
+from repro.telemetry.store import ChainState, ChainStateStore, StoreConfig
+from repro.telemetry.uplink import ingest, wal
+from repro.telemetry.uplink.ingest import UplinkIngestor, store_digest
+from repro.telemetry.uplink.transport import encode_frame
+from repro.telemetry.uplink.wal import encode_entry
+
+SOURCES = ("v0", "v1", "v2")
+CHAINS = ("brake", "steer")
+CONFIG = ServiceConfig(store=StoreConfig(
+    mk_by_chain={"brake": (2, 10)}, default_budget_ns=150, window_records=4,
+))
+
+
+def _rec(source, seq):
+    """A record stream touching two keys per source, every kind the
+    store folds, with misses and over-budget latencies sprinkled in."""
+    chain = CHAINS[seq % 2]
+    if seq % 7 == 3:
+        return TelemetryRecord(
+            kind=RecordKind.MODE, source=source, level=f"L{seq % 3}",
+            timestamp_ns=(seq + 1) * 100, seq=seq,
+        )
+    if seq % 3 == 0:
+        return TelemetryRecord(
+            kind=RecordKind.SEGMENT, source=source, chain=chain,
+            segment="s0", activation=seq, latency_ns=100 + 17 * (seq % 9),
+            verdict="ok", timestamp_ns=(seq + 1) * 100, seq=seq,
+        )
+    return TelemetryRecord(
+        kind=RecordKind.CHAIN, source=source, chain=chain, activation=seq,
+        verdict="miss" if seq % 5 == 0 else "ok",
+        timestamp_ns=(seq + 1) * 100, seq=seq,
+    )
+
+
+def _frame(source, frame_id, seqs):
+    return encode_frame(
+        source, frame_id, 0,
+        [encode_entry(_rec(source, seq).encode_line()) for seq in seqs],
+    )
+
+
+def _state(ingestor):
+    return {
+        "digest": store_digest(ingestor.service),
+        "dedup": {s: d.to_json() for s, d in sorted(ingestor.dedup.items())},
+        "held": {
+            source: sorted(held)
+            for source, held in sorted(ingestor._held.items()) if held
+        },
+    }
+
+
+class _Crash(Exception):
+    """Raised by a patched ``os.replace`` standing in for process death."""
+
+
+_OPS = st.one_of(
+    # (source, records in the frame, deliver now / stash for later).
+    st.tuples(st.just("frame"), st.integers(0, 2), st.integers(1, 5),
+              st.booleans()),
+    st.tuples(st.just("late"), st.integers(0, 2)),
+    st.tuples(st.just("dup"), st.integers(0, 2)),
+    st.tuples(st.just("checkpoint")),
+    st.tuples(st.just("compact")),
+    st.tuples(st.just("crash")),
+    # Die inside checkpoint(): the ``~ck`` line cut at this fraction,
+    # or -- when that checkpoint compacts -- before / after the rename.
+    st.tuples(st.just("crash_in_checkpoint"), st.floats(0.0, 1.0),
+              st.booleans()),
+)
+
+
+class TestCrashInterleavingProperty:
+    @given(ops=st.lists(_OPS, min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_recovery_equals_the_full_snapshot_oracle(self, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            self._run(Path(tmp), ops)
+
+    def _run(self, tmp, ops):
+        def recover(cls, directory):
+            ingestor, _ = cls.recover(
+                directory, CONFIG, fsync="never", checkpoint_every=None
+            )
+            return ingestor
+
+        def crash(ingestor):
+            ingestor.log._file.close()  # no checkpoint, no fsync
+            return recover(type(ingestor), ingestor.directory)
+
+        journal = UplinkIngestor(
+            TelemetryService(CONFIG), tmp / "journal", fsync="never",
+            checkpoint_every=None,
+        )
+        oracle = FullSnapshotIngestor(
+            TelemetryService(CONFIG), tmp / "oracle", fsync="never",
+            checkpoint_every=None,
+        )
+        next_seq = collections.Counter()
+        stashed = collections.defaultdict(list)
+        last = {}
+        frame_id = 0
+
+        def deliver(payload):
+            journal.handle_payload(payload)
+            oracle.handle_payload(payload)
+
+        for op in ops:
+            if op[0] == "frame":
+                source = SOURCES[op[1]]
+                seqs = range(next_seq[source], next_seq[source] + op[2])
+                next_seq[source] += op[2]
+                frame_id += 1
+                payload = last[source] = _frame(source, frame_id, seqs)
+                if op[3]:
+                    deliver(payload)
+                else:  # later frames overtake it: their records are held
+                    stashed[source].append(payload)
+            elif op[0] == "late" and stashed[SOURCES[op[1]]]:
+                deliver(stashed[SOURCES[op[1]]].pop(0))
+            elif op[0] == "dup" and SOURCES[op[1]] in last:
+                deliver(last[SOURCES[op[1]]])
+            elif op[0] == "checkpoint":
+                journal.checkpoint()
+                oracle.checkpoint()
+            elif op[0] == "compact":
+                journal.log.base_bytes = 0  # outgrown, whatever its size
+                journal.checkpoint()
+                oracle.checkpoint()
+                assert journal.log.nbytes == (
+                    journal.log.path.stat().st_size
+                )
+            elif op[0] == "crash":
+                journal, oracle = crash(journal), crash(oracle)
+            elif op[0] == "crash_in_checkpoint":
+                journal, survived = self._die_in_checkpoint(
+                    journal, cut=op[1], after_rename=op[2]
+                )
+                if survived:
+                    oracle.checkpoint()
+                journal, oracle = crash(journal), crash(oracle)
+            assert _state(journal) == _state(oracle)
+        journal.close()
+        oracle.close()
+        assert _state(recover(UplinkIngestor, journal.directory)) == (
+            _state(recover(FullSnapshotIngestor, oracle.directory))
+        )
+
+    @staticmethod
+    def _die_in_checkpoint(journal, cut, after_rename):
+        """Run ``checkpoint()`` and kill it; returns the ingestor to
+        crash and whether the checkpoint is on disk."""
+        log = journal.log
+        compacts = log.nbytes > ingest.JOURNAL_COMPACT_FACTOR * log.base_bytes
+        if compacts:
+            real = os.replace
+
+            def replace(src, dst):
+                if after_rename:
+                    real(src, dst)
+                raise _Crash()
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(wal.os, "replace", replace)
+                with pytest.raises(_Crash):
+                    journal.checkpoint()
+            return journal, after_rename
+        log._file.flush()
+        before = log.path.stat().st_size
+        journal.checkpoint()
+        log._file.close()
+        size = log.path.stat().st_size
+        # Anywhere from "nothing of the entry" to "all but its newline".
+        keep = before + int(cut * (size - 1 - before))
+        with open(log.path, "r+b") as handle:
+            handle.truncate(keep)
+        return journal, False
+
+
+# ----------------------------------------------------------------------
+# The store alone: snapshot + fragments == snapshot
+# ----------------------------------------------------------------------
+class TestFragmentsRestoreToTheSnapshot:
+    @given(
+        batches=st.lists(
+            st.lists(st.tuples(st.integers(0, 2), st.integers(1, 6)),
+                     min_size=0, max_size=4),
+            min_size=1, max_size=8,
+        ),
+        base_after=st.integers(0, 8),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_newest_per_key_merge_is_byte_identical(self, batches, base_after):
+        store = ChainStateStore(CONFIG.store)
+        seqs = collections.Counter()
+        base, fragments = store.snapshot(), []
+        store.fragment()
+        for index, picks in enumerate(batches):
+            records = []
+            for source_index, n in picks:
+                source = SOURCES[source_index]
+                records += [
+                    _rec(source, seqs[source] + i) for i in range(n)
+                ]
+                seqs[source] += n
+            store.apply_batch(RecordBatch.from_records(records))
+            if index == base_after:
+                base, fragments = store.snapshot(), []
+                store.fragment()
+            else:
+                fragments.append(json.loads(json.dumps(store.fragment())))
+        restored = ChainStateStore.restore(base, fragments)
+        dump = lambda s: json.dumps(s.snapshot(), sort_keys=True)  # noqa: E731
+        assert dump(restored) == dump(store)
+        assert not restored.dirty_keys and not restored.dirty_sources
+
+
+# ----------------------------------------------------------------------
+# Clock-free budgets
+# ----------------------------------------------------------------------
+def _wide_rec(vehicle, chain, seq):
+    return TelemetryRecord(
+        kind=RecordKind.CHAIN, source=f"veh{vehicle:03d}", chain=chain,
+        activation=seq, verdict="ok", timestamp_ns=(seq + 1) * 100, seq=seq,
+    )
+
+
+class TestCheckpointWorkIsProportionalToWhatChanged:
+    def test_to_json_per_dirty_key_and_from_json_per_distinct_key(
+        self, tmp_path, monkeypatch
+    ):
+        """200 keys, every frame touches 2: a checkpoint encodes the
+        keys dirtied since the last one, and a recovery over N
+        fragments decodes each distinct key once."""
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            ChainState, "to_json", counted("to_json", ChainState.to_json)
+        )
+        monkeypatch.setattr(
+            ChainState, "from_json",
+            classmethod(counted("from_json", ChainState.from_json.__func__)),
+        )
+        ingestor = UplinkIngestor(
+            TelemetryService(ServiceConfig()), tmp_path, fsync="never",
+            checkpoint_every=None,
+        )
+        for vehicle in range(100):  # 100 sources x 2 chains
+            ingestor.handle_payload(encode_frame(
+                f"veh{vehicle:03d}", 0, 0,
+                [encode_entry(_wide_rec(vehicle, chain, seq).encode_line())
+                 for seq, chain in enumerate(CHAINS)],
+            ))
+        ingestor.checkpoint()  # the base: a full snapshot
+        assert calls["to_json"] == 200
+
+        fragments = 12
+        next_seq = collections.Counter()
+        for round_no in range(fragments):
+            calls.clear()
+            for vehicle in (round_no % 5, 50 + round_no % 3):
+                next_seq[vehicle] += 2
+                ingestor.handle_payload(encode_frame(
+                    f"veh{vehicle:03d}", 1 + round_no, 0,
+                    [encode_entry(_wide_rec(
+                        vehicle, chain, next_seq[vehicle] + i
+                    ).encode_line()) for i, chain in enumerate(CHAINS)],
+                ))
+            ingestor.checkpoint()
+            assert calls["to_json"] == 4  # 2 frames x 2 keys
+        live = store_digest(ingestor.service)
+        ingestor.close()
+
+        calls.clear()
+        recovered, report = UplinkIngestor.recover(
+            tmp_path, ServiceConfig(), fsync="never", checkpoint_every=None
+        )
+        assert report.fragments_read == 1 + fragments
+        assert report.journal_bytes == (tmp_path / "ingest-wal.log").stat().st_size
+        assert calls["from_json"] == 200  # not 200 + 4 * fragments
+        assert store_digest(recovered.service) == live
+        recovered.close()
+
+
+class TestCompactionDurability:
+    @pytest.mark.parametrize(
+        "policy,dir_fsyncs", [("always", 1), ("rotate", 1), ("never", 0)]
+    )
+    def test_rename_is_followed_by_one_directory_fsync(
+        self, tmp_path, monkeypatch, policy, dir_fsyncs
+    ):
+        """Under any policy but ``never`` a compaction's rename is
+        made durable before anything is appended to the new inode; a
+        fragment checkpoint never touches the directory."""
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.append(
+                "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            )
+            real_fsync(fd)
+
+        ingestor = UplinkIngestor(
+            TelemetryService(CONFIG), tmp_path, fsync=policy,
+            checkpoint_every=None,
+        )
+        monkeypatch.setattr(wal.os, "fsync", fsync)
+        ingestor.handle_payload(_frame("v0", 0, range(4)))
+        del synced[:]
+        ingestor.checkpoint()  # no base yet: compacts
+        # The tmp file's contents first, then the rename.
+        assert synced == ["file", "dir"][:2 * dir_fsyncs]
+        assert not (tmp_path / "ingest-wal.tmp").exists()
+
+        ingestor.handle_payload(_frame("v0", 1, range(4, 8)))
+        del synced[:]
+        ingestor.checkpoint()  # a fragment: one append, no rename
+        assert synced == ["file"][:dir_fsyncs]
+        ingestor.close()
+
+
+class TestFormatRefusals:
+    def test_directory_of_a_pre_journal_build_is_refused(self, tmp_path):
+        """A ``/1`` directory keeps its state in ``checkpoint.json``
+        beside a near-empty log; replaying only that log would silently
+        lose it."""
+        old = FullSnapshotIngestor(
+            TelemetryService(CONFIG), tmp_path, fsync="never",
+            checkpoint_every=1,
+        )
+        old.handle_payload(_frame("v0", 0, range(3)))
+        old.close()
+        assert (tmp_path / "checkpoint.json").exists()
+        with pytest.raises(SchemaVersionError) as err:
+            UplinkIngestor.recover(tmp_path, CONFIG, fsync="never")
+        assert "checkpoint.json" in str(err.value)
+        assert ingest.CHECKPOINT_SCHEMA in str(err.value)

@@ -359,14 +359,43 @@ class TestRecordLog:
         assert entries[1] == (None, ("v0", 0))
         assert entries[2][0].source == "v1"
 
-    def test_reset_truncates_after_checkpoint(self, tmp_path):
+    def test_checkpoint_entry_settles_what_precedes_it(self, tmp_path):
         path = Path(tmp_path) / "fleet.log"
         log = RecordLog(path, fsync="never")
         log.append_raw(encode_entry(_rec("v0", 0).encode_line()))
-        log.sync()
-        log.reset()
+        log.append_raw(encode_entry(_rec("v0", 5).encode_line()))
+        log.append_checkpoint('["~ck",{"n":1}]')
+        log.append_checkpoint('["~ck",{"n":2}]')
+        log.append_marker("v0", 0)
         log.close()
-        assert RecordLog.open_existing(path, fsync="never").replayed == []
+        replayed = RecordLog.open_existing(path, fsync="never")
+        assert replayed.checkpoints == [{"n": 1}, {"n": 2}]
+        assert replayed.replayed == [(None, ("v0", 0))]
+        # Nothing is truncated: settled lines stay, undecoded until a
+        # recovery asks for the seqs it can still need.
+        assert [r.seq for r in replayed.settled_above(-1)] == [0, 5]
+        assert [r.seq for r in replayed.settled_above(0)] == [5]
+        assert replayed.nbytes == path.stat().st_size
+
+    def test_compact_leaves_header_waiting_lines_and_one_entry(
+        self, tmp_path
+    ):
+        path = Path(tmp_path) / "fleet.log"
+        log = RecordLog(path, fsync="never")
+        for seq in range(4):
+            log.append_raw(encode_entry(_rec("v0", seq).encode_line()))
+        log.compact(
+            [encode_entry(_rec("v0", 3).encode_line())], '["~ck",{"n":1}]'
+        )
+        log.append_marker("v0", 3)  # the open handle followed the rename
+        log.close()
+        assert not path.with_suffix(".tmp").exists()
+        assert len(path.read_text().split("\n")) == 5
+        replayed = RecordLog.open_existing(path, fsync="never")
+        assert replayed.checkpoints == [{"n": 1}]
+        assert [r.seq for r in replayed.settled_above(-1)] == [3]
+        assert replayed.replayed == [(None, ("v0", 3))]
+        assert replayed.base_bytes == len(encode_entry('["~ck",{"n":1}]')) + 1
 
     def test_torn_tail_tolerated(self, tmp_path):
         path = Path(tmp_path) / "fleet.log"
