@@ -147,10 +147,12 @@ class ChainRuntime:
         self._finalized_through = max(self._finalized_through, through_activation)
 
     def _activation_violated(self, activation: int) -> bool:
-        per_segment = self.records.get(activation, {})
-        return any(
-            record.outcome is Outcome.MISS for record in per_segment.values()
-        )
+        per_segment = self.records.get(activation)
+        if per_segment:
+            for record in per_segment.values():
+                if record.outcome is Outcome.MISS:
+                    return True
+        return False
 
     # ------------------------------------------------------------------
     # Offline verdicts
@@ -164,15 +166,15 @@ class ChainRuntime:
         counts = {outcome: 0 for outcome in Outcome}
         for n in range(through_activation + 1):
             per_segment = self.records.get(n, {})
-            violated = any(
-                record.outcome is Outcome.MISS for record in per_segment.values()
-            )
+            violated = False
+            for record in per_segment.values():
+                counts[record.outcome] += 1
+                if record.outcome is Outcome.MISS:
+                    violated = True
             activations.append(
                 ActivationOutcome(activation=n, violated=violated, segments=per_segment)
             )
             misses.append(violated)
-            for record in per_segment.values():
-                counts[record.outcome] += 1
         worst = max_window_misses(misses, self.chain.mk.k) if misses else 0
         return ChainReport(
             chain_name=self.chain.name,

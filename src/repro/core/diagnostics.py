@@ -65,6 +65,8 @@ class HealthPolicy:
 class _SegmentHealth:
     state: Health = Health.OK
     outcomes: Deque[bool] = field(default_factory=deque)  # True = miss
+    #: Misses among ``outcomes``, kept beside the window as it slides.
+    window_misses: int = 0
     consecutive_misses: int = 0
     consecutive_clean: int = 0
     transitions: List = field(default_factory=list)
@@ -105,50 +107,44 @@ class HealthSupervisor:
         RECOVERED counts as clean for health purposes (the data path
         stayed alive); MISS and SKIPPED count as misses.
         """
-        health = self._segments.setdefault(segment_name, _SegmentHealth())
-        miss = outcome in (Outcome.MISS, Outcome.SKIPPED)
-        health.outcomes.append(miss)
-        while len(health.outcomes) > self.policy.window:
-            health.outcomes.popleft()
+        health = self._segments.get(segment_name)
+        if health is None:
+            health = self._segments[segment_name] = _SegmentHealth()
+        policy = self.policy
+        miss = outcome is Outcome.MISS or outcome is Outcome.SKIPPED
+        outcomes = health.outcomes
+        outcomes.append(miss)
+        health.window_misses += miss
+        while len(outcomes) > policy.window:
+            health.window_misses -= outcomes.popleft()
         if miss:
             health.consecutive_misses += 1
             health.consecutive_clean = 0
         else:
             health.consecutive_misses = 0
             health.consecutive_clean += 1
-        self._transition(segment_name, health)
+        old = new = health.state
+        if health.consecutive_misses >= policy.failed_consecutive:
+            new = Health.FAILED
+        elif old is Health.FAILED:
+            if health.consecutive_clean >= policy.recover_clean:
+                new = Health.OK
+        elif health.window_misses / len(outcomes) > policy.degraded_ratio:
+            new = Health.DEGRADED
+        elif old is Health.DEGRADED:
+            if health.consecutive_clean >= policy.recover_clean:
+                new = Health.OK
+        if new is not old:
+            health.state = new
+            health.transitions.append((old, new, len(outcomes)))
+            if self.on_state_change is not None:
+                self.on_state_change(segment_name, old, new)
         return health.state
 
     def attach(self, runtime) -> None:
         """Mirror a :class:`LocalSegmentRuntime`/monitor into this
         supervisor by appending a reporting shim to its reporters."""
         runtime.reporters.append(_Shim(self))
-
-    # ------------------------------------------------------------------
-    def _transition(self, name: str, health: _SegmentHealth) -> None:
-        old = health.state
-        new = old
-        if health.consecutive_misses >= self.policy.failed_consecutive:
-            new = Health.FAILED
-        elif old is Health.FAILED:
-            if health.consecutive_clean >= self.policy.recover_clean:
-                new = Health.OK
-        else:
-            ratio = (
-                sum(health.outcomes) / len(health.outcomes)
-                if health.outcomes
-                else 0.0
-            )
-            if ratio > self.policy.degraded_ratio:
-                new = Health.DEGRADED
-            elif old is Health.DEGRADED:
-                if health.consecutive_clean >= self.policy.recover_clean:
-                    new = Health.OK
-        if new is not old:
-            health.state = new
-            health.transitions.append((old, new, len(health.outcomes)))
-            if self.on_state_change is not None:
-                self.on_state_change(name, old, new)
 
     # ------------------------------------------------------------------
     def state_of(self, segment_name: str) -> Health:
@@ -172,7 +168,7 @@ class HealthSupervisor:
         for name in sorted(self._segments):
             health = self._segments[name]
             ratio = (
-                sum(health.outcomes) / len(health.outcomes)
+                health.window_misses / len(health.outcomes)
                 if health.outcomes
                 else 0.0
             )

@@ -285,8 +285,12 @@ class FaultCampaign:
     def run_scenario(self, scenario: FaultScenario) -> ScenarioResult:
         """Build, fault, run and judge one scenario."""
         cc = self.config
+        # Verdicts read ground truth and monitor records, never the
+        # stack's tracer, so no trace point is armed; a scenario that
+        # wants its run traced says so in ``config_overrides``.
         stack_config = dataclasses.replace(
-            StackConfig(seed=cc.seed, spans=cc.spans, via_dag=cc.via_dag),
+            StackConfig(seed=cc.seed, spans=cc.spans, via_dag=cc.via_dag,
+                        trace_prefixes=()),
             **scenario.config_overrides,
         )
         stack = PerceptionStack(stack_config)
@@ -366,17 +370,20 @@ class FaultCampaign:
         identical alert counts.
         """
         from repro.telemetry.emitter import (
-            replay_stack_records,
+            replay_stack_batch,
             stack_store_config,
         )
+        from repro.telemetry.pipeline import DEFAULT_CAPACITY
         from repro.telemetry.service import ServiceConfig, TelemetryService
 
-        service = TelemetryService(
-            ServiceConfig(store=stack_store_config(stack))
-        )
-        service.ingest_many(
-            replay_stack_records(stack, source, n_frames, manager=manager)
-        )
+        batch = replay_stack_batch(stack, source, n_frames, manager=manager)
+        # The replay is offline: the queue is sized to the run, so a long
+        # soak is never judged by a backpressure drop of its own making.
+        service = TelemetryService(ServiceConfig(
+            store=stack_store_config(stack),
+            queue_capacity=max(DEFAULT_CAPACITY, len(batch)),
+        ))
+        service.ingest_batch(batch)
         service.drain()
         return service.alert_log.counts_by_rule(), service.applied
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.chain_runtime import Outcome
@@ -29,6 +30,9 @@ from repro.core.diagnostics import Health, HealthPolicy, HealthSupervisor
 from repro.core.exceptions import ExceptionContext, RecoverAlways
 from repro.perception.pointcloud import PointCloud
 from repro.sim.kernel import msec
+
+
+_OUTCOME_OF = attrgetter("outcome")
 
 
 class DegradationMode(enum.Enum):
@@ -246,7 +250,7 @@ class GracefulDegradationManager:
                 self.clean_streak = 0
                 return
             records = self.stack.chain_runtimes[chain_name].records.get(n, {})
-            if any(r.outcome is Outcome.RECOVERED for r in records.values()):
+            if Outcome.RECOVERED in map(_OUTCOME_OF, records.values()):
                 # Served, but from stale substitutes: neither clean nor
                 # violated.  Too many of these in a row is its own
                 # escalation trigger -- the masked data is aging.

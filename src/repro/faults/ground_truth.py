@@ -32,10 +32,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 
-def _frame_of(sample) -> Optional[int]:
-    return getattr(sample.data, "frame_index", None)
-
-
 class GroundTruthRecorder:
     """Global-time event log of one stack run, keyed by activation."""
 
@@ -56,17 +52,20 @@ class GroundTruthRecorder:
     # ------------------------------------------------------------------
     def _recorder(self, start_tables, end_tables, completion_tables=()):
         sim = self.stack.sim
+        # Starts and completions count substitutes, ends do not (see the
+        # module docstring): two table groups, one pass each.
+        every_sample = (*start_tables, *completion_tables)
+        real_only = tuple(end_tables)
 
         def record(sample) -> bool:
-            n = _frame_of(sample)
+            n = getattr(sample.data, "frame_index", None)
             if n is not None:
-                for table in start_tables:
-                    table.setdefault(n, sim.now)
+                now = sim.now
+                for table in every_sample:
+                    table.setdefault(n, now)
                 if not sample.recovered:
-                    for table in end_tables:
-                        table.setdefault(n, sim.now)
-                for table in completion_tables:
-                    table.setdefault(n, sim.now)
+                    for table in real_only:
+                        table.setdefault(n, now)
             return True
 
         return record

@@ -37,6 +37,7 @@ from repro.telemetry.emitter import (
     MonitorTelemetrySink,
     TelemetryEmitter,
     attach_stack,
+    replay_stack_batch,
     replay_stack_records,
     stack_chain_map,
     stack_store_config,
@@ -98,6 +99,7 @@ __all__ = [
     "attach_stack",
     "decode_stream",
     "encode_stream",
+    "replay_stack_batch",
     "replay_stack_records",
     "run_load",
     "stack_chain_map",

@@ -17,9 +17,9 @@ Three layers of glue live here:
 - stack-level helpers -- :func:`attach_stack` wires a live
   :class:`~repro.perception.stack.PerceptionStack` (monitors, chain
   runtimes, optionally the degradation manager) to an emitter;
-  :func:`replay_stack_records` converts an already-finished run into a
-  deterministic record stream, which is how the fault campaign and the
-  load generator feed the service.
+  :func:`replay_stack_batch` converts an already-finished run into a
+  deterministic columnar record stream, which is how the fault campaign
+  feeds the service (:func:`replay_stack_records` is its row view).
 
 Timestamps in replayed streams are synthesized from activation index
 and recorded latency (data time), never from a wall clock, so replays
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional
 
+from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import RecordKind, TelemetryRecord
 
 Sink = Callable[[TelemetryRecord], object]
@@ -220,13 +221,13 @@ def attach_stack(stack, emitter: TelemetryEmitter, manager=None) -> MonitorTelem
     return sink
 
 
-def replay_stack_records(
+def replay_stack_batch(
     stack,
     source: str,
     n_frames: int,
     manager=None,
-) -> Iterator[TelemetryRecord]:
-    """Deterministic record stream of one finished stack run.
+) -> RecordBatch:
+    """Deterministic record stream of one finished stack run, columnar.
 
     Emission order (and therefore sequence numbering) is fixed:
     segment outcomes per monitor source in recorded order, sources
@@ -234,10 +235,14 @@ def replay_stack_records(
     then degradation-mode transitions.  Timestamps are synthesized as
     ``activation * period + latency`` (data time).
     """
-    emitted: List[TelemetryRecord] = []
-    emitter = TelemetryEmitter(source, emitted.append)
     chain_of = stack_chain_map(stack)
     period = stack.config.period
+    chains: List[str] = []
+    segments: List[str] = []
+    activations: List[int] = []
+    latencies: List[Optional[int]] = []
+    verdicts: List[str] = []
+    timestamps: List[int] = []
 
     sources = {}
     sources.update(stack.local_runtimes)
@@ -249,22 +254,50 @@ def replay_stack_records(
             segment_name, chain_of.get(base_segment_name(segment_name), "")
         )
         for n, latency, outcome in monitor.latencies:
-            timestamp = n * period + max(0, latency)
-            emitter.segment(
-                chain, segment_name, n, outcome.value, latency, timestamp
-            )
+            activations.append(n)
+            latencies.append(latency)
+            verdicts.append(outcome.value)
+            timestamps.append(n * period + max(0, latency))
+        chains += [chain] * len(monitor.latencies)
+        segments += [segment_name] * len(monitor.latencies)
+    kinds = [RecordKind.SEGMENT] * len(activations)
 
     for chain_name in sorted(stack.chain_runtimes):
-        runtime = stack.chain_runtimes[chain_name]
-        report = runtime.finalize(n_frames - 1)
-        for n, violated in enumerate(report.misses):
-            emitter.chain(chain_name, n, violated, (n + 1) * period)
+        misses = stack.chain_runtimes[chain_name].finalize(n_frames - 1).misses
+        kinds += [RecordKind.CHAIN] * len(misses)
+        chains += [chain_name] * len(misses)
+        segments += [""] * len(misses)
+        activations += range(len(misses))
+        latencies += [None] * len(misses)
+        verdicts += ["miss" if violated else "ok" for violated in misses]
+        timestamps += range(period, (len(misses) + 1) * period, period)
+    levels = [""] * len(kinds)
 
     if manager is not None:
-        for t, old, new, reason in manager.transitions:
-            emitter.mode(new.value, reason, t)
+        for t, _old, new, reason in manager.transitions:
+            kinds.append(RecordKind.MODE)
+            chains.append("")
+            segments.append("")
+            activations.append(-1)
+            latencies.append(None)
+            verdicts.append(reason)
+            levels.append(new.value)
+            timestamps.append(t)
 
-    return iter(emitted)
+    return RecordBatch(
+        kinds, [source] * len(kinds), chains, segments, activations,
+        latencies, verdicts, levels, timestamps, range(len(kinds)),
+    )
+
+
+def replay_stack_records(
+    stack,
+    source: str,
+    n_frames: int,
+    manager=None,
+) -> Iterator[TelemetryRecord]:
+    """:func:`replay_stack_batch`, one :class:`TelemetryRecord` per row."""
+    return iter(replay_stack_batch(stack, source, n_frames, manager).to_records())
 
 
 def stack_store_config(stack, n_shards: int = 8):

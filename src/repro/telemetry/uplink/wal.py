@@ -694,7 +694,10 @@ class RecordLog:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._file = open(self.path, "w", encoding="utf-8")
             self._write(self._HEADER)
-            self._file.flush()
+            # Frames are acknowledged out of this file long before the
+            # first compaction: its directory entry must survive too.
+            self._flush()
+            self._sync_directory()
 
     _HEADER = json.dumps(
         {"schema": WAL_SCHEMA, "segment": 0, "source": "*fleet*"},
@@ -747,6 +750,11 @@ class RecordLog:
             self._write(line)
         self._flush()
         os.replace(tmp, self.path)
+        self._sync_directory()
+
+    def _sync_directory(self) -> None:
+        """Make the journal's directory entry (a creation, a rename)
+        durable, unless the policy is ``never``."""
         if self.fsync != "never":
             fd = os.open(self.path.parent, os.O_RDONLY)
             try:

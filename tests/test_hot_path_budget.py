@@ -4,7 +4,7 @@ The monitor is a simulated high-priority thread, so every event it
 handles is paid for in the scheduler and the kernel.  This module runs
 the sparse perception stack (tiny clouds: the simulator, not the
 numerics, does the work) for 30 frames under a ``sys.setprofile``
-counter and pins three host-independent quantities:
+counter and pins these host-independent quantities:
 
 * Python-level calls into ``repro`` per frame, monitored and
   unmonitored, and their difference (what the monitor adds) -- as
@@ -16,19 +16,26 @@ counter and pins three host-independent quantities:
   event on the ``run(until=...)`` route the stack takes, or a formatted
   label (only ``ScheduledEvent.__repr__`` ever reads one);
 * that tracing off is free: with no span recorder and no trace prefix
-  the run makes no call into ``repro.tracing`` at all.
+  the run makes no call into ``repro.tracing`` at all;
+* what a fault campaign adds on top: one ``loss_burst`` scenario on the
+  same clouds pays for a monitored run, its ground truth, degradation
+  ladder and oracles, one columnar telemetry replay -- and no tracer.
 """
 
+import dataclasses
 import os
 import sys
 
 import pytest
 
 import repro
+from repro.faults import CampaignConfig, FaultCampaign, default_scenarios
 from repro.perception import PerceptionStack, StackConfig
 from repro.perception.scenario import ScenarioConfig
 from repro.sim.calendar import CalendarQueue
 from repro.sim.kernel import ScheduledEvent, Simulator
+from repro.telemetry.service import TelemetryService
+from repro.tracing.tracer import Tracer
 
 FRAMES = 30
 
@@ -48,10 +55,21 @@ UNMONITORED_EVENTS = 545
 #: carry none.
 LABELLED_CEILING = 7
 
+#: Calls per frame of one 60-frame ``loss_burst`` campaign scenario on
+#: CPython 3.11: 727.3 (935.7 before the campaign stopped arming trace
+#: points, replaying record by record and summing the health window).
+CAMPAIGN_FRAMES = 60
+CAMPAIGN_CEILING = 749
+
 _ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _TRACING = _ROOT + "tracing" + os.sep
 _POP = CalendarQueue.pop.__code__
 _EVENT_INIT = ScheduledEvent.__init__.__code__
+
+_SPARSE = ScenarioConfig(
+    seed=1, ground_rings=2, points_per_ring=24, max_objects=1,
+    points_per_object_mean=10,
+)
 
 
 class _Run:
@@ -60,10 +78,7 @@ class _Run:
     def __init__(self, monitoring: bool) -> None:
         stack = PerceptionStack(StackConfig(
             seed=1, monitoring=monitoring, trace_prefixes=(),
-            scenario=ScenarioConfig(
-                seed=1, ground_rings=2, points_per_ring=24, max_objects=1,
-                points_per_object_mean=10,
-            ),
+            scenario=_SPARSE,
         ))
         self.spans = stack.sim.spans
         self.tracing_active = stack.sim.tracing_active
@@ -144,3 +159,44 @@ def test_tracing_off_is_free(runs):
         assert run.spans is None and not run.tracing_active
         assert run.tracing_calls == 0
         assert run.pops == 0
+
+
+def test_campaign_frame_pays_for_its_verdict_only():
+    # The stack is built inside run_scenario, so the one call into
+    # repro.tracing a campaign may make is constructing the stack's
+    # Tracer, which with no prefix registers no hook.
+    scenario = next(s for s in default_scenarios() if s.name == "loss_burst")
+    scenario = dataclasses.replace(
+        scenario, config_overrides={"scenario": _SPARSE}
+    )
+    campaign = FaultCampaign(
+        [scenario], CampaignConfig(n_frames=CAMPAIGN_FRAMES, seed=1)
+    )
+    codes = {
+        TelemetryService.ingest.__code__: "ingest",
+        TelemetryService.ingest_batch.__code__: "ingest_batch",
+    }
+    counts = {"calls": 0, "tracing": 0, "ingest": 0, "ingest_batch": 0}
+    tracer_init = Tracer.__init__.__code__
+
+    def profile(frame, event, _arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if not code.co_filename.startswith(_ROOT):
+            return
+        counts["calls"] += 1
+        if code in codes:
+            counts[codes[code]] += 1
+        elif code.co_filename.startswith(_TRACING) and code is not tracer_init:
+            counts["tracing"] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = campaign.run_scenario(scenario)
+    finally:
+        sys.setprofile(None)
+    assert result.passed and result.telemetry_records > 0
+    assert counts["tracing"] == 0
+    assert (counts["ingest_batch"], counts["ingest"]) == (1, 0)
+    assert counts["calls"] / CAMPAIGN_FRAMES <= CAMPAIGN_CEILING

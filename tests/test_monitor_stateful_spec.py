@@ -25,7 +25,7 @@ monitor's own start-event cost).  Without that rule the machine finds a
 sequence the fixed drain order mishandles -- start n+1 posted while the
 monitor computes on start n, end n+1 posted inside that window: the end
 event is consumed as stale before its start is armed, and the
-activation later raises a false exception (ROADMAP 6(b)).
+activation later raises a false exception (ROADMAP 3(a)).
 """
 
 from hypothesis import settings

@@ -331,9 +331,10 @@ class TestCompactionDurability:
     def test_rename_is_followed_by_one_directory_fsync(
         self, tmp_path, monkeypatch, policy, dir_fsyncs
     ):
-        """Under any policy but ``never`` a compaction's rename is
-        made durable before anything is appended to the new inode; a
-        fragment checkpoint never touches the directory."""
+        """Under any policy but ``never`` the journal's creation and a
+        compaction's rename are each made durable -- file, then
+        directory -- before anything is appended to the new inode; a
+        frame and a fragment checkpoint never touch the directory."""
         synced = []
         real_fsync = os.fsync
 
@@ -343,12 +344,16 @@ class TestCompactionDurability:
             )
             real_fsync(fd)
 
+        monkeypatch.setattr(wal.os, "fsync", fsync)
         ingestor = UplinkIngestor(
             TelemetryService(CONFIG), tmp_path, fsync=policy,
             checkpoint_every=None,
         )
-        monkeypatch.setattr(wal.os, "fsync", fsync)
+        # Frames are acknowledged out of this file before any compaction.
+        assert synced == ["file", "dir"][:2 * dir_fsyncs]
+        del synced[:]
         ingestor.handle_payload(_frame("v0", 0, range(4)))
+        assert "dir" not in synced
         del synced[:]
         ingestor.checkpoint()  # no base yet: compacts
         # The tmp file's contents first, then the rename.
@@ -359,7 +364,9 @@ class TestCompactionDurability:
         del synced[:]
         ingestor.checkpoint()  # a fragment: one append, no rename
         assert synced == ["file"][:dir_fsyncs]
+        del synced[:]
         ingestor.close()
+        assert "dir" not in synced
 
 
 class TestFormatRefusals:
