@@ -1,4 +1,4 @@
-"""Interleaved parent/change pairs of one ``e2e_bench`` workload.
+"""Interleaved parent/change pairs of ``e2e_bench`` workloads.
 
 The host's speed drifts by 10-40% within minutes, so two runs made at
 different times say nothing; a pair made back to back does.  This runs
@@ -10,11 +10,18 @@ first, and prints every value, each side's median [q1, q3], the wins
 and the house-rule verdict: a gain is *claimed* when the change reads
 better in at least nine tenths of the pairs (ties count for neither)
 and the medians differ by more than the parent's inter-quartile
-distance.  Run length, metric names and directions come from the
-parent's ``BENCHMARK.json``.
+distance.  ``--workload`` repeats: the first is the claim (``--pairs``
+pairs, gain rule), every further one a should-not-move table
+(``--check-pairs`` pairs).  Every end-to-end metric of every table is
+also held against its ``BENCHMARK.json`` bound: *within* it, *worse*
+beyond it, or *unresolved* when the parent's own spread is wider than
+the bound and the change does not win every comparison.  Run length,
+metric names, directions and bounds come from the parent's
+``BENCHMARK.json``.
 
     python3 benchmarks/e2e_pairs.py --parent ../parent --change . \\
-        --workload fault_storm [--pairs 10] [--trace 1 --metric NAME ...]
+        --workload fleet_clean --workload fleet_chaos --workload fault_storm \\
+        [--pairs 10] [--check-pairs 3] [--trace 1 --metric NAME ...]
 
 Use fresh checkouts for both sides (``git clone`` / ``git archive``), not
 a working tree with build leftovers.  Not a test: pytest collects
@@ -74,12 +81,33 @@ def judge(name: str, better: str, parent: List[float],
     )
 
 
+def hold(better: str, bound: float, parent: List[float],
+         change: List[float]) -> str:
+    """Whether the change's median stays within *bound* of the
+    parent's, or the pairs cannot tell."""
+    sign = -1.0 if better == "lower" else 1.0
+    p_q1, p_med, p_q3 = quartiles(parent)
+    worse_by = -sign * (quartiles(change)[1] - p_med) / p_med if p_med else 0.0
+    if worse_by > bound:
+        verdict = "WORSE beyond the bound"
+    elif (p_q3 - p_q1 > bound * abs(p_med)
+          and not all(sign * (c - p) > 0 for c in change for p in parent)):
+        verdict = "unresolved (parent IQR wider than the bound)"
+    else:
+        verdict = "within the bound"
+    return f"  median worse by {worse_by:+.1%} vs bound {bound:.0%}: {verdict}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="repeatable: the claim first, then the "
+                             "workloads predicted not to move")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--check-pairs", type=int, default=3,
+                        help="pairs per workload after the first")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--metric", action="append", default=None,
                         help="default: the manifest's end-to-end metrics")
@@ -91,36 +119,46 @@ def main(argv=None) -> int:
         m["name"]: m["better"]
         for m in manifest["end_to_end"] + manifest["per_layer"]
     }
-    names = args.metric or [m["name"] for m in manifest["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in manifest["end_to_end"]}
+    names = args.metric or list(bounds)
     unknown = [name for name in names if name not in better]
     if unknown:
         raise SystemExit(f"not in BENCHMARK.json: {', '.join(unknown)}")
 
     sides = {"parent": args.parent, "change": args.change}
-    values: Dict[str, Dict[str, List[float]]] = {
-        side: {name: [] for name in names} for side in sides
-    }
-    attempted = failed = 0
-    print(f"{args.workload}: {args.pairs} pairs, {seconds:g} s per run, "
-          f"trace {args.trace}")
-    for pair in range(1, args.pairs + 1):
-        order = ("parent", "change") if pair % 2 else ("change", "parent")
-        for side in order:
-            record = measure(sides[side], args.workload, pair, seconds,
-                             args.trace)
-            attempted += record["attempted"]
-            failed += record["failed"]
-            for name in names:
-                values[side][name].append(record["metrics"][name]["value"])
-        print(f"pair {pair:>2d} ({order[0]} first)  " + "  ".join(
-            f"{name} {values['parent'][name][-1]:.6g} -> "
-            f"{values['change'][name][-1]:.6g}" for name in names
-        ), flush=True)
-    print(f"{failed} failed ops of {attempted}")
-    for name in names:
-        print(judge(name, better[name], values["parent"][name],
-                    values["change"][name]))
-    return 1 if failed else 0
+    any_failed = False
+    for index, workload in enumerate(args.workload):
+        claim = index == 0
+        pairs = args.pairs if claim else args.check_pairs
+        values: Dict[str, Dict[str, List[float]]] = {
+            side: {name: [] for name in names} for side in sides
+        }
+        attempted = failed = 0
+        print(f"{workload} ({'claim' if claim else 'should not move'}): "
+              f"{pairs} pairs, {seconds:g} s per run, trace {args.trace}")
+        for pair in range(1, pairs + 1):
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for side in order:
+                record = measure(sides[side], workload, pair, seconds,
+                                 args.trace)
+                attempted += record["attempted"]
+                failed += record["failed"]
+                for name in names:
+                    values[side][name].append(
+                        record["metrics"][name]["value"]
+                    )
+            print(f"pair {pair:>2d} ({order[0]} first)  " + "  ".join(
+                f"{name} {values['parent'][name][-1]:.6g} -> "
+                f"{values['change'][name][-1]:.6g}" for name in names
+            ), flush=True)
+        print(f"{failed} failed ops of {attempted}")
+        any_failed = any_failed or bool(failed)
+        for name in names:
+            parent, change = values["parent"][name], values["change"][name]
+            print(judge(name, better[name], parent, change))
+            if name in bounds:
+                print(hold(better[name], bounds[name], parent, change))
+    return 1 if any_failed else 0
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ shard.
 
 A batch is a *view format*, not a new schema: ``from_records`` /
 ``to_records`` round-trip losslessly through the existing
-:class:`TelemetryRecord`, and :meth:`record` materializes a single row
-on demand (the store only does this for the rare flagged record that
-becomes alert-engine input).
+:class:`TelemetryRecord`, ``from_rows`` builds the same columns from
+decoded wire rows without a record object in between (the fleet path),
+and :meth:`record` materializes a single row on demand (the store only
+does this for the rare flagged record that becomes alert-engine input).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence
 
-from repro.telemetry.records import RecordKind, TelemetryRecord
+from repro.telemetry.records import KIND_BY_VALUE, RecordKind, TelemetryRecord
 
 #: One attrgetter per column, bound once: ``map(getter, records)`` runs
 #: the whole transpose at C speed instead of one interpreted loop
@@ -89,6 +90,17 @@ class RecordBatch:
          batch.timestamps, batch.seqs) = (
             list(map(getter, records)) for getter in _GETTERS
         )
+        return batch
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence]) -> "RecordBatch":
+        """Transpose at least one wire row (each already checked by
+        :func:`~repro.telemetry.records.wire_rows_ok`) into columns."""
+        batch = cls.__new__(cls)
+        (kinds, batch.sources, batch.chains, batch.segments,
+         batch.activations, batch.latencies, batch.verdicts, batch.levels,
+         batch.timestamps, batch.seqs) = map(list, zip(*rows))
+        batch.kinds = [KIND_BY_VALUE[kind] for kind in kinds]
         return batch
 
     def slice(self, n: int) -> "RecordBatch":

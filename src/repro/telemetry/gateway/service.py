@@ -25,9 +25,11 @@ exactly this object) that adds
 
 Processing is two-phase per virtual step, which is also the batching
 that makes the pipelined path fast: :meth:`handle_payload` only
-validates and queues; :meth:`step` drains up to
+validates and queues (the frame header is decoded here, once);
+:meth:`step` is the unit of work -- it drains up to
 ``drain_records_per_step`` records through the ingestor with **one**
-log sync and **one coalesced ack per source**.
+columnar store apply, **one** log sync and **one coalesced ack per
+source**.
 
 Crash semantics: everything except the ingestor's journal is soft
 state.  :meth:`recover` rebuilds the ingestor (replay through
@@ -52,6 +54,7 @@ from repro.telemetry.uplink.ingest import (
 from repro.telemetry.uplink.transport import (
     HELLO_SCHEMA,
     decode_envelope,
+    decode_frame_header,
     encode_reject,
     encode_welcome,
 )
@@ -112,8 +115,8 @@ class FleetGateway:
         #: source -> client life presented in HELLO (a live session).
         self.sessions: Dict[str, int] = {}
         self.buckets: Dict[str, TokenBucket] = {}
-        #: FIFO intake across sources: ``(source, payload, count)``.
-        self._backlog: Deque[Tuple[str, str, int]] = deque()
+        #: FIFO intake across sources: ``(payload, decoded header)``.
+        self._backlog: Deque[Tuple[str, dict]] = deque()
         self.backlog_records = 0
         self._backlog_by_source: Dict[str, int] = {}
         #: Cumulative shed seqs per source, announced on every ack so a
@@ -236,16 +239,11 @@ class FleetGateway:
         )
 
     def _handle_frame(self, payload: str, now: int) -> None:
-        header_line = payload.split("\n", 1)[0]
-        header = decode_envelope(header_line)
-        if header is None or not isinstance(header.get("source"), str):
+        header = decode_frame_header(payload)
+        if header is None:
             self.corrupt_payloads += 1
             return
-        source = header["source"]
-        count = header.get("count")
-        if not isinstance(count, int) or count < 0:
-            self.corrupt_payloads += 1
-            return
+        source, count = header["source"], header["count"]
         if source not in self.sessions:
             self.session_rejects += 1
             self._emit(source, encode_reject(source, "hello"))
@@ -269,14 +267,14 @@ class FleetGateway:
             self._emit(
                 source,
                 self.ingestor.ack_payload(
-                    source, int(header.get("frame_id", -1)),
+                    source, header["frame_id"],
                     shed=self._shed_list(source),
                     window=self.advertised_window(source),
                 ),
             )
             self.acks_out += 1
             return
-        self._backlog.append((source, payload, count))
+        self._backlog.append((payload, header))
         self._backlog_by_source[source] = used + count
         self.backlog_records += count
         self.frames_queued += 1
@@ -302,9 +300,9 @@ class FleetGateway:
     def step(self, now: int) -> int:
         """Phase two: drain the backlog through the ingestor.
 
-        One log sync and one coalesced ack per source, however many
-        frames were drained -- this is the batching that buys the
-        pipelined path its throughput."""
+        One store apply, one log sync and one coalesced ack per source,
+        however many frames were drained -- this is the batching that
+        buys the pipelined path its throughput."""
         self.ladder.observe(self.backlog_records, now)
         shed_hook = (
             self._shed_hook
@@ -318,7 +316,8 @@ class FleetGateway:
         drained = 0
         acked: Dict[str, int] = {}
         while self._backlog:
-            source, payload, count = self._backlog[0]
+            payload, header = self._backlog[0]
+            source, count = header["source"], header["count"]
             if drained and drained + count > budget:
                 break
             self._backlog.popleft()
@@ -327,13 +326,12 @@ class FleetGateway:
             )
             self.backlog_records = max(0, self.backlog_records - count)
             drained += count
-            header = self.ingestor.ingest_frame(
-                payload, now, sync=False, shed=shed_hook
-            )
-            if header is None:
-                continue
-            acked[source] = int(header["frame_id"])
+            if self.ingestor.ingest_frame(
+                payload, now, sync=False, shed=shed_hook, header=header
+            ) is not None:
+                acked[source] = header["frame_id"]
         if acked:
+            self.ingestor.flush()
             self.ingestor.log.sync()
             for source, frame_id in sorted(acked.items()):
                 self._emit(

@@ -32,6 +32,14 @@ WIRE_SCHEMA = "repro-telemetry/1"
 #: Number of positional fields in one wire record.
 WIRE_FIELDS = 10
 
+#: The compact JSON encoders of every persisted / transported line,
+#: built once: ``json.dumps(..., separators=...)`` constructs a
+#: ``JSONEncoder`` per call, half the cost of encoding a record line.
+encode_json = json.JSONEncoder(separators=(",", ":")).encode
+encode_json_sorted = json.JSONEncoder(
+    separators=(",", ":"), sort_keys=True
+).encode
+
 
 class SchemaVersionError(ValueError):
     """A persisted document carries a schema this build cannot read.
@@ -67,7 +75,28 @@ class RecordKind(enum.Enum):
 
 
 #: Fast path: wire string -> RecordKind (Enum call is surprisingly slow).
-_KIND_BY_VALUE = {kind.value: kind for kind in RecordKind}
+KIND_BY_VALUE = {kind.value: kind for kind in RecordKind}
+
+#: Types a wire row may carry, by position (exact types: ``type(True)``
+#: is ``bool``, so a bool is not an int here).
+_S, _I = {str}, {int}
+_WIRE_TYPES = (_S, _S, _S, _S, _I, {int, type(None)}, _S, _S, _I, _I)
+
+
+def wire_rows_ok(rows: list) -> bool:
+    """True when every element of *rows* is a well-typed wire row: a
+    ``list`` of :data:`WIRE_FIELDS` scalars of the right types with a
+    known kind.  The one check rows from outside the process (an uplink
+    frame, a log read back) pass before any field is compared or kept."""
+    if not rows:
+        return True
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {WIRE_FIELDS}:
+        return False
+    columns = list(zip(*rows))
+    for column, allowed in zip(columns, _WIRE_TYPES):
+        if not allowed.issuperset(map(type, column)):
+            return False
+    return KIND_BY_VALUE.keys() >= set(columns[0])
 
 
 class TelemetryRecord:
@@ -122,7 +151,7 @@ class TelemetryRecord:
             raise ValueError(
                 f"wire record needs {WIRE_FIELDS} fields, got {len(fields)}"
             )
-        kind = _KIND_BY_VALUE.get(fields[0])
+        kind = KIND_BY_VALUE.get(fields[0])
         if kind is None:
             raise ValueError(f"unknown record kind {fields[0]!r}")
         record = cls.__new__(cls)
@@ -134,7 +163,7 @@ class TelemetryRecord:
 
     def encode_line(self) -> str:
         """One compact JSON line (the persisted/transport form)."""
-        return json.dumps(self.to_wire(), separators=(",", ":"))
+        return encode_json(self.to_wire())
 
     @classmethod
     def decode_line(cls, line: str) -> "TelemetryRecord":

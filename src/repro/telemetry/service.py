@@ -4,7 +4,10 @@
 the subsystem: producers call :meth:`ingest` (or :meth:`ingest_many`),
 an explicit :meth:`pump` drains the bounded queue into the sharded
 store and feeds the alert engine, and :meth:`poll` runs the time-based
-rules (heartbeat, queue health).  Everything is deterministic given the
+rules (heartbeat, queue health).  The bulk producers (the fleet
+ingestor's flush, the fault campaign's replay) hand :meth:`ingest_batch`
+a columnar batch instead, applied at once against the queue's capacity:
+no record object, no queue hop.  Everything is deterministic given the
 record stream -- no wall clock is read anywhere -- which is what lets
 the fault campaign assert byte-identical alert logs across serial and
 parallel runs.

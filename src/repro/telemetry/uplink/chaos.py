@@ -45,10 +45,15 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
+from repro.telemetry.batch import RecordBatch
 from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator
 from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
-from repro.telemetry.uplink.ingest import UplinkIngestor, store_digest
+from repro.telemetry.uplink.ingest import (
+    UplinkIngestor,
+    apply_columnar,
+    store_digest,
+)
 from repro.telemetry.uplink.transport import (
     AdversarialChannel,
     ChannelFaultPlan,
@@ -534,8 +539,7 @@ class ChaosDriver:
 
         # The fault-free reference: the same stream, ingested directly.
         reference = TelemetryService(self._service_config())
-        reference.ingest_many(all_records)
-        reference.pump()
+        apply_columnar(reference, all_records, RecordBatch.from_records)
         self.reference_digest = store_digest(reference)
 
         return [

@@ -8,6 +8,12 @@ using one :class:`DedupWatermark` per source: a cumulative watermark
 above-watermark seqs.  Duplicates therefore never double-count (m,k)
 misses, and reordered stale frames are absorbed silently.
 
+A frame's records never become objects on the way: decoded wire rows
+are admitted on their seq, held until every lower seq is settled, and
+:meth:`UplinkIngestor.flush` transposes what drained into one columnar
+batch for the store -- per frame for a caller that syncs per frame,
+per step for the gateway.
+
 Durability follows the vehicle-side rule, mirrored: **append before
 ack**.  Fresh records and the per-frame watermark marker are written to
 an append-only :class:`~repro.telemetry.uplink.wal.RecordLog` -- the
@@ -26,12 +32,17 @@ construction -- replaying twice is the same as replaying once.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.telemetry.records import SchemaVersionError, TelemetryRecord
+from repro.telemetry.batch import RecordBatch
+from repro.telemetry.records import (
+    SchemaVersionError,
+    TelemetryRecord,
+    encode_json,
+    encode_json_sorted,
+)
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.uplink.transport import (
     decode_envelope,
@@ -194,13 +205,17 @@ class UplinkIngestor:
             self._wal_path(), fsync
         )
         self.dedup: Dict[str, DedupWatermark] = {}
-        #: Admitted-but-not-yet-applied records (seq above the dedup
-        #: watermark, waiting for lower seqs).  Durable in the log /
-        #: checkpoint; bounded by the client's window.
-        self._held: Dict[str, Dict[int, TelemetryRecord]] = {}
-        #: Called with each frame's *fresh* (deduplicated) records just
-        #: after they were applied -- the control plane's observation
-        #: tap.  Soft state: recovery replay does not re-fire it.
+        #: Admitted-but-not-yet-applied wire rows by seq (above the
+        #: dedup watermark, waiting for lower seqs).  Durable in the
+        #: log / checkpoint; bounded by the client's window.
+        self._held: Dict[str, Dict[int, list]] = {}
+        #: Rows drained from ``_held``, in the order the store will see
+        #: them, until :meth:`flush` applies them.
+        self._ready: List[list] = []
+        #: Called by :meth:`flush` with the *fresh* (deduplicated)
+        #: records it just applied (built only when this is set) -- the
+        #: control plane's observation tap.  Soft state: recovery
+        #: replay does not re-fire it.
         self.on_fresh: Optional[Callable[[List[TelemetryRecord]], None]] = None
         #: Called with ``(source, newly settled shed seqs)`` when an
         #: overload ``shed`` hook rejects records (gateway accounting).
@@ -230,15 +245,9 @@ class UplinkIngestor:
             dedup = self.dedup[source] = DedupWatermark()
         return dedup
 
-    def _held_for(self, source: str) -> Dict[int, TelemetryRecord]:
-        held = self._held.get(source)
-        if held is None:
-            held = self._held[source] = {}
-        return held
-
-    def _drain_held(self, source: str) -> List[TelemetryRecord]:
-        """Admitted records whose every lower seq is now settled, in
-        seq order -- the only order the store ever sees."""
+    def _drain_held(self, source: str) -> List[list]:
+        """Admitted rows whose every lower seq is now settled, in seq
+        order -- the only order the store ever sees."""
         held = self._held.get(source)
         if not held:
             return []
@@ -272,73 +281,76 @@ class UplinkIngestor:
         now: int = 0,
         sync: bool = True,
         shed: Optional[Callable[[List[TelemetryRecord]], Set[int]]] = None,
+        header: Optional[dict] = None,
     ) -> Optional[dict]:
         """Ingest one frame; returns its header (or ``None``
-        when the frame was damaged -- counted, never silent).
+        when the frame was damaged -- counted, never silent); *header*
+        is the caller's ``decode_frame_header`` result, if it has one.
 
         Frames arrive out of order, so the dedup watermark is advanced
         only to ``floor - 1`` (seqs the vehicle can no longer offer)
         and then through contiguous admission.  ``sync=False`` defers
-        log durability to the caller (the gateway coalesces one sync
-        per step across many frames) -- the caller MUST sync before
-        acknowledging.
+        log durability and the store apply to the caller (the gateway
+        coalesces one :meth:`flush` and one sync per step across many
+        frames) -- the caller MUST do both before acknowledging.
 
         ``shed`` is the gateway's overload hook: it nominates seqs to
-        reject by class.  A nominated seq is *settled* in dedup (so the
+        reject by class (records are built only for it).  A
+        nominated seq is *settled* in dedup (so the
         cumulative ack sweeps past it) but never applied -- unless an
         earlier copy was already admitted, in which case the nomination
         is void (the record IS durable; shedding it now would lie).
         Newly settled shed seqs are reported through
         :attr:`on_shed_settled` and counted, never silent.
         """
-        decoded = decode_frame(payload)
+        decoded = decode_frame(payload, header)
         if decoded is None:
             self.corrupt_payloads += 1
             return None
-        header, records, lines = decoded
+        header, rows, lines = decoded
         source = header["source"]
         dedup = self._dedup(source)
         self._dirty_dedup.add(source)
         self.frames += 1
-        self.records_seen += len(records)
+        self.records_seen += len(rows)
         floor = header["floor"]
         if floor > 0:
             dedup.advance_to(floor - 1)
-        nominated = shed(records) if shed is not None else ()
-        held = self._held_for(source)
+        nominated = (
+            shed([TelemetryRecord.from_wire(row) for row in rows])
+            if shed is not None else ()
+        )
+        held = self._held.setdefault(source, {})
         newly_shed: List[int] = []
-        for record, line in zip(records, lines):
-            if record.seq in nominated:
-                if dedup.admit(record.seq):
-                    newly_shed.append(record.seq)
+        for row, line in zip(rows, lines):
+            seq = row[-1]
+            if seq in nominated:
+                if dedup.admit(seq):
+                    newly_shed.append(seq)
                     self.records_shed += 1
                 else:
                     self.records_duplicate += 1
                 continue
-            if dedup.admit(record.seq):
+            if dedup.admit(seq):
                 # The line's CRC was verified in decode_frame: relay it
                 # to the log verbatim, no re-encode.  Durable now,
-                # applied below only once every lower seq is settled --
+                # applied only once every lower seq is settled --
                 # out-of-order frames must not perturb the store's
                 # per-source gap/reorder accounting, which is what
                 # keeps the store state byte-identical to fault-free
                 # direct ingest.
                 self.log.append_raw(line)
-                held[record.seq] = record
+                held[seq] = row
                 self.records_fresh += 1
             else:
                 self.records_duplicate += 1
         if newly_shed and self.on_shed_settled is not None:
             self.on_shed_settled(source, newly_shed)
         self.log.append_marker(source, dedup.watermark)
+        self._ready += self._drain_held(source)
         if sync:
             self.log.sync()
-        fresh = self._drain_held(source)
-        if fresh:
-            self.service.ingest_many(fresh)
-            self.service.pump()
-            if self.on_fresh is not None:
-                self.on_fresh(fresh)
+            self.flush()
         self._since_checkpoint += 1
         if (
             self.checkpoint_every is not None
@@ -346,6 +358,18 @@ class UplinkIngestor:
         ):
             self.checkpoint()
         return header
+
+    def flush(self) -> None:
+        """Apply every drained row to the store as one columnar batch,
+        then hand :attr:`on_fresh` what was applied; apply order is
+        drain order, so the chunking changes nothing the store sees."""
+        rows = self._ready
+        if not rows:
+            return
+        self._ready = []
+        apply_columnar(self.service, rows)
+        if self.on_fresh is not None:
+            self.on_fresh([TelemetryRecord.from_wire(row) for row in rows])
 
     def ack_payload(
         self,
@@ -368,8 +392,9 @@ class UplinkIngestor:
         """Durably append one checkpoint entry to the journal: the
         store keys, sources and dedup states dirtied since the previous
         one.  Once the journal has outgrown its base the entry holds
-        the full state instead and replaces the file."""
-        self.service.pump()
+        the full state instead and replaces the file.  Flushes first:
+        the entry must hold every frame ingested so far."""
+        self.flush()
         log, store = self.log, self.service.store
         compact = log.nbytes > JOURNAL_COMPACT_FACTOR * log.base_bytes
         doc: dict = {"schema": CHECKPOINT_SCHEMA}
@@ -384,16 +409,15 @@ class UplinkIngestor:
             for source in sorted(self.dedup if compact else self._dirty_dedup)
         }
         self._dirty_dedup = set()
-        # json.dumps takes the C encoder; json.dump never does.
-        body = json.dumps([CHECKPOINT_TAG, doc], separators=(",", ":"))
+        body = encode_json([CHECKPOINT_TAG, doc])
         if compact:
             # Admitted-but-unapplied records are durable, just waiting
             # for lower seqs before the store may see them: their
             # journal lines are their only copy, so those move along.
             log.compact([
-                encode_entry(record.encode_line())
+                encode_entry(encode_json(row))
                 for _, held in sorted(self._held.items())
-                for _, record in sorted(held.items())
+                for _, row in sorted(held.items())
             ], body)
         else:
             log.append_checkpoint(body)
@@ -428,7 +452,7 @@ class UplinkIngestor:
         report = IngestRecoveryReport()
         service = TelemetryService(service_config)
         dedup: Dict[str, DedupWatermark] = {}
-        held: Dict[str, Dict[int, TelemetryRecord]] = {}
+        held: Dict[str, Dict[int, list]] = {}
 
         log = RecordLog.open_existing(directory / "ingest-wal.log", fsync)
         report.truncated_lines = log.truncated
@@ -456,31 +480,23 @@ class UplinkIngestor:
             # only if that checkpoint still held it, and a record stays
             # held exactly until the watermark passes it.
             floor = min((d.watermark for d in dedup.values()), default=-1)
-            for record in log.settled_above(floor):
-                if record.seq > dedup[record.source].watermark:
-                    held.setdefault(record.source, {})[record.seq] = record
+            for row in log.settled_above(floor):
+                source, seq = row[1], row[-1]
+                if seq > dedup[source].watermark:
+                    held.setdefault(source, {})[seq] = row
             report.checkpoint_loaded = True
 
-        for record, marker in log.replayed:
-            if record is not None:
+        for row, marker in log.replayed:
+            if row is not None:
                 report.replayed_records += 1
-                if dedup.setdefault(
-                    record.source, DedupWatermark()
-                ).admit(record.seq):
-                    held.setdefault(record.source, {})[record.seq] = record
+                source, seq = row[1], row[-1]
+                if dedup.setdefault(source, DedupWatermark()).admit(seq):
+                    held.setdefault(source, {})[seq] = row
                     report.replayed_fresh += 1
             else:
                 source, seq = marker
                 dedup.setdefault(source, DedupWatermark()).advance_to(seq)
                 report.replayed_markers += 1
-        # Apply in seq order per source, exactly as the live path
-        # would have; what stays held is above the watermark.
-        for source, records in sorted(held.items()):
-            watermark = dedup[source].watermark
-            ready = sorted(seq for seq in records if seq <= watermark)
-            if ready:
-                service.ingest_many([records.pop(seq) for seq in ready])
-        service.pump()
 
         ingestor = cls(
             service, directory, fsync=fsync,
@@ -488,6 +504,12 @@ class UplinkIngestor:
         )
         ingestor.dedup = dedup
         ingestor._dirty_dedup = set(dedup)
+        ingestor._held = held
+        # Apply in seq order per source, exactly as the live path
+        # would have; what stays held is above the watermark.
+        for source in sorted(held):
+            ingestor._ready += ingestor._drain_held(source)
+        ingestor.flush()
         ingestor._held = {s: h for s, h in held.items() if h}
         return ingestor, report
 
@@ -520,6 +542,18 @@ class UplinkIngestor:
         )
 
 
+def apply_columnar(
+    service: TelemetryService, items: list, transpose=RecordBatch.from_rows
+) -> None:
+    """Apply wire rows (or, with ``RecordBatch.from_records``, records)
+    through the service's columnar entry, in slices its bounded queue
+    accepts whole: a ``queue_full`` drop here would lose an
+    acknowledged record from the store."""
+    capacity = service.queue.capacity
+    for start in range(0, len(items), capacity):
+        service.ingest_batch(transpose(items[start:start + capacity]))
+
+
 def store_digest(service: TelemetryService) -> str:
     """Canonical content digest of a service's store state.
 
@@ -528,6 +562,5 @@ def store_digest(service: TelemetryService) -> str:
     services that applied the same record set converge to one digest.
     """
     service.pump()
-    body = json.dumps(service.snapshot(), separators=(",", ":"),
-                      sort_keys=True)
+    body = encode_json_sorted(service.snapshot())
     return hashlib.sha256(body.encode("utf-8")).hexdigest()

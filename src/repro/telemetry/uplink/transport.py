@@ -5,7 +5,8 @@ channel:
 
 - a **frame** (vehicle -> fleet): ``repro-uplink-frame/1``, a header
   line followed by an ordered slice of the spool's WAL entry lines,
-  verbatim, and
+  verbatim (decoded all-or-nothing into type-checked wire rows with one
+  JSON parse per frame, see :func:`decode_frame`), and
 - an **ack** (fleet -> vehicle): ``repro-uplink-ack/1`` carrying the
   per-source *cumulative* acknowledgment watermark (every spooled seq
   at or below it is durable fleet-side).
@@ -36,7 +37,8 @@ import numpy as np
 
 from repro.faults.base import Injection
 from repro.network.link import Frame, JitterModel
-from repro.telemetry.records import TelemetryRecord
+from repro.telemetry.records import encode_json_sorted, wire_rows_ok
+from repro.telemetry.uplink.wal import encode_entry, entry_body
 
 #: Envelope schema identifiers.
 ACK_SCHEMA = "repro-uplink-ack/1"
@@ -60,24 +62,14 @@ REJECT_SCHEMA = "repro-gateway-reject/1"
 # ----------------------------------------------------------------------
 def encode_envelope(doc: dict) -> str:
     """Serialize *doc* with a leading CRC so corruption is detectable."""
-    body = json.dumps(doc, separators=(",", ":"), sort_keys=True)
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    return f"{crc:08x}:{body}"
+    return encode_entry(encode_json_sorted(doc))
 
 
 def decode_envelope(payload: str) -> Optional[dict]:
     """Inverse of :func:`encode_envelope`; ``None`` on any damage."""
-    if not isinstance(payload, str) or len(payload) < 10 or payload[8] != ":":
-        return None
-    body = payload[9:]
+    body = entry_body(payload) if isinstance(payload, str) else None
     try:
-        crc = int(payload[:8], 16)
-    except ValueError:
-        return None
-    if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != crc:
-        return None
-    try:
-        doc = json.loads(body)
+        doc = json.loads(body) if body is not None else None
     except ValueError:
         return None
     return doc if isinstance(doc, dict) else None
@@ -137,79 +129,83 @@ def encode_frame(
     time): the ingestor advances its dedup watermark to ``floor - 1``,
     which is what keeps eviction from stalling the cumulative ack.
     """
-    header = json.dumps(
+    head = encode_envelope(
         {"schema": FRAME_SCHEMA, "source": source, "frame_id": frame_id,
-         "floor": floor, "count": len(entries)},
-        separators=(",", ":"), sort_keys=True,
+         "floor": floor, "count": len(entries)}
     )
-    crc = zlib.crc32(header.encode("utf-8")) & 0xFFFFFFFF
     if not entries:
         # An empty frame is a pure floor/ack probe; the trailing newline
         # keeps it distinguishable from single-line JSON envelopes.
-        return f"{crc:08x}:{header}\n"
-    return "\n".join([f"{crc:08x}:{header}", *entries])
+        return head + "\n"
+    return "\n".join([head, *entries])
+
+
+def decode_frame_header(payload: str) -> Optional[dict]:
+    """The checked header of a frame datagram (its first line): CRC,
+    schema, ``source`` a str, ``frame_id`` / ``floor`` / ``count`` ints
+    (a bool is not one), ``count >= 0``; ``None`` on any damage."""
+    header = decode_envelope(payload.partition("\n")[0])
+    if (
+        header is None
+        or header.get("schema") != FRAME_SCHEMA
+        or type(header.get("source")) is not str
+        or any(type(header.get(key)) is not int
+               for key in ("frame_id", "floor", "count"))
+        or header["count"] < 0
+    ):
+        return None
+    return header
 
 
 def decode_frame(
-    payload: str,
-) -> Optional[Tuple[dict, List[TelemetryRecord], List[str]]]:
-    """``(header, records, raw entry lines)``; ``None`` on any damage.
+    payload: str, header: Optional[dict] = None
+) -> Optional[Tuple[dict, List[list], List[str]]]:
+    """``(header, wire rows, raw entry lines)``; ``None`` on any damage.
 
     A frame is all-or-nothing: a corrupt header, a corrupt record line,
-    or a truncated tail (``count`` mismatch) rejects the whole frame --
-    the retransmit timer heals it, exactly-once dedup absorbs the
-    overlap.
+    a truncated tail (``count`` mismatch) or a wrongly typed field
+    rejects the whole frame -- the retransmit timer heals it,
+    exactly-once dedup absorbs the overlap.  *header* is this payload's
+    :func:`decode_frame_header` result, when the caller already has it.
+
+    Every line's CRC is checked on its own; all record bodies are then
+    parsed by **one** ``json.loads``.  That equals a parse per line
+    because a body must be ``[...]``, the join is ``,\\n`` (JSON forbids
+    a raw newline inside a string, so no string spans two lines) and
+    :func:`~repro.telemetry.records.wire_rows_ok` admits no nested
+    list (so no line continues its predecessor's row): with as many
+    rows as lines, every line is exactly one row (DESIGN.md §9).
     """
     if not isinstance(payload, str) or "\n" not in payload:
         return None
-    lines = payload.split("\n")
-    if lines and lines[-1] == "":
+    if header is None:
+        header = decode_frame_header(payload)
+        if header is None:
+            return None
+    lines = payload.split("\n")[1:]
+    if lines[-1] == "":
         lines.pop()  # empty-frame probe: header line + trailing newline
-    head = lines[0]
-    if len(head) < 10 or head[8] != ":":
+    if header["count"] != len(lines):
         return None
-    body = head[9:]
+    bodies = []
+    for line in lines:  # entry_body() inlined: a call per record line
+        body = line[9:]
+        if line[8:10] != ":[" or body[-1] != "]":
+            return None
+        try:
+            crc = int(line[:8], 16)
+        except ValueError:
+            return None
+        if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != crc:
+            return None
+        bodies.append(body)
     try:
-        crc = int(head[:8], 16)
+        rows = json.loads("[" + ",\n".join(bodies) + "]")
     except ValueError:
         return None
-    if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != crc:
+    if len(rows) != len(lines) or not wire_rows_ok(rows):
         return None
-    try:
-        header = json.loads(body)
-    except ValueError:
-        return None
-    if (
-        not isinstance(header, dict)
-        or header.get("schema") != FRAME_SCHEMA
-        or not isinstance(header.get("source"), str)
-        or not isinstance(header.get("frame_id"), int)
-        or not isinstance(header.get("floor"), int)
-        or header.get("count") != len(lines) - 1
-    ):
-        return None
-    records: List[TelemetryRecord] = []
-    for line in lines[1:]:
-        if len(line) < 10 or line[8] != ":":
-            return None
-        entry_body = line[9:]
-        try:
-            entry_crc = int(line[:8], 16)
-        except ValueError:
-            return None
-        if zlib.crc32(entry_body.encode("utf-8")) & 0xFFFFFFFF != entry_crc:
-            return None
-        try:
-            fields = json.loads(entry_body)
-        except ValueError:
-            return None
-        if not isinstance(fields, list):
-            return None
-        try:
-            records.append(TelemetryRecord.from_wire(tuple(fields)))
-        except ValueError:
-            return None
-    return header, records, lines[1:]
+    return header, rows, lines
 
 
 def encode_hello(source: str, token: str, life: int = 0) -> str:

@@ -56,7 +56,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.telemetry.records import (
     SchemaVersionError,
     TelemetryRecord,
-    WIRE_FIELDS,
+    encode_json,
+    encode_json_sorted,
+    wire_rows_ok,
 )
 
 #: Schema identifier written into every WAL segment header.
@@ -90,7 +92,7 @@ def encode_entry(body: str) -> str:
     return f"{crc:08x}:{body}"
 
 
-def _entry_body(line: str) -> Optional[str]:
+def entry_body(line: str) -> Optional[str]:
     """The body of a CRC-framed line; ``None`` when torn or corrupt."""
     if len(line) < 10 or line[8] != ":":
         return None
@@ -114,16 +116,7 @@ def _body_fields(body: Optional[str]) -> Optional[list]:
 
 def decode_entry(line: str) -> Optional[list]:
     """Parse a CRC-framed line; ``None`` when torn or corrupt."""
-    return _body_fields(_entry_body(line))
-
-
-def _entry_to_record(fields: list) -> Optional[TelemetryRecord]:
-    if len(fields) != WIRE_FIELDS:
-        return None
-    try:
-        return TelemetryRecord.from_wire(tuple(fields))
-    except ValueError:
-        return None
+    return _body_fields(entry_body(line))
 
 
 def _scan_log(
@@ -302,10 +295,9 @@ class WalSpooler:
     def _open_segment(self) -> None:
         segment = _Segment(self._next_index, self._segment_path(self._next_index))
         self._next_index += 1
-        header = json.dumps(
+        header = encode_json_sorted(
             {"schema": WAL_SCHEMA, "segment": segment.index,
-             "source": self.source},
-            separators=(",", ":"), sort_keys=True,
+             "source": self.source}
         )
         self._file = open(segment.path, "a", encoding="utf-8")
         self._file.write(header + "\n")
@@ -387,28 +379,38 @@ class WalSpooler:
         """Durably spool a batch with one flush (and one fsync).
 
         Same per-record guarantees as :meth:`append` -- every record
-        hits the file before the method returns -- but the flush/fsync
-        cost is paid once per batch, which is what makes the pipelined
-        uplink's emit path cheap.
+        hits the file before the method returns -- but the batch is
+        written once per segment it lands in and the flush/fsync cost
+        is paid once, which is what makes the pipelined uplink's emit
+        path cheap.  A batch whose seqs do not increase is refused
+        whole.
         """
         if not records:
             return
+        last = self.last_seq
         for record in records:
-            if record.seq <= self.last_seq:
+            if record.seq <= last:
                 raise ValueError(
-                    f"seq must increase: {record.seq} after {self.last_seq}"
+                    f"seq must increase: {record.seq} after {last}"
                 )
-            line = encode_entry(record.encode_line())
-            self._file.write(line + "\n")
+            last = record.seq
+        lines = [encode_entry(record.encode_line()) for record in records]
+        limit = self.config.segment_max_records
+        start = 0
+        while start < len(lines):
             segment = self._active()
-            segment.records.append(record)
-            segment.lines.append(line)
-            segment.nbytes += len(line) + 1
-            segment.max_seq = record.seq
-            self.last_seq = record.seq
-            self.appended += 1
-            if len(segment.records) >= self.config.segment_max_records:
+            end = start + max(1, limit - len(segment.records))
+            chunk = lines[start:end]
+            self._file.write("\n".join(chunk) + "\n")
+            segment.records.extend(records[start:end])
+            segment.lines.extend(chunk)
+            segment.nbytes += sum(map(len, chunk)) + len(chunk)
+            segment.max_seq = segment.records[-1].seq
+            if len(segment.records) >= limit:
                 self._rotate()
+            start = end
+        self.last_seq = last
+        self.appended += len(lines)
         self._file.flush()
         if self.config.fsync == "always":
             self._fsync()
@@ -492,9 +494,8 @@ class WalSpooler:
             self._mark_file.close()
         path = self._mark_path()
         tmp = path.with_suffix(".tmp")
-        header = json.dumps(
-            {"schema": WAL_MARK_SCHEMA, "source": self.source},
-            separators=(",", ":"), sort_keys=True,
+        header = encode_json_sorted(
+            {"schema": WAL_MARK_SCHEMA, "source": self.source}
         )
         self._mark_file = open(tmp, "w", encoding="utf-8")
         self._mark_file.write(header + "\n")
@@ -625,8 +626,10 @@ class WalSpooler:
         when the last file's *header* was torn (file removed).
         """
         def parse(line: str):
-            record = _entry_to_record(decode_entry(line) or ())
-            return None if record is None else (record, line)
+            fields = decode_entry(line)
+            if not wire_rows_ok([fields]):
+                return None
+            return TelemetryRecord.from_wire(fields), line
 
         header, entries, kept_bytes, dropped = _scan_log(
             path, WAL_SCHEMA, parse, tail_may_tear=is_last
@@ -684,11 +687,11 @@ class RecordLog:
         self.base_bytes = 0
         #: What :meth:`open_existing` read: the checkpoint documents,
         #: the bodies of the other lines before the last of them, and
-        #: the (record, None) / (None, (source, seq)) entries after it.
+        #: the (wire row, None) / (None, (source, seq)) entries after it.
         self.checkpoints: List[dict] = []
         self.settled: List[str] = []
         self.replayed: List[
-            Tuple[Optional[TelemetryRecord], Optional[Tuple[str, int]]]
+            Tuple[Optional[list], Optional[Tuple[str, int]]]
         ] = []
         if not _replay:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -699,9 +702,8 @@ class RecordLog:
             self._flush()
             self._sync_directory()
 
-    _HEADER = json.dumps(
-        {"schema": WAL_SCHEMA, "segment": 0, "source": "*fleet*"},
-        separators=(",", ":"), sort_keys=True,
+    _HEADER = encode_json_sorted(
+        {"schema": WAL_SCHEMA, "segment": 0, "source": "*fleet*"}
     )
 
     def _write(self, line: str) -> None:
@@ -719,8 +721,7 @@ class RecordLog:
         self.entries += 1
 
     def append_marker(self, source: str, seq: int) -> None:
-        body = json.dumps([MARKER_TAG, source, seq], separators=(",", ":"))
-        self._write(encode_entry(body))
+        self._write(encode_entry(encode_json([MARKER_TAG, source, seq])))
         self.entries += 1
 
     def sync(self) -> None:
@@ -784,7 +785,7 @@ class RecordLog:
         def parse(line: str):
             # Only checkpoint entries are decoded on the way: whatever
             # precedes the last of them is settled, and CRC-checked only.
-            body = _entry_body(line)
+            body = entry_body(line)
             if body is None or not body.startswith(_CHECKPOINT_PREFIX):
                 return body
             fields = _body_fields(body) or ()
@@ -821,15 +822,14 @@ class RecordLog:
             and isinstance(fields[2], int)
         ):
             return None, (fields[1], fields[2])
-        record = _entry_to_record(fields)
-        if record is None:
+        if not wire_rows_ok([fields]):
             raise WalCorruptionError(
                 f"{self.path}: intact line is neither record nor marker"
             )
-        return record, None
+        return fields, None
 
-    def settled_above(self, floor: int) -> List[TelemetryRecord]:
-        """The records logged before the last checkpoint entry with a
+    def settled_above(self, floor: int) -> List[list]:
+        """The wire rows logged before the last checkpoint entry with a
         seq above *floor*: the only ones a recovery can still need, so
         the only ones decoded (every record and marker body ends
         ``,<seq>]``)."""
@@ -837,7 +837,7 @@ class RecordLog:
             self._decode(body) for body in self.settled
             if int(body[body.rfind(",") + 1:-1]) > floor
         ]
-        return [record for record, _ in entries if record is not None]
+        return [row for row, _ in entries if row is not None]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RecordLog {self.path.name} entries={self.entries}>"

@@ -6,7 +6,8 @@ replaced, bodies verbatim: ``checkpoint()`` dumps the whole store, every
 dedup watermark and every held record to ``checkpoint.json`` (``tmp`` +
 ``os.replace``) and truncates the log (``RecordLog.reset``, kept here as
 :func:`_reset`); ``recover()`` loads that document and replays the log
-through dedup.  Oracle of the crash-interleaving property in
+through dedup.  Adapted once since: held and replayed records are wire
+rows, as in production since the gateway step became the unit of work.  Oracle of the crash-interleaving property in
 ``tests/test_uplink_ingest_journal.py``: after any schedule of frames,
 checkpoints and crashes both must hold the same store digest, dedup
 watermarks and held records.
@@ -51,7 +52,7 @@ class FullSnapshotIngestor(UplinkIngestor):
     def checkpoint(self) -> None:
         """Atomically persist store + dedup state, then truncate the
         log (its contents are now folded into the checkpoint)."""
-        self.service.pump()
+        self.flush()
         doc = {
             "schema": CHECKPOINT_SCHEMA,
             "store": self.service.snapshot(),
@@ -63,10 +64,7 @@ class FullSnapshotIngestor(UplinkIngestor):
             # truncation below -- they are durable, just waiting for
             # lower seqs before the store may see them.
             "held": {
-                source: [
-                    list(record.to_wire())
-                    for _, record in sorted(held.items())
-                ]
+                source: [row for _, row in sorted(held.items())]
                 for source, held in sorted(self._held.items()) if held
             },
         }
@@ -99,7 +97,7 @@ class FullSnapshotIngestor(UplinkIngestor):
         report = IngestRecoveryReport()
         service = TelemetryService(service_config)
         dedup: Dict[str, DedupWatermark] = {}
-        held: Dict[str, Dict[int, TelemetryRecord]] = {}
+        held: Dict[str, Dict[int, list]] = {}
 
         checkpoint_path = directory / "checkpoint.json"
         if checkpoint_path.exists():
@@ -114,21 +112,19 @@ class FullSnapshotIngestor(UplinkIngestor):
                 for source, state in data.get("dedup", {}).items()
             }
             for source, rows in data.get("held", {}).items():
-                restored = [TelemetryRecord.from_wire(tuple(row))
-                            for row in rows]
-                held[source] = {r.seq: r for r in restored}
+                held[source] = {row[-1]: row for row in rows}
             report.checkpoint_loaded = True
 
         log = RecordLog.open_existing(directory / "ingest-wal.log", fsync)
         report.truncated_lines = log.truncated
-        for record, marker in log.replayed:
-            if record is not None:
+        for row, marker in log.replayed:
+            if row is not None:
                 report.replayed_records += 1
-                source_dedup = dedup.get(record.source)
+                source_dedup = dedup.get(row[1])
                 if source_dedup is None:
-                    source_dedup = dedup[record.source] = DedupWatermark()
-                if source_dedup.admit(record.seq):
-                    held.setdefault(record.source, {})[record.seq] = record
+                    source_dedup = dedup[row[1]] = DedupWatermark()
+                if source_dedup.admit(row[-1]):
+                    held.setdefault(row[1], {})[row[-1]] = row
                     report.replayed_fresh += 1
             elif marker is not None:
                 source, seq = marker
@@ -139,11 +135,13 @@ class FullSnapshotIngestor(UplinkIngestor):
                 report.replayed_markers += 1
         # Apply in seq order per source, exactly as the live path
         # would have; what stays held is above the watermark.
-        for source, records in sorted(held.items()):
+        for source, rows in sorted(held.items()):
             watermark = dedup[source].watermark
-            ready = sorted(seq for seq in records if seq <= watermark)
+            ready = sorted(seq for seq in rows if seq <= watermark)
             if ready:
-                service.ingest_many([records.pop(seq) for seq in ready])
+                service.ingest_many([
+                    TelemetryRecord.from_wire(rows.pop(seq)) for seq in ready
+                ])
         service.pump()
 
         ingestor = cls(

@@ -2,6 +2,8 @@
 backpressure, the overload ladder, shed accounting, and crash
 recovery."""
 
+import json
+
 import pytest
 
 from repro.telemetry import ServiceConfig, TelemetryService
@@ -248,6 +250,55 @@ class TestShedAccounting:
         (second,) = _drain_outbox(gateway)
         assert second["shed"] == [0, 1, 2, 3, 4, 5]
         assert second["ack_through"] == 6
+
+
+class TestStepIsTheUnitOfWork:
+    def test_one_apply_per_step_and_on_fresh_after_it(
+        self, tmp_path, monkeypatch
+    ):
+        gateway = _gateway(tmp_path)
+        for source in ("veh00", "veh01"):
+            _establish(gateway, source)
+        store = gateway.service.store
+        applies = []
+        apply_batch = store.apply_batch
+        monkeypatch.setattr(
+            store, "apply_batch",
+            lambda batch: applies.append(len(batch)) or apply_batch(batch),
+        )
+        seen = []
+        gateway.ingestor.on_fresh = lambda records: seen.append(
+            (store.applied, [(r.source, r.seq) for r in records])
+        )
+        gateway.handle_payload(_frame([_rec(0), _rec(1)]), 1)
+        gateway.handle_payload(
+            _frame([_rec(0, "veh01")], source="veh01"), 1
+        )
+        gateway.handle_payload(_frame([_rec(2)], frame_id=1, floor=0), 1)
+        assert store.applied == 0  # queued, not applied
+        gateway.step(now=1)
+        assert applies == [4]
+        # Fired once, after its records were applied, in apply order.
+        assert seen == [(4, [
+            ("veh00", 0), ("veh00", 1), ("veh01", 0), ("veh00", 2),
+        ])]
+        assert len(_drain_outbox(gateway)) == 2  # one ack per source
+
+    def test_wrongly_typed_field_is_counted_by_the_step(self, tmp_path):
+        # Reproduces at the parent (082b04c): TypeError out of step().
+        gateway = _gateway(tmp_path)
+        _establish(gateway)
+        body = json.dumps(
+            ["segment", "veh00", "c", "s", 1, 100, "ok", "", 5, "7"],
+            separators=(",", ":"),
+        )
+        gateway.handle_payload(
+            encode_frame("veh00", 0, 0, [encode_entry(body)]), 1
+        )
+        gateway.step(now=1)
+        assert gateway.ingestor.corrupt_payloads == 1
+        assert gateway.service.store.applied == 0
+        assert _drain_outbox(gateway) == []  # no ack: the client retries
 
 
 class TestRecovery:

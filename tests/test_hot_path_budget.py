@@ -20,9 +20,17 @@ counter and pins these host-independent quantities:
 * what a fault campaign adds on top: one ``loss_burst`` scenario on the
   same clouds pays for a monitored run, its ground truth, degradation
   ladder and oracles, one columnar telemetry replay -- and no tracer.
+
+The fleet path has the same kind of guard: a clean 4 x 30 gateway
+episode pins what a frame may cost between the wire and the store --
+one header decode and two ``json.loads``, no record object, no queue
+hop, no encoder built -- and that the store is applied once per gateway
+step, not once per frame.
 """
 
+import collections
 import dataclasses
+import json
 import os
 import sys
 
@@ -34,7 +42,14 @@ from repro.perception import PerceptionStack, StackConfig
 from repro.perception.scenario import ScenarioConfig
 from repro.sim.calendar import CalendarQueue
 from repro.sim.kernel import ScheduledEvent, Simulator
+from repro.telemetry.gateway.chaos import GatewayChaosScenario
+from repro.telemetry.gateway.service import FleetGateway
+from repro.telemetry.pipeline import IngestQueue
+from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.service import TelemetryService
+from repro.telemetry.store import ChainStateStore
+from repro.telemetry.uplink import transport
+from repro.telemetry.uplink.chaos import ChaosConfig
 from repro.tracing.tracer import Tracer
 
 FRAMES = 30
@@ -60,6 +75,12 @@ LABELLED_CEILING = 7
 #: points, replaying record by record and summing the health window).
 CAMPAIGN_FRAMES = 60
 CAMPAIGN_CEILING = 749
+
+#: Calls into ``repro`` of one clean 4 x 30 gateway episode (driver
+#: built, run, verified) on CPython 3.11: 34.7k (44.1k while every
+#: frame paid a parse per line, a record per row and an apply of its
+#: own); the ceiling is 3% above.
+FLEET_CEILING = 35_780
 
 _ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _TRACING = _ROOT + "tracing" + os.sep
@@ -200,3 +221,58 @@ def test_campaign_frame_pays_for_its_verdict_only():
     assert counts["tracing"] == 0
     assert (counts["ingest_batch"], counts["ingest"]) == (1, 0)
     assert counts["calls"] / CAMPAIGN_FRAMES <= CAMPAIGN_CEILING
+
+
+def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
+    watched = {
+        json.loads.__code__: "loads",
+        json.JSONEncoder.__init__.__code__: "encoders",
+        IngestQueue.offer.__code__: "offer",
+        TelemetryRecord.from_wire.__code__: "from_wire",
+        TelemetryRecord.__init__.__code__: "records",
+        ChainStateStore.apply_batch.__code__: "apply_batch",
+        FleetGateway.step.__code__: "steps",
+        transport.decode_frame_header.__code__: "headers",
+    }
+    counts = collections.Counter()
+
+    def profile(frame, event, _arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code in watched:
+            counts[watched[code]] += 1
+        if code.co_filename.startswith(_ROOT):
+            counts["calls"] += 1
+
+    config = ChaosConfig(vehicles=4, frames=30, protocol="windowed")
+    sys.setprofile(profile)
+    try:
+        driver = GatewayChaosScenario(name="clean").make_driver(
+            config, tmp_path
+        )
+        result = driver.run()
+    finally:
+        sys.setprofile(None)
+    assert result.ok, [c for c in result.checks if not c["ok"]]
+
+    frames = driver.gateway.frames_queued
+    applied = driver.ingestor.service.store.applied
+    checkpoints = result.ingest["checkpoints"]
+    assert frames == 120 and checkpoints == 30 and applied > 900
+    # No hook is set, so the only records ever built are the ones the
+    # load generator hands the vehicles; nothing crosses a queue.
+    assert counts["records"] == applied
+    assert (counts["from_wire"], counts["offer"], counts["encoders"]) == (
+        0, 0, 0
+    )
+    assert counts["headers"] == frames
+    # + 2: the fault-free reference store and the cold-recovery check.
+    assert counts["apply_batch"] <= counts["steps"] + checkpoints + 2
+    # Header + rows per frame, one per hello and downlink envelope; the
+    # cold recovery reads the journal header and its checkpoint entries.
+    envelopes = driver.gateway.hellos + result.channels["down"]["delivered"]
+    assert counts["loads"] <= (
+        2 * frames + envelopes + 1 + driver.last_recovery.fragments_read
+    )
+    assert counts["calls"] <= FLEET_CEILING

@@ -179,6 +179,49 @@ class TestIngestor:
         assert ingestor.foreign_payloads == 1
         assert ingestor.service.store.applied == 0
 
+    # Three reproducers found while sizing the one-parse decode; each
+    # fails at the parent (082b04c), where a record line was parsed but
+    # its fields never type-checked.
+    @staticmethod
+    def _typed_wrong(**fields):
+        row = ["segment", "veh-0", "c", "s", 1, 100, "ok", "", 5, 7]
+        for index, value in fields.items():
+            row[int(index[1:])] = value
+        body = json.dumps(row, separators=(",", ":"))
+        return encode_frame("veh-0", 0, 0, [encode_entry(body)])
+
+    def test_string_seq_is_counted_not_raised(self, tmp_path):
+        # Parent: TypeError ('<=' between str and int) out of
+        # handle_payload -- a CRC-valid line crashed the fleet server.
+        ingestor = UplinkIngestor(_service(), tmp_path, fsync="never")
+        assert ingestor.handle_payload(self._typed_wrong(f9="7")) is None
+        assert (ingestor.corrupt_payloads, ingestor.frames) == (1, 0)
+
+    def test_string_timestamp_leaves_no_poison_line(self, tmp_path):
+        # Parent: the seq is fine, so the line was journaled, *then*
+        # apply_batch raised -- and every later recover() replayed it.
+        ingestor = UplinkIngestor(_service(), tmp_path, fsync="never")
+        assert ingestor.handle_payload(self._typed_wrong(f8="5")) is None
+        assert ingestor.corrupt_payloads == 1
+        good = _frame("veh-0", 1, [_rec("veh-0", 0)])
+        assert ingestor.handle_payload(good) is not None
+        ingestor.close()
+        lines = (tmp_path / "ingest-wal.log").read_text().splitlines()
+        assert len(lines) == 3  # header, the good record, its marker
+        recovered, report = UplinkIngestor.recover(
+            tmp_path, ingestor.service.config, fsync="never"
+        )
+        assert report.replayed_fresh == 1
+        assert recovered.service.store.applied == 1
+        recovered.close()
+
+    def test_boolean_seq_is_not_admitted(self, tmp_path):
+        # Parent: admitted (True == 1) and acknowledged as
+        # "sack":[[true,true]].
+        ingestor = UplinkIngestor(_service(), tmp_path, fsync="never")
+        assert ingestor.handle_payload(self._typed_wrong(f9=True)) is None
+        assert ingestor.corrupt_payloads == 1 and not ingestor.dedup
+
     def test_durable_before_ack_without_checkpoint(self, tmp_path):
         """A crash immediately after the ack must not lose the frame:
         the WAL carries it even when no checkpoint ever ran."""

@@ -8,6 +8,12 @@ rename.
   entry, or land on either side of a compaction's rename -- recover to
   the store digest, dedup state and held records of the full-snapshot
   oracle ``_reference/full_snapshot_ingest.py``.
+- Chunking invariance: the same kind of schedule (plus overload shed
+  nominations) with the frames grouped into flushes any way at all --
+  what a gateway step does -- against ``_reference/per_frame_ingest.py``
+  applying every frame on its own: equal store snapshot, alert log,
+  journal bytes, checkpoint count, shed settlements and ``on_fresh``
+  records.
 - On the store alone: snapshot + fragments, newest per key, restore to
   the bytes of ``snapshot()``.
 - The clock-free budgets of the path: ``to_json`` calls per checkpoint,
@@ -26,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference.full_snapshot_ingest import FullSnapshotIngestor
+from _reference.per_frame_ingest import PerFrameIngestor
 from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import (
     RecordKind,
@@ -211,6 +218,142 @@ class TestCrashInterleavingProperty:
         with open(log.path, "r+b") as handle:
             handle.truncate(keep)
         return journal, False
+
+
+# ----------------------------------------------------------------------
+# One apply per step == one apply per frame
+# ----------------------------------------------------------------------
+_CHUNKED_OPS = st.one_of(
+    _OPS.filter(lambda op: op[0] != "crash_in_checkpoint"),
+    # End of a gateway step: flush, sync, (acknowledge).
+    st.tuples(st.just("step")),
+    # The overload ladder starts / stops nominating a class.
+    st.tuples(st.just("shed"), st.booleans()),
+)
+
+
+def _nominate(records):
+    return {record.seq for record in records if record.seq % 5 == 4}
+
+
+class _Side:
+    """One ingestor under the schedule, with everything it reports."""
+
+    def __init__(self, cls, directory):
+        self.cls = cls
+        self.fresh = []
+        self.shed = []
+        self._wire(cls(
+            TelemetryService(CONFIG), directory, fsync="never",
+            checkpoint_every=3,
+        ))
+
+    def _wire(self, ingestor):
+        self.ingestor = ingestor
+        ingestor.on_fresh = lambda records: self.fresh.extend(
+            (record.source, record.seq, ingestor.service.store.applied)
+            for record in records
+        )
+        ingestor.on_shed_settled = lambda source, seqs: self.shed.append(
+            (source, list(seqs))
+        )
+
+    def crash(self):
+        self.ingestor.log._file.close()  # no flush, no checkpoint
+        recovered, _ = self.cls.recover(
+            self.ingestor.directory, CONFIG, fsync="never",
+            checkpoint_every=3,
+        )
+        recovered.checkpoints = self.ingestor.checkpoints
+        self._wire(recovered)
+
+    def report(self):
+        ingestor = self.ingestor
+        ingestor.log.sync()
+        service = ingestor.service
+        return {
+            "store": json.dumps(service.snapshot(), sort_keys=True),
+            "alerts": [a.to_json() for a in service.alert_log.alerts],
+            "journal": ingestor.log.path.read_bytes(),
+            "checkpoints": ingestor.checkpoints,
+            "shed": self.shed,
+            "state": _state(ingestor),
+        }
+
+
+class TestChunkingInvariance:
+    @given(ops=st.lists(_CHUNKED_OPS, min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_flush_per_step_equals_apply_per_frame(self, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            self._run(Path(tmp), ops)
+
+    def _run(self, tmp, ops):
+        stepped = _Side(UplinkIngestor, tmp / "stepped")
+        framed = _Side(PerFrameIngestor, tmp / "framed")
+        next_seq = collections.Counter()
+        stashed = collections.defaultdict(list)
+        last = {}
+        frame_id = 0
+        shed = None
+        #: Rows the stepped side had journaled but not applied when it
+        #: crashed: recovery applies them without re-firing ``on_fresh``
+        #: (soft state), exactly as a crash inside a frame always did.
+        untapped = set()
+
+        def deliver(payload):
+            stepped.ingestor.ingest_frame(payload, sync=False, shed=shed)
+            framed.ingestor.ingest_frame(payload, sync=True, shed=shed)
+
+        def settle():
+            stepped.ingestor.flush()
+            assert stepped.report() == framed.report()
+            applied = [(source, seq) for source, seq, _ in stepped.fresh]
+            assert applied == [
+                (source, seq) for source, seq, _ in framed.fresh
+                if (source, seq) not in untapped
+            ]
+
+        for op in ops:
+            if op[0] == "frame":
+                source = SOURCES[op[1]]
+                seqs = range(next_seq[source], next_seq[source] + op[2])
+                next_seq[source] += op[2]
+                frame_id += 1
+                payload = last[source] = _frame(source, frame_id, seqs)
+                if op[3]:
+                    deliver(payload)
+                else:
+                    stashed[source].append(payload)
+            elif op[0] == "late" and stashed[SOURCES[op[1]]]:
+                deliver(stashed[SOURCES[op[1]]].pop(0))
+            elif op[0] == "dup" and SOURCES[op[1]] in last:
+                deliver(last[SOURCES[op[1]]])
+            elif op[0] in ("checkpoint", "compact"):
+                for side in (stepped, framed):
+                    if op[0] == "compact":
+                        side.ingestor.log.base_bytes = 0
+                    side.ingestor.checkpoint()
+            elif op[0] == "crash":
+                untapped.update(
+                    (row[1], row[-1]) for row in stepped.ingestor._ready
+                )
+                stepped.crash()
+                framed.crash()
+            elif op[0] == "shed":
+                shed = _nominate if op[1] else None
+            elif op[0] == "step":
+                settle()
+        settle()
+        # ``on_fresh`` never runs ahead of the store: when a record is
+        # handed over, it and everything before it has been applied.
+        for side in (stepped, framed):
+            assert all(
+                applied >= index + 1
+                for index, (_, _, applied) in enumerate(side.fresh)
+            )
+        stepped.ingestor.close()
+        framed.ingestor.close()
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,7 @@ class TestEnvelopes:
         assert header["schema"] == FRAME_SCHEMA
         assert header["source"] == "v0"
         assert header["frame_id"] == 3
-        assert decoded == records
+        assert decoded == [list(record.to_wire()) for record in records]
         assert raw == lines  # relayed verbatim, no re-encode
 
     def test_ack_round_trip(self):

@@ -355,9 +355,10 @@ class TestRecordLog:
         replayed = RecordLog.open_existing(path, fsync="never")
         entries = replayed.replayed
         assert len(entries) == 3
-        assert entries[0][0].seq == 0 and entries[0][1] is None
+        # Records come back as wire rows (source second, seq last).
+        assert entries[0] == (list(_rec("v0", 0).to_wire()), None)
         assert entries[1] == (None, ("v0", 0))
-        assert entries[2][0].source == "v1"
+        assert entries[2][0][1] == "v1" and entries[2][0][-1] == 7
 
     def test_checkpoint_entry_settles_what_precedes_it(self, tmp_path):
         path = Path(tmp_path) / "fleet.log"
@@ -373,8 +374,8 @@ class TestRecordLog:
         assert replayed.replayed == [(None, ("v0", 0))]
         # Nothing is truncated: settled lines stay, undecoded until a
         # recovery asks for the seqs it can still need.
-        assert [r.seq for r in replayed.settled_above(-1)] == [0, 5]
-        assert [r.seq for r in replayed.settled_above(0)] == [5]
+        assert [row[-1] for row in replayed.settled_above(-1)] == [0, 5]
+        assert [row[-1] for row in replayed.settled_above(0)] == [5]
         assert replayed.nbytes == path.stat().st_size
 
     def test_compact_leaves_header_waiting_lines_and_one_entry(
@@ -393,7 +394,7 @@ class TestRecordLog:
         assert len(path.read_text().split("\n")) == 5
         replayed = RecordLog.open_existing(path, fsync="never")
         assert replayed.checkpoints == [{"n": 1}]
-        assert [r.seq for r in replayed.settled_above(-1)] == [3]
+        assert [row[-1] for row in replayed.settled_above(-1)] == [3]
         assert replayed.replayed == [(None, ("v0", 3))]
         assert replayed.base_bytes == len(encode_entry('["~ck",{"n":1}]')) + 1
 
@@ -411,7 +412,7 @@ class TestRecordLog:
         )
         replayed = RecordLog.open_existing(path, fsync="never")
         assert replayed.truncated == 1
-        assert [entry[0].seq for entry in replayed.replayed] == [0, 1, 2]
+        assert [entry[0][-1] for entry in replayed.replayed] == [0, 1, 2]
 
 
 class TestReplayRoundTripProperty:
