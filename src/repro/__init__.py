@@ -25,3 +25,13 @@ with every substrate its evaluation depends on:
 """
 
 __version__ = "1.0.0"
+
+#: The layers of the package, bottom first: a module may import from its
+#: own layer and from layers to its left, never from one to its right
+#: (``tests/test_layering.py`` parses every import, lazy ones included;
+#: DESIGN.md "Layers" says what each one is for).
+LAYERS = (
+    "schema", "ipc", "sim", "network", "dds", "ros", "core", "budgeting",
+    "analysis", "tracing", "perception", "telemetry", "faults", "adaptive",
+    "warehouse", "bench", "experiments",
+)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.telemetry.records import SchemaVersionError
+from repro.schema import SchemaVersionError
 from repro.telemetry.uplink.wal import decode_entry, encode_entry
 
 #: Schema identifier of one serialized budget epoch.

@@ -4,7 +4,9 @@ The paper reports its evaluation as Tukey boxplots (Figs. 9-12).
 :mod:`repro.analysis.stats` computes the identical statistics (median,
 quartiles, 1.5 IQR whiskers, outliers); :mod:`repro.analysis.report`
 renders them as text tables and ASCII boxplots so every benchmark can
-print the figure it reproduces.
+print the figure it reproduces.  :mod:`repro.analysis.histogram` is the
+streaming counterpart: a mergeable log-bucket sketch for quantiles over
+samples nobody keeps (span attribution, the fleet store, the warehouse).
 """
 
 from repro.analysis.stats import TukeyStats, summarize
@@ -12,11 +14,9 @@ from repro.analysis.report import (
     ascii_boxplot,
     format_duration,
     render_table,
-    series_csv,
     stats_csv,
     stats_table,
 )
-from repro.analysis.timeline import TimelineRecorder, render_timeline
 
 __all__ = [
     "TukeyStats",
@@ -24,9 +24,6 @@ __all__ = [
     "ascii_boxplot",
     "format_duration",
     "render_table",
-    "series_csv",
     "stats_csv",
     "stats_table",
-    "TimelineRecorder",
-    "render_timeline",
 ]

@@ -70,21 +70,6 @@ def stats_csv(named_stats: Dict[str, TukeyStats]) -> str:
     return out.getvalue()
 
 
-def series_csv(named_series: Dict[str, Sequence[float]]) -> str:
-    """CSV with one column per named sample series (ragged: blank pads)."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    names = list(named_series)
-    writer.writerow(names)
-    longest = max((len(v) for v in named_series.values()), default=0)
-    for i in range(longest):
-        writer.writerow([
-            named_series[name][i] if i < len(named_series[name]) else ""
-            for name in names
-        ])
-    return out.getvalue()
-
-
 def ascii_boxplot(
     named_stats: Dict[str, TukeyStats],
     width: int = 60,

@@ -49,11 +49,6 @@ class SegmentTrace:
         """Largest observed raw latency."""
         return max(self.latencies)
 
-    @property
-    def maximum_extended(self) -> int:
-        """Largest extended latency (candidate for ``d``)."""
-        return self.maximum + self.d_ex
-
 
 @dataclass
 class ChainTrace:

@@ -188,15 +188,6 @@ class ChainRuntime:
             skipped_count=counts[Outcome.SKIPPED],
         )
 
-    def segment_latencies(self, segment_name: str) -> List[int]:
-        """All recorded monitored latencies of one segment, by activation."""
-        out = []
-        for n in sorted(self.records):
-            record = self.records[n].get(segment_name)
-            if record is not None and record.latency is not None:
-                out.append(record.latency)
-        return out
-
     def segment_outcomes(self, segment_name: str) -> List[Outcome]:
         """All recorded outcomes of one segment, by activation."""
         out = []

@@ -85,13 +85,6 @@ class EventChain:
                 return seg
         raise KeyError(f"{self.name} has no segment {name!r}")
 
-    def index_of(self, name: str) -> int:
-        """Position of the named segment within the chain."""
-        for i, seg in enumerate(self.segments):
-            if seg.name == name:
-                return i
-        raise KeyError(f"{self.name} has no segment {name!r}")
-
     @property
     def deadlines_assigned(self) -> bool:
         """True once every segment has a monitored deadline."""

@@ -325,13 +325,6 @@ class DagChain:
             mk=dict(self.mk),
         )
 
-    def check_budgets(self) -> None:
-        """Per-path Eq. (3)/(4): every path's deadline sum must fit its
-        sink's budget and every deadline must fit B_seg.  Raises on
-        violation."""
-        for path in self._paths:
-            self.path_chain(path).check_budget()
-
     def __len__(self) -> int:
         return len(self.segments)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -269,77 +269,3 @@ def satisfies_mk(misses: Sequence[bool], m: int, k: int) -> bool:
     if m < 0:
         raise ValueError(f"m must be non-negative, got m={m}")
     return max_window_misses(misses, k) <= m
-
-
-def miss_indices(misses: Iterable[bool]) -> List[int]:
-    """Indices of missed executions (diagnostics helper)."""
-    return [i for i, miss in enumerate(misses) if miss]
-
-
-def max_consecutive_misses(misses: Iterable[bool]) -> int:
-    """Length of the longest run of consecutive misses."""
-    best = 0
-    current = 0
-    for miss in misses:
-        if miss:
-            current += 1
-            if current > best:
-                best = current
-        else:
-            current = 0
-    return best
-
-
-@dataclass(frozen=True)
-class ConsecutiveMissConstraint:
-    """Bernat et al.'s <m,k> variant: never more than *m* consecutive
-    misses (within any k consecutive executions; for m < k the window
-    is immaterial, so only *m* is needed here).
-
-    The paper uses the any-m-in-k (m,k) form, but consecutive-miss
-    constraints are the other common weakly-hard type for control loops
-    whose stability tolerates isolated but not back-to-back misses.
-    """
-
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError("m must be non-negative")
-
-    def satisfied_by(self, misses: Sequence[bool]) -> bool:
-        """Check a whole outcome sequence against the constraint."""
-        return max_consecutive_misses(misses) <= self.m
-
-    def __str__(self) -> str:
-        return f"<={self.m} consecutive"
-
-
-class ConsecutiveMissWindow:
-    """Online checker for :class:`ConsecutiveMissConstraint`."""
-
-    def __init__(self, constraint: ConsecutiveMissConstraint):
-        self.constraint = constraint
-        self.current_run = 0
-        self.longest_run = 0
-        self.violations = 0
-        self.total = 0
-
-    @property
-    def violated(self) -> bool:
-        """True if the constraint was ever violated."""
-        return self.violations > 0
-
-    def record(self, miss: bool) -> bool:
-        """Record one outcome; True if the run limit is now exceeded."""
-        self.total += 1
-        if miss:
-            self.current_run += 1
-            if self.current_run > self.longest_run:
-                self.longest_run = self.current_run
-            if self.current_run > self.constraint.m:
-                self.violations += 1
-                return True
-        else:
-            self.current_run = 0
-        return False

@@ -90,10 +90,6 @@ class DdsDomain:
         """Register the receive-side network stack of *ecu*."""
         self._stacks[ecu.name] = stack
 
-    def stack_for(self, ecu_name: str) -> NetworkStack:
-        """Return the network stack of the named ECU."""
-        return self._stacks[ecu_name]
-
     # ------------------------------------------------------------------
     # Endpoint registration (called by the participant factories)
     # ------------------------------------------------------------------
@@ -107,27 +103,12 @@ class DdsDomain:
         if stack is not None:
             stack.register_port(
                 self._port_name(reader),
-                lambda frame: self._deliver_frame(reader, frame),
+                lambda frame: reader._receive(frame.payload),
             )
-
-    @staticmethod
-    def _deliver_frame(reader: "DataReader", frame: Frame) -> None:
-        if frame.meta.get("kind") == "liveliness":
-            reader.assert_writer_liveliness(frame.meta["writer"])
-        else:
-            reader._receive(frame.payload)
 
     @staticmethod
     def _port_name(reader: "DataReader") -> str:
         return f"dds/{reader.topic.name}/{reader.guid}"
-
-    def readers_of(self, topic_name: str) -> List["DataReader"]:
-        """All readers currently subscribed to *topic_name*."""
-        return list(self._readers.get(topic_name, []))
-
-    def writers_of(self, topic_name: str) -> List["DataWriter"]:
-        """All writers currently publishing *topic_name*."""
-        return list(self._writers.get(topic_name, []))
 
     # ------------------------------------------------------------------
     # Routing
@@ -143,35 +124,6 @@ class DdsDomain:
                 self._deliver_local(reader, sample)
             else:
                 self._deliver_remote(writer, reader, sample)
-
-    def _route_liveliness(self, writer: "DataWriter") -> None:
-        """Deliver an explicit liveliness assertion to matched readers."""
-        for reader in self._readers.get(writer.topic.name, []):
-            if not reader.qos.compatible_with(writer.qos):
-                continue
-            src = writer.participant.ecu
-            dst = reader.participant.ecu
-            if src.name == dst.name:
-                self.sim.schedule_after(
-                    self.local_latency,
-                    reader.assert_writer_liveliness,
-                    writer.guid,
-                    label="dds:liveliness:local",
-                )
-                continue
-            link = self._links.get((src.name, dst.name))
-            stack = self._stacks.get(dst.name)
-            if link is None or stack is None:
-                continue
-            frame = Frame(
-                payload=None,
-                size_bytes=RTPS_OVERHEAD_BYTES,
-                src=src.name,
-                dst=dst.name,
-                meta={"kind": "liveliness", "writer": writer.guid},
-            )
-            port = self._port_name(reader)
-            link.transmit(frame, lambda f, p=port: stack.deliver(p, f))
 
     def _deliver_local(self, reader: "DataReader", sample: Sample) -> None:
         rng = self._local_rng

@@ -2,10 +2,6 @@
 
 Only the policies the paper touches are modelled:
 
-- ``DEADLINE`` -- the reader expects consecutive samples (per instance)
-  no further apart than the deadline period; a miss fires
-  ``on_requested_deadline_missed``.  This *is* the inter-arrival
-  monitoring baseline whose limitations the paper's Fig. 6 discusses.
 - ``LIFESPAN`` -- samples older than the lifespan (by source timestamp)
   are dropped instead of delivered.
 - ``RELIABILITY`` -- BEST_EFFORT drops lost frames; RELIABLE retries
@@ -47,17 +43,8 @@ class QosProfile:
         KEEP_LAST with ``history_depth`` or KEEP_ALL.
     history_depth:
         Queue bound for KEEP_LAST.
-    deadline:
-        Requested maximum inter-arrival time in ns (None disables the
-        deadline QoS / inter-arrival monitor).
     lifespan:
         Maximum sample age in ns at delivery (None disables).
-    liveliness_lease:
-        Lease duration in ns: a reader considers a matched writer alive
-        while assertions (data or explicit) arrive within the lease;
-        expiry fires ``on_liveliness_changed``.  This is the "liveliness
-        rather than latency" supervision the paper deems the proper use
-        of inter-arrival-style mechanisms.  None disables.
     max_retransmits:
         For RELIABLE: how many times a lost frame is retried.
     retransmit_delay:
@@ -68,21 +55,15 @@ class QosProfile:
     reliability: ReliabilityKind = ReliabilityKind.BEST_EFFORT
     history: HistoryKind = HistoryKind.KEEP_LAST
     history_depth: int = 10
-    deadline: Optional[int] = None
     lifespan: Optional[int] = None
-    liveliness_lease: Optional[int] = None
     max_retransmits: int = 3
     retransmit_delay: int = 500_000  # 0.5 ms
 
     def __post_init__(self) -> None:
         if self.history_depth < 1:
             raise ValueError("history_depth must be >= 1")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive")
         if self.lifespan is not None and self.lifespan <= 0:
             raise ValueError("lifespan must be positive")
-        if self.liveliness_lease is not None and self.liveliness_lease <= 0:
-            raise ValueError("liveliness lease must be positive")
         if self.max_retransmits < 0:
             raise ValueError("max_retransmits must be >= 0")
         if self.retransmit_delay < 0:

@@ -8,21 +8,15 @@ instrumentation surfaces mirror the writer's:
   arrive too late, i.e. after the corresponding exception" so the
   constant-rate assumption and (m,k) bookkeeping stay sound.
 - ``on_receive_hooks`` see every accepted sample (tracer, monitors).
-
-Deadline QoS (the inter-arrival baseline) is implemented here: a timer
-re-armed on every arrival; expiry posts the ``on_requested_deadline_missed``
-routine onto the *middleware event thread*, so its entry latency is the
-scheduling-dependent quantity of the paper's Fig. 12.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Deque, List, Optional, TYPE_CHECKING
 
 from repro.dds.qos import DEFAULT_QOS, HistoryKind, QosProfile
 from repro.dds.topic import Sample, Topic
-from repro.sim.timers import Timer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dds.participant import DomainParticipant
@@ -37,18 +31,8 @@ class ReaderListener:
     def on_data_available(self, reader: "DataReader", sample: Sample) -> None:
         """A sample was delivered to the reader."""
 
-    def on_requested_deadline_missed(
-        self, reader: "DataReader", key: Optional[str], total_count: int
-    ) -> None:
-        """The deadline QoS detected a missed inter-arrival deadline."""
-
     def on_sample_lifespan_expired(self, reader: "DataReader", sample: Sample) -> None:
         """A sample was dropped because it outlived its lifespan."""
-
-    def on_liveliness_changed(
-        self, reader: "DataReader", writer_id: str, alive: bool
-    ) -> None:
-        """A matched writer's liveliness was gained (True) or lost."""
 
 
 class DataReader:
@@ -74,11 +58,6 @@ class DataReader:
         self.received = 0
         self.filtered = 0
         self.lifespan_expired = 0
-        self.deadline_missed_total = 0
-        self._deadline_timers: Dict[Optional[str], Timer] = {}
-        self._liveliness_timers: Dict[str, Timer] = {}
-        #: writer_id -> currently-considered-alive flag.
-        self.writer_alive: Dict[str, bool] = {}
 
     # ------------------------------------------------------------------
     # Delivery path (called by the domain / network stack / recovery)
@@ -99,12 +78,6 @@ class DataReader:
                     )
                 self.listener.on_sample_lifespan_expired(self, sample)
                 return
-        if self.qos.deadline is not None:
-            self._arm_deadline(sample.key)
-        if self.qos.liveliness_lease is not None and sample.writer_id:
-            # Data counts as a liveliness assertion, even if later
-            # filtered: the writer is evidently alive.
-            self.assert_writer_liveliness(sample.writer_id)
         for receive_filter in self.receive_filters:
             if not receive_filter(sample):
                 self.filtered += 1
@@ -184,83 +157,6 @@ class DataReader:
         if self.history:
             return self.history.popleft()
         return None
-
-    # ------------------------------------------------------------------
-    # Deadline QoS (inter-arrival monitoring)
-    # ------------------------------------------------------------------
-    def _arm_deadline(self, key: Optional[str]) -> None:
-        timer = self._deadline_timers.get(key)
-        if timer is None:
-            timer = Timer(
-                self.participant.sim,
-                lambda key=key: self._deadline_expired(key),
-                name=f"deadline:{self.guid}:{key}",
-            )
-            self._deadline_timers[key] = timer
-        timer.start(self.qos.deadline)
-
-    def _deadline_expired(self, key: Optional[str]) -> None:
-        # Entry into the timeout routine happens on the middleware event
-        # thread -- its scheduling latency is what Fig. 12 measures.
-        self.deadline_missed_total += 1
-        if self.participant.sim.tracing_active:
-            self.participant.sim.emit_trace(
-                "dds.deadline_expired",
-                topic=self.topic.name,
-                reader=self.guid,
-                key=key,
-            )
-        self.participant.post_middleware_event(
-            self.listener.on_requested_deadline_missed,
-            self,
-            key,
-            self.deadline_missed_total,
-        )
-        # DDS semantics: the deadline keeps firing every period until a
-        # new sample arrives.
-        self._arm_deadline(key)
-
-    # ------------------------------------------------------------------
-    # Liveliness QoS
-    # ------------------------------------------------------------------
-    def assert_writer_liveliness(self, writer_id: str) -> None:
-        """Refresh the lease of *writer_id* (data or explicit assertion).
-
-        Fires ``on_liveliness_changed(alive=True)`` when the writer was
-        previously unknown or considered dead.
-        """
-        if self.qos.liveliness_lease is None:
-            return
-        was_alive = self.writer_alive.get(writer_id)
-        self.writer_alive[writer_id] = True
-        timer = self._liveliness_timers.get(writer_id)
-        if timer is None:
-            timer = Timer(
-                self.participant.sim,
-                lambda w=writer_id: self._liveliness_lost(w),
-                name=f"liveliness:{self.guid}:{writer_id}",
-            )
-            self._liveliness_timers[writer_id] = timer
-        timer.start(self.qos.liveliness_lease)
-        if was_alive is not True:
-            self.participant.post_middleware_event(
-                self.listener.on_liveliness_changed, self, writer_id, True
-            )
-
-    def _liveliness_lost(self, writer_id: str) -> None:
-        self.writer_alive[writer_id] = False
-        if self.participant.sim.tracing_active:
-            self.participant.sim.emit_trace(
-                "dds.liveliness_lost", reader=self.guid, writer=writer_id
-            )
-        self.participant.post_middleware_event(
-            self.listener.on_liveliness_changed, self, writer_id, False
-        )
-
-    def cancel_liveliness(self) -> None:
-        """Disarm all liveliness lease timers (shutdown)."""
-        for timer in self._liveliness_timers.values():
-            timer.cancel()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<DataReader {self.guid} topic={self.topic.name}>"

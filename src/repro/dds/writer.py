@@ -116,10 +116,5 @@ class DataWriter:
         self.participant.domain._route(self, sample)
         return sample
 
-    def assert_liveliness(self) -> None:
-        """Explicitly assert this writer's liveliness to matched readers
-        (MANUAL_BY_TOPIC-style assertion; writing data also asserts)."""
-        self.participant.domain._route_liveliness(self)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<DataWriter {self.guid} topic={self.topic.name}>"

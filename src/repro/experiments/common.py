@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import os
-from typing import Callable
+from typing import Callable, Dict
 
+from repro.perception.stack import StackConfig
 from repro.sim import BurstyGovernor, msec
 from repro.sim.cpu import FrequencyGovernor
 
@@ -44,3 +45,21 @@ def interference_governor(
         )
 
     return factory
+
+
+#: The three golden scenario configurations, as ``StackConfig`` keywords:
+#: a benign run, a run under ECU2 frequency interference (latency tail +
+#: exceptions), and a lossy-link run (retransmits + remote monitor
+#: timeouts).  ``python -m repro trace --scenario`` runs them, and
+#: ``tests/golden/golden_digests.json`` pins their digests as
+#: ``<name>_seed<seed>``.
+GOLDEN_SCENARIOS: Dict[str, dict] = {
+    "benign": {"seed": 1},
+    "interference": {"seed": 42, "ecu2_governor": interference_governor()},
+    "lossy_link": {"seed": 7, "link_loss": 0.08},
+}
+
+
+def golden_config(name: str, **overrides) -> StackConfig:
+    """A fresh :class:`StackConfig` of one golden scenario."""
+    return StackConfig(**{**GOLDEN_SCENARIOS[name], **overrides})

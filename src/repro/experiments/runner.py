@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import Callable, Dict
 
@@ -163,6 +164,19 @@ SUBCOMMANDS: Dict[str, str] = {
 }
 
 
+#: Subcommands that own an argument parser: ``name -> "module:function"``
+#: of a ``main(argv) -> int``, imported only when the subcommand runs.
+PARSER_OWNERS: Dict[str, str] = {
+    "adapt": "repro.adaptive.chaos:main",
+    "bench": "repro.bench.cli:main",
+    "chaos": "repro.telemetry.uplink.chaos:main",
+    "gateway": "repro.telemetry.gateway.cli:main",
+    "telemetry": "repro.telemetry.cli:main",
+    "trace": "repro.experiments.trace_cli:main",
+    "warehouse": "repro.warehouse.cli:main",
+}
+
+
 def _subcommand_epilog() -> str:
     width = max(len(name) for name in SUBCOMMANDS)
     lines = ["subcommands:"]
@@ -176,34 +190,9 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # Subcommands with their own argument parsers route before argparse.
-    if argv and argv[0] == "bench":
-        from repro.bench.cli import main as bench_main
-
-        return bench_main(argv[1:])
-    if argv and argv[0] == "telemetry":
-        from repro.telemetry.cli import main as telemetry_main
-
-        return telemetry_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        from repro.telemetry.uplink.chaos import main as chaos_main
-
-        return chaos_main(argv[1:])
-    if argv and argv[0] == "trace":
-        from repro.tracing.cli import main as trace_main
-
-        return trace_main(argv[1:])
-    if argv and argv[0] == "adapt":
-        from repro.adaptive.chaos import main as adapt_main
-
-        return adapt_main(argv[1:])
-    if argv and argv[0] == "warehouse":
-        from repro.warehouse.cli import main as warehouse_main
-
-        return warehouse_main(argv[1:])
-    if argv and argv[0] == "gateway":
-        from repro.telemetry.gateway.cli import main as gateway_main
-
-        return gateway_main(argv[1:])
+    if argv and argv[0] in PARSER_OWNERS:
+        module, _, function = PARSER_OWNERS[argv[0]].partition(":")
+        return getattr(importlib.import_module(module), function)(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the paper's figures ('bench' runs the "
@@ -214,9 +203,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS)
-        + ["adapt", "all", "bench", "chaos", "gateway", "telemetry",
-           "trace", "warehouse"],
+        choices=sorted(SUBCOMMANDS),
         help="which subcommand to run (one-line descriptions below)",
     )
     parser.add_argument(

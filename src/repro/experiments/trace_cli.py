@@ -11,9 +11,19 @@ compact JSONL.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import List, Optional
+
+from repro.experiments.common import GOLDEN_SCENARIOS, golden_config
+from repro.perception.stack import PerceptionStack
+from repro.tracing.critical_path import (
+    CriticalPathAnalyzer,
+    attribute_chain,
+    render_attribution,
+    validate_spans,
+)
+from repro.tracing.export import write_chrome_trace, write_jsonl
+from repro.warehouse import RunKey, write_run_bundle
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -24,7 +34,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--scenario",
-        choices=["benign", "interference", "lossy_link"],
+        choices=sorted(GOLDEN_SCENARIOS),
         default="benign",
         help="which golden scenario configuration to run (default: benign)",
     )
@@ -72,25 +82,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.perception.stack import PerceptionStack, StackConfig
-    from repro.experiments.common import interference_governor
-    from repro.tracing.critical_path import (
-        CriticalPathAnalyzer,
-        attribute_chain,
-        render_attribution,
-        validate_spans,
-    )
-    from repro.tracing.export import write_chrome_trace, write_jsonl
-
-    if args.scenario == "benign":
-        config = StackConfig(seed=1)
-    elif args.scenario == "interference":
-        config = StackConfig(seed=42, ecu2_governor=interference_governor())
-    else:
-        config = StackConfig(seed=7, link_loss=0.08)
+    overrides = {"spans": True}
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    config = dataclasses.replace(config, spans=True)
+        overrides["seed"] = args.seed
+    config = golden_config(args.scenario, **overrides)
 
     stack = PerceptionStack(config)
     stack.run(n_frames=args.frames)
@@ -141,8 +136,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         count = write_jsonl(recorder, args.jsonl)
         print(f"wrote {count} spans to {args.jsonl}")
     if args.export_run is not None:
-        from repro.warehouse import RunKey, write_run_bundle
-
         run_id = args.run_id or (
             f"{args.scenario}-s{config.seed}-f{args.frames}"
         )

@@ -14,7 +14,7 @@ Layers:
   per-path oracles and its own scenario matrix.
 """
 
-from repro.faults.base import FaultInjector, Injection, frame_window_ns
+from repro.faults.base import FaultInjector, frame_window_ns
 from repro.faults.campaign import (
     CampaignConfig,
     CampaignResult,
@@ -77,7 +77,6 @@ __all__ = [
     "FaultScenario",
     "GracefulDegradationManager",
     "GroundTruthRecorder",
-    "Injection",
     "LatencySpike",
     "LinkPartition",
     "LossBurst",

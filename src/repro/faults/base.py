@@ -3,8 +3,9 @@
 A :class:`FaultInjector` arms itself against a built (not yet running)
 :class:`~repro.perception.stack.PerceptionStack`: it installs hooks or
 schedules state changes on the simulation clock, and records every
-physical action it takes as an :class:`Injection` so oracles can
-correlate monitor reports with ground truth.
+physical action it takes as an
+:class:`~repro.network.injection.Injection` so oracles can correlate
+monitor reports with ground truth.
 
 All injectors are deterministic: their activity windows are expressed in
 chain activations (frames) or absolute simulation time, and any
@@ -14,25 +15,9 @@ two campaign runs with the same seed produce bit-identical traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
-
-@dataclass
-class Injection:
-    """One physical fault action taken by an injector."""
-
-    #: Fault class, e.g. ``"loss_burst"`` or ``"clock_step"``.
-    kind: str
-    #: What was faulted (a link, ECU, node or lidar mount name).
-    target: str
-    #: Simulation-time window during which the fault is active.
-    start_ns: int
-    end_ns: int
-    #: Affected chain activations, when frame-addressable.
-    frames: Optional[range] = None
-    #: Free-form specifics (drop counts, ppm, stall ns, ...).
-    detail: dict = field(default_factory=dict)
+from repro.network.injection import Injection
 
 
 class FaultInjector:

@@ -96,10 +96,6 @@ class CampaignConfig:
     #: Attach a span recorder to every scenario's stack (causal span
     #: tracing; the campaign result is unchanged by it either way).
     spans: bool = False
-    #: Route every chain through the DAG model as a degenerate
-    #: single-path instance (differential identity switch; see
-    #: ``StackConfig.via_dag``).
-    via_dag: bool = False
 
     def __post_init__(self) -> None:
         if self.n_frames < self.warmup + self.tail + 8:
@@ -289,8 +285,7 @@ class FaultCampaign:
         # stack's tracer, so no trace point is armed; a scenario that
         # wants its run traced says so in ``config_overrides``.
         stack_config = dataclasses.replace(
-            StackConfig(seed=cc.seed, spans=cc.spans, via_dag=cc.via_dag,
-                        trace_prefixes=()),
+            StackConfig(seed=cc.seed, spans=cc.spans, trace_prefixes=()),
             **scenario.config_overrides,
         )
         stack = PerceptionStack(stack_config)

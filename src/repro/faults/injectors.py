@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.faults.base import FaultInjector, Injection, frame_window_ns
+from repro.faults.base import FaultInjector, frame_window_ns
+from repro.network.injection import Injection
 from repro.sim.threads import Compute
 
 #: Node name -> stack attribute.

@@ -30,7 +30,3 @@ class TimedSemaphore:
         ``sem_wait`` vs ``sem_timedwait``.
         """
         return self._sem.acquire(timeout=timeout_s)
-
-    def try_wait(self) -> bool:
-        """Non-blocking acquire."""
-        return self._sem.acquire(block=False)

@@ -14,7 +14,7 @@ per frame; the DDS layer decides whether lost frames are retransmitted
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -33,8 +33,6 @@ class Frame:
     seq: int = 0
     #: Sender-side local timestamp (sender clock), set by the transport.
     send_timestamp: int = 0
-    #: Extra metadata slots for transports (e.g. RTPS submessage kind).
-    meta: dict = field(default_factory=dict)
 
 
 class JitterModel:

@@ -67,13 +67,6 @@ class DriftingClock:
         self._sync_time = self.sim.now
         self.sync_count += 1
 
-    def to_global(self, local_ts: int) -> int:
-        """Translate a local timestamp to global time (diagnostics only).
-
-        Real systems cannot do this -- it is provided for test oracles.
-        """
-        return local_ts - self._current_offset()
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<DriftingClock {self.name} offset={self.offset}ns drift={self.drift_ppm}ppm>"
 

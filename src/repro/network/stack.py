@@ -65,10 +65,6 @@ class NetworkStack:
             raise ValueError(f"port {port!r} already registered on {self.ecu.name}")
         self._ports[port] = handler
 
-    def unregister_port(self, port: str) -> None:
-        """Remove the handler for *port* (unknown ports are ignored)."""
-        self._ports.pop(port, None)
-
     def deliver(self, port: str, frame: Frame) -> None:
         """Entry point for links: enqueue *frame* for ksoftirq processing.
 

@@ -52,20 +52,6 @@ class BoundingBox:
     z_max: float
     point_count: int
 
-    @property
-    def center(self) -> Tuple[float, float, float]:
-        """Box centroid."""
-        return (
-            (self.x_min + self.x_max) / 2,
-            (self.y_min + self.y_max) / 2,
-            (self.z_min + self.z_max) / 2,
-        )
-
-    @property
-    def footprint_area(self) -> float:
-        """Ground-plane area of the box."""
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
 
 #: Cell coordinates are cast to int64 and then shifted and packed; past
 #: this magnitude the cast (or the shift) is undefined.

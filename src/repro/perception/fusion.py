@@ -107,8 +107,3 @@ class FusionService:
             if ctxs is not None:
                 ctxs.pop(oldest, None)
             self.evicted_count += 1
-
-    @property
-    def pending_frames(self) -> int:
-        """Frames currently waiting for their partner cloud."""
-        return len(self._pending_front) + len(self._pending_rear)

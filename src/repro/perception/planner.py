@@ -56,10 +56,3 @@ class SinkService:
     def frames_seen(self, topic_name: str) -> List[int]:
         """Frame indices received on *topic_name*, in arrival order."""
         return [frame for frame, _t, _r in self.arrivals[topic_name]]
-
-    def arrival_time(self, topic_name: str, frame: int) -> Optional[int]:
-        """Arrival time of *frame* on *topic_name* (first occurrence)."""
-        for f, t, _r in self.arrivals[topic_name]:
-            if f == frame:
-                return t
-        return None

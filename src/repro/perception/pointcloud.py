@@ -61,19 +61,6 @@ class PointCloud:
             frame_id=self.frame_id,
         )
 
-    def translated(self, dx: float = 0.0, dy: float = 0.0, dz: float = 0.0) -> "PointCloud":
-        """A new cloud shifted by a fixed offset (sensor extrinsics)."""
-        shifted = self.points.copy()
-        shifted[:, 0] += dx
-        shifted[:, 1] += dy
-        shifted[:, 2] += dz
-        return PointCloud(
-            points=shifted,
-            frame_index=self.frame_index,
-            stamp=self.stamp,
-            frame_id=self.frame_id,
-        )
-
     @staticmethod
     def empty(frame_index: int = 0, stamp: int = 0) -> "PointCloud":
         """A cloud with zero points (recovery placeholder)."""

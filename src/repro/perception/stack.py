@@ -137,12 +137,6 @@ class StackConfig:
     # Fault injection (per lidar; frame -> extra delay ns or None=drop).
     fault_front: Optional[FaultFn] = None
     fault_rear: Optional[FaultFn] = None
-    #: Route every chain through the DAG model as a degenerate
-    #: single-path instance (``DagChain.from_linear(...).to_linear()``)
-    #: before deployment.  A differential switch: the round-trip must be
-    #: behaviour-preserving, which the identity test suite pins down to
-    #: byte-identical traces and campaign results.
-    via_dag: bool = False
     # Tracing.  Event-name prefixes the stack's ``Tracer`` records: None
     # records every trace point, ``()`` none -- no hook is registered
     # and the emitters skip building their fields.
@@ -371,7 +365,7 @@ class PerceptionStack:
         s = self.segments
 
         def chain(name, first, second, last):
-            event_chain = EventChain(
+            return EventChain(
                 name=name,
                 segments=[s[first], s[second], s["s2"], s[last]],
                 period=cfg.period,
@@ -379,11 +373,6 @@ class PerceptionStack:
                 budget_seg=cfg.period,
                 mk=cfg.mk,
             )
-            if cfg.via_dag:
-                from repro.core.dag import DagChain
-
-                event_chain = DagChain.from_linear(event_chain).to_linear()
-            return event_chain
 
         self.chains: Dict[str, EventChain] = {
             "front_objects": chain("front_objects", "s0_front", "s1_front", "s3_objects"),

@@ -22,7 +22,6 @@ from repro.ros.executors import (
     Dispatch,
     Ros2MultiThreadedExecutor,
     Ros2SingleThreadedExecutor,
-    run_schedule,
 )
 from repro.ros.node import Node, Publisher, RosTimer, Subscription
 
@@ -34,7 +33,6 @@ __all__ = [
     "Dispatch",
     "Ros2MultiThreadedExecutor",
     "Ros2SingleThreadedExecutor",
-    "run_schedule",
     "Node",
     "Publisher",
     "Subscription",

@@ -323,19 +323,3 @@ EXECUTOR_MODELS: Dict[str, Callable[[Simulator, str], _ExecutorBase]] = {
         sim, name, n_threads=2, policy=POLICY_PRIORITY
     ),
 }
-
-
-def run_schedule(
-    executor: _ExecutorBase,
-    jobs: List[Tuple[int, str, int]],
-) -> List[Dispatch]:
-    """Drive *executor* with ``(release, callback, exec_time)`` jobs.
-
-    Conformance-test harness: schedules every submission on the
-    executor's simulator, runs to quiescence and returns the dispatch log
-    sorted by (start, thread).
-    """
-    for release, callback, exec_time in jobs:
-        executor.sim.schedule_at(release, executor.submit, callback, exec_time)
-    executor.sim.run()
-    return sorted(executor.dispatches, key=lambda d: (d.start, d.thread))

@@ -10,7 +10,7 @@ Linux on multicore ECUs).  It provides:
 - :mod:`repro.sim.scheduler` -- a preemptive fixed-priority multicore
   scheduler with optional thread migration (global vs. partitioned).
 - :mod:`repro.sim.sync` -- counting semaphores with timed wait (the
-  ``sem_timedwait`` the paper's monitor thread relies on) and event flags.
+  ``sem_timedwait`` the paper's monitor thread relies on).
 - :mod:`repro.sim.timers` -- one-shot and periodic timers.
 - :mod:`repro.sim.cpu` -- ECUs, cores and frequency governors (the paper
   explicitly allows thread migration and frequency scaling, which produce
@@ -42,22 +42,18 @@ from repro.sim.threads import (
     ThreadState,
 )
 from repro.sim.scheduler import MulticoreScheduler, SchedulerPolicy
-from repro.sim.sync import Semaphore, EventFlag
+from repro.sim.sync import Semaphore
 from repro.sim.timers import Timer, PeriodicTimer
 from repro.sim.cpu import (
     Core,
     Ecu,
     ConstantGovernor,
-    OndemandGovernor,
     BurstyGovernor,
 )
 from repro.sim.workload import (
     ExecutionTimeModel,
     ConstantModel,
     AffineModel,
-    LogNormalModel,
-    HeavyTailModel,
-    ShiftedParetoModel,
 )
 
 __all__ = [
@@ -79,18 +75,13 @@ __all__ = [
     "MulticoreScheduler",
     "SchedulerPolicy",
     "Semaphore",
-    "EventFlag",
     "Timer",
     "PeriodicTimer",
     "Core",
     "Ecu",
     "ConstantGovernor",
-    "OndemandGovernor",
     "BurstyGovernor",
     "ExecutionTimeModel",
     "ConstantModel",
     "AffineModel",
-    "LogNormalModel",
-    "HeavyTailModel",
-    "ShiftedParetoModel",
 ]

@@ -7,9 +7,6 @@ main sources of the heavy latency tail its Fig. 9 records.  The governors
 here reproduce those effects:
 
 - :class:`ConstantGovernor` -- fixed speed (the "performance" governor).
-- :class:`OndemandGovernor` -- cores slow down when idle and ramp back up
-  with a delay, so work arriving after an idle gap executes slowly at
-  first (race-to-idle latency spikes).
 - :class:`BurstyGovernor` -- random speed excursions modelling thermal
   throttling and co-running interference; produces the long tail.
 """
@@ -18,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.sim.kernel import ScheduledEvent, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.scheduler import Core, MulticoreScheduler, SchedulerPolicy
 from repro.sim.threads import SimThread
 
@@ -49,68 +46,6 @@ class ConstantGovernor(FrequencyGovernor):
     def attach(self, core: Core, sim: Simulator) -> None:
         super().attach(core, sim)
         core.set_speed(self.speed)
-
-
-class OndemandGovernor(FrequencyGovernor):
-    """Slow down when idle, ramp up with a delay when work arrives.
-
-    Parameters
-    ----------
-    low, high:
-        Speed while (long) idle and at full ramp respectively.
-    ramp_delay:
-        Nanoseconds after becoming busy before the speed steps to *high*.
-    idle_delay:
-        Nanoseconds of idleness before the speed drops to *low*.
-    """
-
-    def __init__(
-        self,
-        low: float = 0.4,
-        high: float = 1.0,
-        ramp_delay: int = 2_000_000,
-        idle_delay: int = 5_000_000,
-    ):
-        if not (0 < low <= high):
-            raise ValueError("need 0 < low <= high")
-        self.low = low
-        self.high = high
-        self.ramp_delay = ramp_delay
-        self.idle_delay = idle_delay
-        self._ramp_event: Optional[ScheduledEvent] = None
-        self._drop_event: Optional[ScheduledEvent] = None
-
-    def attach(self, core: Core, sim: Simulator) -> None:
-        super().attach(core, sim)
-        core.set_speed(self.low)
-
-    def on_core_busy(self, core: Core) -> None:
-        if self._drop_event is not None:
-            self._drop_event.cancel()
-            self._drop_event = None
-        if core.speed < self.high and self._ramp_event is None:
-            self._ramp_event = self.sim.schedule_after(
-                self.ramp_delay, self._ramp_up, label="governor:ramp"
-            )
-
-    def on_core_idle(self, core: Core) -> None:
-        if self._ramp_event is not None:
-            self._ramp_event.cancel()
-            self._ramp_event = None
-        if self._drop_event is None and core.speed > self.low:
-            self._drop_event = self.sim.schedule_after(
-                self.idle_delay, self._drop_down, label="governor:drop"
-            )
-
-    def _ramp_up(self) -> None:
-        self._ramp_event = None
-        if not self.core.idle:
-            self.core.set_speed(self.high)
-
-    def _drop_down(self) -> None:
-        self._drop_event = None
-        if self.core.idle:
-            self.core.set_speed(self.low)
 
 
 class BurstyGovernor(FrequencyGovernor):

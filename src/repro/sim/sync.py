@@ -6,10 +6,6 @@ code.  :class:`Semaphore` reproduces those semantics: waiters block with
 an optional timeout and are woken highest-priority-first, and a post by a
 low-priority thread immediately hands the CPU to a higher-priority waiter
 (via the scheduler's eager rescheduling).
-
-Any object exposing ``_try_acquire()`` and ``_enqueue(thread, timeout)``
-can be targeted by the :class:`~repro.sim.threads.WaitSem` syscall;
-:class:`EventFlag` uses that to provide a broadcast wake-up.
 """
 
 from __future__ import annotations
@@ -119,59 +115,3 @@ class Semaphore:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Semaphore {self.name} count={self._count} waiting={self.waiting}>"
-
-
-class EventFlag:
-    """A broadcast condition: waiters block until :meth:`set` is called.
-
-    Unlike a semaphore, ``set()`` wakes *all* current waiters and leaves
-    the flag raised until :meth:`clear`.
-    """
-
-    def __init__(self, sim: Simulator, name: str = "flag"):
-        self.sim = sim
-        self.name = name
-        self._set = False
-        self._waiters: List[_Waiter] = []
-
-    @property
-    def is_set(self) -> bool:
-        """True while the flag is raised."""
-        return self._set
-
-    def _try_acquire(self) -> bool:
-        return self._set
-
-    def _enqueue(self, thread: SimThread, timeout: Optional[int]) -> None:
-        waiter = _Waiter(thread, None)
-        if timeout is not None:
-            waiter.timeout_event = self.sim.schedule_after(
-                timeout, self._on_timeout, waiter
-            )
-        self._waiters.append(waiter)
-
-    def set(self) -> None:
-        """Raise the flag and wake every waiter."""
-        self._set = True
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            if waiter.timeout_event is not None:
-                waiter.timeout_event.cancel()
-            waiter.thread.pending_value = True
-            waiter.thread.scheduler.make_ready(waiter.thread)
-
-    def clear(self) -> None:
-        """Lower the flag; future waiters will block again."""
-        self._set = False
-
-    def _on_timeout(self, waiter: _Waiter) -> None:
-        if waiter not in self._waiters:
-            return
-        self._waiters.remove(waiter)
-        thread = waiter.thread
-        if thread.state is ThreadState.BLOCKED:
-            thread.pending_value = False
-            thread.scheduler.make_ready(thread)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<EventFlag {self.name} set={self._set} waiting={len(self._waiters)}>"

@@ -35,13 +35,6 @@ class Timer:
         """True while the timer is pending."""
         return self._event is not None and not self._event.cancelled
 
-    @property
-    def expires_at(self) -> Optional[int]:
-        """Absolute expiry time, or None when disarmed."""
-        if self.armed:
-            return self._event.time  # type: ignore[union-attr]
-        return None
-
     def start(self, delay: int) -> None:
         """Arm the timer to fire *delay* ns from now (re-arms if pending)."""
         self.start_at(self.sim.now + delay)

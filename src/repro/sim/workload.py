@@ -4,9 +4,9 @@ The paper's perception services (fusion, ray-ground classification,
 euclidean clustering) have data-dependent execution times whose
 distribution -- measured through LTTng traces -- drives the budgeting
 CSP.  These models generate such distributions: a deterministic
-data-dependent component (points processed) plus stochastic components
-(cache effects, allocator behaviour, co-running load) with optionally
-heavy tails.
+data-dependent component (points processed) times uniform noise (cache
+effects, allocator behaviour); the heavy tails of the paper's Fig. 9
+come from frequency scaling (:class:`~repro.sim.cpu.BurstyGovernor`).
 
 All models return integer nanoseconds of *work* (at nominal core speed);
 frequency scaling and preemption then shape the observed latency.
@@ -17,8 +17,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-
-from repro.sim.kernel import Simulator
 
 
 class ExecutionTimeModel:
@@ -70,80 +68,3 @@ class AffineModel(ExecutionTimeModel):
 
     def bound(self, size: int = 0) -> Optional[int]:
         return int((self.base_ns + self.per_item_ns * size) * (1 + self.noise)) + 1
-
-
-class LogNormalModel(ExecutionTimeModel):
-    """Log-normally distributed execution time around a median.
-
-    ``sigma`` controls the spread; medians scale affinely with input
-    size like :class:`AffineModel`.
-    """
-
-    def __init__(self, median_ns: int, sigma: float = 0.3, per_item_ns: float = 0.0):
-        if median_ns <= 0 or sigma < 0 or per_item_ns < 0:
-            raise ValueError("invalid lognormal model parameters")
-        self.median_ns = int(median_ns)
-        self.sigma = float(sigma)
-        self.per_item_ns = float(per_item_ns)
-
-    def sample(self, rng: np.random.Generator, size: int = 0) -> int:
-        median = self.median_ns + self.per_item_ns * size
-        value = median * float(rng.lognormal(mean=0.0, sigma=self.sigma))
-        return max(1, int(value))
-
-
-class ShiftedParetoModel(ExecutionTimeModel):
-    """Pareto-tailed execution time: ``scale * (1 + Pareto(alpha))``.
-
-    Small ``alpha`` (e.g. 1.5-2.5) yields the pronounced tails the paper
-    observes on throughput-optimized hardware.
-    """
-
-    def __init__(self, scale_ns: int, alpha: float = 2.0, per_item_ns: float = 0.0):
-        if scale_ns <= 0 or alpha <= 0 or per_item_ns < 0:
-            raise ValueError("invalid pareto model parameters")
-        self.scale_ns = int(scale_ns)
-        self.alpha = float(alpha)
-        self.per_item_ns = float(per_item_ns)
-
-    def sample(self, rng: np.random.Generator, size: int = 0) -> int:
-        scale = self.scale_ns + self.per_item_ns * size
-        value = scale * (1.0 + float(rng.pareto(self.alpha)))
-        return max(1, int(value))
-
-
-class HeavyTailModel(ExecutionTimeModel):
-    """Mixture: mostly well-behaved, occasionally pathological.
-
-    With probability ``1 - tail_prob`` draws from *body*, otherwise from
-    *tail*.  This is the shape of the paper's Fig. 9 distributions: a
-    compact box with rare excursions an order of magnitude above the
-    median (up to ~600 ms for a ~50 ms-median segment).
-    """
-
-    def __init__(
-        self,
-        body: ExecutionTimeModel,
-        tail: ExecutionTimeModel,
-        tail_prob: float = 0.02,
-    ):
-        if not (0 <= tail_prob <= 1):
-            raise ValueError("tail_prob must be within [0, 1]")
-        self.body = body
-        self.tail = tail
-        self.tail_prob = float(tail_prob)
-
-    def sample(self, rng: np.random.Generator, size: int = 0) -> int:
-        if self.tail_prob > 0 and rng.random() < self.tail_prob:
-            return self.tail.sample(rng, size)
-        return self.body.sample(rng, size)
-
-
-def compute_work(
-    sim: Simulator,
-    model: ExecutionTimeModel,
-    stream: str,
-    size: int = 0,
-) -> int:
-    """Draw one execution time from *model* using the named RNG stream."""
-    return model.sample(sim.rng(stream), size)

@@ -2,8 +2,8 @@
 
 The paper's monitors detect deadline misses *inside* one
 vehicle/process.  This package is the fleet-side counterpart a safety
-case needs (ROADMAP: "heavy traffic from millions of users"): monitors
-publish flat :mod:`~repro.telemetry.records` through emitter hooks, an
+case needs: monitors publish flat
+:mod:`~repro.telemetry.records` through emitter hooks, an
 ingestion :mod:`~repro.telemetry.pipeline` with bounded queues and
 explicit backpressure accounting feeds a sharded
 :mod:`~repro.telemetry.store` of incremental (m,k) automata and
@@ -42,7 +42,6 @@ from repro.telemetry.emitter import (
     stack_chain_map,
     stack_store_config,
 )
-from repro.telemetry.histogram import StreamingHistogram
 from repro.telemetry.loadgen import (
     FleetConfig,
     FleetLoadGenerator,
@@ -52,7 +51,6 @@ from repro.telemetry.loadgen import (
 from repro.telemetry.pipeline import IngestQueue
 from repro.telemetry.records import (
     RecordKind,
-    SchemaVersionError,
     TelemetryRecord,
     WIRE_SCHEMA,
     decode_stream,
@@ -87,11 +85,9 @@ __all__ = [
     "RULE_QUEUE_DROPS",
     "RULE_QUEUE_SATURATION",
     "RULE_SEQ_GAP",
-    "SchemaVersionError",
     "ServiceConfig",
     "SourceState",
     "StoreConfig",
-    "StreamingHistogram",
     "TelemetryEmitter",
     "TelemetryRecord",
     "TelemetryService",

@@ -11,11 +11,6 @@ CI smoke: small fleet, persist the alert log, gate on accounting::
     python -m repro telemetry --vehicles 4 --frames 200 \
         --alert-log telemetry-alerts.jsonl
 
-Replay the 11-scenario fault campaign through the service and print
-per-scenario alert counts::
-
-    python -m repro telemetry --campaign
-
 The command always verifies the no-silent-drop accounting law and exits
 non-zero when it is violated (it never should be) or when a
 ``--min-throughput`` gate is given and missed.
@@ -68,23 +63,6 @@ def _render_percentiles(service: TelemetryService, limit: int = 6) -> str:
     return "\n".join(lines)
 
 
-def _run_campaign_replay() -> int:
-    from repro.faults import run_default_campaign
-
-    result = run_default_campaign()
-    print("Fault campaign replayed through the telemetry service")
-    print(result.render_report())
-    print()
-    print(f"{'scenario':22s} alerts")
-    for scenario in result.scenarios:
-        counts = ", ".join(
-            f"{rule}={count}"
-            for rule, count in sorted(scenario.alert_counts.items())
-        ) or "none"
-        print(f"{scenario.name:22s} {counts}")
-    return 0 if result.passed else 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro telemetry",
@@ -110,13 +88,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         metavar="RPS",
                         help="exit non-zero below this ingest rate "
                         "(default: no gate)")
-    parser.add_argument("--campaign", action="store_true",
-                        help="replay the fault campaign through the "
-                        "service instead of the synthetic fleet")
     args = parser.parse_args(argv)
-
-    if args.campaign:
-        return _run_campaign_replay()
 
     fleet = FleetConfig(
         vehicles=args.vehicles, frames=args.frames, seed=args.seed

@@ -6,8 +6,7 @@ segment, one CHAIN verdict per chain, periodic HEARTBEATs -- interleaved
 frame-major/vehicle-minor the way an ingest endpoint would see mixed
 traffic.  Everything derives from per-vehicle ``np.random.default_rng``
 streams seeded from crc32 of the vehicle id (never ``hash``), so the
-same config yields the byte-identical stream on every host -- the
-determinism test pins a digest of it.
+same config yields the byte-identical stream on every host.
 
 The fleet is deliberately imperfect, so every alert rule has traffic:
 
@@ -28,7 +27,6 @@ p95 per-batch latency) -- the number the acceptance criterion and the
 
 from __future__ import annotations
 
-import hashlib
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -37,7 +35,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.telemetry.emitter import TelemetryEmitter
-from repro.telemetry.records import TelemetryRecord, encode_stream
+from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.store import StoreConfig
 
 #: ns helpers (kept local: the load generator must not import the sim).
@@ -191,11 +189,6 @@ class FleetLoadGenerator:
     def materialize(self) -> List[TelemetryRecord]:
         """The full stream as a list (bench/CLI convenience)."""
         return list(self.records())
-
-    def stream_digest(self) -> str:
-        """sha256 of the encoded stream -- the determinism fingerprint."""
-        text = encode_stream(self.materialize())
-        return hashlib.sha256(text.encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------

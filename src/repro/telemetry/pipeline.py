@@ -80,36 +80,6 @@ class IngestQueue:
             self.high_watermark = depth
         return True
 
-    def offer_many(self, records: List[TelemetryRecord]) -> int:
-        """Bulk :meth:`offer`; returns how many were accepted.
-
-        Counter-for-counter equivalent to offering one record at a
-        time: the same prefix is accepted, the same suffix is dropped
-        as ``queue_full``, and the high watermark lands on the same
-        value (offers only deepen the queue, so the final depth is the
-        running maximum).
-        """
-        n = len(records)
-        self.offered += n
-        items = self._items
-        room = self.capacity - len(items)
-        if room >= n:
-            accepted = n
-            items.extend(records)
-        else:
-            accepted = max(0, room)
-            if accepted:
-                items.extend(records[:accepted])
-            overflow = n - accepted
-            self.dropped_by_reason["queue_full"] = (
-                self.dropped_by_reason.get("queue_full", 0) + overflow
-            )
-        self.accepted += accepted
-        depth = len(items)
-        if depth > self.high_watermark:
-            self.high_watermark = depth
-        return accepted
-
     def drop(self, reason: str) -> None:
         """Count one drop under *reason* (offered is counted by offer)."""
         self.dropped_by_reason[reason] = self.dropped_by_reason.get(reason, 0) + 1

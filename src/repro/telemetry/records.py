@@ -26,6 +26,8 @@ import enum
 import json
 from typing import Iterable, Iterator, List, Optional, Tuple
 
+from repro.schema import SchemaVersionError
+
 #: Schema identifier for persisted record streams.
 WIRE_SCHEMA = "repro-telemetry/1"
 
@@ -39,24 +41,6 @@ encode_json = json.JSONEncoder(separators=(",", ":")).encode
 encode_json_sorted = json.JSONEncoder(
     separators=(",", ":"), sort_keys=True
 ).encode
-
-
-class SchemaVersionError(ValueError):
-    """A persisted document carries a schema this build cannot read.
-
-    Raised *before* any state is touched, with the offending and the
-    supported identifiers in the message -- never an obscure ``KeyError``
-    halfway through a restore.  Unknown *extra* fields inside a known
-    schema are tolerated with a warning instead (additive evolution).
-    """
-
-    def __init__(self, context: str, found, supported: str):
-        super().__init__(
-            f"{context}: unsupported schema {found!r} "
-            f"(this build reads {supported!r})"
-        )
-        self.found = found
-        self.supported = supported
 
 
 class RecordKind(enum.Enum):

@@ -22,7 +22,7 @@ i.e. **no silent drops** -- see :meth:`accounting_ok`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, Optional
 
 from repro.telemetry.alerts import AlertEngine, AlertLog, AlertPolicy
 from repro.telemetry.batch import RecordBatch
@@ -87,48 +87,38 @@ class TelemetryService:
                 accepted += 1
         return accepted
 
-    def ingest_batch(
-        self, records: Union[RecordBatch, List[TelemetryRecord]]
-    ) -> int:
+    def ingest_batch(self, records: RecordBatch) -> int:
         """Offer a whole batch at once; returns how many were accepted.
 
         The bulk analogue of :meth:`ingest_many` with identical
         conservation accounting (offered == applied + dropped +
-        pending always holds).  A list is bulk-offered to the queue and
-        drained by the next pump; a :class:`RecordBatch` stays columnar
-        end to end -- it is applied synchronously after flushing any
-        queued records (so record order is preserved), with the
-        bounded-queue capacity still governing acceptance.  Chunking
-        differs from per-record :meth:`ingest` (which pumps mid-stream
-        at ``auto_pump_batch``), but the applied record stream, and
-        hence store state and alert log, are identical whenever the
-        queue never saturates.
+        pending always holds).  The batch stays columnar end to end --
+        it is applied synchronously after flushing any queued records
+        (so record order is preserved), with the bounded-queue capacity
+        still governing acceptance.  Chunking differs from per-record
+        :meth:`ingest` (which pumps mid-stream at ``auto_pump_batch``),
+        but the applied record stream, and hence store state and alert
+        log, are identical whenever the queue never saturates.
         """
-        if isinstance(records, RecordBatch):
-            queue = self.queue
-            if queue.depth:
-                self.pump()
-            n = len(records)
-            room = queue.capacity
-            accepted = n if n <= room else room
-            queue.offered += n
-            queue.accepted += accepted
-            if accepted < n:
-                queue.dropped_by_reason["queue_full"] = (
-                    queue.dropped_by_reason.get("queue_full", 0)
-                    + (n - accepted)
-                )
-                records = records.slice(accepted)
-            if accepted > queue.high_watermark:
-                queue.high_watermark = accepted
-            queue.drained += accepted
-            if accepted:
-                self._apply_columns(records)
-            return accepted
-        accepted = self.queue.offer_many(records)
-        batch = self.config.auto_pump_batch
-        if batch is not None and len(self.queue) >= batch:
+        queue = self.queue
+        if queue.depth:
             self.pump()
+        n = len(records)
+        room = queue.capacity
+        accepted = n if n <= room else room
+        queue.offered += n
+        queue.accepted += accepted
+        if accepted < n:
+            queue.dropped_by_reason["queue_full"] = (
+                queue.dropped_by_reason.get("queue_full", 0)
+                + (n - accepted)
+            )
+            records = records.slice(accepted)
+        if accepted > queue.high_watermark:
+            queue.high_watermark = accepted
+        queue.drained += accepted
+        if accepted:
+            self._apply_columns(records)
         return accepted
 
     def _apply_columns(self, columns: RecordBatch) -> None:

@@ -13,7 +13,7 @@ of which grows with the record count:
 - an incremental (m,k) window automaton
   (:class:`~repro.core.weakly_hard.MKAutomaton`) over chain verdicts;
 - one streaming latency histogram per segment
-  (:class:`~repro.telemetry.histogram.StreamingHistogram`: p50/p95/p99
+  (:class:`~repro.analysis.histogram.StreamingHistogram`: p50/p95/p99
   without raw samples);
 - latency-over-budget evaluation windows (fixed-size record windows;
   a window is "over" when more than 5% of its samples exceeded the
@@ -37,13 +37,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.weakly_hard import MKAutomaton, MKConstraint
+from repro.schema import SchemaVersionError
 from repro.telemetry.batch import RecordBatch
-from repro.telemetry.histogram import DEFAULT_ALPHA, StreamingHistogram
-from repro.telemetry.records import (
-    RecordKind,
-    SchemaVersionError,
-    TelemetryRecord,
-)
+from repro.analysis.histogram import DEFAULT_ALPHA, StreamingHistogram
+from repro.telemetry.records import RecordKind, TelemetryRecord
 
 #: Snapshot schema identifier.
 SNAPSHOT_SCHEMA = "repro-telemetry-store/1"
@@ -698,7 +695,7 @@ class ChainStateStore:
         fragments (:meth:`fragment`) taken after it, oldest first: the
         newest state of a key wins and is the only one decoded.
 
-        Raises :class:`~repro.telemetry.records.SchemaVersionError` for
+        Raises :class:`~repro.schema.SchemaVersionError` for
         a missing/unknown schema identifier (checked before anything
         else is read); unknown extra fields warn and are skipped.
         """

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.schema import SchemaVersionError
 from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import (
-    SchemaVersionError,
     TelemetryRecord,
     encode_json,
     encode_json_sorted,

@@ -18,8 +18,8 @@ layer's :class:`~repro.network.link.Frame` as the in-flight unit and
 the fault-injection campaign's role of ground truth: every fault it
 injects (drop, duplicate, reorder, corrupt, partition) is drawn from a
 seeded ``numpy`` stream, counted in :class:`ChannelStats`, and recorded
-as :class:`~repro.faults.base.Injection` entries -- deterministic and
-auditable, in the idiom of :mod:`repro.faults.injectors`.
+as :class:`~repro.network.injection.Injection` entries -- deterministic
+and auditable, in the idiom of the campaign's injectors.
 
 Time is a bare integer step counter supplied by the driver -- no wall
 clock anywhere, so every interleaving is replayable.
@@ -35,7 +35,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.base import Injection
+from repro.network.injection import Injection
 from repro.network.link import Frame, JitterModel
 from repro.telemetry.records import encode_json_sorted, wire_rows_ok
 from repro.telemetry.uplink.wal import encode_entry, entry_body

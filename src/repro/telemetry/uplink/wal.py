@@ -53,8 +53,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.schema import SchemaVersionError
 from repro.telemetry.records import (
-    SchemaVersionError,
     TelemetryRecord,
     encode_json,
     encode_json_sorted,

@@ -10,7 +10,7 @@ recorded end-to-end latency (a telescoping construction over the path
 spans' start boundaries, verified per instance).
 
 Aggregation folds per-edge durations into
-:class:`~repro.telemetry.histogram.StreamingHistogram` sketches (p50 /
+:class:`~repro.analysis.histogram.StreamingHistogram` sketches (p50 /
 p95 / p99 per edge and per category) and reports budget burn against the
 chain's deadline split: each segment's observed span against its
 ``d_mon`` (Eqs. (3)-(5): violations must be *detected* within ``d_mon``
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.events import EventKind, EventPoint
-from repro.telemetry.histogram import StreamingHistogram
+from repro.analysis.histogram import StreamingHistogram
 from repro.tracing.spans import Span, SpanRecorder
 
 

@@ -14,7 +14,7 @@ header line carrying the span schema identifier (``repro-spans/1``);
 :func:`read_jsonl` tolerates headerless legacy files, while the
 warehouse importer (:mod:`repro.warehouse.ingest`) requires the header
 and refuses unknown versions with a
-:class:`~repro.telemetry.records.SchemaVersionError`.
+:class:`~repro.schema.SchemaVersionError`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import warnings
 from typing import Any, Dict, Iterator, List
 
-from repro.telemetry.records import SchemaVersionError
+from repro.schema import SchemaVersionError
 from repro.tracing.spans import Span, SpanRecorder
 
 #: Schema identifier written as the first line of every JSONL export.

@@ -12,7 +12,7 @@ A run bundle is one directory::
 
 Unlike :func:`repro.tracing.export.read_jsonl` (which tolerates legacy
 headerless files), the importer here **requires** the span schema
-header and raises :class:`~repro.telemetry.records.SchemaVersionError`
+header and raises :class:`~repro.schema.SchemaVersionError`
 on an unknown or missing version -- the warehouse must never silently
 mis-ingest spans written by an incompatible build.  Unknown extra
 fields inside a known schema warn and are ignored.

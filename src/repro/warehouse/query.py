@@ -4,7 +4,7 @@ A *cohort* is every ingested run matching a :class:`RunSelector`
 (``commit=abc``, ``suite=campaign,scenario=loss_burst``, a single
 ``run_id=...``, or all runs).  Cohort percentiles come from **merging
 the persisted per-run DDSketch snapshots**
-(:meth:`~repro.telemetry.histogram.StreamingHistogram.merged`), never
+(:meth:`~repro.analysis.histogram.StreamingHistogram.merged`), never
 from re-scanning raw spans -- a fleet-month cohort costs the same as a
 single run.  For a single-run cohort the merged sketch *is* the per-run
 sketch, so reported quantiles reconcile exactly with that run's
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.telemetry.histogram import StreamingHistogram
+from repro.analysis.histogram import StreamingHistogram
 from repro.warehouse.schema import DIFF_SCHEMA
 from repro.warehouse.store import SpanWarehouse
 

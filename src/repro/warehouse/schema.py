@@ -17,7 +17,7 @@ tracing layer.  The manifest pins
   with per-run attribution.
 
 Versioning mirrors ``telemetry/store.py``: an unknown schema identifier
-raises :class:`~repro.telemetry.records.SchemaVersionError` before any
+raises :class:`~repro.schema.SchemaVersionError` before any
 state is touched; unknown *extra* fields inside a known schema warn and
 are ignored (additive evolution).
 """
@@ -32,7 +32,7 @@ from repro.core.chains import EventChain
 from repro.core.events import EventKind, EventPoint
 from repro.core.segments import Segment, SegmentKind
 from repro.core.weakly_hard import MKConstraint
-from repro.telemetry.records import SchemaVersionError
+from repro.schema import SchemaVersionError
 
 #: Schema identifier of a run bundle's ``manifest.json``.
 MANIFEST_SCHEMA = "repro-warehouse-manifest/1"

@@ -13,7 +13,7 @@ One warehouse file accumulates every ingested run:
 - ``segment_obs`` -- per-instance observed segment spans, indexed by
   segment, feeding d_mon budget-burn queries;
 - ``sketches`` -- per ``(run, chain, kind, key)`` DDSketch snapshots
-  (:class:`~repro.telemetry.histogram.StreamingHistogram`), so cohort
+  (:class:`~repro.analysis.histogram.StreamingHistogram`), so cohort
   p50/p95/p99 come from **sketch merges**, never raw re-scans.
 
 Ingestion runs the exact per-run code path
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.telemetry.histogram import StreamingHistogram
-from repro.telemetry.records import SchemaVersionError
+from repro.schema import SchemaVersionError
+from repro.analysis.histogram import StreamingHistogram
 from repro.tracing.critical_path import (
     CriticalPathAnalyzer,
     attribute_chain,

@@ -15,10 +15,11 @@ them on every CI run.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Dict, Iterable
+from typing import Callable, Dict, Iterable
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.tracing.tracer import Tracer
+from repro.experiments.common import GOLDEN_SCENARIOS, golden_config
+from repro.perception.stack import PerceptionStack
+from repro.tracing.tracer import Tracer
 
 
 def _canonical_fields(fields: dict) -> str:
@@ -26,7 +27,7 @@ def _canonical_fields(fields: dict) -> str:
     return ",".join(f"{key}={fields[key]!r}" for key in sorted(fields))
 
 
-def trace_digest(tracer: "Tracer") -> str:
+def trace_digest(tracer: Tracer) -> str:
     """SHA-256 over every buffered trace event, bucketed by name.
 
     Events within one name are in recording (time) order; names are
@@ -55,31 +56,13 @@ def latency_digest(series_by_segment: Dict[str, Iterable[int]]) -> str:
 GOLDEN_FRAMES = 12
 
 
-def golden_scenarios() -> Dict[str, "object"]:
-    """The pinned scenario matrix: name -> zero-arg stack factory.
-
-    Three representative configurations: a benign run, a run under ECU2
-    frequency interference (latency tail + exceptions), and a lossy-link
-    run (retransmits + remote monitor timeouts).
-    """
-    from repro.experiments.common import interference_governor
-    from repro.perception.stack import PerceptionStack, StackConfig
-
-    def benign():
-        return PerceptionStack(StackConfig(seed=1))
-
-    def interference():
-        return PerceptionStack(
-            StackConfig(seed=42, ecu2_governor=interference_governor())
-        )
-
-    def lossy_link():
-        return PerceptionStack(StackConfig(seed=7, link_loss=0.08))
-
+def golden_scenarios() -> Dict[str, Callable[[], PerceptionStack]]:
+    """The pinned scenario matrix: ``<name>_seed<seed>`` -> zero-arg
+    stack factory over ``experiments.common.GOLDEN_SCENARIOS``."""
     return {
-        "benign_seed1": benign,
-        "interference_seed42": interference,
-        "lossy_link_seed7": lossy_link,
+        f"{name}_seed{keywords['seed']}":
+            lambda name=name: PerceptionStack(golden_config(name))
+        for name, keywords in GOLDEN_SCENARIOS.items()
     }
 
 

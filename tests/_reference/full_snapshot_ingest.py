@@ -20,7 +20,8 @@ import os
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from repro.telemetry.records import SchemaVersionError, TelemetryRecord
+from repro.schema import SchemaVersionError
+from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.uplink.ingest import (
     DedupWatermark,

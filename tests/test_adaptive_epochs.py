@@ -9,7 +9,7 @@ from repro.adaptive import (
     EpochLedgerError,
     EpochStatus,
 )
-from repro.telemetry.records import SchemaVersionError
+from repro.schema import SchemaVersionError
 from repro.telemetry.uplink.wal import encode_entry
 
 _MS = 1_000_000

@@ -96,23 +96,6 @@ class TestCsvExport:
         assert float(rows[1][header["median"]]) == 3.0
         assert int(rows[1][header["n"]]) == 5
 
-    def test_series_csv_ragged(self):
-        import csv as csvmod
-        import io
-
-        from repro.analysis import series_csv
-
-        text = series_csv({"a": [1, 2, 3], "b": [10]})
-        rows = list(csvmod.reader(io.StringIO(text)))
-        assert rows[0] == ["a", "b"]
-        assert rows[1] == ["1", "10"]
-        assert rows[3] == ["3", ""]
-
-    def test_series_csv_empty(self):
-        from repro.analysis import series_csv
-
-        assert series_csv({}) == "\r\n"
-
 
 class TestAsciiBoxplot:
     def test_renders_all_series(self):

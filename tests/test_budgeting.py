@@ -59,7 +59,6 @@ class TestSegmentTrace:
         trace = SegmentTrace("s", [10, 20, 30], d_ex=5)
         assert trace.extended == [15, 25, 35]
         assert trace.maximum == 30
-        assert trace.maximum_extended == 35
 
     def test_percentile(self):
         trace = SegmentTrace("s", list(range(101)))

@@ -1,8 +1,6 @@
 """Edge-case and robustness tests for the budgeting solvers."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.budgeting import (
     BudgetingProblem,
@@ -14,11 +12,6 @@ from repro.budgeting import (
 )
 from repro.core import EventChain, MKConstraint
 from repro.core.segments import local_segment, remote_segment
-from repro.core.weakly_hard import (
-    ConsecutiveMissConstraint,
-    ConsecutiveMissWindow,
-    max_consecutive_misses,
-)
 
 
 def build_problem(latencies, budget_e2e, budget_seg, m, k, propagation=None, d_ex=0):
@@ -141,14 +134,3 @@ class TestBnbEdges:
         r5 = solve_independent(p5)
         assert r5.deadlines[0] == r0.deadlines[0] + 5
         assert p5.monitored_deadlines(r5.deadlines)["s0"] == r0.deadlines[0]
-
-
-class TestConsecutiveWindowProperty:
-    @given(st.lists(st.booleans(), max_size=100), st.integers(0, 5))
-    @settings(max_examples=100)
-    def test_online_matches_offline(self, outcomes, m):
-        window = ConsecutiveMissWindow(ConsecutiveMissConstraint(m))
-        for outcome in outcomes:
-            window.record(outcome)
-        assert window.longest_run == max_consecutive_misses(outcomes)
-        assert window.violated == (max_consecutive_misses(outcomes) > m)

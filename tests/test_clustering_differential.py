@@ -26,7 +26,7 @@ from repro.perception.clustering import boxes_from_clusters, euclidean_clusters
 from repro.perception.ground_filter import classify_ground
 from repro.perception.scenario import DrivingScenario, ScenarioConfig
 from repro.perception.stack import SEGMENT_NAMES
-from repro.tracing.golden import latency_digest, trace_digest
+from _golden import latency_digest, trace_digest
 
 EPS = (0.3, 0.8, 1.2, 1.5)
 MIN_POINTS = (1, 5, 8)

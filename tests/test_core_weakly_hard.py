@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MKAutomaton, MKConstraint, max_window_misses, satisfies_mk
-from repro.core.weakly_hard import miss_indices
 
 from _reference.miss_window import MissWindow
 
@@ -129,8 +128,3 @@ class TestMissWindow:
         for outcome in trace:
             window.record(outcome)
             assert 0 <= window.misses_in_window <= 4
-
-
-class TestMissIndices:
-    def test_indices(self):
-        assert miss_indices([False, True, True, False]) == [1, 2]

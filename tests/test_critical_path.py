@@ -192,7 +192,7 @@ class TestTraceCli:
         assert json.loads(chrome.read_text())["traceEvents"]
 
     def test_trace_cli_report_lists_chains(self, capsys):
-        from repro.tracing.cli import main as trace_main
+        from repro.experiments.trace_cli import main as trace_main
 
         code = trace_main(["--frames", "8", "--chain", "front_objects"])
         assert code == 0

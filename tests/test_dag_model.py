@@ -5,6 +5,8 @@ Covers :mod:`repro.core.dag` (structure + linear round-trip) and
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DagChain, DagChainRuntime, DagPath, MKConstraint, Outcome
 from repro.core.chains import ChainValidationError, EventChain
@@ -146,35 +148,74 @@ class TestStructure:
         assigned = dag.with_deadlines({"a": 50, "b": 60, "c": 70, "d": 80})
         assert assigned.deadlines_assigned
         assert not dag.deadlines_assigned  # original untouched
-        assigned.check_budgets()  # worst path a>c>d sums to 200 <= 300
+        for chain in assigned.path_chains().values():
+            chain.check_budget()  # worst path a>c>d sums to 200 <= 300
         # Shrinking one sink's budget below that path sum must raise --
         # the per-path Eq. (3) check, not the (satisfied) linear one.
         tight = diamond(budget_e2e=150).with_deadlines(
             {"a": 50, "b": 60, "c": 70, "d": 80}
         )
         with pytest.raises(ChainValidationError, match="exceeds budget"):
-            tight.check_budgets()
+            for chain in tight.path_chains().values():
+                chain.check_budget()
 
     def test_with_deadlines_missing_segment_rejected(self):
         with pytest.raises(ValueError, match="no deadline"):
             diamond().with_deadlines({"a": 50})
 
 
+@st.composite
+def linear_chains(draw):
+    """A gap-free linear chain: local and remote segments, deadlines
+    assigned or not, any budgets and (m,k)."""
+    n_segments = draw(st.integers(min_value=1, max_value=5))
+    segments = []
+    for i in range(n_segments):
+        d_mon = draw(st.none() | st.integers(min_value=1, max_value=500))
+        if draw(st.booleans()):
+            segment = local_segment(f"s{i}", "ecu", f"t{i}", f"t{i + 1}",
+                                    d_mon=d_mon)
+        else:
+            segment = remote_segment(f"s{i}", f"t{i}", "ecu", "peer",
+                                     d_mon=d_mon)
+        if segments:
+            segment.start = segments[-1].end
+        segments.append(segment)
+    k = draw(st.integers(min_value=1, max_value=10))
+    return EventChain(
+        "generated", segments,
+        period=draw(st.integers(min_value=1, max_value=1000)),
+        budget_e2e=draw(st.integers(min_value=1, max_value=5000)),
+        budget_seg=draw(st.none() | st.integers(min_value=1, max_value=1000)),
+        mk=MKConstraint(draw(st.integers(min_value=0, max_value=k)), k),
+    )
+
+
+def assert_single_path(chain):
+    (path,) = DagChain.from_linear(chain).paths()
+    assert path.segment_names == tuple(s.name for s in chain.segments)
+
+
 class TestLinearDegeneracy:
     def test_round_trip_equals_original_for_stack_chains(self):
         stack = PerceptionStack(StackConfig(seed=1))
+        assert len(stack.chains) == 4
         for name, chain in stack.chains.items():
-            round_tripped = DagChain.from_linear(chain).to_linear()
-            assert round_tripped == chain, name
+            assert DagChain.from_linear(chain).to_linear() == chain, name
 
     def test_from_linear_is_single_path(self):
         stack = PerceptionStack(StackConfig(seed=1))
-        chain = stack.chains["front_objects"]
-        dag = DagChain.from_linear(chain)
-        assert len(dag.paths()) == 1
-        assert dag.paths()[0].segment_names == tuple(
-            s.name for s in chain.segments
-        )
+        for chain in stack.chains.values():
+            assert_single_path(chain)
+
+    @settings(max_examples=100, deadline=None)
+    @given(chain=linear_chains())
+    def test_generated_linear_chain_is_degenerate(self, chain):
+        """Equal by dataclass equality after the round trip, and one
+        path in segment order -- for any linear chain, not only the
+        stack's four."""
+        assert DagChain.from_linear(chain).to_linear() == chain
+        assert_single_path(chain)
 
     def test_to_linear_rejects_forking_dag(self):
         with pytest.raises(ChainValidationError, match="single-path"):

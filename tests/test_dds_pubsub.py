@@ -17,14 +17,10 @@ class Collector(ReaderListener):
     def __init__(self, sim):
         self.sim = sim
         self.samples = []
-        self.deadline_misses = []
         self.expired = []
 
     def on_data_available(self, reader, sample):
         self.samples.append((sample.data, self.sim.now))
-
-    def on_requested_deadline_missed(self, reader, key, total_count):
-        self.deadline_misses.append((key, total_count, self.sim.now))
 
     def on_sample_lifespan_expired(self, reader, sample):
         self.expired.append(sample.data)
@@ -191,47 +187,6 @@ class TestLifespan:
         sim.run(until=msec(20))
         assert collector.samples == []
         assert collector.expired == ["stale"]
-
-
-class TestDeadlineQos:
-    def test_deadline_missed_fires_on_silence(self):
-        sim = Simulator()
-        ecu = Ecu(sim, "ecu1", n_cores=2)
-        domain = DdsDomain(sim, local_latency=usec(10))
-        part = domain.create_participant(ecu, "sub", middleware_priority=30)
-        pub_part = domain.create_participant(ecu, "pub")
-        topic = Topic("t")
-        collector = Collector(sim)
-        part.create_reader(
-            topic, qos=QosProfile(deadline=msec(10)), listener=collector
-        )
-        writer = pub_part.create_writer(topic)
-        # Publish at 1ms and 5ms, then go silent.
-        sim.schedule_at(msec(1), writer.write, 1)
-        sim.schedule_at(msec(5), writer.write, 2)
-        sim.run(until=msec(40))
-        assert len(collector.samples) == 2
-        # Deadline armed on arrival ~5ms; first miss ~15ms, repeating.
-        assert len(collector.deadline_misses) >= 2
-        first_miss_time = collector.deadline_misses[0][2]
-        assert msec(15) <= first_miss_time <= msec(16)
-
-    def test_no_deadline_miss_while_publishing_regularly(self):
-        sim = Simulator()
-        ecu = Ecu(sim, "ecu1", n_cores=2)
-        domain = DdsDomain(sim, local_latency=usec(10))
-        sub_part = domain.create_participant(ecu, "sub")
-        pub_part = domain.create_participant(ecu, "pub")
-        topic = Topic("t")
-        collector = Collector(sim)
-        sub_part.create_reader(
-            topic, qos=QosProfile(deadline=msec(15)), listener=collector
-        )
-        writer = pub_part.create_writer(topic)
-        for i in range(20):
-            sim.schedule_at(msec(1 + 10 * i), writer.write, i)
-        sim.run(until=msec(195))
-        assert collector.deadline_misses == []
 
 
 class TestWriterInstrumentation:

@@ -13,7 +13,7 @@ class TestQosProfile:
         qos = QosProfile()
         assert qos.reliability is ReliabilityKind.BEST_EFFORT
         assert qos.history is HistoryKind.KEEP_LAST
-        assert qos.deadline is None
+        assert qos.lifespan is None
 
     def test_reliable_reader_rejects_best_effort_writer(self):
         reader_qos = QosProfile(reliability=ReliabilityKind.RELIABLE)
@@ -29,7 +29,6 @@ class TestQosProfile:
         "kwargs",
         [
             {"history_depth": 0},
-            {"deadline": 0},
             {"lifespan": -1},
             {"max_retransmits": -1},
             {"retransmit_delay": -1},

@@ -53,7 +53,7 @@ from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.uplink.chaos import ChaosConfig
 from repro.telemetry.uplink.ingest import store_digest
-from repro.tracing.golden import GOLDEN_FRAMES, golden_scenarios, stack_fingerprint
+from _golden import GOLDEN_FRAMES, golden_scenarios, stack_fingerprint
 
 #: Whole module re-runs stacks and campaigns under multiple engines.
 pytestmark = pytest.mark.slow

@@ -9,8 +9,8 @@ optimizations are only legal because they are bit-identical.
 
 Regenerate (after an *intentional* behaviour change) with::
 
-    PYTHONPATH=src python -c "
-    import json; from repro.tracing.golden import *
+    PYTHONPATH=src:tests python -c "
+    import json; from _golden import *
     print(json.dumps({'schema': 'repro-golden/1',
                       'n_frames': GOLDEN_FRAMES,
                       'scenarios': compute_golden_digests()},
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.tracing.golden import (
+from _golden import (
     GOLDEN_FRAMES,
     golden_scenarios,
     stack_fingerprint,

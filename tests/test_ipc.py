@@ -126,9 +126,9 @@ class TestTimedSemaphore:
 
     def test_initial_count(self):
         sem = TimedSemaphore(initial=2)
-        assert sem.try_wait()
-        assert sem.try_wait()
-        assert not sem.try_wait()
+        assert sem.wait(timeout_s=0)
+        assert sem.wait(timeout_s=0)
+        assert not sem.wait(timeout_s=0)
 
     def test_negative_initial_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,9 @@
-"""Coverage for smaller APIs: domain queries, fusion eviction, sink
-helpers, lidar fault injection, stack configuration knobs."""
+"""Coverage for smaller behaviours: fusion eviction, lidar fault
+injection, stack configuration knobs."""
 
 import pytest
 
-from repro.dds import DdsDomain, Topic
+from repro.dds import DdsDomain
 from repro.perception import PerceptionStack, StackConfig
 from repro.perception.fusion import FusionService
 from repro.perception.lidar_driver import LidarDriver, pointcloud_topic
@@ -11,26 +11,6 @@ from repro.perception.pointcloud import PointCloud
 from repro.perception.scenario import DrivingScenario, ScenarioConfig
 from repro.ros import Node
 from repro.sim import Ecu, Simulator, msec, usec
-
-
-class TestDomainQueries:
-    def test_readers_and_writers_of(self):
-        sim = Simulator()
-        ecu = Ecu(sim, "e")
-        domain = DdsDomain(sim)
-        part = domain.create_participant(ecu, "p")
-        topic = Topic("t")
-        reader = part.create_reader(topic)
-        writer = part.create_writer(topic)
-        assert domain.readers_of("t") == [reader]
-        assert domain.writers_of("t") == [writer]
-        assert domain.readers_of("absent") == []
-
-    def test_stack_for_unknown_raises(self):
-        sim = Simulator()
-        domain = DdsDomain(sim)
-        with pytest.raises(KeyError):
-            domain.stack_for("nowhere")
 
 
 class TestFusionEviction:
@@ -54,18 +34,9 @@ class TestFusionEviction:
                 ),
             )
         sim.run(until=msec(40))
-        assert fusion.pending_frames <= 4
+        # 20 offered, 4 may wait: the other 16 were evicted.
         assert fusion.evicted_count == 16
         assert fusion.fused_count == 0
-
-
-class TestSinkHelpers:
-    def test_arrival_time_lookup(self):
-        stack = PerceptionStack(StackConfig(seed=2))
-        stack.run(n_frames=5)
-        t = stack.sink.arrival_time("objects", 2)
-        assert t is not None and t > 0
-        assert stack.sink.arrival_time("objects", 99) is None
 
 
 class TestLidarDriver:

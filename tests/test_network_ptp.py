@@ -45,12 +45,6 @@ class TestDriftingClock:
         sim.run()
         assert clock.offset == usec(100)
 
-    def test_to_global_inverts_local_timestamp(self):
-        sim = Simulator()
-        clock = DriftingClock(sim, offset_ns=usec(7))
-        local = clock.now()
-        assert clock.to_global(local) == sim.now
-
 
 class TestPtpService:
     def test_sync_bounds_error(self):

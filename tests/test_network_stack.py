@@ -48,13 +48,6 @@ class TestDelivery:
         with pytest.raises(ValueError):
             stack.register_port("p", lambda f: None)
 
-    def test_unregister_then_reregister(self):
-        sim, ecu = make_ecu()
-        stack = NetworkStack(ecu)
-        stack.register_port("p", lambda f: None)
-        stack.unregister_port("p")
-        stack.register_port("p", lambda f: None)
-
 
 class TestScheduling:
     def test_ksoftirq_delayed_by_higher_priority_load(self):

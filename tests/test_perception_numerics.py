@@ -47,13 +47,6 @@ class TestPointCloud:
         assert len(sub) == 2
         assert np.allclose(sub.points[1], points[2])
 
-    def test_translated(self):
-        cloud = PointCloud(points=np.zeros((2, 4)), frame_index=0, stamp=0)
-        moved = cloud.translated(dx=1.0, dz=-2.0)
-        assert np.allclose(moved.points[:, 0], 1.0)
-        assert np.allclose(moved.points[:, 2], -2.0)
-        assert np.allclose(cloud.points, 0.0)  # original untouched
-
     def test_empty(self):
         cloud = PointCloud.empty(frame_index=3)
         assert len(cloud) == 0
@@ -197,8 +190,7 @@ class TestClustering:
         box = boxes[0]
         assert box.x_min == 0.0 and box.x_max == 2.0
         assert box.point_count == 3
-        assert box.center == (1.0, 0.5, 0.25)
-        assert box.footprint_area == pytest.approx(2.0)
+        assert (box.y_min, box.y_max, box.z_min, box.z_max) == (0.0, 1.0, 0.0, 0.5)
 
     def test_cluster_partition_property(self):
         """Clusters are disjoint and cover only input indices."""

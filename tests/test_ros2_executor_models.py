@@ -8,6 +8,7 @@ semantics fails loudly.
 
 import pytest
 
+from _reference.executor_schedule import run_schedule
 from repro.ros.executors import (
     EXECUTOR_MODELS,
     POLICY_PRIORITY,
@@ -15,7 +16,6 @@ from repro.ros.executors import (
     CallbackSpec,
     Ros2MultiThreadedExecutor,
     Ros2SingleThreadedExecutor,
-    run_schedule,
 )
 from repro.sim import Simulator
 

@@ -7,9 +7,7 @@ from repro.sim import (
     Compute,
     ConstantGovernor,
     Ecu,
-    OndemandGovernor,
     Simulator,
-    Sleep,
     msec,
     sec,
 )
@@ -24,90 +22,6 @@ class TestConstantGovernor:
     def test_invalid_speed_rejected(self):
         with pytest.raises(ValueError):
             ConstantGovernor(0)
-
-
-class TestOndemandGovernor:
-    def test_starts_at_low_speed(self):
-        sim = Simulator()
-        ecu = Ecu(
-            sim,
-            "e",
-            n_cores=1,
-            governor_factory=lambda: OndemandGovernor(low=0.4, high=1.0),
-        )
-        assert ecu.scheduler.cores[0].speed == 0.4
-
-    def test_ramps_up_after_delay_while_busy(self):
-        sim = Simulator()
-        ecu = Ecu(
-            sim,
-            "e",
-            n_cores=1,
-            governor_factory=lambda: OndemandGovernor(
-                low=0.5, high=1.0, ramp_delay=msec(2), idle_delay=msec(5)
-            ),
-        )
-        marks = []
-
-        def body(_):
-            yield Compute(msec(4))
-            marks.append(sim.now)
-
-        ecu.spawn("t", body)
-        sim.run()
-        # 2ms at speed 0.5 completes 1ms of work; the remaining 3ms of
-        # work at speed 1.0 takes 3ms: total 5ms wall time.
-        assert marks == [msec(5)]
-
-    def test_drops_back_after_idle(self):
-        sim = Simulator()
-        ecu = Ecu(
-            sim,
-            "e",
-            n_cores=1,
-            governor_factory=lambda: OndemandGovernor(
-                low=0.5, high=1.0, ramp_delay=msec(1), idle_delay=msec(3)
-            ),
-        )
-
-        def body(_):
-            yield Compute(msec(4))
-            yield Sleep(msec(10))
-
-        ecu.spawn("t", body)
-        sim.run()
-        assert ecu.scheduler.cores[0].speed == 0.5
-
-    def test_work_after_idle_gap_is_slow_at_first(self):
-        """Race-to-idle effect: periodic work landing on a slowed-down
-        core sees inflated latency -- a source of the paper's tail."""
-        sim = Simulator()
-        ecu = Ecu(
-            sim,
-            "e",
-            n_cores=1,
-            governor_factory=lambda: OndemandGovernor(
-                low=0.25, high=1.0, ramp_delay=msec(2), idle_delay=msec(1)
-            ),
-        )
-        latencies = []
-
-        def body(_):
-            for _i in range(3):
-                start = sim.now
-                yield Compute(msec(1))
-                latencies.append(sim.now - start)
-                yield Sleep(msec(20))
-
-        ecu.spawn("t", body)
-        sim.run()
-        # Each burst starts at low speed: 2ms at 0.25 does 0.5ms of work,
-        # remaining 0.5ms at 1.0 -> 2.5ms per burst, never the nominal 1ms.
-        assert all(lat > msec(1) for lat in latencies)
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            OndemandGovernor(low=1.2, high=1.0)
 
 
 class TestBurstyGovernor:

@@ -1,10 +1,9 @@
-"""Unit tests for semaphores (timed wait, wake order) and event flags."""
+"""Unit tests for semaphores (timed wait, wake order)."""
 
 import pytest
 
 from repro.sim import (
     Compute,
-    EventFlag,
     MulticoreScheduler,
     Semaphore,
     Simulator,
@@ -145,68 +144,6 @@ class TestSemaphoreTimeout:
             (True, msec(20)),
             (False, msec(30)),
         ]
-
-
-class TestEventFlag:
-    def test_wait_on_set_flag_does_not_block(self):
-        sim, sched = make()
-        flag = EventFlag(sim)
-        flag.set()
-        marks = []
-
-        def body(_):
-            got = yield WaitSem(flag)
-            marks.append((got, sim.now))
-
-        sched.spawn("t", body)
-        sim.run()
-        assert marks == [(True, 0)]
-
-    def test_set_wakes_all_waiters(self):
-        sim, sched = make()
-        flag = EventFlag(sim)
-        woken = []
-
-        def waiter(name):
-            def gen(_):
-                yield WaitSem(flag)
-                woken.append(name)
-            return gen
-
-        sched.spawn("a", waiter("a"))
-        sched.spawn("b", waiter("b"))
-        sim.schedule_at(msec(1), flag.set)
-        sim.run()
-        assert sorted(woken) == ["a", "b"]
-        assert flag.is_set
-
-    def test_clear_makes_future_waits_block(self):
-        sim, sched = make()
-        flag = EventFlag(sim)
-        flag.set()
-        flag.clear()
-        results = []
-
-        def body(_):
-            got = yield WaitSem(flag, timeout=msec(2))
-            results.append(got)
-
-        sched.spawn("t", body)
-        sim.run()
-        assert results == [False]
-
-    def test_flag_timeout(self):
-        sim, sched = make()
-        flag = EventFlag(sim)
-        results = []
-
-        def body(_):
-            got = yield WaitSem(flag, timeout=msec(5))
-            results.append((got, sim.now))
-
-        sched.spawn("t", body)
-        sim.run()
-        assert results == [(False, msec(5))]
 
 
 class TestSemaphoreStress:

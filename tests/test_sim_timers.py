@@ -45,13 +45,6 @@ class TestTimer:
         sim.run()
         assert fired == [msec(9)]
 
-    def test_expires_at_reports_pending_time(self):
-        sim = Simulator()
-        timer = Timer(sim, lambda: None)
-        assert timer.expires_at is None
-        timer.start(msec(4))
-        assert timer.expires_at == msec(4)
-
     def test_timer_restart_from_callback(self):
         sim = Simulator()
         fired = []

@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import (
-    AffineModel,
-    ConstantModel,
-    HeavyTailModel,
-    LogNormalModel,
-    ShiftedParetoModel,
-    Simulator,
-    msec,
-    usec,
-)
-from repro.sim.workload import compute_work
+from repro.sim import AffineModel, ConstantModel, usec
 
 
 def rng():
@@ -56,71 +46,3 @@ class TestAffineModel:
     def test_invalid_noise_rejected(self):
         with pytest.raises(ValueError):
             AffineModel(1, noise=1.5)
-
-
-class TestLogNormalModel:
-    def test_median_roughly_matches(self):
-        model = LogNormalModel(median_ns=msec(10), sigma=0.4)
-        generator = rng()
-        samples = [model.sample(generator) for _ in range(4000)]
-        assert msec(9) < np.median(samples) < msec(11)
-
-    def test_always_positive(self):
-        model = LogNormalModel(median_ns=100, sigma=2.0)
-        generator = rng()
-        assert all(model.sample(generator) >= 1 for _ in range(1000))
-
-    def test_invalid_median_rejected(self):
-        with pytest.raises(ValueError):
-            LogNormalModel(0)
-
-
-class TestShiftedParetoModel:
-    def test_minimum_is_scale(self):
-        model = ShiftedParetoModel(scale_ns=msec(1), alpha=2.0)
-        generator = rng()
-        samples = [model.sample(generator) for _ in range(2000)]
-        assert min(samples) >= msec(1)
-
-    def test_has_heavy_tail(self):
-        model = ShiftedParetoModel(scale_ns=msec(1), alpha=1.5)
-        generator = rng()
-        samples = [model.sample(generator) for _ in range(5000)]
-        assert max(samples) > 5 * np.median(samples)
-
-
-class TestHeavyTailModel:
-    def test_tail_probability_zero_never_draws_tail(self):
-        model = HeavyTailModel(
-            body=ConstantModel(100), tail=ConstantModel(10_000), tail_prob=0.0
-        )
-        generator = rng()
-        assert all(model.sample(generator) == 100 for _ in range(200))
-
-    def test_tail_probability_one_always_draws_tail(self):
-        model = HeavyTailModel(
-            body=ConstantModel(100), tail=ConstantModel(10_000), tail_prob=1.0
-        )
-        generator = rng()
-        assert all(model.sample(generator) == 10_000 for _ in range(200))
-
-    def test_mixture_fraction_approximates_tail_prob(self):
-        model = HeavyTailModel(
-            body=ConstantModel(100), tail=ConstantModel(10_000), tail_prob=0.1
-        )
-        generator = rng()
-        samples = [model.sample(generator) for _ in range(5000)]
-        frac = sum(1 for s in samples if s == 10_000) / len(samples)
-        assert 0.07 < frac < 0.13
-
-    def test_invalid_prob_rejected(self):
-        with pytest.raises(ValueError):
-            HeavyTailModel(ConstantModel(1), ConstantModel(2), tail_prob=1.5)
-
-
-class TestComputeWork:
-    def test_uses_named_stream_deterministically(self):
-        model = LogNormalModel(median_ns=msec(1), sigma=0.5)
-        a = compute_work(Simulator(seed=9), model, "svc", size=10)
-        b = compute_work(Simulator(seed=9), model, "svc", size=10)
-        assert a == b

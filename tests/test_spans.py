@@ -150,7 +150,7 @@ class TestStackPropagation:
         assert validate_spans(stack.spans) == []
 
     def test_bit_identical_with_and_without_spans(self):
-        from repro.tracing.golden import stack_fingerprint
+        from _golden import stack_fingerprint
 
         on = PerceptionStack(StackConfig(seed=7, link_loss=0.08, spans=True))
         on.run(n_frames=12)

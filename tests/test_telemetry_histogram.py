@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry.histogram import StreamingHistogram
+from repro.analysis.histogram import StreamingHistogram
 
 samples = st.lists(
     st.integers(min_value=1, max_value=10**9), min_size=1, max_size=300

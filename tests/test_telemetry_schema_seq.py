@@ -15,9 +15,9 @@ import pytest
 
 from _telemetry import apply_one
 
+from repro.schema import SchemaVersionError
 from repro.telemetry.records import (
     RecordKind,
-    SchemaVersionError,
     TelemetryRecord,
     WIRE_SCHEMA,
     decode_stream,

@@ -27,6 +27,7 @@ from repro.telemetry import (
     TelemetryEmitter,
     TelemetryService,
     attach_stack,
+    encode_stream,
     replay_stack_records,
     run_load,
     stack_store_config,
@@ -124,18 +125,16 @@ class TestLiveAttach:
 
 
 class TestLoadGenerator:
+    @staticmethod
+    def stream(**config) -> str:
+        generator = FleetLoadGenerator(FleetConfig(vehicles=3, frames=60, **config))
+        return encode_stream(generator.materialize())
+
     def test_stream_digest_is_deterministic(self):
-        config = FleetConfig(vehicles=3, frames=60)
-        assert (
-            FleetLoadGenerator(config).stream_digest()
-            == FleetLoadGenerator(config).stream_digest()
-        )
+        assert self.stream() == self.stream()
 
     def test_digest_depends_on_seed(self):
-        assert (
-            FleetLoadGenerator(FleetConfig(vehicles=3, frames=60, seed=1)).stream_digest()
-            != FleetLoadGenerator(FleetConfig(vehicles=3, frames=60, seed=2)).stream_digest()
-        )
+        assert self.stream(seed=1) != self.stream(seed=2)
 
     def test_load_run_sustains_throughput_with_zero_silent_drops(self):
         floor = float(os.environ.get(MIN_RPS_ENV, 50_000))

@@ -17,7 +17,7 @@ import pytest
 from repro.experiments.parallel import run_campaign_parallel
 from repro.faults.campaign import CampaignConfig, FaultCampaign, default_scenarios
 from repro.perception.stack import PerceptionStack, StackConfig
-from repro.tracing.golden import GOLDEN_FRAMES, golden_scenarios, stack_fingerprint
+from _golden import GOLDEN_FRAMES, golden_scenarios, stack_fingerprint
 
 #: Whole module exercises multi-second stack/campaign runs.
 pytestmark = pytest.mark.slow

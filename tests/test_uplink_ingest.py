@@ -7,11 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry.records import (
-    RecordKind,
-    SchemaVersionError,
-    TelemetryRecord,
-)
+from repro.schema import SchemaVersionError
+from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.store import StoreConfig
 from repro.telemetry.uplink.ingest import (

@@ -33,12 +33,9 @@ from hypothesis import strategies as st
 
 from _reference.full_snapshot_ingest import FullSnapshotIngestor
 from _reference.per_frame_ingest import PerFrameIngestor
+from repro.schema import SchemaVersionError
 from repro.telemetry.batch import RecordBatch
-from repro.telemetry.records import (
-    RecordKind,
-    SchemaVersionError,
-    TelemetryRecord,
-)
+from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.store import ChainState, ChainStateStore, StoreConfig
 from repro.telemetry.uplink import ingest, wal

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry.records import RecordKind, SchemaVersionError, TelemetryRecord
+from repro.schema import SchemaVersionError
+from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.uplink.wal import (
     RecordLog,
     WAL_MARK_SCHEMA,

@@ -15,7 +15,7 @@ from repro.bench.harness import SCHEMA, compare_suites
 from repro.bench.suites import SUITES
 from repro.experiments.runner import main as runner_main
 from repro.perception.stack import PerceptionStack, StackConfig
-from repro.tracing.cli import main as trace_main
+from repro.experiments.trace_cli import main as trace_main
 from repro.warehouse import (
     DIFF_SCHEMA,
     RunKey,

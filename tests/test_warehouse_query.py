@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.perception.stack import PerceptionStack, StackConfig
-from repro.telemetry.histogram import StreamingHistogram
+from repro.analysis.histogram import StreamingHistogram
 from repro.warehouse import (
     DIFF_SCHEMA,
     RunKey,

@@ -23,7 +23,7 @@ import sqlite3
 import pytest
 
 from repro.perception.stack import PerceptionStack, StackConfig
-from repro.telemetry.records import SchemaVersionError
+from repro.schema import SchemaVersionError
 from repro.tracing.critical_path import CriticalPathAnalyzer, attribute_chain
 from repro.tracing.export import parse_jsonl_lines, to_jsonl
 from repro.warehouse import (
