@@ -446,7 +446,7 @@ class _AdaptiveVehicle(_Vehicle):
     # ------------------------------------------------------------------
     def kill(self, torn_tail: bool) -> None:
         super().kill(torn_tail)
-        self.agent.close()
+        self.agent.kill()
 
     def recover(self, now: int) -> None:
         super().recover(now)

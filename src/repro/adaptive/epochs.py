@@ -8,15 +8,16 @@ last-good assignment under a fresh id -- are recognizably "the same
 budgets" everywhere convergence is checked.
 
 The **epoch ledger** is the control plane's write-ahead source of
-truth: an append-only, CRC-framed JSONL file (the WAL line framing of
-:mod:`repro.telemetry.uplink.wal`) recording every epoch's life-cycle
-transition.  Its append order *is* the state machine::
+truth: an append-only log (:class:`repro.telemetry.uplink.wal.AppendLog`,
+the format, scanner and torn-tail rule of every durable file) recording
+every epoch's life-cycle transition.  Its append order *is* the state
+machine::
 
     epoch -> validated -> published(canary) -> published(fleet)
           \\-> rejected                     \\-> rollback -> ...
 
-and :meth:`EpochLedger.record_published` refuses -- live and on replay
--- to publish an epoch id that has no ``validated`` entry.  That makes
+and one fold per entry refuses -- live and on replay -- to publish an
+epoch id that has no ``validated`` entry.  That makes
 the control plane's core invariant ("a fleet NEVER runs an epoch that
 failed shadow validation") a durability property rather than a code
 path: a server crash between validate and publish recovers to a ledger
@@ -29,13 +30,13 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.schema import SchemaVersionError
-from repro.telemetry.uplink.wal import decode_entry, encode_entry
+from repro.telemetry.records import encode_json
+from repro.telemetry.uplink.wal import AppendLog, decode_entry
 
 #: Schema identifier of one serialized budget epoch.
 EPOCH_SCHEMA = "repro-adaptive-epoch/1"
@@ -162,7 +163,8 @@ class LedgerRecoveryReport:
 class EpochLedger:
     """Append-only durable record of every epoch life-cycle event.
 
-    Entries are CRC-framed JSON lists.  Tags:
+    An :class:`~repro.telemetry.uplink.wal.AppendLog`: a schema header
+    line, then one CRC-framed JSON list per event.  Tags:
 
     - ``["epoch", epoch_doc]`` -- candidate recorded (DRAFT);
     - ``["validated", id, summary]`` -- shadow validation accepted;
@@ -172,17 +174,15 @@ class EpochLedger:
     - ``["rollback", from_id, to_id]`` -- canary regressed;
     - ``["ack", vehicle, id, status]`` -- a vehicle's durable ack.
 
-    Appends are flushed (and fsynced per policy) before the method
-    returns: the ledger is written *before* any frame leaves the
-    server, the epoch-side mirror of append-before-ack.
+    Every entry goes through one fold, :meth:`_fold`, which refuses an
+    entry that breaks the state machine: the ``record_*`` methods fold
+    then append (flushed, fsynced per policy, before they return: the
+    ledger is written *before* any frame leaves the server, the
+    epoch-side mirror of append-before-ack), and opening an existing
+    ledger folds every entry on disk.
     """
 
     def __init__(self, path: Path, fsync: str = "never"):
-        self.path = Path(path)
-        self.fsync = fsync
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists()
-        self._file = open(self.path, "a", encoding="utf-8")
         self.epochs: Dict[int, BudgetEpoch] = {}
         self.validated: Set[int] = set()
         self.rejected: Dict[int, str] = {}
@@ -191,72 +191,88 @@ class EpochLedger:
         self.rollbacks: List[Tuple[int, int]] = []
         #: vehicle -> (epoch_id, status) of its newest ack.
         self.acks: Dict[str, Tuple[int, str]] = {}
-        self.entries = 0
-        if fresh:
-            self._append(["header", LEDGER_SCHEMA])
+        self._log = AppendLog(path, {"schema": LEDGER_SCHEMA}, fsync)
+        self._log.replay(decode_entry, self._fold)
+
+    @property
+    def entries(self) -> int:
+        """Lines of the ledger file, its header included."""
+        return 1 + self._log.entries
 
     # ------------------------------------------------------------------
-    def _append(self, fields: list) -> None:
-        body = json.dumps(fields, separators=(",", ":"), sort_keys=False)
-        self._file.write(encode_entry(body) + "\n")
-        self._file.flush()
-        if self.fsync == "always":
-            os.fsync(self._file.fileno())
-        self.entries += 1
+    def _fold(self, fields: list) -> None:
+        """Apply one entry to the state, live and on replay alike, or
+        refuse it changing nothing (an unknown tag changes nothing)."""
+        tag = fields[0]
+        if tag == "epoch":
+            epoch = BudgetEpoch.from_json(fields[1])
+            if epoch.epoch_id in self.epochs:
+                raise EpochLedgerError(
+                    f"epoch {epoch.epoch_id} already recorded"
+                )
+            self.epochs[epoch.epoch_id] = epoch
+        elif tag == "validated":
+            epoch_id = fields[1]
+            if epoch_id not in self.epochs:
+                raise EpochLedgerError(f"validated unknown epoch {epoch_id}")
+            if epoch_id in self.rejected:
+                raise EpochLedgerError(
+                    f"epoch {epoch_id} was rejected; cannot validate"
+                )
+            self.validated.add(epoch_id)
+        elif tag == "rejected":
+            _, epoch_id, reason = fields
+            if epoch_id not in self.epochs:
+                raise EpochLedgerError(f"rejected unknown epoch {epoch_id}")
+            if epoch_id in self.validated:
+                raise EpochLedgerError(
+                    f"epoch {epoch_id} was validated; cannot reject"
+                )
+            self.rejected[epoch_id] = reason
+        elif tag == "published":
+            # THE invariant: publishing an unvalidated epoch is
+            # impossible, live and after any crash.
+            _, epoch_id, stage, cohort = fields
+            if stage not in ("canary", "fleet"):
+                raise EpochLedgerError(f"unknown publish stage {stage!r}")
+            if epoch_id not in self.validated:
+                raise EpochLedgerError(
+                    f"refusing to publish unvalidated epoch {epoch_id}: "
+                    f"no shadow validation on record"
+                )
+            self.published.append((epoch_id, stage, tuple(cohort)))
+        elif tag == "rollback":
+            self.rollbacks.append((fields[1], fields[2]))
+        elif tag == "ack":
+            _, vehicle, epoch_id, status = fields
+            held = self.acks.get(vehicle)
+            if held is None or epoch_id >= held[0]:
+                self.acks[vehicle] = (epoch_id, status)
 
-    # ------------------------------------------------------------------
+    def _record(self, fields: list) -> None:
+        self._fold(fields)
+        self._log.append(encode_json(fields))
+        self._log.sync()
+
     def record_epoch(self, epoch: BudgetEpoch) -> None:
-        if epoch.epoch_id in self.epochs:
-            raise EpochLedgerError(
-                f"epoch {epoch.epoch_id} already recorded"
-            )
-        self._append(["epoch", epoch.to_json()])
-        self.epochs[epoch.epoch_id] = epoch
+        self._record(["epoch", epoch.to_json()])
 
     def record_validated(self, epoch_id: int, summary: dict) -> None:
-        if epoch_id not in self.epochs:
-            raise EpochLedgerError(f"validated unknown epoch {epoch_id}")
-        if epoch_id in self.rejected:
-            raise EpochLedgerError(
-                f"epoch {epoch_id} was rejected; cannot validate"
-            )
-        self._append(["validated", epoch_id, summary])
-        self.validated.add(epoch_id)
+        self._record(["validated", epoch_id, summary])
 
     def record_rejected(self, epoch_id: int, reason: str) -> None:
-        if epoch_id not in self.epochs:
-            raise EpochLedgerError(f"rejected unknown epoch {epoch_id}")
-        if epoch_id in self.validated:
-            raise EpochLedgerError(
-                f"epoch {epoch_id} was validated; cannot reject"
-            )
-        self._append(["rejected", epoch_id, reason])
-        self.rejected[epoch_id] = reason
+        self._record(["rejected", epoch_id, reason])
 
     def record_published(
         self, epoch_id: int, stage: str, cohort: Tuple[str, ...]
     ) -> None:
-        """THE invariant lives here: publishing an unvalidated epoch is
-        impossible, live and (via :meth:`recover`) after any crash."""
-        if stage not in ("canary", "fleet"):
-            raise EpochLedgerError(f"unknown publish stage {stage!r}")
-        if epoch_id not in self.validated:
-            raise EpochLedgerError(
-                f"refusing to publish epoch {epoch_id}: no shadow "
-                f"validation on record"
-            )
-        self._append(["published", epoch_id, stage, sorted(cohort)])
-        self.published.append((epoch_id, stage, tuple(sorted(cohort))))
+        self._record(["published", epoch_id, stage, sorted(cohort)])
 
     def record_rollback(self, from_id: int, to_id: int) -> None:
-        self._append(["rollback", from_id, to_id])
-        self.rollbacks.append((from_id, to_id))
+        self._record(["rollback", from_id, to_id])
 
     def record_ack(self, vehicle: str, epoch_id: int, status: str) -> None:
-        self._append(["ack", vehicle, epoch_id, status])
-        held = self.acks.get(vehicle)
-        if held is None or epoch_id >= held[0]:
-            self.acks[vehicle] = (epoch_id, status)
+        self._record(["ack", vehicle, epoch_id, status])
 
     # ------------------------------------------------------------------
     def status_of(self, epoch_id: int) -> EpochStatus:
@@ -302,94 +318,26 @@ class EpochLedger:
         }
 
     def close(self) -> None:
-        if not self._file.closed:
-            self._file.close()
+        self._log.close()
 
     # ------------------------------------------------------------------
     @classmethod
     def recover(
         cls, path: Path, fsync: str = "never"
     ) -> Tuple["EpochLedger", LedgerRecoveryReport]:
-        """Replay the ledger through the same state machine used live.
+        """Open the ledger after a crash: every entry on disk goes
+        through the fold the live appends use.
 
-        A torn final line (crash mid-append) is dropped -- that event
-        "never happened".  A decodable entry that violates the state
-        machine (e.g. a published-but-never-validated id) raises
+        A torn final line (crash mid-append) is truncated away -- that
+        event "never happened"; damage anywhere else raises
+        :class:`~repro.telemetry.uplink.wal.WalCorruptionError`, and an
+        intact entry the state machine refuses (e.g. a
+        published-but-never-validated id) raises
         :class:`EpochLedgerError`: that is corruption, not a crash."""
-        path = Path(path)
-        report = LedgerRecoveryReport()
-        lines: List[str] = []
-        if path.exists():
-            lines = path.read_text(encoding="utf-8").splitlines()
-        ledger = cls.__new__(cls)
-        ledger.path = path
-        ledger.fsync = fsync
-        ledger.epochs = {}
-        ledger.validated = set()
-        ledger.rejected = {}
-        ledger.published = []
-        ledger.rollbacks = []
-        ledger.acks = {}
-        ledger.entries = 0
-        path.parent.mkdir(parents=True, exist_ok=True)
-        kept: List[str] = []
-        for index, line in enumerate(lines):
-            fields = decode_entry(line)
-            if fields is None:
-                if index == len(lines) - 1:
-                    report.truncated_tail = True
-                    break
-                raise EpochLedgerError(
-                    f"{path}: corrupt ledger entry mid-file (line {index})"
-                )
-            kept.append(line)
-            tag = fields[0]
-            if tag == "header":
-                if fields[1] != LEDGER_SCHEMA:
-                    raise SchemaVersionError(
-                        "epoch ledger", fields[1], LEDGER_SCHEMA
-                    )
-            elif tag == "epoch":
-                epoch = BudgetEpoch.from_json(fields[1])
-                if epoch.epoch_id in ledger.epochs:
-                    raise EpochLedgerError(
-                        f"duplicate epoch {epoch.epoch_id} in ledger"
-                    )
-                ledger.epochs[epoch.epoch_id] = epoch
-            elif tag == "validated":
-                ledger.validated.add(int(fields[1]))
-            elif tag == "rejected":
-                ledger.rejected[int(fields[1])] = str(fields[2])
-            elif tag == "published":
-                epoch_id, stage = int(fields[1]), str(fields[2])
-                if epoch_id not in ledger.validated:
-                    raise EpochLedgerError(
-                        f"ledger publishes unvalidated epoch {epoch_id}"
-                    )
-                ledger.published.append(
-                    (epoch_id, stage, tuple(fields[3]))
-                )
-            elif tag == "rollback":
-                ledger.rollbacks.append((int(fields[1]), int(fields[2])))
-            elif tag == "ack":
-                vehicle, epoch_id, status = (
-                    str(fields[1]), int(fields[2]), str(fields[3])
-                )
-                held = ledger.acks.get(vehicle)
-                if held is None or epoch_id >= held[0]:
-                    ledger.acks[vehicle] = (epoch_id, status)
-            # Unknown tags are skipped (forward compatibility).
-            report.entries += 1
-        if report.truncated_tail:
-            # Repair in place so the next append starts a clean line.
-            path.write_text(
-                "\n".join(kept) + ("\n" if kept else ""), encoding="utf-8"
-            )
-        ledger._file = open(path, "a", encoding="utf-8")
-        ledger.entries = report.entries
-        if not kept:
-            ledger._append(["header", LEDGER_SCHEMA])
-        return ledger, report
+        ledger = cls(path, fsync)
+        return ledger, LedgerRecoveryReport(
+            entries=ledger.entries, truncated_tail=ledger._log.truncated > 0
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

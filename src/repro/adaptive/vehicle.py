@@ -1,14 +1,16 @@
 """Vehicle-side epoch reception: durable, monotonic, exactly-once.
 
 The agent mirrors the uplink's append-before-ack rule for the reverse
-direction: an epoch frame is appended to the vehicle's epoch WAL (CRC
-line framing) and flushed *before* any acknowledgment is produced, so
-a crash after the ack can always rebuild the acknowledged state.
+direction: an epoch frame is appended to the vehicle's epoch WAL (an
+:class:`~repro.telemetry.uplink.wal.AppendLog`, the format and torn-tail
+rule of every durable file) and flushed *before* any acknowledgment is
+produced, so a crash after the ack can always rebuild the acknowledged
+state.
 
 Application is **atomic and exactly-once**: ``install`` receives the
 whole :class:`~repro.adaptive.epochs.BudgetEpoch` (never a partial
-budget map), an ``applied`` marker is appended first, and replay
-deduplicates by epoch id -- a crash *between* the ``recv`` append and
+budget map), an ``applied`` marker is appended first, and replay folds
+each entry as it was folded live -- a crash *between* the ``recv`` append and
 the ``applied`` marker recovers to "durably received, not yet applied"
 and applies exactly once on recovery, never half.
 
@@ -23,20 +25,26 @@ nothing.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, Optional, Set, Tuple
 
 from repro.adaptive.epochs import BudgetEpoch
 from repro.faults.degradation import DegradationMode
+from repro.telemetry.records import encode_json
 from repro.telemetry.uplink.transport import (
     decode_envelope,
     decode_epoch_frame,
     encode_epoch_ack,
 )
-from repro.telemetry.uplink.wal import decode_entry, encode_entry
+from repro.telemetry.uplink.wal import (
+    AppendLog,
+    WalCorruptionError,
+    decode_entry,
+)
+
+#: Schema identifier of a vehicle's epoch WAL (header line).
+VEHICLE_EPOCH_SCHEMA = "repro-adaptive-vehicle-epochs/1"
 
 
 class SimulatedApplyCrash(RuntimeError):
@@ -48,14 +56,18 @@ class SimulatedApplyCrash(RuntimeError):
 class VehicleRecoveryReport:
     """What :meth:`VehicleEpochAgent.recover` rebuilt from disk."""
 
-    entries: int = 0
     truncated_tail: bool = False
     #: An epoch was durably received but not applied before the crash.
     pending_apply: bool = False
 
 
 class VehicleEpochAgent:
-    """Receives, defers, applies and acknowledges budget epochs."""
+    """Receives, defers, applies and acknowledges budget epochs.
+
+    Constructing one opens its epoch WAL (``directory/epochs.log``, an
+    :class:`~repro.telemetry.uplink.wal.AppendLog`) and folds whatever
+    it holds, so a fresh directory starts on *initial* and a used one
+    comes back where the last process left it."""
 
     def __init__(
         self,
@@ -66,14 +78,11 @@ class VehicleEpochAgent:
         initial: Optional[BudgetEpoch] = None,
     ):
         self.source = source
-        self.directory = Path(directory)
-        self.fsync = fsync
         self.install = install
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._file = open(self._wal_path(), "a", encoding="utf-8")
         self.mode = DegradationMode.NORMAL
-        #: The epoch whose budgets the vehicle's monitors run right now.
-        self.active: Optional[BudgetEpoch] = None
+        #: The epoch whose budgets the vehicle's monitors run right now;
+        #: the factory baseline is firmware, not WAL content.
+        self.active: Optional[BudgetEpoch] = initial
         #: Durably received, waiting for the ladder to clear.
         self.pending: Optional[BudgetEpoch] = None
         # Ground-truth ledger sets (ids; disjoint classification).
@@ -89,22 +98,38 @@ class VehicleEpochAgent:
         #: Chaos hook: die (once) in the window between the durable
         #: ``recv`` append and the ``applied`` marker.
         self.fail_after_recv = False
-        if initial is not None:
-            # The factory baseline: installed directly, not via wire.
-            self.active = initial
-            if self.install is not None:
-                self.install(initial)
+        self._log = AppendLog(
+            Path(directory) / "epochs.log",
+            {"schema": VEHICLE_EPOCH_SCHEMA, "source": source}, fsync,
+        )
+        self._log.replay(decode_entry, self._fold)
+        if self.active is not None and self.install is not None:
+            self.install(self.active)
 
     # ------------------------------------------------------------------
-    def _wal_path(self) -> Path:
-        return self.directory / "epochs.log"
+    def _fold(self, fields: list) -> None:
+        """Apply one WAL entry to the state, live and on replay alike: a
+        ``recv`` parks its epoch (superseding a parked one that never
+        ran), an ``applied`` marker activates the parked epoch."""
+        if fields[0] == "recv":
+            epoch = BudgetEpoch.from_json(fields[1])
+            self.received.add(epoch.epoch_id)
+            if self.pending is not None:
+                self.superseded.add(self.pending.epoch_id)
+            self.pending = epoch
+        elif fields[0] == "applied":
+            if self.pending is None or self.pending.epoch_id != fields[1]:
+                raise WalCorruptionError(
+                    f"{self._log.path}: applied {fields[1]} was never "
+                    f"received"
+                )
+            self.active, self.pending = self.pending, None
+            self.applied.add(self.active.epoch_id)
 
-    def _append(self, fields: list) -> None:
-        body = json.dumps(fields, separators=(",", ":"))
-        self._file.write(encode_entry(body) + "\n")
-        self._file.flush()
-        if self.fsync == "always":
-            os.fsync(self._file.fileno())
+    def _record(self, fields: list) -> None:
+        self._fold(fields)
+        self._log.append(encode_json(fields))
+        self._log.sync()
 
     # ------------------------------------------------------------------
     @property
@@ -140,19 +165,12 @@ class VehicleEpochAgent:
                 self.source, epoch.epoch_id, self._status_of(epoch.epoch_id)
             )
         # Fresh: durable before any acknowledgment.
-        self._append(["recv", epoch.to_json()])
-        self.received.add(epoch.epoch_id)
+        self._record(["recv", epoch.to_json()])
         if self.fail_after_recv:
             self.fail_after_recv = False
             raise SimulatedApplyCrash(self.source)
-        if self.pending is not None:
-            # A newer epoch supersedes a parked one that never ran.
-            self.superseded.add(self.pending.epoch_id)
-            self.pending = None
         if self.mode is DegradationMode.NORMAL:
-            self._apply(epoch)
-            return encode_epoch_ack(self.source, epoch.epoch_id, "applied")
-        self.pending = epoch
+            return self._apply()
         self.deferrals += 1
         return encode_epoch_ack(self.source, epoch.epoch_id, "deferred")
 
@@ -161,20 +179,18 @@ class VehicleEpochAgent:
             self.active is not None and epoch_id <= self.active.epoch_id
         ):
             return "applied"
-        if self.pending is not None and self.pending.epoch_id == epoch_id:
-            return "deferred"
-        return "applied" if epoch_id in self.applied else "deferred"
+        return "deferred"
 
-    def _apply(self, epoch: BudgetEpoch) -> None:
+    def _apply(self) -> str:
+        """Apply the parked epoch; returns its ``applied`` ack."""
         # Marker first: if install side effects ever crashed the
         # process, replay would re-run the (atomic, whole-epoch)
         # install rather than leave half-applied budgets behind.
-        self._append(["applied", epoch.epoch_id])
-        self.active = epoch
-        self.applied.add(epoch.epoch_id)
+        self._record(["applied", self.pending.epoch_id])
         self.applies += 1
         if self.install is not None:
-            self.install(epoch)
+            self.install(self.active)
+        return encode_epoch_ack(self.source, self.active.epoch_id, "applied")
 
     # ------------------------------------------------------------------
     def set_mode(self, mode: DegradationMode, now: int = 0) -> Optional[str]:
@@ -184,30 +200,16 @@ class VehicleEpochAgent:
         self.mode = mode
         if mode is not DegradationMode.NORMAL or self.pending is None:
             return None
-        epoch = self.pending
-        self.pending = None
-        self._apply(epoch)
-        return encode_epoch_ack(self.source, epoch.epoch_id, "applied")
+        return self._apply()
 
     # ------------------------------------------------------------------
-    def kill(self, torn_tail: bool = False) -> None:
-        """Simulate process death; *torn_tail* half-writes the newest
-        WAL line (crash mid-append)."""
-        if not self._file.closed:
-            self._file.flush()
-            self._file.close()
-        if torn_tail:
-            path = self._wal_path()
-            raw = path.read_bytes()
-            lines = raw.split(b"\n")
-            if len(lines) >= 2 and lines[-2]:
-                last = lines[-2]
-                kept = raw[: len(raw) - len(last) - 1]
-                path.write_bytes(kept + last[: len(last) // 2])
+    def kill(self) -> None:
+        """Simulate process death: the WAL handle is dropped and nothing
+        more is fsynced."""
+        self._log.abandon()
 
     def close(self) -> None:
-        if not self._file.closed:
-            self._file.close()
+        self._log.close()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -221,66 +223,19 @@ class VehicleEpochAgent:
     ) -> Tuple["VehicleEpochAgent", VehicleRecoveryReport]:
         """Rebuild the agent from its epoch WAL.
 
-        Replay classifies every durably received epoch: the newest
-        ``applied`` marker wins the active slot; a newer ``recv``
+        Replay folds every entry the way it was folded live: the newest
+        ``applied`` marker holds the active slot; a newer ``recv``
         without a marker is the torn-apply case and comes back as
         ``pending`` -- :meth:`apply_pending_if_normal` (or the next
         :meth:`set_mode` to NORMAL) applies it exactly once.  A torn
         final line is truncated: that receive never happened and the
         server's retry machinery will offer it again.
         """
-        directory = Path(directory)
-        path = directory / "epochs.log"
-        report = VehicleRecoveryReport()
-        epochs: List[BudgetEpoch] = []
-        applied_ids: List[int] = []
-        kept: List[str] = []
-        lines = (
-            path.read_text(encoding="utf-8").splitlines()
-            if path.exists() else []
+        agent = cls(source, directory, fsync, install, initial)
+        return agent, VehicleRecoveryReport(
+            truncated_tail=agent._log.truncated > 0,
+            pending_apply=agent.pending is not None,
         )
-        for index, line in enumerate(lines):
-            fields = decode_entry(line)
-            if fields is None:
-                if index == len(lines) - 1:
-                    report.truncated_tail = True
-                    break
-                raise ValueError(
-                    f"{path}: corrupt epoch WAL entry mid-file "
-                    f"(line {index})"
-                )
-            kept.append(line)
-            report.entries += 1
-            if fields[0] == "recv":
-                epochs.append(BudgetEpoch.from_json(fields[1]))
-            elif fields[0] == "applied":
-                applied_ids.append(int(fields[1]))
-        if report.truncated_tail:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                "\n".join(kept) + ("\n" if kept else ""), encoding="utf-8"
-            )
-        agent = cls(source, directory, fsync=fsync, install=None,
-                    initial=None)
-        agent.install = install
-        agent.received = {epoch.epoch_id for epoch in epochs}
-        agent.applied = set(applied_ids)
-        by_id = {epoch.epoch_id: epoch for epoch in epochs}
-        active_id = max(applied_ids) if applied_ids else -1
-        if active_id >= 0 and active_id in by_id:
-            agent.active = by_id[active_id]
-        elif initial is not None:
-            agent.active = initial
-        newer = [eid for eid in sorted(by_id) if eid > active_id]
-        if newer:
-            # Everything but the newest unapplied epoch is superseded.
-            for eid in newer[:-1]:
-                agent.superseded.add(eid)
-            agent.pending = by_id[newer[-1]]
-            report.pending_apply = True
-        if agent.active is not None and agent.install is not None:
-            agent.install(agent.active)
-        return agent, report
 
     def apply_pending_if_normal(self, now: int = 0) -> Optional[str]:
         """Apply a recovery-parked epoch when the ladder allows it."""

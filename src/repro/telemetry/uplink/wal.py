@@ -1,4 +1,5 @@
-"""Durable write-ahead spooling for the vehicle-side uplink.
+"""Durable append-only logs: write-ahead spooling for the vehicle-side
+uplink, and the one log implementation every other durable file uses.
 
 The cardinal rule mirrors the ingest pipeline's ("no silent drops"),
 extended across process death: **append before emit**.  A telemetry
@@ -15,23 +16,27 @@ places at any time, which is the uplink's ledger law::
   counted and reported through :attr:`WalSpooler.on_evict`, never
   silent.
 
-Two log flavors live here:
+Every durable log file is one format -- a JSON schema header line, then
+one ``crc32(body):body`` line per entry, ``body`` a compact JSON list --
+read back by one scanner, :func:`scan_log`, under one rule: a damaged or
+unterminated *last* line is a torn tail (a mid-write crash), truncated
+away in place and counted; damage anywhere else raises
+:class:`WalCorruptionError`; a file holding only a torn header was being
+created when the process died and starts afresh.  The writers:
 
 - :class:`WalSpooler` -- the vehicle side.  Seq-indexed (per-source
   monotone), supports cumulative acknowledgment (``ack_through``),
-  segment-file rotation, a bounded disk budget with oldest-first
-  eviction, and :meth:`WalSpooler.recover` crash recovery that
-  tolerates a torn tail line (a mid-write crash) by truncating it --
-  counted -- while any *mid-file* damage raises
-  :class:`WalCorruptionError` loudly.
-- :class:`RecordLog` -- the fleet side.  The ingestor's append-only
-  journal (records from many sources, watermark markers, checkpoint
-  entries): appended to *before acknowledging*, never truncated, and
-  rewritten to header + one full-state checkpoint entry (``tmp`` +
+  segment-file rotation every ``segment_max_records`` records written,
+  a bounded disk budget with oldest-first eviction, and
+  :meth:`WalSpooler.recover` crash recovery.
+- :class:`AppendLog` -- one log file on an open append handle.  The
+  fleet side's :class:`RecordLog` is one: the ingestor's journal
+  (records from many sources, watermark markers, checkpoint entries),
+  appended to *before acknowledging*, never truncated, and rewritten
+  to header + one full-state checkpoint entry (``tmp`` +
   ``os.replace``) once it has outgrown that entry several times over.
-
-Both share one line format: ``crc32(body):body`` where ``body`` is the
-record's compact JSON wire line, so corruption is detected per line.
+  So are the control plane's epoch ledger and each vehicle's epoch WAL
+  (:mod:`repro.adaptive`).
 
 The spooler's cumulative acknowledgment is durable in a third file of
 the same format, the *ack-mark journal* (``ackmark.log``): a schema
@@ -83,6 +88,14 @@ class WalCorruptionError(RuntimeError):
     """Mid-file WAL damage (not a torn tail): refuse to guess."""
 
 
+def _checked_fsync(fsync: str) -> str:
+    if fsync not in FSYNC_POLICIES:
+        raise ValueError(
+            f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}"
+        )
+    return fsync
+
+
 # ----------------------------------------------------------------------
 # Line framing
 # ----------------------------------------------------------------------
@@ -119,7 +132,7 @@ def decode_entry(line: str) -> Optional[list]:
     return _body_fields(entry_body(line))
 
 
-def _scan_log(
+def scan_log(
     path: Path, schema: str, parse: Callable[[str], object],
     tail_may_tear: bool = True,
 ) -> Tuple[Optional[dict], list, int, int]:
@@ -133,9 +146,9 @@ def _scan_log(
     damage anywhere else raises
     :class:`WalCorruptionError`.  That covers the header too: a crash
     while the file was being created leaves it empty or with a torn
-    first line and nothing after (``header`` is ``None``; each log has
-    its own rule for that); an unreadable header followed by entries is
-    corruption.
+    first line and nothing after (``header`` is ``None``, ``torn`` 1 if
+    there were bytes: the log held no entry and starts afresh); an
+    unreadable header followed by entries is corruption.
     """
     text = path.read_bytes().decode("utf-8", errors="replace")
     lines = text.split("\n")
@@ -189,10 +202,7 @@ class WalConfig:
 
     def __post_init__(self) -> None:
         self.directory = Path(self.directory)
-        if self.fsync not in FSYNC_POLICIES:
-            raise ValueError(
-                f"fsync must be one of {FSYNC_POLICIES}, got {self.fsync!r}"
-            )
+        _checked_fsync(self.fsync)
         if self.segment_max_records < 1:
             raise ValueError("segment_max_records must be >= 1")
         if self.max_bytes is not None and self.max_bytes < 1:
@@ -221,7 +231,7 @@ class _Segment:
     """In-memory mirror of one WAL segment file."""
 
     __slots__ = ("index", "path", "records", "lines", "nbytes", "max_seq",
-                 "closed")
+                 "written", "closed")
 
     def __init__(self, index: int, path: Path):
         self.index = index
@@ -235,6 +245,9 @@ class _Segment:
         self.nbytes = 0
         #: Highest seq ever written to the file (survives mirror pops).
         self.max_seq = -1
+        #: Records ever written to the file: rotation counts these, so a
+        #: spool whose acks keep pace still rotates and stays bounded.
+        self.written = 0
         self.closed = False
 
 
@@ -286,14 +299,12 @@ class WalSpooler:
         return cls(config, source)
 
     # ------------------------------------------------------------------
-    def _segment_path(self, index: int) -> Path:
-        return self.config.directory / f"wal-{index:08d}.log"
-
     def _mark_path(self) -> Path:
         return self.config.directory / "ackmark.log"
 
-    def _open_segment(self) -> None:
-        segment = _Segment(self._next_index, self._segment_path(self._next_index))
+    def _open_segment(self) -> _Segment:
+        index = self._next_index
+        segment = _Segment(index, self.config.directory / f"wal-{index:08d}.log")
         self._next_index += 1
         header = encode_json_sorted(
             {"schema": WAL_SCHEMA, "segment": segment.index,
@@ -304,12 +315,10 @@ class WalSpooler:
         self._file.flush()
         segment.nbytes = len(header) + 1
         self.segments.append(segment)
+        return segment
 
     def _active(self) -> _Segment:
         return self.segments[-1]
-
-    def _fsync(self) -> None:
-        os.fsync(self._file.fileno())
 
     # ------------------------------------------------------------------
     @property
@@ -399,30 +408,31 @@ class WalSpooler:
         start = 0
         while start < len(lines):
             segment = self._active()
-            end = start + max(1, limit - len(segment.records))
+            if segment.written >= limit:
+                segment = self._rotate(segment)
+            end = start + limit - segment.written
             chunk = lines[start:end]
             self._file.write("\n".join(chunk) + "\n")
             segment.records.extend(records[start:end])
             segment.lines.extend(chunk)
             segment.nbytes += sum(map(len, chunk)) + len(chunk)
             segment.max_seq = segment.records[-1].seq
-            if len(segment.records) >= limit:
-                self._rotate()
+            segment.written += len(chunk)
             start = end
         self.last_seq = last
         self.appended += len(lines)
         self._file.flush()
         if self.config.fsync == "always":
-            self._fsync()
+            os.fsync(self._file.fileno())
         self._enforce_budget()
 
-    def _rotate(self) -> None:
+    def _rotate(self, full: _Segment) -> _Segment:
         self._file.flush()
         if self.config.fsync in ("always", "rotate"):
-            self._fsync()
+            os.fsync(self._file.fileno())
         self._file.close()
-        self._active().closed = True
-        self._open_segment()
+        full.closed = True
+        return self._open_segment()
 
     def _enforce_budget(self) -> None:
         budget = self.config.max_bytes
@@ -584,7 +594,7 @@ class WalSpooler:
         tail = spooler.segments[-1] if spooler.segments else None
         if (
             tail is not None
-            and len(tail.records) < config.segment_max_records
+            and tail.written < config.segment_max_records
             and tail.path.exists()
         ):
             tail.closed = False
@@ -613,7 +623,7 @@ class WalSpooler:
                 return fields[0]
             return None
 
-        _, marks, _, torn = _scan_log(path, WAL_MARK_SCHEMA, parse)
+        _, marks, _, torn = scan_log(path, WAL_MARK_SCHEMA, parse)
         return max(marks, default=-1), torn
 
     @staticmethod
@@ -631,17 +641,18 @@ class WalSpooler:
                 return None
             return TelemetryRecord.from_wire(fields), line
 
-        header, entries, kept_bytes, dropped = _scan_log(
+        header, entries, kept_bytes, dropped = scan_log(
             path, WAL_SCHEMA, parse, tail_may_tear=is_last
         )
         if header is None:
             if is_last:
                 path.unlink(missing_ok=True)
-                return None, [], 1
+                return None, [], dropped
             raise WalCorruptionError(f"{path}: unreadable segment header")
         segment = _Segment(int(path.stem.split("-")[1]), path)
         segment.records = [record for record, _ in entries]
         segment.lines = [line for _, line in entries]
+        segment.written = len(entries)
         seqs = [record.seq for record in segment.records]
         if seqs:
             segment.max_seq = seqs[-1]
@@ -656,34 +667,120 @@ class WalSpooler:
 
 
 # ----------------------------------------------------------------------
+# One log file on an open append handle
+# ----------------------------------------------------------------------
+class AppendLog:
+    """A durable log file -- schema header line, then CRC-framed
+    entries -- appended on one open handle.
+
+    Durability per fsync policy: :meth:`create` fsyncs the new file and
+    its directory, :meth:`sync` (the end of an append) fsyncs only under
+    ``always``, :meth:`close` fsyncs; ``never`` only flushes.
+    :meth:`replay` reads the file back with :func:`scan_log` after a
+    crash and reopens it for appends.
+    """
+
+    def __init__(self, path: Path, header: dict, fsync: str = "rotate"):
+        self.path = Path(path)
+        self.fsync = _checked_fsync(fsync)
+        self.schema = header["schema"]
+        self.header = encode_json_sorted(header)
+        #: Entries in the file (header not counted), its bytes, and the
+        #: torn lines :meth:`replay` cut away.
+        self.entries = 0
+        self.nbytes = 0
+        self.truncated = 0
+
+    def create(self) -> None:
+        """Start the file as its header alone; entries are acknowledged
+        out of it, so its directory entry must survive too."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._file = open(self.path, "w", encoding="utf-8")
+        self._write(self.header)
+        self._flush()
+        self._sync_directory()
+
+    def replay(self, parse: Callable[[str], object], fold: Callable) -> None:
+        """Hand *fold* what *parse* made of each entry (:func:`scan_log`),
+        then reopen the file for appends: an entry *fold* refuses leaves
+        no handle open.  An absent or torn-header file starts afresh."""
+        if self.path.exists():
+            header, entries, self.nbytes, self.truncated = scan_log(
+                self.path, self.schema, parse
+            )
+            if header is not None:
+                for entry in entries:
+                    fold(entry)
+                self.entries = len(entries)
+                self._file = open(self.path, "a", encoding="utf-8")
+                return
+        self.create()
+
+    def _write(self, line: str) -> None:
+        self._file.write(line + "\n")
+        self.nbytes += len(line) + 1
+
+    def append(self, body: str) -> None:
+        """CRC-frame one JSON body as an entry (durable at :meth:`sync`)."""
+        self._write(encode_entry(body))
+        self.entries += 1
+
+    def sync(self) -> None:
+        """Make appended entries durable per the fsync policy."""
+        self._file.flush()
+        if self.fsync == "always":
+            os.fsync(self._file.fileno())
+
+    def _flush(self) -> None:
+        self._file.flush()
+        if self.fsync != "never":
+            os.fsync(self._file.fileno())
+
+    def _sync_directory(self) -> None:
+        """Make the file's directory entry (a creation, a rename)
+        durable, unless the policy is ``never``."""
+        if self.fsync != "never":
+            fd = os.open(self.path.parent, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+
+    def close(self) -> None:
+        if not self._file.closed:
+            self._flush()
+            self._file.close()
+
+    def abandon(self) -> None:
+        """Drop the handle the way process death does: what was written
+        reaches the OS, nothing is fsynced (crash harnesses)."""
+        self._file.close()
+
+
+# ----------------------------------------------------------------------
 # Fleet-side append-before-ack journal
 # ----------------------------------------------------------------------
-class RecordLog:
+class RecordLog(AppendLog):
     """The ingestor's one durable file: records, watermark markers and
-    checkpoint entries, CRC-framed lines appended on one open handle.
+    checkpoint entries.
 
     The ingestor appends every *fresh* record here (then the per-frame
     watermark marker) before acknowledging the frame.  A checkpoint is
     one more entry (:meth:`append_checkpoint`) and truncates nothing;
     :meth:`compact` rewrites the file as header + the records still
     waiting + one full-state checkpoint entry.  :meth:`open_existing`
-    reads it back after a crash, tolerating (and truncating) a torn
-    tail line, and decodes only what a recovery can still need.
+    reads it back after a crash and decodes only what a recovery can
+    still need.
     """
 
     def __init__(self, path: Path, fsync: str = "rotate",
                  _replay: bool = False):
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError(
-                f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}"
-            )
-        self.path = Path(path)
-        self.fsync = fsync
-        self.entries = 0
-        self.truncated = 0
-        #: Bytes in the file, and in the full-state checkpoint entry
-        #: :meth:`compact` last left at its top (0: never compacted).
-        self.nbytes = 0
+        super().__init__(
+            path, {"schema": WAL_SCHEMA, "segment": 0, "source": "*fleet*"},
+            fsync,
+        )
+        #: Bytes in the full-state checkpoint entry :meth:`compact` last
+        #: left at the top of the file (0: never compacted).
         self.base_bytes = 0
         #: What :meth:`open_existing` read: the checkpoint documents,
         #: the bodies of the other lines before the last of them, and
@@ -694,21 +791,7 @@ class RecordLog:
             Tuple[Optional[list], Optional[Tuple[str, int]]]
         ] = []
         if not _replay:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = open(self.path, "w", encoding="utf-8")
-            self._write(self._HEADER)
-            # Frames are acknowledged out of this file long before the
-            # first compaction: its directory entry must survive too.
-            self._flush()
-            self._sync_directory()
-
-    _HEADER = encode_json_sorted(
-        {"schema": WAL_SCHEMA, "segment": 0, "source": "*fleet*"}
-    )
-
-    def _write(self, line: str) -> None:
-        self._file.write(line + "\n")
-        self.nbytes += len(line) + 1
+            self.create()
 
     # ------------------------------------------------------------------
     def append_raw(self, entry: str) -> None:
@@ -723,12 +806,6 @@ class RecordLog:
     def append_marker(self, source: str, seq: int) -> None:
         self._write(encode_entry(encode_json([MARKER_TAG, source, seq])))
         self.entries += 1
-
-    def sync(self) -> None:
-        """Make appended entries durable per the fsync policy."""
-        self._file.flush()
-        if self.fsync == "always":
-            os.fsync(self._file.fileno())
 
     def append_checkpoint(self, body: str) -> None:
         """Durably append one checkpoint entry (*body*: its JSON)."""
@@ -747,39 +824,16 @@ class RecordLog:
         self._file = open(tmp, "w", encoding="utf-8")
         entry = encode_entry(body)
         self.nbytes, self.base_bytes = 0, len(entry) + 1
-        for line in [self._HEADER] + waiting + [entry]:
+        for line in [self.header] + waiting + [entry]:
             self._write(line)
         self._flush()
         os.replace(tmp, self.path)
         self._sync_directory()
 
-    def _sync_directory(self) -> None:
-        """Make the journal's directory entry (a creation, a rename)
-        durable, unless the policy is ``never``."""
-        if self.fsync != "never":
-            fd = os.open(self.path.parent, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-
-    def _flush(self) -> None:
-        self._file.flush()
-        if self.fsync != "never":
-            os.fsync(self._file.fileno())
-
-    def close(self) -> None:
-        if not self._file.closed:
-            self._flush()
-            self._file.close()
-
     # ------------------------------------------------------------------
     @classmethod
     def open_existing(cls, path: Path, fsync: str = "rotate") -> "RecordLog":
         """Read an existing journal (crash recovery); creates if absent."""
-        path = Path(path)
-        if not path.exists():
-            return cls(path, fsync)
         log = cls(path, fsync, _replay=True)
 
         def parse(line: str):
@@ -794,13 +848,8 @@ class RecordLog:
             log.base_bytes = log.base_bytes or len(line) + 1
             return fields[1]
 
-        header, entries, log.nbytes, log.truncated = _scan_log(
-            path, WAL_SCHEMA, parse
-        )
-        if header is None:
-            if not log.truncated:
-                return cls(path, fsync)  # empty file: nothing to replay
-            raise WalCorruptionError(f"{path}: unreadable log header")
+        entries: list = []
+        log.replay(parse, entries.append)
         live = 1 + max(
             (i for i, e in enumerate(entries) if isinstance(e, dict)),
             default=-1,
@@ -811,8 +860,6 @@ class RecordLog:
             else:
                 log.settled.append(entry)
         log.replayed = [log._decode(body) for body in entries[live:]]
-        log.entries = len(entries)
-        log._file = open(path, "a", encoding="utf-8")
         return log
 
     def _decode(self, body: str):

@@ -7,7 +7,9 @@ dedup watermark and every held record to ``checkpoint.json`` (``tmp`` +
 ``os.replace``) and truncates the log (``RecordLog.reset``, kept here as
 :func:`_reset`); ``recover()`` loads that document and replays the log
 through dedup.  Adapted once since: held and replayed records are wire
-rows, as in production since the gateway step became the unit of work.  Oracle of the crash-interleaving property in
+rows, as in production since the gateway step became the unit of work,
+and the journal's header line is ``RecordLog.header``.  Oracle of the
+crash-interleaving property in
 ``tests/test_uplink_ingest_journal.py``: after any schedule of frames,
 checkpoints and crashes both must hold the same store digest, dedup
 watermarks and held records.
@@ -37,7 +39,7 @@ def _reset(log: RecordLog) -> None:
     """Truncate after a checkpoint absorbed every entry."""
     log._file.seek(0)
     log._file.truncate()
-    log._file.write(log._HEADER + "\n")
+    log._file.write(log.header + "\n")
     log._file.flush()
     if log.fsync != "never":
         os.fsync(log._file.fileno())

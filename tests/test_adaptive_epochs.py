@@ -10,7 +10,7 @@ from repro.adaptive import (
     EpochStatus,
 )
 from repro.schema import SchemaVersionError
-from repro.telemetry.uplink.wal import encode_entry
+from repro.telemetry.uplink.wal import WalCorruptionError, encode_entry
 
 _MS = 1_000_000
 
@@ -150,6 +150,35 @@ class TestEpochLedger:
         assert again.acks["veh00"] == (0, "applied")
         again.close()
 
+    def test_append_after_an_unterminated_entry_survives(self, tmp_path):
+        """An entry whose newline never reached the disk is a torn tail,
+        whatever its bytes parse as: recovery cuts it, and the entry
+        appended next survives the recovery after that.  Fails at the
+        parent (f90c0e9): its recover loop kept the unterminated ack,
+        the rollback fused onto that line, and the next recovery dropped
+        both as one torn tail -- a flushed ``record_rollback`` lost."""
+        path = tmp_path / "epochs.log"
+        ledger = EpochLedger(path)
+        for epoch_id in range(3):
+            ledger.record_epoch(make_epoch(epoch_id))
+            ledger.record_validated(epoch_id, {})
+        ledger.record_published(0, "fleet", ("veh00",))
+        before_ack = ledger.to_json()
+        ledger.record_ack("veh00", 0, "applied")
+        ledger.close()
+        path.write_bytes(path.read_bytes()[:-1])
+        recovered, report = EpochLedger.recover(path)
+        assert report.truncated_tail
+        assert recovered.to_json() == before_ack
+        recovered.record_rollback(2, 1)
+        live = recovered.to_json()
+        recovered.close()
+        again, report = EpochLedger.recover(path)
+        again.close()
+        assert not report.truncated_tail
+        assert again.to_json() == live
+        assert again.rollbacks == [(2, 1)]
+
     def test_recover_rejects_mid_file_corruption(self, tmp_path):
         path = tmp_path / "epochs.log"
         ledger = EpochLedger(path)
@@ -159,7 +188,7 @@ class TestEpochLedger:
         lines = path.read_text().splitlines()
         lines[1] = lines[1][: len(lines[1]) // 2]  # not the tail
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(EpochLedgerError, match="mid-file"):
+        with pytest.raises(WalCorruptionError, match="mid-file"):
             EpochLedger.recover(path)
 
     def test_recover_refuses_unvalidated_publication(self, tmp_path):

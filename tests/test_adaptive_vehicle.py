@@ -162,13 +162,46 @@ class TestCrashRecovery:
         agent = VehicleEpochAgent("veh00", tmp_path)
         agent.handle_frame(frame_for(make_epoch(1)))
         agent.handle_frame(frame_for(make_epoch(2)))
-        agent.kill(torn_tail=True)  # half-written "applied 2" line
+        agent.kill()
+        path = tmp_path / "epochs.log"
+        raw = path.read_bytes()
+        last = raw.split(b"\n")[-2]  # half-write the "applied 2" line
+        cut = len(raw) - len(last) // 2 - 1
+        path.write_bytes(raw[:cut])
         recovered, report = VehicleEpochAgent.recover("veh00", tmp_path)
         assert report.truncated_tail
         # Whatever the torn line was, state is consistent and the
         # server's retries will re-offer anything lost.
         assert recovered.ledger_json()["balanced"]
         recovered.close()
+
+    def test_apply_after_an_unterminated_entry_survives(self, tmp_path):
+        """The parked ``recv 2`` line reached the disk without its
+        newline: recovery cuts it (that receive never completed), and
+        what the vehicle then acks ``applied`` survives the next
+        recovery.  Fails at the parent (f90c0e9): its recover loop kept
+        the unterminated line as a parked epoch, applying it fused
+        ``applied 2`` onto that line, and the next recovery dropped both
+        -- the vehicle came back on epoch 1 after acking epoch 2
+        ``applied``."""
+        agent = VehicleEpochAgent("veh00", tmp_path)
+        agent.handle_frame(frame_for(make_epoch(1)))
+        agent.set_mode(DegradationMode.DEGRADED)
+        agent.handle_frame(frame_for(make_epoch(2)))
+        agent.kill()
+        path = tmp_path / "epochs.log"
+        path.write_bytes(path.read_bytes()[:-1])
+        recovered, report = VehicleEpochAgent.recover("veh00", tmp_path)
+        assert report.truncated_tail and not report.pending_apply
+        assert (recovered.active.epoch_id, recovered.received) == (1, {1})
+        assert ack_status(recovered.handle_frame(frame_for(make_epoch(2)))) \
+            == (2, "applied")
+        recovered.kill()
+        again, report = VehicleEpochAgent.recover("veh00", tmp_path)
+        again.close()
+        assert not report.truncated_tail
+        assert again.active.epoch_id == 2
+        assert (again.received, again.applied) == ({1, 2}, {1, 2})
 
     def test_recovery_reinstalls_active_epoch(self, tmp_path):
         agent = VehicleEpochAgent("veh00", tmp_path)

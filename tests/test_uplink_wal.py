@@ -112,6 +112,26 @@ class TestSpooler:
         assert set(r.seq for r in evicted) == set(range(10)) - set(survivors)
         assert spooler.total_bytes <= 700 or len(spooler.segments) == 1
 
+    def test_acks_that_keep_pace_still_rotate(self, tmp_path):
+        """Rotation counts records written, not records pending: a spool
+        whose acks keep pace must not grow its active segment -- exempt
+        from ``max_bytes`` -- without bound.  Fails at the parent
+        (f90c0e9), which left one 646,726-byte ``wal-00000000.log``."""
+        config = _config(tmp_path, segment_max_records=16, max_bytes=64_000)
+        spooler = WalSpooler.open_fresh(config, "v0")
+        line = encode_entry(_rec("v0", 9_999).encode_line())
+        for seq in range(10_000):
+            spooler.append(_rec("v0", seq))
+            spooler.ack_through(seq)
+            if seq % 1000 == 999:
+                paths = sorted(config.directory.glob("wal-*.log"))
+                header = paths[-1].read_text().split("\n")[0]
+                one_segment = len(header) + 1 + 16 * (len(line) + 1)
+                on_disk = sum(path.stat().st_size for path in paths)
+                assert on_disk <= config.max_bytes + one_segment, seq
+        spooler.close()
+        assert spooler.evicted == 0 and spooler.acked == 10_000
+
     def test_active_segment_is_eviction_exempt(self, tmp_path):
         config = _config(tmp_path, max_bytes=1, segment_max_records=100)
         spooler = WalSpooler.open_fresh(config, "v0")
