@@ -9,9 +9,10 @@ Three stages, all through the public `repro.telemetry` API:
    rules fired.
 2. **Snapshot / restore** -- persist the sharded chain-state store as
    pure JSON and prove the restored store re-snapshots byte-identical.
-3. **Live attach** -- hook a `TelemetryEmitter` into a running
-   `PerceptionStack` via the monitors' `telemetry_sinks` lists, so the
-   paper's in-vehicle verdicts stream straight into the fleet store.
+3. **Stack replay** -- run a `PerceptionStack`, then replay what its
+   monitors recorded through `replay_stack_batch` + `ingest_batch`, as
+   the fault campaign does, so the paper's in-vehicle verdicts land in
+   the fleet store.
 
 Run:  python examples/telemetry_fleet.py
 """
@@ -23,9 +24,8 @@ from repro.telemetry import (
     FleetConfig,
     FleetLoadGenerator,
     ServiceConfig,
-    TelemetryEmitter,
     TelemetryService,
-    attach_stack,
+    replay_stack_batch,
     run_load,
     stack_store_config,
 )
@@ -63,19 +63,19 @@ def main() -> None:
           f"({len(json.dumps(snapshot)) // 1024} KiB of JSON)")
 
     # ------------------------------------------------------------------
-    # 3. Attach to a live perception stack: every monitor verdict is
-    #    published through the telemetry_sinks hooks as it happens.
+    # 3. Replay a finished perception stack: the monitors recorded every
+    #    verdict, and one columnar batch carries them to the service.
     # ------------------------------------------------------------------
     stack = PerceptionStack(StackConfig(seed=7))
-    live = TelemetryService(ServiceConfig(store=stack_store_config(stack)))
-    emitter = TelemetryEmitter("vehicle-under-test", live.ingest)
-    attach_stack(stack, emitter)
     stack.run(n_frames=15)
-    live.drain()
-    assert live.applied == emitter.emitted and live.accounting_ok()
-    print(f"\n--- live attach ---\n"
-          f"{emitter.emitted} records from 15 frames, all applied")
-    for name, p in live.store.segment_percentiles().items():
+    replayed = TelemetryService(ServiceConfig(store=stack_store_config(stack)))
+    batch = replay_stack_batch(stack, "vehicle-under-test", 15)
+    replayed.ingest_batch(batch)
+    replayed.drain()
+    assert replayed.applied == len(batch) and replayed.accounting_ok()
+    print(f"\n--- stack replay ---\n"
+          f"{len(batch)} records from 15 frames, all applied")
+    for name, p in replayed.store.segment_percentiles().items():
         print(f"  {name:24s} p95={(p['p95'] or 0) / 1e6:7.3f} ms "
               f"({p['count']} samples)")
 

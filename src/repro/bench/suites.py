@@ -282,13 +282,9 @@ def _fleet_stream():
     not the generator's.
     """
     from repro.telemetry import FleetConfig, FleetLoadGenerator
-    from repro.telemetry.batch import RecordBatch
 
     generator = FleetLoadGenerator(FleetConfig(vehicles=4, frames=120))
-    return (
-        generator.config.store_config(),
-        RecordBatch.from_records(generator.materialize()),
-    )
+    return generator.config.store_config(), generator.batch()
 
 
 def bench_telemetry_ingest_batched() -> int:

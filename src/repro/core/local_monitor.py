@@ -218,10 +218,6 @@ class LocalSegmentRuntime:
         self.end_overhead_samples: List[int] = []
         self.monitor_latency_samples: List[int] = []
         self.reporters: List[ChainRuntime] = []
-        #: Telemetry emission hooks (duck-typed, like ``reporters``; see
-        #: :class:`repro.telemetry.emitter.MonitorTelemetrySink`).  The
-        #: hot path pays one falsy check per event when empty.
-        self.telemetry_sinks: List = []
         #: Span contexts of pending activations (span tracing only):
         #: captured at the start event so an exception span can parent
         #: to the causal chain that started the activation.
@@ -317,13 +313,6 @@ class LocalSegmentRuntime:
             )
         for runtime in self.reporters:
             runtime.report(self.segment.name, activation, Outcome.SKIPPED)
-        if self.telemetry_sinks:
-            ts = self.monitor.ecu.now() if self.monitor is not None else 0
-            for sink in self.telemetry_sinks:
-                sink.segment_event(
-                    self.segment.name, activation, Outcome.SKIPPED.value,
-                    None, ts,
-                )
 
     # ------------------------------------------------------------------
     # Monitor-thread-context operations
@@ -364,11 +353,6 @@ class LocalSegmentRuntime:
         self.latencies.append((n, latency, Outcome.OK))
         for runtime in self.reporters:
             runtime.report(self.segment.name, n, Outcome.OK, latency=latency)
-        if self.telemetry_sinks:
-            for sink in self.telemetry_sinks:
-                sink.segment_event(
-                    self.segment.name, n, Outcome.OK.value, latency, end_ts
-                )
 
     def _raise_exception(
         self, n: int, detected_at: int, span_begin: Optional[int] = None
@@ -430,15 +414,6 @@ class LocalSegmentRuntime:
                 detection_latency=detected_at - entry.deadline,
             )
             runtime.report_exception(exception)
-        if self.telemetry_sinks:
-            for sink in self.telemetry_sinks:
-                sink.segment_event(
-                    self.segment.name, n, outcome.value, latency, handled_at
-                )
-                sink.exception_event(
-                    self.segment.name, n, detected_at - entry.deadline,
-                    detected_at,
-                )
         if monitor.sim.tracing_active:
             monitor.sim.emit_trace(
                 "monitor.exception",

@@ -155,9 +155,6 @@ class SyncRemoteMonitor:
         self.key = key
         self.late_discarded = 0
         self.reporters: List[ChainRuntime] = []
-        #: Telemetry emission hooks (duck-typed, like ``reporters``; see
-        #: :class:`repro.telemetry.emitter.MonitorTelemetrySink`).
-        self.telemetry_sinks: List = []
         self._issuing = False
         if attach:
             reader.receive_filters.append(self._receive_filter)
@@ -198,18 +195,11 @@ class SyncRemoteMonitor:
             self._advance_after(missed)
             self._dispatch_violation(missed, nominal)
         ts = sample.source_timestamp
-        arrival_local = self.ecu.now()
-        latency = arrival_local - ts
+        latency = self.ecu.now() - ts
         self.window.record(False)
         self.latencies.append((n, latency, Outcome.OK))
         for runtime in self.reporters:
             runtime.report(self.segment.name, n, Outcome.OK, latency=latency)
-        if self.telemetry_sinks:
-            for sink in self.telemetry_sinks:
-                sink.segment_event(
-                    self.segment.name, n, Outcome.OK.value, latency,
-                    arrival_local,
-                )
         self.last_good_data = sample.data
         # Program the deadline for the *next* activation from the sender
         # timestamp (valid to within the PTP sync error).
@@ -332,15 +322,6 @@ class SyncRemoteMonitor:
                 detection_latency=entered_at - nominal,
             )
             runtime.report_exception(exception)
-        if self.telemetry_sinks:
-            for sink in self.telemetry_sinks:
-                sink.segment_event(
-                    self.segment.name, n, outcome.value,
-                    entered_at - start_ts, entered_at,
-                )
-                sink.exception_event(
-                    self.segment.name, n, entered_at - nominal, entered_at
-                )
         if self.sim.tracing_active:
             self.sim.emit_trace(
                 "syncmon.exception",

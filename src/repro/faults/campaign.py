@@ -364,7 +364,7 @@ class FaultCampaign:
         latencies), so serial and parallel campaign runs produce
         identical alert counts.
         """
-        from repro.telemetry.emitter import (
+        from repro.telemetry.replay import (
             replay_stack_batch,
             stack_store_config,
         )

@@ -518,9 +518,12 @@ class DagCampaign:
 
         Per-path chain records are keyed by path id, so the fleet
         store's bit-packed automata re-track exactly the windows the
-        in-system runtime tracked.  Only data time flows in.
+        in-system runtime tracked.  Only data time flows in: rows are
+        applied in timestamp order and ``seq`` is the row index in that
+        order, so a lossless run replays without a sequence gap.
         """
-        from repro.telemetry.emitter import TelemetryEmitter
+        from repro.telemetry.batch import RecordBatch
+        from repro.telemetry.records import RecordKind
         from repro.telemetry.service import ServiceConfig, TelemetryService
         from repro.telemetry.store import StoreConfig
 
@@ -535,8 +538,7 @@ class DagCampaign:
                 name: cfg.d_mon[name] for name in sorted(dag.segments)
             },
         )
-        records = []
-        emitter = TelemetryEmitter("dag_campaign", records.append)
+        rows = []
         for monitor in sorted(stack.monitors, key=lambda m: m.path_id):
             for frame in sorted(monitor.reported):
                 verdict = monitor.reported[frame]
@@ -544,25 +546,26 @@ class DagCampaign:
                 timestamp = frame * cfg.period + max(
                     0, latency if latency is not None else monitor.deadline
                 )
-                emitter.segment(
-                    chain=monitor.path_id,
-                    segment=monitor.sink,
-                    activation=frame,
-                    verdict=(
-                        "ok" if verdict.outcome is Outcome.OK else "miss"
-                    ),
-                    latency_ns=latency,
-                    timestamp_ns=timestamp,
-                )
-                emitter.chain(
-                    chain=monitor.path_id,
-                    activation=frame,
-                    violated=verdict.outcome is Outcome.MISS,
-                    timestamp_ns=timestamp,
-                )
-        records.sort(key=lambda r: (r.timestamp_ns, r.seq))
+                # A path verdict is OK or MISS: one word serves both rows.
+                word = "ok" if verdict.outcome is Outcome.OK else "miss"
+                rows.append((
+                    RecordKind.SEGMENT, monitor.path_id, monitor.sink, frame,
+                    latency, word, timestamp,
+                ))
+                rows.append((
+                    RecordKind.CHAIN, monitor.path_id, "", frame, None, word,
+                    timestamp,
+                ))
+        rows.sort(key=lambda row: row[-1])  # stable: ties keep row order
+        kinds, chains, segments, activations, latencies, verdicts, stamps = (
+            zip(*rows)
+        )
+        n = len(rows)
         service = TelemetryService(ServiceConfig(store=store))
-        service.ingest_many(records)
+        service.ingest_batch(RecordBatch(
+            kinds, ["dag_campaign"] * n, chains, segments, activations,
+            latencies, verdicts, [""] * n, stamps, range(n),
+        ))
         service.drain()
         return service.alert_log.counts_by_rule(), service.applied
 

@@ -170,9 +170,6 @@ class GracefulDegradationManager:
         self.mode = DegradationMode.NORMAL
         #: (sim_time, old_mode, new_mode, reason) for every transition.
         self.transitions: List[Tuple[int, DegradationMode, DegradationMode, str]] = []
-        #: Telemetry emission hooks (duck-typed; see
-        #: :class:`repro.telemetry.emitter.MonitorTelemetrySink`).
-        self.telemetry_sinks: List = []
         self.violation_count = 0
         self.clean_streak = 0
         self.safe_state_entries = 0
@@ -294,11 +291,6 @@ class GracefulDegradationManager:
         if mode is self.mode:
             return
         self.transitions.append((self.stack.sim.now, self.mode, mode, reason))
-        if self.telemetry_sinks:
-            for sink in self.telemetry_sinks:
-                sink.mode_event(
-                    self.mode.value, mode.value, reason, self.stack.sim.now
-                )
         self.stack.sim.emit_trace(
             "degradation.transition",
             old=self.mode.value, new=mode.value, reason=reason,

@@ -186,9 +186,9 @@ class Simulator:
         #: this before building their field dicts, so untraced runs
         #: (benchmarks, workers) skip the cost entirely.
         self.tracing_active = False
-        #: Optional :class:`repro.tracing.spans.SpanRecorder`.  Duck-typed
-        #: like ``telemetry_sinks``: every hot-path consumer performs one
-        #: is-None check when tracing is off.  Attach *before* ``run()``.
+        #: Optional :class:`repro.tracing.spans.SpanRecorder`.  Duck-typed:
+        #: every hot-path consumer performs one is-None check when
+        #: tracing is off.  Attach *before* ``run()``.
         self.spans = None
 
     # ------------------------------------------------------------------

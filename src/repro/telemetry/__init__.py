@@ -2,8 +2,9 @@
 
 The paper's monitors detect deadline misses *inside* one
 vehicle/process.  This package is the fleet-side counterpart a safety
-case needs: monitors publish flat
-:mod:`~repro.telemetry.records` through emitter hooks, an
+case needs: what the monitors record becomes flat
+:mod:`~repro.telemetry.records`, written as columns by
+:mod:`~repro.telemetry.replay` and the load generator, an
 ingestion :mod:`~repro.telemetry.pipeline` with bounded queues and
 explicit backpressure accounting feeds a sharded
 :mod:`~repro.telemetry.store` of incremental (m,k) automata and
@@ -33,15 +34,6 @@ from repro.telemetry.alerts import (
     RULE_QUEUE_SATURATION,
     RULE_SEQ_GAP,
 )
-from repro.telemetry.emitter import (
-    MonitorTelemetrySink,
-    TelemetryEmitter,
-    attach_stack,
-    replay_stack_batch,
-    replay_stack_records,
-    stack_chain_map,
-    stack_store_config,
-)
 from repro.telemetry.loadgen import (
     FleetConfig,
     FleetLoadGenerator,
@@ -55,6 +47,11 @@ from repro.telemetry.records import (
     WIRE_SCHEMA,
     decode_stream,
     encode_stream,
+)
+from repro.telemetry.replay import (
+    replay_stack_batch,
+    stack_chain_map,
+    stack_store_config,
 )
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.store import (
@@ -76,7 +73,6 @@ __all__ = [
     "FleetLoadGenerator",
     "IngestQueue",
     "LoadReport",
-    "MonitorTelemetrySink",
     "RecordKind",
     "RULE_HEARTBEAT",
     "RULE_LATENCY_BUDGET",
@@ -88,15 +84,12 @@ __all__ = [
     "ServiceConfig",
     "SourceState",
     "StoreConfig",
-    "TelemetryEmitter",
     "TelemetryRecord",
     "TelemetryService",
     "WIRE_SCHEMA",
-    "attach_stack",
     "decode_stream",
     "encode_stream",
     "replay_stack_batch",
-    "replay_stack_records",
     "run_load",
     "stack_chain_map",
     "stack_store_config",

@@ -103,19 +103,20 @@ class RecordBatch:
         batch.kinds = [KIND_BY_VALUE[kind] for kind in kinds]
         return batch
 
-    def slice(self, n: int) -> "RecordBatch":
-        """The first *n* rows as a new batch (bounded-queue truncation)."""
+    def slice(self, start: int, stop: int) -> "RecordBatch":
+        """Rows ``start:stop`` as a new batch (bounded-queue truncation,
+        chunked ingest)."""
         batch = RecordBatch.__new__(RecordBatch)
-        batch.kinds = self.kinds[:n]
-        batch.sources = self.sources[:n]
-        batch.chains = self.chains[:n]
-        batch.segments = self.segments[:n]
-        batch.activations = self.activations[:n]
-        batch.latencies = self.latencies[:n]
-        batch.verdicts = self.verdicts[:n]
-        batch.levels = self.levels[:n]
-        batch.timestamps = self.timestamps[:n]
-        batch.seqs = self.seqs[:n]
+        batch.kinds = self.kinds[start:stop]
+        batch.sources = self.sources[start:stop]
+        batch.chains = self.chains[start:stop]
+        batch.segments = self.segments[start:stop]
+        batch.activations = self.activations[start:stop]
+        batch.latencies = self.latencies[start:stop]
+        batch.verdicts = self.verdicts[start:stop]
+        batch.levels = self.levels[start:stop]
+        batch.timestamps = self.timestamps[start:stop]
+        batch.seqs = self.seqs[start:stop]
         return batch
 
     def record(self, i: int) -> TelemetryRecord:

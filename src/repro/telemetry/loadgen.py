@@ -30,12 +30,12 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.telemetry.emitter import TelemetryEmitter
-from repro.telemetry.records import TelemetryRecord
+from repro.telemetry.batch import RecordBatch
+from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.store import StoreConfig
 
 #: ns helpers (kept local: the load generator must not import the sim).
@@ -126,19 +126,20 @@ class FleetLoadGenerator:
         )
 
     # ------------------------------------------------------------------
-    def records(self) -> Iterator[TelemetryRecord]:
-        """The stream, frame-major / vehicle-minor interleaved."""
+    def batch(self) -> RecordBatch:
+        """The stream as columns, frame-major / vehicle-minor interleaved.
+
+        Each vehicle stamps its own monotonic ``seq``; a row lost in
+        transport consumed its seq but is not in the batch.
+        """
         cfg = self.config
         self.lost_in_transport = 0
-        out: List[TelemetryRecord] = []
-        emitters: Dict[str, TelemetryEmitter] = {}
-        rngs: Dict[str, "np.random.Generator"] = {}
-        for vehicle in cfg.vehicle_ids():
-            emitters[vehicle] = TelemetryEmitter(vehicle, out.append)
-            rngs[vehicle] = self._vehicle_rng(vehicle)
+        rows: List[tuple] = []
+        vehicles = cfg.vehicle_ids()
+        rngs = [self._vehicle_rng(vehicle) for vehicle in vehicles]
+        next_seq = [0] * len(vehicles)
         fault_first, fault_last = cfg.fault_window()
         silent_from = cfg.silent_from()
-        vehicles = cfg.vehicle_ids()
 
         for frame in range(cfg.frames):
             for index, vehicle in enumerate(vehicles):
@@ -150,12 +151,16 @@ class FleetLoadGenerator:
                 )
                 if silent:
                     continue
-                emitter = emitters[vehicle]
-                rng = rngs[vehicle]
+                rng = rngs[index]
+                seq = next_seq[index]
                 in_fault = faulty and fault_first <= frame < fault_last
                 base_ts = frame * cfg.period_ns + index * 111_111
                 if cfg.heartbeat_frames and frame % cfg.heartbeat_frames == 0:
-                    emitter.heartbeat(base_ts)
+                    rows.append((
+                        RecordKind.HEARTBEAT, vehicle, "", "", -1, None, "",
+                        "", base_ts, seq,
+                    ))
+                    seq += 1
                 for chain in cfg.chains:
                     chain_missed = False
                     for segment in cfg.segment_names(chain):
@@ -169,26 +174,30 @@ class FleetLoadGenerator:
                         if missed:
                             latency += 2 * cfg.budget_ns
                             chain_missed = True
-                        verdict = "miss" if missed else "ok"
-                        before = len(out)
-                        emitter.segment(
-                            chain, segment, frame, verdict, latency,
-                            base_ts + latency,
-                        )
-                        if (faulty and rng.random() < cfg.loss_rate):
+                        if faulty and rng.random() < cfg.loss_rate:
                             # Transport loss: the seq was consumed but
-                            # the record never reaches the service.
-                            del out[before:]
+                            # the row never reaches the service.
                             self.lost_in_transport += 1
-                    emitter.chain(
-                        chain, frame, chain_missed,
-                        base_ts + cfg.period_ns,
-                    )
-        return iter(out)
+                        else:
+                            rows.append((
+                                RecordKind.SEGMENT, vehicle, chain, segment,
+                                frame, latency, "miss" if missed else "ok",
+                                "", base_ts + latency, seq,
+                            ))
+                        seq += 1
+                    rows.append((
+                        RecordKind.CHAIN, vehicle, chain, "", frame, None,
+                        "miss" if chain_missed else "ok", "",
+                        base_ts + cfg.period_ns, seq,
+                    ))
+                    seq += 1
+                next_seq[index] = seq
+        # A one-vehicle fleet that is silent from frame 0 has no rows.
+        return RecordBatch(*(zip(*rows) if rows else [()] * 10))
 
     def materialize(self) -> List[TelemetryRecord]:
-        """The full stream as a list (bench/CLI convenience)."""
-        return list(self.records())
+        """The full stream as records (what the uplink vehicles spool)."""
+        return self.batch().to_records()
 
 
 # ----------------------------------------------------------------------
@@ -236,22 +245,20 @@ def run_load(
 ) -> LoadReport:
     """Drive *service* with the generator's stream; measure throughput.
 
-    Records are offered in batches; after each batch the queue is
-    pumped, so the measured time covers the full ingest -> store ->
+    The stream is handed to ``service.ingest_batch`` in *batch_size*
+    slices, so the measured time covers the full ingest -> store ->
     alert path.  One final poll runs the time-based rules at the data
     watermark.
     """
     generator = generator or FleetLoadGenerator()
-    records = generator.materialize()
+    batch = generator.batch()
+    n = len(batch)
     batch_times: List[int] = []
     t_start = time.perf_counter_ns()
-    for start in range(0, len(records), batch_size):
+    for start in range(0, n, batch_size):
         t0 = time.perf_counter_ns()
-        for record in records[start:start + batch_size]:
-            service.ingest(record)
-        service.pump()
+        service.ingest_batch(batch.slice(start, start + batch_size))
         batch_times.append(time.perf_counter_ns() - t0)
-    service.pump()
     duration_ns = max(1, time.perf_counter_ns() - t_start)
     service.poll()
     batch_times.sort()
@@ -260,9 +267,9 @@ def run_load(
     ) if batch_times else 0
     stats = service.stats()
     return LoadReport(
-        records=len(records),
+        records=n,
         duration_ns=duration_ns,
-        records_per_s=len(records) / (duration_ns / 1e9),
+        records_per_s=n / (duration_ns / 1e9),
         batch_p95_ns=batch_times[p95_index] if batch_times else 0,
         applied=stats["applied"],
         dropped=stats["dropped"],

@@ -113,7 +113,7 @@ class TelemetryService:
                 queue.dropped_by_reason.get("queue_full", 0)
                 + (n - accepted)
             )
-            records = records.slice(accepted)
+            records = records.slice(0, accepted)
         if accepted > queue.high_watermark:
             queue.high_watermark = accepted
         queue.drained += accepted

@@ -7,8 +7,8 @@ handler.  Spans form trees via ``parent_id`` plus optional cross-tree
 whose causal history lives in another trace).
 
 The :class:`SpanRecorder` is attached to a simulator as ``sim.spans``
-and follows the same guarded duck-typed hook discipline as
-``telemetry_sinks``: every instrumented call site performs exactly one
+and follows a guarded duck-typed hook discipline: every instrumented
+call site performs exactly one
 ``if spans is not None`` (or one attribute load feeding it) when tracing
 is disabled, and the golden-trace digests are bit-identical either way
 -- the recorder draws no randomness, schedules no events and emits no

@@ -1,25 +1,115 @@
 """The ``TelemetryEmitter``-driven stack replay ``repro.telemetry``
-shipped until PR 22.
+used to ship, with the emitter it drove.
 
-``repro.telemetry.emitter.replay_stack_batch`` writes the ten columns
-of a finished run in one pass and is the only replay under ``src/``;
-this is the loop it replaced -- one ``TelemetryEmitter.segment`` /
-``chain`` / ``mode`` call, hence one ``TelemetryRecord``, per outcome --
-moved here verbatim.  It is the oracle of
+``repro.telemetry.replay.replay_stack_batch`` writes the ten columns of
+a finished run in one pass and is the only replay under ``src/``; this
+is the loop it replaced -- one ``TelemetryEmitter.segment`` / ``chain``
+/ ``mode`` call, hence one ``TelemetryRecord``, per outcome -- and
+``TelemetryEmitter`` itself, both moved here verbatim once no producer
+under ``src/`` built records one at a time.  It is the oracle of
 ``tests/test_campaign_trace_free.py``: same emission order, same
 sequence numbering, same synthesized timestamps.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Callable, Iterator, List, Optional
 
-from repro.telemetry.emitter import (
-    TelemetryEmitter,
-    base_segment_name,
-    stack_chain_map,
-)
-from repro.telemetry.records import TelemetryRecord
+from repro.telemetry.records import RecordKind, TelemetryRecord
+from repro.telemetry.replay import base_segment_name, stack_chain_map
+
+Sink = Callable[[TelemetryRecord], object]
+
+
+class TelemetryEmitter:
+    """Stamps source identity + sequence numbers onto outgoing records."""
+
+    __slots__ = ("source", "sink", "seq", "emitted", "spans")
+
+    def __init__(self, source: str, sink: Sink):
+        self.source = source
+        self.sink = sink
+        self.seq = 0
+        self.emitted = 0
+        #: Optional SpanRecorder (duck-typed; see repro.tracing.spans):
+        #: when set, every emitted record leaves an instant span so the
+        #: uplink/ingestion cost shows up in traces next to the chain.
+        self.spans = None
+
+    def _emit(self, record: TelemetryRecord) -> None:
+        self.sink(record)
+        self.emitted += 1
+        if self.spans is not None:
+            self.spans.instant(
+                "telemetry.emit",
+                "telemetry",
+                ts=record.timestamp_ns,
+                kind=record.kind.value,
+                seq=record.seq,
+            )
+
+    def _next_seq(self) -> int:
+        seq = self.seq
+        self.seq = seq + 1
+        return seq
+
+    # ------------------------------------------------------------------
+    def segment(
+        self,
+        chain: str,
+        segment: str,
+        activation: int,
+        verdict: str,
+        latency_ns: Optional[int],
+        timestamp_ns: int,
+    ) -> None:
+        """One segment activation outcome."""
+        self._emit(TelemetryRecord(
+            kind=RecordKind.SEGMENT, source=self.source, chain=chain,
+            segment=segment, activation=activation, latency_ns=latency_ns,
+            verdict=verdict, timestamp_ns=timestamp_ns,
+            seq=self._next_seq(),
+        ))
+
+    def chain(
+        self, chain: str, activation: int, violated: bool, timestamp_ns: int
+    ) -> None:
+        """One finalized chain activation verdict."""
+        self._emit(TelemetryRecord(
+            kind=RecordKind.CHAIN, source=self.source, chain=chain,
+            activation=activation, verdict="miss" if violated else "ok",
+            timestamp_ns=timestamp_ns, seq=self._next_seq(),
+        ))
+
+    def exception(
+        self,
+        chain: str,
+        segment: str,
+        activation: int,
+        detection_latency_ns: Optional[int],
+        timestamp_ns: int,
+    ) -> None:
+        """One raised temporal exception (diagnostics stream)."""
+        self._emit(TelemetryRecord(
+            kind=RecordKind.EXCEPTION, source=self.source, chain=chain,
+            segment=segment, activation=activation,
+            latency_ns=detection_latency_ns, verdict="exception",
+            timestamp_ns=timestamp_ns, seq=self._next_seq(),
+        ))
+
+    def mode(self, level: str, reason: str, timestamp_ns: int) -> None:
+        """One degradation-mode transition."""
+        self._emit(TelemetryRecord(
+            kind=RecordKind.MODE, source=self.source, verdict=reason,
+            level=level, timestamp_ns=timestamp_ns, seq=self._next_seq(),
+        ))
+
+    def heartbeat(self, timestamp_ns: int) -> None:
+        """Liveness beacon."""
+        self._emit(TelemetryRecord(
+            kind=RecordKind.HEARTBEAT, source=self.source,
+            timestamp_ns=timestamp_ns, seq=self._next_seq(),
+        ))
 
 
 def replay_stack_records(

@@ -24,8 +24,8 @@ from repro.faults.base import FaultInjector
 from repro.faults.degradation import GracefulDegradationManager
 from repro.perception.scenario import ScenarioConfig
 from repro.perception.stack import PerceptionStack, StackConfig
-from repro.telemetry.emitter import replay_stack_batch, replay_stack_records
 from repro.telemetry.records import RecordKind
+from repro.telemetry.replay import replay_stack_batch
 
 pytestmark = pytest.mark.slow
 
@@ -127,9 +127,6 @@ def test_columnar_replay_equals_the_emitter_driven_replay():
         RecordKind.SEGMENT, RecordKind.CHAIN, RecordKind.MODE,
     }
     assert batch.to_records() == expected
-    assert list(
-        replay_stack_records(stack, "vehicle", N_FRAMES, manager)
-    ) == expected
     # No manager: the stream simply ends after the chain verdicts.
     assert replay_stack_batch(stack, "vehicle", N_FRAMES).to_records() == (
         list(emitter_replay(stack, "vehicle", N_FRAMES))

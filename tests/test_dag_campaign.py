@@ -156,6 +156,11 @@ class TestPerPathVerdicts:
             if scenario.violated_paths:
                 assert sum(scenario.alert_counts.values()) > 0, scenario.name
 
+    def test_lossless_replay_raises_no_alert(self, by_name):
+        # Nothing is lost between the run and the store, so the replayed
+        # seqs have no gap: the clean baseline raises nothing at all.
+        assert by_name["dag_baseline_single"].alert_counts == {}
+
 
 class TestGoldenDigests:
     def test_golden_file_covers_matrix(self, golden):

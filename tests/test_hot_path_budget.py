@@ -42,6 +42,7 @@ from repro.perception import PerceptionStack, StackConfig
 from repro.perception.scenario import ScenarioConfig
 from repro.sim.calendar import CalendarQueue
 from repro.sim.kernel import ScheduledEvent, Simulator
+from repro.telemetry.batch import RecordBatch
 from repro.telemetry.gateway.chaos import GatewayChaosScenario
 from repro.telemetry.gateway.service import FleetGateway
 from repro.telemetry.pipeline import IngestQueue
@@ -235,11 +236,15 @@ def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
         transport.decode_frame_header.__code__: "headers",
     }
     counts = collections.Counter()
+    to_records = RecordBatch.to_records.__code__
 
-    def profile(frame, event, _arg):
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "return" and code is to_records:
+            # A materialized batch builds one record per row it returns.
+            counts["records"] += len(arg)
         if event != "call":
             return
-        code = frame.f_code
         if code in watched:
             counts[watched[code]] += 1
         if code.co_filename.startswith(_ROOT):
@@ -260,8 +265,10 @@ def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
     applied = driver.ingestor.service.store.applied
     checkpoints = result.ingest["checkpoints"]
     assert frames == 120 and checkpoints == 30 and applied > 900
-    # No hook is set, so the only records ever built are the ones the
-    # load generator hands the vehicles; nothing crosses a queue.
+    # Records built (``TelemetryRecord.__init__`` calls plus the rows of
+    # every ``RecordBatch.to_records``): only the ones the load
+    # generator hands the vehicles, one per applied row; nothing
+    # crosses a queue.
     assert counts["records"] == applied
     assert (counts["from_wire"], counts["offer"], counts["encoders"]) == (
         0, 0, 0

@@ -157,19 +157,3 @@ class TestStackPropagation:
         off = PerceptionStack(StackConfig(seed=7, link_loss=0.08))
         off.run(n_frames=12)
         assert stack_fingerprint(on) == stack_fingerprint(off)
-
-
-class TestTelemetrySpanHook:
-    def test_attach_stack_emits_telemetry_instants(self):
-        from repro.telemetry.emitter import TelemetryEmitter, attach_stack
-
-        stack = PerceptionStack(StackConfig(seed=1, spans=True))
-        records = []
-        emitter = TelemetryEmitter("veh0", records.append)
-        attach_stack(stack, emitter)
-        stack.run(n_frames=6)
-        assert emitter.emitted == len(records) > 0
-        marks = [
-            s for s in stack.spans.spans if s.name == "telemetry.emit"
-        ]
-        assert len(marks) == emitter.emitted

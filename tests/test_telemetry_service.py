@@ -6,6 +6,7 @@ ground-truth chain (m,k) violation -- no more, no fewer.
 """
 
 import dataclasses
+import hashlib
 import os
 
 import pytest
@@ -24,14 +25,12 @@ from repro.telemetry import (
     RULE_QUEUE_SATURATION,
     RULE_SEQ_GAP,
     ServiceConfig,
-    TelemetryEmitter,
     TelemetryService,
-    attach_stack,
     encode_stream,
-    replay_stack_records,
+    replay_stack_batch,
     run_load,
-    stack_store_config,
 )
+from repro.telemetry.pipeline import DEFAULT_CAPACITY
 
 #: Environment override for the throughput floor (records/s); the
 #: acceptance criterion is 50k single-process on a developer machine.
@@ -88,7 +87,7 @@ class TestCampaignReplay:
     def test_replay_is_deterministic(self):
         stack, manager, cc = _run_scenario_stack("loss_burst")
         streams = [
-            list(replay_stack_records(stack, "s", cc.n_frames, manager))
+            replay_stack_batch(stack, "s", cc.n_frames, manager).to_records()
             for _ in range(2)
         ]
         assert streams[0] == streams[1]
@@ -104,26 +103,6 @@ class TestCampaignReplay:
         assert "alerts" in result.render_report().splitlines()[0]
 
 
-class TestLiveAttach:
-    def test_monitors_publish_through_hooks(self):
-        stack = PerceptionStack(StackConfig(seed=1))
-        service = TelemetryService(
-            ServiceConfig(store=stack_store_config(stack))
-        )
-        emitter = TelemetryEmitter("vehicle-under-test", service.ingest)
-        attach_stack(stack, emitter)
-        stack.run(n_frames=10)
-        service.drain()
-        assert emitter.emitted > 0
-        assert service.applied == emitter.emitted
-        assert service.accounting_ok()
-        # Segment events resolved to their chains.
-        sources = {source for source, _chain in service.store.keys()}
-        assert sources == {"vehicle-under-test"}
-        chains = {chain for _source, chain in service.store.keys()}
-        assert chains & set(stack.chain_runtimes)
-
-
 class TestLoadGenerator:
     @staticmethod
     def stream(**config) -> str:
@@ -135,6 +114,45 @@ class TestLoadGenerator:
 
     def test_digest_depends_on_seed(self):
         assert self.stream(seed=1) != self.stream(seed=2)
+
+    @pytest.mark.parametrize("vehicles, frames, digest, lost", [
+        (3, 60,
+         "4feba0ec01eb27dbe00d590456eb0c8af63e78ef695b08356df0b9e316d57fad", 0),
+        # One faulty vehicle: fault window, transport loss, silent tail.
+        (4, 400,
+         "5beab22c3caf8ef0c37674867855c945f155d074675dc1274a433d6a5ff5de12", 12),
+    ])
+    def test_stream_bytes_are_pinned(self, vehicles, frames, digest, lost):
+        generator = FleetLoadGenerator(
+            FleetConfig(vehicles=vehicles, frames=frames)
+        )
+        stream = encode_stream(generator.materialize())
+        assert hashlib.sha256(stream.encode()).hexdigest() == digest
+        assert generator.lost_in_transport == lost
+
+    @pytest.mark.parametrize("capacity", [DEFAULT_CAPACITY, 256])
+    def test_batched_load_equals_the_per_record_path(self, capacity):
+        fleet = FleetConfig(vehicles=4, frames=200)
+
+        def service():
+            return TelemetryService(ServiceConfig(
+                queue_capacity=capacity, store=fleet.store_config()
+            ))
+
+        batched = service()
+        run_load(batched, FleetLoadGenerator(fleet))
+        per_record = service()
+        records = FleetLoadGenerator(fleet).materialize()
+        for start in range(0, len(records), 2048):
+            for record in records[start:start + 2048]:
+                per_record.ingest(record)
+            per_record.pump()
+        per_record.poll()
+        assert batched.alert_log.to_jsonl() == per_record.alert_log.to_jsonl()
+        assert batched.snapshot() == per_record.snapshot()
+        assert batched.stats() == per_record.stats()
+        drops = batched.alert_log.counts_by_rule().get(RULE_QUEUE_DROPS, 0)
+        assert drops == (1 if capacity == 256 else 0)
 
     def test_load_run_sustains_throughput_with_zero_silent_drops(self):
         floor = float(os.environ.get(MIN_RPS_ENV, 50_000))
@@ -182,7 +200,7 @@ class TestQueueRules:
             ServiceConfig(queue_capacity=16, auto_pump_batch=None)
         )
         generator = FleetLoadGenerator(FleetConfig(vehicles=1, frames=20))
-        for record in generator.records():
+        for record in generator.materialize():
             service.ingest(record)
         service.poll(0)
         counts = service.alert_log.counts_by_rule()

@@ -35,11 +35,11 @@ def _campaign_scenario(name, spans):
 
 def _store_digest(stack, source, n_frames):
     """SHA-256 of the telemetry store state after replaying one run."""
-    from repro.telemetry.emitter import replay_stack_records, stack_store_config
+    from repro.telemetry.replay import replay_stack_batch, stack_store_config
     from repro.telemetry.service import ServiceConfig, TelemetryService
 
     service = TelemetryService(ServiceConfig(store=stack_store_config(stack)))
-    service.ingest_many(replay_stack_records(stack, source, n_frames))
+    service.ingest_batch(replay_stack_batch(stack, source, n_frames))
     service.drain()
     canonical = json.dumps(service.snapshot(), sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
