@@ -8,12 +8,15 @@ events, one for end events) in shared memory and raises the monitor's
 context switch, because their processing is not time critical.
 
 The monitor thread blocks in ``sem_timedwait`` with the timeout set to
-the earliest pending deadline.  When it wakes it drains the buffers in a
-*fixed segment order* (the cause of the ground-points skew in the
-paper's Fig. 10), arms a timeout for every new start event, matches end
-events against pending timeouts, and raises temporal exceptions for
-expired ones.  After an exception, the corresponding late publication
-(or late reception, for sink segments) is skipped via a shared counter
+the earliest pending deadline.  What it decides when it wakes -- drain
+the buffers in a *fixed segment order* (the cause of the ground-points
+skew in the paper's Fig. 10), arm a timeout for every new start event,
+match end events, expire activations after a last look at their end
+buffer -- is :class:`~repro.ipc.monitor.DecisionCore`, which the real
+shared-memory monitor runs too; :class:`MonitorThread` charges
+:class:`MonitorCosts` for each decision and runs Algorithm 2 for each
+expiry.  After an exception, the corresponding late publication (or
+late reception, for sink segments) is skipped via a shared counter
 evaluated by the instrumented endpoint.
 """
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.chain_runtime import ChainRuntime, Outcome
 from repro.core.exceptions import (
@@ -37,7 +40,7 @@ from repro.core.weakly_hard import MKAutomaton, MKConstraint
 from repro.dds.reader import DataReader
 from repro.dds.topic import Sample, Topic
 from repro.dds.writer import DataWriter
-from repro.sim.calendar import CalendarQueue, CancelToken
+from repro.ipc.monitor import ARM, MATCH, DecisionCore, Lane
 from repro.sim.cpu import Ecu
 from repro.sim.kernel import usec
 from repro.sim.sync import Semaphore
@@ -45,39 +48,37 @@ from repro.sim.threads import Compute, WaitSem
 from repro.sim.workload import ExecutionTimeModel
 
 
-class EventRingBuffer:
+class EventRingBuffer(deque):
     """A bounded wait-free-style event buffer with overflow counting.
 
     Models the paper's shared-memory ring buffers.  Capacity overruns
     are counted and drop the *newest* event (a correctly sized buffer
-    never overflows; the counter is a deployment diagnostic).
+    never overflows; the counter is a deployment diagnostic).  It is a
+    deque, so the monitor's emptiness test costs no call.
     """
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        super().__init__()
         self.capacity = capacity
-        self._items: Deque[tuple] = deque()
         self.overflows = 0
         self.posted = 0
 
     def post(self, item: tuple) -> bool:
         """Append *item*; False (and counted) if the buffer is full."""
-        if len(self._items) >= self.capacity:
+        if len(self) >= self.capacity:
             self.overflows += 1
             return False
-        self._items.append(item)
+        self.append(item)
         self.posted += 1
         return True
 
     def drain(self) -> List[tuple]:
         """Pop and return everything currently buffered (FIFO)."""
-        items = list(self._items)
-        self._items.clear()
+        items = list(self)
+        self.clear()
         return items
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 @dataclass(frozen=True)
@@ -88,17 +89,6 @@ class MonitorCosts:
     end_event: int = usec(1)
     exception_detect: int = usec(5)
     remote_entry: int = usec(3)
-
-
-@dataclass
-class _Pending:
-    start_ts: int
-    deadline: int
-    data: Any = None
-    #: Handle of this activation's entry in the monitor's timeout queue;
-    #: cancelled eagerly when the activation completes (or is replaced),
-    #: so stale entries no longer linger until their deadline surfaces.
-    token: Optional[CancelToken] = None
 
 
 ActivationFn = Callable[[Sample], Optional[int]]
@@ -200,12 +190,13 @@ class LocalSegmentRuntime:
         self.end_overhead = end_overhead
         self.start_buffer = EventRingBuffer(buffer_capacity)
         self.end_buffer = EventRingBuffer(buffer_capacity)
-        self.pending: Dict[int, _Pending] = {}
         self._start_count = 0
         self._end_count = 0
         self.skip_gate = skip_gate or SkipGate(activation_fn=activation_fn)
         self.last_good_data: Any = None
         self.monitor: Optional["MonitorThread"] = None
+        #: This segment in its monitor's decision core (add_segment).
+        self.lane: Optional[Lane] = None
         # Recovery outputs (exactly one of these is wired by attach_end_*).
         self._recovery_writer: Optional[DataWriter] = None
         self._recovery_reader: Optional[DataReader] = None
@@ -222,6 +213,11 @@ class LocalSegmentRuntime:
         #: captured at the start event so an exception span can parent
         #: to the causal chain that started the activation.
         self._span_ctx: Dict[int, Any] = {}
+
+    @property
+    def pending(self) -> Dict[int, Sequence]:
+        """Armed activations: n -> start record ``(data, n, start stamp)``."""
+        return self.lane.pending
 
     # ------------------------------------------------------------------
     # Instrumentation attachment
@@ -261,7 +257,7 @@ class LocalSegmentRuntime:
                 sim.rng(f"monitor-overhead:{self.segment.name}:start")
             )
             self.start_overhead_samples.append(overhead)
-        posted = self.start_buffer.post((n, ts, sample.data))
+        posted = self.start_buffer.post((sample.data, n, ts))
         if posted and sim.spans is not None:
             # Runs inside the start-event delivery: the ambient context
             # is the transport span that delivered the start sample.
@@ -287,7 +283,7 @@ class LocalSegmentRuntime:
                 sim.rng(f"monitor-overhead:{self.segment.name}:end")
             )
             self.end_overhead_samples.append(overhead)
-        self.end_buffer.post((n, ts))
+        self.end_buffer.post((None, n, ts))
         if sim.tracing_active:
             sim.emit_trace(
                 "monitor.end_event", segment=self.segment.name, n=n, ts=ts
@@ -324,55 +320,40 @@ class LocalSegmentRuntime:
             )
         return self.monitor
 
-    def _arm(self, n: int, ts: int, data: Any) -> None:
-        monitor = self.monitor or self._require_monitor()
-        assert self.segment.d_mon is not None
-        deadline = ts + self.segment.d_mon
-        old = self.pending.get(n)
-        if old is not None and old.token is not None:
-            old.token.cancel()
-        token = CancelToken((self, n))
-        self.pending[n] = _Pending(ts, deadline, data, token)
-        monitor._push_timeout(deadline, token)
-        self.monitor_latency_samples.append(monitor.ecu.now() - ts)
-
-    def _complete(self, n: int, end_ts: int) -> None:
-        entry = self.pending.pop(n, None)
-        if entry is None:
+    def _complete(self, n: int, end_ts: int, start: Optional[Sequence]) -> None:
+        if start is None:
             self.stale_end_events += 1
             return
-        if entry.token is not None:
-            entry.token.cancel()
         if self._span_ctx:
             self._span_ctx.pop(n, None)
-        latency = end_ts - entry.start_ts
+        latency = end_ts - start[2]
         # Remember the input of the last successful activation: recovery
         # handlers commonly fall back to it.
-        self.last_good_data = entry.data
+        self.last_good_data = start[0]
         self.window.record(False)
         self.latencies.append((n, latency, Outcome.OK))
         for runtime in self.reporters:
             runtime.report(self.segment.name, n, Outcome.OK, latency=latency)
 
     def _raise_exception(
-        self, n: int, detected_at: int, span_begin: Optional[int] = None
+        self, start: Sequence, deadline: int, detected_at: int,
+        span_begin: Optional[int] = None,
     ) -> bool:
-        """Run Algorithm 2 for activation *n*; True if recovered."""
+        """Run Algorithm 2 for the expired activation armed with *start*;
+        True if recovered."""
         monitor = self._require_monitor()
-        entry = self.pending.pop(n)
-        if entry.token is not None:
-            entry.token.cancel()
+        data, n, start_ts = start
         exception = TemporalException(
             segment=self.segment,
             activation=n,
-            deadline=entry.deadline,
+            deadline=deadline,
             raised_at=detected_at,
         )
         self.exceptions.append(exception)
         context = ExceptionContext(
             exception=exception,
             misses=self.window.misses_in_window + 1,
-            start_data=entry.data,
+            start_data=data,
             last_good_data=self.last_good_data,
         )
         spans = monitor.sim.spans
@@ -401,7 +382,7 @@ class LocalSegmentRuntime:
         # Skip the late real end event and its publication/reception.
         self.skip_gate.add(n)
         handled_at = monitor.ecu.now()
-        latency = handled_at - entry.start_ts
+        latency = handled_at - start_ts
         outcome = Outcome.RECOVERED if recovered else Outcome.MISS
         self.window.record(not recovered)
         self.latencies.append((n, latency, outcome))
@@ -411,7 +392,7 @@ class LocalSegmentRuntime:
                 n,
                 outcome,
                 latency=latency,
-                detection_latency=detected_at - entry.deadline,
+                detection_latency=detected_at - deadline,
             )
             runtime.report_exception(exception)
         if monitor.sim.tracing_active:
@@ -420,11 +401,11 @@ class LocalSegmentRuntime:
                 segment=self.segment.name,
                 n=n,
                 recovered=recovered,
-                detection_latency=detected_at - entry.deadline,
+                detection_latency=detected_at - deadline,
             )
         if exc_span is not None:
             exc_span.attrs["recovered"] = recovered
-            exc_span.attrs["detection_latency"] = detected_at - entry.deadline
+            exc_span.attrs["detection_latency"] = detected_at - deadline
             spans.end(exc_span)
         return recovered
 
@@ -476,10 +457,7 @@ class MonitorThread:
         self.costs = costs or MonitorCosts()
         self.sem = Semaphore(self.sim, name=f"{ecu.name}.{name}.sem")
         self.segments: List[LocalSegmentRuntime] = []
-        # Timeout queue: cancelled entries are compacted eagerly
-        # instead of leaking until their deadline would have surfaced.
-        self._timeout_queue = CalendarQueue()
-        self._timeout_seq = 0
+        self.core = DecisionCore()
         self._remote_queue: Deque[Callable[[], None]] = deque()
         self.wakeups = 0
         self.exceptions_raised = 0
@@ -505,6 +483,10 @@ class MonitorThread:
     def add_segment(self, runtime: LocalSegmentRuntime) -> LocalSegmentRuntime:
         """Register a local segment; buffer processing follows this order."""
         runtime.monitor = self
+        runtime.lane = self.core.add(
+            runtime, runtime.segment.d_mon,
+            runtime.monitor_latency_samples, runtime._complete,
+        )
         self.segments.append(runtime)
         return runtime
 
@@ -517,14 +499,9 @@ class MonitorThread:
         self._remote_queue.append(fn)
         self.sem.post()
 
-    def _push_timeout(self, deadline: int, token: CancelToken) -> None:
-        seq = self._timeout_seq
-        self._timeout_seq = seq + 1
-        self._timeout_queue.push(deadline, 0, seq, token)
-
     # ------------------------------------------------------------------
     def _body(self, _thread):
-        queue = self._timeout_queue
+        core = self.core
         remote_queue = self._remote_queue
         # One syscall object, re-aimed per wait: the scheduler reads it
         # before the thread runs again.
@@ -538,52 +515,36 @@ class MonitorThread:
                 if self.costs.remote_entry > 0:
                     yield Compute(self.costs.remote_entry)
                 fn()
-            # 2) Drain buffers in fixed segment order.  Most are empty on
-            # any one wake-up and are not touched.
-            for runtime in self.segments:
-                if runtime.start_buffer._items:
-                    for n, ts, data in runtime.start_buffer.drain():
-                        if self._start_cost is not None:
-                            yield self._start_cost
-                        runtime._arm(n, ts, data)
-                if runtime.end_buffer._items:
-                    for n, ts in runtime.end_buffer.drain():
-                        if self._end_cost is not None:
-                            yield self._end_cost
-                        runtime._complete(n, ts)
-            # 3) Raise exceptions for expired timeouts, earliest first;
-            # then sleep until the earliest live deadline.  No simulated
-            # time passes between the last clock reading and the wait.
-            while True:
-                head = queue.peek()
-                if head is None:
-                    wait.timeout = None
-                    break
-                timeout = head[0] - self.ecu.now()
-                if timeout > 0:
-                    wait.timeout = timeout
-                    break
-                popped = queue.pop()
-                assert popped is not None  # peek just saw a live entry
-                runtime, n = popped[3].data
-                # Last-moment check: the end event may have been posted
-                # while we were processing other segments.
-                for end_n, end_ts in runtime.end_buffer.drain():
-                    if self._end_cost is not None:
-                        yield self._end_cost
-                    runtime._complete(end_n, end_ts)
-                if n not in runtime.pending:
-                    continue
-                # Anchor the exception span at the instant the monitor
-                # started reacting, before detection/handler CPU costs.
-                span_begin = None if self.sim.spans is None else self.sim.now
-                if self.costs.exception_detect > 0:
-                    yield Compute(self.costs.exception_detect)
-                if runtime.handler.cost_ns > 0:
-                    yield Compute(runtime.handler.cost_ns)
-                detected_at = self.ecu.now()
-                runtime._raise_exception(n, detected_at, span_begin=span_begin)
-                self.exceptions_raised += 1
+            # 2) The core's decisions, each charged before it is made;
+            # the core is told the time after every charge.
+            for decision in core.wake(self.ecu.now()):
+                if decision is ARM:
+                    if self._start_cost is None:
+                        continue
+                    yield self._start_cost
+                elif decision is MATCH:
+                    if self._end_cost is None:
+                        continue
+                    yield self._end_cost
+                else:
+                    lane, start, deadline = decision
+                    runtime = lane.segment
+                    # Anchor the exception span at the instant the monitor
+                    # started reacting, before detection/handler CPU costs.
+                    span_begin = None if self.sim.spans is None else self.sim.now
+                    if self.costs.exception_detect > 0:
+                        yield Compute(self.costs.exception_detect)
+                    if runtime.handler.cost_ns > 0:
+                        yield Compute(runtime.handler.cost_ns)
+                    runtime._raise_exception(
+                        start, deadline, self.ecu.now(), span_begin
+                    )
+                    self.exceptions_raised += 1
+                core.now = self.ecu.now()
+            # 3) Sleep until the earliest live deadline.  No simulated time
+            # passes between the last clock reading and the wait.
+            deadline = core.next_deadline
+            wait.timeout = None if deadline is None else deadline - core.now
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

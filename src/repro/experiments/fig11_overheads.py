@@ -30,7 +30,7 @@ from repro.ipc import IpcMonitor, IpcSegment, SpscRingBuffer
 
 @dataclass
 class Fig11Result:
-    """Overhead sample series + Tukey stats."""
+    """Overhead sample series + Tukey stats, and the monitor's verdicts."""
 
     n_events: int
     start_overheads: List[int]
@@ -38,6 +38,10 @@ class Fig11Result:
     monitor_latencies: List[int]
     execution_times: List[int]
     stats: Dict[str, TukeyStats]
+    #: Every activation ends right after its start, far inside its
+    #: deadline: any temporal exception here is a false one.
+    exceptions: int
+    stale_end_events: int
 
 
 def _make_segment(name: str, deadline_ns: int, capacity: int = 4096) -> IpcSegment:
@@ -83,4 +87,6 @@ def run_fig11(n_events: Optional[int] = None, deadline_ms: float = 100.0) -> Fig
         monitor_latencies=list(monitor.stats.monitor_latencies),
         execution_times=list(monitor.stats.execution_times),
         stats=stats,
+        exceptions=monitor.stats.exceptions,
+        stale_end_events=monitor.stats.stale_end_events,
     )

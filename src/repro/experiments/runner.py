@@ -80,7 +80,11 @@ def _run_fig11() -> str:
     from repro.experiments.fig11_overheads import run_fig11
 
     result = run_fig11()
-    return f"Fig. 11 ({result.n_events} events, real host)\n" + stats_table(result.stats)
+    return (
+        f"Fig. 11 ({result.n_events} events, real host; exceptions: "
+        f"{result.exceptions}, stale end events: {result.stale_end_events})\n"
+        + stats_table(result.stats)
+    )
 
 
 def _run_fig12() -> str:

@@ -10,8 +10,9 @@ implements the same machinery for real on this machine:
 - :mod:`repro.ipc.ring_buffer` -- a wait-free SPSC ring buffer of fixed
   event records over any buffer (shared memory or local bytearray),
 - :mod:`repro.ipc.semaphore` -- a timed-wait semaphore,
-- :mod:`repro.ipc.monitor` -- a real monitor thread with a timeout
-  queue, start/end event matching and exception callbacks.
+- :mod:`repro.ipc.monitor` -- the local monitor's decision core (arm,
+  match, expire; the simulated monitor runs it too) and the real
+  monitor thread that drives it.
 
 The Fig. 11 benchmark measures these with ``time.perf_counter_ns`` /
 ``time.monotonic_ns``; the cross-process example in

@@ -18,8 +18,7 @@ needed, and a full buffer rejects the write (counted by the caller).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 _HEADER = struct.Struct("<QQ")
 _RECORD = struct.Struct("<BQQ")
@@ -32,8 +31,7 @@ KIND_START = 1
 KIND_END = 2
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """One event in the buffer."""
 
     kind: int

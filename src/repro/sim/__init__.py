@@ -23,7 +23,7 @@ accumulation errors; use the helpers :func:`usec`, :func:`msec` and
 :func:`sec` to build durations.
 """
 
-from repro.sim.calendar import CalendarQueue, CancelToken
+from repro.sim.calendar import CalendarQueue
 from repro.sim.kernel import (
     Simulator,
     ScheduledEvent,
@@ -60,7 +60,6 @@ __all__ = [
     "Simulator",
     "ScheduledEvent",
     "CalendarQueue",
-    "CancelToken",
     "nsec",
     "usec",
     "msec",

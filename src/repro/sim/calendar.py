@@ -1,4 +1,4 @@
-"""Bucketed calendar queue for the simulation kernel and monitor timers.
+"""Bucketed calendar queue for the simulation kernel.
 
 The kernel's original priority queue was a binary heap of
 ``(time, priority, seq, event)`` tuples.  Heaps are O(log n) per
@@ -20,11 +20,15 @@ keyed by ``time >> shift``:
   or before the active bucket go to a small overflow heap that is
   merged on the fly, so late ``call_now``-style pushes keep exact
   ordering.
-* **Cancellation is eager in aggregate**: events keep a back-reference
-  to the queue, a cancel bumps a dead counter, and once enough entries
-  have died the whole structure is compacted in one O(n) sweep.  A
-  rearm-heavy workload therefore touches each dead entry O(1) times
-  amortized instead of O(log n).
+* **Cancellation is eager in aggregate**: a payload (the kernel's
+  ``ScheduledEvent``) carries a ``_cq`` back-reference to the queue and
+  a ``_seq`` stamp, and an entry ``(time, priority, seq, payload)`` is
+  live iff ``payload._seq == seq``.  A cancel or reschedule overwrites
+  the stamp, retiring the resident entry at one integer compare, and
+  bumps a dead counter; once enough entries have died the whole
+  structure is compacted in one O(n) sweep.  A rearm-heavy workload
+  therefore touches each dead entry O(1) times amortized instead of
+  O(log n).
 
 Ordering invariant
 ------------------
@@ -37,10 +41,6 @@ and then activating the smallest pending bucket yields globally sorted
 output.  ``tests/test_calendar_queue.py`` proves pop-order equality
 against ``heapq`` with Hypothesis over arbitrary
 schedule/cancel/rearm/advance interleavings.
-
-The monitor thread keeps its timeout deadlines in a second
-:class:`CalendarQueue`, so stale timeout entries are freed eagerly too
-(they used to leak until their deadline surfaced).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, List, Optional, Tuple
 
-__all__ = ["CalendarQueue", "CancelToken", "DEFAULT_SHIFT"]
+__all__ = ["CalendarQueue", "DEFAULT_SHIFT"]
 
 #: Default bucket width exponent: ``1 << 20`` ns (~1.05 ms) per bucket.
 #: Chain periods, monitor deadlines, and timer rearm horizons in this
@@ -66,42 +66,6 @@ _MIN_COMPACT = 64
 #: Queue entries are the exact heap layout: ``(time, priority, seq,
 #: payload)``.  ``seq`` is unique so comparison never reaches payload.
 Entry = Tuple[int, int, int, Any]
-
-
-class CancelToken:
-    """Minimal payload for queue entries that are not kernel events.
-
-    The queues duck-type their payloads: anything with a ``cancelled``
-    flag, a ``_cq`` back-reference slot, and a ``_seq`` generation slot
-    works (the kernel's ``ScheduledEvent`` carries all three).
-    ``CancelToken`` is the smallest such payload, used by the monitor's
-    timeout queue and by tests.
-
-    Liveness protocol: an entry ``(time, priority, seq, payload)`` is
-    live iff ``payload._seq == seq``.  ``push`` stamps the payload with
-    the entry's seq; cancelling (or rescheduling) overwrites ``_seq``,
-    which retires the resident entry with a single integer compare on
-    the pop path -- no flag *and* generation double-check needed.
-    """
-
-    __slots__ = ("cancelled", "_cq", "_seq", "data")
-
-    def __init__(self, data: Any = None) -> None:
-        self.cancelled = False
-        self._cq = None
-        self._seq = -1
-        self.data = data
-
-    def cancel(self) -> None:
-        """Mark dead and notify the owning queue (idempotent)."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        cq = self._cq
-        if cq is not None:
-            self._cq = None
-            self._seq = -1
-            cq.note_cancel()
 
 
 class CalendarQueue:
@@ -279,38 +243,4 @@ class CalendarQueue:
             else:
                 self._act_idx = idx + 1
             payload._cq = None
-            return entry
-
-    def peek(self) -> Optional[Entry]:
-        """Return the earliest live entry without consuming it.
-
-        Cancelled entries encountered on the way are consumed (they
-        would be skipped by the next pop anyway).
-        """
-        act = self._act_sorted
-        extra = self._extra
-        while True:
-            idx = self._act_idx
-            if idx < len(act):
-                if extra and extra[0] < act[idx]:
-                    entry = extra[0]
-                    from_extra = True
-                else:
-                    entry = act[idx]
-                    from_extra = False
-            elif extra:
-                entry = extra[0]
-                from_extra = True
-            else:
-                if not self._activate():
-                    return None
-                act = self._act_sorted
-                continue
-            if entry[3]._seq != entry[2]:
-                if from_extra:
-                    heapq.heappop(extra)
-                else:
-                    self._act_idx = idx + 1
-                self._dead -= 1
-                continue
             return entry

@@ -25,7 +25,7 @@ import json
 from typing import Any, Callable, Dict, Iterator, Tuple
 from unittest import mock
 
-from _reference.heap_kernel import EagerHeapQueue, HeapSimulator
+from _reference.heap_kernel import HeapSimulator
 from _reference.scalar_store import pump_scalar
 
 #: Simulator event queues: production first, then the reference.
@@ -50,8 +50,7 @@ def reference_engines(
     """Run the block on the reference implementations.
 
     ``sim`` substitutes :class:`HeapSimulator` at every construction
-    site and :class:`EagerHeapQueue` for the monitor's timeout queue;
-    ``telemetry`` substitutes the per-record pump.  Everything is
+    site; ``telemetry`` substitutes the per-record pump.  Everything is
     restored on exit even when the body raises.
     """
     with contextlib.ExitStack() as stack:
@@ -60,9 +59,6 @@ def reference_engines(
                 stack.enter_context(mock.patch.object(
                     importlib.import_module(site), "Simulator", HeapSimulator
                 ))
-            stack.enter_context(mock.patch(
-                "repro.core.local_monitor.CalendarQueue", EagerHeapQueue
-            ))
         if telemetry:
             stack.enter_context(mock.patch(
                 "repro.telemetry.service.TelemetryService.pump", pump_scalar

@@ -11,7 +11,9 @@ so traces are bit-identical; ``tests/_differential.py`` substitutes
 ``tests/test_differential_engines.py`` asserts the identity.
 
 :class:`EagerHeapQueue` is the heap-backed twin of ``CalendarQueue``
-(same eager-cancel accounting over a plain heap).
+(same eager-cancel accounting over a plain heap) and :class:`CancelToken`
+the smallest payload either takes; ``tests/test_calendar_queue.py``
+drives both queues with it.
 """
 
 from __future__ import annotations
@@ -180,6 +182,40 @@ class HeapSimulator(Simulator):
         return sum(1 for entry in self._heap if not entry[3].cancelled)
 
 
+class CancelToken:
+    """Minimal payload for queue entries that are not kernel events.
+
+    The queues duck-type their payloads: anything with a ``cancelled``
+    flag, a ``_cq`` back-reference slot, and a ``_seq`` generation slot
+    works (the kernel's ``ScheduledEvent`` carries all three).
+
+    Liveness protocol: an entry ``(time, priority, seq, payload)`` is
+    live iff ``payload._seq == seq``.  ``push`` stamps the payload with
+    the entry's seq; cancelling (or rescheduling) overwrites ``_seq``,
+    which retires the resident entry with a single integer compare on
+    the pop path -- no flag *and* generation double-check needed.
+    """
+
+    __slots__ = ("cancelled", "_cq", "_seq", "data")
+
+    def __init__(self, data: Any = None) -> None:
+        self.cancelled = False
+        self._cq = None
+        self._seq = -1
+        self.data = data
+
+    def cancel(self) -> None:
+        """Mark dead and notify the owning queue (idempotent)."""
+        if self.cancelled:
+            return
+        self.cancelled = True
+        cq = self._cq
+        if cq is not None:
+            self._cq = None
+            self._seq = -1
+            cq.note_cancel()
+
+
 class EagerHeapQueue:
     """Binary heap with the calendar queue's eager-cancel compaction.
 
@@ -187,9 +223,7 @@ class EagerHeapQueue:
     but cancelled entries are counted and the heap is rebuilt without
     them once they outnumber the compaction threshold -- so a
     cancel-heavy producer can no longer grow the heap without bound.
-    The reference monitor timeout queue (``tests/_differential.py``
-    substitutes it for ``CalendarQueue`` in ``MonitorThread``) and the
-    order oracle of ``tests/test_calendar_queue.py``.
+    The order oracle of ``tests/test_calendar_queue.py``.
     """
 
     __slots__ = ("_heap", "_dead", "_compact_at")
@@ -235,16 +269,5 @@ class EagerHeapQueue:
                 return None
             heapq.heappop(heap)
             entry[3]._cq = None
-            return entry
-        return None
-
-    def peek(self) -> Optional[Entry]:
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3]._seq != entry[2]:
-                heapq.heappop(heap)
-                self._dead -= 1
-                continue
             return entry
         return None

@@ -19,9 +19,9 @@ trigger compaction sweeps.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference.heap_kernel import EagerHeapQueue
+from _reference.heap_kernel import CancelToken, EagerHeapQueue
 
-from repro.sim.calendar import CalendarQueue, CancelToken, DEFAULT_SHIFT
+from repro.sim.calendar import CalendarQueue, DEFAULT_SHIFT
 
 BUCKET = 1 << DEFAULT_SHIFT
 
@@ -137,28 +137,6 @@ def test_pop_order_matches_heap_and_oracle(ops):
     assert driver.cal.pop() is None
     assert driver.heap.pop() is None
     driver.check_liveness_counters()
-
-
-@given(OPS)
-@settings(max_examples=60, deadline=None)
-def test_peek_is_pop_without_consumption(ops):
-    driver = _Driver()
-    for op in ops:
-        kind = op[0]
-        if kind == "push":
-            driver.push(op[1], op[2])
-        elif kind in ("cancel", "rearm"):
-            driver.cancel(op[1])
-            if kind == "rearm":
-                driver.push(op[2], op[3])
-        else:
-            expected = driver._oracle_min()
-            peeked = driver.cal.peek()
-            if expected is None:
-                assert peeked is None
-            else:
-                assert peeked[:3] == expected
-            driver.pop()
 
 
 @given(

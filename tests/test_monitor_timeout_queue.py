@@ -1,32 +1,27 @@
-"""Regression: the monitor's timeout queue must not leak stale entries.
+"""Regression: the monitor's deadline heap must not leak retired entries.
 
-Before the eager-cancel rework, every completed segment left its
-timeout entry resident in the monitor's heap until the deadline
-surfaced at the root -- a run of N frames kept O(N) dead tuples alive
-and paid O(log N) per lazy pop.  Now `_complete` / `_raise_exception` /
-re-arm all cancel the entry's :class:`~repro.sim.calendar.CancelToken`
-eagerly, and the queue compacts once enough entries die, so physical
-size stays bounded by the compaction threshold regardless of how many
-cycles ran.  This module pins that bound for the production calendar
-queue and for the heap reference the differential suite substitutes.
+The decision core (``repro.ipc.monitor.DecisionCore``) keeps deadlines
+in a lazy heap.  Completing, raising or re-arming an activation retires
+its entry at once -- an entry is live only while its activation is
+pending with the record it was armed with -- and every wake-up drops
+dead entries from the top, so a run of N frames must not keep O(N) of
+them resident.  This module pins that bound under the production kernel
+and the heap oracle kernel.
 """
 
 import pytest
 
 from _differential import reference_engines
 from _harness import PipelineWorld
-from _reference.heap_kernel import EagerHeapQueue
 
 from repro.sim import msec
-from repro.sim.calendar import CalendarQueue, _MIN_COMPACT
+from repro.sim.calendar import _MIN_COMPACT
 
 #: Physical-size ceiling: live entries plus at most one compaction
-#: window of dead ones (the threshold is ``max(_MIN_COMPACT, live)``
-#: and live is O(1) here, so 2x the floor is a generous pin).
+#: window of dead ones, the bound the calendar queue's threshold gives.
 SIZE_BOUND = 2 * _MIN_COMPACT
 
-#: Far more arm/complete cycles than the bound -- the pre-fix heap
-#: would hold ~N_FRAMES stale tuples at this point.
+#: Far more arm/complete cycles than the bound.
 N_FRAMES = 300
 
 
@@ -37,60 +32,55 @@ def _run_world(frames=N_FRAMES):
     return world
 
 
+def _live(core):
+    """The heap entries whose activation is pending with their record."""
+    return [
+        entry for entry in core._timeouts
+        if entry[2].pending.get(entry[3][1]) is entry[3]
+    ]
+
+
 class TestTimeoutQueueBound:
     @pytest.mark.slow
     @pytest.mark.parametrize("engine", ["calendar", "heap"])
     def test_size_bounded_after_many_cancel_cycles(self, engine):
         with reference_engines(sim=engine == "heap"):
             world = _run_world()
-        queue = world.monitor._timeout_queue
+        core = world.monitor.core
         assert world.runtime.pending == {}, "all segments should complete"
-        assert len(queue) <= SIZE_BOUND, (
-            f"{engine}: {len(queue)} resident entries after "
-            f"{N_FRAMES} cycles -- stale timeouts are leaking again"
+        assert len(core._timeouts) <= SIZE_BOUND, (
+            f"{engine}: {len(core._timeouts)} resident entries after "
+            f"{N_FRAMES} cycles -- retired deadlines are leaking"
         )
-        assert queue.live == 0
-
-    def test_engine_selects_queue_class(self):
-        world = PipelineWorld()
-        assert isinstance(world.monitor._timeout_queue, CalendarQueue)
-        with reference_engines(sim=True):
-            world = PipelineWorld()
-            assert isinstance(world.monitor._timeout_queue, EagerHeapQueue)
+        assert core.next_deadline is None
 
 
 class TestEagerCancelHooks:
-    """Each monitor path that retires a pending activation frees its
-    timeout entry immediately (not merely at the deadline)."""
+    """Each monitor path that retires a pending activation retires its
+    deadline immediately (not merely when it surfaces)."""
 
-    def test_completion_cancels_token(self):
+    def test_completion_leaves_no_live_deadline(self):
         world = PipelineWorld(worker_time=lambda i: msec(5), d_mon=msec(20))
         world.publish_frames(1)
         world.run(until=msec(150))
-        # The frame completed well before its deadline, yet the entry
-        # is already dead.
         assert world.runtime.pending == {}
-        assert world.monitor._timeout_queue.live == 0
+        assert world.monitor.core.next_deadline is None
+        assert _live(world.monitor.core) == []
 
-    def test_rearm_overwrite_cancels_previous_token(self):
+    def test_rearm_leaves_one_live_deadline(self):
         world = PipelineWorld(worker_time=lambda i: msec(5), d_mon=msec(20))
-        runtime = world.runtime
+        runtime, core = world.runtime, world.monitor.core
         world.publish_frames(2)
         world.run(until=msec(2))
-        # Force a second arm of an activation that is still pending:
-        # the first token must die, leaving exactly one live entry.
-        (n, entry) = next(iter(runtime.pending.items()))
-        first_token = entry.token
-        assert first_token is not None and not first_token.cancelled
-        runtime._arm(n, world.sim.now, entry.data)
-        assert first_token.cancelled
-        second_token = runtime.pending[n].token
-        assert second_token is not None
-        assert second_token is not first_token
-        assert not second_token.cancelled
+        # Arm an activation that is still pending a second time: its
+        # first entry dies, the second is n's one live deadline.
+        ((n, first),) = runtime.pending.items()
+        again = (first[0], n, world.sim.now)
+        core._arm(runtime.lane, again)
+        assert [entry[3] for entry in _live(core)] == [again]
 
     def test_timeout_path_still_fires(self):
-        # Sanity: eager cancellation must not eat *live* deadlines.
+        # Sanity: retiring entries must not eat *live* deadlines.
         world = PipelineWorld(worker_time=lambda i: msec(50), d_mon=msec(20))
         world.publish_frames(1)
         world.run(until=msec(300))
