@@ -24,14 +24,47 @@ with every substrate its evaluation depends on:
 - :mod:`repro.experiments` -- one module per paper figure.
 """
 
+import importlib
+import sys
+from typing import Callable, Dict, List, Sequence, Tuple
+
 __version__ = "1.0.0"
 
 #: The layers of the package, bottom first: a module may import from its
 #: own layer and from layers to its left, never from one to its right
-#: (``tests/test_layering.py`` parses every import, lazy ones included;
-#: DESIGN.md "Layers" says what each one is for).
+#: (``tests/test_layering.py`` parses every import, lazy ones and
+#: :func:`lazy_exports` tables included; DESIGN.md "Layers" says what each
+#: one is for).
 LAYERS = (
     "schema", "ipc", "sim", "network", "dds", "ros", "core", "budgeting",
     "analysis", "tracing", "perception", "telemetry", "faults", "adaptive",
     "warehouse", "bench", "experiments",
 )
+
+
+def lazy_exports(
+    package: str, table: Dict[str, Sequence[str]]
+) -> Tuple[List[str], Callable[[str], object], Callable[[], List[str]]]:
+    """A package's public names, resolved on first access (PEP 562).
+
+    *table* maps each defining module to the names it exports.  A package
+    ``__init__`` imports no submodule; it binds what this returns,
+    ``__all__, __getattr__, __dir__ = lazy_exports(__name__, {...})``, so
+    ``import repro.x.y`` runs only what ``y`` imports, and the first
+    ``repro.x.Name`` imports Name's module and caches Name in the package.
+    """
+    where = {name: module for module, names in table.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> object:
+        if name not in where:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(where[name]), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(where))
+
+    return list(where), __getattr__, __dir__

@@ -26,55 +26,25 @@ worse:
   reordering, crashes and partitions.
 """
 
-from repro.adaptive.epochs import (
-    EPOCH_SCHEMA,
-    LEDGER_SCHEMA,
-    BudgetEpoch,
-    EpochLedger,
-    EpochLedgerError,
-    EpochStatus,
-)
-from repro.adaptive.resolver import (
-    BudgetResolver,
-    ChainResolution,
-    ResolveOutcome,
-    ResolverConfig,
-    significant_drift,
-)
-from repro.adaptive.shadow import ShadowConfig, ShadowValidator, ShadowVerdict
-from repro.adaptive.downlink import DistributorConfig, EpochDistributor
-from repro.adaptive.vehicle import (
-    SimulatedApplyCrash,
-    VehicleEpochAgent,
-    VehicleRecoveryReport,
-)
-from repro.adaptive.controlplane import (
-    BudgetControlPlane,
-    ControlPlaneConfig,
-    ControlPlaneState,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "EPOCH_SCHEMA",
-    "LEDGER_SCHEMA",
-    "BudgetEpoch",
-    "EpochLedger",
-    "EpochLedgerError",
-    "EpochStatus",
-    "BudgetResolver",
-    "ChainResolution",
-    "ResolveOutcome",
-    "ResolverConfig",
-    "significant_drift",
-    "ShadowConfig",
-    "ShadowValidator",
-    "ShadowVerdict",
-    "DistributorConfig",
-    "EpochDistributor",
-    "SimulatedApplyCrash",
-    "VehicleEpochAgent",
-    "VehicleRecoveryReport",
-    "BudgetControlPlane",
-    "ControlPlaneConfig",
-    "ControlPlaneState",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.adaptive.epochs": (
+        "EPOCH_SCHEMA", "LEDGER_SCHEMA", "BudgetEpoch", "EpochLedger",
+        "EpochLedgerError", "EpochStatus",
+    ),
+    "repro.adaptive.resolver": (
+        "BudgetResolver", "ChainResolution", "ResolveOutcome",
+        "ResolverConfig", "significant_drift",
+    ),
+    "repro.adaptive.shadow": (
+        "ShadowConfig", "ShadowValidator", "ShadowVerdict",
+    ),
+    "repro.adaptive.downlink": ("DistributorConfig", "EpochDistributor"),
+    "repro.adaptive.vehicle": (
+        "SimulatedApplyCrash", "VehicleEpochAgent", "VehicleRecoveryReport",
+    ),
+    "repro.adaptive.controlplane": (
+        "BudgetControlPlane", "ControlPlaneConfig", "ControlPlaneState",
+    ),
+})

@@ -9,21 +9,12 @@ streaming counterpart: a mergeable log-bucket sketch for quantiles over
 samples nobody keeps (span attribution, the fleet store, the warehouse).
 """
 
-from repro.analysis.stats import TukeyStats, summarize
-from repro.analysis.report import (
-    ascii_boxplot,
-    format_duration,
-    render_table,
-    stats_csv,
-    stats_table,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "TukeyStats",
-    "summarize",
-    "ascii_boxplot",
-    "format_duration",
-    "render_table",
-    "stats_csv",
-    "stats_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.stats": ("TukeyStats", "summarize"),
+    "repro.analysis.report": (
+        "ascii_boxplot", "format_duration", "render_table", "stats_csv",
+        "stats_table",
+    ),
+})

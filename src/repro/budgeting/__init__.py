@@ -19,60 +19,28 @@ Workflow:
    :meth:`repro.core.chains.EventChain.with_deadlines`.
 """
 
-from repro.budgeting.traces import ChainTrace, SegmentTrace
-from repro.budgeting.windows import (
-    miss_series,
-    propagated_window_misses,
-    window_miss_profile,
-)
-from repro.budgeting.csp import BudgetingProblem, FeasibilityReport
-from repro.budgeting.solvers import (
-    SolverResult,
-    minimal_deadline,
-    solve_branch_and_bound,
-    solve_greedy_propagated,
-    solve_independent,
-)
-from repro.budgeting.distribution import distribute_slack
-from repro.budgeting.feasibility import (
-    InfeasibleBudgetError,
-    feasibility_violations,
-    validate_chain_budgets,
-)
-from repro.budgeting.multichain import (
-    MultiChainResult,
-    reconcile_independent,
-    solve_joint,
-)
-from repro.budgeting.dag import (
-    DagBudgetingProblem,
-    DagFeasibilityReport,
-    DagSolverResult,
-    solve_dag_budgets,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ChainTrace",
-    "SegmentTrace",
-    "miss_series",
-    "propagated_window_misses",
-    "window_miss_profile",
-    "BudgetingProblem",
-    "FeasibilityReport",
-    "SolverResult",
-    "minimal_deadline",
-    "solve_branch_and_bound",
-    "solve_greedy_propagated",
-    "solve_independent",
-    "distribute_slack",
-    "InfeasibleBudgetError",
-    "feasibility_violations",
-    "validate_chain_budgets",
-    "MultiChainResult",
-    "reconcile_independent",
-    "solve_joint",
-    "DagBudgetingProblem",
-    "DagFeasibilityReport",
-    "DagSolverResult",
-    "solve_dag_budgets",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.budgeting.traces": ("ChainTrace", "SegmentTrace"),
+    "repro.budgeting.windows": (
+        "miss_series", "propagated_window_misses", "window_miss_profile",
+    ),
+    "repro.budgeting.csp": ("BudgetingProblem", "FeasibilityReport"),
+    "repro.budgeting.solvers": (
+        "SolverResult", "minimal_deadline", "solve_branch_and_bound",
+        "solve_greedy_propagated", "solve_independent",
+    ),
+    "repro.budgeting.distribution": ("distribute_slack",),
+    "repro.budgeting.feasibility": (
+        "InfeasibleBudgetError", "feasibility_violations",
+        "validate_chain_budgets",
+    ),
+    "repro.budgeting.multichain": (
+        "MultiChainResult", "reconcile_independent", "solve_joint",
+    ),
+    "repro.budgeting.dag": (
+        "DagBudgetingProblem", "DagFeasibilityReport", "DagSolverResult",
+        "solve_dag_budgets",
+    ),
+})

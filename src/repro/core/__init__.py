@@ -19,61 +19,29 @@ Mechanisms (Sec. III-B, IV)
     activation outcomes, miss propagation and (m,k) verdicts.
 """
 
-from repro.core.events import EventKind, EventPoint
-from repro.core.weakly_hard import (
-    MKConstraint,
-    MKAutomaton,
-    max_window_misses,
-    satisfies_mk,
-)
-from repro.core.segments import Segment, SegmentKind
-from repro.core.chains import EventChain
-from repro.core.exceptions import (
-    ExceptionContext,
-    ExceptionHandler,
-    PropagateAlways,
-    RecoverAlways,
-    RecoverUpTo,
-    TemporalException,
-)
-from repro.core.local_monitor import LocalSegmentRuntime, MonitorThread, SkipGate
-from repro.core.remote_monitor import (
-    InterArrivalMonitor,
-    KeyedSyncMonitorGroup,
-    SyncRemoteMonitor,
-    TimeoutContext,
-)
-from repro.core.chain_runtime import ActivationOutcome, ChainRuntime, Outcome
-from repro.core.dag import DagChain, DagPath
-from repro.core.dag_runtime import DagChainRuntime
+from repro import lazy_exports
 
-__all__ = [
-    "EventKind",
-    "EventPoint",
-    "MKConstraint",
-    "MKAutomaton",
-    "max_window_misses",
-    "satisfies_mk",
-    "Segment",
-    "SegmentKind",
-    "EventChain",
-    "ExceptionContext",
-    "ExceptionHandler",
-    "PropagateAlways",
-    "RecoverAlways",
-    "RecoverUpTo",
-    "TemporalException",
-    "LocalSegmentRuntime",
-    "MonitorThread",
-    "SkipGate",
-    "InterArrivalMonitor",
-    "KeyedSyncMonitorGroup",
-    "SyncRemoteMonitor",
-    "TimeoutContext",
-    "ActivationOutcome",
-    "ChainRuntime",
-    "Outcome",
-    "DagChain",
-    "DagPath",
-    "DagChainRuntime",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.events": ("EventKind", "EventPoint"),
+    "repro.core.weakly_hard": (
+        "MKConstraint", "MKAutomaton", "max_window_misses", "satisfies_mk",
+    ),
+    "repro.core.segments": ("Segment", "SegmentKind"),
+    "repro.core.chains": ("EventChain",),
+    "repro.core.exceptions": (
+        "ExceptionContext", "ExceptionHandler", "PropagateAlways",
+        "RecoverAlways", "RecoverUpTo", "TemporalException",
+    ),
+    "repro.core.local_monitor": (
+        "LocalSegmentRuntime", "MonitorThread", "SkipGate",
+    ),
+    "repro.core.remote_monitor": (
+        "InterArrivalMonitor", "KeyedSyncMonitorGroup", "SyncRemoteMonitor",
+        "TimeoutContext",
+    ),
+    "repro.core.chain_runtime": (
+        "ActivationOutcome", "ChainRuntime", "Outcome",
+    ),
+    "repro.core.dag": ("DagChain", "DagPath"),
+    "repro.core.dag_runtime": ("DagChainRuntime",),
+})

@@ -12,7 +12,7 @@ the earliest pending deadline.  What it decides when it wakes -- drain
 the buffers in a *fixed segment order* (the cause of the ground-points
 skew in the paper's Fig. 10), arm a timeout for every new start event,
 match end events, expire activations after a last look at their end
-buffer -- is :class:`~repro.ipc.monitor.DecisionCore`, which the real
+buffer -- is :class:`~repro.ipc.decision.DecisionCore`, which the real
 shared-memory monitor runs too; :class:`MonitorThread` charges
 :class:`MonitorCosts` for each decision and runs Algorithm 2 for each
 expiry.  After an exception, the corresponding late publication (or
@@ -40,7 +40,7 @@ from repro.core.weakly_hard import MKAutomaton, MKConstraint
 from repro.dds.reader import DataReader
 from repro.dds.topic import Sample, Topic
 from repro.dds.writer import DataWriter
-from repro.ipc.monitor import ARM, MATCH, DecisionCore, Lane
+from repro.ipc.decision import ARM, MATCH, DecisionCore, Lane
 from repro.sim.cpu import Ecu
 from repro.sim.kernel import usec
 from repro.sim.sync import Semaphore

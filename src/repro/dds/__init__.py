@@ -18,22 +18,13 @@ This is the stand-in for eProsima Fast-RTPS underneath ROS2:
   (same-ECU loopback vs. inter-ECU links + ksoftirq receive path).
 """
 
-from repro.dds.qos import HistoryKind, QosProfile, ReliabilityKind
-from repro.dds.topic import Sample, Topic
-from repro.dds.participant import DomainParticipant
-from repro.dds.writer import DataWriter
-from repro.dds.reader import DataReader, ReaderListener
-from repro.dds.domain import DdsDomain
+from repro import lazy_exports
 
-__all__ = [
-    "HistoryKind",
-    "QosProfile",
-    "ReliabilityKind",
-    "Sample",
-    "Topic",
-    "DomainParticipant",
-    "DataWriter",
-    "DataReader",
-    "ReaderListener",
-    "DdsDomain",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dds.qos": ("HistoryKind", "QosProfile", "ReliabilityKind"),
+    "repro.dds.topic": ("Sample", "Topic"),
+    "repro.dds.participant": ("DomainParticipant",),
+    "repro.dds.writer": ("DataWriter",),
+    "repro.dds.reader": ("DataReader", "ReaderListener"),
+    "repro.dds.domain": ("DdsDomain",),
+})

@@ -11,6 +11,8 @@ full paper-scale experiments (the paper used ~4700 frames for Fig. 9);
 the default keeps CI-friendly run times.
 """
 
-from repro.experiments.common import default_frames, interference_governor
+from repro import lazy_exports
 
-__all__ = ["default_frames", "interference_governor"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.common": ("default_frames", "interference_governor"),
+})

@@ -10,9 +10,10 @@ implements the same machinery for real on this machine:
 - :mod:`repro.ipc.ring_buffer` -- a wait-free SPSC ring buffer of fixed
   event records over any buffer (shared memory or local bytearray),
 - :mod:`repro.ipc.semaphore` -- a timed-wait semaphore,
-- :mod:`repro.ipc.monitor` -- the local monitor's decision core (arm,
-  match, expire; the simulated monitor runs it too) and the real
-  monitor thread that drives it.
+- :mod:`repro.ipc.decision` -- the local monitor's decision core (arm,
+  match, expire; the simulated monitor runs it too), clock- and
+  thread-free,
+- :mod:`repro.ipc.monitor` -- the real monitor thread that drives it.
 
 The Fig. 11 benchmark measures these with ``time.perf_counter_ns`` /
 ``time.monotonic_ns``; the cross-process example in
@@ -20,18 +21,11 @@ The Fig. 11 benchmark measures these with ``time.perf_counter_ns`` /
 monitor through actual shared memory.
 """
 
-from repro.ipc.shm import SharedMemoryRegion
-from repro.ipc.ring_buffer import EventRecord, SpscRingBuffer, RECORD_SIZE
-from repro.ipc.semaphore import TimedSemaphore
-from repro.ipc.monitor import IpcMonitor, IpcSegment, MonitorStats
+from repro import lazy_exports
 
-__all__ = [
-    "SharedMemoryRegion",
-    "EventRecord",
-    "SpscRingBuffer",
-    "RECORD_SIZE",
-    "TimedSemaphore",
-    "IpcMonitor",
-    "IpcSegment",
-    "MonitorStats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ipc.shm": ("SharedMemoryRegion",),
+    "repro.ipc.ring_buffer": ("EventRecord", "SpscRingBuffer", "RECORD_SIZE"),
+    "repro.ipc.semaphore": ("TimedSemaphore",),
+    "repro.ipc.monitor": ("IpcMonitor", "IpcSegment", "MonitorStats"),
+})

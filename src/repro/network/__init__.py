@@ -15,24 +15,13 @@ relies on:
   paper's evaluation.
 """
 
-from repro.network.link import Frame, JitterModel, Link, LinkStats
-from repro.network.ptp import DriftingClock, PtpService
-from repro.network.stack import NetworkStack
-from repro.network.switch import (
-    BackgroundTraffic,
-    EthernetSwitch,
-    SwitchedLink,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Frame",
-    "JitterModel",
-    "Link",
-    "LinkStats",
-    "DriftingClock",
-    "PtpService",
-    "NetworkStack",
-    "BackgroundTraffic",
-    "EthernetSwitch",
-    "SwitchedLink",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.network.link": ("Frame", "JitterModel", "Link", "LinkStats"),
+    "repro.network.ptp": ("DriftingClock", "PtpService"),
+    "repro.network.stack": ("NetworkStack",),
+    "repro.network.switch": (
+        "BackgroundTraffic", "EthernetSwitch", "SwitchedLink",
+    ),
+})

@@ -19,27 +19,19 @@ with the data via :mod:`repro.sim.workload` models.
 and defines the event chains and monitors of the paper's use case.
 """
 
-from repro.perception.pointcloud import PointCloud
-from repro.perception.scenario import DrivingScenario, ScenarioConfig
-from repro.perception.lidar_driver import LidarDriver
-from repro.perception.fusion import FusionService
-from repro.perception.ground_filter import RayGroundClassifier, classify_ground
-from repro.perception.clustering import BoundingBox, EuclideanClusterDetector, euclidean_clusters
-from repro.perception.planner import SinkService
-from repro.perception.stack import PerceptionStack, StackConfig
+from repro import lazy_exports
 
-__all__ = [
-    "PointCloud",
-    "DrivingScenario",
-    "ScenarioConfig",
-    "LidarDriver",
-    "FusionService",
-    "RayGroundClassifier",
-    "classify_ground",
-    "BoundingBox",
-    "EuclideanClusterDetector",
-    "euclidean_clusters",
-    "SinkService",
-    "PerceptionStack",
-    "StackConfig",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.perception.pointcloud": ("PointCloud",),
+    "repro.perception.scenario": ("DrivingScenario", "ScenarioConfig"),
+    "repro.perception.lidar_driver": ("LidarDriver",),
+    "repro.perception.fusion": ("FusionService",),
+    "repro.perception.ground_filter": (
+        "RayGroundClassifier", "classify_ground",
+    ),
+    "repro.perception.clustering": (
+        "BoundingBox", "EuclideanClusterDetector", "euclidean_clusters",
+    ),
+    "repro.perception.planner": ("SinkService",),
+    "repro.perception.stack": ("PerceptionStack", "StackConfig"),
+})

@@ -14,27 +14,13 @@ data-dependent execution times that are preemptible by higher-priority
 threads (ksoftirq, the monitor thread).
 """
 
-from repro.ros.executor import SingleThreadedExecutor
-from repro.ros.executors import (
-    EXECUTOR_MODELS,
-    CallbackGroup,
-    CallbackSpec,
-    Dispatch,
-    Ros2MultiThreadedExecutor,
-    Ros2SingleThreadedExecutor,
-)
-from repro.ros.node import Node, Publisher, RosTimer, Subscription
+from repro import lazy_exports
 
-__all__ = [
-    "SingleThreadedExecutor",
-    "EXECUTOR_MODELS",
-    "CallbackGroup",
-    "CallbackSpec",
-    "Dispatch",
-    "Ros2MultiThreadedExecutor",
-    "Ros2SingleThreadedExecutor",
-    "Node",
-    "Publisher",
-    "Subscription",
-    "RosTimer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ros.executor": ("SingleThreadedExecutor",),
+    "repro.ros.executors": (
+        "EXECUTOR_MODELS", "CallbackGroup", "CallbackSpec", "Dispatch",
+        "Ros2MultiThreadedExecutor", "Ros2SingleThreadedExecutor",
+    ),
+    "repro.ros.node": ("Node", "Publisher", "RosTimer", "Subscription"),
+})

@@ -23,64 +23,22 @@ accumulation errors; use the helpers :func:`usec`, :func:`msec` and
 :func:`sec` to build durations.
 """
 
-from repro.sim.calendar import CalendarQueue
-from repro.sim.kernel import (
-    Simulator,
-    ScheduledEvent,
-    nsec,
-    usec,
-    msec,
-    sec,
-    fmt_time,
-)
-from repro.sim.threads import (
-    Compute,
-    Sleep,
-    WaitSem,
-    Yield,
-    SimThread,
-    ThreadState,
-)
-from repro.sim.scheduler import MulticoreScheduler, SchedulerPolicy
-from repro.sim.sync import Semaphore
-from repro.sim.timers import Timer, PeriodicTimer
-from repro.sim.cpu import (
-    Core,
-    Ecu,
-    ConstantGovernor,
-    BurstyGovernor,
-)
-from repro.sim.workload import (
-    ExecutionTimeModel,
-    ConstantModel,
-    AffineModel,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "ScheduledEvent",
-    "CalendarQueue",
-    "nsec",
-    "usec",
-    "msec",
-    "sec",
-    "fmt_time",
-    "Compute",
-    "Sleep",
-    "WaitSem",
-    "Yield",
-    "SimThread",
-    "ThreadState",
-    "MulticoreScheduler",
-    "SchedulerPolicy",
-    "Semaphore",
-    "Timer",
-    "PeriodicTimer",
-    "Core",
-    "Ecu",
-    "ConstantGovernor",
-    "BurstyGovernor",
-    "ExecutionTimeModel",
-    "ConstantModel",
-    "AffineModel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.calendar": ("CalendarQueue",),
+    "repro.sim.kernel": (
+        "Simulator", "ScheduledEvent", "nsec", "usec", "msec", "sec",
+        "fmt_time",
+    ),
+    "repro.sim.threads": (
+        "Compute", "Sleep", "WaitSem", "Yield", "SimThread", "ThreadState",
+    ),
+    "repro.sim.scheduler": ("MulticoreScheduler", "SchedulerPolicy"),
+    "repro.sim.sync": ("Semaphore",),
+    "repro.sim.timers": ("Timer", "PeriodicTimer"),
+    "repro.sim.cpu": ("Core", "Ecu", "ConstantGovernor", "BurstyGovernor"),
+    "repro.sim.workload": (
+        "ExecutionTimeModel", "ConstantModel", "AffineModel",
+    ),
+})

@@ -20,77 +20,28 @@ at-least-once ingestion, and the ``python -m repro chaos`` sweep that
 proves the whole path under adversarial faults.
 """
 
-from repro.telemetry.alerts import (
-    Alert,
-    AlertEngine,
-    AlertLog,
-    AlertPolicy,
-    AlertSeverity,
-    RULE_HEARTBEAT,
-    RULE_LATENCY_BUDGET,
-    RULE_MK_MARGIN,
-    RULE_MK_VIOLATION,
-    RULE_QUEUE_DROPS,
-    RULE_QUEUE_SATURATION,
-    RULE_SEQ_GAP,
-)
-from repro.telemetry.loadgen import (
-    FleetConfig,
-    FleetLoadGenerator,
-    LoadReport,
-    run_load,
-)
-from repro.telemetry.pipeline import IngestQueue
-from repro.telemetry.records import (
-    RecordKind,
-    TelemetryRecord,
-    WIRE_SCHEMA,
-    decode_stream,
-    encode_stream,
-)
-from repro.telemetry.replay import (
-    replay_stack_batch,
-    stack_chain_map,
-    stack_store_config,
-)
-from repro.telemetry.service import ServiceConfig, TelemetryService
-from repro.telemetry.store import (
-    ChainState,
-    ChainStateStore,
-    SourceState,
-    StoreConfig,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Alert",
-    "AlertEngine",
-    "AlertLog",
-    "AlertPolicy",
-    "AlertSeverity",
-    "ChainState",
-    "ChainStateStore",
-    "FleetConfig",
-    "FleetLoadGenerator",
-    "IngestQueue",
-    "LoadReport",
-    "RecordKind",
-    "RULE_HEARTBEAT",
-    "RULE_LATENCY_BUDGET",
-    "RULE_MK_MARGIN",
-    "RULE_MK_VIOLATION",
-    "RULE_QUEUE_DROPS",
-    "RULE_QUEUE_SATURATION",
-    "RULE_SEQ_GAP",
-    "ServiceConfig",
-    "SourceState",
-    "StoreConfig",
-    "TelemetryRecord",
-    "TelemetryService",
-    "WIRE_SCHEMA",
-    "decode_stream",
-    "encode_stream",
-    "replay_stack_batch",
-    "run_load",
-    "stack_chain_map",
-    "stack_store_config",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.alerts": (
+        "Alert", "AlertEngine", "AlertLog", "AlertPolicy", "AlertSeverity",
+        "RULE_HEARTBEAT", "RULE_LATENCY_BUDGET", "RULE_MK_MARGIN",
+        "RULE_MK_VIOLATION", "RULE_QUEUE_DROPS", "RULE_QUEUE_SATURATION",
+        "RULE_SEQ_GAP",
+    ),
+    "repro.telemetry.loadgen": (
+        "FleetConfig", "FleetLoadGenerator", "LoadReport", "run_load",
+    ),
+    "repro.telemetry.pipeline": ("IngestQueue",),
+    "repro.telemetry.records": (
+        "RecordKind", "TelemetryRecord", "WIRE_SCHEMA", "decode_stream",
+        "encode_stream",
+    ),
+    "repro.telemetry.replay": (
+        "replay_stack_batch", "stack_chain_map", "stack_store_config",
+    ),
+    "repro.telemetry.service": ("ServiceConfig", "TelemetryService"),
+    "repro.telemetry.store": (
+        "ChainState", "ChainStateStore", "SourceState", "StoreConfig",
+    ),
+})

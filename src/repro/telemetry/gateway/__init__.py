@@ -12,48 +12,20 @@ operator dashboard; :mod:`.socket_server` serves the same object over
 TCP.
 """
 
-from repro.telemetry.gateway.chaos import (
-    GATEWAY_TOKEN,
-    GatewayChaosDriver,
-    GatewayChaosScenario,
-    gateway_scenarios,
-)
-from repro.telemetry.gateway.overload import (
-    CLASS_ALERT,
-    CLASS_DASHBOARD,
-    CLASS_TELEMETRY,
-    GatewayMode,
-    OverloadLadder,
-    OverloadPolicy,
-    SHED_AT,
-    classify,
-)
-from repro.telemetry.gateway.ratelimit import RateLimitConfig, TokenBucket
-from repro.telemetry.gateway.service import FleetGateway, GatewayConfig
-from repro.telemetry.gateway.status import (
-    DEFAULT_STALE_AFTER_NS,
-    render_status,
-    status_report,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CLASS_ALERT",
-    "CLASS_DASHBOARD",
-    "CLASS_TELEMETRY",
-    "DEFAULT_STALE_AFTER_NS",
-    "FleetGateway",
-    "GATEWAY_TOKEN",
-    "GatewayChaosDriver",
-    "GatewayChaosScenario",
-    "GatewayConfig",
-    "GatewayMode",
-    "OverloadLadder",
-    "OverloadPolicy",
-    "RateLimitConfig",
-    "SHED_AT",
-    "TokenBucket",
-    "classify",
-    "gateway_scenarios",
-    "render_status",
-    "status_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.gateway.chaos": (
+        "GATEWAY_TOKEN", "GatewayChaosDriver", "GatewayChaosScenario",
+        "gateway_scenarios",
+    ),
+    "repro.telemetry.gateway.overload": (
+        "CLASS_ALERT", "CLASS_DASHBOARD", "CLASS_TELEMETRY", "GatewayMode",
+        "OverloadLadder", "OverloadPolicy", "SHED_AT", "classify",
+    ),
+    "repro.telemetry.gateway.ratelimit": ("RateLimitConfig", "TokenBucket"),
+    "repro.telemetry.gateway.service": ("FleetGateway", "GatewayConfig"),
+    "repro.telemetry.gateway.status": (
+        "DEFAULT_STALE_AFTER_NS", "render_status", "status_report",
+    ),
+})

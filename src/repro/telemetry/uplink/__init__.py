@@ -11,78 +11,27 @@ WAL-replay recovery).
 asserts the ledger law ``offered == acked + spooled + evicted + shed``.
 """
 
-from repro.telemetry.uplink.chaos import (
-    ChaosConfig,
-    ChaosDriver,
-    ChaosScenario,
-    CrashEvent,
-    default_scenarios,
-    run_chaos,
-)
-from repro.telemetry.uplink.ingest import (
-    CHECKPOINT_SCHEMA,
-    DedupWatermark,
-    IngestRecoveryReport,
-    UplinkIngestor,
-    store_digest,
-)
-from repro.telemetry.uplink.transport import (
-    ACK_SCHEMA,
-    FRAME_SCHEMA,
-    AdversarialChannel,
-    ChannelFaultPlan,
-    ChannelStats,
-    decode_envelope,
-    decode_frame,
-    encode_ack,
-    encode_envelope,
-    encode_frame,
-)
-from repro.telemetry.uplink.window import (
-    CircuitState,
-    WindowedClientConfig,
-    WindowedUplinkClient,
-)
-from repro.telemetry.uplink.wal import (
-    FSYNC_POLICIES,
-    RecordLog,
-    RecoveryReport,
-    WAL_SCHEMA,
-    WalConfig,
-    WalCorruptionError,
-    WalSpooler,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ACK_SCHEMA",
-    "AdversarialChannel",
-    "CHECKPOINT_SCHEMA",
-    "ChannelFaultPlan",
-    "ChannelStats",
-    "ChaosConfig",
-    "ChaosDriver",
-    "ChaosScenario",
-    "CircuitState",
-    "CrashEvent",
-    "DedupWatermark",
-    "FRAME_SCHEMA",
-    "FSYNC_POLICIES",
-    "IngestRecoveryReport",
-    "RecordLog",
-    "RecoveryReport",
-    "UplinkIngestor",
-    "WAL_SCHEMA",
-    "WalConfig",
-    "WalCorruptionError",
-    "WalSpooler",
-    "WindowedClientConfig",
-    "WindowedUplinkClient",
-    "decode_envelope",
-    "decode_frame",
-    "default_scenarios",
-    "encode_ack",
-    "encode_envelope",
-    "encode_frame",
-    "run_chaos",
-    "store_digest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.uplink.chaos": (
+        "ChaosConfig", "ChaosDriver", "ChaosScenario", "CrashEvent",
+        "default_scenarios", "run_chaos",
+    ),
+    "repro.telemetry.uplink.ingest": (
+        "CHECKPOINT_SCHEMA", "DedupWatermark", "IngestRecoveryReport",
+        "UplinkIngestor", "store_digest",
+    ),
+    "repro.telemetry.uplink.transport": (
+        "ACK_SCHEMA", "FRAME_SCHEMA", "AdversarialChannel", "ChannelFaultPlan",
+        "ChannelStats", "decode_envelope", "decode_frame", "encode_ack",
+        "encode_envelope", "encode_frame",
+    ),
+    "repro.telemetry.uplink.window": (
+        "CircuitState", "WindowedClientConfig", "WindowedUplinkClient",
+    ),
+    "repro.telemetry.uplink.wal": (
+        "FSYNC_POLICIES", "RecordLog", "RecoveryReport", "WAL_SCHEMA",
+        "WalConfig", "WalCorruptionError", "WalSpooler",
+    ),
+})

@@ -36,7 +36,6 @@ Run it: ``python -m repro chaos`` (add ``--quick`` in CI).
 
 from __future__ import annotations
 
-import argparse
 import json
 import tempfile
 import warnings
@@ -866,6 +865,8 @@ def sweep_main(
     its ``run_chaos``-shaped sweep function, *scenarios* everything
     ``--list`` shows, *quick* the *config_class* fields ``--quick``
     shrinks."""
+    import argparse  # the command line only: the sweep itself needs none
+
     parser = argparse.ArgumentParser(
         prog=f"repro {prog}", description=description
     )

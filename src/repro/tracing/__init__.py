@@ -21,46 +21,21 @@ monitoring) to measure segment latencies").  This package mirrors that:
   compact JSONL.
 """
 
-from repro.tracing.tracer import TraceEvent, Tracer
-from repro.tracing.analysis import (
-    endpoint_events,
-    segment_latencies_from_trace,
-    chain_trace_from_tracer,
-)
-from repro.tracing.spans import Span, SpanRecorder
-from repro.tracing.context import SpanContext
-from repro.tracing.critical_path import (
-    CriticalPath,
-    CriticalPathAnalyzer,
-    attribute_chain,
-    build_edges,
-    render_attribution,
-    validate_spans,
-)
-from repro.tracing.export import (
-    chrome_trace,
-    read_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "TraceEvent",
-    "Tracer",
-    "endpoint_events",
-    "segment_latencies_from_trace",
-    "chain_trace_from_tracer",
-    "Span",
-    "SpanRecorder",
-    "SpanContext",
-    "CriticalPath",
-    "CriticalPathAnalyzer",
-    "attribute_chain",
-    "build_edges",
-    "render_attribution",
-    "validate_spans",
-    "chrome_trace",
-    "read_jsonl",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.tracing.tracer": ("TraceEvent", "Tracer"),
+    "repro.tracing.analysis": (
+        "endpoint_events", "segment_latencies_from_trace",
+        "chain_trace_from_tracer",
+    ),
+    "repro.tracing.spans": ("Span", "SpanRecorder"),
+    "repro.tracing.context": ("SpanContext",),
+    "repro.tracing.critical_path": (
+        "CriticalPath", "CriticalPathAnalyzer", "attribute_chain",
+        "build_edges", "render_attribution", "validate_spans",
+    ),
+    "repro.tracing.export": (
+        "chrome_trace", "read_jsonl", "write_chrome_trace", "write_jsonl",
+    ),
+})

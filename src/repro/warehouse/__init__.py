@@ -22,66 +22,25 @@ merges instead of raw re-scans.
 - :mod:`~repro.warehouse.cli` -- ``python -m repro warehouse``.
 """
 
-from repro.warehouse.schema import (
-    DIFF_SCHEMA,
-    MANIFEST_SCHEMA,
-    RunKey,
-    RunManifest,
-    chain_from_meta,
-    chain_to_meta,
-)
-from repro.warehouse.ingest import (
-    load_run_bundle,
-    read_spans_jsonl,
-    write_run_bundle,
-)
-from repro.warehouse.store import (
-    WAREHOUSE_SCHEMA,
-    IngestResult,
-    SpanWarehouse,
-    content_digest,
-)
-from repro.warehouse.query import (
-    ChainCohort,
-    CohortAggregate,
-    RunSelector,
-    aggregate,
-    attribution_diff,
-    dump_diff,
-    regressed_categories,
-    render_cohort,
-    render_diff,
-    select_runs,
-)
-from repro.warehouse.gate import (
-    attach_attribution_diff,
-    build_regression_artifact,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DIFF_SCHEMA",
-    "MANIFEST_SCHEMA",
-    "WAREHOUSE_SCHEMA",
-    "ChainCohort",
-    "CohortAggregate",
-    "IngestResult",
-    "RunKey",
-    "RunManifest",
-    "RunSelector",
-    "SpanWarehouse",
-    "aggregate",
-    "attach_attribution_diff",
-    "attribution_diff",
-    "build_regression_artifact",
-    "chain_from_meta",
-    "chain_to_meta",
-    "content_digest",
-    "dump_diff",
-    "load_run_bundle",
-    "read_spans_jsonl",
-    "regressed_categories",
-    "render_cohort",
-    "render_diff",
-    "select_runs",
-    "write_run_bundle",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.warehouse.schema": (
+        "DIFF_SCHEMA", "MANIFEST_SCHEMA", "RunKey", "RunManifest",
+        "chain_from_meta", "chain_to_meta",
+    ),
+    "repro.warehouse.ingest": (
+        "load_run_bundle", "read_spans_jsonl", "write_run_bundle",
+    ),
+    "repro.warehouse.store": (
+        "WAREHOUSE_SCHEMA", "IngestResult", "SpanWarehouse", "content_digest",
+    ),
+    "repro.warehouse.query": (
+        "ChainCohort", "CohortAggregate", "RunSelector", "aggregate",
+        "attribution_diff", "dump_diff", "regressed_categories",
+        "render_cohort", "render_diff", "select_runs",
+    ),
+    "repro.warehouse.gate": (
+        "attach_attribution_diff", "build_regression_artifact",
+    ),
+})

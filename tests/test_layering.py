@@ -2,8 +2,10 @@
 
 Every ``import`` / ``from`` statement of every module is parsed --
 function-level lazy imports included, which is where cycles hide -- and
-mapped to an edge between the units directly under ``repro/`` (a
-package, or a top-level module such as ``schema``).  An edge must point
+so is every module a package's ``lazy_exports`` table names, since the
+first access of that name imports it.  Each is mapped to an edge between
+the units directly under ``repro/`` (a package, or a top-level module
+such as ``schema``).  An edge must point
 at a strictly lower layer, so the unit graph is acyclic and every unit
 is its own strongly connected component.
 """
@@ -40,6 +42,10 @@ def imported_modules(path: Path, relative: Path) -> Iterator[Tuple[int, str]]:
             # ``from repro import core`` names a unit in its alias.
             for alias in node.names:
                 yield node.lineno, f"{base}.{alias.name}"
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "lazy_exports"):
+            for key in node.args[1].keys:
+                yield key.lineno, key.value
 
 
 def edges(root: Path) -> Dict[Tuple[str, str], List[str]]:
@@ -126,6 +132,20 @@ def test_the_check_sees_a_lazy_upward_import(tmp_path):
     found = edges(tmp_path)
     assert upward(found) == ["sim -> core at sim/kernel.py:2"]
     assert ["core", "sim"] in components(found)
+
+
+def test_the_check_sees_an_upward_lazy_export(tmp_path):
+    """Self-check: a package ``lazy_exports`` table naming a module of a
+    higher layer is an upward import, though no statement imports it."""
+    (tmp_path / "sim").mkdir()
+    (tmp_path / "sim" / "__init__.py").write_text(
+        "from repro import lazy_exports\n"
+        "\n"
+        "__all__, __getattr__, __dir__ = lazy_exports(__name__, {\n"
+        "    \"repro.sim.kernel\": (\"Simulator\",),\n"
+        "    \"repro.core.chains\": (\"EventChain\",),\n"
+        "})\n")
+    assert upward(edges(tmp_path)) == ["sim -> core at sim/__init__.py:5"]
 
 
 def test_design_md_quotes_the_order():
