@@ -219,7 +219,6 @@ class AlertEngine:
             silence = now_ns - state.last_seen_ns
             if silence > self.policy.heartbeat_gap_ns:
                 state.gap_open = True
-                store.dirty_sources.add(name)
                 self.log.append(Alert(
                     timestamp_ns=now_ns,
                     rule=RULE_HEARTBEAT,

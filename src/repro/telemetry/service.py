@@ -206,10 +206,9 @@ class TelemetryService:
             )
         return self.store.snapshot()
 
-    def restore(self, data: dict, fragments: Iterable[dict] = ()) -> None:
-        """Replace the store with a snapshot's state (plus the store
-        fragments taken after it)."""
-        self.store = ChainStateStore.restore(data, fragments)
+    def restore(self, data: dict) -> None:
+        """Replace the store with a snapshot's state."""
+        self.store = ChainStateStore.restore(data)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -34,7 +34,7 @@ from __future__ import annotations
 import warnings
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.weakly_hard import MKAutomaton, MKConstraint
 from repro.schema import SchemaVersionError
@@ -344,10 +344,6 @@ class ChainStateStore:
         ]
         self.sources: Dict[str, SourceState] = {}
         self.applied = 0
-        #: Keys / sources mutated since the last :meth:`fragment`.
-        #: Whoever mutates a state outside :meth:`apply_batch` adds it.
-        self.dirty_keys: Set[Tuple[str, str]] = set()
-        self.dirty_sources: Set[str] = set()
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -446,7 +442,6 @@ class ChainStateStore:
             name = sources_col[i]
             if name != src_name:
                 src_name = name
-                self.dirty_sources.add(name)
                 src_state = sources.get(name)
                 if src_state is None:
                     src_state = SourceState()
@@ -504,7 +499,6 @@ class ChainStateStore:
                     t[1] = a
 
         # Pass 2a: per-key record counters (count and max commute).
-        self.dirty_keys.update(key_touch)
         chain_state = self.chain_state
         for (source, chain), (count, max_act) in key_touch.items():
             state = chain_state(source, chain)
@@ -668,32 +662,13 @@ class ChainStateStore:
             },
         }
 
-    def fragment(self) -> dict:
-        """Exact state of what was mutated since the previous fragment,
-        which is clean from here on.  Sorted, so equal histories give
-        equal bytes whatever the hash seed."""
-        keys, names = sorted(self.dirty_keys), sorted(self.dirty_sources)
-        self.dirty_keys, self.dirty_sources = set(), set()
-        return {
-            "applied": self.applied,
-            "keys": [
-                [source, chain, self.chain_state(source, chain).to_json()]
-                for source, chain in keys
-            ],
-            "sources": {name: self.sources[name].to_json() for name in names},
-        }
-
     _KNOWN_FIELDS = frozenset(
         ("schema", "config", "applied", "shards", "sources")
     )
 
     @classmethod
-    def restore(
-        cls, data: dict, fragments: Iterable[dict] = ()
-    ) -> "ChainStateStore":
-        """Rebuild a store from :meth:`snapshot` output plus the
-        fragments (:meth:`fragment`) taken after it, oldest first: the
-        newest state of a key wins and is the only one decoded.
+    def restore(cls, data: dict) -> "ChainStateStore":
+        """Rebuild a store from :meth:`snapshot` output.
 
         Raises :class:`~repro.schema.SchemaVersionError` for
         a missing/unknown schema identifier (checked before anything
@@ -712,24 +687,13 @@ class ChainStateStore:
         store.applied = data["applied"]
         if len(data["shards"]) != config.n_shards:
             raise ValueError("snapshot shard count does not match config")
-        states: Dict[Tuple[str, str], dict] = {
-            (source, chain): state
-            for entries in data["shards"] for source, chain, state in entries
-        }
-        sources = dict(data["sources"])
-        for fragment in fragments:
-            store.applied = fragment["applied"]
-            states.update(
-                ((source, chain), state)
-                for source, chain, state in fragment["keys"]
-            )
-            sources.update(fragment["sources"])
-        for (source, chain), state in states.items():
-            index = cls.shard_index(source, chain, config.n_shards)
-            store.shards[index][(source, chain)] = ChainState.from_json(
-                state, config.alpha
-            )
-        for name, state in sources.items():
+        for entries in data["shards"]:
+            for source, chain, state in entries:
+                index = cls.shard_index(source, chain, config.n_shards)
+                store.shards[index][(source, chain)] = ChainState.from_json(
+                    state, config.alpha
+                )
+        for name, state in data["sources"].items():
             store.sources[name] = SourceState.from_json(state)
         return store
 

@@ -19,13 +19,13 @@ ack**.  Fresh records and the per-frame watermark marker are written to
 an append-only :class:`~repro.telemetry.uplink.wal.RecordLog` -- the
 ingestor's only durable file -- and synced *before* the acknowledgment
 envelope is produced, so a fleet crash after an ack can always rebuild
-the acknowledged state.  A checkpoint is one more entry of that journal
-holding only what changed since the previous one; nothing is truncated,
-and once the journal has outgrown its base it is rewritten as header +
-one full-state entry with a single rename.
-:meth:`UplinkIngestor.recover` is one scan: the newest checkpointed
-state of every key, then the entries after the last complete checkpoint
-replayed *through the dedup layer*, which makes replay idempotent by
+the acknowledged state.  The journal is base + redo: a checkpoint is
+one more entry holding the watermarks that moved and the store's
+``applied`` count, nothing is truncated, and once the journal has
+outgrown its base it is rewritten as header + one full-state entry with
+a single rename.  :meth:`UplinkIngestor.recover` is one scan: the base,
+the record lines the newest checkpoint covers redone on top of it, then
+the entries after it replayed *through the dedup layer*, idempotent by
 construction -- replaying twice is the same as replaying once.
 """
 
@@ -52,11 +52,12 @@ from repro.telemetry.uplink.transport import (
 from repro.telemetry.uplink.wal import (
     CHECKPOINT_TAG,
     RecordLog,
+    WalCorruptionError,
     encode_entry,
 )
 
 #: Schema identifier of a journal checkpoint entry's document.
-CHECKPOINT_SCHEMA = "repro-uplink-checkpoint/2"
+CHECKPOINT_SCHEMA = "repro-uplink-checkpoint/3"
 
 #: A checkpoint compacts the journal once it is this many times the
 #: size compaction last left it at.
@@ -173,10 +174,11 @@ class IngestRecoveryReport:
     """What :meth:`UplinkIngestor.recover` rebuilt from disk."""
 
     checkpoint_loaded: bool = False
-    #: Checkpoint entries read (the base and every fragment after it)
-    #: and journal bytes scanned: what a recovery's time is made of.
+    #: Checkpoint entries read, journal bytes scanned and records
+    #: redone on top of the base: what a recovery's time is made of.
     fragments_read: int = 0
     journal_bytes: int = 0
+    redone_records: int = 0
     replayed_records: int = 0
     replayed_fresh: int = 0
     replayed_markers: int = 0
@@ -389,21 +391,20 @@ class UplinkIngestor:
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> None:
-        """Durably append one checkpoint entry to the journal: the
-        store keys, sources and dedup states dirtied since the previous
-        one.  Once the journal has outgrown its base the entry holds
+        """Durably append one checkpoint entry to the journal: the dedup
+        states dirtied since the previous one and the store's
+        ``applied`` count -- the record lines before it hold the store
+        state.  Once the journal has outgrown its base the entry holds
         the full state instead and replaces the file.  Flushes first:
-        the entry must hold every frame ingested so far."""
+        the entry must cover every frame ingested so far."""
         self.flush()
-        log, store = self.log, self.service.store
+        log = self.log
         compact = log.nbytes > JOURNAL_COMPACT_FACTOR * log.base_bytes
         doc: dict = {"schema": CHECKPOINT_SCHEMA}
         if compact:
             doc["store"] = self.service.snapshot()
-            store.dirty_keys.clear()
-            store.dirty_sources.clear()
         else:
-            doc["delta"] = store.fragment()
+            doc["applied"] = self.service.store.applied
         doc["dedup"] = {
             source: self.dedup[source].to_json()
             for source in sorted(self.dedup if compact else self._dirty_dedup)
@@ -437,9 +438,9 @@ class UplinkIngestor:
         checkpoint_every: Optional[int] = 8,
     ) -> Tuple["UplinkIngestor", IngestRecoveryReport]:
         """Rebuild an ingestor after a crash: one journal scan, the
-        newest checkpointed state per key, then the entries after the
-        last checkpoint replayed *through the dedup layer* (idempotent
-        by construction)."""
+        base, the records the newest checkpoint covers redone on top of
+        it, then the entries after that checkpoint replayed *through the
+        dedup layer* (idempotent by construction)."""
         directory = Path(directory)
         legacy = sorted(directory.glob("checkpoint.*"))
         if legacy:
@@ -467,23 +468,39 @@ class UplinkIngestor:
                         CHECKPOINT_SCHEMA,
                     )
                 dedup_docs.update(doc["dedup"])
-            # compact() leaves the full state on top; deltas follow.
-            service.restore(
-                log.checkpoints[0]["store"],
-                [doc["delta"] for doc in log.checkpoints[1:]],
-            )
+            # compact() leaves the full state on top.
+            base = log.checkpoints[0]
+            service.restore(base["store"])
+            floor = {s: d["watermark"] for s, d in base["dedup"].items()}
             dedup = {
                 source: DedupWatermark.from_json(state)
                 for source, state in dedup_docs.items()
             }
-            # A record logged before the last checkpoint entry matters
-            # only if that checkpoint still held it, and a record stays
-            # held exactly until the watermark passes it.
-            floor = min((d.watermark for d in dedup.values()), default=-1)
-            for row in log.settled_above(floor):
+            # Between the base and the newest checkpoint the store applied
+            # exactly the logged records those two watermarks bracket (-1
+            # for a source the base never heard of), per source in seq
+            # order; the ones above the newest one were still held.
+            redo: Dict[str, Dict[int, list]] = {}
+            for row in log.settled_rows():
                 source, seq = row[1], row[-1]
                 if seq > dedup[source].watermark:
                     held.setdefault(source, {})[seq] = row
+                elif seq > floor.get(source, -1):
+                    redo.setdefault(source, {})[seq] = row
+            rows = [
+                row for source in sorted(redo)
+                for _, row in sorted(redo[source].items())
+            ]
+            apply_columnar(service, rows)
+            report.redone_records = len(rows)
+            # A record line gone from the middle keeps every CRC valid;
+            # only the count the newest checkpoint wrote can tell.
+            applied = log.checkpoints[-1].get("applied", service.store.applied)
+            if service.store.applied != applied:
+                raise WalCorruptionError(
+                    f"{log.path}: base + redo applied {service.store.applied}"
+                    f" records, the last checkpoint says {applied}"
+                )
             report.checkpoint_loaded = True
 
         for row, marker in log.replayed:

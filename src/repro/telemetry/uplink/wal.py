@@ -79,6 +79,7 @@ MARKER_TAG = "~wm"
 #: second is the ingestor's checkpoint document.
 CHECKPOINT_TAG = "~ck"
 _CHECKPOINT_PREFIX = f'["{CHECKPOINT_TAG}",'
+_MARKER_PREFIX = f'["{MARKER_TAG}",'
 
 #: Accepted fsync policies.
 FSYNC_POLICIES = ("always", "rotate", "never")
@@ -769,8 +770,9 @@ class RecordLog(AppendLog):
     one more entry (:meth:`append_checkpoint`) and truncates nothing;
     :meth:`compact` rewrites the file as header + the records still
     waiting + one full-state checkpoint entry.  :meth:`open_existing`
-    reads it back after a crash and decodes only what a recovery can
-    still need.
+    reads it back after a crash: the checkpoint entries, the lines
+    before the last of them (the ingestor's redo) and the entries after
+    it (its replay).
     """
 
     def __init__(self, path: Path, fsync: str = "rotate",
@@ -838,7 +840,8 @@ class RecordLog(AppendLog):
 
         def parse(line: str):
             # Only checkpoint entries are decoded on the way: whatever
-            # precedes the last of them is settled, and CRC-checked only.
+            # precedes the last of them is settled, CRC-checked here and
+            # decoded in one piece by settled_rows().
             body = entry_body(line)
             if body is None or not body.startswith(_CHECKPOINT_PREFIX):
                 return body
@@ -875,16 +878,17 @@ class RecordLog(AppendLog):
             )
         return fields, None
 
-    def settled_above(self, floor: int) -> List[list]:
-        """The wire rows logged before the last checkpoint entry with a
-        seq above *floor*: the only ones a recovery can still need, so
-        the only ones decoded (every record and marker body ends
-        ``,<seq>]``)."""
-        entries = [
-            self._decode(body) for body in self.settled
-            if int(body[body.rfind(",") + 1:-1]) > floor
-        ]
-        return [row for row, _ in entries if row is not None]
+    def settled_rows(self) -> List[list]:
+        """The wire rows logged before the last checkpoint entry, in log
+        order: one ``json.loads`` of their bodies joined by a raw newline
+        (no string spans two, as in ``decode_frame``), markers unread."""
+        bodies = [b for b in self.settled if not b.startswith(_MARKER_PREFIX)]
+        rows = _body_fields("[" + ",\n".join(bodies) + "]") or []
+        if len(rows) != len(bodies) or not wire_rows_ok(rows):
+            raise WalCorruptionError(
+                f"{self.path}: intact line is neither record nor marker"
+            )
+        return rows
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RecordLog {self.path.name} entries={self.entries}>"

@@ -33,10 +33,6 @@ def apply_scalar(
     store.applied += 1
 
     source = store.source_state(record.source)
-    # The journal's dirty sets: production marks them per batch.
-    store.dirty_sources.add(record.source)
-    if record.kind in (RecordKind.SEGMENT, RecordKind.CHAIN):
-        store.dirty_keys.add((record.source, record.chain))
     source.records += 1
     if record.timestamp_ns > source.last_seen_ns:
         source.last_seen_ns = record.timestamp_ns

@@ -79,10 +79,11 @@ CAMPAIGN_FRAMES = 60
 CAMPAIGN_CEILING = 749
 
 #: Calls into ``repro`` of one clean 4 x 30 gateway episode (driver
-#: built, run, verified) on CPython 3.11: 34.7k (44.1k while every
+#: built, run, verified) on CPython 3.11: 30.7k (32.8k while a
+#: checkpoint re-serialised every key it dirtied, 44.1k while every
 #: frame paid a parse per line, a record per row and an apply of its
 #: own); the ceiling is 3% above.
-FLEET_CEILING = 35_780
+FLEET_CEILING = 31_610
 
 _ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _TRACING = _ROOT + "tracing" + os.sep
@@ -278,9 +279,10 @@ def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
     # + 2: the fault-free reference store and the cold-recovery check.
     assert counts["apply_batch"] <= counts["steps"] + checkpoints + 2
     # Header + rows per frame, one per hello and downlink envelope; the
-    # cold recovery reads the journal header and its checkpoint entries.
+    # cold recovery reads the journal header, its checkpoint entries
+    # and, in one piece, the record lines it redoes.
     envelopes = driver.gateway.hellos + result.channels["down"]["delivered"]
     assert counts["loads"] <= (
-        2 * frames + envelopes + 1 + driver.last_recovery.fragments_read
+        2 * frames + envelopes + 2 + driver.last_recovery.fragments_read
     )
     assert counts["calls"] <= FLEET_CEILING

@@ -274,7 +274,9 @@ class TestIngestor:
         """A checkpoint is one CRC-framed ``~ck`` line of the journal,
         C-encoded once and compact, and its bytes are a function of the
         per-source histories alone: not of the order sources first
-        showed up in (dict order), nor of a hash seed (set order)."""
+        showed up in (dict order), nor of a hash seed (set order).  The
+        base holds the full state; a later one only the watermarks
+        that moved and ``applied`` -- the record lines hold the rest."""
         config = ServiceConfig(store=StoreConfig(mk_by_chain={"c": (2, 10)}))
 
         def journal_after(directory, order):
@@ -289,18 +291,17 @@ class TestIngestor:
             ingestor.checkpoint()  # no base yet: the full state
             for source in order:
                 ingestor.handle_payload(_frame(source, 1, [_rec(source, 7)]))
-            ingestor.checkpoint()  # a fragment
+            ingestor.checkpoint()  # on top of the base
             lines = (directory / "ingest-wal.log").read_text(
                 encoding="utf-8"
             ).split("\n")
-            # header, base, per source 1 record + 1 marker, fragment.
+            # header, base, per source 1 record + 1 marker, checkpoint.
             assert len(lines) == 2 + 4 + 1 + 1 and lines[-1] == ""
             return ingestor, lines[1], lines[-2]
 
-        ingestor, base_line, fragment_line = journal_after(
+        ingestor, base_line, redo_line = journal_after(
             tmp_path / "a", ("v1", "v0")
         )
-        store = ingestor.service.store
         tag, base = decode_entry(base_line)
         assert tag == "~ck" and base_line[9:] == json.dumps(
             ["~ck", base], separators=(",", ":")
@@ -313,17 +314,12 @@ class TestIngestor:
                      "duplicates": 0}
             for source in ("v0", "v1")
         }
-        assert decode_entry(fragment_line) == ["~ck", {
+        assert redo_line[9:] == json.dumps(["~ck", {
             "schema": CHECKPOINT_SCHEMA,
-            "delta": {
-                "applied": 16,
-                "keys": [[s, "c", store.chain_state(s, "c").to_json()]
-                         for s in ("v0", "v1")],
-                "sources": {s: store.sources[s].to_json()
-                            for s in ("v0", "v1")},
-            },
+            "applied": 16,
             "dedup": {s: ingestor.dedup[s].to_json() for s in ("v0", "v1")},
-        }]
+        }], separators=(",", ":"))
+        assert len(redo_line) < 200
         assert [p.name for p in (tmp_path / "a").iterdir()] == [
             "ingest-wal.log"
         ]
@@ -331,13 +327,13 @@ class TestIngestor:
         ingestor.close()
         other, *other_lines = journal_after(tmp_path / "b", ("v0", "v1"))
         other.close()
-        assert other_lines == [base_line, fragment_line]
+        assert other_lines == [base_line, redo_line]
 
         recovered, report = UplinkIngestor.recover(
             tmp_path / "a", config, fsync="never", checkpoint_every=None
         )
         assert report.checkpoint_loaded and report.replayed_records == 0
-        assert report.fragments_read == 2
+        assert (report.fragments_read, report.redone_records) == (2, 2)
         assert store_digest(recovered.service) == live
         # The recovered handle appends after what it read.
         recovered.handle_payload(_frame("v0", 2, [_rec("v0", 8)]))
@@ -349,7 +345,7 @@ class TestIngestor:
             tmp_path / "a", config, fsync="never"
         )
         assert (report.replayed_records, report.replayed_markers) == (1, 1)
-        assert report.fragments_read == 3
+        assert (report.fragments_read, report.redone_records) == (3, 3)
         assert store_digest(again.service) == live
 
     def test_unknown_checkpoint_schema_refused(self, tmp_path):

@@ -1,21 +1,24 @@
-"""The ingest journal: a checkpoint is one ``~ck`` entry of
-``ingest-wal.log`` holding what changed, a compaction is the only
-rename.
+"""The ingest journal is base + redo: a compaction (the only rename)
+writes the full state, every other checkpoint is one small ``~ck``
+entry of ``ingest-wal.log`` holding the watermarks that moved, and a
+recovery redoes the record lines in between.
 
 - The crash-interleaving property of ``test_uplink_wal.py`` carried to
   the ingestor: frames, checkpoints, compactions and crashes in any
   order -- a crash may cut the journal anywhere inside the last ``~ck``
   entry, or land on either side of a compaction's rename -- recover to
   the store digest, dedup state and held records of the full-snapshot
-  oracle ``_reference/full_snapshot_ingest.py``.
+  oracle ``_reference/full_snapshot_ingest.py``, and to the store the
+  crashed ingestor held live.  Its minimal reproducer: a source first
+  heard after the base.
 - Chunking invariance: the same kind of schedule (plus overload shed
   nominations) with the frames grouped into flushes any way at all --
   what a gateway step does -- against ``_reference/per_frame_ingest.py``
   applying every frame on its own: equal store snapshot, alert log,
   journal bytes, checkpoint count, shed settlements and ``on_fresh``
   records.
-- On the store alone: snapshot + fragments, newest per key, restore to
-  the bytes of ``snapshot()``.
+- The self-check: a record line missing from the middle of a closed
+  journal (every CRC valid) is refused, not silently redone around.
 - The clock-free budgets of the path: ``to_json`` calls per checkpoint,
   ``from_json`` calls per recovery, directory fsyncs per policy.
 """
@@ -34,14 +37,17 @@ from hypothesis import strategies as st
 from _reference.full_snapshot_ingest import FullSnapshotIngestor
 from _reference.per_frame_ingest import PerFrameIngestor
 from repro.schema import SchemaVersionError
-from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
-from repro.telemetry.store import ChainState, ChainStateStore, StoreConfig
+from repro.telemetry.store import ChainState, StoreConfig
 from repro.telemetry.uplink import ingest, wal
 from repro.telemetry.uplink.ingest import UplinkIngestor, store_digest
 from repro.telemetry.uplink.transport import encode_frame
-from repro.telemetry.uplink.wal import encode_entry
+from repro.telemetry.uplink.wal import (
+    WalCorruptionError,
+    decode_entry,
+    encode_entry,
+)
 
 SOURCES = ("v0", "v1", "v2")
 CHAINS = ("brake", "steer")
@@ -125,8 +131,12 @@ class TestCrashInterleavingProperty:
             return ingestor
 
         def crash(ingestor):
+            live = store_digest(ingestor.service)
             ingestor.log._file.close()  # no checkpoint, no fsync
-            return recover(type(ingestor), ingestor.directory)
+            recovered = recover(type(ingestor), ingestor.directory)
+            # Every frame was applied and journaled before the crash.
+            assert store_digest(recovered.service) == live
+            return recovered
 
         journal = UplinkIngestor(
             TelemetryService(CONFIG), tmp / "journal", fsync="never",
@@ -215,6 +225,62 @@ class TestCrashInterleavingProperty:
         with open(log.path, "r+b") as handle:
             handle.truncate(keep)
         return journal, False
+
+
+class TestRedo:
+    def _ingestor(self, directory):
+        return UplinkIngestor(
+            TelemetryService(CONFIG), directory, fsync="never",
+            checkpoint_every=None,
+        )
+
+    def test_a_source_first_heard_after_the_base_recovers_cold(
+        self, tmp_path
+    ):
+        """Minimal reproducer of the redo range: it starts above the
+        base watermark *of each source*, -1 for a source the base never
+        heard of.  Started above the lowest base watermark instead (9
+        here) it skips v1's records 0..2.  Passes at the parent too,
+        whose checkpoint entries held every dirtied key's state."""
+        ingestor = self._ingestor(tmp_path)
+        ingestor.handle_payload(_frame("v0", 0, range(10)))
+        ingestor.checkpoint()  # the base: v0 only
+        ingestor.handle_payload(_frame("v1", 1, range(3)))
+        ingestor.checkpoint()
+        live = json.dumps(ingestor.service.snapshot(), sort_keys=True)
+        ingestor.close()
+        recovered, report = UplinkIngestor.recover(
+            tmp_path, CONFIG, fsync="never", checkpoint_every=None
+        )
+        assert report.redone_records == 3
+        assert json.dumps(
+            recovered.service.snapshot(), sort_keys=True
+        ) == live
+        recovered.close()
+
+    def test_a_record_line_missing_mid_journal_is_refused(self, tmp_path):
+        """One intact record line deleted between the base and the
+        newest checkpoint: every CRC stays valid, so the scan cannot
+        see the gap, but base + redo no longer reach the ``applied``
+        count that checkpoint wrote."""
+        ingestor = self._ingestor(tmp_path)
+        ingestor.handle_payload(_frame("v0", 0, range(4)))
+        ingestor.checkpoint()  # the base
+        ingestor.handle_payload(_frame("v0", 1, range(4, 8)))
+        ingestor.checkpoint()
+        ingestor.handle_payload(_frame("v0", 2, range(8, 10)))
+        ingestor.close()
+        path = tmp_path / "ingest-wal.log"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        victim = next(
+            index for index, line in enumerate(lines[1:], 1)
+            if decode_entry(line)[0] != "~wm" and decode_entry(line)[-1] == 6
+        )
+        assert 1 < victim < len(lines) - 5  # after the base, before the ~ck
+        del lines[victim]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(WalCorruptionError, match="applied 7 records"):
+            UplinkIngestor.recover(tmp_path, CONFIG, fsync="never")
 
 
 # ----------------------------------------------------------------------
@@ -354,44 +420,6 @@ class TestChunkingInvariance:
 
 
 # ----------------------------------------------------------------------
-# The store alone: snapshot + fragments == snapshot
-# ----------------------------------------------------------------------
-class TestFragmentsRestoreToTheSnapshot:
-    @given(
-        batches=st.lists(
-            st.lists(st.tuples(st.integers(0, 2), st.integers(1, 6)),
-                     min_size=0, max_size=4),
-            min_size=1, max_size=8,
-        ),
-        base_after=st.integers(0, 8),
-    )
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_newest_per_key_merge_is_byte_identical(self, batches, base_after):
-        store = ChainStateStore(CONFIG.store)
-        seqs = collections.Counter()
-        base, fragments = store.snapshot(), []
-        store.fragment()
-        for index, picks in enumerate(batches):
-            records = []
-            for source_index, n in picks:
-                source = SOURCES[source_index]
-                records += [
-                    _rec(source, seqs[source] + i) for i in range(n)
-                ]
-                seqs[source] += n
-            store.apply_batch(RecordBatch.from_records(records))
-            if index == base_after:
-                base, fragments = store.snapshot(), []
-                store.fragment()
-            else:
-                fragments.append(json.loads(json.dumps(store.fragment())))
-        restored = ChainStateStore.restore(base, fragments)
-        dump = lambda s: json.dumps(s.snapshot(), sort_keys=True)  # noqa: E731
-        assert dump(restored) == dump(store)
-        assert not restored.dirty_keys and not restored.dirty_sources
-
-
-# ----------------------------------------------------------------------
 # Clock-free budgets
 # ----------------------------------------------------------------------
 def _wide_rec(vehicle, chain, seq):
@@ -405,9 +433,11 @@ class TestCheckpointWorkIsProportionalToWhatChanged:
     def test_to_json_per_dirty_key_and_from_json_per_distinct_key(
         self, tmp_path, monkeypatch
     ):
-        """200 keys, every frame touches 2: a checkpoint encodes the
-        keys dirtied since the last one, and a recovery over N
-        fragments decodes each distinct key once."""
+        """200 keys, every frame touches 2: a checkpoint between
+        compactions encodes no key however many it dirtied, a
+        compaction each key once, and a recovery decodes each distinct
+        key of the base once and redoes the rest from the record
+        lines."""
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -436,9 +466,9 @@ class TestCheckpointWorkIsProportionalToWhatChanged:
         ingestor.checkpoint()  # the base: a full snapshot
         assert calls["to_json"] == 200
 
-        fragments = 12
+        checkpoints = 12
         next_seq = collections.Counter()
-        for round_no in range(fragments):
+        for round_no in range(checkpoints):
             calls.clear()
             for vehicle in (round_no % 5, 50 + round_no % 3):
                 next_seq[vehicle] += 2
@@ -449,7 +479,7 @@ class TestCheckpointWorkIsProportionalToWhatChanged:
                     ).encode_line()) for i, chain in enumerate(CHAINS)],
                 ))
             ingestor.checkpoint()
-            assert calls["to_json"] == 4  # 2 frames x 2 keys
+            assert calls["to_json"] == 0
         live = store_digest(ingestor.service)
         ingestor.close()
 
@@ -457,11 +487,25 @@ class TestCheckpointWorkIsProportionalToWhatChanged:
         recovered, report = UplinkIngestor.recover(
             tmp_path, ServiceConfig(), fsync="never", checkpoint_every=None
         )
-        assert report.fragments_read == 1 + fragments
+        assert report.fragments_read == 1 + checkpoints
+        assert report.redone_records == 4 * checkpoints
         assert report.journal_bytes == (tmp_path / "ingest-wal.log").stat().st_size
-        assert calls["from_json"] == 200  # not 200 + 4 * fragments
+        assert calls["from_json"] == 200
         assert store_digest(recovered.service) == live
+
+        calls.clear()
+        recovered.log.base_bytes = 0  # outgrown: the next one compacts
+        recovered.checkpoint()
+        assert calls["to_json"] == 200
         recovered.close()
+        calls.clear()
+        again, report = UplinkIngestor.recover(
+            tmp_path, ServiceConfig(), fsync="never", checkpoint_every=None
+        )
+        assert (report.fragments_read, report.redone_records) == (1, 0)
+        assert calls["from_json"] == 200
+        assert store_digest(again.service) == live
+        again.close()
 
 
 class TestCompactionDurability:
@@ -474,7 +518,8 @@ class TestCompactionDurability:
         """Under any policy but ``never`` the journal's creation and a
         compaction's rename are each made durable -- file, then
         directory -- before anything is appended to the new inode; a
-        frame and a fragment checkpoint never touch the directory."""
+        frame and a checkpoint between compactions never touch the
+        directory."""
         synced = []
         real_fsync = os.fsync
 
@@ -502,7 +547,7 @@ class TestCompactionDurability:
 
         ingestor.handle_payload(_frame("v0", 1, range(4, 8)))
         del synced[:]
-        ingestor.checkpoint()  # a fragment: one append, no rename
+        ingestor.checkpoint()  # on top of the base: one append, no rename
         assert synced == ["file"][:dir_fsyncs]
         del synced[:]
         ingestor.close()

@@ -384,8 +384,9 @@ class TestRecordLog:
     def test_checkpoint_entry_settles_what_precedes_it(self, tmp_path):
         path = Path(tmp_path) / "fleet.log"
         log = RecordLog(path, fsync="never")
-        log.append_raw(encode_entry(_rec("v0", 0).encode_line()))
         log.append_raw(encode_entry(_rec("v0", 5).encode_line()))
+        log.append_marker("v0", -1)
+        log.append_raw(encode_entry(_rec("v0", 0).encode_line()))
         log.append_checkpoint('["~ck",{"n":1}]')
         log.append_checkpoint('["~ck",{"n":2}]')
         log.append_marker("v0", 0)
@@ -394,10 +395,24 @@ class TestRecordLog:
         assert replayed.checkpoints == [{"n": 1}, {"n": 2}]
         assert replayed.replayed == [(None, ("v0", 0))]
         # Nothing is truncated: settled lines stay, undecoded until a
-        # recovery asks for the seqs it can still need.
-        assert [row[-1] for row in replayed.settled_above(-1)] == [0, 5]
-        assert [row[-1] for row in replayed.settled_above(0)] == [5]
+        # recovery redoes them -- the records, in log order.
+        assert replayed.settled_rows() == [
+            list(_rec("v0", seq).to_wire()) for seq in (5, 0)
+        ]
         assert replayed.nbytes == path.stat().st_size
+
+    def test_intact_settled_line_of_no_known_shape_is_corruption(
+        self, tmp_path
+    ):
+        path = Path(tmp_path) / "fleet.log"
+        log = RecordLog(path, fsync="never")
+        log.append_raw(encode_entry(_rec("v0", 0).encode_line()))
+        log.append_raw(encode_entry('{"not":"a row"}'))
+        log.append_checkpoint('["~ck",{"n":1}]')
+        log.close()
+        replayed = RecordLog.open_existing(path, fsync="never")
+        with pytest.raises(WalCorruptionError):
+            replayed.settled_rows()
 
     def test_compact_leaves_header_waiting_lines_and_one_entry(
         self, tmp_path
@@ -415,7 +430,7 @@ class TestRecordLog:
         assert len(path.read_text().split("\n")) == 5
         replayed = RecordLog.open_existing(path, fsync="never")
         assert replayed.checkpoints == [{"n": 1}]
-        assert [row[-1] for row in replayed.settled_above(-1)] == [3]
+        assert [row[-1] for row in replayed.settled_rows()] == [3]
         assert replayed.replayed == [(None, ("v0", 3))]
         assert replayed.base_bytes == len(encode_entry('["~ck",{"n":1}]')) + 1
 
