@@ -52,8 +52,8 @@ def bench_kernel_cancel_sweep() -> int:
     Each sweep cancels a quarter of the armed events outright and
     rearms the survivors at a later deadline -- the pattern a
     NORMAL->DEGRADED transition produces when deadline monitors are
-    torn down and re-armed en masse.  The calendar queue retires dead
-    entries in bulk compactions and rearms in place.  Units are queue
+    torn down and re-armed en masse.  The kernel's heap retires dead
+    entries in bulk sweeps and rearms in place.  Units are queue
     operations (schedule, cancel, rearm, fire).
     """
     from repro.sim import Simulator

@@ -26,7 +26,6 @@ accumulation errors; use the helpers :func:`usec`, :func:`msec` and
 from repro import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.sim.calendar": ("CalendarQueue",),
     "repro.sim.kernel": (
         "Simulator", "ScheduledEvent", "nsec", "usec", "msec", "sec",
         "fmt_time",

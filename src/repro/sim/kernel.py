@@ -16,42 +16,50 @@ Performance notes
 -----------------
 This module is the hottest path of the repository: every simulated
 microsecond of every experiment flows through :meth:`Simulator.run`.
-Queue entries are therefore plain ``(time, priority, seq, event)`` tuples
-(tuple comparison is C-level and the unique ``seq`` guarantees the event
-object itself is never compared), ``run`` and the ``schedule_*`` methods
-carry the queue's pop and push inlined, hot schedule sites pass no
-``label`` (only ``ScheduledEvent.__repr__`` reads one; formatting it per
-event costs more than the event), and trace emission is skipped entirely
-while no hook is registered.  None of this changes observable behavior:
-the golden-trace suite (``tests/test_golden_traces.py``) pins the event
-order bit-for-bit, and ``tests/test_hot_path_budget.py`` pins the number
-of events a perception frame fires.
+The queue is a plain ``heapq`` of ``(time, priority, seq, event)``
+tuples (tuple comparison is C-level and the unique ``seq`` guarantees
+the event object itself is never compared), ``run`` and the
+``schedule_*`` methods carry the heap push and pop inlined, hot
+schedule sites pass no ``label`` (only ``ScheduledEvent.__repr__``
+reads one; formatting it per event costs more than the event), and
+trace emission is skipped entirely while no hook is registered.  None
+of this changes observable behavior: the golden-trace suite
+(``tests/test_golden_traces.py``) pins the event order bit-for-bit, and
+``tests/test_hot_path_budget.py`` pins the number of events a
+perception frame fires.
 
-The queue is a bucketed calendar queue (:mod:`repro.sim.calendar`):
-O(1) amortized insert, one sort per time bucket, and eager reclamation
-of cancelled entries, which is what makes rearm/cancel-heavy timer
-workloads cheap.  The binary heap it replaced lives on as the test
-oracle ``tests/_reference/heap_kernel.py``;
-``tests/test_differential_engines.py`` replays whole scenario suites
-on both and asserts byte-identical golden fingerprints and digests.
+An entry is live iff ``event._seq == seq``: cancel and reschedule
+retire the resident entry by changing the event's generation stamp, so
+a re-armed handle is reused without allocation.  Retired entries are
+counted and swept in one pass once they reach ``max(_MIN_COMPACT,
+live)``, which bounds the heap under rearm-heavy loops.  No workload
+keeps more than ~26 entries resident, so ``log n`` is a few compares.
+A lazy-cancel heap that gives ``reschedule`` a fresh handle is the
+test oracle ``tests/_reference/heap_kernel.py``;
+``tests/test_differential_engines.py`` replays whole scenario suites on
+both and asserts byte-identical golden fingerprints and digests.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import zlib
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
-
-from .calendar import CalendarQueue
 
 #: Number of nanoseconds per microsecond / millisecond / second.
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
+
+#: Sweep retired heap entries once this many have accumulated (or, after
+#: a sweep, as many as there were live entries, whichever is larger):
+#: amortized O(1) per cancel, and the heap never holds more than about
+#: twice its live entries.
+_MIN_COMPACT = 64
 
 
 def _round_half_away(value: float) -> int:
@@ -103,12 +111,12 @@ class ScheduledEvent:
     """Handle for an event sitting in the simulator's queue.
 
     Cancellation is eager in aggregate: :meth:`cancel` retires the
-    resident queue entry by generation stamp and tells the queue, which
-    compacts once enough entries have died.
+    resident queue entry by generation stamp and tells the simulator,
+    which sweeps its heap once enough entries have died.
     """
 
     __slots__ = (
-        "callback", "args", "time", "cancelled", "label", "ctx", "_cq", "_seq"
+        "callback", "args", "time", "cancelled", "label", "ctx", "_sim", "_seq"
     )
 
     def __init__(
@@ -126,13 +134,12 @@ class ScheduledEvent:
         #: Span context captured at schedule time (span tracing only;
         #: stays None while ``sim.spans`` is unset).
         self.ctx = None
-        #: Back-reference to the calendar queue while the event is
-        #: resident there (None after pop), so cancellation can be
-        #: accounted eagerly.
-        self._cq = None
-        #: Generation stamp: the calendar entry ``(time, prio, seq, ev)``
-        #: is live iff ``seq == self._seq``.  Cancel and reschedule
-        #: retire the resident entry by changing this.
+        #: The simulator whose heap holds this event's live entry (None
+        #: once popped), so cancellation can be accounted eagerly.
+        self._sim = None
+        #: Generation stamp: the heap entry ``(time, prio, seq, ev)`` is
+        #: live iff ``seq == self._seq``.  Cancel and reschedule retire
+        #: the resident entry by changing this.
         self._seq = -1
 
     def cancel(self) -> None:
@@ -140,11 +147,11 @@ class ScheduledEvent:
         if self.cancelled:
             return
         self.cancelled = True
-        cq = self._cq
-        if cq is not None:
-            self._cq = None
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
             self._seq = -1
-            cq.note_cancel()
+            sim._note_dead()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -177,7 +184,10 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.now: int = 0
-        self._cal = CalendarQueue()
+        self._heap: List[tuple] = []
+        #: Retired entries still resident in ``_heap``.
+        self._dead = 0
+        self._compact_at = _MIN_COMPACT
         self._next_seq = itertools.count().__next__
         self._entity_ids: Dict[str, int] = {}
         self._rngs: Dict[str, np.random.Generator] = {}
@@ -247,24 +257,12 @@ class Simulator:
         event = ScheduledEvent(callback, args, time, label=label)
         if self.spans is not None:
             event.ctx = self.spans.current
-        # CalendarQueue.push, inlined: this is the hottest call site
-        # in the repository and the call overhead is measurable.
-        cal = self._cal
+        # The push, inlined: this is the hottest call site in the
+        # repository and the call overhead is measurable.
         seq = self._next_seq()
-        event._cq = cal
+        event._sim = self
         event._seq = seq
-        key = time >> cal._shift
-        entry = (time, priority, seq, event)
-        if key <= cal._act_key:
-            heapq.heappush(cal._extra, entry)
-        else:
-            pend = cal._pend
-            lst = pend.get(key)
-            if lst is None:
-                pend[key] = [entry]
-                heapq.heappush(cal._keys, key)
-            else:
-                lst.append(entry)
+        heappush(self._heap, (time, priority, seq, event))
         return event
 
     def schedule_after(
@@ -282,34 +280,18 @@ class Simulator:
         event = ScheduledEvent(callback, args, time, label=label)
         if self.spans is not None:
             event.ctx = self.spans.current
-        # CalendarQueue.push, inlined (see schedule_at).
-        cal = self._cal
+        # The push, inlined (see schedule_at).
         seq = self._next_seq()
-        event._cq = cal
+        event._sim = self
         event._seq = seq
-        key = time >> cal._shift
-        entry = (time, priority, seq, event)
-        if key <= cal._act_key:
-            heapq.heappush(cal._extra, entry)
-        else:
-            pend = cal._pend
-            lst = pend.get(key)
-            if lst is None:
-                pend[key] = [entry]
-                heapq.heappush(cal._keys, key)
-            else:
-                lst.append(entry)
+        heappush(self._heap, (time, priority, seq, event))
         return event
 
     def call_now(
         self, callback: Callable[..., None], *args: Any, label: str = ""
     ) -> ScheduledEvent:
         """Schedule *callback* at the current instant (after current event)."""
-        event = ScheduledEvent(callback, args, self.now, label=label)
-        if self.spans is not None:
-            event.ctx = self.spans.current
-        self._cal.push(self.now, 0, self._next_seq(), event)
-        return event
+        return self.schedule_at(self.now, callback, *args, label=label)
 
     def reschedule(
         self, event: ScheduledEvent, time: int, priority: int = 0
@@ -329,41 +311,60 @@ class Simulator:
                 f"cannot schedule event at {fmt_time(time)}, "
                 f"now is {fmt_time(self.now)}"
             )
-        cal = self._cal
-        if event._cq is not None:
-            # A live entry is resident: retire it (the new generation
-            # stamp set by push makes it stale) and account it dead.
-            event._cq = None
+        if event._sim is not None:
+            # A live entry is resident: retire it before a sweep can see
+            # it (the push below stamps the handle anew).
             event._seq = -1
-            cal.note_cancel()
+            self._note_dead()
         event.cancelled = False
         event.time = time
         if self.spans is not None:
             event.ctx = self.spans.current
-        # CalendarQueue.push, inlined (see schedule_at).
+        # The push, inlined (see schedule_at).
         seq = self._next_seq()
-        event._cq = cal
+        event._sim = self
         event._seq = seq
-        key = time >> cal._shift
-        entry = (time, priority, seq, event)
-        if key <= cal._act_key:
-            heapq.heappush(cal._extra, entry)
-        else:
-            pend = cal._pend
-            lst = pend.get(key)
-            if lst is None:
-                pend[key] = [entry]
-                heapq.heappush(cal._keys, key)
-            else:
-                lst.append(entry)
+        heappush(self._heap, (time, priority, seq, event))
         return event
+
+    def _note_dead(self) -> None:
+        """Count one retired resident entry; sweep when they pile up."""
+        self._dead += 1
+        if self._dead >= self._compact_at:
+            # In place: ``run`` holds a reference to the list.
+            heap = self._heap
+            heap[:] = [e for e in heap if e[3]._seq == e[2]]
+            heapify(heap)
+            self._dead = 0
+            self._compact_at = max(_MIN_COMPACT, len(heap))
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _pop(self, limit: Optional[int] = None) -> Optional[tuple]:
+        """Pop the earliest live entry, or None.
+
+        With *limit*, an entry later than ``limit`` stays queued and
+        None is returned.
+        """
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[3]
+            if event._seq != entry[2]:
+                heappop(heap)
+                self._dead -= 1
+                continue
+            if limit is not None and entry[0] > limit:
+                return None
+            heappop(heap)
+            event._sim = None
+            return entry
+        return None
+
     def step(self) -> bool:
         """Fire the next pending event.  Return False when queue is empty."""
-        entry = self._cal.pop()
+        entry = self._pop()
         if entry is None:
             return False
         self.now = entry[0]
@@ -393,52 +394,29 @@ class Simulator:
             The number of events that fired.
         """
         count = 0
-        cal = self._cal
         spans = self.spans
         if spans is None and max_events is None:
-            # The one production loop: CalendarQueue.pop, inlined, with
-            # the ``until`` compare folded in.  Nearly every event of a
-            # monitored run is scheduled a few microseconds ahead, into
-            # the bucket being drained, so the merge of the sorted run
-            # with the overflow heap is the common case, not the
-            # exception.  Callbacks can schedule, cancel, or trigger a
-            # compaction that rebuilds both, so the queue state is
-            # re-read for every entry.
+            # The one production loop: pop first, and push back the one
+            # entry past ``until`` that ends the call.  A sweep triggered
+            # by a callback rebuilds the heap in place, so the local
+            # reference stays valid.
             limit = float("inf") if until is None else until
-            heappop = heapq.heappop
-            while True:
-                act = cal._act_sorted
-                i = cal._act_idx
-                extra = cal._extra
-                if i < len(act):
-                    entry = act[i]
-                    if extra and extra[0] < entry:
-                        entry = extra[0]
-                        i = -1
-                elif extra:
-                    entry = extra[0]
-                    i = -1
-                elif cal._activate():
-                    continue
-                else:
-                    break
+            heap = self._heap
+            while heap:
+                entry = heappop(heap)
                 time, _, seq, event = entry
-                live = event._seq == seq
-                if live and time > limit:
+                if event._seq != seq:
+                    self._dead -= 1  # cancelled: consumed, not fired
+                    continue
+                if time > limit:
+                    heappush(heap, entry)
                     break
-                if i < 0:
-                    heappop(extra)
-                else:
-                    cal._act_idx = i + 1
-                if live:
-                    event._cq = None
-                    self.now = time
-                    event.callback(*event.args)
-                    count += 1
-                else:
-                    cal._dead -= 1  # cancelled: consumed, not fired
+                event._sim = None
+                self.now = time
+                event.callback(*event.args)
+                count += 1
         else:
-            pop = cal.pop
+            pop = self._pop
             while True:
                 entry = pop(until)
                 if entry is None:
@@ -460,7 +438,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return self._cal.live
+        return len(self._heap) - self._dead
 
     # ------------------------------------------------------------------
     # Tracing hooks (used by repro.tracing)

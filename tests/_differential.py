@@ -1,7 +1,7 @@
 """Differential fixture layer: run one scenario on production and oracle.
 
-The batched/columnar rework (calendar queue in the simulator kernel,
-struct-of-arrays ingest in the telemetry store) is sold on a single
+The fast paths (the stamped, swept heap in the simulator kernel,
+struct-of-arrays ingest in the telemetry store) are sold on a single
 claim: *the fast path is observationally identical to the reference
 path*.  Production ships only the fast paths; the references live in
 ``tests/_reference/`` (:class:`~_reference.heap_kernel.HeapSimulator`,
@@ -28,8 +28,9 @@ from unittest import mock
 from _reference.heap_kernel import HeapSimulator
 from _reference.scalar_store import pump_scalar
 
-#: Simulator event queues: production first, then the reference.
-SIM_ENGINES: Tuple[str, ...] = ("calendar", "heap")
+#: Simulator event queues: production first (entries retired by
+#: generation stamp, re-armed in place), then the lazy-cancel heap.
+SIM_ENGINES: Tuple[str, ...] = ("stamped", "heap")
 #: Telemetry ingest paths: production first, then the reference.
 TELEMETRY_ENGINES: Tuple[str, ...] = ("batched", "scalar")
 
@@ -97,7 +98,7 @@ def run_under_telemetry_engines(fn: Callable[[], Any]) -> Dict[str, Any]:
 
 def run_under_engine_corners(fn: Callable[[], Any]) -> Dict[str, Any]:
     """Run *fn* all-production, then all-reference (both layers)."""
-    results = {"calendar+batched": fn()}
+    results = {"stamped+batched": fn()}
     with reference_engines(sim=True, telemetry=True):
         results["heap+scalar"] = fn()
     return results

@@ -3,7 +3,7 @@
 Every observable artifact the repo pins -- golden-trace fingerprints,
 fault-campaign scenario payloads, DAG campaign digests, gateway/adaptive
 chaos reports, telemetry store digests and alert logs -- is produced
-twice: once by production (``calendar`` simulator queue, ``batched``
+twice: once by production (``stamped`` simulator heap, ``batched``
 columnar telemetry ingest) and once with the oracles of
 ``tests/_reference/`` substituted in (``heap`` kernel, ``scalar``
 per-record pump).  The canonical JSON serializations must match byte

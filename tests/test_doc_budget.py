@@ -16,8 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: document -> (ceiling in bytes, target in KB)
 BUDGET = {
-    "DESIGN.md": (80_013, 55),
-    "EXPERIMENTS.md": (55_369, 30),
+    "DESIGN.md": (79_698, 55),
+    "EXPERIMENTS.md": (54_804, 30),
 }
 
 

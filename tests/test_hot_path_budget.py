@@ -12,7 +12,7 @@ counter and pins these host-independent quantities:
   inlines comprehensions and counts lower);
 * the *exact* number of events ``Simulator.run`` fires, so a cheaper
   frame can only come from cheaper events, never from different ones;
-* what a hot event may not cost: a ``CalendarQueue.pop`` call per fired
+* what a hot event may not cost: a ``Simulator._pop`` call per fired
   event on the ``run(until=...)`` route the stack takes, or a formatted
   label (only ``ScheduledEvent.__repr__`` ever reads one);
 * that tracing off is free: with no span recorder and no trace prefix
@@ -40,7 +40,6 @@ import repro
 from repro.faults import CampaignConfig, FaultCampaign, default_scenarios
 from repro.perception import PerceptionStack, StackConfig
 from repro.perception.scenario import ScenarioConfig
-from repro.sim.calendar import CalendarQueue
 from repro.sim.kernel import ScheduledEvent, Simulator
 from repro.telemetry.batch import RecordBatch
 from repro.telemetry.gateway.chaos import GatewayChaosScenario
@@ -55,11 +54,11 @@ from repro.tracing.tracer import Tracer
 
 FRAMES = 30
 
-#: Calls per frame reached by this code on CPython 3.11.7: 629.8
-#: monitored, 396.6 unmonitored, 233.2 added by the monitor (249.2
-#: while the simulated monitor kept a calendar queue of cancel tokens).
-MONITORED_CEILING = 649
-UNMONITORED_CEILING = 412
+#: Calls per frame reached by this code on CPython 3.11.7: 617.7
+#: monitored, 386.9 unmonitored, 230.8 added by the monitor (629.8 /
+#: 396.6 / 233.2 while the kernel activated calendar buckets).
+MONITORED_CEILING = 637
+UNMONITORED_CEILING = 399
 ADDED_CEILING = 240
 
 #: Events fired over the 30 frames (27.67 / 18.17 per frame).
@@ -73,10 +72,11 @@ UNMONITORED_EVENTS = 545
 LABELLED_CEILING = 7
 
 #: Calls per frame of one 60-frame ``loss_burst`` campaign scenario on
-#: CPython 3.11: 727.3 (935.7 before the campaign stopped arming trace
-#: points, replaying record by record and summing the health window).
+#: CPython 3.11: 694.9 (709.1 while the kernel activated calendar
+#: buckets, 935.7 before the campaign stopped arming trace points,
+#: replaying record by record and summing the health window).
 CAMPAIGN_FRAMES = 60
-CAMPAIGN_CEILING = 749
+CAMPAIGN_CEILING = 716
 
 #: Calls into ``repro`` of one clean 4 x 30 gateway episode (driver
 #: built, run, verified) on CPython 3.11: 30.7k (32.8k while a
@@ -87,7 +87,7 @@ FLEET_CEILING = 31_610
 
 _ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _TRACING = _ROOT + "tracing" + os.sep
-_POP = CalendarQueue.pop.__code__
+_POP = Simulator._pop.__code__
 _EVENT_INIT = ScheduledEvent.__init__.__code__
 
 _SPARSE = ScenarioConfig(

@@ -11,14 +11,14 @@ and the heap oracle kernel.
 
 import pytest
 
-from _differential import reference_engines
+from _differential import SIM_ENGINES, reference_engines
 from _harness import PipelineWorld
 
 from repro.sim import msec
-from repro.sim.calendar import _MIN_COMPACT
+from repro.sim.kernel import _MIN_COMPACT
 
 #: Physical-size ceiling: live entries plus at most one compaction
-#: window of dead ones, the bound the calendar queue's threshold gives.
+#: window of dead ones, the bound the kernel's sweep threshold gives.
 SIZE_BOUND = 2 * _MIN_COMPACT
 
 #: Far more arm/complete cycles than the bound.
@@ -42,9 +42,9 @@ def _live(core):
 
 class TestTimeoutQueueBound:
     @pytest.mark.slow
-    @pytest.mark.parametrize("engine", ["calendar", "heap"])
+    @pytest.mark.parametrize("engine", SIM_ENGINES)
     def test_size_bounded_after_many_cancel_cycles(self, engine):
-        with reference_engines(sim=engine == "heap"):
+        with reference_engines(sim=engine != SIM_ENGINES[0]):
             world = _run_world()
         core = world.monitor.core
         assert world.runtime.pending == {}, "all segments should complete"

@@ -81,3 +81,53 @@ class TestGroundSplitConservation:
             assert len(ground) + len(nonground) == len(cloud)
             merged = np.vstack([ground.points, nonground.points])
             assert merged.shape == cloud.points.shape
+
+
+def _missed_ground(seed: int, frames: range, fused: bool):
+    """(true ground returns classified non-ground, true ground returns).
+
+    A sweep starts with its ground grid (``rings x points_per_ring``
+    returns), so the ground truth of a cloud is its first rows.
+    """
+    scenario = DrivingScenario(ScenarioConfig(seed=seed))
+    n_ground = scenario.config.ground_rings * scenario.config.points_per_ring
+    missed = total = 0
+    for frame in frames:
+        front = scenario.lidar_frame(frame, "front")
+        rear = scenario.lidar_frame(frame, "rear")
+        cloud = front.concatenate(rear) if fused else front
+        truth = np.zeros(len(cloud), dtype=bool)
+        truth[:n_ground] = True
+        if fused:
+            truth[len(front):len(front) + n_ground] = True
+        mask = classify_ground(cloud)
+        missed += int(np.count_nonzero(truth & ~mask))
+        total += int(np.count_nonzero(truth))
+    return missed, total
+
+
+class TestGroundRecall:
+    """At most 1% of true ground returns may be called non-ground.
+
+    One lidar meets it (67 of 46,080 missed over seeds 1-4 x frames
+    0-3).  The fused front + rear cloud does not: both mounts sample one
+    polar grid, so every ground return has a twin at equal radius, and
+    the radial walk divides a noise-sized ``dz`` by a ``dr`` clipped to
+    1 mm -- 46,063 of 92,160 (50.0%) missed over the same frames, and
+    the detector's largest "object" on seed 1 frame 3 is 2,876 ground
+    returns.  The defect predates the event-heap kernel (same counts on
+    the calendar-queue kernel).  Fixing it moves every stack digest and
+    pin, so the fix belongs to a benchmark change (ROADMAP item 1).
+    """
+
+    TARGET = 0.01
+
+    def test_single_lidar(self):
+        missed, total = _missed_ground(seed=1, frames=range(4), fused=False)
+        assert missed <= self.TARGET * total
+
+    @pytest.mark.xfail(strict=True, reason="twin ground returns on the "
+                       "fused cloud read as steep slopes (ROADMAP item 1)")
+    def test_fused_cloud(self):
+        missed, total = _missed_ground(seed=1, frames=range(4), fused=True)
+        assert missed <= self.TARGET * total

@@ -24,7 +24,6 @@ from repro.sim import (
     msec,
     usec,
 )
-from repro.sim.calendar import DEFAULT_SHIFT
 from repro.sim.threads import ThreadState
 
 
@@ -150,9 +149,9 @@ class TestSchedulerProperties:
 # ----------------------------------------------------------------------
 # Bounded runs: run(until=t1); run(until=t2); ...; run() == one run()
 # ----------------------------------------------------------------------
-#: Half a calendar bucket, so generated times tie, share a bucket, land
-#: in the bucket being drained (the overflow heap) and cross buckets.
-STEP = 1 << (DEFAULT_SHIFT - 1)
+#: ~0.5 ms, the scale of a chain's slices and deadlines: generated
+#: times tie, interleave and straddle the ``until`` cut points.
+STEP = 1 << 19
 #: Deltas around the grid: an instant, a tie, and one tick either side.
 deltas = st.sampled_from([0, 1, STEP - 1, STEP, STEP + 1, 2 * STEP, 5 * STEP])
 priorities = st.integers(min_value=0, max_value=2)
