@@ -2,7 +2,7 @@
 """Fleet gateway walkthrough: 50 vehicles overload the gate, recover.
 
 One episode through the public `repro.telemetry.gateway` API
-(DESIGN.md §14), in four acts:
+(DESIGN.md §13), in four acts:
 
 1. **Overload** -- 50 vehicles stream windowed-ARQ frames into a
    gateway whose drain budget is deliberately starved, so the backlog

@@ -38,7 +38,7 @@ __version__ = "1.0.0"
 LAYERS = (
     "schema", "ipc", "sim", "network", "dds", "ros", "core", "budgeting",
     "analysis", "tracing", "perception", "telemetry", "faults", "adaptive",
-    "warehouse", "bench", "experiments",
+    "experiments",
 )
 
 

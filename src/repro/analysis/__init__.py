@@ -6,7 +6,7 @@ quartiles, 1.5 IQR whiskers, outliers); :mod:`repro.analysis.report`
 renders them as text tables and ASCII boxplots so every benchmark can
 print the figure it reproduces.  :mod:`repro.analysis.histogram` is the
 streaming counterpart: a mergeable log-bucket sketch for quantiles over
-samples nobody keeps (span attribution, the fleet store, the warehouse).
+samples nobody keeps (span attribution, the fleet store).
 """
 
 from repro import lazy_exports

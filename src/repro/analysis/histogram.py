@@ -149,7 +149,12 @@ class StreamingHistogram:
         }
 
     def merge(self, other: "StreamingHistogram") -> None:
-        """Fold *other* into this sketch (alphas must match)."""
+        """Fold *other* into this sketch (alphas must match).
+
+        Exact on sketch state (bucket counts add), hence commutative and
+        associative, and the ``|est - exact| <= alpha * exact`` quantile
+        bound survives any merge tree (``tests/test_telemetry_histogram.py``).
+        """
         if abs(other.alpha - self.alpha) > 1e-12:
             raise ValueError(
                 f"cannot merge sketches with alpha {self.alpha} and {other.alpha}"
@@ -163,38 +168,6 @@ class StreamingHistogram:
             self.min = other.min
         if other.max is not None and (self.max is None or other.max > self.max):
             self.max = other.max
-
-    def merged(self, other: "StreamingHistogram") -> "StreamingHistogram":
-        """A new sketch equal to this one folded with *other*.
-
-        Neither input is mutated, so warehouse cohort queries can merge
-        persisted per-run sketches without corrupting them.  Merging is
-        exact on sketch state (bucket counts add), hence commutative and
-        associative, and the ``|est - exact| <= alpha * exact`` quantile
-        bound survives arbitrary merge trees
-        (``tests/test_telemetry_histogram.py``).
-        """
-        out = StreamingHistogram.restore(self.snapshot())
-        out.merge(other)
-        return out
-
-    @classmethod
-    def merge_many(
-        cls, sketches: Iterable["StreamingHistogram"],
-        alpha: float = DEFAULT_ALPHA,
-    ) -> "StreamingHistogram":
-        """Fold any number of sketches into one new sketch.
-
-        ``alpha`` seeds the result when *sketches* is empty; a first
-        input overrides it (all inputs must agree, as in :meth:`merge`).
-        """
-        out: Optional[StreamingHistogram] = None
-        for sketch in sketches:
-            if out is None:
-                out = cls.restore(sketch.snapshot())
-            else:
-                out.merge(sketch)
-        return cls(alpha=alpha) if out is None else out
 
     # ------------------------------------------------------------------
     # Snapshot / restore

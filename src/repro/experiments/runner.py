@@ -150,7 +150,6 @@ EXPERIMENTS: Dict[str, Callable[[], str]] = {
 SUBCOMMANDS: Dict[str, str] = {
     "adapt": "closed-loop budget control plane chaos sweep",
     "all": "run every figure experiment in sequence",
-    "bench": "per-layer microbenchmark suites with baseline comparison",
     "budgeting": "deadline-budgeting study (independent, greedy, B&B)",
     "chaos": "uplink fault+crash chaos sweep with ledger verification",
     "faults": "linear + fork/join DAG fault campaigns with oracle verdicts",
@@ -164,7 +163,6 @@ SUBCOMMANDS: Dict[str, str] = {
     "gateway": "overload-hardened fleet gateway episode + status report",
     "telemetry": "fleet telemetry service: ingest load run + alerting",
     "trace": "causal span tracing with critical-path latency attribution",
-    "warehouse": "span warehouse: ingest runs, cohort queries, diffs",
 }
 
 
@@ -172,12 +170,10 @@ SUBCOMMANDS: Dict[str, str] = {
 #: of a ``main(argv) -> int``, imported only when the subcommand runs.
 PARSER_OWNERS: Dict[str, str] = {
     "adapt": "repro.adaptive.chaos:main",
-    "bench": "repro.bench.cli:main",
     "chaos": "repro.telemetry.uplink.chaos:main",
     "gateway": "repro.telemetry.gateway.cli:main",
     "telemetry": "repro.telemetry.cli:main",
     "trace": "repro.experiments.trace_cli:main",
-    "warehouse": "repro.warehouse.cli:main",
 }
 
 
@@ -199,9 +195,8 @@ def main(argv=None) -> int:
         return getattr(importlib.import_module(module), function)(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Regenerate the paper's figures ('bench' runs the "
-        "benchmark suites, 'telemetry' the fleet telemetry service, "
-        "'chaos' the uplink chaos sweep).",
+        description="Regenerate the paper's figures ('telemetry' runs the "
+        "fleet telemetry service, 'chaos' the uplink chaos sweep).",
         epilog=_subcommand_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )

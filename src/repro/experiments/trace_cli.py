@@ -23,7 +23,6 @@ from repro.tracing.critical_path import (
     validate_spans,
 )
 from repro.tracing.export import write_chrome_trace, write_jsonl
-from repro.warehouse import RunKey, write_run_bundle
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -61,24 +60,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--no-report", action="store_true",
         help="skip the per-chain attribution report",
-    )
-    parser.add_argument(
-        "--export-run", metavar="DIR", default=None,
-        help="write a warehouse run bundle (manifest.json + spans.jsonl) "
-        "to DIR for `python -m repro warehouse ingest`",
-    )
-    parser.add_argument(
-        "--run-id", default=None,
-        help="run identity in the bundle manifest "
-        "(default: <scenario>-s<seed>-f<frames>)",
-    )
-    parser.add_argument(
-        "--commit", default="unknown",
-        help="commit recorded in the bundle manifest",
-    )
-    parser.add_argument(
-        "--vehicle", default="veh0",
-        help="vehicle recorded in the bundle manifest",
     )
     args = parser.parse_args(argv)
 
@@ -135,21 +116,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.jsonl is not None:
         count = write_jsonl(recorder, args.jsonl)
         print(f"wrote {count} spans to {args.jsonl}")
-    if args.export_run is not None:
-        run_id = args.run_id or (
-            f"{args.scenario}-s{config.seed}-f{args.frames}"
-        )
-        bundle, count = write_run_bundle(
-            recorder, stack.chains, args.frames, args.export_run,
-            RunKey(
-                run_id=run_id,
-                commit=args.commit,
-                suite="trace",
-                scenario=args.scenario,
-                vehicle=args.vehicle,
-            ),
-        )
-        print(f"wrote run bundle {run_id} ({count} spans) to {bundle}")
     return 0
 
 

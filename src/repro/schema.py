@@ -2,7 +2,7 @@
 
 Imports nothing from :mod:`repro`: every layer that persists a document
 (telemetry records and snapshots, WAL segments, span exports, epoch
-ledgers, warehouse manifests) can raise it without depending on another.
+ledgers) can raise it without depending on another.
 """
 
 from __future__ import annotations

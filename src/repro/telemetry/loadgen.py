@@ -21,8 +21,8 @@ The fleet is deliberately imperfect, so every alert rule has traffic:
 
 :func:`run_load` drives a :class:`~repro.telemetry.service.TelemetryService`
 with the stream and measures sustained ingest throughput (records/s,
-p95 per-batch latency) -- the number the acceptance criterion and the
-``ingest_batched`` benchmark report.
+p95 per-batch latency) -- the number ``python -m repro telemetry``
+reports and gates with ``--min-throughput``.
 """
 
 from __future__ import annotations

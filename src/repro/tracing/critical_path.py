@@ -345,21 +345,12 @@ def attribute_chain(
     analyzer: CriticalPathAnalyzer,
     chain,
     frames: Iterable[int],
-    paths: Optional[List[CriticalPath]] = None,
 ) -> ChainAttribution:
-    """Fold every completed instance of *chain* into an attribution.
-
-    ``paths`` may carry the instances already extracted via
-    :meth:`CriticalPathAnalyzer.analyze` (the warehouse ingester does
-    this to persist per-instance edges and the aggregate sketches from
-    one walk); when omitted they are extracted here.
-    """
+    """Fold every completed instance of *chain* into an attribution."""
     result = ChainAttribution(chain=chain.name, budget_e2e=chain.budget_e2e)
     for segment in chain.segments:
         result.segment_burn[segment.name] = (StreamingHistogram(), segment.d_mon)
-    if paths is None:
-        paths = analyzer.analyze(chain, frames)
-    for path in paths:
+    for path in analyzer.analyze(chain, frames):
         result.n_instances += 1
         result.e2e_histogram.add(path.e2e_ns)
         for edge in path.edges:

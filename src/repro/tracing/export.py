@@ -11,10 +11,8 @@ The JSONL format is the lossless interchange: one span per line,
 round-trippable via :func:`read_jsonl` for offline analysis of a run
 recorded elsewhere (e.g. a CI artifact).  Every export starts with a
 header line carrying the span schema identifier (``repro-spans/1``);
-:func:`read_jsonl` tolerates headerless legacy files, while the
-warehouse importer (:mod:`repro.warehouse.ingest`) requires the header
-and refuses unknown versions with a
-:class:`~repro.schema.SchemaVersionError`.
+:func:`read_jsonl` tolerates headerless legacy files and refuses an
+unknown version with a :class:`~repro.schema.SchemaVersionError`.
 """
 
 from __future__ import annotations
@@ -147,47 +145,36 @@ def write_jsonl(recorder: SpanRecorder, path: str) -> int:
     return count
 
 
-def parse_jsonl_lines(
-    lines: Iterator[str], *, require_header: bool, context: str = "spans"
-) -> List[Span]:
-    """Parse a JSONL span stream, enforcing the schema header.
+def read_jsonl(path: str) -> List[Span]:
+    """Load spans back from a JSONL export (lossless round-trip).
 
-    With ``require_header=False`` a legacy headerless stream (every
-    line a span record) still loads; the warehouse importer passes
-    ``True`` so silently mis-ingesting a future span schema is
-    impossible.  Unknown *extra* fields on span records are tolerated
-    with one warning per stream (additive evolution).
+    The schema header is optional: a legacy headerless file (every line
+    a span record) still loads, but a header naming another schema
+    version raises :class:`~repro.schema.SchemaVersionError`.  Unknown
+    *extra* fields on span records are tolerated with one warning per
+    file (additive evolution).
     """
     spans: List[Span] = []
-    saw_header = False
     unknown: set = set()
-    for lineno, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        if not spans and not saw_header and "schema" in record:
-            if record["schema"] != SPANS_SCHEMA:
-                raise SchemaVersionError(
-                    context, record["schema"], SPANS_SCHEMA
-                )
-            saw_header = True
-            continue
-        if not record.keys() <= _SPAN_FIELDS:
-            unknown |= set(record) - _SPAN_FIELDS
-        spans.append(span_from_dict(record))
-    if require_header and not saw_header:
-        raise SchemaVersionError(context, None, SPANS_SCHEMA)
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            record = json.loads(line)
+            if not spans and "schema" in record:
+                if record["schema"] != SPANS_SCHEMA:
+                    raise SchemaVersionError(
+                        path, record["schema"], SPANS_SCHEMA
+                    )
+                continue
+            if not record.keys() <= _SPAN_FIELDS:
+                unknown |= set(record) - _SPAN_FIELDS
+            spans.append(span_from_dict(record))
     if unknown:
         warnings.warn(
-            f"{context}: ignoring unknown span field(s) {sorted(unknown)} "
+            f"{path}: ignoring unknown span field(s) {sorted(unknown)} "
             f"(written by a newer build?)",
-            stacklevel=3,
+            stacklevel=2,
         )
     return spans
-
-
-def read_jsonl(path: str) -> List[Span]:
-    """Load spans back from a JSONL export (lossless round-trip)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_jsonl_lines(iter(handle), require_header=False)

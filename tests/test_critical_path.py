@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.perception.stack import PerceptionStack, StackConfig
+from repro.schema import SchemaVersionError
 from repro.tracing.critical_path import (
     CriticalPathAnalyzer,
     attribute_chain,
@@ -14,6 +15,7 @@ from repro.tracing.critical_path import (
 from repro.tracing.export import (
     chrome_trace,
     read_jsonl,
+    to_jsonl,
     write_chrome_trace,
     write_jsonl,
 )
@@ -175,6 +177,41 @@ class TestExport:
         path_obj = analyzer.instance_path(chain, 1)
         assert path_obj is not None
         assert sum(e.duration for e in path_obj.edges) == path_obj.e2e_ns
+
+
+class TestReadJsonl:
+    """``read_jsonl`` validates outside input: the header is optional, an
+    unknown schema version is refused, unknown extra fields warn once."""
+
+    @staticmethod
+    def write(tmp_path, lines):
+        path = tmp_path / "spans.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_unknown_span_schema_refused(self, benign_stack, tmp_path):
+        lines = list(to_jsonl(benign_stack.spans))
+        lines[0] = json.dumps({"schema": "repro-spans/99"})
+        with pytest.raises(SchemaVersionError) as excinfo:
+            read_jsonl(self.write(tmp_path, lines))
+        assert "repro-spans/99" in str(excinfo.value)
+
+    def test_headerless_file_still_loads(self, benign_stack, tmp_path):
+        lines = list(to_jsonl(benign_stack.spans))[1:]  # drop the header
+        spans = read_jsonl(self.write(tmp_path, lines))
+        assert len(spans) == len(benign_stack.spans.spans)
+
+    def test_unknown_span_field_warns_once(self, benign_stack, tmp_path):
+        lines = list(to_jsonl(benign_stack.spans))
+        for i in (1, 2):
+            record = json.loads(lines[i])
+            record["gpu_ns"] = 5
+            lines[i] = json.dumps(record)
+        with pytest.warns(UserWarning, match="gpu_ns") as caught:
+            spans = read_jsonl(self.write(tmp_path, lines))
+        assert len(spans) == len(benign_stack.spans.spans)
+        assert len([w for w in caught
+                    if "gpu_ns" in str(w.message)]) == 1
 
 
 class TestTraceCli:

@@ -16,8 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: document -> (ceiling in bytes, target in KB)
 BUDGET = {
-    "DESIGN.md": (79_698, 55),
-    "EXPERIMENTS.md": (54_804, 30),
+    "DESIGN.md": (75_533, 55),
+    "EXPERIMENTS.md": (49_792, 30),
 }
 
 

@@ -62,13 +62,6 @@ class TestExamples:
         assert "ledger balanced for all 50 vehicles" in out
         assert "ladder returned to NORMAL" in out
 
-    def test_trace_warehouse(self):
-        out = run_example("trace_warehouse.py")
-        assert "re-ingest skipped; warehouse digest unchanged" in out
-        assert "reverse-order ingest produces the identical digest" in out
-        assert "telescoping OK" in out
-        assert "diff document is byte-stable" in out
-
     def test_examples_exist_and_have_docstrings(self):
         expected = {
             "quickstart.py",
@@ -82,7 +75,6 @@ class TestExamples:
             "telemetry_uplink.py",
             "fleet_gateway.py",
             "trace_attribution.py",
-            "trace_warehouse.py",
             "adaptive_budgeting.py",
         }
         found = {p.name for p in EXAMPLES.glob("*.py")}

@@ -26,6 +26,12 @@ episode pins what a frame may cost between the wire and the store --
 one header decode and two ``json.loads``, no record object, no queue
 hop, no encoder built -- and that the store is applied once per gateway
 step, not once per frame.
+
+Two layers off those paths keep a budget of their own: the budgeting
+solvers (the exact branch-and-bound node count and the calls of the
+three solves, on a 4-segment x 400-activation trace) and the control
+plane's re-derivation (calls per record of ``BudgetResolver`` +
+``ShadowValidator`` over a 3-vehicle x 256-activation window).
 """
 
 import collections
@@ -34,9 +40,22 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 import repro
+from repro.adaptive import BudgetEpoch, BudgetResolver, ShadowValidator
+from repro.adaptive.chaos import fleet_chain
+from repro.budgeting import (
+    BudgetingProblem,
+    ChainTrace,
+    SegmentTrace,
+    solve_branch_and_bound,
+    solve_greedy_propagated,
+    solve_independent,
+)
+from repro.core import EventChain, MKConstraint
+from repro.core.segments import local_segment, remote_segment
 from repro.faults import CampaignConfig, FaultCampaign, default_scenarios
 from repro.perception import PerceptionStack, StackConfig
 from repro.perception.scenario import ScenarioConfig
@@ -45,7 +64,7 @@ from repro.telemetry.batch import RecordBatch
 from repro.telemetry.gateway.chaos import GatewayChaosScenario
 from repro.telemetry.gateway.service import FleetGateway
 from repro.telemetry.pipeline import IngestQueue
-from repro.telemetry.records import TelemetryRecord
+from repro.telemetry.records import TelemetryRecord, segment_record
 from repro.telemetry.service import TelemetryService
 from repro.telemetry.store import ChainStateStore
 from repro.telemetry.uplink import transport
@@ -85,6 +104,20 @@ CAMPAIGN_CEILING = 716
 #: own); the ceiling is 3% above.
 FLEET_CEILING = 31_610
 
+#: Calls into ``repro`` of the independent, greedy and branch-and-bound
+#: solves on CPython 3.11.  The (2,8) trace at B_seg = 100 is infeasible
+#: for segment s2 alone, so every solver refuses before searching: 200
+#: calls, 0 nodes.  Loosened to B_seg = 150, B_e2e = 310 the search
+#: runs: branch-and-bound finds sum(d) = 309 after exactly 5272 nodes
+#: where the greedy descent stops at 312 > B_e2e; 2,062,193 calls.
+SOLVE_REFUSED_CEILING = 206
+SOLVE_NODES = 5272
+SOLVE_SEARCH_CEILING = 2_124_060
+
+#: Calls per record of one BudgetResolver.resolve + epoch + one
+#: ShadowValidator.validate over 2304 records on CPython 3.11: 8.06.
+RESOLVE_CEILING = 8.30
+
 _ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _TRACING = _ROOT + "tracing" + os.sep
 _POP = Simulator._pop.__code__
@@ -94,6 +127,23 @@ _SPARSE = ScenarioConfig(
     seed=1, ground_rings=2, points_per_ring=24, max_objects=1,
     points_per_object_mean=10,
 )
+
+
+def _count_calls(fn):
+    """``fn()`` and the number of calls into ``repro`` it made."""
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(_ROOT):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, calls
 
 
 class _Run:
@@ -286,3 +336,87 @@ def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
         2 * frames + envelopes + 2 + driver.last_recovery.fragments_read
     )
     assert counts["calls"] <= FLEET_CEILING
+
+
+def _budgeting_problem(budget_seg, budget_e2e):
+    """A 4-segment remote/local chain with 400 lognormal activations."""
+    rng = np.random.default_rng(11)
+    segments = []
+    for i in range(4):
+        if i % 2 == 0:
+            segments.append(remote_segment(f"s{i}", f"t{i}", "ecuA", "ecuB"))
+        else:
+            segments.append(local_segment(f"s{i}", "ecuB", f"t{i-1}", f"t{i}"))
+    for earlier, later in zip(segments, segments[1:]):
+        later.start = earlier.end
+    chain = EventChain(
+        name="solve", segments=segments, period=100, budget_e2e=budget_e2e,
+        budget_seg=budget_seg, mk=MKConstraint(2, 8),
+    )
+    trace = ChainTrace("solve")
+    for seg in segments:
+        base = rng.integers(20, 60)
+        lats = np.clip(
+            rng.lognormal(np.log(base), 0.4, size=400), 5, 400
+        ).astype(int)
+        trace.add(SegmentTrace(seg.name, [int(v) for v in lats]))
+    return BudgetingProblem(chain, trace)
+
+
+def _solve_all(problem):
+    return [
+        solve(problem) for solve in (
+            solve_independent, solve_greedy_propagated, solve_branch_and_bound
+        )
+    ]
+
+
+def test_budgeting_solvers_refuse_an_infeasible_segment_before_searching():
+    problem = _budgeting_problem(budget_seg=100, budget_e2e=260)
+    results, calls = _count_calls(lambda: _solve_all(problem))
+    assert [r.schedulable for r in results] == [False, False, False]
+    assert "s2 infeasible even alone" in results[2].reason
+    assert results[2].nodes_explored == 0
+    assert calls <= SOLVE_REFUSED_CEILING
+
+
+def test_branch_and_bound_explores_a_pinned_number_of_nodes():
+    problem = _budgeting_problem(budget_seg=150, budget_e2e=310)
+    (independent, greedy, exact), calls = _count_calls(
+        lambda: _solve_all(problem)
+    )
+    assert (independent.schedulable, independent.total) == (True, 289)
+    assert (greedy.schedulable, greedy.total) == (False, 312)
+    assert (exact.schedulable, exact.total) == (True, 309)
+    assert exact.nodes_explored == SOLVE_NODES
+    assert calls <= SOLVE_SEARCH_CEILING
+
+
+def test_budget_resolve_calls_per_record():
+    chain = fleet_chain()
+    rng = np.random.default_rng(13)
+    medians = {"seg0": 4_000_000, "seg1": 6_000_000, "seg2": 8_000_000}
+    records = []
+    for vehicle in ("veh00", "veh01", "veh02"):
+        for activation in range(256):
+            for segment, median in medians.items():
+                records.append(segment_record(
+                    vehicle, chain.name, segment, activation,
+                    int(median * rng.lognormal(0.0, 0.18)), "ok",
+                    (activation + 1) * chain.period, len(records),
+                ))
+    baseline = BudgetEpoch(epoch_id=0, budgets={
+        chain.name: {seg.name: int(seg.d_mon) for seg in chain.segments},
+    })
+
+    def resolve_and_validate():
+        outcome = BudgetResolver({chain.name: chain}).resolve(records)
+        assert outcome.ok, "resolver failed on a clean window"
+        candidate = outcome.epoch(epoch_id=1, parent_id=0)
+        return ShadowValidator({chain.name: chain}).validate(
+            records, candidate, baseline
+        )
+
+    verdict, calls = _count_calls(resolve_and_validate)
+    assert verdict.accepted and verdict.activations == 3 * 256
+    assert calls / len(records) <= RESOLVE_CEILING

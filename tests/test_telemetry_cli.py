@@ -15,8 +15,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 class TestSubcommandHelp:
     def test_every_subcommand_has_a_description(self):
         assert set(SUBCOMMANDS) == set(EXPERIMENTS) | {
-            "adapt", "all", "bench", "chaos", "gateway", "telemetry",
-            "trace", "warehouse"
+            "adapt", "all", "chaos", "gateway", "telemetry", "trace",
         }
         for name, description in SUBCOMMANDS.items():
             assert description.strip(), name
