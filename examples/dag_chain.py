@@ -1,55 +1,62 @@
 #!/usr/bin/env python3
-"""Fork/join DAG chains: per-path budgets, (m,k) verdicts, executors.
+"""Fork/join DAG chains: per-sink budgets and per-path budget synthesis.
 
-Walks the DAG generalization end to end:
+Walks the DAG generalization on the perception stack's own topology:
 
-1. build the 7-segment perception DAG (camera + lidar forking into a
-   fused transfer that fans out to planner and visualization sinks) and
-   enumerate its four root->sink paths;
+1. build the stack's 7 segments into one DAG (front and rear lidar
+   branches joining at fusion, a fused transfer s2 that fans out to the
+   objects and ground sinks), give the two sinks different end-to-end
+   budgets, and enumerate the four root->sink paths -- the stack's four
+   chains;
 2. synthesize per-segment monitoring deadlines with the DAG CSP solver
    (Eqs. 3'-5': the telescoped sum along *every* path must fit that
-   path's own sink budget) and verify the telescoping by brute force;
-3. run two fault scenarios from the campaign matrix -- the same CPU
-   overload under the single-threaded polling-point executor and the
-   multi-threaded callback-group executor -- and show the verdict
-   difference: head-of-line blocking starves the viz path on one, the
-   reentrant group isolates it on the other.  Both runs must pass the
-   soundness and no-silent-violation oracles.
+   path's own sink budget) and verify the telescoping by brute force.
 
 Run:  python examples/dag_chain.py
 """
 
 from repro.budgeting import ChainTrace, SegmentTrace
 from repro.budgeting.dag import solve_dag_budgets
-from repro.faults.dag_scenarios import (
-    DagCampaign,
-    DagCampaignConfig,
-    default_dag_scenarios,
-)
-from repro.faults.dag_stack import DagStackConfig, build_perception_dag
+from repro.core import DagChain
+from repro.perception.stack import PerceptionStack, StackConfig
 from repro.sim import msec
 
-N_FRAMES = 16
+#: Join at fusion (s1_*), fork after the transfer (s2).
+EDGES = [
+    ("s0_front", "s1_front"), ("s0_rear", "s1_rear"),
+    ("s1_front", "s2"), ("s1_rear", "s2"),
+    ("s2", "s3_objects"), ("s2", "s3_ground"),
+]
 
 
 def main() -> None:
     # ------------------------------------------------------------------
     # 1. Topology: forks, joins, and the four monitored paths.
     # ------------------------------------------------------------------
-    config = DagStackConfig()
-    dag = build_perception_dag(config)
+    config = StackConfig()
+    stack = PerceptionStack(config)
+    dag = DagChain(
+        name="perception",
+        segments=list(stack.segments.values()),
+        edges=EDGES,
+        period=config.period,
+        # The ground sink carries a tighter contract than the objects
+        # one, tight enough that the solver must shorten its path.
+        budget_e2e={"s3_objects": msec(250), "s3_ground": msec(100)},
+        mk=config.mk,
+    )
     print(f"DAG '{dag.name}': {len(dag)} segments, "
           f"roots={dag.roots()}, sinks={dag.sinks()}")
     for path in dag.paths():
         budget = dag.budget_e2e[path.sink]
-        print(f"  {path.path_id:<40s} B_e2e={budget / msec(1):6.1f} ms")
-    assert len(dag.paths()) == 4
+        print(f"  {path.path_id:<34s} B_e2e={budget / msec(1):6.1f} ms")
+    assert len(dag.paths()) == len(stack.chains) == 4
 
     # ------------------------------------------------------------------
     # 2. Per-path budget synthesis (DAG CSP, Eqs. 3'-5').
     # ------------------------------------------------------------------
     # A synthetic latency trace: each segment observed at 60/70/80 % of
-    # its nominal monitoring budget across 10 activations.
+    # its configured monitoring deadline across 10 activations.
     trace = ChainTrace(dag.name)
     for name in dag.segments:
         nominal = config.d_mon[name]
@@ -67,35 +74,9 @@ def main() -> None:
     for path in dag.paths():
         total = sum(result.deadlines[n] for n in path.segment_names)
         assert total <= dag.budget_e2e[path.sink], path.path_id
-        print(f"  path {path.path_id:<40s} "
+        print(f"  path {path.path_id:<34s} "
               f"sum={total / msec(1):6.1f} ms  "
               f"<= {dag.budget_e2e[path.sink] / msec(1):6.1f} ms")
-
-    # ------------------------------------------------------------------
-    # 3. One fault, two executor models, two different verdicts.
-    # ------------------------------------------------------------------
-    wanted = {"dag_cpu_overload_single", "dag_cpu_overload_multi"}
-    scenarios = [s for s in default_dag_scenarios() if s.name in wanted]
-    campaign = DagCampaign(scenarios, DagCampaignConfig(n_frames=N_FRAMES))
-    outcome = campaign.run()
-    print()
-    for scenario in outcome.scenarios:
-        assert scenario.soundness.passed, scenario.name
-        assert scenario.completeness.passed, scenario.name
-        print(f"{scenario.name} [{scenario.executor_model}]: "
-              f"detections={scenario.detections}")
-        for path_id, report in sorted(scenario.path_reports.items()):
-            print(f"  {path_id:<40s} misses={report['misses']:2d} "
-                  f"(m,k) ok={bool(report['mk_satisfied'])}")
-    by_name = {s.name: s for s in outcome.scenarios}
-    viz = "s_cam>s_fuse_cam>s_xfer>s_viz"
-    single = by_name["dag_cpu_overload_single"].path_reports[viz]["misses"]
-    multi = by_name["dag_cpu_overload_multi"].path_reports[viz]["misses"]
-    assert single > 0, "polling point should starve the viz path"
-    assert multi == 0, "reentrant group should isolate the viz path"
-    print("\nexecutor discrimination: viz-path misses "
-          f"single={single}, multi={multi} -- same fault, different "
-          "verdict, which is why the executor model is a parameter.")
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ path id instead of chain name.
 
 Degeneracy is the design invariant: a linear chain round-tripped through
 :meth:`DagChain.from_linear` / :meth:`DagChain.to_linear` is *equal* (in
-the dataclass sense) to the original, which is what the differential
-identity suite (``tests/test_dag_differential.py``) pins bit-for-bit.
+the dataclass sense) to the original, which ``tests/test_dag_model.py``
+pins for the perception stack's chains and for generated ones.
 """
 
 from __future__ import annotations
@@ -146,6 +146,7 @@ class DagChain:
                 raise ChainValidationError(
                     f"{name}: no end-to-end budget for sink(s) {missing}"
                 )
+            self._check_sink_keys("budget_e2e", budget_e2e)
             self.budget_e2e: Dict[str, int] = {
                 s: int(budget_e2e[s]) for s in sinks
             }
@@ -160,6 +161,7 @@ class DagChain:
         if mk is None:
             mk = MKConstraint(0, 1)
         if isinstance(mk, Mapping):
+            self._check_sink_keys("mk", mk)
             default = MKConstraint(0, 1)
             self.mk: Dict[str, MKConstraint] = {
                 s: mk.get(s, default) for s in sinks
@@ -185,6 +187,17 @@ class DagChain:
                     queue.append(succ)
         if visited != len(self.segments):
             raise ChainValidationError(f"{self.name}: DAG contains a cycle")
+
+    def _check_sink_keys(self, what: str, per_sink: Mapping) -> None:
+        # A misspelled sink key would otherwise be dropped silently and
+        # its sink fall back to the default.
+        sinks = self.sinks()
+        stray = [key for key in per_sink if key not in sinks]
+        if stray:
+            raise ChainValidationError(
+                f"{self.name}: {what} key(s) {stray} name no sink "
+                f"(sinks: {sinks})"
+            )
 
     def roots(self) -> List[str]:
         """Source segments (no predecessors), registration order."""

@@ -9,15 +9,9 @@ per-activation fold -- which activations violated, the sliding (m,k)
 window, the aggregate :class:`ChainReport` -- is ``ChainRuntime``'s; this
 class only decides which paths a report lands on.
 
-Reports route two ways:
-
-- :meth:`report` mirrors the ``ChainRuntime`` reporter contract
-  (``report(segment, n, outcome, ...)``): a segment outcome lands on
-  every path containing that segment, so existing monitors plug in
-  unchanged.
-- :meth:`report_path` addresses one path explicitly -- used by
-  end-to-end path monitors whose verdict already incorporates which
-  sink deadline applies.
+:meth:`report` mirrors the ``ChainRuntime`` reporter contract
+(``report(segment, n, outcome, ...)``): a segment outcome lands on every
+path containing that segment, so existing monitors plug in unchanged.
 """
 
 from __future__ import annotations
@@ -75,9 +69,8 @@ class DagChainRuntime:
     ) -> None:
         """Record a segment outcome on every path through the segment.
 
-        Raises :class:`KeyError` for a segment name not in the DAG
-        (mirroring :meth:`report_path`) -- a misspelled monitor name
-        must not silently drop its outcomes.
+        Raises :class:`KeyError` for a segment name not in the DAG -- a
+        misspelled monitor name must not silently drop its outcomes.
         """
         if segment_name not in self._membership:
             raise KeyError(
@@ -88,23 +81,6 @@ class DagChainRuntime:
             runtime.report(
                 segment_name, activation, outcome, latency, detection_latency
             )
-
-    def report_path(
-        self,
-        path_id: str,
-        activation: int,
-        outcome: Outcome,
-        latency: Optional[int] = None,
-        detection_latency: Optional[int] = None,
-    ) -> None:
-        """Record an end-to-end outcome for one specific path.
-
-        The record is filed under the path's sink segment.
-        """
-        sink = self.dag.path_by_id(path_id).sink
-        self.path_runtimes[path_id].report(
-            sink, activation, outcome, latency, detection_latency
-        )
 
     def report_exception(self, exception: TemporalException) -> None:
         """Archive a raised temporal exception (diagnostics)."""

@@ -110,7 +110,7 @@ def _run_budgeting() -> str:
 
 
 def _run_faults() -> str:
-    from repro.faults import run_dag_campaign, run_default_campaign
+    from repro.faults import run_default_campaign
 
     result = run_default_campaign()
     report = result.render_report()
@@ -119,18 +119,7 @@ def _run_faults() -> str:
             for failure in (scenario.soundness.failures
                             + scenario.completeness.failures):
                 report += f"\n  {scenario.name}: {failure.detail}"
-    dag_result = run_dag_campaign()
-    dag_report = dag_result.render_report()
-    if not dag_result.passed:
-        for scenario in dag_result.scenarios:
-            for failure in (scenario.soundness.failures
-                            + scenario.completeness.failures):
-                dag_report += f"\n  {scenario.name}: {failure.detail}"
-    return (
-        "Fault-injection campaign\n" + report
-        + "\n\nDAG fault-injection campaign (fork/join x executor models)\n"
-        + dag_report
-    )
+    return "Fault-injection campaign\n" + report
 
 
 EXPERIMENTS: Dict[str, Callable[[], str]] = {
@@ -152,7 +141,7 @@ SUBCOMMANDS: Dict[str, str] = {
     "all": "run every figure experiment in sequence",
     "budgeting": "deadline-budgeting study (independent, greedy, B&B)",
     "chaos": "uplink fault+crash chaos sweep with ledger verification",
-    "faults": "linear + fork/join DAG fault campaigns with oracle verdicts",
+    "faults": "11-scenario fault campaign with per-chain oracle verdicts",
     "fig02": "event-sequence run: per-segment latency statistics",
     "fig03": "error-case walkthrough of one faulty activation",
     "fig06": "inter-arrival vs synchronized monitoring comparison",

@@ -8,10 +8,7 @@ Layers:
 - :mod:`repro.faults.ground_truth` -- omniscient global-time recorder;
 - :mod:`repro.faults.oracles` -- soundness and no-silent-violation;
 - :mod:`repro.faults.degradation` -- escalation ladder and watchdog;
-- :mod:`repro.faults.campaign` -- the scenario matrix and runner;
-- :mod:`repro.faults.dag_stack` / :mod:`repro.faults.dag_scenarios` --
-  the fork/join DAG pipeline on selectable ROS 2 executor models, with
-  per-path oracles and its own scenario matrix.
+- :mod:`repro.faults.campaign` -- the scenario matrix and runner.
 """
 
 from repro import lazy_exports
@@ -36,11 +33,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.faults.oracles": (
         "OracleFailure", "OracleReport", "check_completeness",
         "check_soundness",
-    ),
-    "repro.faults.dag_stack": ("DagGroundTruth", "DagStack", "DagStackConfig"),
-    "repro.faults.dag_scenarios": (
-        "DagCampaign", "DagCampaignConfig", "DagCampaignResult",
-        "DagFaultScenario", "DagScenarioResult", "check_dag_completeness",
-        "check_dag_soundness", "default_dag_scenarios", "run_dag_campaign",
     ),
 })

@@ -70,8 +70,6 @@ SEGMENT_NAMES = (
     "s3_ground",
 )
 
-CHAIN_NAMES = ("front_objects", "front_ground", "rear_objects", "rear_ground")
-
 
 def _default_deadlines() -> Dict[str, int]:
     # s1's deadline must leave room for its *recovery publication* to
@@ -510,20 +508,12 @@ class PerceptionStack:
         add_remote("s2", self.classifier.subscription.reader,
                    self.monitor_ecu2, [rt_s3_objects, rt_s3_ground])
 
-        # Chain reporting: shared segments report to every chain they
-        # belong to.
-        membership = {
-            "s0_front": ("front_objects", "front_ground"),
-            "s0_rear": ("rear_objects", "rear_ground"),
-            "s1_front": ("front_objects", "front_ground"),
-            "s1_rear": ("rear_objects", "rear_ground"),
-            "s2": CHAIN_NAMES,
-            "s3_objects": ("front_objects", "rear_objects"),
-            "s3_ground": ("front_ground", "rear_ground"),
-        }
-        for name, chain_names in membership.items():
-            source = self.local_runtimes.get(name) or self.remote_monitors.get(name)
-            for chain_name in chain_names:
+        # Chain reporting: a shared segment reports to every chain it
+        # belongs to, in chain order.
+        for chain_name, chain in self.chains.items():
+            for segment in chain.segments:
+                source = (self.local_runtimes.get(segment.name)
+                          or self.remote_monitors[segment.name])
                 source.reporters.append(self.chain_runtimes[chain_name])
 
     # ------------------------------------------------------------------

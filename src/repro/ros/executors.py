@@ -23,10 +23,12 @@ Multi-threaded Executors"; Casini et al.'s response-time analysis):
 These models run on the simulation kernel
 (:class:`~repro.sim.kernel.Simulator`, every event at the default
 priority, so same-instant events fire in scheduling order) so
-conformance tests can pin hand-computed schedules, and the DAG fault
-stack drives whole scenarios through them.  All tie-breaks are explicit
-(submission sequence), so schedules are reproducible run to run and
-across processes.
+conformance tests can pin hand-computed schedules and the verdict each
+model gives under the same fault.  No production pipeline dispatches
+through them yet: the perception stack runs on
+:class:`~repro.ros.executor.SingleThreadedExecutor`.  All tie-breaks are
+explicit (submission sequence), so schedules are reproducible run to run
+and across processes.
 """
 
 from __future__ import annotations
@@ -314,8 +316,7 @@ class Ros2MultiThreadedExecutor(_ExecutorBase):
         self._dispatch()
 
 
-#: Executor-model registry used by DAG scenarios: name -> factory taking
-#: ``(sim, executor_name)``.
+#: Executor-model registry: name -> factory taking ``(sim, executor_name)``.
 EXECUTOR_MODELS: Dict[str, Callable[[Simulator, str], _ExecutorBase]] = {
     "single": lambda sim, name: Ros2SingleThreadedExecutor(sim, name),
     "multi": lambda sim, name: Ros2MultiThreadedExecutor(sim, name, n_threads=2),

@@ -35,12 +35,14 @@ SIM_ENGINES: Tuple[str, ...] = ("stamped", "heap")
 TELEMETRY_ENGINES: Tuple[str, ...] = ("batched", "scalar")
 
 #: Every module that constructs a ``Simulator`` for a scenario (the
-#: three production sites plus the tests' pipeline harness).
+#: three production sites plus the tests' pipeline harness and
+#: executor-model workload).
 _SIMULATOR_SITES = (
     "repro.perception.stack",
     "repro.experiments.fig06_interarrival",
     "repro.experiments.fig12_remote_entry",
     "_harness",
+    "_reference.executor_schedule",
 )
 
 

@@ -227,7 +227,7 @@ def test_per_path_automaton_equivalent_to_miss_window(misses, m, k):
     reference = MissWindow(mk)
     expected_fired = []
     for n, miss in enumerate(misses):
-        runtime.report_path(
+        runtime.report(
             "s", n, Outcome.MISS if miss else Outcome.OK
         )
         runtime.advance_window(n)

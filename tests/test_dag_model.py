@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from repro.core import DagChain, DagChainRuntime, DagPath, MKConstraint, Outcome
 from repro.core.chains import ChainValidationError, EventChain
 from repro.core.segments import local_segment, remote_segment
-from repro.faults.dag_stack import DagStackConfig, build_perception_dag
 from repro.perception.stack import PerceptionStack, StackConfig
+from repro.sim import msec
 
 
 def diamond_segments():
@@ -38,6 +38,27 @@ def diamond(**kwargs):
     )
     defaults.update(kwargs)
     return DagChain(**defaults)
+
+
+#: The perception stack's fork/join: two lidar branches join at fusion,
+#: pass through the transfer s2 and fork to the two classifier sinks.
+STACK_EDGES = [
+    ("s0_front", "s1_front"), ("s0_rear", "s1_rear"),
+    ("s1_front", "s2"), ("s1_rear", "s2"),
+    ("s2", "s3_objects"), ("s2", "s3_ground"),
+]
+
+
+def perception_dag(stack):
+    """The stack's four chains as one DAG, with per-sink budgets."""
+    return DagChain(
+        name="perception",
+        segments=list(stack.segments.values()),
+        edges=STACK_EDGES,
+        period=stack.config.period,
+        budget_e2e={"s3_objects": msec(250), "s3_ground": msec(200)},
+        mk={"s3_objects": MKConstraint(3, 10)},
+    )
 
 
 class TestValidation:
@@ -89,6 +110,18 @@ class TestValidation:
         with pytest.raises(ChainValidationError, match="no end-to-end budget"):
             diamond(budget_e2e={"not_d": 300})
 
+    def test_budget_for_a_non_sink_rejected(self):
+        # Every sink has its budget, but one key is misspelled: it must
+        # not be dropped silently.
+        with pytest.raises(ChainValidationError, match="name no sink"):
+            diamond(budget_e2e={"d": 300, "d_typo": 100})
+
+    def test_mk_for_a_non_sink_rejected(self):
+        # Dropping the key would leave sink d hard (0,1) without a word.
+        with pytest.raises(ChainValidationError,
+                           match=r"mk key\(s\) \['s_plann'\] name no sink"):
+            diamond(mk={"s_plann": MKConstraint(2, 8)})
+
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(ChainValidationError, match="positive"):
             diamond(budget_e2e=0)
@@ -109,17 +142,23 @@ class TestStructure:
         assert len(paths[0]) == 3
 
     def test_perception_dag_has_four_paths(self):
-        dag = build_perception_dag(DagStackConfig())
+        stack = PerceptionStack(StackConfig(seed=1))
+        dag = perception_dag(stack)
         assert len(dag) == 7
-        assert dag.roots() == ["s_cam", "s_lid"]
-        assert dag.sinks() == ["s_plan", "s_viz"]
+        assert dag.roots() == ["s0_front", "s0_rear"]
+        assert dag.sinks() == ["s3_objects", "s3_ground"]
         ids = [p.path_id for p in dag.paths()]
         assert ids == [
-            "s_cam>s_fuse_cam>s_xfer>s_plan",
-            "s_cam>s_fuse_cam>s_xfer>s_viz",
-            "s_lid>s_fuse_lid>s_xfer>s_plan",
-            "s_lid>s_fuse_lid>s_xfer>s_viz",
+            "s0_front>s1_front>s2>s3_objects",
+            "s0_front>s1_front>s2>s3_ground",
+            "s0_rear>s1_rear>s2>s3_objects",
+            "s0_rear>s1_rear>s2>s3_ground",
         ]
+        # Each path is one of the stack's chains, segment for segment.
+        assert sorted(p.segment_names for p in dag.paths()) == sorted(
+            tuple(s.name for s in chain.segments)
+            for chain in stack.chains.values()
+        )
 
     def test_path_by_id(self):
         dag = diamond()
@@ -128,8 +167,15 @@ class TestStructure:
             dag.path_by_id("a>z>d")
 
     def test_per_sink_budget_and_mk(self):
-        dag = build_perception_dag(DagStackConfig())
-        assert dag.budget_e2e["s_plan"] > dag.budget_e2e["s_viz"]
+        dag = perception_dag(PerceptionStack(StackConfig(seed=1)))
+        assert dag.budget_e2e == {
+            "s3_objects": msec(250), "s3_ground": msec(200),
+        }
+        # A sink the mk mapping leaves out is hard: (0,1).
+        assert dag.mk == {
+            "s3_objects": MKConstraint(3, 10),
+            "s3_ground": MKConstraint(0, 1),
+        }
         for path in dag.paths():
             chain = dag.path_chain(path)
             assert isinstance(chain, EventChain)
@@ -245,14 +291,15 @@ class TestDagChainRuntime:
 
     def test_report_unknown_segment_raises(self):
         # A misspelled monitor segment name must fail loudly, not
-        # silently drop every outcome (mirrors report_path's KeyError).
+        # silently drop every outcome.
         runtime = DagChainRuntime(self.mk_diamond())
         with pytest.raises(KeyError, match="unknown segment"):
             runtime.report("b_typo", 0, Outcome.MISS)
 
     def test_report_path_targets_one_path(self):
+        # b lies on a>b>d only, so its report lands on that path alone.
         runtime = DagChainRuntime(self.mk_diamond())
-        runtime.report_path("a>b>d", 0, Outcome.MISS)
+        runtime.report("b", 0, Outcome.MISS)
         reports = runtime.finalize(0)
         assert reports["a>b>d"].misses == [True]
         assert reports["a>c>d"].misses == [False]
@@ -264,7 +311,7 @@ class TestDagChainRuntime:
             on_violation=lambda pid, n, misses: fired.append((pid, n, misses)),
         )
         for n in range(4):
-            runtime.report_path("a>b>d", n, Outcome.MISS)
+            runtime.report("b", n, Outcome.MISS)
         runtime.advance_window(3)
         assert fired and fired[0][0] == "a>b>d"
         assert runtime.violated_paths == ["a>b>d"]
@@ -274,8 +321,8 @@ class TestDagChainRuntime:
         # 2 misses in a 4-window on a>b>d: violated; a>c>d clean.
         for n in range(4):
             outcome = Outcome.MISS if n < 2 else Outcome.OK
-            runtime.report_path("a>b>d", n, outcome)
-            runtime.report_path("a>c>d", n, Outcome.OK)
+            runtime.report("b", n, outcome)
+            runtime.report("c", n, Outcome.OK)
         reports = runtime.finalize(3)
         assert not reports["a>b>d"].mk_satisfied
         assert reports["a>b>d"].max_window_misses == 2
@@ -283,6 +330,6 @@ class TestDagChainRuntime:
 
     def test_unreported_activations_count_as_ok(self):
         runtime = DagChainRuntime(self.mk_diamond())
-        runtime.report_path("a>b>d", 2, Outcome.MISS)
+        runtime.report("b", 2, Outcome.MISS)
         reports = runtime.finalize(2)
         assert reports["a>b>d"].misses == [False, False, True]

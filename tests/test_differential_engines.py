@@ -1,17 +1,17 @@
 """The differential suite: production vs reference engines, byte for byte.
 
 Every observable artifact the repo pins -- golden-trace fingerprints,
-fault-campaign scenario payloads, DAG campaign digests, gateway/adaptive
-chaos reports, telemetry store digests and alert logs -- is produced
-twice: once by production (``stamped`` simulator heap, ``batched``
+fault-campaign scenario payloads, executor-model dispatch logs,
+gateway/adaptive chaos reports, telemetry store digests and alert logs
+-- is produced twice: once by production (``stamped`` simulator heap, ``batched``
 columnar telemetry ingest) and once with the oracles of
 ``tests/_reference/`` substituted in (``heap`` kernel, ``scalar``
 per-record pump).  The canonical JSON serializations must match byte
 for byte; see ``tests/_differential.py`` for the fixture layer.
 
-The expensive matrices (11 fault scenarios, 9 DAG scenarios) run once
-per engine as module-scoped fixtures and are compared per scenario, so
-a divergence names the exact scenario rather than "the campaign".
+The expensive matrix (11 fault scenarios) runs once per engine as a
+module-scoped fixture and is compared per scenario, so a divergence
+names the exact scenario rather than "the campaign".
 """
 
 import dataclasses
@@ -28,6 +28,7 @@ from _differential import (
     run_under_sim_engines,
     run_under_telemetry_engines,
 )
+from _reference.executor_schedule import consumer_executor, run_consumers
 from _reference.heap_kernel import HeapSimulator
 from _reference.scalar_store import pump_scalar
 
@@ -41,12 +42,8 @@ from repro.faults.campaign import (
     FaultCampaign,
     default_scenarios as fault_scenarios,
 )
-from repro.faults.dag_scenarios import (
-    DagCampaign,
-    DagCampaignConfig,
-    default_dag_scenarios,
-)
-from repro.sim import Simulator
+from repro.ros.executors import EXECUTOR_MODELS
+from repro.sim import Simulator, msec
 from repro.telemetry.batch import RecordBatch
 from repro.telemetry.gateway import gateway_scenarios
 from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator
@@ -75,8 +72,10 @@ class TestReferenceSubstitution:
         with reference_engines(sim=True):
             assert type(PerceptionStack(StackConfig()).sim) is HeapSimulator
             assert type(PipelineWorld().sim) is HeapSimulator
+            assert type(consumer_executor("single").sim) is HeapSimulator
         assert type(PerceptionStack(StackConfig()).sim) is Simulator
         assert type(PipelineWorld().sim) is Simulator
+        assert type(consumer_executor("single").sim) is Simulator
 
     def test_telemetry_reference_swaps_the_pump(self):
         production = TelemetryService.pump
@@ -131,37 +130,21 @@ class TestFaultCampaign:
 
 
 # ----------------------------------------------------------------------
-# DAG campaign: all 9 scenarios (simulator engine)
+# Executor models (simulator engine)
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def dag_by_engine():
+@pytest.mark.parametrize("model", sorted(EXECUTOR_MODELS))
+def test_executor_dispatch_log_identical_across_sim_engines(model):
+    # A planner overrun, then a runaway hog: every dispatch path of the
+    # model (snapshot drain, group admission, priority pick) under load.
     def run():
-        result = DagCampaign(
-            config=DagCampaignConfig(n_frames=CAMPAIGN_FRAMES)
-        ).run()
-        return {
-            s.name: {"digest": s.digest(), "payload": s.digest_payload()}
-            for s in result.scenarios
-        }
-
-    return run_under_sim_engines(run)
-
-
-class TestDagCampaign:
-    def test_matrix_is_complete(self, dag_by_engine):
-        expected = {s.name for s in default_dag_scenarios()}
-        assert len(expected) == 9
-        for engine, by_name in dag_by_engine.items():
-            assert set(by_name) == expected, engine
-
-    @pytest.mark.parametrize(
-        "name", [s.name for s in default_dag_scenarios()]
-    )
-    def test_scenario_digest_identical(self, dag_by_engine, name):
-        assert_identical(
-            {e: r[name] for e, r in dag_by_engine.items()},
-            context=f"dag:{name}",
+        log = run_consumers(
+            model, 24,
+            plan_ns=lambda f: msec(96) if 6 <= f < 12 else msec(8),
+            hog_ns=lambda f: msec(110) if 14 <= f < 20 else None,
         )
+        return [dataclasses.astuple(d) for d in log]
+
+    assert_identical(run_under_sim_engines(run), context=f"executor:{model}")
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: document -> (ceiling in bytes, target in KB)
 BUDGET = {
-    "DESIGN.md": (75_533, 55),
-    "EXPERIMENTS.md": (49_792, 30),
+    "DESIGN.md": (74_868, 55),
+    "EXPERIMENTS.md": (47_893, 30),
 }
 
 

@@ -8,7 +8,7 @@ semantics fails loudly.
 
 import pytest
 
-from _reference.executor_schedule import run_schedule
+from _reference.executor_schedule import late_sinks, run_consumers, run_schedule
 from repro.ros.executors import (
     EXECUTOR_MODELS,
     POLICY_PRIORITY,
@@ -17,7 +17,7 @@ from repro.ros.executors import (
     Ros2MultiThreadedExecutor,
     Ros2SingleThreadedExecutor,
 )
-from repro.sim import Simulator
+from repro.sim import Simulator, msec
 
 
 def tuples(dispatches):
@@ -111,8 +111,8 @@ class TestReentrantHandlerSubmission:
     """A handler that submit()s must not put two callbacks in flight.
 
     Regression: _finish used to clear _busy before running the user
-    handler, so a handler submitting new work (the DAG stack's fusion
-    join does exactly this) reentrantly polled and started a job, after
+    handler, so a handler submitting new work (a fusion join does
+    exactly this) reentrantly polled and started a job, after
     which _finish started a *second* job from the same snapshot --
     overlapping dispatches on a single-threaded executor.
     """
@@ -259,3 +259,49 @@ class TestRegistryAndDeterminism:
             return tuples(run_schedule(ex, jobs))
 
         assert one_run() == one_run()
+
+
+#: 24 frames with the fault in frames 6-11 (a quarter to half the run).
+N_FRAMES = 24
+FAULTY = range(6, 12)
+
+
+def overloaded_plan(frame):
+    """The planner overruns 12x in the faulty frames."""
+    return msec(96) if frame in FAULTY else msec(8)
+
+
+def hog_at_frame_start(frame):
+    """A runaway 110 ms low-priority callback in the faulty frames."""
+    return msec(110) if frame in FAULTY else None
+
+
+class TestModelVerdicts:
+    """The same fault on the sink-side ECU gives a different verdict on
+    each executor model -- why the model is part of the system under
+    analysis (Sobhani et al., PAPERS.md).  Counts are late instances per
+    sink against its frame's deadline (plan 88 ms, viz 68 ms)."""
+
+    @pytest.mark.parametrize("model", sorted(EXECUTOR_MODELS))
+    def test_clean_run_meets_both_deadlines(self, model):
+        log = run_consumers(model, N_FRAMES)
+        assert late_sinks(log) == {"plan": 0, "viz": 0}
+
+    def test_single_threaded_overload_starves_viz_path(self):
+        # Polling point: viz shares plan's snapshot and waits behind it.
+        log = run_consumers("single", N_FRAMES, plan_ns=overloaded_plan)
+        assert late_sinks(log) == {"plan": 6, "viz": 6}
+
+    def test_multi_threaded_overload_isolates_viz_path(self):
+        # Reentrant group: viz runs on the second thread beside plan.
+        log = run_consumers("multi", N_FRAMES, plan_ns=overloaded_plan)
+        assert late_sinks(log) == {"plan": 6, "viz": 0}
+
+    def test_priority_dispatch_rescues_stalled_sinks(self):
+        # The hog blocks both sinks under wait-set order (frame 12 still
+        # waits for frame 11's hog); priority dispatch runs them first.
+        stalled = run_consumers("single", N_FRAMES, hog_ns=hog_at_frame_start)
+        assert late_sinks(stalled) == {"plan": 7, "viz": 7}
+        rescued = run_consumers("priority", N_FRAMES,
+                                hog_ns=hog_at_frame_start)
+        assert late_sinks(rescued) == {"plan": 0, "viz": 0}
