@@ -78,6 +78,10 @@ from repro.telemetry.uplink.transport import (
 from repro.telemetry.uplink.wal import WalConfig
 
 _MS = 1_000_000
+#: Lognormal sigma of every segment's latency stream, and the vehicles'
+#: WAL segment size (DESIGN.md "Options": no caller varies either).
+SIGMA = 0.18
+SEGMENT_MAX_RECORDS = 64
 
 
 # ----------------------------------------------------------------------
@@ -93,10 +97,7 @@ class AdaptConfig:
     seed: int = 2025
     max_steps: int = 4000
     fsync: str = "never"
-    segment_max_records: int = 64
     checkpoint_every: Optional[int] = 8
-    #: Lognormal sigma of every segment's latency stream.
-    sigma: float = 0.18
 
     def __post_init__(self) -> None:
         if self.vehicles < 2:
@@ -359,7 +360,7 @@ class _AdaptiveVehicle(_Vehicle):
             WalConfig(
                 directory=workdir / source / "spool",
                 fsync=config.fsync,
-                segment_max_records=config.segment_max_records,
+                segment_max_records=SEGMENT_MAX_RECORDS,
             ),
             client_config(config.seed), send,
         )
@@ -400,7 +401,7 @@ class _AdaptiveVehicle(_Vehicle):
                 activation, segment.name
             )
             latencies[segment.name] = int(
-                base * self.rng.lognormal(0.0, self.config.sigma)
+                base * self.rng.lognormal(0.0, SIGMA)
             )
         missed = False
         for segment in self.chain.segments:

@@ -91,7 +91,6 @@ class ChainRuntime:
         self,
         chain: EventChain,
         on_violation: Optional[Callable[[int, int], None]] = None,
-        on_activation: Optional[Callable[[int, bool], None]] = None,
     ):
         self.chain = chain
         self.window = MKAutomaton(chain.mk)
@@ -101,8 +100,9 @@ class ChainRuntime:
         self.on_violation = on_violation
         #: Called as ``on_activation(n, violated)`` for every activation
         #: fed into the sliding window -- clean ones included, so
-        #: supervisors can de-escalate after a clean streak.
-        self.on_activation = on_activation
+        #: supervisors can de-escalate after a clean streak.  A
+        #: supervisor assigns it.
+        self.on_activation: Optional[Callable[[int, bool], None]] = None
         self._finalized_through = -1
 
     # ------------------------------------------------------------------

@@ -87,9 +87,8 @@ class PropagateAlways(ExceptionHandler):
 class RecoverAlways(ExceptionHandler):
     """Always recover using a data factory (e.g. last good sample)."""
 
-    def __init__(self, data_factory: Callable[[ExceptionContext], Any], cost_ns: int = 20_000):
+    def __init__(self, data_factory: Callable[[ExceptionContext], Any]):
         self.data_factory = data_factory
-        self.cost_ns = cost_ns
 
     def user_exception(self, context: ExceptionContext) -> Optional[Any]:
         return self.data_factory(context)
@@ -104,14 +103,10 @@ class RecoverUpTo(ExceptionHandler):
     """
 
     def __init__(
-        self,
-        max_misses: int,
-        data_factory: Callable[[ExceptionContext], Any],
-        cost_ns: int = 20_000,
+        self, max_misses: int, data_factory: Callable[[ExceptionContext], Any]
     ):
         self.max_misses = max_misses
         self.data_factory = data_factory
-        self.cost_ns = cost_ns
 
     def user_exception(self, context: ExceptionContext) -> Optional[Any]:
         if context.misses <= self.max_misses:

@@ -45,7 +45,6 @@ from repro.sim.cpu import Ecu
 from repro.sim.kernel import usec
 from repro.sim.sync import Semaphore
 from repro.sim.threads import Compute, WaitSem
-from repro.sim.workload import ExecutionTimeModel
 
 
 class EventRingBuffer(deque):
@@ -162,9 +161,6 @@ class LocalSegmentRuntime:
     activation_fn:
         Extracts the activation index n from a sample; ``None`` falls
         back to arrival counting (valid under in-order delivery).
-    start_overhead / end_overhead:
-        Models of the instrumentation cost of posting events, sampled
-        and recorded for the Fig. 11 statistics.
     """
 
     def __init__(
@@ -173,9 +169,6 @@ class LocalSegmentRuntime:
         handler: Optional[ExceptionHandler] = None,
         mk: MKConstraint = MKConstraint(0, 1),
         activation_fn: Optional[ActivationFn] = None,
-        start_overhead: Optional[ExecutionTimeModel] = None,
-        end_overhead: Optional[ExecutionTimeModel] = None,
-        buffer_capacity: int = 256,
         skip_gate: Optional[SkipGate] = None,
     ):
         if segment.kind is not SegmentKind.LOCAL:
@@ -186,10 +179,8 @@ class LocalSegmentRuntime:
         self.handler = handler or PropagateAlways()
         self.window = MKAutomaton(mk)
         self.activation_fn = activation_fn
-        self.start_overhead = start_overhead
-        self.end_overhead = end_overhead
-        self.start_buffer = EventRingBuffer(buffer_capacity)
-        self.end_buffer = EventRingBuffer(buffer_capacity)
+        self.start_buffer = EventRingBuffer()
+        self.end_buffer = EventRingBuffer()
         self._start_count = 0
         self._end_count = 0
         self.skip_gate = skip_gate or SkipGate(activation_fn=activation_fn)
@@ -205,8 +196,6 @@ class LocalSegmentRuntime:
         self.latencies: List[Tuple[int, int, Outcome]] = []  # (n, latency, outcome)
         self.exceptions: List[TemporalException] = []
         self.stale_end_events = 0
-        self.start_overhead_samples: List[int] = []
-        self.end_overhead_samples: List[int] = []
         self.monitor_latency_samples: List[int] = []
         self.reporters: List[ChainRuntime] = []
         #: Span contexts of pending activations (span tracing only):
@@ -252,11 +241,6 @@ class LocalSegmentRuntime:
         self._start_count += 1
         ts = monitor.ecu.now()
         sim = monitor.sim
-        if self.start_overhead is not None:
-            overhead = self.start_overhead.sample(
-                sim.rng(f"monitor-overhead:{self.segment.name}:start")
-            )
-            self.start_overhead_samples.append(overhead)
         posted = self.start_buffer.post((sample.data, n, ts))
         if posted and sim.spans is not None:
             # Runs inside the start-event delivery: the ambient context
@@ -278,11 +262,6 @@ class LocalSegmentRuntime:
         self._end_count += 1
         ts = monitor.ecu.now()
         sim = monitor.sim
-        if self.end_overhead is not None:
-            overhead = self.end_overhead.sample(
-                sim.rng(f"monitor-overhead:{self.segment.name}:end")
-            )
-            self.end_overhead_samples.append(overhead)
         self.end_buffer.post((None, n, ts))
         if sim.tracing_active:
             sim.emit_trace(

@@ -3,7 +3,7 @@
 Routing rules:
 
 - Writer and reader on the **same ECU**: delivered over loopback with a
-  small configurable latency (+ jitter), directly in kernel context.
+  small configurable latency, directly in kernel context.
 - Writer and reader on **different ECUs**: the sample is framed and sent
   over the registered :class:`~repro.network.link.Link`; on arrival it
   passes through the destination ECU's ksoftirq thread
@@ -17,11 +17,11 @@ writers may join in any order.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Tuple, TYPE_CHECKING
 
 from repro.dds.qos import ReliabilityKind
 from repro.dds.topic import Sample
-from repro.network.link import Frame, JitterModel, Link
+from repro.network.link import Frame, Link
 from repro.network.stack import NetworkStack
 from repro.sim.cpu import Ecu
 from repro.sim.kernel import Simulator, usec
@@ -38,18 +38,9 @@ RTPS_OVERHEAD_BYTES = 64
 class DdsDomain:
     """A DDS domain spanning one or more ECUs."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        local_latency: int = usec(30),
-        local_jitter: Optional[JitterModel] = None,
-    ):
+    def __init__(self, sim: Simulator, local_latency: int = usec(30)):
         self.sim = sim
         self.local_latency = int(local_latency)
-        self.local_jitter = local_jitter or JitterModel()
-        #: The "dds:local" stream generator, bound on first local delivery
-        #: (avoids one dict lookup per sample on the loopback hot path).
-        self._local_rng = None
         self._local_labels: Dict[str, str] = {}
         self.participants: List["DomainParticipant"] = []
         self._writers: Dict[str, List["DataWriter"]] = {}
@@ -126,15 +117,13 @@ class DdsDomain:
                 self._deliver_remote(writer, reader, sample)
 
     def _deliver_local(self, reader: "DataReader", sample: Sample) -> None:
-        rng = self._local_rng
-        if rng is None:
-            rng = self._local_rng = self.sim.rng("dds:local")
-        delay = self.local_latency + self.local_jitter.sample(rng)
         topic_name = sample.topic.name
         label = self._local_labels.get(topic_name)
         if label is None:
             label = self._local_labels[topic_name] = f"dds:local:{topic_name}"
-        self.sim.schedule_after(delay, reader._receive, sample, label=label)
+        self.sim.schedule_after(
+            self.local_latency, reader._receive, sample, label=label
+        )
 
     def _deliver_remote(
         self,

@@ -35,11 +35,10 @@ class Topic:
     size_fn:
         Maps a payload to its serialized size in bytes (drives link
         serialization delay and copy costs).
-    keyed:
-        Whether samples carry instance keys (DDS keyed topics).  With
-        multiple writers on one topic, readers distinguish instances --
-        the paper notes one monitor per communication partner,
-        "differentiated based on delivered DDS topic keys".
+
+    Samples may carry an instance key (:attr:`Sample.key`) on any topic:
+    the paper's one monitor per communication partner is
+    "differentiated based on delivered DDS topic keys".
     """
 
     def __init__(
@@ -47,14 +46,12 @@ class Topic:
         name: str,
         type_name: str = "bytes",
         size_fn: Optional[Callable[[Any], int]] = None,
-        keyed: bool = False,
     ):
         if not name:
             raise ValueError("topic name must be non-empty")
         self.name = name
         self.type_name = type_name
         self.size_fn = size_fn or _default_size
-        self.keyed = keyed
 
     def serialized_size(self, data: Any) -> int:
         """Serialized size of *data* in bytes."""

@@ -60,6 +60,14 @@ def campaign_frames(default: int = DEFAULT_FRAMES) -> int:
     return max(16, value)
 
 
+#: Activations excluded from oracle checks at the start/end of the run
+#: (startup transients / frames still in flight at shutdown).
+WARMUP = 2
+TAIL = 4
+#: Slack added to the clock-error epsilon of the soundness oracle.
+EPSILON_MARGIN = usec(500)
+
+
 @dataclass
 class FaultScenario:
     """One scripted fault hypothesis."""
@@ -83,12 +91,6 @@ class CampaignConfig:
 
     n_frames: int = field(default_factory=campaign_frames)
     seed: int = 11
-    #: Activations excluded from oracle checks at the start/end of the
-    #: run (startup transients / frames still in flight at shutdown).
-    warmup: int = 2
-    tail: int = 4
-    #: Slack added to the clock-error epsilon of the soundness oracle.
-    epsilon_margin: int = usec(500)
     degradation: bool = True
     watchdog: bool = True
     policy: EscalationPolicy = field(default_factory=EscalationPolicy)
@@ -98,10 +100,10 @@ class CampaignConfig:
     spans: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_frames < self.warmup + self.tail + 8:
+        if self.n_frames < WARMUP + TAIL + 8:
             raise ValueError(
                 f"n_frames={self.n_frames} too small for "
-                f"warmup={self.warmup} + tail={self.tail}"
+                f"warmup={WARMUP} + tail={TAIL}"
             )
 
 
@@ -312,12 +314,12 @@ class FaultCampaign:
         for runtime in stack.chain_runtimes.values():
             runtime.advance_window(cc.n_frames - 1)
 
-        first = cc.warmup
-        last = cc.n_frames - cc.tail
+        first = WARMUP
+        last = cc.n_frames - TAIL
         epsilon = (
             stack.ptp.error_bound()
             + sum(i.clock_error_bound() for i in injectors)
-            + cc.epsilon_margin
+            + EPSILON_MARGIN
         )
         soundness = check_soundness(stack, truth, epsilon, first, last)
         completeness = check_completeness(stack, truth, first, last)

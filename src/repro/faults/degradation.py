@@ -34,6 +34,12 @@ from repro.sim.kernel import msec
 
 _OUTCOME_OF = attrgetter("outcome")
 
+#: Frames the manager lags behind real time when feeding the sliding
+#: windows (later segments may still report for recent activations).
+ADVANCE_LAG_FRAMES = 3
+#: Cold-start deadline the watchdog gives a never-seen monitor.
+WATCHDOG_GRACE_NS = msec(2)
+
 
 class DegradationMode(enum.Enum):
     """System-level operating mode."""
@@ -60,9 +66,6 @@ class EscalationPolicy:
     #: and data *this* stale is no longer safe to act on.
     safe_after_consecutive_recoveries: int = 20
     recover_after_clean: int = 40
-    #: Frames to lag behind real time when feeding the sliding windows
-    #: (later segments may still report for recent activations).
-    advance_lag_frames: int = 3
     health: HealthPolicy = field(default_factory=HealthPolicy)
 
     def __post_init__(self) -> None:
@@ -107,16 +110,16 @@ class MonitorWatchdog:
 
     Runs a periodic check on the simulation clock.  An unarmed monitor
     that has never seen a sample (``awaiting is None``) gets a cold-start
-    deadline ``grace_ns`` from now for the current frame; one that was
-    stopped mid-stream is re-armed one period past its last deadline.
+    deadline ``WATCHDOG_GRACE_NS`` from now for the current frame; one
+    that was stopped mid-stream is re-armed one period past its last
+    deadline.
     Checks stop at ``until_ns`` so the end-of-run disarm is respected.
     """
 
-    def __init__(self, stack, grace_ns: Optional[int] = None):
+    def __init__(self, stack):
         self.stack = stack
         self.sim = stack.sim
         self.period = stack.config.period
-        self.grace_ns = grace_ns if grace_ns is not None else msec(2)
         #: (sim_time, segment, activation) for every re-arm performed.
         self.rearms: List[Tuple[int, str, int]] = []
         self._until = 0
@@ -144,12 +147,12 @@ class MonitorWatchdog:
             ecu_now = monitor.ecu.now()
             if monitor.awaiting is None:
                 activation = self.sim.now // self.period
-                deadline = ecu_now + self.grace_ns
+                deadline = ecu_now + WATCHDOG_GRACE_NS
             else:
                 activation = monitor.awaiting
                 base = (monitor.deadline_local
                         if monitor.deadline_local is not None else ecu_now)
-                deadline = max(base + self.period, ecu_now + self.grace_ns)
+                deadline = max(base + self.period, ecu_now + WATCHDOG_GRACE_NS)
             monitor.arm(activation, deadline)
             self.rearms.append((self.sim.now, name, activation))
 
@@ -199,7 +202,7 @@ class GracefulDegradationManager:
             self.watchdog.start(until)
 
         def tick():
-            frame = sim.now // period - self.policy.advance_lag_frames
+            frame = sim.now // period - ADVANCE_LAG_FRAMES
             if frame >= 0:
                 for runtime in self.stack.chain_runtimes.values():
                     runtime.advance_window(frame)

@@ -289,39 +289,38 @@ class CpuOverload(FaultInjector):
     """
 
     kind = "cpu_overload"
+    #: One hog per core of the ECU, at this priority.
+    PRIORITY = 70
+    #: Work per hog ``Compute`` before the hog re-checks the window end.
+    SLICE_NS = 1_000_000
 
-    def __init__(self, ecu_name: str, first_frame: int, last_frame: int,
-                 priority: int = 70, slice_ns: int = 1_000_000,
-                 n_threads: Optional[int] = None):
+    def __init__(self, ecu_name: str, first_frame: int, last_frame: int):
         super().__init__(name=f"cpu_overload:{ecu_name}")
         self.ecu_name = ecu_name
         self.first_frame = first_frame
         self.last_frame = last_frame
-        self.priority = priority
-        self.slice_ns = slice_ns
-        self.n_threads = n_threads
 
     def _arm(self, stack) -> None:
         ecu = _resolve_ecu(stack, self.ecu_name)
         sim = stack.sim
         start, end = frame_window_ns(stack, self.first_frame, self.last_frame)
-        n_threads = self.n_threads or len(ecu.scheduler.cores)
+        n_threads = len(ecu.scheduler.cores)
 
         def hog_body(_thread):
             while sim.now < end:
-                yield Compute(min(self.slice_ns, end - sim.now))
+                yield Compute(min(self.SLICE_NS, end - sim.now))
 
         def spawn_hogs():
             for i in range(n_threads):
                 ecu.spawn(
-                    f"{self.name}:hog{i}", hog_body, priority=self.priority
+                    f"{self.name}:hog{i}", hog_body, priority=self.PRIORITY
                 )
 
         sim.schedule_at(start, spawn_hogs, label=f"{self.name}:spawn")
         self.record(Injection(
             kind=self.kind, target=self.ecu_name, start_ns=start, end_ns=end,
             frames=range(self.first_frame, self.last_frame + 1),
-            detail={"priority": self.priority, "n_threads": n_threads},
+            detail={"priority": self.PRIORITY, "n_threads": n_threads},
         ))
 
 

@@ -32,6 +32,10 @@ from repro.ipc.semaphore import TimedSemaphore
 
 ExceptionCallback = Callable[[str, int, int], None]  # (segment, activation, late_ns)
 
+#: Longest timed wait, s: the thread re-checks its stop flag this often
+#: even when no deadline is pending.
+POLL_CAP_S = 0.2
+
 
 @dataclass
 class MonitorStats:
@@ -91,12 +95,10 @@ class IpcMonitor:
         self,
         segments: List[IpcSegment],
         on_exception: Optional[ExceptionCallback] = None,
-        poll_cap_s: float = 0.2,
     ):
         self.segments = list(segments)
         self.semaphore = TimedSemaphore()
         self.on_exception = on_exception or (lambda *_args: None)
-        self.poll_cap_s = poll_cap_s
         self.stats = MonitorStats()
         self.core = DecisionCore()
         for segment in self.segments:
@@ -154,10 +156,10 @@ class IpcMonitor:
         while not self._stop.is_set():
             deadline = self.core.next_deadline
             if deadline is None:
-                timeout = self.poll_cap_s
+                timeout = POLL_CAP_S
             else:
                 timeout = min(
-                    self.poll_cap_s,
+                    POLL_CAP_S,
                     max(0.0, (deadline - time.monotonic_ns()) / 1e9),
                 )
             self.semaphore.wait(timeout_s=timeout)

@@ -170,25 +170,24 @@ class SwitchedLink:
 class BackgroundTraffic:
     """Cross traffic loading one egress port.
 
-    Emits frames of ``frame_bytes`` towards *dst* with exponentially
-    distributed gaps targeting the given utilization of the port rate.
+    Emits ``FRAME_BYTES`` frames towards *dst* with exponentially
+    distributed gaps (the ``"bgtraffic"`` stream) targeting the given
+    utilization of the port rate.
     """
+
+    FRAME_BYTES = 1500
 
     def __init__(
         self,
         switch: EthernetSwitch,
         dst: str,
         utilization: float = 0.5,
-        frame_bytes: int = 1500,
-        rng_stream: str = "bgtraffic",
     ):
         if not (0.0 < utilization < 1.0):
             raise ValueError("utilization must be in (0, 1)")
         self.switch = switch
         self.dst = dst
-        self.frame_bytes = int(frame_bytes)
-        self.rng_stream = rng_stream
-        tx_time = frame_bytes * 8 / switch.port_rate_bps * 1e9
+        tx_time = self.FRAME_BYTES * 8 / switch.port_rate_bps * 1e9
         self.mean_gap = tx_time / utilization
         self.sent = 0
         self._running = False
@@ -205,7 +204,7 @@ class BackgroundTraffic:
     def _schedule_next(self) -> None:
         if not self._running:
             return
-        rng = self.switch.sim.rng(self.rng_stream)
+        rng = self.switch.sim.rng("bgtraffic")
         gap = max(1, int(rng.exponential(self.mean_gap)))
         self.switch.sim.schedule_after(gap, self._emit, label="bgtraffic")
 
@@ -213,7 +212,7 @@ class BackgroundTraffic:
         if not self._running:
             return
         frame = Frame(
-            payload=None, size_bytes=self.frame_bytes,
+            payload=None, size_bytes=self.FRAME_BYTES,
             src="bg", dst=self.dst,
         )
         self.switch.forward(frame, lambda f: None)

@@ -32,7 +32,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.dds.qos import QosProfile
 from repro.dds.topic import Topic
 from repro.perception.pointcloud import PointCloud
 from repro.ros.node import Node
@@ -237,7 +236,6 @@ class EuclideanClusterDetector:
         node: Node,
         topic_in: Topic,
         topic_out: Topic,
-        qos: Optional[QosProfile] = None,
         cluster_model: Optional[ExecutionTimeModel] = None,
         eps: float = 0.8,
         min_points: int = 8,
@@ -248,9 +246,9 @@ class EuclideanClusterDetector:
         )
         self.eps = eps
         self.min_points = min_points
-        self.publisher = node.create_publisher(topic_out, qos=qos)
+        self.publisher = node.create_publisher(topic_out)
         self.detected_count = 0
-        self.subscription = node.create_subscription(topic_in, self._on_cloud, qos=qos)
+        self.subscription = node.create_subscription(topic_in, self._on_cloud)
 
     def _on_cloud(self, sample):
         cloud: PointCloud = sample.data

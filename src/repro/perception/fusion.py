@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.dds.qos import QosProfile
 from repro.dds.topic import Topic
 from repro.perception.pointcloud import PointCloud
 from repro.ros.node import Node
@@ -43,7 +42,6 @@ class FusionService:
         topic_front: Topic,
         topic_rear: Topic,
         topic_out: Topic,
-        qos: Optional[QosProfile] = None,
         fuse_model: Optional[ExecutionTimeModel] = None,
         max_pending: int = 16,
     ):
@@ -52,7 +50,7 @@ class FusionService:
             base_ns=500_000, per_item_ns=60, noise=0.15
         )
         self.max_pending = max_pending
-        self.publisher = node.create_publisher(topic_out, qos=qos)
+        self.publisher = node.create_publisher(topic_out)
         self._pending_front: Dict[int, PointCloud] = {}
         self._pending_rear: Dict[int, PointCloud] = {}
         #: Span contexts of waiting frames (span tracing only): the
@@ -62,8 +60,8 @@ class FusionService:
         self._ctx_rear: Dict[int, object] = {}
         self.fused_count = 0
         self.evicted_count = 0
-        self.sub_front = node.create_subscription(topic_front, self._on_front, qos=qos)
-        self.sub_rear = node.create_subscription(topic_rear, self._on_rear, qos=qos)
+        self.sub_front = node.create_subscription(topic_front, self._on_front)
+        self.sub_rear = node.create_subscription(topic_rear, self._on_rear)
 
     def _on_front(self, sample):
         return self._on_cloud(sample.data, self._pending_front, self._pending_rear,

@@ -14,7 +14,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.dds.qos import QosProfile
 from repro.dds.topic import Topic
 from repro.perception.pointcloud import PointCloud
 from repro.ros.node import Node
@@ -97,7 +96,6 @@ class RayGroundClassifier:
         topic_in: Topic,
         topic_ground: Topic,
         topic_nonground: Topic,
-        qos: Optional[QosProfile] = None,
         classify_model: Optional[ExecutionTimeModel] = None,
         sensor_height: float = 1.8,
     ):
@@ -106,10 +104,10 @@ class RayGroundClassifier:
             base_ns=2_000_000, per_item_ns=400, noise=0.2
         )
         self.sensor_height = sensor_height
-        self.pub_ground = node.create_publisher(topic_ground, qos=qos)
-        self.pub_nonground = node.create_publisher(topic_nonground, qos=qos)
+        self.pub_ground = node.create_publisher(topic_ground)
+        self.pub_nonground = node.create_publisher(topic_nonground)
         self.classified_count = 0
-        self.subscription = node.create_subscription(topic_in, self._on_cloud, qos=qos)
+        self.subscription = node.create_subscription(topic_in, self._on_cloud)
 
     def _on_cloud(self, sample):
         cloud: PointCloud = sample.data

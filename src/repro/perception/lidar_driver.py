@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.dds.qos import QosProfile
 from repro.dds.topic import Topic
 from repro.perception.pointcloud import PointCloud
 from repro.perception.scenario import DrivingScenario
 from repro.ros.node import Node
 from repro.sim.threads import Compute
-from repro.sim.workload import AffineModel, ExecutionTimeModel
+from repro.sim.workload import AffineModel
 
 #: Injected fault for one frame: extra delay in ns (0 = none) or None to
 #: drop the frame entirely.
@@ -26,6 +25,9 @@ FaultFn = Callable[[int], Optional[int]]
 #: Payload fault: maps (frame, captured cloud) to the cloud actually
 #: published -- e.g. a stuck sensor re-emitting its previous sweep.
 TransformFn = Callable[[int, PointCloud], PointCloud]
+
+#: CPU cost of assembling a sweep (driver-side).
+CAPTURE_MODEL = AffineModel(base_ns=200_000, per_item_ns=20, noise=0.1)
 
 
 def pointcloud_topic(name: str) -> Topic:
@@ -48,13 +50,12 @@ class LidarDriver:
         Output topic.
     period:
         Publication period in ns.
-    capture_model:
-        CPU cost of assembling a sweep (driver-side).
     fault_fn:
         Optional per-frame fault injection (delay ns / None to drop).
-    transform_fn:
-        Optional payload fault applied to the captured cloud just
-        before publication (timing is unaffected).
+
+    ``transform_fn`` (None until a fault injector sets it) is a payload
+    fault applied to the captured cloud just before publication (timing
+    is unaffected).
     """
 
     def __init__(
@@ -64,25 +65,18 @@ class LidarDriver:
         mount: str,
         topic: Topic,
         period: int,
-        qos: Optional[QosProfile] = None,
-        capture_model: Optional[ExecutionTimeModel] = None,
         fault_fn: Optional[FaultFn] = None,
-        transform_fn: Optional[TransformFn] = None,
-        jitter_ns: int = 0,
     ):
         self.node = node
         self.scenario = scenario
         self.mount = mount
         self.period = period
-        self.capture_model = capture_model or AffineModel(
-            base_ns=200_000, per_item_ns=20, noise=0.1
-        )
         self.fault_fn = fault_fn
-        self.transform_fn = transform_fn
-        self.publisher = node.create_publisher(topic, qos=qos)
+        self.transform_fn: Optional[TransformFn] = None
+        self.publisher = node.create_publisher(topic)
         self.frames_published = 0
         self.frames_dropped = 0
-        self._timer = node.create_timer(period, self._on_timer, jitter_ns=jitter_ns)
+        self._timer = node.create_timer(period, self._on_timer)
 
     def start(self) -> None:
         """Begin periodic publication."""
@@ -105,7 +99,7 @@ class LidarDriver:
         cloud = self.scenario.lidar_frame(
             frame, self.mount, stamp=self.node.ecu.now()
         )
-        work = self.capture_model.sample(
+        work = CAPTURE_MODEL.sample(
             sim.rng(f"lidar:{self.mount}"), size=len(cloud)
         )
         yield Compute(work + delay)

@@ -9,35 +9,27 @@ cost; experiments read its log for end-to-end accounting.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.dds.qos import QosProfile
 from repro.dds.topic import Topic
 from repro.ros.node import Node
 from repro.sim.threads import Compute
-from repro.sim.workload import ConstantModel, ExecutionTimeModel
+
+#: CPU cost of rendering one received sample, ns.
+RENDER_NS = 300_000
 
 
 class SinkService:
     """Terminal consumer of one or more topics."""
 
-    def __init__(
-        self,
-        node: Node,
-        topics: List[Topic],
-        qos: Optional[QosProfile] = None,
-        render_model: Optional[ExecutionTimeModel] = None,
-    ):
+    def __init__(self, node: Node, topics: List[Topic]):
         self.node = node
-        self.render_model = render_model or ConstantModel(300_000)
         #: topic name -> list of (frame_index, local arrival time, recovered)
         self.arrivals: Dict[str, List[Tuple[int, int, bool]]] = {
             topic.name: [] for topic in topics
         }
         self.subscriptions = [
-            node.create_subscription(
-                topic, self._make_callback(topic.name), qos=qos
-            )
+            node.create_subscription(topic, self._make_callback(topic.name))
             for topic in topics
         ]
 
@@ -47,9 +39,7 @@ class SinkService:
             self.arrivals[topic_name].append(
                 (frame, self.node.ecu.now(), sample.recovered)
             )
-            work = self.render_model.sample(self.node.ecu.sim.rng("sink"))
-            if work > 0:
-                yield Compute(work)
+            yield Compute(RENDER_NS)
 
         return callback
 

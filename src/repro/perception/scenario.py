@@ -18,6 +18,14 @@ import numpy as np
 from repro.perception.pointcloud import PointCloud
 
 
+#: World constants no caller varies (DESIGN.md "Options").
+GROUND_NOISE_M = 0.04
+DESPAWN_PROB = 0.05
+OBJECT_SPEED_MPS = 8.0
+FRAME_RATE_HZ = 10.0
+SENSOR_HEIGHT_M = 1.8
+
+
 @dataclass
 class ScenarioConfig:
     """Parameters of the synthetic world.
@@ -31,14 +39,9 @@ class ScenarioConfig:
     ground_rings: int = 16
     points_per_ring: int = 180
     ring_spacing_m: float = 1.5
-    ground_noise_m: float = 0.04
     max_objects: int = 8
     spawn_prob: float = 0.15
-    despawn_prob: float = 0.05
     points_per_object_mean: int = 220
-    object_speed_mps: float = 8.0
-    frame_rate_hz: float = 10.0
-    sensor_height_m: float = 1.8
 
 
 @dataclass
@@ -102,7 +105,7 @@ class DrivingScenario:
                 f"frame {frame} is older than the snapshot horizon "
                 f"(current {self._frame}, keep {self.SNAPSHOT_KEEP})"
             )
-        dt = 1.0 / self.config.frame_rate_hz
+        dt = 1.0 / FRAME_RATE_HZ
         while self._frame < frame:
             self._frame += 1
             # Move objects.
@@ -113,7 +116,7 @@ class DrivingScenario:
             self._objects = [
                 obj
                 for obj in self._objects
-                if self._rng.random() > self.config.despawn_prob
+                if self._rng.random() > DESPAWN_PROB
                 and abs(obj.x) < 80
                 and abs(obj.y) < 40
             ]
@@ -133,7 +136,7 @@ class DrivingScenario:
     def _spawn_object(self) -> _SceneObject:
         rng = self._rng
         is_vehicle = rng.random() < 0.7
-        speed = self.config.object_speed_mps * float(rng.uniform(0.2, 1.5))
+        speed = OBJECT_SPEED_MPS * float(rng.uniform(0.2, 1.5))
         heading = float(rng.uniform(0, 2 * np.pi))
         return _SceneObject(
             x=float(rng.uniform(-60, 60)),
@@ -174,11 +177,10 @@ class DrivingScenario:
                           stamp=stamp, frame_id=f"lidar_{mount}")
 
     def _ground_sweep(self, rng: np.random.Generator) -> np.ndarray:
-        cfg = self.config
         xy = self._ground_xy
         sweep = np.empty((len(xy), 4), dtype=np.float32)
         sweep[:, :2] = xy
-        sweep[:, 2] = rng.normal(-cfg.sensor_height_m, cfg.ground_noise_m, size=len(xy))
+        sweep[:, 2] = rng.normal(-SENSOR_HEIGHT_M, GROUND_NOISE_M, size=len(xy))
         sweep[:, 3] = rng.uniform(0.1, 0.4, size=len(xy))
         return sweep
 
@@ -193,6 +195,6 @@ class DrivingScenario:
         returns = np.empty((count, 4), dtype=np.float32)
         returns[:, 0] = rng.uniform(-obj.length / 2, obj.length / 2, count) + obj.x
         returns[:, 1] = rng.uniform(-obj.width / 2, obj.width / 2, count) + obj.y
-        returns[:, 2] = rng.uniform(0, obj.height, count) - cfg.sensor_height_m
+        returns[:, 2] = rng.uniform(0, obj.height, count) - SENSOR_HEIGHT_M
         returns[:, 3] = rng.uniform(0.4, 1.0, count)
         return returns

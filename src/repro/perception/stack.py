@@ -41,11 +41,10 @@ from repro.core import (
     LocalSegmentRuntime,
     SkipGate,
     SyncRemoteMonitor,
-    TimeoutContext,
 )
 from repro.core.exceptions import ExceptionHandler, PropagateAlways, RecoverAlways
 from repro.core.segments import Segment, local_segment, remote_segment
-from repro.dds import DdsDomain, QosProfile, Topic
+from repro.dds import DdsDomain, Topic
 from repro.network import DriftingClock, JitterModel, Link, NetworkStack, PtpService
 from repro.perception.clustering import EuclideanClusterDetector
 from repro.perception.fusion import FusionService
@@ -53,7 +52,11 @@ from repro.perception.ground_filter import RayGroundClassifier
 from repro.perception.lidar_driver import FaultFn, LidarDriver, pointcloud_topic
 from repro.perception.planner import SinkService
 from repro.perception.pointcloud import PointCloud
-from repro.perception.scenario import DrivingScenario, ScenarioConfig
+from repro.perception.scenario import (
+    SENSOR_HEIGHT_M,
+    DrivingScenario,
+    ScenarioConfig,
+)
 from repro.ros import Node
 from repro.sim import Ecu, Simulator, msec, sec, usec
 from repro.sim.cpu import FrequencyGovernor
@@ -88,6 +91,24 @@ def _default_deadlines() -> Dict[str, int]:
     }
 
 
+#: Platform and workload of the deployed use case: constants, since no
+#: caller varies them (DESIGN.md "Options").
+ECU1_CORES = 2
+LINK_LATENCY = usec(200)
+#: Lognormal jitter amplitude of every inter-ECU link.
+LINK_JITTER = usec(100)
+#: Oscillator drift of each ECU clock, alternating in sign per ECU.
+CLOCK_DRIFT_PPM = 10.0
+PTP_PERIOD = sec(1)
+PTP_RESIDUAL = usec(2)
+#: Per-service compute cost: (base ns, ns per input point), each sample
+#: scaled by a uniform factor in ``1 +- COMPUTE_NOISE``.
+CLASSIFY_COST = (5_000_000, 4_500.0)
+CLUSTER_COST = (3_000_000, 9_000.0)
+FUSION_COST = (500_000, 100.0)
+COMPUTE_NOISE = 0.25
+
+
 @dataclass
 class StackConfig:
     """Everything tunable about the deployed use case."""
@@ -102,16 +123,12 @@ class StackConfig:
     monitor_priority: int = 99
     #: One monitor thread per ECU (paper default) or one per segment.
     monitor_thread_per_segment: bool = False
-    remote_context: TimeoutContext = TimeoutContext.MONITOR_THREAD
     d_mon: Dict[str, int] = field(default_factory=_default_deadlines)
     d_ex: int = 0
     handlers: Dict[str, ExceptionHandler] = field(default_factory=dict)
     # Platform.
-    ecu1_cores: int = 2
     ecu2_cores: int = 4
     ecu2_governor: Optional[Callable[[], FrequencyGovernor]] = None
-    link_latency: int = usec(200)
-    link_jitter: int = usec(100)
     link_loss: float = 0.0
     #: Route inter-ECU traffic through a shared store-and-forward switch
     #: instead of independent links: network jitter becomes *emergent*
@@ -120,18 +137,8 @@ class StackConfig:
     use_switch: bool = False
     switch_port_rate_bps: float = 1e9
     switch_bg_load: float = 0.0
-    clock_drift_ppm: float = 10.0
-    ptp_period: int = sec(1)
-    ptp_residual: int = usec(2)
     # Workload.
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
-    classify_base_ns: int = 5_000_000
-    classify_per_point_ns: float = 4_500.0
-    cluster_base_ns: int = 3_000_000
-    cluster_per_point_ns: float = 9_000.0
-    fusion_base_ns: int = 500_000
-    fusion_per_point_ns: float = 100.0
-    compute_noise: float = 0.25
     # Fault injection (per lidar; frame -> extra delay ns or None=drop).
     fault_front: Optional[FaultFn] = None
     fault_rear: Optional[FaultFn] = None
@@ -185,7 +192,7 @@ class PerceptionStack:
         cfg = self.config
         self.ecu_lidar_front = Ecu(self.sim, "lidar_front", n_cores=1)
         self.ecu_lidar_rear = Ecu(self.sim, "lidar_rear", n_cores=1)
-        self.ecu1 = Ecu(self.sim, "ecu1", n_cores=cfg.ecu1_cores)
+        self.ecu1 = Ecu(self.sim, "ecu1", n_cores=ECU1_CORES)
         self.ecu2 = Ecu(
             self.sim,
             "ecu2",
@@ -201,7 +208,7 @@ class PerceptionStack:
         # PTP-synchronized drifting clocks on every ECU.
         clocks = []
         for i, ecu in enumerate(self.ecus):
-            drift = cfg.clock_drift_ppm * (1 if i % 2 == 0 else -1)
+            drift = CLOCK_DRIFT_PPM * (1 if i % 2 == 0 else -1)
             clock = DriftingClock(
                 self.sim, offset_ns=usec(50) * (i + 1), drift_ppm=drift,
                 name=f"{ecu.name}.clock",
@@ -209,8 +216,8 @@ class PerceptionStack:
             ecu.clock = clock
             clocks.append(clock)
         self.ptp = PtpService(
-            self.sim, clocks, sync_period=cfg.ptp_period,
-            residual_error=cfg.ptp_residual,
+            self.sim, clocks, sync_period=PTP_PERIOD,
+            residual_error=PTP_RESIDUAL,
         )
         # Network: stacks for receivers + links towards them.
         self.domain = DdsDomain(self.sim, local_latency=usec(30))
@@ -218,14 +225,14 @@ class PerceptionStack:
         self.stack2 = NetworkStack(self.ecu2, ksoftirq_priority=90)
         self.domain.register_stack(self.ecu1, self.stack1)
         self.domain.register_stack(self.ecu2, self.stack2)
-        jitter = JitterModel("lognormal", cfg.link_jitter) if cfg.link_jitter else None
+        jitter = JitterModel("lognormal", LINK_JITTER)
 
         if cfg.use_switch:
             from repro.network import BackgroundTraffic, EthernetSwitch, SwitchedLink
 
             self.switch = EthernetSwitch(
                 self.sim, port_rate_bps=cfg.switch_port_rate_bps,
-                propagation_delay=cfg.link_latency,
+                propagation_delay=LINK_LATENCY,
             )
             self.switch.attach("ecu1")
             self.switch.attach("ecu2")
@@ -247,7 +254,7 @@ class PerceptionStack:
 
             def link(name, src, dst):
                 l = Link(
-                    self.sim, name, base_latency=cfg.link_latency,
+                    self.sim, name, base_latency=LINK_LATENCY,
                     jitter=jitter, bandwidth_bps=1e9, loss_prob=cfg.link_loss,
                 )
                 self.domain.add_link(src, dst, l)
@@ -293,23 +300,17 @@ class PerceptionStack:
         )
         self.fusion = FusionService(
             self.node_fusion, self.topic_front, self.topic_rear, self.topic_fused,
-            fuse_model=AffineModel(
-                cfg.fusion_base_ns, cfg.fusion_per_point_ns, cfg.compute_noise
-            ),
+            fuse_model=AffineModel(*FUSION_COST, COMPUTE_NOISE),
         )
         self.classifier = RayGroundClassifier(
             self.node_classifier, self.topic_fused, self.topic_ground,
             self.topic_nonground,
-            classify_model=AffineModel(
-                cfg.classify_base_ns, cfg.classify_per_point_ns, cfg.compute_noise
-            ),
-            sensor_height=cfg.scenario.sensor_height_m,
+            classify_model=AffineModel(*CLASSIFY_COST, COMPUTE_NOISE),
+            sensor_height=SENSOR_HEIGHT_M,
         )
         self.detector = EuclideanClusterDetector(
             self.node_detector, self.topic_nonground, self.topic_objects,
-            cluster_model=AffineModel(
-                cfg.cluster_base_ns, cfg.cluster_per_point_ns, cfg.compute_noise
-            ),
+            cluster_model=AffineModel(*CLUSTER_COST, COMPUTE_NOISE),
         )
         self.sink = SinkService(
             self.node_rviz, [self.topic_objects, self.topic_ground]
@@ -493,7 +494,6 @@ class PerceptionStack:
                 period=cfg.period,
                 handler=handlers[name],
                 mk=cfg.mk,
-                context=cfg.remote_context,
                 monitor_thread=monitor_thread,
                 next_local=next_local,
                 activation_fn=activation_of,

@@ -33,7 +33,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.sim.threads": (
         "Compute", "Sleep", "WaitSem", "Yield", "SimThread", "ThreadState",
     ),
-    "repro.sim.scheduler": ("MulticoreScheduler", "SchedulerPolicy"),
+    "repro.sim.scheduler": ("MulticoreScheduler",),
     "repro.sim.sync": ("Semaphore",),
     "repro.sim.timers": ("Timer", "PeriodicTimer"),
     "repro.sim.cpu": ("Core", "Ecu", "ConstantGovernor", "BurstyGovernor"),

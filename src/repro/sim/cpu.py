@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.sim.kernel import Simulator
-from repro.sim.scheduler import Core, MulticoreScheduler, SchedulerPolicy
+from repro.sim.scheduler import Core, MulticoreScheduler
 from repro.sim.threads import SimThread
 
 
@@ -122,9 +122,8 @@ class Ecu:
     name:
         Identifier (e.g. ``"ecu1"``).
     n_cores:
-        Number of cores (the paper's testbed was a quad-core i5).
-    policy:
-        Scheduling policy; GLOBAL allows migration as in the paper.
+        Number of cores (the paper's testbed was a quad-core i5);
+        threads migrate between them, as in the paper.
     governor_factory:
         Callable producing one :class:`FrequencyGovernor` per core;
         ``None`` leaves all cores at speed 1.0.
@@ -135,14 +134,11 @@ class Ecu:
         sim: Simulator,
         name: str,
         n_cores: int = 4,
-        policy: SchedulerPolicy = SchedulerPolicy.GLOBAL,
         governor_factory: Optional[Callable[[], FrequencyGovernor]] = None,
     ):
         self.sim = sim
         self.name = name
-        self.scheduler = MulticoreScheduler(
-            sim, n_cores=n_cores, policy=policy, name=name
-        )
+        self.scheduler = MulticoreScheduler(sim, n_cores=n_cores, name=name)
         if governor_factory is not None:
             for core in self.scheduler.cores:
                 governor = governor_factory()
@@ -163,17 +159,9 @@ class Ecu:
         # double the calls.
         self.now = clock.now
 
-    def spawn(
-        self,
-        name: str,
-        body,
-        priority: int = 0,
-        affinity: Optional[int] = None,
-    ) -> SimThread:
+    def spawn(self, name: str, body, priority: int = 0) -> SimThread:
         """Create and start a thread on this ECU."""
-        return self.scheduler.spawn(
-            f"{self.name}.{name}", body, priority=priority, affinity=affinity
-        )
+        return self.scheduler.spawn(f"{self.name}.{name}", body, priority=priority)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Ecu {self.name} cores={len(self.scheduler.cores)}>"

@@ -7,13 +7,8 @@ between cores, and core frequency may change under the governor (both
 explicitly permitted in the paper's setup and responsible for the latency
 tails it measures).
 
-Two policies are provided:
-
-- ``SchedulerPolicy.GLOBAL`` -- at every instant the N highest-priority
-  ready threads occupy the N cores; threads migrate freely (unless pinned
-  via ``affinity``).
-- ``SchedulerPolicy.PARTITIONED`` -- every thread is pinned to a core and
-  cores schedule independently.
+Scheduling is global: at every instant the N highest-priority ready
+threads occupy the N cores, and threads migrate freely.
 
 Scheduling decisions are executed eagerly (as direct calls, not queued
 events) so that a semaphore post by a low-priority thread immediately
@@ -24,7 +19,6 @@ times.
 
 from __future__ import annotations
 
-import enum
 import math
 from operator import attrgetter
 from typing import Callable, List, Optional, TYPE_CHECKING
@@ -45,13 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 _priority_key = attrgetter("priority")
-
-
-class SchedulerPolicy(enum.Enum):
-    """Thread-to-core mapping discipline."""
-
-    GLOBAL = "global"
-    PARTITIONED = "partitioned"
 
 
 class Core:
@@ -104,8 +91,6 @@ class MulticoreScheduler:
         The simulation kernel providing time and event scheduling.
     n_cores:
         Number of identical cores.
-    policy:
-        Global (migrating) or partitioned scheduling.
     name:
         Identifier used in traces.
     """
@@ -114,14 +99,12 @@ class MulticoreScheduler:
         self,
         sim: Simulator,
         n_cores: int = 1,
-        policy: SchedulerPolicy = SchedulerPolicy.GLOBAL,
         name: str = "cpu",
     ) -> None:
         if n_cores < 1:
             raise ValueError("need at least one core")
         self.sim = sim
         self.name = name
-        self.policy = policy
         self.cores: List[Core] = [Core(i, self) for i in range(n_cores)]
         self.threads: List[SimThread] = []
         self._ready: List[SimThread] = []
@@ -141,31 +124,15 @@ class MulticoreScheduler:
         """Register *thread* and (by default) make it ready immediately."""
         if thread.scheduler is not None:
             raise ValueError(f"{thread} already belongs to a scheduler")
-        if self.policy is SchedulerPolicy.PARTITIONED and thread.affinity is None:
-            thread.affinity = 0
-        if thread.affinity is not None and not (
-            0 <= thread.affinity < len(self.cores)
-        ):
-            raise ValueError(
-                f"affinity {thread.affinity} out of range for {len(self.cores)} cores"
-            )
         thread.scheduler = self
         self.threads.append(thread)
         if start:
             self.make_ready(thread)
         return thread
 
-    def spawn(
-        self,
-        name: str,
-        body,
-        priority: int = 0,
-        affinity: Optional[int] = None,
-    ) -> SimThread:
+    def spawn(self, name: str, body, priority: int = 0) -> SimThread:
         """Create, register and start a thread in one call."""
-        return self.add_thread(
-            SimThread(name, body, priority=priority, affinity=affinity)
-        )
+        return self.add_thread(SimThread(name, body, priority=priority))
 
     # ------------------------------------------------------------------
     # Readiness / wake-ups
@@ -209,7 +176,7 @@ class MulticoreScheduler:
     def _schedule_pass(self) -> None:
         """Dispatch ready threads, best first, until none can be placed.
 
-        Each candidate takes the first idle core it may run on; failing
+        Each candidate takes the first idle core; failing
         that it preempts the lowest-priority running thread (youngest on
         ties) if it outranks it.  Every dispatch restarts the scan (the
         dispatched thread may have blocked again, or woken others), so
@@ -224,23 +191,19 @@ class MulticoreScheduler:
             if len(ready) > 1:
                 ready.sort(key=_priority_key, reverse=True)
             for thread in ready:
-                if thread.affinity is not None:
-                    target = cores[thread.affinity]
-                    victim = target.thread
-                else:
-                    target = victim = None
-                    for core in cores:
-                        running = core.thread
-                        if running is None:
-                            target, victim = core, None
-                            break
-                        if (
-                            victim is None
-                            or running.priority < victim.priority
-                            or (running.priority == victim.priority
-                                and running.tid > victim.tid)
-                        ):
-                            target, victim = core, running
+                target = victim = None
+                for core in cores:
+                    running = core.thread
+                    if running is None:
+                        target, victim = core, None
+                        break
+                    if (
+                        victim is None
+                        or running.priority < victim.priority
+                        or (running.priority == victim.priority
+                            and running.tid > victim.tid)
+                    ):
+                        target, victim = core, running
                 if victim is not None:
                     if thread.priority <= victim.priority:
                         continue
@@ -434,5 +397,5 @@ class MulticoreScheduler:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<MulticoreScheduler {self.name} cores={len(self.cores)} "
-            f"policy={self.policy.value} threads={len(self.threads)}>"
+            f"threads={len(self.threads)}>"
         )

@@ -124,9 +124,6 @@ class SimThread:
     priority:
         Fixed scheduling priority; **larger numbers mean higher priority**
         (like POSIX ``SCHED_FIFO``).
-    affinity:
-        Optional core index pinning the thread (partitioned scheduling).
-        ``None`` lets the thread migrate freely under global scheduling.
     """
 
     _ids = iter(range(1, 1 << 62))
@@ -136,12 +133,10 @@ class SimThread:
         name: str,
         body: ThreadBody,
         priority: int = 0,
-        affinity: Optional[int] = None,
     ) -> None:
         self.tid = next(SimThread._ids)
         self.name = name
         self.priority = priority
-        self.affinity = affinity
         if callable(body) and not isinstance(body, Iterator):
             self._gen = body(self)
         else:

@@ -24,7 +24,7 @@ from repro import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.telemetry.alerts": (
-        "Alert", "AlertEngine", "AlertLog", "AlertPolicy", "AlertSeverity",
+        "Alert", "AlertEngine", "AlertLog", "AlertSeverity",
         "RULE_HEARTBEAT", "RULE_LATENCY_BUDGET", "RULE_MK_MARGIN",
         "RULE_MK_VIOLATION", "RULE_QUEUE_DROPS", "RULE_QUEUE_SATURATION",
         "RULE_SEQ_GAP",

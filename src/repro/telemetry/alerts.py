@@ -120,27 +120,16 @@ class AlertLog:
         return len(self.alerts)
 
 
-@dataclass
-class AlertPolicy:
-    """Poll-path thresholds."""
-
-    #: Max silence before a source's heartbeat-gap alert, ns.
-    heartbeat_gap_ns: int = 500_000_000
-    #: Queue fill fraction that counts as saturated.
-    queue_watermark: float = 0.9
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_gap_ns <= 0:
-            raise ValueError("heartbeat_gap_ns must be positive")
-        if not (0.0 < self.queue_watermark <= 1.0):
-            raise ValueError("queue_watermark must be in (0, 1]")
+#: Poll-path thresholds: max silence before a source's heartbeat-gap
+#: alert (ns), and the queue fill fraction that counts as saturated.
+HEARTBEAT_GAP_NS = 500_000_000
+QUEUE_WATERMARK = 0.9
 
 
 class AlertEngine:
     """Turns store facts and poll observations into logged alerts."""
 
-    def __init__(self, policy: Optional[AlertPolicy] = None):
-        self.policy = policy or AlertPolicy()
+    def __init__(self):
         self.log = AlertLog()
         #: Queue drops already accounted by previous polls.
         self._drops_alerted = 0
@@ -217,7 +206,7 @@ class AlertEngine:
             if state.last_seen_ns < 0 or state.gap_open:
                 continue
             silence = now_ns - state.last_seen_ns
-            if silence > self.policy.heartbeat_gap_ns:
+            if silence > HEARTBEAT_GAP_NS:
                 state.gap_open = True
                 self.log.append(Alert(
                     timestamp_ns=now_ns,
@@ -226,7 +215,7 @@ class AlertEngine:
                     source=name,
                     detail=(
                         f"no records for {silence} ns "
-                        f"(allowed {self.policy.heartbeat_gap_ns})"
+                        f"(allowed {HEARTBEAT_GAP_NS})"
                     ),
                 ))
                 raised += 1
@@ -245,7 +234,7 @@ class AlertEngine:
                     ),
                 ))
                 raised += 1
-            if queue.saturation >= self.policy.queue_watermark:
+            if queue.saturation >= QUEUE_WATERMARK:
                 if not self._saturated:
                     self._saturated = True
                     self.log.append(Alert(

@@ -89,6 +89,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="exit non-zero below this ingest rate "
                         "(default: no gate)")
     args = parser.parse_args(argv)
+    for flag in ("vehicles", "frames", "queue_capacity", "batch"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag.replace('_', '-')} must be >= 1")
 
     fleet = FleetConfig(
         vehicles=args.vehicles, frames=args.frames, seed=args.seed

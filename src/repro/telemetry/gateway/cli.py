@@ -66,10 +66,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     scenario = episode_scenario(args.overload)
-    config = ChaosConfig(
-        vehicles=args.vehicles, frames=args.frames, seed=args.seed,
-        protocol="windowed",
-    )
+    try:
+        config = ChaosConfig(
+            vehicles=args.vehicles, frames=args.frames, seed=args.seed,
+            protocol="windowed",
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     with tempfile.TemporaryDirectory(prefix="repro-gateway-") as tmp:
         driver = scenario.make_driver(config, Path(tmp))
         result = driver.run()

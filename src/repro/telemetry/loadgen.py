@@ -41,6 +41,18 @@ from repro.telemetry.store import StoreConfig
 #: ns helpers (kept local: the load generator must not import the sim).
 _MS = 1_000_000
 
+#: Fleet constants no caller varies (DESIGN.md "Options").
+SEGMENTS_PER_CHAIN = 3
+PERIOD_NS = 100 * _MS
+BASE_LATENCY_NS = 8 * _MS
+#: Per-segment miss probability, baseline and inside a fault window.
+MISS_RATE = 0.002
+FAULT_MISS_RATE = 0.35
+#: Fraction of a faulty vehicle's records lost in transport.
+LOSS_RATE = 0.01
+#: Vehicles emit a heartbeat every this many frames.
+HEARTBEAT_FRAMES = 10
+
 
 @dataclass
 class FleetConfig:
@@ -49,32 +61,19 @@ class FleetConfig:
     vehicles: int = 8
     frames: int = 400
     chains: Tuple[str, ...] = ("front_objects", "rear_objects")
-    segments_per_chain: int = 3
-    period_ns: int = 100 * _MS
     seed: int = 2025
     mk: Tuple[int, int] = (2, 10)
     #: Per-segment latency budget (the alert rule input).
     budget_ns: int = 20 * _MS
-    base_latency_ns: int = 8 * _MS
     jitter_ns: int = 6 * _MS
-    #: Baseline per-segment miss probability.
-    miss_rate: float = 0.002
     #: Every n-th vehicle runs a scripted fault window.
     faulty_every: int = 4
-    #: Miss probability inside a fault window.
-    fault_miss_rate: float = 0.35
-    #: Fraction of a faulty vehicle's records lost in transport.
-    loss_rate: float = 0.01
-    #: Vehicles emit a heartbeat every this many frames.
-    heartbeat_frames: int = 10
 
     def __post_init__(self) -> None:
         if self.vehicles < 1:
             raise ValueError("vehicles must be >= 1")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
-        if self.segments_per_chain < 1:
-            raise ValueError("segments_per_chain must be >= 1")
         if not self.chains:
             raise ValueError("need at least one chain")
 
@@ -83,7 +82,7 @@ class FleetConfig:
         return [f"vehicle-{i:03d}" for i in range(self.vehicles)]
 
     def segment_names(self, chain: str) -> List[str]:
-        return [f"{chain}/s{i}" for i in range(self.segments_per_chain)]
+        return [f"{chain}/s{i}" for i in range(SEGMENTS_PER_CHAIN)]
 
     def is_faulty(self, vehicle_index: int) -> bool:
         return (
@@ -154,8 +153,8 @@ class FleetLoadGenerator:
                 rng = rngs[index]
                 seq = next_seq[index]
                 in_fault = faulty and fault_first <= frame < fault_last
-                base_ts = frame * cfg.period_ns + index * 111_111
-                if cfg.heartbeat_frames and frame % cfg.heartbeat_frames == 0:
+                base_ts = frame * PERIOD_NS + index * 111_111
+                if frame % HEARTBEAT_FRAMES == 0:
                     rows.append((
                         RecordKind.HEARTBEAT, vehicle, "", "", -1, None, "",
                         "", base_ts, seq,
@@ -164,9 +163,9 @@ class FleetLoadGenerator:
                 for chain in cfg.chains:
                     chain_missed = False
                     for segment in cfg.segment_names(chain):
-                        miss_rate = cfg.fault_miss_rate if in_fault else cfg.miss_rate
+                        miss_rate = FAULT_MISS_RATE if in_fault else MISS_RATE
                         missed = rng.random() < miss_rate
-                        latency = cfg.base_latency_ns + int(
+                        latency = BASE_LATENCY_NS + int(
                             rng.random() * cfg.jitter_ns
                         )
                         if in_fault:
@@ -174,7 +173,7 @@ class FleetLoadGenerator:
                         if missed:
                             latency += 2 * cfg.budget_ns
                             chain_missed = True
-                        if faulty and rng.random() < cfg.loss_rate:
+                        if faulty and rng.random() < LOSS_RATE:
                             # Transport loss: the seq was consumed but
                             # the row never reaches the service.
                             self.lost_in_transport += 1
@@ -188,7 +187,7 @@ class FleetLoadGenerator:
                     rows.append((
                         RecordKind.CHAIN, vehicle, chain, "", frame, None,
                         "miss" if chain_missed else "ok", "",
-                        base_ts + cfg.period_ns, seq,
+                        base_ts + PERIOD_NS, seq,
                     ))
                     seq += 1
                 next_seq[index] = seq
@@ -248,8 +247,11 @@ def run_load(
     The stream is handed to ``service.ingest_batch`` in *batch_size*
     slices, so the measured time covers the full ingest -> store ->
     alert path.  One final poll runs the time-based rules at the data
-    watermark.
+    watermark.  The report's accounting holds only if the service was
+    offered every generated record and lost none of them silently.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     generator = generator or FleetLoadGenerator()
     batch = generator.batch()
     n = len(batch)
@@ -275,6 +277,6 @@ def run_load(
         dropped=stats["dropped"],
         pending=stats["pending"],
         lost_in_transport=generator.lost_in_transport,
-        accounting_ok=stats["accounting_ok"],
+        accounting_ok=stats["accounting_ok"] and stats["offered"] == n,
         alerts_by_rule=stats["alerts_by_rule"],
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.telemetry.alerts import AlertEngine, AlertLog, AlertPolicy
+from repro.telemetry.alerts import AlertEngine, AlertLog
 from repro.telemetry.batch import RecordBatch
 from repro.telemetry.pipeline import DEFAULT_CAPACITY, IngestQueue
 from repro.telemetry.records import TelemetryRecord
@@ -37,7 +37,6 @@ class ServiceConfig:
 
     queue_capacity: int = DEFAULT_CAPACITY
     store: StoreConfig = field(default_factory=StoreConfig)
-    alerts: AlertPolicy = field(default_factory=AlertPolicy)
     #: Pump automatically whenever the queue holds this many records
     #: (None: only explicit pump() calls drain the queue).
     auto_pump_batch: Optional[int] = 4096
@@ -56,7 +55,7 @@ class TelemetryService:
         self.config = config or ServiceConfig()
         self.queue = IngestQueue(self.config.queue_capacity)
         self.store = ChainStateStore(self.config.store)
-        self.engine = AlertEngine(self.config.alerts)
+        self.engine = AlertEngine()
         #: Highest record timestamp applied so far (data time).
         self.watermark_ns = 0
         #: Records applied through *this service's* queue.  Distinct

@@ -69,6 +69,11 @@ from repro.telemetry.uplink.window import (
 #: and pins them; anything but this value raises.
 PROTOCOL = "windowed"
 
+#: Records each live vehicle spools per step, and the vehicles' WAL
+#: segment size (DESIGN.md "Options": no caller varies either).
+EMIT_PER_STEP = 8
+SEGMENT_MAX_RECORDS = 32
+
 #: Client counters folded into the per-scenario protocol section
 #: (cumulative only -- gauges like ``in_flight`` stay out).
 _CLIENT_COUNTER_KEYS = frozenset({
@@ -98,15 +103,12 @@ class ChaosConfig:
     vehicles: int = 3
     frames: int = 40
     seed: int = 2025
-    #: Records each live vehicle spools per step.
-    emit_per_step: int = 8
     #: Hard cap on driver steps (a scenario that does not converge by
     #: then fails its ``converged`` check).
     max_steps: int = 5000
     #: WAL fsync policy.  Chaos kills *processes*, not power, so
     #: ``never`` keeps sweeps fast without weakening what is tested.
     fsync: str = "never"
-    segment_max_records: int = 32
     checkpoint_every: Optional[int] = 4
     #: Always ``"windowed"`` (see :data:`PROTOCOL`).
     protocol: str = PROTOCOL
@@ -120,8 +122,6 @@ class ChaosConfig:
             raise ValueError("vehicles must be >= 1")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
-        if self.emit_per_step < 1:
-            raise ValueError("emit_per_step must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.protocol != PROTOCOL:
@@ -547,7 +547,7 @@ class ChaosDriver:
                 WalConfig(
                     directory=self.workdir / source,
                     fsync=config.fsync,
-                    segment_max_records=config.segment_max_records,
+                    segment_max_records=SEGMENT_MAX_RECORDS,
                     max_bytes=self.scenario.wal_max_bytes,
                 ),
                 client_config(config.seed, self._client_token(index)),
@@ -557,7 +557,7 @@ class ChaosDriver:
         ]
 
     def _vehicle_step(self, vehicle) -> None:
-        vehicle.emit(self.config.emit_per_step)
+        vehicle.emit(EMIT_PER_STEP)
 
     def _vehicle_receive(self, vehicle, doc: dict, frame, now: int) -> None:
         vehicle.client.on_ack(doc, now)

@@ -345,6 +345,10 @@ class ChannelStats:
 # ----------------------------------------------------------------------
 # The channel
 # ----------------------------------------------------------------------
+#: Steps every datagram spends in flight before jitter and reordering.
+BASE_DELAY_STEPS = 1
+
+
 class AdversarialChannel:
     """A lossy, duplicating, reordering, corrupting datagram channel.
 
@@ -360,14 +364,10 @@ class AdversarialChannel:
         deliver: Callable[[Frame, int], None],
         plan: Optional[ChannelFaultPlan] = None,
         seed: int = 0,
-        base_delay: int = 1,
     ):
-        if base_delay < 1:
-            raise ValueError("base_delay must be >= 1 step")
         self.name = name
         self.deliver = deliver
         self.plan = plan or ChannelFaultPlan()
-        self.base_delay = int(base_delay)
         self.stats = ChannelStats()
         self._rng = np.random.default_rng(
             (seed * 0x9E3779B1 + zlib.crc32(name.encode())) & 0xFFFFFFFF
@@ -400,7 +400,7 @@ class AdversarialChannel:
         if plan.corrupt_prob and rng.random() < plan.corrupt_prob:
             payload = self._corrupt(payload)
             self.stats.corrupted += 1
-        delay = self.base_delay + self._jitter.sample(rng)
+        delay = BASE_DELAY_STEPS + self._jitter.sample(rng)
         if plan.reorder_prob and rng.random() < plan.reorder_prob:
             delay += plan.reorder_extra
             self.stats.reordered += 1

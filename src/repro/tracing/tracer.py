@@ -2,15 +2,13 @@
 
 Events are grouped by name for cheap retrieval.  An optional name
 prefix filter keeps high-rate runs lean (like enabling only selected
-LTTng tracepoints), and a capacity bound emulates finite trace buffers
-(oldest events are discarded first, counted per name).
+LTTng tracepoints).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.sim.kernel import Simulator
 
@@ -36,37 +34,26 @@ class Tracer:
         records everything; an empty sequence records nothing, and the
         tracer then registers no hook, so ``sim.tracing_active`` stays
         false and emitters skip building their fields.
-    capacity_per_name:
-        Ring-buffer bound per event name (None = unbounded).
     """
 
     def __init__(
         self,
         sim: Simulator,
         prefixes: Optional[Sequence[str]] = None,
-        capacity_per_name: Optional[int] = None,
     ):
         self.sim = sim
         self.prefixes = None if prefixes is None else tuple(prefixes)
-        self.capacity = capacity_per_name
-        self._by_name: Dict[str, Deque[TraceEvent]] = {}
+        self._by_name: Dict[str, List[TraceEvent]] = {}
         self.recorded = 0
-        self.discarded = 0
-        self.enabled = True
         if self.prefixes != ():
             sim.add_trace_hook(self._on_event)
 
     def _on_event(self, name: str, timestamp: int, fields: dict) -> None:
-        if not self.enabled:
-            return
         if self.prefixes is not None and not name.startswith(self.prefixes):
             return
         bucket = self._by_name.get(name)
         if bucket is None:
-            bucket = deque(maxlen=self.capacity)
-            self._by_name[name] = bucket
-        if self.capacity is not None and len(bucket) == self.capacity:
-            self.discarded += 1
+            bucket = self._by_name[name] = []
         bucket.append(TraceEvent(name, timestamp, fields))
         self.recorded += 1
 

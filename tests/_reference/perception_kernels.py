@@ -22,7 +22,12 @@ from typing import Tuple
 import numpy as np
 
 from repro.perception.pointcloud import PointCloud
-from repro.perception.scenario import DrivingScenario, _SceneObject
+from repro.perception.scenario import (
+    GROUND_NOISE_M,
+    SENSOR_HEIGHT_M,
+    DrivingScenario,
+    _SceneObject,
+)
 
 #: The 13 cell offsets of the half space (dx, dy, dz) > (0, 0, 0): every
 #: adjacent pair of cells is found once, from its lexicographically
@@ -129,7 +134,7 @@ class PerCallGeometryScenario(DrivingScenario):
         rr, aa = np.meshgrid(radii, angles, indexing="ij")
         x = (rr * np.cos(aa)).ravel()
         y = (rr * np.sin(aa)).ravel()
-        z = rng.normal(-cfg.sensor_height_m, cfg.ground_noise_m, size=x.shape)
+        z = rng.normal(-SENSOR_HEIGHT_M, GROUND_NOISE_M, size=x.shape)
         intensity = rng.uniform(0.1, 0.4, size=x.shape)
         return np.column_stack([x, y, z, intensity])
 
@@ -143,6 +148,6 @@ class PerCallGeometryScenario(DrivingScenario):
         )
         x = rng.uniform(-obj.length / 2, obj.length / 2, count) + obj.x
         y = rng.uniform(-obj.width / 2, obj.width / 2, count) + obj.y
-        z = rng.uniform(0, obj.height, count) - cfg.sensor_height_m
+        z = rng.uniform(0, obj.height, count) - SENSOR_HEIGHT_M
         intensity = rng.uniform(0.4, 1.0, count)
         return np.column_stack([x, y, z, intensity])

@@ -10,6 +10,7 @@ from repro.telemetry.uplink.chaos import (
     ChaosConfig,
     KNOWN_PROTOCOL_COUNTERS,
     load_report,
+    SEGMENT_MAX_RECORDS,
 )
 
 QUICK = ChaosConfig(vehicles=3, frames=10, seed=2025)
@@ -106,9 +107,9 @@ class TestDurabilitySyscallBudget:
         assert 1 <= calls["compact"] <= checkpoints / 4
         assert calls["replace"] <= mark_compactions + calls["compact"]
         # One compaction per vehicle creates the journal, one more per
-        # segment_max_records marks; every other ack is an append.
+        # SEGMENT_MAX_RECORDS marks; every other ack is an append.
         assert mark_compactions <= config.vehicles + (
-            calls["_write_mark"] // config.segment_max_records
+            calls["_write_mark"] // SEGMENT_MAX_RECORDS
         )
         # + 2: the ingest journal, opened live and by the cold-recovery
         # check.
@@ -170,6 +171,15 @@ class TestGatewayCommandReport:
         assert f"journal_bytes={recovery['journal_bytes']}" in (
             capsys.readouterr().out
         )
+
+    @pytest.mark.parametrize("flag", ["--vehicles", "--frames"])
+    def test_empty_fleet_is_a_usage_error(self, flag, capsys):
+        from repro.telemetry.gateway.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([flag, "0"])
+        assert excinfo.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
 
 class TestSocketAdapter:

@@ -73,11 +73,13 @@ from repro.tracing.tracer import Tracer
 
 FRAMES = 30
 
-#: Calls per frame reached by this code on CPython 3.11.7: 617.7
-#: monitored, 386.9 unmonitored, 230.8 added by the monitor (629.8 /
-#: 396.6 / 233.2 while the kernel activated calendar buckets).
-MONITORED_CEILING = 637
-UNMONITORED_CEILING = 399
+#: Calls per frame reached by this code on CPython 3.11.7: 610.7
+#: monitored, 379.9 unmonitored, 230.8 added by the monitor (617.7 /
+#: 386.9 while every local DDS delivery drew a zero jitter sample and
+#: the sink drew a render cost from a stream; 629.8 / 396.6 / 233.2
+#: while the kernel activated calendar buckets).
+MONITORED_CEILING = 629
+UNMONITORED_CEILING = 392
 ADDED_CEILING = 240
 
 #: Events fired over the 30 frames (27.67 / 18.17 per frame).
@@ -91,18 +93,19 @@ UNMONITORED_EVENTS = 545
 LABELLED_CEILING = 7
 
 #: Calls per frame of one 60-frame ``loss_burst`` campaign scenario on
-#: CPython 3.11: 694.9 (709.1 while the kernel activated calendar
-#: buckets, 935.7 before the campaign stopped arming trace points,
-#: replaying record by record and summing the health window).
+#: CPython 3.11: 688.6 (695.4 with the zero jitter and render draws,
+#: 709.1 while the kernel activated calendar buckets, 935.7 before the
+#: campaign stopped arming trace points, replaying record by record and
+#: summing the health window).
 CAMPAIGN_FRAMES = 60
-CAMPAIGN_CEILING = 716
+CAMPAIGN_CEILING = 710
 
 #: Calls into ``repro`` of one clean 4 x 30 gateway episode (driver
 #: built, run, verified) on CPython 3.11: 30.7k (32.8k while a
 #: checkpoint re-serialised every key it dirtied, 44.1k while every
 #: frame paid a parse per line, a record per row and an apply of its
-#: own); the ceiling is 3% above.
-FLEET_CEILING = 31_610
+#: own); the ceiling is 3% above 30,687.
+FLEET_CEILING = 31_608
 
 #: Calls into ``repro`` of the independent, greedy and branch-and-bound
 #: solves on CPython 3.11.  The (2,8) trace at B_seg = 100 is infeasible

@@ -56,7 +56,8 @@ from repro.sim import Ecu, Simulator, msec, usec
 from _reference.miss_window import MissWindow
 
 COSTS = MonitorCosts()
-HANDLER_COST = usec(20)
+#: What every recovering handler charges the monitor thread.
+HANDLER_COST = RecoverUpTo.cost_ns
 TOPIC = Topic("t")
 
 deadlines = st.integers(usec(50), usec(2000))
@@ -76,7 +77,7 @@ class _RecoverUpToExcept(RecoverUpTo):
     """RecoverUpTo that also declines every *decline_every*-th activation."""
 
     def __init__(self, max_misses, decline_every):
-        super().__init__(max_misses, lambda context: "substitute", HANDLER_COST)
+        super().__init__(max_misses, lambda context: "substitute")
         self.decline_every = decline_every
 
     def declines(self, activation):

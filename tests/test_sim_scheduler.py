@@ -6,7 +6,6 @@ from repro.sim import (
     Compute,
     Ecu,
     MulticoreScheduler,
-    SchedulerPolicy,
     Semaphore,
     Simulator,
     Sleep,
@@ -19,9 +18,9 @@ from repro.sim import (
 )
 
 
-def make_sched(n_cores=1, policy=SchedulerPolicy.GLOBAL, seed=0):
+def make_sched(n_cores=1, seed=0):
     sim = Simulator(seed=seed)
-    sched = MulticoreScheduler(sim, n_cores=n_cores, policy=policy)
+    sched = MulticoreScheduler(sim, n_cores=n_cores)
     return sim, sched
 
 
@@ -225,33 +224,6 @@ class TestMulticore:
         sched.spawn("mig", migrator, priority=4)
         sim.run()
         assert len(cores_seen) == 2
-
-    def test_partitioned_policy_respects_affinity(self):
-        sim, sched = make_sched(n_cores=2, policy=SchedulerPolicy.PARTITIONED)
-        marks = {}
-
-        def body(name, dur):
-            def gen(_):
-                yield Compute(dur)
-                marks[name] = sim.now
-            return gen
-
-        # Both pinned to core 0: they serialize despite core 1 being idle.
-        sched.spawn("a", body("a", msec(5)), priority=2, affinity=0)
-        sched.spawn("b", body("b", msec(5)), priority=1, affinity=0)
-        sim.run()
-        assert marks["a"] == msec(5)
-        assert marks["b"] == msec(10)
-
-    def test_partitioned_default_affinity_is_core0(self):
-        sim, sched = make_sched(n_cores=2, policy=SchedulerPolicy.PARTITIONED)
-        thread = sched.spawn("t", lambda _: iter([]))
-        assert thread.affinity == 0
-
-    def test_affinity_out_of_range_rejected(self):
-        sim, sched = make_sched(n_cores=2)
-        with pytest.raises(ValueError):
-            sched.spawn("t", lambda _: iter([]), affinity=5)
 
 
 class TestYield:

@@ -8,6 +8,8 @@ import pytest
 from repro.experiments.runner import EXPERIMENTS, SUBCOMMANDS
 from repro.experiments.runner import main as runner_main
 from repro.telemetry.cli import main as telemetry_main
+from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator, run_load
+from repro.telemetry.service import ServiceConfig, TelemetryService
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -72,6 +74,36 @@ class TestTelemetryCommand:
             "--min-throughput", "1e15",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("flag", [
+        "--batch", "--queue-capacity", "--vehicles", "--frames",
+    ])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_sizes_are_usage_errors(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            telemetry_main([flag, value])
+        assert excinfo.value.code == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_run_load_rejects_a_batch_size_below_one(self, batch_size):
+        service = TelemetryService(ServiceConfig())
+        generator = FleetLoadGenerator(FleetConfig(vehicles=1, frames=10))
+        with pytest.raises(ValueError, match="batch_size"):
+            run_load(service, generator, batch_size=batch_size)
+
+    def test_accounting_requires_every_generated_record_offered(self):
+        """A drive that offered the service nothing must not report OK."""
+        generator = FleetLoadGenerator(FleetConfig(vehicles=1, frames=10))
+
+        class Idle(TelemetryService):
+            def ingest_batch(self, records):
+                return 0
+
+        report = run_load(Idle(ServiceConfig()), generator)
+        assert report.records > 0 and report.applied == 0
+        assert not report.accounting_ok
+        assert "accounting       : VIOLATED" in report.render()
 
     def test_unknown_experiment_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
