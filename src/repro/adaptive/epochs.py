@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.schema import SchemaVersionError
-from repro.telemetry.records import encode_json
+from repro.schema import SchemaVersionError, encode_json, encode_json_sorted
 from repro.telemetry.uplink.wal import AppendLog, decode_entry
 
 #: Schema identifier of one serialized budget epoch.
@@ -106,9 +104,8 @@ class BudgetEpoch:
 
     def digest(self) -> str:
         """Content identity: sha256 over the canonical budget map."""
-        body = json.dumps(
-            {c: dict(sorted(s.items())) for c, s in sorted(self.budgets.items())},
-            separators=(",", ":"), sort_keys=True,
+        body = encode_json_sorted(
+            {c: dict(sorted(s.items())) for c, s in sorted(self.budgets.items())}
         )
         return hashlib.sha256(body.encode("utf-8")).hexdigest()
 

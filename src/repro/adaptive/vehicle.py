@@ -31,7 +31,7 @@ from typing import Callable, Optional, Set, Tuple
 
 from repro.adaptive.epochs import BudgetEpoch
 from repro.faults.degradation import DegradationMode
-from repro.telemetry.records import encode_json
+from repro.schema import encode_json
 from repro.telemetry.uplink.transport import (
     decode_envelope,
     decode_epoch_frame,

@@ -203,6 +203,8 @@ def main(argv=None) -> int:
         help="run experiments in N worker processes (default: 1, serial)",
     )
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     if args.jobs > 1 and len(names) > 1:
         from repro.experiments.parallel import run_experiments_parallel

@@ -62,6 +62,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="skip the per-chain attribution report",
     )
     args = parser.parse_args(argv)
+    if args.frames < 1:
+        parser.error(f"--frames must be >= 1, got {args.frames}")
 
     overrides = {"spans": True}
     if args.seed is not None:

@@ -526,6 +526,8 @@ class PerceptionStack:
         the last frame to clear the pipeline, then stops the sources and
         disarms remote monitors.
         """
+        if n_frames < 1:
+            raise ValueError(f"n_frames must be >= 1, got {n_frames}")
         cfg = self.config
         self.ptp.start()
         if self.bg_traffic is not None:

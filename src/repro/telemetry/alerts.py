@@ -24,10 +24,10 @@ in serial and parallel runs.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.schema import encode_json
 from repro.telemetry.pipeline import IngestQueue
 from repro.telemetry.store import ApplyOutcome, ChainStateStore
 
@@ -105,7 +105,7 @@ class AlertLog:
     def to_jsonl(self) -> str:
         """The persisted form: one JSON object per line."""
         return "".join(
-            json.dumps(alert.to_json(), separators=(",", ":")) + "\n"
+            encode_json(alert.to_json()) + "\n"
             for alert in self.alerts
         )
 

@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.schema import decode_json
 from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator, run_load
 from repro.telemetry.service import ServiceConfig, TelemetryService
 
@@ -122,7 +123,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.telemetry.store import ChainStateStore
 
         restored = ChainStateStore.restore(
-            json.loads(args.snapshot.read_text())
+            decode_json(args.snapshot.read_text())
         )
         identical = restored.snapshot() == snapshot
         print(f"wrote snapshot to {args.snapshot} "

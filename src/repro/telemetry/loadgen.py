@@ -135,22 +135,40 @@ class FleetLoadGenerator:
         self.lost_in_transport = 0
         rows: List[tuple] = []
         vehicles = cfg.vehicle_ids()
-        rngs = [self._vehicle_rng(vehicle) for vehicle in vehicles]
         next_seq = [0] * len(vehicles)
         fault_first, fault_last = cfg.fault_window()
         silent_from = cfg.silent_from()
+        segment_names = {
+            chain: cfg.segment_names(chain) for chain in cfg.chains
+        }
+        segments = len(cfg.chains) * SEGMENTS_PER_CHAIN
+        faulty_by_index = [cfg.is_faulty(i) for i in range(len(vehicles))]
+        # Each vehicle's whole run of draws as one vector: per active
+        # frame and segment a miss draw, a jitter draw and, on a faulty
+        # vehicle, a loss draw -- the doubles, in the order, that one
+        # ``rng.random()`` per draw would return.
+        draws = []
+        for index, vehicle in enumerate(vehicles):
+            faulty = faulty_by_index[index]
+            # The last faulty vehicle goes silent for the tail.
+            active = (
+                silent_from if faulty and index == len(vehicles) - 1
+                else cfg.frames
+            )
+            k = active * segments * (3 if faulty else 2)
+            vector = self._vehicle_rng(vehicle).random(k).tolist()
+            draws.append(iter(vector).__next__)
 
         for frame in range(cfg.frames):
             for index, vehicle in enumerate(vehicles):
-                faulty = cfg.is_faulty(index)
-                # The last faulty vehicle goes silent for the tail.
+                faulty = faulty_by_index[index]
                 silent = (
                     faulty and index == len(vehicles) - 1
                     and frame >= silent_from
                 )
                 if silent:
                     continue
-                rng = rngs[index]
+                draw = draws[index]
                 seq = next_seq[index]
                 in_fault = faulty and fault_first <= frame < fault_last
                 base_ts = frame * PERIOD_NS + index * 111_111
@@ -162,18 +180,18 @@ class FleetLoadGenerator:
                     seq += 1
                 for chain in cfg.chains:
                     chain_missed = False
-                    for segment in cfg.segment_names(chain):
+                    for segment in segment_names[chain]:
                         miss_rate = FAULT_MISS_RATE if in_fault else MISS_RATE
-                        missed = rng.random() < miss_rate
+                        missed = draw() < miss_rate
                         latency = BASE_LATENCY_NS + int(
-                            rng.random() * cfg.jitter_ns
+                            draw() * cfg.jitter_ns
                         )
                         if in_fault:
                             latency += cfg.budget_ns  # over budget for sure
                         if missed:
                             latency += 2 * cfg.budget_ns
                             chain_missed = True
-                        if faulty and rng.random() < LOSS_RATE:
+                        if faulty and draw() < LOSS_RATE:
                             # Transport loss: the seq was consumed but
                             # the row never reaches the service.
                             self.lost_in_transport += 1

@@ -26,21 +26,18 @@ import enum
 import json
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from repro.schema import SchemaVersionError
+from repro.schema import (
+    SchemaVersionError,
+    c_encode_json,
+    decode_json,
+    json_markers,
+)
 
 #: Schema identifier for persisted record streams.
 WIRE_SCHEMA = "repro-telemetry/1"
 
 #: Number of positional fields in one wire record.
 WIRE_FIELDS = 10
-
-#: The compact JSON encoders of every persisted / transported line,
-#: built once: ``json.dumps(..., separators=...)`` constructs a
-#: ``JSONEncoder`` per call, half the cost of encoding a record line.
-encode_json = json.JSONEncoder(separators=(",", ":")).encode
-encode_json_sorted = json.JSONEncoder(
-    separators=(",", ":"), sort_keys=True
-).encode
 
 
 class RecordKind(enum.Enum):
@@ -123,7 +120,7 @@ class TelemetryRecord:
     def to_wire(self) -> Tuple:
         """The positional wire tuple (JSON-serializable)."""
         return (
-            self.kind.value, self.source, self.chain, self.segment,
+            self.kind._value_, self.source, self.chain, self.segment,
             self.activation, self.latency_ns, self.verdict, self.level,
             self.timestamp_ns, self.seq,
         )
@@ -146,13 +143,18 @@ class TelemetryRecord:
         return record
 
     def encode_line(self) -> str:
-        """One compact JSON line (the persisted/transport form)."""
-        return encode_json(self.to_wire())
+        """One compact JSON line (the persisted/transport form):
+        :func:`~repro.schema.encode_json` inlined, a call per record."""
+        try:
+            return "".join(c_encode_json(self.to_wire(), 0))
+        except BaseException:
+            json_markers.clear()
+            raise
 
     @classmethod
     def decode_line(cls, line: str) -> "TelemetryRecord":
         """Inverse of :meth:`encode_line`."""
-        return cls.from_wire(tuple(json.loads(line)))
+        return cls.from_wire(tuple(decode_json(line)))
 
     # ------------------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -183,7 +185,7 @@ def decode_stream(text: str) -> Iterator[TelemetryRecord]:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         return
-    header = json.loads(lines[0])
+    header = decode_json(lines[0])
     if not isinstance(header, dict):
         raise ValueError(f"unsupported telemetry stream header {lines[0]!r}")
     if header.get("schema") != WIRE_SCHEMA:

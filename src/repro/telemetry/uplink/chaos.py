@@ -44,6 +44,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
+from repro.schema import decode_json
 from repro.telemetry.batch import RecordBatch
 from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator
 from repro.telemetry.records import TelemetryRecord
@@ -826,7 +827,7 @@ def load_report(source: Union[str, Path, dict]) -> dict:
     if isinstance(source, dict):
         report = source
     else:
-        report = json.loads(Path(source).read_text())
+        report = decode_json(Path(source).read_text())
     schema = report.get("schema")
     if schema != "repro-chaos-report/1":
         raise ValueError(f"not a chaos report (schema={schema!r})")

@@ -36,13 +36,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.schema import SchemaVersionError
+from repro.schema import SchemaVersionError, encode_json, encode_json_sorted
 from repro.telemetry.batch import RecordBatch
-from repro.telemetry.records import (
-    TelemetryRecord,
-    encode_json,
-    encode_json_sorted,
-)
+from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.uplink.transport import (
     decode_envelope,

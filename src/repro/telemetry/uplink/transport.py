@@ -28,7 +28,6 @@ clock anywhere, so every interleaving is replayable.
 from __future__ import annotations
 
 import heapq
-import json
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -37,7 +36,13 @@ import numpy as np
 
 from repro.network.injection import Injection
 from repro.network.link import Frame, JitterModel
-from repro.telemetry.records import encode_json_sorted, wire_rows_ok
+from repro.schema import (
+    c_encode_json_sorted,
+    c_scan_json,
+    decode_json,
+    json_markers,
+)
+from repro.telemetry.records import wire_rows_ok
 from repro.telemetry.uplink.wal import encode_entry, entry_body
 
 #: Envelope schema identifiers.
@@ -61,15 +66,31 @@ REJECT_SCHEMA = "repro-gateway-reject/1"
 # Envelopes
 # ----------------------------------------------------------------------
 def encode_envelope(doc: dict) -> str:
-    """Serialize *doc* with a leading CRC so corruption is detectable."""
-    return encode_entry(encode_json_sorted(doc))
+    """Serialize *doc* with a leading CRC so corruption is detectable.
+
+    :func:`~repro.schema.encode_json_sorted` is inlined here and the
+    parse in :func:`decode_envelope`: they run once per frame and ack.
+    """
+    try:
+        body = "".join(c_encode_json_sorted(doc, 0))
+    except BaseException:
+        json_markers.clear()
+        raise
+    return encode_entry(body)
 
 
 def decode_envelope(payload: str) -> Optional[dict]:
     """Inverse of :func:`encode_envelope`; ``None`` on any damage."""
     body = entry_body(payload) if isinstance(payload, str) else None
+    if body is None:
+        return None
     try:
-        doc = json.loads(body) if body is not None else None
+        try:
+            doc, end = c_scan_json(body, 0)
+        except StopIteration:
+            end = None
+        if end != len(body):
+            doc = decode_json(body)  # a miss: json.loads decides
     except ValueError:
         return None
     return doc if isinstance(doc, dict) else None
@@ -169,7 +190,7 @@ def decode_frame(
     :func:`decode_frame_header` result, when the caller already has it.
 
     Every line's CRC is checked on its own; all record bodies are then
-    parsed by **one** ``json.loads``.  That equals a parse per line
+    parsed by **one** scan.  That equals a parse per line
     because a body must be ``[...]``, the join is ``,\\n`` (JSON forbids
     a raw newline inside a string, so no string spans two lines) and
     :func:`~repro.telemetry.records.wire_rows_ok` admits no nested
@@ -199,11 +220,14 @@ def decode_frame(
         if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != crc:
             return None
         bodies.append(body)
+    text = "[" + ",\n".join(bodies) + "]"
     try:
-        rows = json.loads("[" + ",\n".join(bodies) + "]")
-    except ValueError:
+        rows, end = c_scan_json(text, 0)
+    except (StopIteration, ValueError):
         return None
-    if len(rows) != len(lines) or not wire_rows_ok(rows):
+    # *text* opens with "[" and ends with "]": what the scan leaves over
+    # is data json.loads would refuse too.
+    if end != len(text) or len(rows) != len(lines) or not wire_rows_ok(rows):
         return None
     return header, rows, lines
 

@@ -51,20 +51,21 @@ records the fleet's dedup absorbs, never lose one.
 
 from __future__ import annotations
 
-import json
 import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.schema import SchemaVersionError
-from repro.telemetry.records import (
-    TelemetryRecord,
-    encode_json,
+from repro.schema import (
+    SchemaVersionError,
+    c_encode_json,
+    c_scan_json,
+    decode_json,
     encode_json_sorted,
-    wire_rows_ok,
+    json_markers,
 )
+from repro.telemetry.records import TelemetryRecord, wire_rows_ok
 
 #: Schema identifier written into every WAL segment header.
 WAL_SCHEMA = "repro-uplink-wal/1"
@@ -121,8 +122,16 @@ def entry_body(line: str) -> Optional[str]:
 
 
 def _body_fields(body: Optional[str]) -> Optional[list]:
+    # decode_json() inlined: recovery parses every entry line here.
+    if body is None:
+        return None
     try:
-        fields = json.loads(body) if body is not None else None
+        try:
+            fields, end = c_scan_json(body, 0)
+        except StopIteration:
+            end = None
+        if end != len(body):
+            fields = decode_json(body)  # a miss: json.loads decides
     except ValueError:
         return None
     return fields if isinstance(fields, list) else None
@@ -158,7 +167,7 @@ def scan_log(
         # bytes parse as (appending after it would fuse two lines).
         lines.append("")
     try:
-        header = json.loads(lines[0]) if lines else None
+        header = decode_json(lines[0]) if lines else None
     except ValueError:
         header = None
     if not isinstance(header, dict):
@@ -806,7 +815,12 @@ class RecordLog(AppendLog):
         self.entries += 1
 
     def append_marker(self, source: str, seq: int) -> None:
-        self._write(encode_entry(encode_json([MARKER_TAG, source, seq])))
+        try:  # encode_json() inlined: a marker follows every frame
+            body = "".join(c_encode_json([MARKER_TAG, source, seq], 0))
+        except BaseException:
+            json_markers.clear()
+            raise
+        self._write(encode_entry(body))
         self.entries += 1
 
     def append_checkpoint(self, body: str) -> None:
@@ -880,7 +894,7 @@ class RecordLog(AppendLog):
 
     def settled_rows(self) -> List[list]:
         """The wire rows logged before the last checkpoint entry, in log
-        order: one ``json.loads`` of their bodies joined by a raw newline
+        order: one parse of their bodies joined by a raw newline
         (no string spans two, as in ``decode_frame``), markers unread."""
         bodies = [b for b in self.settled if not b.startswith(_MARKER_PREFIX)]
         rows = _body_fields("[" + ",\n".join(bodies) + "]") or []

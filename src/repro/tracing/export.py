@@ -17,11 +17,10 @@ unknown version with a :class:`~repro.schema.SchemaVersionError`.
 
 from __future__ import annotations
 
-import json
 import warnings
 from typing import Any, Dict, Iterator, List
 
-from repro.schema import SchemaVersionError
+from repro.schema import SchemaVersionError, decode_json, encode_json
 from repro.tracing.spans import Span, SpanRecorder
 
 #: Schema identifier written as the first line of every JSONL export.
@@ -77,7 +76,7 @@ def write_chrome_trace(recorder: SpanRecorder, path: str) -> int:
     """Write the Chrome trace of *recorder* to *path*; returns #events."""
     document = chrome_trace(recorder)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(document, separators=(",", ":")) + "\n")
+        handle.write(encode_json(document) + "\n")
     return len(document["traceEvents"])
 
 
@@ -121,17 +120,14 @@ def span_from_dict(record: Dict[str, Any]) -> Span:
 
 def jsonl_header(recorder: SpanRecorder) -> str:
     """The schema header line opening a JSONL export."""
-    return json.dumps(
-        {"schema": SPANS_SCHEMA, "spans": len(recorder.spans)},
-        separators=(",", ":"),
-    )
+    return encode_json({"schema": SPANS_SCHEMA, "spans": len(recorder.spans)})
 
 
 def to_jsonl(recorder: SpanRecorder) -> Iterator[str]:
     """Header line, then one JSON line per span in recording order."""
     yield jsonl_header(recorder)
     for span in recorder.spans:
-        yield json.dumps(span_to_dict(span), separators=(",", ":"))
+        yield encode_json(span_to_dict(span))
 
 
 def write_jsonl(recorder: SpanRecorder, path: str) -> int:
@@ -161,7 +157,7 @@ def read_jsonl(path: str) -> List[Span]:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            record = decode_json(line)
             if not spans and "schema" in record:
                 if record["schema"] != SPANS_SCHEMA:
                     raise SchemaVersionError(

@@ -236,3 +236,14 @@ class TestTraceCli:
         out = capsys.readouterr().out
         assert "chain front_objects" in out
         assert "budget burn" in out
+
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_trace_cli_rejects_no_frames_as_usage(self, frames, capsys):
+        # It used to schedule the lidar stop before time 0 and exit 1
+        # with a SimulationError traceback.
+        from repro.experiments.trace_cli import main as trace_main
+
+        with pytest.raises(SystemExit) as exit_info:
+            trace_main(["--frames", frames])
+        assert exit_info.value.code == 2
+        assert "--frames must be >= 1" in capsys.readouterr().err

@@ -114,3 +114,13 @@ class TestRunnerCli:
 
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_cli_rejects_fewer_than_one_job(self, jobs, capsys):
+        # It used to run the experiment serially without a word.
+        from repro.experiments.runner import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["-j", jobs, "fig02"])
+        assert exit_info.value.code == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err

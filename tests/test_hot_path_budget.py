@@ -23,9 +23,12 @@ counter and pins these host-independent quantities:
 
 The fleet path has the same kind of guard: a clean 4 x 30 gateway
 episode pins what a frame may cost between the wire and the store --
-one header decode and two ``json.loads``, no record object, no queue
-hop, no encoder built -- and that the store is applied once per gateway
-step, not once per frame.
+one header decode and one row parse by the codec's C scanner, no
+record object, no queue hop -- and that the store is applied once per
+gateway step, not once per frame.  Its frame count covers the stdlib
+too: calls into ``json`` (none: ``repro.schema`` builds its C encoders
+and scanner once and the per-line sites call them inline) and into
+``enum``, each under a ceiling of its own.
 
 Two layers off those paths keep a budget of their own: the budgeting
 solvers (the exact branch-and-bound node count and the calls of the
@@ -36,6 +39,7 @@ plane's re-derivation (calls per record of ``BudgetResolver`` +
 
 import collections
 import dataclasses
+import enum
 import json
 import os
 import sys
@@ -44,6 +48,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import schema
 from repro.adaptive import BudgetEpoch, BudgetResolver, ShadowValidator
 from repro.adaptive.chaos import fleet_chain
 from repro.budgeting import (
@@ -101,11 +106,18 @@ CAMPAIGN_FRAMES = 60
 CAMPAIGN_CEILING = 710
 
 #: Calls into ``repro`` of one clean 4 x 30 gateway episode (driver
-#: built, run, verified) on CPython 3.11: 30.7k (32.8k while a
-#: checkpoint re-serialised every key it dirtied, 44.1k while every
-#: frame paid a parse per line, a record per row and an apply of its
-#: own); the ceiling is 3% above 30,687.
-FLEET_CEILING = 31_608
+#: built, run, verified) on CPython 3.11: 30.2k (30.7k while the load
+#: generator drew one scalar per draw, 32.8k while a checkpoint
+#: re-serialised every key it dirtied, 44.1k while every frame paid a
+#: parse per line, a record per row and an apply of its own); the
+#: ceiling is 3% above 30,168.
+FLEET_CEILING = 31_073
+#: Calls into the stdlib ``json`` and ``enum`` modules over the same
+#: episode: 0 and 261, 3% above (3,972 and 2,205 while every record
+#: line built a C encoder, every parse ran ``json.loads`` and
+#: ``to_wire`` read ``RecordKind.value``).
+FLEET_JSON_CEILING = 0
+FLEET_ENUM_CEILING = 268
 
 #: Calls into ``repro`` of the independent, greedy and branch-and-bound
 #: solves on CPython 3.11.  The (2,8) trace at B_seg = 100 is infeasible
@@ -122,6 +134,8 @@ SOLVE_SEARCH_CEILING = 2_124_060
 RESOLVE_CEILING = 8.30
 
 _ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+_JSON = os.path.dirname(os.path.abspath(json.__file__)) + os.sep
+_ENUM = os.path.abspath(enum.__file__)
 _TRACING = _ROOT + "tracing" + os.sep
 _POP = Simulator._pop.__code__
 _EVENT_INIT = ScheduledEvent.__init__.__code__
@@ -281,8 +295,6 @@ def test_campaign_frame_pays_for_its_verdict_only():
 
 def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
     watched = {
-        json.loads.__code__: "loads",
-        json.JSONEncoder.__init__.__code__: "encoders",
         IngestQueue.offer.__code__: "offer",
         TelemetryRecord.from_wire.__code__: "from_wire",
         TelemetryRecord.__init__.__code__: "records",
@@ -292,6 +304,13 @@ def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
     }
     counts = collections.Counter()
     to_records = RecordBatch.to_records.__code__
+    scan = schema.c_scan_json
+
+    def counted_scan(text, index):
+        # The codec's parse sites call the C scanner, which no profile
+        # event sees; counted here, in a frame outside ``repro``.
+        counts["parses"] += 1
+        return scan(text, index)
 
     def profile(frame, event, arg):
         code = frame.f_code
@@ -302,18 +321,27 @@ def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
             return
         if code in watched:
             counts[watched[code]] += 1
-        if code.co_filename.startswith(_ROOT):
+        filename = code.co_filename
+        if filename.startswith(_ROOT):
             counts["calls"] += 1
+        elif filename.startswith(_JSON):
+            counts["json"] += 1
+        elif filename == _ENUM:
+            counts["enum"] += 1
 
     config = ChaosConfig(vehicles=4, frames=30, protocol="windowed")
-    sys.setprofile(profile)
-    try:
-        driver = GatewayChaosScenario(name="clean").make_driver(
-            config, tmp_path
-        )
-        result = driver.run()
-    finally:
-        sys.setprofile(None)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for module in list(sys.modules.values()):
+            if getattr(module, "c_scan_json", None) is scan:
+                monkeypatch.setattr(module, "c_scan_json", counted_scan)
+        sys.setprofile(profile)
+        try:
+            driver = GatewayChaosScenario(name="clean").make_driver(
+                config, tmp_path
+            )
+            result = driver.run()
+        finally:
+            sys.setprofile(None)
     assert result.ok, [c for c in result.checks if not c["ok"]]
 
     frames = driver.gateway.frames_queued
@@ -325,9 +353,7 @@ def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
     # generator hands the vehicles, one per applied row; nothing
     # crosses a queue.
     assert counts["records"] == applied
-    assert (counts["from_wire"], counts["offer"], counts["encoders"]) == (
-        0, 0, 0
-    )
+    assert (counts["from_wire"], counts["offer"]) == (0, 0)
     assert counts["headers"] == frames
     # + 2: the fault-free reference store and the cold-recovery check.
     assert counts["apply_batch"] <= counts["steps"] + checkpoints + 2
@@ -335,10 +361,13 @@ def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
     # cold recovery reads the journal header, its checkpoint entries
     # and, in one piece, the record lines it redoes.
     envelopes = driver.gateway.hellos + result.channels["down"]["delivered"]
-    assert counts["loads"] <= (
+    assert counts["parses"] <= (
         2 * frames + envelopes + 2 + driver.last_recovery.fragments_read
     )
     assert counts["calls"] <= FLEET_CEILING
+    # No JSONEncoder built, no json.loads run: the codec's C objects.
+    assert counts["json"] <= FLEET_JSON_CEILING
+    assert counts["enum"] <= FLEET_ENUM_CEILING
 
 
 def _budgeting_problem(budget_seg, budget_e2e):

@@ -55,6 +55,16 @@ class TestPipelineFlow:
             assert len(lats) >= N_FRAMES - 1, name
 
 
+@pytest.mark.parametrize("n_frames", [0, -3])
+def test_run_refuses_fewer_than_one_frame(n_frames):
+    # Zero frames used to schedule the lidar stop at -100 ms and fail
+    # deep in the simulator.
+    stack = PerceptionStack(StackConfig(seed=11))
+    with pytest.raises(ValueError, match="n_frames must be >= 1"):
+        stack.run(n_frames=n_frames)
+    assert stack.sim.now == 0
+
+
 class TestChainAccounting:
     def test_benign_run_has_no_misses(self, monitored_stack):
         for name, runtime in monitored_stack.chain_runtimes.items():

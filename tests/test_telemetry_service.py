@@ -31,6 +31,7 @@ from repro.telemetry import (
     run_load,
 )
 from repro.telemetry.pipeline import DEFAULT_CAPACITY
+from repro.telemetry.uplink.chaos import ChaosConfig
 
 #: Environment override for the throughput floor (records/s); the
 #: acceptance criterion is 50k single-process on a developer machine.
@@ -129,6 +130,42 @@ class TestLoadGenerator:
         stream = encode_stream(generator.materialize())
         assert hashlib.sha256(stream.encode()).hexdigest() == digest
         assert generator.lost_in_transport == lost
+
+    @pytest.mark.parametrize("config, digest, rows, lost", [
+        (FleetConfig(),
+         "aafabc13bea993a9e20902a046e94b0f1aaebbc69e1a1a625dfdb00daffe3849",
+         24801, 34),
+        # The gateway sweep's fleet: vehicle 3 is faulty and the last,
+        # so it goes silent at frame 20.
+        (ChaosConfig(vehicles=4, frames=30, faulty_every=4).fleet_config(),
+         "6a64f31c65e6b646286cad681dc59a1a2029a82c279b3ad9dcb38fa2da7c5cdb",
+         890, 1),
+        (FleetConfig(faulty_every=1),
+         "da1bab471ca0b825a00bece99652abe397f7db2322385cca5ad63eb4406d39d6",
+         24639, 196),
+        (FleetConfig(vehicles=1),
+         "04eb4be1d32e4a3da9b02973d46b6fe7c86cfacc3cce6f84f8aa296f6552e707",
+         3240, 0),
+    ])
+    def test_batch_rows_are_pinned(self, config, digest, rows, lost):
+        # Digests of the rows as drawn one rng.random() scalar at a
+        # time; the generator now takes each vehicle's draws as one
+        # vector, which must yield the same doubles in the same order.
+        generator = FleetLoadGenerator(config)
+        batch = generator.batch()
+        columns = (
+            [kind.value for kind in batch.kinds], batch.sources,
+            batch.chains, batch.segments, batch.activations,
+            batch.latencies, batch.verdicts, batch.levels,
+            batch.timestamps, batch.seqs,
+        )
+        sha = hashlib.sha256()
+        for row in zip(*columns):
+            sha.update(repr(row).encode())
+        sha.update(repr(generator.lost_in_transport).encode())
+        assert (sha.hexdigest(), len(batch), generator.lost_in_transport) == (
+            digest, rows, lost
+        )
 
     @pytest.mark.parametrize("capacity", [DEFAULT_CAPACITY, 256])
     def test_batched_load_equals_the_per_record_path(self, capacity):

@@ -209,6 +209,9 @@ def test_rows_never_straddle_lines():
         ['["segment","veh-0","c","s",1,100,"ok","x]', '[y",5,0]', two_rows],
         # Two rows on one line, none on the next.
         ['1],[2'],
+        # One row that closes the joined array early: what follows it is
+        # data after the document, which the parse must not ignore.
+        [text + '],["x"]'],
     ]
     for bodies in straddling:
         payload = _frame([encode_entry(body) for body in bodies])
