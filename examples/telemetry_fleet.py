@@ -71,7 +71,7 @@ def main() -> None:
     replayed = TelemetryService(ServiceConfig(store=stack_store_config(stack)))
     batch = replay_stack_batch(stack, "vehicle-under-test", 15)
     replayed.ingest_batch(batch)
-    replayed.drain()
+    replayed.poll()
     assert replayed.applied == len(batch) and replayed.accounting_ok()
     print(f"\n--- stack replay ---\n"
           f"{len(batch)} records from 15 frames, all applied")

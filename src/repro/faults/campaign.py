@@ -370,18 +370,22 @@ class FaultCampaign:
             replay_stack_batch,
             stack_store_config,
         )
-        from repro.telemetry.pipeline import DEFAULT_CAPACITY
-        from repro.telemetry.service import ServiceConfig, TelemetryService
+        from repro.telemetry.service import (
+            DEFAULT_CAPACITY,
+            ServiceConfig,
+            TelemetryService,
+        )
 
         batch = replay_stack_batch(stack, source, n_frames, manager=manager)
-        # The replay is offline: the queue is sized to the run, so a long
-        # soak is never judged by a backpressure drop of its own making.
+        # The replay is offline: the capacity is sized to the run, so a
+        # long soak is never judged by a backpressure drop of its own
+        # making.
         service = TelemetryService(ServiceConfig(
             store=stack_store_config(stack),
             queue_capacity=max(DEFAULT_CAPACITY, len(batch)),
         ))
         service.ingest_batch(batch)
-        service.drain()
+        service.poll()
         return service.alert_log.counts_by_rule(), service.applied
 
 

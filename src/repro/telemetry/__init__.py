@@ -4,9 +4,9 @@ The paper's monitors detect deadline misses *inside* one
 vehicle/process.  This package is the fleet-side counterpart a safety
 case needs: what the monitors record becomes flat
 :mod:`~repro.telemetry.records`, written as columns by
-:mod:`~repro.telemetry.replay` and the load generator, an
-ingestion :mod:`~repro.telemetry.pipeline` with bounded queues and
-explicit backpressure accounting feeds a sharded
+:mod:`~repro.telemetry.replay` and the load generator, a
+:mod:`~repro.telemetry.service` with bounded admission and explicit
+backpressure accounting folds them into a sharded
 :mod:`~repro.telemetry.store` of incremental (m,k) automata and
 streaming latency histograms, and a rules-based
 :mod:`~repro.telemetry.alerts` engine raises operator alerts *before*
@@ -26,16 +26,13 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.telemetry.alerts": (
         "Alert", "AlertEngine", "AlertLog", "AlertSeverity",
         "RULE_HEARTBEAT", "RULE_LATENCY_BUDGET", "RULE_MK_MARGIN",
-        "RULE_MK_VIOLATION", "RULE_QUEUE_DROPS", "RULE_QUEUE_SATURATION",
-        "RULE_SEQ_GAP",
+        "RULE_MK_VIOLATION", "RULE_QUEUE_DROPS", "RULE_SEQ_GAP",
     ),
     "repro.telemetry.loadgen": (
         "FleetConfig", "FleetLoadGenerator", "LoadReport", "run_load",
     ),
-    "repro.telemetry.pipeline": ("IngestQueue",),
     "repro.telemetry.records": (
-        "RecordKind", "TelemetryRecord", "WIRE_SCHEMA", "decode_stream",
-        "encode_stream",
+        "RecordKind", "TelemetryRecord", "WIRE_SCHEMA",
     ),
     "repro.telemetry.replay": (
         "replay_stack_batch", "stack_chain_map", "stack_store_config",

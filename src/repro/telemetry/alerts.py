@@ -8,8 +8,8 @@ Rules fire on two paths:
   per-segment latency over budget for N consecutive evaluation windows
   (WARNING), sequence gap in a source's record stream (WARNING);
 - **poll-path rules** run against a supplied "now": heartbeat gap (a
-  source silent longer than its allowance, CRITICAL) and ingest-queue
-  saturation / backpressure drops (WARNING / CRITICAL).
+  source silent longer than its allowance, CRITICAL) and backpressure
+  drops (CRITICAL).
 
 Alert identity is deliberately episodic: a margin stays exhausted for
 many records but alerts once per episode; a heartbeat gap alerts once
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.schema import encode_json
-from repro.telemetry.pipeline import IngestQueue
 from repro.telemetry.store import ApplyOutcome, ChainStateStore
 
 #: Rule identifiers (the stable vocabulary of the alert log).
@@ -37,7 +36,6 @@ RULE_MK_MARGIN = "mk_margin_exhausted"
 RULE_LATENCY_BUDGET = "latency_over_budget"
 RULE_SEQ_GAP = "sequence_gap"
 RULE_HEARTBEAT = "heartbeat_gap"
-RULE_QUEUE_SATURATION = "queue_saturation"
 RULE_QUEUE_DROPS = "queue_drops"
 
 
@@ -120,10 +118,9 @@ class AlertLog:
         return len(self.alerts)
 
 
-#: Poll-path thresholds: max silence before a source's heartbeat-gap
-#: alert (ns), and the queue fill fraction that counts as saturated.
+#: Poll-path threshold: max silence before a source's heartbeat-gap
+#: alert (ns).
 HEARTBEAT_GAP_NS = 500_000_000
-QUEUE_WATERMARK = 0.9
 
 
 class AlertEngine:
@@ -131,10 +128,8 @@ class AlertEngine:
 
     def __init__(self):
         self.log = AlertLog()
-        #: Queue drops already accounted by previous polls.
+        #: Backpressure drops already accounted by previous polls.
         self._drops_alerted = 0
-        #: Dedup flag for the saturation episode.
-        self._saturated = False
 
     # ------------------------------------------------------------------
     def observe(self, outcome: ApplyOutcome) -> None:
@@ -194,12 +189,12 @@ class AlertEngine:
 
     # ------------------------------------------------------------------
     def poll(
-        self,
-        now_ns: int,
-        store: ChainStateStore,
-        queue: Optional[IngestQueue] = None,
+        self, now_ns: int, store: ChainStateStore, dropped: int = 0
     ) -> int:
-        """Poll-path rules; returns how many alerts were raised."""
+        """Poll-path rules; returns how many alerts were raised.
+
+        *dropped* is the service's lifetime backpressure drop count.
+        """
         raised = 0
         for name in sorted(store.sources):
             state = store.sources[name]
@@ -219,35 +214,18 @@ class AlertEngine:
                     ),
                 ))
                 raised += 1
-        if queue is not None:
-            new_drops = queue.dropped - self._drops_alerted
-            if new_drops > 0:
-                self._drops_alerted = queue.dropped
-                self.log.append(Alert(
-                    timestamp_ns=now_ns,
-                    rule=RULE_QUEUE_DROPS,
-                    severity=AlertSeverity.CRITICAL,
-                    source="ingest",
-                    detail=(
-                        f"{new_drops} record(s) dropped under backpressure "
-                        f"({queue.dropped} total)"
-                    ),
-                ))
-                raised += 1
-            if queue.saturation >= QUEUE_WATERMARK:
-                if not self._saturated:
-                    self._saturated = True
-                    self.log.append(Alert(
-                        timestamp_ns=now_ns,
-                        rule=RULE_QUEUE_SATURATION,
-                        severity=AlertSeverity.WARNING,
-                        source="ingest",
-                        detail=(
-                            f"queue {queue.depth}/{queue.capacity} "
-                            f"({queue.saturation:.0%}) full"
-                        ),
-                    ))
-                    raised += 1
-            else:
-                self._saturated = False
+        new_drops = dropped - self._drops_alerted
+        if new_drops > 0:
+            self._drops_alerted = dropped
+            self.log.append(Alert(
+                timestamp_ns=now_ns,
+                rule=RULE_QUEUE_DROPS,
+                severity=AlertSeverity.CRITICAL,
+                source="ingest",
+                detail=(
+                    f"{new_drops} record(s) dropped under backpressure "
+                    f"({dropped} total)"
+                ),
+            ))
+            raised += 1
         return raised

@@ -104,7 +104,7 @@ class RecordBatch:
         return batch
 
     def slice(self, start: int, stop: int) -> "RecordBatch":
-        """Rows ``start:stop`` as a new batch (bounded-queue truncation,
+        """Rows ``start:stop`` as a new batch (capacity truncation,
         chunked ingest)."""
         batch = RecordBatch.__new__(RecordBatch)
         batch.kinds = self.kinds[start:stop]

@@ -77,7 +77,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=2025,
                         help="fleet stream seed (default: 2025)")
     parser.add_argument("--queue-capacity", type=int, default=65536,
-                        help="ingest queue capacity (default: 65536)")
+                        help="most records one ingest batch admits; "
+                        "the rest are dropped and counted (default: 65536)")
     parser.add_argument("--batch", type=int, default=2048,
                         help="ingest batch size (default: 2048)")
     parser.add_argument("--alert-log", type=Path, default=None, metavar="PATH",

@@ -230,7 +230,6 @@ class LoadReport:
     batch_p95_ns: int
     applied: int
     dropped: int
-    pending: int
     lost_in_transport: int
     accounting_ok: bool
     alerts_by_rule: Dict[str, int] = field(default_factory=dict)
@@ -243,7 +242,6 @@ class LoadReport:
             f"batch p95        : {self.batch_p95_ns / 1e6:.3f} ms",
             f"applied          : {self.applied}",
             f"dropped (counted): {self.dropped}",
-            f"pending          : {self.pending}",
             f"lost in transport: {self.lost_in_transport} (before ingest)",
             f"accounting       : {'OK' if self.accounting_ok else 'VIOLATED'}",
             "alerts           : "
@@ -293,7 +291,6 @@ def run_load(
         batch_p95_ns=batch_times[p95_index] if batch_times else 0,
         applied=stats["applied"],
         dropped=stats["dropped"],
-        pending=stats["pending"],
         lost_in_transport=generator.lost_in_transport,
         accounting_ok=stats["accounting_ok"] and stats["offered"] == n,
         alerts_by_rule=stats["alerts_by_rule"],

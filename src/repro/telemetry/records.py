@@ -23,17 +23,11 @@ omitted, so field positions are stable across kinds.
 from __future__ import annotations
 
 import enum
-import json
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.schema import (
-    SchemaVersionError,
-    c_encode_json,
-    decode_json,
-    json_markers,
-)
+from repro.schema import c_encode_json, decode_json, json_markers
 
-#: Schema identifier for persisted record streams.
+#: Schema identifier of the wire record format.
 WIRE_SCHEMA = "repro-telemetry/1"
 
 #: Number of positional fields in one wire record.
@@ -171,29 +165,6 @@ class TelemetryRecord:
             f"{self.chain or self.segment} n={self.activation} "
             f"verdict={self.verdict!r} seq={self.seq}>"
         )
-
-
-def encode_stream(records: Iterable[TelemetryRecord]) -> str:
-    """Encode *records* as a schema-headed JSONL document."""
-    lines = [json.dumps({"schema": WIRE_SCHEMA})]
-    lines.extend(record.encode_line() for record in records)
-    return "\n".join(lines) + "\n"
-
-
-def decode_stream(text: str) -> Iterator[TelemetryRecord]:
-    """Decode a document produced by :func:`encode_stream`."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        return
-    header = decode_json(lines[0])
-    if not isinstance(header, dict):
-        raise ValueError(f"unsupported telemetry stream header {lines[0]!r}")
-    if header.get("schema") != WIRE_SCHEMA:
-        raise SchemaVersionError(
-            "telemetry stream", header.get("schema"), WIRE_SCHEMA
-        )
-    for line in lines[1:]:
-        yield TelemetryRecord.decode_line(line)
 
 
 def segment_record(

@@ -559,10 +559,10 @@ def apply_columnar(
     service: TelemetryService, items: list, transpose=RecordBatch.from_rows
 ) -> None:
     """Apply wire rows (or, with ``RecordBatch.from_records``, records)
-    through the service's columnar entry, in slices its bounded queue
-    accepts whole: a ``queue_full`` drop here would lose an
-    acknowledged record from the store."""
-    capacity = service.queue.capacity
+    through the service's columnar entry, in slices its capacity
+    admits whole: a backpressure drop here would lose an acknowledged
+    record from the store."""
+    capacity = service.config.queue_capacity
     for start in range(0, len(items), capacity):
         service.ingest_batch(transpose(items[start:start + capacity]))
 
@@ -574,6 +574,5 @@ def store_digest(service: TelemetryService) -> str:
     delivery interleavings that preserve per-source order, so two
     services that applied the same record set converge to one digest.
     """
-    service.pump()
     body = encode_json_sorted(service.snapshot())
     return hashlib.sha256(body.encode("utf-8")).hexdigest()

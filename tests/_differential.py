@@ -5,10 +5,11 @@ struct-of-arrays ingest in the telemetry store) are sold on a single
 claim: *the fast path is observationally identical to the reference
 path*.  Production ships only the fast paths; the references live in
 ``tests/_reference/`` (:class:`~_reference.heap_kernel.HeapSimulator`,
-:func:`~_reference.scalar_store.pump_scalar`).  This module substitutes
-them around a scenario callable, collects one result per engine, and
-asserts byte-identical canonical JSON across the set -- so a test body
-only has to say *what* to run, never *how* to swap engines.
+:func:`~_reference.scalar_store.apply_batch_scalar`).  This module
+substitutes them around a scenario callable, collects one result per
+engine, and asserts byte-identical canonical JSON across the set -- so
+a test body only has to say *what* to run, never *how* to swap
+engines.
 
 Canonicalization matters: "the dicts compare equal" is a weaker claim
 than the suite makes.  Every payload is serialized with sorted keys and
@@ -26,12 +27,12 @@ from typing import Any, Callable, Dict, Iterator, Tuple
 from unittest import mock
 
 from _reference.heap_kernel import HeapSimulator
-from _reference.scalar_store import pump_scalar
+from _reference.scalar_store import apply_batch_scalar
 
 #: Simulator event queues: production first (entries retired by
 #: generation stamp, re-armed in place), then the lazy-cancel heap.
 SIM_ENGINES: Tuple[str, ...] = ("stamped", "heap")
-#: Telemetry ingest paths: production first, then the reference.
+#: Telemetry store folds: production first, then the reference.
 TELEMETRY_ENGINES: Tuple[str, ...] = ("batched", "scalar")
 
 #: Every module that constructs a ``Simulator`` for a scenario (the
@@ -53,8 +54,9 @@ def reference_engines(
     """Run the block on the reference implementations.
 
     ``sim`` substitutes :class:`HeapSimulator` at every construction
-    site; ``telemetry`` substitutes the per-record pump.  Everything is
-    restored on exit even when the body raises.
+    site; ``telemetry`` substitutes the per-record fold for
+    ``ChainStateStore.apply_batch``, the one store-fold site.
+    Everything is restored on exit even when the body raises.
     """
     with contextlib.ExitStack() as stack:
         if sim:
@@ -64,7 +66,8 @@ def reference_engines(
                 ))
         if telemetry:
             stack.enter_context(mock.patch(
-                "repro.telemetry.service.TelemetryService.pump", pump_scalar
+                "repro.telemetry.store.ChainStateStore.apply_batch",
+                apply_batch_scalar,
             ))
         yield
 
@@ -90,7 +93,7 @@ def run_under_sim_engines(fn: Callable[[], Any]) -> Dict[str, Any]:
 
 
 def run_under_telemetry_engines(fn: Callable[[], Any]) -> Dict[str, Any]:
-    """Run *fn* on the production pump, then on the scalar reference."""
+    """Run *fn* on the production fold, then on the scalar reference."""
     production, reference = TELEMETRY_ENGINES
     results = {production: fn()}
     with reference_engines(telemetry=True):

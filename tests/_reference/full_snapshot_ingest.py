@@ -6,10 +6,11 @@ replaced, bodies verbatim: ``checkpoint()`` dumps the whole store, every
 dedup watermark and every held record to ``checkpoint.json`` (``tmp`` +
 ``os.replace``) and truncates the log (``RecordLog.reset``, kept here as
 :func:`_reset`); ``recover()`` loads that document and replays the log
-through dedup.  Adapted once since: held and replayed records are wire
+through dedup.  Adapted since: held and replayed records are wire
 rows, as in production since the gateway step became the unit of work,
-and the journal's header line is ``RecordLog.header``.  Oracle of the
-crash-interleaving property in
+the journal's header line is ``RecordLog.header``, and replayed records
+are applied as columnar batches (the service has no record queue).
+Oracle of the crash-interleaving property in
 ``tests/test_uplink_ingest_journal.py``: after any schedule of frames,
 checkpoints and crashes both must hold the same store digest, dedup
 watermarks and held records.
@@ -23,6 +24,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.schema import SchemaVersionError
+from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.uplink.ingest import (
@@ -142,10 +144,9 @@ class FullSnapshotIngestor(UplinkIngestor):
             watermark = dedup[source].watermark
             ready = sorted(seq for seq in rows if seq <= watermark)
             if ready:
-                service.ingest_many([
+                service.ingest_batch(RecordBatch.from_records([
                     TelemetryRecord.from_wire(rows.pop(seq)) for seq in ready
-                ])
-        service.pump()
+                ]))
 
         ingestor = cls(
             service, directory, fsync=fsync,

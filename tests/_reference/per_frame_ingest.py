@@ -7,10 +7,10 @@ frame for a caller that syncs per frame, one per gateway step
 otherwise.  This is the ``ingest_frame`` it replaced, body verbatim
 where it still can be: the per-line decode
 (``_reference/per_line_frame_decode.py``), a ``TelemetryRecord`` per
-line, and every frame's fresh records offered to the queue one by one
-(``ingest_many``) and pumped before the call returns, whatever ``sync``
-says.  Held records are kept as wire rows, which is what the inherited
-``checkpoint()`` / ``recover()`` read.  Oracle of the chunking
+line, and every frame's fresh records applied as one batch before the
+call returns, whatever ``sync`` says.  Held records are kept as wire
+rows, which is what the inherited ``checkpoint()`` / ``recover()``
+read.  Oracle of the chunking
 invariance property in ``tests/test_uplink_ingest_journal.py``: however
 the frames of a schedule are grouped into flushes, store, alert log,
 journal, checkpoints and ``on_fresh`` must come out the same.
@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Set
 
 from _reference.per_line_frame_decode import decode_frame
+from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.uplink.ingest import UplinkIngestor
 
@@ -82,11 +83,10 @@ class PerFrameIngestor(UplinkIngestor):
         return header
 
     def flush(self) -> None:
-        """The old apply: a record per row, through the queue."""
+        """The old apply: a record per row, applied per frame."""
         rows, self._ready = self._ready, []
         if rows:
             fresh = [TelemetryRecord.from_wire(tuple(row)) for row in rows]
-            self.service.ingest_many(fresh)
-            self.service.pump()
+            self.service.ingest_batch(RecordBatch.from_records(fresh))
             if self.on_fresh is not None:
                 self.on_fresh(fresh)

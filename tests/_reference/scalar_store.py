@@ -5,17 +5,17 @@ Production folds records only through the columnar
 proven against, moved here as a free function.  It returns an
 ``ApplyOutcome`` for *every* record (``apply_batch`` materializes only
 the flagged ones -- ``AlertEngine.observe`` is a no-op for the rest).
-Oracle of ``tests/test_batched_store.py``; :func:`pump_scalar` is the
-scalar ``TelemetryService.pump`` that ``tests/_differential.py``
-substitutes for the fleet-level differential.
+Oracle of ``tests/test_batched_store.py``; :func:`apply_batch_scalar`
+is the scalar ``ChainStateStore.apply_batch`` that
+``tests/_differential.py`` substitutes for the fleet-level differential.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
+from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import RecordKind, TelemetryRecord
-from repro.telemetry.service import TelemetryService
 from repro.telemetry.store import (
     WINDOW_OVER_FRACTION,
     ApplyOutcome,
@@ -116,21 +116,20 @@ def apply_scalar(
     return outcome
 
 
-def pump_scalar(
-    service: TelemetryService, max_records: Optional[int] = None
-) -> int:
-    """``TelemetryService.pump`` draining one record at a time."""
-    batch = service.queue.drain(max_records)
-    if not batch:
-        return 0
-    store = service.store
-    observe = service.engine.observe
-    watermark = service.watermark_ns
-    for record in batch:
-        outcome = apply_scalar(store, record)
-        if record.timestamp_ns > watermark:
-            watermark = record.timestamp_ns
-        observe(outcome)
-    service.watermark_ns = watermark
-    service.applied_here += len(batch)
-    return len(batch)
+#: Records folded by :func:`apply_batch_scalar` in this process, so a
+#: differential test can prove the oracle really ran.
+folded = 0
+
+
+def apply_batch_scalar(
+    store: ChainStateStore, batch: RecordBatch
+) -> List[ApplyOutcome]:
+    """``ChainStateStore.apply_batch`` folding one record at a time.
+
+    Returns an outcome for every record; the unflagged ones are no-ops
+    for ``AlertEngine.observe``, so the alert log is the same.
+    """
+    global folded
+    records = batch.to_records()
+    folded += len(records)
+    return [apply_scalar(store, record) for record in records]

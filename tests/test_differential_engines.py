@@ -4,10 +4,12 @@ Every observable artifact the repo pins -- golden-trace fingerprints,
 fault-campaign scenario payloads, executor-model dispatch logs,
 gateway/adaptive chaos reports, telemetry store digests and alert logs
 -- is produced twice: once by production (``stamped`` simulator heap, ``batched``
-columnar telemetry ingest) and once with the oracles of
+columnar store fold) and once with the oracles of
 ``tests/_reference/`` substituted in (``heap`` kernel, ``scalar``
-per-record pump).  The canonical JSON serializations must match byte
-for byte; see ``tests/_differential.py`` for the fixture layer.
+per-record fold).  The canonical JSON serializations must match byte
+for byte; see ``tests/_differential.py`` for the fixture layer.  Every
+telemetry differential also counts the records the scalar fold
+processed, so none can pass by comparing production with itself.
 
 The expensive matrix (11 fault scenarios) runs once per engine as a
 module-scoped fixture and is compared per scenario, so a divergence
@@ -28,9 +30,9 @@ from _differential import (
     run_under_sim_engines,
     run_under_telemetry_engines,
 )
+from _reference import scalar_store
 from _reference.executor_schedule import consumer_executor, run_consumers
 from _reference.heap_kernel import HeapSimulator
-from _reference.scalar_store import pump_scalar
 
 from repro.adaptive.chaos import (
     AdaptConfig,
@@ -44,10 +46,10 @@ from repro.faults.campaign import (
 )
 from repro.ros.executors import EXECUTOR_MODELS
 from repro.sim import Simulator, msec
-from repro.telemetry.batch import RecordBatch
 from repro.telemetry.gateway import gateway_scenarios
 from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator
 from repro.telemetry.service import ServiceConfig, TelemetryService
+from repro.telemetry.store import ChainStateStore
 from repro.telemetry.uplink.chaos import ChaosConfig
 from repro.telemetry.uplink.ingest import store_digest
 from _golden import GOLDEN_FRAMES, golden_scenarios, stack_fingerprint
@@ -77,11 +79,23 @@ class TestReferenceSubstitution:
         assert type(PipelineWorld().sim) is Simulator
         assert type(consumer_executor("single").sim) is Simulator
 
-    def test_telemetry_reference_swaps_the_pump(self):
-        production = TelemetryService.pump
+    def test_telemetry_reference_folds_records(self, tmp_path):
+        production = ChainStateStore.apply_batch
+        gateway = gateway_scenarios()[0].make_driver(GATEWAY_QUICK, tmp_path)
+        campaign = FaultCampaign(
+            [s for s in fault_scenarios() if s.name == "loss_burst"],
+            CampaignConfig(n_frames=CAMPAIGN_FRAMES),
+        )
         with reference_engines(telemetry=True):
-            assert TelemetryService.pump is pump_scalar
-        assert TelemetryService.pump is production
+            scalar_fold = ChainStateStore.apply_batch
+            assert scalar_fold is scalar_store.apply_batch_scalar
+            start = scalar_store.folded
+            gateway.run()
+            mid = scalar_store.folded
+            campaign.run()
+            end = scalar_store.folded
+        assert ChainStateStore.apply_batch is production
+        assert mid - start > 0 and end - mid > 0
 
 
 # ----------------------------------------------------------------------
@@ -103,13 +117,20 @@ class TestGoldenTraces:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def campaign_by_engine():
+    """Per engine: every scenario's payload and the records the scalar
+    fold processed while it ran."""
     def run():
-        result = FaultCampaign(
+        campaign = FaultCampaign(
             config=CampaignConfig(n_frames=CAMPAIGN_FRAMES)
-        ).run()
-        return {
-            s.name: dataclasses.asdict(s) for s in result.scenarios
-        }
+        )
+        payloads, folded = {}, {}
+        for scenario in campaign.scenarios:
+            start = scalar_store.folded
+            payloads[scenario.name] = dataclasses.asdict(
+                campaign.run_scenario(scenario)
+            )
+            folded[scenario.name] = scalar_store.folded - start
+        return payloads, folded
 
     return run_under_engine_corners(run)
 
@@ -118,15 +139,17 @@ class TestFaultCampaign:
     def test_matrix_is_complete(self, campaign_by_engine):
         expected = {s.name for s in fault_scenarios()}
         assert len(expected) == 11
-        for engine, by_name in campaign_by_engine.items():
+        for engine, (by_name, _folded) in campaign_by_engine.items():
             assert set(by_name) == expected, engine
 
     @pytest.mark.parametrize("name", [s.name for s in fault_scenarios()])
     def test_scenario_payload_identical(self, campaign_by_engine, name):
         assert_identical(
-            {e: r[name] for e, r in campaign_by_engine.items()},
+            {e: r[0][name] for e, r in campaign_by_engine.items()},
             context=f"campaign:{name}",
         )
+        folded = {e: r[1][name] for e, r in campaign_by_engine.items()}
+        assert folded["stamped+batched"] == 0 < folded["heap+scalar"]
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +182,10 @@ class TestGatewayChaos:
             with tempfile.TemporaryDirectory() as tmp:
                 return scenario.make_driver(GATEWAY_QUICK, Path(tmp)).run().to_json()
 
-        assert_identical(run_under_engine_corners(run), context=f"gateway:{name}")
+        start = scalar_store.folded
+        results = run_under_engine_corners(run)
+        assert scalar_store.folded > start
+        assert_identical(results, context=f"gateway:{name}")
 
 
 # ----------------------------------------------------------------------
@@ -175,30 +201,26 @@ class TestAdaptiveChaos:
             report = run_adapt(ADAPT_QUICK, [by_name[name]])
             return report["scenarios"]
 
-        assert_identical(
-            run_under_telemetry_engines(run), context=f"adapt:{name}"
-        )
+        start = scalar_store.folded
+        results = run_under_telemetry_engines(run)
+        assert scalar_store.folded > start
+        assert_identical(results, context=f"adapt:{name}")
 
 
 # ----------------------------------------------------------------------
-# Telemetry fleet stream: scalar pump vs batched pump vs columnar batch
+# Telemetry fleet stream: columnar store fold vs the scalar fold
 # ----------------------------------------------------------------------
 class TestTelemetryFleetStream:
-    """One fleet record stream through every ingest path.
-
-    Three runs must converge: per-record ingest drained by the scalar
-    reference pump, per-record ingest drained by the production pump,
-    and the native columnar ``ingest_batch`` fast path.  Store digest,
-    alert log, and the conservation counters are all compared.
-    """
+    """One fleet record stream through the production fold and the
+    scalar reference: store digest, alert log and the conservation
+    counters must match, however the stream is cut into batches."""
 
     FLEET = FleetConfig(vehicles=4, frames=60)
 
     def _observables(self, service):
-        digest = store_digest(service)  # pumps any pending records
         stats = service.stats()
         return {
-            "digest": digest,
+            "digest": store_digest(service),
             "alerts": service.alert_log.to_jsonl(),
             "offered": stats["offered"],
             "applied": stats["applied"],
@@ -208,39 +230,34 @@ class TestTelemetryFleetStream:
             "accounting_ok": stats["accounting_ok"],
         }
 
-    def _service(self):
-        return TelemetryService(
+    def _ingested(self, batch, slice_size):
+        service = TelemetryService(
             ServiceConfig(store=self.FLEET.store_config())
         )
-
-    def _records(self):
-        return FleetLoadGenerator(self.FLEET).materialize()
-
-    def _pumped(self, records):
-        service = self._service()
-        service.ingest_many(records)
+        for start in range(0, len(batch), slice_size):
+            service.ingest_batch(batch.slice(start, start + slice_size))
+        service.poll()
         return self._observables(service)
 
-    def test_pump_engines_identical(self):
-        records = self._records()
-        assert_identical(
-            run_under_telemetry_engines(lambda: self._pumped(records)),
-            context="fleet:pump",
-        )
-
     def test_columnar_batch_matches_scalar_reference(self):
-        records = self._records()
+        batch = FleetLoadGenerator(self.FLEET).batch()
+        start = scalar_store.folded
+        results = run_under_telemetry_engines(
+            lambda: self._ingested(batch, len(batch))
+        )
+        assert scalar_store.folded - start == len(batch)
+        assert_identical(results, context="fleet:columnar")
 
+    def test_sliced_batches_match_scalar_reference(self):
+        # 97-record slices cut keys, (m,k) windows and latency windows
+        # mid-stream on the production side; the scalar fold takes the
+        # stream whole.
+        batch = FleetLoadGenerator(self.FLEET).batch()
+        sliced = self._ingested(batch, 97)
         with reference_engines(telemetry=True):
-            scalar = self._pumped(records)
-
-        columnar = self._service()
-        accepted = columnar.ingest_batch(RecordBatch.from_records(records))
-        assert accepted == len(records)
-
+            scalar = self._ingested(batch, len(batch))
         assert_identical(
-            {"scalar": scalar, "columnar": self._observables(columnar)},
-            context="fleet:columnar",
+            {"sliced": sliced, "scalar": scalar}, context="fleet:sliced"
         )
 
 

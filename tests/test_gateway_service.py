@@ -226,7 +226,6 @@ class TestShedAccounting:
             CLASS_DASHBOARD: 2, CLASS_TELEMETRY: 2, CLASS_ALERT: 0,
         }
         # Alert-bearing records reached the store; shed ones did not.
-        gateway.service.drain()
         assert gateway.service.store.applied == 2
 
     def test_shed_announcement_is_cumulative_across_acks(self, tmp_path):
@@ -316,7 +315,6 @@ class TestRecovery:
         )
         assert report.replayed_records >= 0
         assert recovered.sessions == {}, "sessions are soft state"
-        recovered.service.drain()
         assert recovered.service.store.applied == 6
         # A pre-crash client's frame is asked to re-handshake.
         recovered.handle_payload(_frame([_rec(6)], frame_id=1, floor=0), 2)

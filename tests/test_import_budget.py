@@ -10,7 +10,7 @@ counted in fresh interpreters, never timed.
   subsystem (4 ``repro`` modules; 76 while every package ``__init__``
   imported its whole subtree);
 * the ``repro`` imports of ``e2e_bench/workloads.py`` -- the stack,
-  the fault campaign and both fleet drivers -- load 76 (104 then);
+  the fault campaign and both fleet drivers -- load 74 (104 then);
 * neither loads the real IPC monitor or what it stands on
   (``multiprocessing``, ``socket``): the simulated monitor runs the
   thread-free decision core only.  A sweep's ``argparse`` waits for its
@@ -29,7 +29,7 @@ import repro
 
 REPO = Path(repro.__file__).resolve().parents[2]
 MAIN_CEILING = 6
-WORKLOADS_CEILING = 78
+WORKLOADS_CEILING = 76
 #: What the simulated paths may never load.
 REAL_IPC = ("multiprocessing", "socket", "repro.ipc.monitor",
             "repro.ipc.semaphore", "repro.ipc.shm")

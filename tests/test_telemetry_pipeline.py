@@ -1,17 +1,19 @@
-"""Backpressure and the no-silent-drop accounting law.
+"""Admission and the no-silent-drop accounting law.
 
-Every record offered to the pipeline must be applied or show up in a
-drop counter: offered == accepted + dropped and
-accepted == drained + depth, at every point in any offer/drain
-interleaving (proven by hypothesis below), and end to end through the
-service: offered == applied + dropped + pending.
+Every record offered to the service must be applied or show up in its
+drop counter.  ``TelemetryService.ingest_batch`` admits at most
+``queue_capacity`` records per offer and counts the newest ones past it,
+so offered == applied + dropped after any sequence of offers and polls
+(proven by hypothesis below), and what the store holds is exactly the
+accepted prefixes.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.telemetry.pipeline import IngestQueue
+from repro.telemetry.alerts import RULE_QUEUE_DROPS
+from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
 
@@ -22,119 +24,86 @@ def _record(seq, source="v0"):
     )
 
 
+def _batch(seqs, source="v0"):
+    return RecordBatch.from_records([_record(i, source) for i in seqs])
+
+
 class TestIngestQueue:
+    """``queue_capacity`` bounds what one offer admits."""
+
     def test_overflow_drops_newest_and_counts(self):
-        queue = IngestQueue(capacity=3)
-        results = [queue.offer(_record(i)) for i in range(5)]
-        assert results == [True, True, True, False, False]
-        assert queue.offered == 5
-        assert queue.accepted == 3
-        assert queue.dropped == 2
-        assert queue.dropped_by_reason == {"queue_full": 2}
-        assert queue.accounting_ok()
-        # FIFO order preserved; the dropped records are the newest ones.
-        assert [r.seq for r in queue.drain()] == [0, 1, 2]
-        assert queue.accounting_ok()
-
-    def test_partial_drain(self):
-        queue = IngestQueue(capacity=10)
-        for i in range(6):
-            queue.offer(_record(i))
-        batch = queue.drain(4)
-        assert [r.seq for r in batch] == [0, 1, 2, 3]
-        assert queue.depth == 2
-        assert queue.drained == 4
-        assert queue.accounting_ok()
-
-    def test_high_watermark_and_saturation(self):
-        queue = IngestQueue(capacity=4)
-        for i in range(3):
-            queue.offer(_record(i))
-        assert queue.high_watermark == 3
-        assert queue.saturation == 0.75
-        queue.drain()
-        assert queue.saturation == 0.0
-        assert queue.high_watermark == 3  # sticky
+        service = TelemetryService(ServiceConfig(queue_capacity=3))
+        assert service.ingest_batch(_batch(range(5))) == 3
+        assert (service.offered, service.applied, service.dropped) == (5, 3, 2)
+        assert service.accounting_ok()
+        # The dropped records are the newest ones: the store saw 0..2.
+        assert service.store.source_state("v0").last_seq == 2
+        assert service.watermark_ns == 2
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            IngestQueue(capacity=0)
+            ServiceConfig(queue_capacity=0)
 
     @given(
         ops=st.lists(
             st.one_of(
-                st.just(("offer",)),
-                st.tuples(st.just("drain"), st.integers(0, 5)),
+                st.tuples(st.just("offer"), st.integers(0, 12)),
+                st.just(("poll",)),
             ),
-            max_size=60,
+            max_size=30,
         ),
         capacity=st.integers(min_value=1, max_value=8),
     )
     @settings(max_examples=200, deadline=None)
     def test_accounting_invariant_under_any_interleaving(self, ops, capacity):
-        queue = IngestQueue(capacity=capacity)
-        seq = 0
+        service = TelemetryService(ServiceConfig(queue_capacity=capacity))
+        # Fed only what *service* accepts; polled at the same points.
+        reference = TelemetryService()
+        seq = expected_applied = alerted_drops = 0
         for op in ops:
             if op[0] == "offer":
-                queue.offer(_record(seq))
-                seq += 1
+                n = op[1]
+                accepted = min(n, capacity)
+                assert service.ingest_batch(_batch(range(seq, seq + n))) \
+                    == accepted
+                reference.ingest_batch(_batch(range(seq, seq + accepted)))
+                seq += n
+                expected_applied += accepted
             else:
-                queue.drain(op[1])
-            assert queue.accounting_ok()
-            assert queue.depth <= capacity
+                before = service.alert_log.count(RULE_QUEUE_DROPS)
+                service.poll()
+                reference.poll()
+                raised = service.alert_log.count(RULE_QUEUE_DROPS) - before
+                assert raised == (1 if service.dropped > alerted_drops else 0)
+                alerted_drops = service.dropped
+            assert service.offered == service.applied + service.dropped
+            assert service.applied == expected_applied
+            assert service.accounting_ok()
+        assert service.snapshot() == reference.snapshot()
 
 
 class TestServiceAccounting:
-    def test_offered_equals_applied_plus_dropped_plus_pending(self):
-        service = TelemetryService(
-            ServiceConfig(queue_capacity=8, auto_pump_batch=None)
-        )
-        for i in range(20):
-            service.ingest(_record(i))
-        # 8 pending, 12 dropped, 0 applied.
-        assert service.pending == 8
-        assert service.dropped == 12
-        assert service.applied == 0
-        assert service.accounting_ok()
-        service.pump()
-        assert service.applied == 8
-        assert service.pending == 0
+    def test_offered_equals_applied_plus_dropped(self):
+        service = TelemetryService(ServiceConfig(queue_capacity=8))
+        service.ingest_batch(_batch(range(20)))
+        service.ingest_batch(_batch(range(20, 25)))
+        assert (service.applied, service.dropped) == (13, 12)
         assert service.accounting_ok()
         stats = service.stats()
-        assert stats["offered"] == stats["applied"] + stats["dropped"] + stats["pending"]
-
-    def test_auto_pump_prevents_overflow(self):
-        service = TelemetryService(
-            ServiceConfig(queue_capacity=64, auto_pump_batch=16)
-        )
-        accepted = service.ingest_many(_record(i) for i in range(1000))
-        assert accepted == 1000
-        assert service.dropped == 0
-        service.drain()
-        assert service.applied == 1000
-        assert service.accounting_ok()
-
-    def test_snapshot_refuses_while_pending(self):
-        service = TelemetryService(ServiceConfig(auto_pump_batch=None))
-        service.ingest(_record(0))
-        with pytest.raises(RuntimeError):
-            service.snapshot()
-        service.pump()
-        service.snapshot()  # fine once drained
+        assert stats["offered"] == stats["applied"] + stats["dropped"] == 25
+        assert "pending" not in stats and "queue" not in stats
 
     def test_accounting_survives_snapshot_restore(self):
         # store.applied is a lifetime counter that survives restore; the
-        # service's law must balance against *this* queue, not a
+        # service's law must balance against *this* service, not a
         # previous life.
         donor = TelemetryService()
-        donor.ingest_many(_record(i) for i in range(10))
-        donor.drain()
+        donor.ingest_batch(_batch(range(10)))
         fresh = TelemetryService()
         fresh.restore(donor.snapshot())
         assert fresh.store.applied == 10
         assert fresh.applied == 0
         assert fresh.accounting_ok()
-        fresh.ingest_many(_record(i, source="v1") for i in range(5))
-        fresh.drain()
+        fresh.ingest_batch(_batch(range(5), source="v1"))
         assert fresh.applied == 5
         assert fresh.accounting_ok()

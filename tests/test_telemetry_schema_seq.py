@@ -16,12 +16,7 @@ import pytest
 from _telemetry import apply_one
 
 from repro.schema import SchemaVersionError
-from repro.telemetry.records import (
-    RecordKind,
-    TelemetryRecord,
-    WIRE_SCHEMA,
-    decode_stream,
-)
+from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.store import (
     MAX_TRACKED_MISSING,
     ChainStateStore,
@@ -55,12 +50,6 @@ class TestSchemaVersioning:
         del snapshot["schema"]
         with pytest.raises(SchemaVersionError):
             ChainStateStore.restore(snapshot)
-
-    def test_unknown_stream_schema_raises(self):
-        text = json.dumps({"schema": "repro-telemetry/42"}) + "\n"
-        with pytest.raises(SchemaVersionError) as err:
-            list(decode_stream(text))
-        assert err.value.supported == WIRE_SCHEMA
 
     def test_unknown_extra_fields_warn_but_restore(self):
         store = ChainStateStore(StoreConfig(mk_by_chain={"c": (2, 10)}))

@@ -7,9 +7,13 @@ ground-truth chain (m,k) violation -- no more, no fewer.
 
 import dataclasses
 import hashlib
+import json
 import os
 
 import pytest
+
+from _differential import reference_engines
+from _reference import scalar_store
 
 from repro.faults.campaign import CampaignConfig, FaultCampaign, default_scenarios
 from repro.faults.degradation import GracefulDegradationManager
@@ -22,20 +26,28 @@ from repro.telemetry import (
     RULE_MK_MARGIN,
     RULE_MK_VIOLATION,
     RULE_QUEUE_DROPS,
-    RULE_QUEUE_SATURATION,
     RULE_SEQ_GAP,
     ServiceConfig,
     TelemetryService,
-    encode_stream,
+    WIRE_SCHEMA,
     replay_stack_batch,
     run_load,
 )
-from repro.telemetry.pipeline import DEFAULT_CAPACITY
+from repro.telemetry.gateway.status import status_report
+from repro.telemetry.service import DEFAULT_CAPACITY
 from repro.telemetry.uplink.chaos import ChaosConfig
 
 #: Environment override for the throughput floor (records/s); the
 #: acceptance criterion is 50k single-process on a developer machine.
 MIN_RPS_ENV = "REPRO_TELEMETRY_MIN_RPS"
+
+
+def _stream_bytes(records) -> str:
+    """One JSON line per record under a schema header line: the bytes
+    the pinned stream digests below were taken of."""
+    lines = [json.dumps({"schema": WIRE_SCHEMA})]
+    lines.extend(record.encode_line() for record in records)
+    return "\n".join(lines) + "\n"
 
 
 def _run_scenario_stack(name, n_frames=24):
@@ -108,7 +120,7 @@ class TestLoadGenerator:
     @staticmethod
     def stream(**config) -> str:
         generator = FleetLoadGenerator(FleetConfig(vehicles=3, frames=60, **config))
-        return encode_stream(generator.materialize())
+        return _stream_bytes(generator.materialize())
 
     def test_stream_digest_is_deterministic(self):
         assert self.stream() == self.stream()
@@ -127,7 +139,7 @@ class TestLoadGenerator:
         generator = FleetLoadGenerator(
             FleetConfig(vehicles=vehicles, frames=frames)
         )
-        stream = encode_stream(generator.materialize())
+        stream = _stream_bytes(generator.materialize())
         assert hashlib.sha256(stream.encode()).hexdigest() == digest
         assert generator.lost_in_transport == lost
 
@@ -169,22 +181,22 @@ class TestLoadGenerator:
 
     @pytest.mark.parametrize("capacity", [DEFAULT_CAPACITY, 256])
     def test_batched_load_equals_the_per_record_path(self, capacity):
+        # The per-record path: the scalar fold of
+        # tests/_reference/scalar_store.py in place of apply_batch.
         fleet = FleetConfig(vehicles=4, frames=200)
 
-        def service():
-            return TelemetryService(ServiceConfig(
+        def load():
+            service = TelemetryService(ServiceConfig(
                 queue_capacity=capacity, store=fleet.store_config()
             ))
+            run_load(service, FleetLoadGenerator(fleet))
+            return service
 
-        batched = service()
-        run_load(batched, FleetLoadGenerator(fleet))
-        per_record = service()
-        records = FleetLoadGenerator(fleet).materialize()
-        for start in range(0, len(records), 2048):
-            for record in records[start:start + 2048]:
-                per_record.ingest(record)
-            per_record.pump()
-        per_record.poll()
+        batched = load()
+        folded = scalar_store.folded
+        with reference_engines(telemetry=True):
+            per_record = load()
+        assert scalar_store.folded - folded == per_record.applied > 0
         assert batched.alert_log.to_jsonl() == per_record.alert_log.to_jsonl()
         assert batched.snapshot() == per_record.snapshot()
         assert batched.stats() == per_record.stats()
@@ -199,7 +211,7 @@ class TestLoadGenerator:
         )
         report = run_load(service, generator)
         assert report.accounting_ok
-        assert report.dropped == 0 and report.pending == 0
+        assert report.dropped == 0
         assert report.applied == report.records
         assert report.records_per_s >= floor, (
             f"{report.records_per_s:,.0f} records/s under the "
@@ -230,17 +242,36 @@ class TestLoadGenerator:
         fresh.restore(snapshot)
         assert fresh.snapshot() == snapshot
 
+    def test_restore_resumes_the_data_clock(self):
+        # Every applied record refreshes its source's last_seen_ns, so a
+        # restored service's watermark is the live one, not 0 (which
+        # aged every vehicle by -8e9 ns and flagged both stale).
+        generator = FleetLoadGenerator(FleetConfig(vehicles=2, frames=80))
+        live = TelemetryService(
+            ServiceConfig(store=generator.config.store_config())
+        )
+        run_load(live, generator)
+        restored = TelemetryService()
+        restored.restore(live.snapshot())
+        assert restored.watermark_ns == live.watermark_ns > 0
+        report = status_report(restored)
+        assert report["vehicles"] == status_report(live)["vehicles"]
+        assert report["stale_vehicles"] == 0
+
 
 class TestQueueRules:
-    def test_backpressure_raises_drop_and_saturation_alerts(self):
-        service = TelemetryService(
-            ServiceConfig(queue_capacity=16, auto_pump_batch=None)
-        )
-        generator = FleetLoadGenerator(FleetConfig(vehicles=1, frames=20))
-        for record in generator.materialize():
-            service.ingest(record)
+    def test_backpressure_raises_one_drop_alert(self):
+        service = TelemetryService(ServiceConfig(queue_capacity=16))
+        batch = FleetLoadGenerator(FleetConfig(vehicles=1, frames=20)).batch()
+        for start in range(0, len(batch), 40):
+            service.ingest_batch(batch.slice(start, start + 40))
+        assert service.dropped > 0
         service.poll(0)
-        counts = service.alert_log.counts_by_rule()
-        assert counts.get(RULE_QUEUE_DROPS, 0) == 1  # episodic
-        assert counts.get(RULE_QUEUE_SATURATION, 0) == 1
+        service.poll(0)
+        # Episodic: one alert however many offers dropped, until the
+        # next offer drops again.
+        assert service.alert_log.count(RULE_QUEUE_DROPS) == 1
+        service.ingest_batch(batch.slice(0, 17))
+        service.poll(0)
+        assert service.alert_log.count(RULE_QUEUE_DROPS) == 2
         assert service.accounting_ok()

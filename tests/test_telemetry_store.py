@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from _telemetry import apply_one
 
-from repro.telemetry.records import (
-    RecordKind,
-    TelemetryRecord,
-    WIRE_SCHEMA,
-    decode_stream,
-    encode_stream,
-)
+from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.store import ChainStateStore, StoreConfig
 
 
@@ -175,6 +169,7 @@ class TestWireFormat:
     @settings(max_examples=50, deadline=None)
     def test_stream_codec_round_trip(self, latencies):
         records = [_segment("v0", i, i, lat) for i, lat in enumerate(latencies)]
-        text = encode_stream(records)
-        assert text.splitlines()[0] == json.dumps({"schema": WIRE_SCHEMA})
-        assert list(decode_stream(text)) == records
+        text = "\n".join(record.encode_line() for record in records)
+        assert [
+            TelemetryRecord.decode_line(line) for line in text.splitlines()
+        ] == records

@@ -40,7 +40,7 @@ def _store_digest(stack, source, n_frames):
 
     service = TelemetryService(ServiceConfig(store=stack_store_config(stack)))
     service.ingest_batch(replay_stack_batch(stack, source, n_frames))
-    service.drain()
+    service.poll()
     canonical = json.dumps(service.snapshot(), sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -4,6 +4,7 @@ acks, fast retransmit, and the circuit breaker's single-probe rule."""
 from pathlib import Path
 
 from repro.telemetry import ServiceConfig, TelemetryService
+from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.uplink import (
     UplinkIngestor,
@@ -69,9 +70,9 @@ class TestWindowDiscipline:
         assert ack_marks == sorted(ack_marks), "cumulative ack went backwards"
         assert spooler.pending == 0
         reference = TelemetryService(ServiceConfig())
-        reference.ingest_many(records)
-        reference.drain()
-        ingestor.service.drain()
+        reference.ingest_batch(RecordBatch.from_records(records))
+        reference.poll()
+        ingestor.service.poll()
         assert store_digest(ingestor.service) == store_digest(reference)
 
     def test_frames_respect_advertised_peer_window(self, tmp_path):
@@ -171,7 +172,7 @@ class TestFloorProbe:
             "on the seq hole"
         assert client.floor_probes >= 1
         assert spooler.pending == 0
-        ingestor.service.drain()
+        ingestor.service.poll()
         assert ingestor.service.store.applied == len(records)
 
 

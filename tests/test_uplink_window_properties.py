@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry import ServiceConfig, TelemetryService
+from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.uplink import (
     AdversarialChannel,
@@ -47,8 +48,8 @@ def _records():
 
 def _direct_ingest_digest() -> str:
     reference = TelemetryService(ServiceConfig())
-    reference.ingest_many(_records())
-    reference.drain()
+    reference.ingest_batch(RecordBatch.from_records(_records()))
+    reference.poll()
     return store_digest(reference)
 
 
@@ -100,7 +101,7 @@ def _run_protocol(
         assert ack_marks == sorted(ack_marks), \
             "cumulative ack mark went backwards"
         assert spooler.pending == 0
-        ingestor.service.drain()
+        ingestor.service.poll()
         return store_digest(ingestor.service)
 
 
