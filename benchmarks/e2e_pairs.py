@@ -5,8 +5,8 @@ different times say nothing; a pair made back to back does.  This runs
 
     python3 -m e2e_bench measure --workload W --seed n --seconds S --trace T
 
-in two checkouts, pair n with ``--seed n``, alternating which side goes
-first, and prints every value, each side's median [q1, q3], the wins
+in two checkouts, pair n with ``--seed S+n-1`` (``--first-seed S``,
+default 1), alternating which side goes first, and prints every value, each side's median [q1, q3], the wins
 and the house-rule verdict: a gain is *claimed* when the change reads
 better in at least nine tenths of the pairs (ties count for neither)
 and the medians differ by more than the parent's inter-quartile
@@ -23,7 +23,8 @@ metric names, directions and bounds come from the parent's
         --workload fleet_clean --workload fleet_chaos --workload fault_storm \\
         [--pairs 10] [--check-pairs 3] [--trace 1 --metric NAME ...]
 
-Use fresh checkouts for both sides (``git clone`` / ``git archive``), not
+A held-out seed gets the same verdict: ``--first-seed 11 --pairs 3``
+runs seeds 11, 12 and 13.  Use fresh checkouts for both sides (``git clone`` / ``git archive``), not
 a working tree with build leftovers.  Not a test: pytest collects
 nothing here.
 """
@@ -108,6 +109,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--check-pairs", type=int, default=3,
                         help="pairs per workload after the first")
+    parser.add_argument("--first-seed", type=int, default=1,
+                        help="pair n runs --seed FIRST_SEED+n-1")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--metric", action="append", default=None,
                         help="default: the manifest's end-to-end metrics")
@@ -139,7 +142,8 @@ def main(argv=None) -> int:
         for pair in range(1, pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                record = measure(sides[side], workload, pair, seconds,
+                record = measure(sides[side], workload,
+                                 args.first_seed + pair - 1, seconds,
                                  args.trace)
                 attempted += record["attempted"]
                 failed += record["failed"]

@@ -10,24 +10,33 @@ as noise.
 Points sharing a cell are trivially connected, so the components are
 computed over *occupied cells*, not points: each cell is packed into one
 int64 key with z at stride 1, so the three dz of one (dx, dy) neighbour
-column are three consecutive keys.  The sorted unique keys are probed
-with one ``searchsorted`` per column -- 4 x n probes, plus the two slots
-that follow each, for the 13 half-space neighbour offsets -- the
-resulting cell edges are merged by vectorised min-label hooking with
-pointer jumping, and the points are labelled through the unique-inverse
-map.  A dense stack frame is ~2.9k points in ~1.7k occupied cells joined
-by ~3k edges; that costs ~0.5 ms (0.9 ms with one 13 x n ``searchsorted``,
-now ``tests/_reference/perception_kernels.py``) where the per-point BFS
-before it (the differential oracle in
-``tests/_reference/clustering_bfs.py``) cost ~45 ms.  Python union-find
-over the same edges measured 1.5 ms/frame against 1.0 for label hooking
-(two rounds per frame on scenario traffic), so hooking is the one
-shipped.
+column are three consecutive keys.  One argsort of the keys and a
+cumulative sum of where they change give the sorted unique keys and
+each point's cell.  The unique keys are probed with one ``searchsorted``
+per column -- 4 x n probes, plus the two slots that follow each, for the
+13 half-space neighbour offsets -- the resulting cell edges are merged
+by vectorised min-label hooking with pointer jumping, and the points are
+labelled through their cells.  One stable argsort groups the points by
+component; the boxes are two ``reduceat`` over all clusters at once.
+
+Every array pass is one call into numpy's C layer -- a ufunc (with
+``out=`` where a buffer exists), a ufunc's ``reduce`` / ``reduceat`` or
+an ``ndarray`` method -- never a Python-level wrapper such as
+``np.unique``, ``np.flatnonzero`` or ``ndarray.min``: on the ~55 points
+of a sparse frame the wrappers cost more than the arithmetic.  The whole
+perception stack enters numpy's Python layer 9 times per monitored
+sparse frame, all of them ``np.concatenate``'s dispatcher or the sweeps'
+RNG seeding (70.6 with the wrappers), under a ceiling that
+``tests/test_hot_path_budget.py`` pins.  The kernels this replaced and
+the per-point BFS before them are the differential oracles in
+``tests/_reference/``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -55,11 +64,15 @@ class BoundingBox:
 #: Cell coordinates are cast to int64 and then shifted and packed; past
 #: this magnitude the cast (or the shift) is undefined.
 _MAX_CELL = 2**62
+_INT64_MAX = 2**63 - 1
 
 #: Three keys larger than every packed key (the packed grid fits int64):
-#: appended to the sorted keys so that a probe of three consecutive
+#: they follow the sorted keys so that a probe of three consecutive
 #: slots may start at their very end.
-_NO_CELLS = np.full(3, np.iinfo(np.int64).max)
+_NO_CELLS = np.full(3, _INT64_MAX)
+
+#: The probed slot and the two that follow it.
+_SLOT_STEPS = np.arange(3)[:, None]
 
 
 def _occupied_cells(
@@ -72,32 +85,46 @@ def _occupied_cells(
     grid is padded by one cell on every side, so adding a neighbour
     offset to an occupied key never carries into another axis.
     """
-    scaled = np.floor(xyz / eps)
-    if not np.isfinite(scaled).all():
+    # One row per axis, contiguous: the bounds and the packing run on it.
+    cells = np.divide(xyz.T, eps, order="C")
+    np.floor(cells, out=cells)
+    lo = np.minimum.reduce(cells, axis=1).tolist()
+    hi = np.maximum.reduce(cells, axis=1).tolist()
+    # NaN propagates into both bounds and an infinity is one of them.
+    if not all(map(math.isfinite, lo + hi)):
         raise ValueError(
             "euclidean_clusters: non-finite cell coordinates "
             "(NaN/inf points, or eps too small for them)"
         )
-    # Reductions and arithmetic run per axis on contiguous rows.
-    axes = np.ascontiguousarray(scaled.T)
-    lo = [int(v) - 1 for v in axes.min(axis=1)]
-    hi = [int(v) + 1 for v in axes.max(axis=1)]
+    lo = [int(v) - 1 for v in lo]
+    hi = [int(v) + 1 for v in hi]
     span_x, span_y, span_z = (h - l + 1 for h, l in zip(hi, lo))
     if (
         min(lo) < -_MAX_CELL
         or max(hi) > _MAX_CELL
-        or span_x * span_y * span_z > np.iinfo(np.int64).max
+        or span_x * span_y * span_z > _INT64_MAX
     ):
         raise ValueError(
             f"euclidean_clusters: a {span_x} x {span_y} x {span_z} cell grid "
             f"does not pack into an int64 key (eps={eps!r} too small for the "
             f"extent of the cloud)"
         )
-    cx, cy, cz = axes.astype(np.int64)
     stride_x, stride_y = span_y * span_z, span_z
-    keys = (cx - lo[0]) * stride_x + (cy - lo[1]) * stride_y + (cz - lo[2])
-    cell_keys, cell_of_point = np.unique(keys, return_inverse=True)
-    return cell_keys, cell_of_point, (stride_x, stride_y)
+    offsets = cells.astype(np.int64)
+    offsets -= np.array(lo)[:, None]
+    keys = np.matmul((stride_x, stride_y, 1), offsets)
+    # The unique keys, from one argsort: a point's cell is the number of
+    # key changes up to its place in sorted order, and the unique keys
+    # are the first sorted key plus every changed one.
+    order = keys.argsort()
+    sorted_keys = keys[order]
+    new_key = np.empty(len(keys), dtype=bool)
+    new_key[0] = False
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_key[1:])
+    cell_of_point = np.empty(len(keys), dtype=np.intp)
+    cell_of_point[order] = new_key.cumsum()
+    new_key[0] = True
+    return sorted_keys[new_key], cell_of_point, (stride_x, stride_y)
 
 
 def _adjacent_cells(
@@ -116,14 +143,16 @@ def _adjacent_cells(
     stride_x, stride_y = strides
     n_cells = len(cell_keys)
     # The dz = -1 key of the columns (0, +1), (+1, -1), (+1, 0), (+1, +1).
-    columns = np.array(
-        [[stride_y], [stride_x - stride_y], [stride_x], [stride_x + stride_y]]
-    )
-    bottom = (cell_keys + (columns - 1)).ravel()
-    slots = np.searchsorted(cell_keys, bottom) + np.arange(3)[:, None]
+    columns = np.array([
+        [stride_y - 1], [stride_x - stride_y - 1],
+        [stride_x - 1], [stride_x + stride_y - 1],
+    ])
+    bottom = np.add(cell_keys, columns).ravel()
+    slots = cell_keys.searchsorted(bottom) + _SLOT_STEPS
     padded = np.concatenate((cell_keys, _NO_CELLS))
-    hits = np.flatnonzero(padded[slots] <= bottom + 2)
-    above = np.flatnonzero(cell_keys[1:] == cell_keys[:-1] + 1)
+    bottom += 2  # now the dz = +1 key of each column
+    hits = (padded[slots] <= bottom).ravel().nonzero()[0]
+    above = (cell_keys[1:] == cell_keys[:-1] + 1).nonzero()[0]
     return (
         np.concatenate((above, hits % n_cells)),
         np.concatenate((above + 1, slots.ravel()[hits])),
@@ -144,7 +173,7 @@ def _component_labels(n_cells: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     labels = np.arange(n_cells)
     while True:
         root_a, root_b = labels[a], labels[b]
-        open_edges = np.flatnonzero(root_a != root_b)
+        open_edges = (root_a != root_b).nonzero()[0]
         if len(open_edges) == 0:
             return labels
         a, b = a[open_edges], b[open_edges]
@@ -152,7 +181,9 @@ def _component_labels(n_cells: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         labels[np.maximum(root_a, root_b)] = np.minimum(root_a, root_b)
         while True:
             jumped = labels[labels]
-            if np.array_equal(jumped, labels):
+            # Equal bytes of two int64 arrays of one length are equal
+            # elements, at the cost of a copy instead of a reduction.
+            if jumped.tobytes() == labels.tobytes():
                 break
             labels = jumped
 
@@ -168,9 +199,15 @@ def euclidean_clusters(
     in ascending order of their smallest member index, and the members
     of each in ascending index order.
 
-    Raises ``ValueError`` for NaN/inf coordinates and for clouds whose
-    extent in cells does not pack into an int64 key.
+    Raises ``ValueError`` for an *eps* that is not a positive finite
+    length, for NaN/inf coordinates and for clouds whose extent in
+    cells does not pack into an int64 key.
     """
+    if not 0.0 < eps < math.inf:
+        raise ValueError(
+            f"euclidean_clusters: eps must be a positive finite cell edge, "
+            f"got {eps!r}"
+        )
     if len(xyz) == 0:
         return []
     cell_keys, cell_of_point, strides = _occupied_cells(xyz, eps)
@@ -178,37 +215,45 @@ def euclidean_clusters(
     label_of_point = _component_labels(len(cell_keys), a, b)[cell_of_point]
     # One stable sort groups the points by component and keeps them in
     # ascending index order inside each group, so a group's first entry
-    # is its smallest member.
-    order = np.argsort(label_of_point, kind="stable")
+    # is its smallest member.  A group ends where the next one starts;
+    # the last one at the end.
+    order = label_of_point.argsort(kind="stable")
     sorted_labels = label_of_point[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_labels[1:] != sorted_labels[:-1]))
-    )
-    ends = np.append(starts[1:], len(order))
-    kept = np.flatnonzero(ends - starts >= min_points)
-    kept = kept[np.argsort(order[starts[kept]])]
-    return [order[starts[k]:ends[k]] for k in kept]
+    boundary = np.empty(len(order) + 1, dtype=bool)
+    boundary[0] = boundary[-1] = True
+    np.not_equal(sorted_labels[1:], sorted_labels[:-1], out=boundary[1:-1])
+    bounds = boundary.nonzero()[0]
+    starts, ends = bounds[:-1], bounds[1:]
+    kept = (ends - starts >= min_points).nonzero()[0]
+    kept = kept[order[starts[kept]].argsort()]
+    return [
+        order[start:end]
+        for start, end in zip(starts[kept].tolist(), ends[kept].tolist())
+    ]
 
 
 def boxes_from_clusters(
     xyz: np.ndarray, clusters: List[np.ndarray]
 ) -> List[BoundingBox]:
-    """Axis-aligned bounding boxes of the clustered points."""
-    boxes = []
-    for members in clusters:
-        pts = xyz[members]
-        boxes.append(
-            BoundingBox(
-                x_min=float(pts[:, 0].min()),
-                x_max=float(pts[:, 0].max()),
-                y_min=float(pts[:, 1].min()),
-                y_max=float(pts[:, 1].max()),
-                z_min=float(pts[:, 2].min()),
-                z_max=float(pts[:, 2].max()),
-                point_count=len(members),
-            )
-        )
-    return boxes
+    """Axis-aligned bounding boxes of the clustered points.
+
+    The members of all clusters are gathered once, and each bound is
+    one ``reduceat`` over the segments they form.
+    """
+    if not clusters:
+        return []
+    counts = list(map(len, clusters))
+    if 0 in counts:
+        raise ValueError("boxes_from_clusters: an empty cluster has no box")
+    points = xyz[np.concatenate(clusters)]
+    starts = list(accumulate(counts[:-1], initial=0))
+    lows = np.minimum.reduceat(points, starts, dtype=np.float64).tolist()
+    highs = np.maximum.reduceat(points, starts, dtype=np.float64).tolist()
+    return [
+        BoundingBox(x_min=lo[0], x_max=hi[0], y_min=lo[1], y_max=hi[1],
+                    z_min=lo[2], z_max=hi[2], point_count=count)
+        for lo, hi, count in zip(lows, highs, counts)
+    ]
 
 
 @dataclass

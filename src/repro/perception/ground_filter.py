@@ -28,8 +28,8 @@ def _ray_walk_order(ray: np.ndarray, radius: np.ndarray) -> np.ndarray:
     lexsort's order -- ties keep index order -- at half its cost when
     *ray* is a 16-bit or narrower integer, which numpy radix-sorts.
     """
-    by_radius = np.argsort(radius, kind="stable")
-    return by_radius[np.argsort(ray[by_radius], kind="stable")]
+    by_radius = radius.argsort(kind="stable")
+    return by_radius[ray[by_radius].argsort(kind="stable")]
 
 
 def classify_ground(
@@ -42,9 +42,15 @@ def classify_ground(
     """Return a boolean ground mask for *cloud*.
 
     Pure function (unit-testable numerics); the service below wraps it
-    with cost modelling and pub/sub plumbing.
+    with cost modelling and pub/sub plumbing.  Raises ``ValueError``
+    unless *n_rays* is at least 1.
     """
-    if len(cloud) == 0:
+    if not n_rays >= 1:
+        raise ValueError(
+            f"classify_ground: n_rays must be at least 1, got {n_rays!r}"
+        )
+    n = len(cloud)
+    if n == 0:
         return np.zeros(0, dtype=bool)
     x, y, z = np.ascontiguousarray(cloud.xyz.T, dtype=np.float64)
     radius = np.hypot(x, y)
@@ -52,10 +58,12 @@ def classify_ground(
     turn += np.pi
     turn /= 2 * np.pi
     turn *= n_rays
-    ray = turn.astype(np.int64)
-    ray %= n_rays
     # The narrowest type that holds a ray number: see _ray_walk_order.
-    ray = ray.astype(np.min_scalar_type(n_rays - 1))
+    ray = np.empty(n, dtype=(
+        np.uint8 if n_rays <= 1 << 8 else
+        np.uint16 if n_rays <= 1 << 16 else np.int64
+    ))
+    np.remainder(turn.astype(np.int64), n_rays, out=ray, casting="unsafe")
     ground_level = -sensor_height
     # Within a ray compare each point to its radially preceding
     # neighbour (vectorized approximation of the sequential ground-chain
@@ -64,11 +72,12 @@ def classify_ground(
     ray_s = ray[order]
     radius_s = radius[order]
     z_s = z[order]
-    first_of_ray = np.flatnonzero(
-        np.concatenate(([True], ray_s[1:] != ray_s[:-1]))
-    )
-    dr = np.empty_like(radius_s)
-    dz = np.empty_like(z_s)
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(ray_s[1:], ray_s[:-1], out=first[1:])
+    first_of_ray = first.nonzero()[0]
+    dr = np.empty(n)
+    dz = np.empty(n)
     np.subtract(radius_s[1:], radius_s[:-1], out=dr[1:])
     np.subtract(z_s[1:], z_s[:-1], out=dz[1:])
     dr[first_of_ray] = radius_s[first_of_ray]
@@ -76,9 +85,11 @@ def classify_ground(
     np.maximum(dr, 1e-3, out=dr)
     slope = np.abs(dz, out=dz)
     slope /= dr
-    near_ground = np.abs(z_s - ground_level) < height_threshold
-    ground_sorted = near_ground & (slope < slope_threshold)
-    mask = np.zeros(len(cloud), dtype=bool)
+    height = np.subtract(z_s, ground_level)
+    ground_sorted = np.abs(height, out=height) < height_threshold
+    ground_sorted &= slope < slope_threshold
+    # order is a permutation: every slot of the mask is written.
+    mask = np.empty(n, dtype=bool)
     mask[order] = ground_sorted
     return mask
 

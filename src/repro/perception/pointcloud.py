@@ -46,7 +46,7 @@ class PointCloud:
     def concatenate(self, other: "PointCloud") -> "PointCloud":
         """Join two clouds (fusion); keeps this cloud's header."""
         return PointCloud(
-            points=np.vstack([self.points, other.points]),
+            points=np.concatenate((self.points, other.points)),
             frame_index=self.frame_index,
             stamp=min(self.stamp, other.stamp),
             frame_id=self.frame_id,

@@ -157,7 +157,13 @@ class DrivingScenario:
     # Lidar synthesis
     # ------------------------------------------------------------------
     def lidar_frame(self, frame: int, mount: str, stamp: int = 0) -> PointCloud:
-        """Synthesize the sweep of the front or rear lidar for *frame*."""
+        """Synthesize the sweep of the front or rear lidar for *frame*.
+
+        The draws come in a fixed order -- the ground's heights and
+        intensities, then each visible object's count and columns -- so
+        the sweep is allocated after the last of them and every column
+        is cast into it once.
+        """
         if mount not in ("front", "rear"):
             raise ValueError(f"unknown mount {mount!r}")
         objects = self._snapshot(frame)
@@ -166,25 +172,35 @@ class DrivingScenario:
             (cfg.seed * 1_000_003 + frame * 97 + (0 if mount == "front" else 1))
             % (2**63)
         )
-        parts = [self._ground_sweep(rng)]
+        n_ground = len(self._ground_xy)
+        ground_z = rng.normal(-SENSOR_HEIGHT_M, GROUND_NOISE_M, size=n_ground)
+        ground_intensity = rng.uniform(0.1, 0.4, size=n_ground)
         x_sign = 1.0 if mount == "front" else -1.0
+        returns = []
+        n_points = n_ground
         for obj in objects:
             # Each lidar sees objects in its half-space (plus overlap).
             if x_sign * obj.x < -5:
                 continue
-            parts.append(self._object_returns(rng, obj))
-        return PointCloud(points=np.concatenate(parts), frame_index=frame,
-                          stamp=stamp, frame_id=f"lidar_{mount}")
+            returns.append(self._object_returns(rng, obj))
+            n_points += len(returns[-1][0])
+        points = np.empty((n_points, 4), dtype=np.float32)
+        points[:n_ground, :2] = self._ground_xy
+        points[:n_ground, 2] = ground_z
+        points[:n_ground, 3] = ground_intensity
+        start = n_ground
+        for columns in returns:
+            rows = points[start:start + len(columns[0])]
+            for axis, values in enumerate(columns):
+                rows[:, axis] = values
+            start += len(rows)
+        return PointCloud(points=points, frame_index=frame, stamp=stamp,
+                          frame_id=f"lidar_{mount}")
 
-    def _ground_sweep(self, rng: np.random.Generator) -> np.ndarray:
-        xy = self._ground_xy
-        sweep = np.empty((len(xy), 4), dtype=np.float32)
-        sweep[:, :2] = xy
-        sweep[:, 2] = rng.normal(-SENSOR_HEIGHT_M, GROUND_NOISE_M, size=len(xy))
-        sweep[:, 3] = rng.uniform(0.1, 0.4, size=len(xy))
-        return sweep
-
-    def _object_returns(self, rng: np.random.Generator, obj: _SceneObject) -> np.ndarray:
+    def _object_returns(
+        self, rng: np.random.Generator, obj: _SceneObject
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The x, y, z and intensity columns of one object's returns."""
         cfg = self.config
         distance = max(1.0, np.hypot(obj.x, obj.y))
         # Point density falls off with distance (solid angle).
@@ -192,9 +208,9 @@ class DrivingScenario:
             10,
             int(rng.poisson(cfg.points_per_object_mean * min(1.0, 10.0 / distance))),
         )
-        returns = np.empty((count, 4), dtype=np.float32)
-        returns[:, 0] = rng.uniform(-obj.length / 2, obj.length / 2, count) + obj.x
-        returns[:, 1] = rng.uniform(-obj.width / 2, obj.width / 2, count) + obj.y
-        returns[:, 2] = rng.uniform(0, obj.height, count) - SENSOR_HEIGHT_M
-        returns[:, 3] = rng.uniform(0.4, 1.0, count)
-        return returns
+        return (
+            rng.uniform(-obj.length / 2, obj.length / 2, count) + obj.x,
+            rng.uniform(-obj.width / 2, obj.width / 2, count) + obj.y,
+            rng.uniform(0, obj.height, count) - SENSOR_HEIGHT_M,
+            rng.uniform(0.4, 1.0, count),
+        )

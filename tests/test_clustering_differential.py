@@ -28,6 +28,9 @@ from repro.perception.scenario import DrivingScenario, ScenarioConfig
 from repro.perception.stack import SEGMENT_NAMES
 from _golden import latency_digest, trace_digest
 
+#: A rewritten in-place kernel that starts to warn fails here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 EPS = (0.3, 0.8, 1.2, 1.5)
 MIN_POINTS = (1, 5, 8)
 
@@ -188,6 +191,16 @@ class TestInputValidation:
         xyz = np.array([[-1e7, -1e7, -1e7], [1e7, 1e7, 1e7]])
         with pytest.raises(ValueError, match="int64 key"):
             euclidean_clusters(xyz, eps=1e-3)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.8, np.nan, np.inf])
+    @pytest.mark.parametrize("n_points", [0, 12])
+    def test_eps_that_is_no_cell_edge_is_refused(self, eps, n_points):
+        """0 used to divide by zero (a warning, then a ValueError that
+        blamed the points), a negative eps clustered a mirrored grid and
+        inf put every point in one cell."""
+        xyz = np.arange(3.0 * n_points).reshape(-1, 3)
+        with pytest.raises(ValueError, match="eps must be a positive"):
+            euclidean_clusters(xyz, eps=eps)
 
     def test_cell_coordinate_beyond_int64_is_refused(self):
         """A narrow span far out: the key would fit, the cast would not."""

@@ -16,8 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: document -> (ceiling in bytes, target in KB)
 BUDGET = {
-    "DESIGN.md": (74_650, 55),
-    "EXPERIMENTS.md": (46_956, 30),
+    "DESIGN.md": (74_644, 55),
+    "EXPERIMENTS.md": (46_926, 30),
 }
 
 

@@ -10,6 +10,11 @@ counter and pins these host-independent quantities:
   unmonitored, and their difference (what the monitor adds) -- as
   ceilings, 3% above what the code reaches on CPython <= 3.11 (3.12
   inlines comprehensions and counts lower);
+* how often ``repro.perception`` enters numpy's Python layer per
+  frame (a call into a function of numpy's package straight from a
+  perception frame: ``np.unique``, ``np.flatnonzero``, the dispatcher
+  of ``np.concatenate``, ``ndarray.min`` via ``_methods.py``...), the
+  per-call overhead that outweighs the arithmetic on ~55-point clouds;
 * the *exact* number of events ``Simulator.run`` fires, so a cheaper
   frame can only come from cheaper events, never from different ones;
 * what a hot event may not cost: a ``Simulator._pop`` call per fired
@@ -77,14 +82,24 @@ from repro.tracing.tracer import Tracer
 
 FRAMES = 30
 
-#: Calls per frame reached by this code on CPython 3.11.7: 610.7
-#: monitored, 379.9 unmonitored, 230.8 added by the monitor (617.7 /
-#: 386.9 while every local DDS delivery drew a zero jitter sample and
-#: the sink drew a render cost from a stream; 629.8 / 396.6 / 233.2
-#: while the kernel activated calendar buckets).
-MONITORED_CEILING = 629
-UNMONITORED_CEILING = 392
+#: Calls per frame reached by this code on CPython 3.11.7: 608.7
+#: monitored, 377.9 unmonitored, 230.8 added by the monitor (610.7 /
+#: 379.9 while the lidar sweep had a ground-sweep helper and the boxes
+#: a loop; 617.7 / 386.9 while every local DDS delivery drew a zero
+#: jitter sample and the sink drew a render cost from a stream; 629.8 /
+#: 396.6 / 233.2 while the kernel activated calendar buckets).
+MONITORED_CEILING = 626
+UNMONITORED_CEILING = 389
 ADDED_CEILING = 240
+
+#: Entries into numpy's Python layer from ``repro.perception`` per
+#: monitored frame, on CPython 3.11.7 and numpy 2.4.6: 9.0, 3% above.
+#: Four are ``np.random.default_rng``'s seed hashing (two sweeps), five
+#: the dispatcher of ``np.concatenate`` (three in the cell probe, the
+#: fusion, the box gather).  70.6 while the kernels called ``np.unique``,
+#: ``np.flatnonzero``, ``np.array_equal``, ``np.append``, ``np.argsort``,
+#: ``np.vstack`` and ``ndarray.min`` / ``max`` / ``all``.
+NUMPY_ENTRY_CEILING = 9.27
 
 #: Events fired over the 30 frames (27.67 / 18.17 per frame).
 MONITORED_EVENTS = 830
@@ -97,13 +112,14 @@ UNMONITORED_EVENTS = 545
 LABELLED_CEILING = 7
 
 #: Calls per frame of one 60-frame ``loss_burst`` campaign scenario on
-#: CPython 3.11: 688.0 (688.2 while the service kept a record queue,
+#: CPython 3.11: 686.0 (688.0 before the perception kernels' rewrite,
+#: 688.2 while the service kept a record queue,
 #: 695.4 with the zero jitter and render draws,
 #: 709.1 while the kernel activated calendar buckets, 935.7 before the
 #: campaign stopped arming trace points, replaying record by record and
 #: summing the health window).
 CAMPAIGN_FRAMES = 60
-CAMPAIGN_CEILING = 709
+CAMPAIGN_CEILING = 706
 
 #: Calls into ``repro`` of one clean 4 x 30 gateway episode (driver
 #: built, run, verified) on CPython 3.11: 30.1k (30.2k while the
@@ -137,6 +153,8 @@ _ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _JSON = os.path.dirname(os.path.abspath(json.__file__)) + os.sep
 _ENUM = os.path.abspath(enum.__file__)
 _TRACING = _ROOT + "tracing" + os.sep
+_PERCEPTION = _ROOT + "perception" + os.sep
+_NUMPY = os.path.dirname(os.path.abspath(np.__file__)) + os.sep
 _POP = Simulator._pop.__code__
 _EVENT_INIT = ScheduledEvent.__init__.__code__
 
@@ -174,7 +192,7 @@ class _Run:
         self.spans = stack.sim.spans
         self.tracing_active = stack.sim.tracing_active
         self.calls = self.pops = self.labelled = self.fired = 0
-        self.tracing_calls = 0
+        self.tracing_calls = self.numpy_entries = 0
         run = Simulator.run
 
         def counting_run(sim, *args, **kwargs):
@@ -187,6 +205,9 @@ class _Run:
                 return
             code = frame.f_code
             if not code.co_filename.startswith(_ROOT):
+                if code.co_filename.startswith(_NUMPY) and \
+                        frame.f_back.f_code.co_filename.startswith(_PERCEPTION):
+                    self.numpy_entries += 1
                 return
             self.calls += 1
             if code.co_filename.startswith(_TRACING):
@@ -215,6 +236,11 @@ def test_calls_per_frame_under_ceiling(runs):
     monitored, unmonitored = runs
     assert monitored.per_frame <= MONITORED_CEILING
     assert unmonitored.per_frame <= UNMONITORED_CEILING
+
+
+def test_perception_stays_below_numpys_python_layer(runs):
+    monitored, _ = runs
+    assert monitored.numpy_entries / FRAMES <= NUMPY_ENTRY_CEILING
 
 
 def test_monitor_adds_calls_under_its_own_ceiling(runs):

@@ -1,15 +1,21 @@
-"""The three perception kernels PR 15 rewrote vs what they replaced.
+"""The perception kernels vs the versions they replaced.
 
 ``tests/_reference/perception_kernels.py`` keeps the replaced code
 verbatim.  Each rewrite promised an exact result, so each comparison
 is exact:
 
-- ``clustering._adjacent_cells``: the same *set* of cell edges, each
-  once (their order is free: ``_component_labels`` is order-invariant),
-  checked against the 13-offset probe and against brute force;
-- ``ground_filter._ray_walk_order``: ``np.lexsort((radius, ray))``
-  element for element, and ``classify_ground`` the same mask;
-- ``DrivingScenario.lidar_frame``: the same bytes.
+- (a)-(c), the older rewrites: ``clustering._adjacent_cells`` finds the
+  same *set* of cell edges, each once (their order is free:
+  ``_component_labels`` is order-invariant), as the 13-offset probe and
+  brute force; ``ground_filter._ray_walk_order`` is
+  ``np.lexsort((radius, ray))`` element for element and
+  ``classify_ground`` gives the same mask; ``lidar_frame`` the same
+  bytes as per-call geometry;
+- (d), the one-C-call-per-pass kernels against the wrapper kernels they
+  replaced, on generated clouds (empty, one point, one cell, duplicate
+  points, the twin radii of a fused front + rear sweep, ~3k points):
+  the same cluster index arrays in the same order, equal boxes, equal
+  ground masks, equal selected and fused clouds and equal sweep bytes.
 """
 
 import numpy as np
@@ -22,11 +28,15 @@ from _reference.clustering_bfs import euclidean_clusters as reference_clusters
 from repro.perception.clustering import (
     _adjacent_cells,
     _occupied_cells,
+    boxes_from_clusters,
     euclidean_clusters,
 )
 from repro.perception.ground_filter import _ray_walk_order, classify_ground
 from repro.perception.pointcloud import PointCloud
 from repro.perception.scenario import DrivingScenario, ScenarioConfig
+
+#: A rewritten in-place kernel that starts to warn fails here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 EPS = 0.8
 
@@ -50,7 +60,7 @@ def assert_same_edges(cells):
     cell_keys, cell_of_point, strides = _occupied_cells(xyz, EPS)
     got = edge_list(*_adjacent_cells(cell_keys, strides))
     assert len(got) == len(set(got)), "an edge was reported twice"
-    assert got == edge_list(*reference._adjacent_cells(cell_keys, strides))
+    assert got == edge_list(*reference.adjacent_cells_13_offsets(cell_keys, strides))
     # Independent of any key packing: two distinct occupied cells touch
     # iff no axis separates them by more than one cell.
     index_of = dict(zip(map(tuple, np.asarray(cells).tolist()),
@@ -160,7 +170,7 @@ class TestRayWalkOrder:
         cloud = cloud_from(points)
         assert np.array_equal(
             classify_ground(cloud, n_rays=n_rays),
-            reference.classify_ground(cloud, n_rays=n_rays),
+            reference.classify_ground_lexsort(cloud, n_rays=n_rays),
         )
         x, y = cloud.xyz[:, 0].astype(np.float64), cloud.xyz[:, 1].astype(np.float64)
         radius = np.hypot(x, y)
@@ -174,7 +184,7 @@ class TestRayWalkOrder:
     def test_zero_one_and_two_points(self, n):
         cloud = cloud_from([(3.0, 0.1, -1.8), (3.0, 0.1, -1.8)][:n])
         assert np.array_equal(classify_ground(cloud),
-                              reference.classify_ground(cloud))
+                              reference.classify_ground_lexsort(cloud))
         ray = np.zeros(n, dtype=np.uint8)
         radius = np.full(n, 3.0)
         assert _ray_walk_order(ray, radius).tolist() == list(range(n))
@@ -197,7 +207,7 @@ class TestRayWalkOrder:
         xyz = np.column_stack([radius, np.zeros(200), rng.normal(-1.8, 0.1, 200)])
         cloud = cloud_from(xyz)
         assert np.array_equal(classify_ground(cloud),
-                              reference.classify_ground(cloud))
+                              reference.classify_ground_lexsort(cloud))
 
     @pytest.mark.parametrize("config", [
         ScenarioConfig(seed=7),
@@ -217,7 +227,7 @@ class TestRayWalkOrder:
             for sensor_height in (1.8, 1.2):
                 assert np.array_equal(
                     classify_ground(fused, sensor_height=sensor_height),
-                    reference.classify_ground(fused, sensor_height=sensor_height),
+                    reference.classify_ground_lexsort(fused, sensor_height=sensor_height),
                 )
 
 
@@ -267,3 +277,137 @@ class TestLidarFrame:
         again = scenario.lidar_frame(0, "front")
         assert again.points.tobytes() == pristine.tobytes()
         assert not np.shares_memory(again.points, first.points)
+
+
+# ----------------------------------------------------------------------
+# (d) the wrapper kernels
+# ----------------------------------------------------------------------
+def perceive(cloud, eps, min_points):
+    """What production makes of *cloud*, shaped like
+    ``reference.perceive``."""
+    mask = classify_ground(cloud)
+    ground, nonground = cloud.select(mask), cloud.select(~mask)
+    clustered = []
+    for xyz in (cloud.xyz, nonground.xyz):
+        clusters = euclidean_clusters(xyz, eps=eps, min_points=min_points)
+        clustered.append((clusters, boxes_from_clusters(xyz, clusters)))
+    return mask, ground, nonground, clustered
+
+
+def assert_same_cloud(got, expected):
+    assert got.points.dtype == expected.points.dtype == np.float32
+    assert got.points.shape == expected.points.shape
+    assert got.points.tobytes() == expected.points.tobytes()
+    assert (got.frame_index, got.stamp, got.frame_id) == \
+        (expected.frame_index, expected.stamp, expected.frame_id)
+
+
+def assert_same_perception(cloud, eps=EPS, min_points=8):
+    mask, ground, nonground, clustered = perceive(cloud, eps, min_points)
+    expected = reference.perceive(cloud, eps, min_points)
+    assert mask.dtype == expected[0].dtype == bool
+    assert mask.tobytes() == expected[0].tobytes()
+    assert_same_cloud(ground, expected[1])
+    assert_same_cloud(nonground, expected[2])
+    for (clusters, boxes), (their_clusters, their_boxes) in zip(
+        clustered, expected[3]
+    ):
+        assert len(clusters) == len(their_clusters)
+        for mine, theirs in zip(clusters, their_clusters):
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+        assert boxes == their_boxes
+
+
+#: Offsets inside one cell of edge ``EPS``: 0.0 sits on its boundary.
+inside_cell = st.floats(min_value=0.0, max_value=0.75, width=32)
+
+
+@st.composite
+def perception_clouds(draw):
+    """A cloud of one of the shapes the kernels special-case, the empty
+    one included."""
+    shape = draw(st.sampled_from(
+        ["empty", "one point", "one cell", "duplicates", "twin radii"]
+    ))
+    if shape == "empty":
+        xyz = np.zeros((0, 3))
+    elif shape == "one point":
+        xyz = [draw(st.tuples(fine, fine, height))]
+    elif shape == "one cell":
+        corner = np.array(draw(st.tuples(*[st.integers(-30, 30)] * 3))) * EPS
+        offsets = draw(st.lists(st.tuples(*[inside_cell] * 3),
+                                min_size=1, max_size=40))
+        xyz = corner + np.array(offsets)
+    else:
+        distinct = draw(point_lists.filter(len))
+        xyz = draw(st.lists(st.sampled_from(distinct), min_size=1,
+                            max_size=120))
+        if shape == "twin radii":
+            # The rear lidar's mirror image: every radius twice.
+            xyz = np.concatenate((xyz, np.multiply(xyz, (-1, -1, 1))))
+    return cloud_from(xyz)
+
+
+class TestWrapperKernels:
+    """Each test asserts that the oracle compared clouds: a strategy
+    that generated nothing would otherwise pass."""
+
+    def test_generated_clouds(self):
+        compared = reference.COMPARED
+
+        @given(perception_clouds(), st.sampled_from([0.3, EPS, 1.5]),
+               st.sampled_from([1, 8]))
+        @settings(max_examples=200, deadline=None)
+        def same_perception(cloud, eps, min_points):
+            assert_same_perception(cloud, eps, min_points)
+
+        same_perception()
+        assert reference.COMPARED > compared
+
+    def test_sparse_sweeps_and_their_fusion(self):
+        compared = reference.COMPARED
+
+        @given(st.integers(min_value=0, max_value=2**32),
+               st.sampled_from([
+                   dict(ground_rings=2, points_per_ring=24, max_objects=1,
+                        points_per_object_mean=10),
+                   dict(ground_rings=3, points_per_ring=37,
+                        ring_spacing_m=0.7, spawn_prob=0.9, max_objects=3),
+               ]))
+        @settings(max_examples=25, deadline=None)
+        def same_sweeps(seed, sizes):
+            config = ScenarioConfig(seed=seed, **sizes)
+            mine = DrivingScenario(config)
+            theirs = reference.WrapperScenario(config)
+            for frame in range(4):
+                front, rear = (mine.lidar_frame(frame, mount, stamp=frame + 1)
+                               for mount in ("front", "rear"))
+                their_front, their_rear = (
+                    theirs.lidar_frame(frame, mount, stamp=frame + 1)
+                    for mount in ("front", "rear")
+                )
+                assert_same_cloud(front, their_front)
+                assert_same_cloud(rear, their_rear)
+                fused = front.concatenate(rear)
+                assert_same_cloud(fused, reference.WrapperPointCloud(
+                    their_front.points, their_front.frame_index,
+                    their_front.stamp, their_front.frame_id,
+                ).concatenate(their_rear))
+                assert_same_perception(fused)
+
+        same_sweeps()
+        assert reference.COMPARED > compared
+
+    def test_dense_sweeps(self):
+        """~3k points a sweep, ~6k fused, as the default scenario makes
+        them."""
+        compared = reference.COMPARED
+        scenario = DrivingScenario(ScenarioConfig(seed=3, spawn_prob=0.6))
+        for frame in range(3):
+            fused = scenario.lidar_frame(frame, "front").concatenate(
+                scenario.lidar_frame(frame, "rear")
+            )
+            assert len(fused) > 2500
+            assert_same_perception(fused)
+        assert reference.COMPARED == compared + 3

@@ -12,6 +12,9 @@ from repro.perception import (
 )
 from repro.perception.clustering import BoundingBox, boxes_from_clusters
 
+#: A rewritten in-place kernel that starts to warn fails here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def flat_ground(n=400, sensor_height=1.8, noise=0.0, seed=0):
     rng = np.random.default_rng(seed)
@@ -125,6 +128,16 @@ class TestGroundFilter:
         mask = classify_ground(PointCloud.empty())
         assert mask.shape == (0,)
 
+    @pytest.mark.parametrize("n_rays", [0, -1, -256])
+    @pytest.mark.parametrize("n_points", [0, 5])
+    def test_n_rays_below_one_is_refused(self, n_rays, n_points):
+        """0 used to divide by zero (a warning, then a mask); a negative
+        count was taken."""
+        cloud = PointCloud(points=flat_ground(n=n_points), frame_index=0,
+                           stamp=0)
+        with pytest.raises(ValueError, match="n_rays must be at least 1"):
+            classify_ground(cloud, n_rays=n_rays)
+
     def test_steep_wall_rejected_by_slope(self):
         """A vertical surface near ground level fails the slope test
         even where its lowest points sit within the height threshold."""
@@ -191,6 +204,15 @@ class TestClustering:
         assert box.x_min == 0.0 and box.x_max == 2.0
         assert box.point_count == 3
         assert (box.y_min, box.y_max, box.z_min, box.z_max) == (0.0, 1.0, 0.0, 0.5)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_an_empty_cluster_has_no_box(self, position):
+        """Wherever it sits, not a box borrowed from its neighbour."""
+        pts = np.array([[0.0, 0, 0], [2, 1, 0.5], [1, 0.5, 0.2]])
+        clusters = [np.array([0]), np.array([1, 2])]
+        clusters.insert(position, np.array([], dtype=np.intp))
+        with pytest.raises(ValueError):
+            boxes_from_clusters(pts, clusters)
 
     def test_cluster_partition_property(self):
         """Clusters are disjoint and cover only input indices."""

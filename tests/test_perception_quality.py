@@ -16,6 +16,9 @@ from repro.perception import (
 from repro.perception.clustering import boxes_from_clusters
 from repro.perception.stack import PerceptionStack, StackConfig
 
+#: A rewritten in-place kernel that starts to warn fails here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestDetectionQuality:
     pytestmark = pytest.mark.slow

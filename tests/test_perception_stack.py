@@ -8,6 +8,9 @@ from repro.core.chains import EventChain
 from repro.perception import PerceptionStack, StackConfig
 from repro.sim import BurstyGovernor, msec, usec
 
+#: A rewritten in-place kernel that starts to warn fails here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 N_FRAMES = 25
 
 
