@@ -64,7 +64,7 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # 3. Replay a finished perception stack: the monitors recorded every
-    #    verdict, and one columnar batch carries them to the service.
+    #    verdict, and one list of wire rows carries them to the service.
     # ------------------------------------------------------------------
     stack = PerceptionStack(StackConfig(seed=7))
     stack.run(n_frames=15)

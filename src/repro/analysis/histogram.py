@@ -18,7 +18,7 @@ testable: the returned value v and the exact r-th smallest x satisfy
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional
 
 #: Default relative accuracy of reported quantiles (1%).
 DEFAULT_ALPHA = 0.01
@@ -50,7 +50,13 @@ class StreamingHistogram:
         self.max: Optional[int] = None
 
     def add(self, value: int) -> None:
-        """Fold one sample into the sketch."""
+        """Fold one sample into the sketch.
+
+        ``ChainStateStore.apply_batch`` runs this arithmetic inline per
+        segment row; a change here must be made there too (the
+        store's differential tests against the per-record oracle, which
+        calls this method, catch a mismatch).
+        """
         self.count += 1
         self.total += value
         if self.min is None or value < self.min:
@@ -66,46 +72,6 @@ class StreamingHistogram:
         if self._gamma ** (index - 1) >= value:
             index -= 1
         self._buckets[index] = self._buckets.get(index, 0) + 1
-
-    def add_many(self, values: Iterable[int]) -> None:
-        """Fold many samples; identical sketch state to looped :meth:`add`.
-
-        Bucket indexing deliberately stays on scalar ``math.log``: a
-        vectorized ``np.log`` may differ from libm in the last ulp,
-        which could move a boundary sample into the neighbouring bucket
-        and break the byte-identical-snapshot guarantee the
-        differential suite enforces.  The win here is bound-once locals
-        and no per-call overhead, which is most of ``add``'s cost.
-        """
-        log = math.log
-        ceil = math.ceil
-        log_gamma = self._log_gamma
-        gamma = self._gamma
-        buckets = self._buckets
-        lo = self.min
-        hi = self.max
-        count = 0
-        total = 0
-        zero = 0
-        for value in values:
-            count += 1
-            total += value
-            if lo is None or value < lo:
-                lo = value
-            if hi is None or value > hi:
-                hi = value
-            if value <= 0:
-                zero += 1
-                continue
-            index = ceil(log(value) / log_gamma)
-            if gamma ** (index - 1) >= value:
-                index -= 1
-            buckets[index] = buckets.get(index, 0) + 1
-        self.count += count
-        self.total += total
-        self._zero += zero
-        self.min = lo
-        self.max = hi
 
     def quantile(self, q: float) -> Optional[float]:
         """The q-quantile (r-th smallest, r = max(1, ceil(q*count))).

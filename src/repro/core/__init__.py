@@ -24,7 +24,7 @@ from repro import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.events": ("EventKind", "EventPoint"),
     "repro.core.weakly_hard": (
-        "MKConstraint", "MKAutomaton", "max_window_misses", "satisfies_mk",
+        "MKConstraint", "MKAutomaton", "max_window_misses",
     ),
     "repro.core.segments": ("Segment", "SegmentKind"),
     "repro.core.chains": ("EventChain",),

@@ -21,8 +21,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Sequence, Tuple, Union
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class MKConstraint:
@@ -48,17 +46,8 @@ class MKConstraint:
         """True when the constraint is a hard deadline (m == 0)."""
         return self.m == 0
 
-    def satisfied_by(self, misses: Sequence[bool]) -> bool:
-        """Check a whole outcome sequence against the constraint."""
-        return satisfies_mk(misses, self.m, self.k)
-
     def __str__(self) -> str:
         return f"({self.m},{self.k})"
-
-
-#: Below this many outcomes :meth:`MKAutomaton.record_many` loops over
-#: :meth:`MKAutomaton.record` instead of paying numpy array setup.
-_VECTOR_MIN = 16
 
 
 class MKAutomaton:
@@ -138,65 +127,6 @@ class MKAutomaton:
             return True
         return False
 
-    def record_many(
-        self, misses: Sequence[bool]
-    ) -> Tuple[List[bool], List[int]]:
-        """Record a run of outcomes; returns (violated, margin) per outcome.
-
-        Bit-for-bit equivalent to calling :meth:`record` in a loop
-        (``tests/test_batched_store.py`` proves it with hypothesis,
-        including window-boundary cases): the packed ``_state``, every
-        counter, and the returned per-outcome verdicts are identical.
-        The vectorized path reconstructs the buffered window, computes
-        all windowed miss counts with one cumulative sum, and repacks
-        the tail bits -- O(n + k) instead of n automaton steps.
-        """
-        n = len(misses)
-        if n < _VECTOR_MIN:
-            violated: List[bool] = []
-            margins: List[int] = []
-            m = self.m
-            for miss in misses:
-                violated.append(self.record(bool(miss)))
-                margins.append(m - self.misses_in_window)
-            return violated, margins
-        k = self.k
-        m = self.m
-        filled0 = self._filled
-        # Prior window, oldest outcome first, as 0/1.
-        state = self._state
-        prior = np.empty(filled0, dtype=np.int64)
-        for i in range(filled0):
-            prior[i] = (state >> (filled0 - 1 - i)) & 1
-        new = np.asarray(misses, dtype=np.int64)
-        full = np.concatenate((prior, new))
-        csum = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(full)))
-        # Outcome j sits at position p = filled0 + j; its window covers
-        # full[max(0, p-k+1) .. p].
-        positions = np.arange(filled0, filled0 + n)
-        starts = np.maximum(positions - k + 1, 0)
-        in_window = csum[positions + 1] - csum[starts]
-        violated_arr = in_window > m
-        margins_arr = m - in_window
-        # Fold the batch into the scalar counters.
-        total0 = self.total
-        self.total = total0 + n
-        self.total_misses += int(new.sum())
-        n_violations = int(violated_arr.sum())
-        if n_violations:
-            self.violations += n_violations
-            last = int(np.nonzero(violated_arr)[0][-1])
-            self.last_violation = total0 + last
-        self.misses_in_window = int(in_window[-1])
-        filled = min(k, filled0 + n)
-        self._filled = filled
-        # Repack the last `filled` outcomes (newest at bit 0).
-        packed = 0
-        for bit in full[len(full) - filled:]:
-            packed = (packed << 1) | int(bit)
-        self._state = packed
-        return violated_arr.tolist(), margins_arr.tolist()
-
     def window_bits(self) -> List[bool]:
         """The buffered window, oldest outcome first (diagnostics)."""
         n = self._filled
@@ -263,9 +193,3 @@ def max_window_misses(misses: Sequence[bool], k: int) -> int:
             best = current
     return best
 
-
-def satisfies_mk(misses: Sequence[bool], m: int, k: int) -> bool:
-    """True iff no window of k consecutive outcomes has more than m misses."""
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got m={m}")
-    return max_window_misses(misses, k) <= m

@@ -10,7 +10,7 @@ exactly like the paper's classifier on ECU2.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +43,8 @@ def classify_ground(
 
     Pure function (unit-testable numerics); the service below wraps it
     with cost modelling and pub/sub plumbing.  Raises ``ValueError``
-    unless *n_rays* is at least 1.
+    unless *n_rays* is at least 1 and every coordinate is finite (a NaN
+    or infinite point has no ray and no height).
     """
     if not n_rays >= 1:
         raise ValueError(
@@ -52,7 +53,12 @@ def classify_ground(
     n = len(cloud)
     if n == 0:
         return np.zeros(0, dtype=bool)
-    x, y, z = np.ascontiguousarray(cloud.xyz.T, dtype=np.float64)
+    xyz = np.ascontiguousarray(cloud.xyz.T, dtype=np.float64)
+    if not np.logical_and.reduce(np.isfinite(xyz), axis=None):
+        raise ValueError(
+            "classify_ground: non-finite point coordinates (NaN/inf)"
+        )
+    x, y, z = xyz
     radius = np.hypot(x, y)
     turn = np.arctan2(y, x)
     turn += np.pi

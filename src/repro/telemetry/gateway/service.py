@@ -28,7 +28,7 @@ that makes the pipelined path fast: :meth:`handle_payload` only
 validates and queues (the frame header is decoded here, once);
 :meth:`step` is the unit of work -- it drains up to
 ``drain_records_per_step`` records through the ingestor with **one**
-columnar store apply, **one** log sync and **one coalesced ack per
+store fold, **one** log sync and **one coalesced ack per
 source**.
 
 Crash semantics: everything except the ingestor's journal is soft

@@ -34,8 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.telemetry.batch import RecordBatch
-from repro.telemetry.records import RecordKind, TelemetryRecord
+from repro.telemetry.records import TelemetryRecord, record_from_row
 from repro.telemetry.store import StoreConfig
 
 #: ns helpers (kept local: the load generator must not import the sim).
@@ -125,11 +124,11 @@ class FleetLoadGenerator:
         )
 
     # ------------------------------------------------------------------
-    def batch(self) -> RecordBatch:
-        """The stream as columns, frame-major / vehicle-minor interleaved.
+    def batch(self) -> List[tuple]:
+        """The stream as wire rows, frame-major / vehicle-minor interleaved.
 
         Each vehicle stamps its own monotonic ``seq``; a row lost in
-        transport consumed its seq but is not in the batch.
+        transport consumed its seq but is not among the rows.
         """
         cfg = self.config
         self.lost_in_transport = 0
@@ -174,7 +173,7 @@ class FleetLoadGenerator:
                 base_ts = frame * PERIOD_NS + index * 111_111
                 if frame % HEARTBEAT_FRAMES == 0:
                     rows.append((
-                        RecordKind.HEARTBEAT, vehicle, "", "", -1, None, "",
+                        "heartbeat", vehicle, "", "", -1, None, "",
                         "", base_ts, seq,
                     ))
                     seq += 1
@@ -197,24 +196,23 @@ class FleetLoadGenerator:
                             self.lost_in_transport += 1
                         else:
                             rows.append((
-                                RecordKind.SEGMENT, vehicle, chain, segment,
+                                "segment", vehicle, chain, segment,
                                 frame, latency, "miss" if missed else "ok",
                                 "", base_ts + latency, seq,
                             ))
                         seq += 1
                     rows.append((
-                        RecordKind.CHAIN, vehicle, chain, "", frame, None,
+                        "chain", vehicle, chain, "", frame, None,
                         "miss" if chain_missed else "ok", "",
                         base_ts + PERIOD_NS, seq,
                     ))
                     seq += 1
                 next_seq[index] = seq
-        # A one-vehicle fleet that is silent from frame 0 has no rows.
-        return RecordBatch(*(zip(*rows) if rows else [()] * 10))
+        return rows
 
     def materialize(self) -> List[TelemetryRecord]:
         """The full stream as records (what the uplink vehicles spool)."""
-        return self.batch().to_records()
+        return list(map(record_from_row, self.batch()))
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +258,7 @@ def run_load(
 ) -> LoadReport:
     """Drive *service* with the generator's stream; measure throughput.
 
-    The stream is handed to ``service.ingest_batch`` in *batch_size*
+    The rows are handed to ``service.ingest_batch`` in *batch_size*
     slices, so the measured time covers the full ingest -> store ->
     alert path.  One final poll runs the time-based rules at the data
     watermark.  The report's accounting holds only if the service was
@@ -269,13 +267,13 @@ def run_load(
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     generator = generator or FleetLoadGenerator()
-    batch = generator.batch()
-    n = len(batch)
+    rows = generator.batch()
+    n = len(rows)
     batch_times: List[int] = []
     t_start = time.perf_counter_ns()
     for start in range(0, n, batch_size):
         t0 = time.perf_counter_ns()
-        service.ingest_batch(batch.slice(start, start + batch_size))
+        service.ingest_batch(rows[start:start + batch_size])
         batch_times.append(time.perf_counter_ns() - t0)
     duration_ns = max(1, time.perf_counter_ns() - t_start)
     service.poll()

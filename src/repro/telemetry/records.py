@@ -126,15 +126,9 @@ class TelemetryRecord:
             raise ValueError(
                 f"wire record needs {WIRE_FIELDS} fields, got {len(fields)}"
             )
-        kind = KIND_BY_VALUE.get(fields[0])
-        if kind is None:
+        if fields[0] not in KIND_BY_VALUE:
             raise ValueError(f"unknown record kind {fields[0]!r}")
-        record = cls.__new__(cls)
-        record.kind = kind
-        (_, record.source, record.chain, record.segment, record.activation,
-         record.latency_ns, record.verdict, record.level,
-         record.timestamp_ns, record.seq) = fields
-        return record
+        return record_from_row(fields)
 
     def encode_line(self) -> str:
         """One compact JSON line (the persisted/transport form):
@@ -165,6 +159,18 @@ class TelemetryRecord:
             f"{self.chain or self.segment} n={self.activation} "
             f"verdict={self.verdict!r} seq={self.seq}>"
         )
+
+
+def record_from_row(row) -> TelemetryRecord:
+    """The record of a wire row built in-process or already checked by
+    :func:`wire_rows_ok`: :meth:`TelemetryRecord.from_wire` without its
+    checks (the load generator's records, a flagged row's outcome)."""
+    record = TelemetryRecord.__new__(TelemetryRecord)
+    (kind, record.source, record.chain, record.segment, record.activation,
+     record.latency_ns, record.verdict, record.level, record.timestamp_ns,
+     record.seq) = row
+    record.kind = KIND_BY_VALUE[kind]
+    return record
 
 
 def segment_record(

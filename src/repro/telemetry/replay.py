@@ -1,12 +1,13 @@
-"""Stack replay: what a finished run's monitors recorded, as columns.
+"""Stack replay: what a finished run's monitors recorded, as wire rows.
 
 Monitors record; they publish nothing while the run is live.  Every
 outcome lands in ``latencies`` (local and remote segment monitors), the
 chain runtimes' reports and the degradation manager's ``transitions``,
-and :func:`replay_stack_batch` turns those into one deterministic
-:class:`~repro.telemetry.batch.RecordBatch` -- how the fault campaign
-feeds the service.  :func:`stack_store_config` builds the store config
-that matches a stack.
+and :func:`replay_stack_batch` turns those into one deterministic list
+of wire rows -- how the fault campaign feeds the service's
+:meth:`~repro.telemetry.service.TelemetryService.ingest_batch`.
+:func:`stack_store_config` builds the store config that matches a
+stack.
 
 Timestamps in replayed streams are synthesized from activation index
 and recorded latency (data time), never from a wall clock, so replays
@@ -15,10 +16,7 @@ are bit-stable across hosts and process placement.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-from repro.telemetry.batch import RecordBatch
-from repro.telemetry.records import RecordKind
+from typing import Dict, List, Tuple
 
 
 def base_segment_name(segment_name: str) -> str:
@@ -47,8 +45,8 @@ def replay_stack_batch(
     source: str,
     n_frames: int,
     manager=None,
-) -> RecordBatch:
-    """Deterministic record stream of one finished stack run, columnar.
+) -> List[Tuple]:
+    """Deterministic wire rows of one finished stack run.
 
     Emission order (and therefore sequence numbering) is fixed:
     segment outcomes per monitor source in recorded order, sources
@@ -58,12 +56,8 @@ def replay_stack_batch(
     """
     chain_of = stack_chain_map(stack)
     period = stack.config.period
-    chains: List[str] = []
-    segments: List[str] = []
-    activations: List[int] = []
-    latencies: List[Optional[int]] = []
-    verdicts: List[str] = []
-    timestamps: List[int] = []
+    rows: List[Tuple] = []
+    append = rows.append
 
     sources = {}
     sources.update(stack.local_runtimes)
@@ -75,40 +69,26 @@ def replay_stack_batch(
             segment_name, chain_of.get(base_segment_name(segment_name), "")
         )
         for n, latency, outcome in monitor.latencies:
-            activations.append(n)
-            latencies.append(latency)
-            verdicts.append(outcome.value)
-            timestamps.append(n * period + max(0, latency))
-        chains += [chain] * len(monitor.latencies)
-        segments += [segment_name] * len(monitor.latencies)
-    kinds = [RecordKind.SEGMENT] * len(activations)
+            append((
+                "segment", source, chain, segment_name, n, latency,
+                outcome.value, "", n * period + max(0, latency), len(rows),
+            ))
 
     for chain_name in sorted(stack.chain_runtimes):
         misses = stack.chain_runtimes[chain_name].finalize(n_frames - 1).misses
-        kinds += [RecordKind.CHAIN] * len(misses)
-        chains += [chain_name] * len(misses)
-        segments += [""] * len(misses)
-        activations += range(len(misses))
-        latencies += [None] * len(misses)
-        verdicts += ["miss" if violated else "ok" for violated in misses]
-        timestamps += range(period, (len(misses) + 1) * period, period)
-    levels = [""] * len(kinds)
+        for n, violated in enumerate(misses):
+            append((
+                "chain", source, chain_name, "", n, None,
+                "miss" if violated else "ok", "", (n + 1) * period, len(rows),
+            ))
 
     if manager is not None:
         for t, _old, new, reason in manager.transitions:
-            kinds.append(RecordKind.MODE)
-            chains.append("")
-            segments.append("")
-            activations.append(-1)
-            latencies.append(None)
-            verdicts.append(reason)
-            levels.append(new.value)
-            timestamps.append(t)
-
-    return RecordBatch(
-        kinds, [source] * len(kinds), chains, segments, activations,
-        latencies, verdicts, levels, timestamps, range(len(kinds)),
-    )
+            append((
+                "mode", source, "", "", -1, None, reason, new.value, t,
+                len(rows),
+            ))
+    return rows
 
 
 def stack_store_config(stack, n_shards: int = 8):

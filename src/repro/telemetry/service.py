@@ -1,11 +1,11 @@
-"""The telemetry service: columns -> store -> alert engine, one object.
+"""The telemetry service: wire rows -> store -> alert engine, one object.
 
 :class:`TelemetryService` is the single-process reference deployment of
 the subsystem.  Every producer (the fleet ingestor's flush, the fault
 campaign's replay, :func:`~repro.telemetry.loadgen.run_load`, the
-adaptive control plane) hands :meth:`ingest_batch` a columnar batch,
+adaptive control plane) hands :meth:`ingest_batch` a list of wire rows,
 which is admitted against the configured capacity and folded into the
-sharded store at once; :meth:`poll` runs the time-based rules
+sharded store in one pass; :meth:`poll` runs the time-based rules
 (heartbeat, backpressure drops).  Everything is deterministic given the
 record stream -- no wall clock is read anywhere -- which is what lets
 the fault campaign assert byte-identical alert logs across serial and
@@ -21,12 +21,15 @@ i.e. **no silent drops** -- see :meth:`accounting_ok`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
 from repro.telemetry.alerts import AlertEngine, AlertLog
-from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.store import ChainStateStore, StoreConfig
+
+#: A wire row's ``timestamp_ns`` field.
+_TIMESTAMP = itemgetter(8)
 
 #: Default admission capacity: the most records one offer admits.
 DEFAULT_CAPACITY = 65536
@@ -47,7 +50,7 @@ class ServiceConfig:
 
 
 class TelemetryService:
-    """Bounded columnar ingestion into a sharded store with alerting."""
+    """Bounded row ingestion into a sharded store with alerting."""
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
@@ -70,25 +73,25 @@ class TelemetryService:
         return self.engine.log
 
     # ------------------------------------------------------------------
-    def ingest_batch(self, records: RecordBatch) -> int:
-        """Offer a whole batch; returns how many were accepted.
+    def ingest_batch(self, rows: Sequence[Sequence]) -> int:
+        """Offer a list of wire rows; returns how many were accepted.
 
-        At most ``queue_capacity`` records are admitted; the newest
-        records past it are dropped and counted, never lost silently.
-        The accepted prefix stays columnar end to end: one
+        At most ``queue_capacity`` rows are admitted; the newest rows
+        past it are dropped and counted, never lost silently.  The
+        accepted prefix is one
         :meth:`~repro.telemetry.store.ChainStateStore.apply_batch`, and
-        its flagged outcomes fed to the alert engine.
+        its flagged outcomes are fed to the alert engine.
         """
-        n = len(records)
+        n = len(rows)
         capacity = self.config.queue_capacity
         self.offered += n
         if n > capacity:
             self.dropped += n - capacity
-            records = records.slice(0, capacity)
+            rows = rows[:capacity]
             n = capacity
         if n:
-            outcomes = self.store.apply_batch(records)
-            watermark = max(records.timestamps)
+            outcomes = self.store.apply_batch(rows)
+            watermark = max(map(_TIMESTAMP, rows))
             if watermark > self.watermark_ns:
                 self.watermark_ns = watermark
             observe = self.engine.observe
@@ -102,7 +105,7 @@ class TelemetryService:
     # ``src/`` calls them.
     def ingest_many(self, records: Iterable[TelemetryRecord]) -> int:
         """:meth:`ingest_batch` over records (kept for the e2e tracer)."""
-        return self.ingest_batch(RecordBatch.from_records(list(records)))
+        return self.ingest_batch([record.to_wire() for record in records])
 
     def pump(self, max_records: Optional[int] = None) -> int:
         """Nothing is ever queued: returns 0 (kept for the e2e tracer)."""

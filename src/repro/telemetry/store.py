@@ -5,7 +5,9 @@ chain per vehicle/process -- and partitioned over ``n_shards`` hash
 shards.  Sharding uses ``zlib.crc32`` (stable across interpreters and
 runs, unlike ``hash``), so a snapshot taken on one host restores onto
 another with identical placement, and a future multi-worker deployment
-can assign shards to workers without rehashing.
+can assign shards to workers without rehashing.  A key is placed on its
+shard once, on first touch; the fold finds it through flat
+``(source, chain)`` / ``(source, chain, segment)`` indexes.
 
 Per key the store maintains exactly the paper-shaped online state, none
 of which grows with the record count:
@@ -24,23 +26,26 @@ Per source the store tracks heartbeat (last-seen timestamp), sequence
 continuity (gaps/reorders from the per-source ``seq`` field) and the
 last reported degradation level.
 
-:meth:`ChainStateStore.apply_batch` returns plain facts, one
-:class:`ApplyOutcome` per flagged record; converting facts into alerts
-is the :class:`~repro.telemetry.alerts.AlertEngine`'s business.
+:meth:`ChainStateStore.apply_batch` folds a list of wire rows (the
+shape every producer already holds: decoded uplink frames, the ingest
+journal, the load generator, the campaign replay) in one in-order pass
+and returns plain facts, one :class:`ApplyOutcome` per flagged record;
+converting facts into alerts is the
+:class:`~repro.telemetry.alerts.AlertEngine`'s business.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.weakly_hard import MKAutomaton, MKConstraint
 from repro.schema import SchemaVersionError
-from repro.telemetry.batch import RecordBatch
 from repro.analysis.histogram import DEFAULT_ALPHA, StreamingHistogram
-from repro.telemetry.records import RecordKind, TelemetryRecord
+from repro.telemetry.records import TelemetryRecord, record_from_row
 
 #: Snapshot schema identifier.
 SNAPSHOT_SCHEMA = "repro-telemetry-store/1"
@@ -334,6 +339,11 @@ class ApplyOutcome:
         self.seq_gap = 0
 
 
+def _outcome(row) -> ApplyOutcome:
+    """A flagged row's outcome (rows are checked on their way in)."""
+    return ApplyOutcome(record_from_row(row))
+
+
 class ChainStateStore:
     """Sharded (source, chain) -> :class:`ChainState` map."""
 
@@ -344,6 +354,14 @@ class ChainStateStore:
         ]
         self.sources: Dict[str, SourceState] = {}
         self.applied = 0
+        #: Flat indexes over the shards, filled on a key's first touch:
+        #: ``(source, chain)`` -> its state and ``(source, chain,
+        #: segment)`` -> ``(chain state, segment state)``.  The fold
+        #: looks keys up here; the shards are the snapshot layout.
+        self._chains: Dict[Tuple[str, str], ChainState] = {}
+        self._segments: Dict[
+            Tuple[str, str, str], Tuple[ChainState, _SegmentState]
+        ] = {}
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -353,13 +371,36 @@ class ChainStateStore:
 
     def chain_state(self, source: str, chain: str) -> ChainState:
         """The state of one key, created on first touch."""
-        shard = self.shards[self.shard_index(source, chain, self.config.n_shards)]
-        key = (source, chain)
-        state = shard.get(key)
+        state = self._chains.get((source, chain))
         if state is None:
             state = ChainState(self.config.mk_for(chain))
-            shard[key] = state
+            self._index(source, chain, state)
         return state
+
+    def _index(self, source: str, chain: str, state: ChainState) -> None:
+        """Place a new key on its shard and in the flat indexes."""
+        key = (source, chain)
+        n_shards = self.config.n_shards
+        self.shards[self.shard_index(source, chain, n_shards)][key] = state
+        self._chains[key] = state
+        for name, seg in state.segments.items():
+            self._segments[(source, chain, name)] = (state, seg)
+
+    def _segment_state(
+        self, source: str, chain: str, segment: str
+    ) -> Tuple[ChainState, _SegmentState]:
+        """The flat-index entry of one segment key, made on first touch."""
+        state = self.chain_state(source, chain)
+        seg = state.segments.get(segment)
+        if seg is None:
+            seg = _SegmentState(
+                alpha=self.config.alpha,
+                budget_ns=self.config.budget_for(segment),
+            )
+            state.segments[segment] = seg
+        entry = (state, seg)
+        self._segments[(source, chain, segment)] = entry
+        return entry
 
     def source_state(self, source: str) -> SourceState:
         state = self.sources.get(source)
@@ -370,221 +411,155 @@ class ChainStateStore:
 
     def keys(self) -> List[Tuple[str, str]]:
         """All (source, chain) keys, sorted."""
-        return sorted(key for shard in self.shards for key in shard)
+        return sorted(self._chains)
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
+        return len(self._chains)
 
     # ------------------------------------------------------------------
-    def apply_batch(self, batch: RecordBatch) -> List[ApplyOutcome]:
-        """Fold a columnar batch into the store; return *flagged* outcomes.
+    def apply_batch(self, rows: Sequence[Sequence]) -> List[ApplyOutcome]:
+        """Fold wire rows into the store in order; return *flagged* outcomes.
 
-        State-for-state equivalent to folding every row in order
-        through the per-record oracle
-        ``tests/_reference/scalar_store.py`` (``tests/test_batched_store.py``
-        and the differential suite prove byte-identical snapshots), but
-        records are grouped by key so per-record constants are paid per
-        group:
+        A row is the wire record ``[kind, source, chain, segment,
+        activation, latency_ns, verdict, level, timestamp_ns, seq]`` with
+        ``kind`` its wire string.  One pass in row order unpacks each row
+        once and runs, in turn, the per-source sequence/liveness logic
+        and the row's key: a segment row's verdict counter, histogram
+        (:meth:`~repro.analysis.histogram.StreamingHistogram.add`,
+        inline) and budget window; a chain row's
+        :meth:`~repro.core.weakly_hard.MKAutomaton.record`.  Keys are
+        found in the flat indexes, so past a key's first touch a segment
+        row makes no Python call and a chain row one.
 
-        1. one in-order pass runs the per-source sequence/liveness
-           logic (inherently serial) and buckets chain/segment work;
-        2. CHAIN groups run through the vectorized
-           :meth:`~repro.core.weakly_hard.MKAutomaton.record_many`;
-        3. SEGMENT groups update verdict counters, windows, and
-           histograms with column locals bound once per group.
-
-        Only records whose facts the alert engine acts on (sequence
-        gap, (m,k) violation, margin exhausted, latency-window streak)
-        materialize an :class:`ApplyOutcome`; they are returned in
-        record order, so feeding them to
-        :meth:`~repro.telemetry.alerts.AlertEngine.observe` yields a
-        byte-identical alert log -- ``observe`` is a no-op for every
+        State-for-state equal to folding every row through the
+        per-record oracle ``tests/_reference/scalar_store.py``, however
+        the stream is chunked (``tests/test_batched_store.py`` and the
+        differential suite prove byte-identical snapshots and alert
+        logs).  Only records whose facts the alert engine acts on
+        (sequence gap, (m,k) violation, margin exhausted, latency-window
+        streak) get an :class:`ApplyOutcome`, in row order, so feeding
+        them to :meth:`~repro.telemetry.alerts.AlertEngine.observe`
+        yields the same alert log -- ``observe`` is a no-op for every
         unflagged record.
         """
-        n = len(batch)
-        if n == 0:
-            return []
         config = self.config
-        self.applied += n
-        kinds = batch.kinds
-        sources_col = batch.sources
-        chains_col = batch.chains
-        segments_col = batch.segments
-        activations = batch.activations
-        latencies = batch.latencies
-        verdicts = batch.verdicts
-        levels = batch.levels
-        timestamps = batch.timestamps
-        seqs = batch.seqs
-
-        flagged: Dict[int, ApplyOutcome] = {}
-
-        def outcome_at(i: int) -> ApplyOutcome:
-            out = flagged.get(i)
-            if out is None:
-                out = ApplyOutcome(batch.record(i))
-                flagged[i] = out
-            return out
-
-        # Pass 1: per-source state strictly in record order, grouping
-        # chain/segment work by key as we go.
-        SEGMENT = RecordKind.SEGMENT
-        CHAIN = RecordKind.CHAIN
-        MODE = RecordKind.MODE
+        window_records = config.window_records
+        latency_windows = config.latency_windows
         sources = self.sources
-        chain_groups: Dict[Tuple[str, str], List[int]] = {}
-        seg_groups: Dict[Tuple[str, str, str], List[int]] = {}
-        #: (source, chain) -> [record count, max activation] this batch.
-        key_touch: Dict[Tuple[str, str], List[int]] = {}
+        chains = self._chains
+        segments = self._segments
+        log = math.log
+        ceil = math.ceil
+        flagged: List[ApplyOutcome] = []
         src_name: Optional[str] = None
-        src_state: Optional[SourceState] = None
-        for i in range(n):
-            name = sources_col[i]
+        src: Optional[SourceState] = None
+        self.applied += len(rows)
+        for row in rows:
+            (kind, name, chain, segment, activation, latency, verdict,
+             level, ts, seq) = row
             if name != src_name:
                 src_name = name
-                src_state = sources.get(name)
-                if src_state is None:
-                    src_state = SourceState()
-                    sources[name] = src_state
-            src_state.records += 1
-            ts = timestamps[i]
-            if ts > src_state.last_seen_ns:
-                src_state.last_seen_ns = ts
-            src_state.gap_open = False
-            seq = seqs[i]
-            last = src_state.last_seq
+                src = sources.get(name)
+                if src is None:
+                    src = sources[name] = SourceState()
+            src.records += 1
+            if ts > src.last_seen_ns:
+                src.last_seen_ns = ts
+            src.gap_open = False
+            out = None
+            last = src.last_seq
             if seq > last:
                 if seq > last + 1:
                     gap = seq - last - 1
-                    src_state.seq_gaps += gap
-                    src_state.note_missing(last + 1, seq)
-                    outcome_at(i).seq_gap = gap
-                src_state.last_seq = seq
-            elif seq in src_state.missing:
-                src_state.missing.discard(seq)
-                src_state.seq_gaps -= 1
-                src_state.reorders += 1
+                    src.seq_gaps += gap
+                    src.note_missing(last + 1, seq)
+                    out = _outcome(row)
+                    out.seq_gap = gap
+                src.last_seq = seq
+            elif seq in src.missing:
+                src.missing.discard(seq)
+                src.seq_gaps -= 1
+                src.reorders += 1
             else:
-                src_state.duplicates += 1
+                src.duplicates += 1
 
-            kind = kinds[i]
-            if kind is SEGMENT:
-                chain = chains_col[i]
-                gkey = (name, chain, segments_col[i])
-                grp = seg_groups.get(gkey)
-                if grp is None:
-                    seg_groups[gkey] = [i]
-                else:
-                    grp.append(i)
-            elif kind is CHAIN:
-                chain = chains_col[i]
-                tkey = (name, chain)
-                grp = chain_groups.get(tkey)
-                if grp is None:
-                    chain_groups[tkey] = [i]
-                else:
-                    grp.append(i)
-            elif kind is MODE:
-                src_state.level = levels[i]
-                continue
-            else:
-                continue
-            t = key_touch.get((name, chain))
-            if t is None:
-                key_touch[(name, chain)] = [1, activations[i]]
-            else:
-                t[0] += 1
-                a = activations[i]
-                if a > t[1]:
-                    t[1] = a
-
-        # Pass 2a: per-key record counters (count and max commute).
-        chain_state = self.chain_state
-        for (source, chain), (count, max_act) in key_touch.items():
-            state = chain_state(source, chain)
-            state.records += count
-            if max_act > state.last_activation:
-                state.last_activation = max_act
-
-        # Pass 2b: (m,k) automata, one vectorized run per key.
-        for (source, chain), idxs in chain_groups.items():
-            state = chain_state(source, chain)
-            misses = [verdicts[i] == "miss" for i in idxs]
-            violated, margins = state.automaton.record_many(misses)
-            margin_exhausted = state.margin_exhausted
-            for j, i in enumerate(idxs):
-                margin = margins[j]
-                if violated[j]:
-                    out = outcome_at(i)
+            if kind == "segment":
+                entry = segments.get((name, chain, segment))
+                if entry is None:
+                    entry = self._segment_state(name, chain, segment)
+                state, seg = entry
+                state.records += 1
+                if activation > state.last_activation:
+                    state.last_activation = activation
+                counts = seg.verdicts
+                counts[verdict] = counts.get(verdict, 0) + 1
+                if latency is not None:
+                    hist = seg.hist
+                    hist.count += 1
+                    hist.total += latency
+                    if hist.min is None or latency < hist.min:
+                        hist.min = latency
+                    if hist.max is None or latency > hist.max:
+                        hist.max = latency
+                    if latency > 0:
+                        index = ceil(log(latency) / hist._log_gamma)
+                        if hist._gamma ** (index - 1) >= latency:
+                            index -= 1
+                        buckets = hist._buckets
+                        buckets[index] = buckets.get(index, 0) + 1
+                    else:
+                        hist._zero += 1
+                    budget = seg.budget_ns
+                    if budget is not None:
+                        win = seg.win_records + 1
+                        over = seg.win_over
+                        if latency > budget:
+                            over += 1
+                        if win < window_records:
+                            seg.win_records = win
+                            seg.win_over = over
+                        else:
+                            seg.win_records = 0
+                            seg.win_over = 0
+                            if over > WINDOW_OVER_FRACTION * win:
+                                streak = seg.consec_over_windows + 1
+                                seg.consec_over_windows = streak
+                                if streak % latency_windows == 0:
+                                    if out is None:
+                                        out = _outcome(row)
+                                    out.latency_window_over_streak = streak
+                            else:
+                                seg.consec_over_windows = 0
+            elif kind == "chain":
+                state = chains.get((name, chain))
+                if state is None:
+                    state = self.chain_state(name, chain)
+                state.records += 1
+                if activation > state.last_activation:
+                    state.last_activation = activation
+                automaton = state.automaton
+                violated = automaton.record(verdict == "miss")
+                margin = automaton.m - automaton.misses_in_window
+                if violated:
+                    if out is None:
+                        out = _outcome(row)
                     out.mk_violation = True
-                    margin_exhausted = True
-                elif margin <= 0 and not margin_exhausted:
-                    margin_exhausted = True
-                    out = outcome_at(i)
+                    state.margin_exhausted = True
+                elif margin > 0:
+                    state.margin_exhausted = False
+                elif not state.margin_exhausted:
+                    state.margin_exhausted = True
+                    if out is None:
+                        out = _outcome(row)
                     out.margin_exhausted_now = True
-                else:
-                    if margin > 0:
-                        margin_exhausted = False
-                    out = flagged.get(i)
                 if out is not None:
                     out.margin = margin
-            state.margin_exhausted = margin_exhausted
-
-        # Pass 2c: per-segment verdicts, windows, histograms.
-        window_records_cfg = config.window_records
-        latency_windows_cfg = config.latency_windows
-        for (source, chain, segment), idxs in seg_groups.items():
-            state = chain_state(source, chain)
-            seg = state.segments.get(segment)
-            if seg is None:
-                seg = _SegmentState(
-                    alpha=config.alpha,
-                    budget_ns=config.budget_for(segment),
-                )
-                state.segments[segment] = seg
-            seg_verdicts = seg.verdicts
-            budget = seg.budget_ns
-            samples: List[int] = []
-            if budget is None:
-                for i in idxs:
-                    verdict = verdicts[i]
-                    seg_verdicts[verdict] = seg_verdicts.get(verdict, 0) + 1
-                    latency = latencies[i]
-                    if latency is not None:
-                        samples.append(latency)
-            else:
-                win_records = seg.win_records
-                win_over = seg.win_over
-                consec = seg.consec_over_windows
-                for i in idxs:
-                    verdict = verdicts[i]
-                    seg_verdicts[verdict] = seg_verdicts.get(verdict, 0) + 1
-                    latency = latencies[i]
-                    if latency is None:
-                        continue
-                    samples.append(latency)
-                    win_records += 1
-                    if latency > budget:
-                        win_over += 1
-                    if win_records >= window_records_cfg:
-                        over = win_over > WINDOW_OVER_FRACTION * win_records
-                        win_records = 0
-                        win_over = 0
-                        if over:
-                            consec += 1
-                            if consec % latency_windows_cfg == 0:
-                                outcome_at(i).latency_window_over_streak = (
-                                    consec
-                                )
-                        else:
-                            consec = 0
-                seg.win_records = win_records
-                seg.win_over = win_over
-                seg.consec_over_windows = consec
-            if samples:
-                seg.hist.add_many(samples)
-
-        return [flagged[i] for i in sorted(flagged)]
+            elif kind == "mode":
+                src.level = level
+            # EXCEPTION / HEARTBEAT only refresh the source state above.
+            if out is not None:
+                flagged.append(out)
+        return flagged
 
     # ------------------------------------------------------------------
     # Fleet-wide summaries
@@ -592,8 +567,9 @@ class ChainStateStore:
     def chain_summary(self) -> List[dict]:
         """Per-key (m,k) status, sorted by key (reporting/CLI)."""
         rows = []
-        for source, chain in self.keys():
-            state = self.chain_state(source, chain)
+        for key in self.keys():
+            source, chain = key
+            state = self._chains[key]
             automaton = state.automaton
             rows.append({
                 "source": source,
@@ -689,9 +665,8 @@ class ChainStateStore:
             raise ValueError("snapshot shard count does not match config")
         for entries in data["shards"]:
             for source, chain, state in entries:
-                index = cls.shard_index(source, chain, config.n_shards)
-                store.shards[index][(source, chain)] = ChainState.from_json(
-                    state, config.alpha
+                store._index(
+                    source, chain, ChainState.from_json(state, config.alpha)
                 )
         for name, state in data["sources"].items():
             store.sources[name] = SourceState.from_json(state)

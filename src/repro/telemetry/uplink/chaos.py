@@ -38,20 +38,17 @@ from __future__ import annotations
 
 import json
 import tempfile
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.schema import decode_json
-from repro.telemetry.batch import RecordBatch
 from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator
 from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.uplink.ingest import (
     UplinkIngestor,
-    apply_columnar,
+    apply_rows,
     store_digest,
 )
 from repro.telemetry.uplink.transport import (
@@ -83,16 +80,6 @@ _CLIENT_COUNTER_KEYS = frozenset({
     "rate_rejects", "hello_rejects",
     "records_sent", "timeouts", "acks", "stale_acks", "circuit_opens",
 })
-
-#: Cumulative per-scenario protocol counters the report may carry: the
-#: client's plus the gateway side's.  ``load_report`` warns on anything
-#: else (additive evolution, same contract as the telemetry schema
-#: guards).
-KNOWN_PROTOCOL_COUNTERS = _CLIENT_COUNTER_KEYS | {
-    "shed_by_class", "auth_rejects", "session_rejects",
-    "window_rejects", "gateway_rate_rejects",
-}
-
 
 # ----------------------------------------------------------------------
 # Configuration
@@ -539,7 +526,7 @@ class ChaosDriver:
 
         # The fault-free reference: the same stream, ingested directly.
         reference = TelemetryService(self._service_config())
-        apply_columnar(reference, all_records, RecordBatch.from_records)
+        apply_rows(reference, [record.to_wire() for record in all_records])
         self.reference_digest = store_digest(reference)
 
         return [
@@ -816,32 +803,6 @@ def run_chaos(
         workdir,
         header=("vehicles", "frames", "seed", "fsync", "protocol"),
     )
-
-
-def load_report(source: Union[str, Path, dict]) -> dict:
-    """Load (and sanity-guard) a ``--report`` JSON document.
-
-    Unknown per-scenario protocol counters warn instead of failing --
-    the same additive-evolution contract as the telemetry schema
-    guards: a report written by a newer build stays readable."""
-    if isinstance(source, dict):
-        report = source
-    else:
-        report = decode_json(Path(source).read_text())
-    schema = report.get("schema")
-    if schema != "repro-chaos-report/1":
-        raise ValueError(f"not a chaos report (schema={schema!r})")
-    for entry in report.get("scenarios", []):
-        counters = entry.get("protocol", {})
-        unknown = sorted(set(counters) - KNOWN_PROTOCOL_COUNTERS)
-        if unknown:
-            warnings.warn(
-                f"chaos report scenario {entry.get('name')!r}: ignoring "
-                f"unknown protocol counter(s) {unknown} "
-                f"(written by a newer build?)",
-                stacklevel=2,
-            )
-    return report
 
 
 def write_report(path: Path, report: dict) -> None:

@@ -10,9 +10,9 @@ misses, and reordered stale frames are absorbed silently.
 
 A frame's records never become objects on the way: decoded wire rows
 are admitted on their seq, held until every lower seq is settled, and
-:meth:`UplinkIngestor.flush` transposes what drained into one columnar
-batch for the store -- per frame for a caller that syncs per frame,
-per step for the gateway.
+:meth:`UplinkIngestor.flush` hands what drained to the store as one
+list of rows -- per frame for a caller that syncs per frame, per step
+for the gateway.
 
 Durability follows the vehicle-side rule, mirrored: **append before
 ack**.  Fresh records and the per-frame watermark marker are written to
@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.schema import SchemaVersionError, encode_json, encode_json_sorted
-from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.uplink.transport import (
@@ -358,14 +357,14 @@ class UplinkIngestor:
         return header
 
     def flush(self) -> None:
-        """Apply every drained row to the store as one columnar batch,
+        """Apply every drained row to the store in one fold,
         then hand :attr:`on_fresh` what was applied; apply order is
         drain order, so the chunking changes nothing the store sees."""
         rows = self._ready
         if not rows:
             return
         self._ready = []
-        apply_columnar(self.service, rows)
+        apply_rows(self.service, rows)
         if self.on_fresh is not None:
             self.on_fresh([TelemetryRecord.from_wire(row) for row in rows])
 
@@ -487,7 +486,7 @@ class UplinkIngestor:
                 row for source in sorted(redo)
                 for _, row in sorted(redo[source].items())
             ]
-            apply_columnar(service, rows)
+            apply_rows(service, rows)
             report.redone_records = len(rows)
             # A record line gone from the middle keeps every CRC valid;
             # only the count the newest checkpoint wrote can tell.
@@ -555,16 +554,13 @@ class UplinkIngestor:
         )
 
 
-def apply_columnar(
-    service: TelemetryService, items: list, transpose=RecordBatch.from_rows
-) -> None:
-    """Apply wire rows (or, with ``RecordBatch.from_records``, records)
-    through the service's columnar entry, in slices its capacity
-    admits whole: a backpressure drop here would lose an acknowledged
-    record from the store."""
+def apply_rows(service: TelemetryService, rows: list) -> None:
+    """Apply wire rows through the service's one entry, in slices its
+    capacity admits whole: a backpressure drop here would lose an
+    acknowledged record from the store."""
     capacity = service.config.queue_capacity
-    for start in range(0, len(items), capacity):
-        service.ingest_batch(transpose(items[start:start + capacity]))
+    for start in range(0, len(rows), capacity):
+        service.ingest_batch(rows[start:start + capacity])
 
 
 def store_digest(service: TelemetryService) -> str:

@@ -1,7 +1,7 @@
 """Differential fixture layer: run one scenario on production and oracle.
 
 The fast paths (the stamped, swept heap in the simulator kernel,
-struct-of-arrays ingest in the telemetry store) are sold on a single
+the one-pass row fold of the telemetry store) are sold on a single
 claim: *the fast path is observationally identical to the reference
 path*.  Production ships only the fast paths; the references live in
 ``tests/_reference/`` (:class:`~_reference.heap_kernel.HeapSimulator`,

@@ -1,7 +1,7 @@
 """The ``TelemetryEmitter``-driven stack replay ``repro.telemetry``
 used to ship, with the emitter it drove.
 
-``repro.telemetry.replay.replay_stack_batch`` writes the ten columns of
+``repro.telemetry.replay.replay_stack_batch`` writes the wire rows of
 a finished run in one pass and is the only replay under ``src/``; this
 is the loop it replaced -- one ``TelemetryEmitter.segment`` / ``chain``
 / ``mode`` call, hence one ``TelemetryRecord``, per outcome -- and

@@ -24,8 +24,6 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.schema import SchemaVersionError
-from repro.telemetry.batch import RecordBatch
-from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.uplink.ingest import (
     DedupWatermark,
@@ -144,9 +142,7 @@ class FullSnapshotIngestor(UplinkIngestor):
             watermark = dedup[source].watermark
             ready = sorted(seq for seq in rows if seq <= watermark)
             if ready:
-                service.ingest_batch(RecordBatch.from_records([
-                    TelemetryRecord.from_wire(rows.pop(seq)) for seq in ready
-                ]))
+                service.ingest_batch([rows.pop(seq) for seq in ready])
 
         ingestor = cls(
             service, directory, fsync=fsync,

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Set
 
 from _reference.per_line_frame_decode import decode_frame
-from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.uplink.ingest import UplinkIngestor
 
@@ -87,6 +86,6 @@ class PerFrameIngestor(UplinkIngestor):
         rows, self._ready = self._ready, []
         if rows:
             fresh = [TelemetryRecord.from_wire(tuple(row)) for row in rows]
-            self.service.ingest_batch(RecordBatch.from_records(fresh))
+            self.service.ingest_batch([record.to_wire() for record in fresh])
             if self.on_fresh is not None:
                 self.on_fresh(fresh)

@@ -1,8 +1,8 @@
 """The per-record ``ChainStateStore.apply`` shipped until PR 14.
 
-Production folds records only through the columnar
-``ChainStateStore.apply_batch``; this is the scalar method it was
-proven against, moved here as a free function.  It returns an
+Production folds wire rows only through ``ChainStateStore.apply_batch``;
+this is the scalar method it was proven against, moved here as a free
+function over :class:`TelemetryRecord` objects.  It returns an
 ``ApplyOutcome`` for *every* record (``apply_batch`` materializes only
 the flagged ones -- ``AlertEngine.observe`` is a no-op for the rest).
 Oracle of ``tests/test_batched_store.py``; :func:`apply_batch_scalar`
@@ -12,9 +12,8 @@ is the scalar ``ChainStateStore.apply_batch`` that
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
-from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.store import (
     WINDOW_OVER_FRACTION,
@@ -122,14 +121,15 @@ folded = 0
 
 
 def apply_batch_scalar(
-    store: ChainStateStore, batch: RecordBatch
+    store: ChainStateStore, rows: Sequence[Sequence]
 ) -> List[ApplyOutcome]:
     """``ChainStateStore.apply_batch`` folding one record at a time.
 
-    Returns an outcome for every record; the unflagged ones are no-ops
-    for ``AlertEngine.observe``, so the alert log is the same.
+    Each wire row becomes a :class:`TelemetryRecord` first.  Returns an
+    outcome for every record; the unflagged ones are no-ops for
+    ``AlertEngine.observe``, so the alert log is the same.
     """
     global folded
-    records = batch.to_records()
+    records = [TelemetryRecord.from_wire(row) for row in rows]
     folded += len(records)
     return [apply_scalar(store, record) for record in records]

@@ -120,14 +120,14 @@ def test_columnar_replay_equals_the_emitter_driven_replay():
     for runtime in stack.chain_runtimes.values():
         runtime.advance_window(N_FRAMES - 1)
 
-    batch = replay_stack_batch(stack, "vehicle", N_FRAMES, manager=manager)
+    rows = replay_stack_batch(stack, "vehicle", N_FRAMES, manager=manager)
     expected = list(emitter_replay(stack, "vehicle", N_FRAMES, manager))
     # A faulted run with a manager: all three record kinds are present.
     assert {record.kind for record in expected} == {
         RecordKind.SEGMENT, RecordKind.CHAIN, RecordKind.MODE,
     }
-    assert batch.to_records() == expected
+    assert rows == [record.to_wire() for record in expected]
     # No manager: the stream simply ends after the chain verdicts.
-    assert replay_stack_batch(stack, "vehicle", N_FRAMES).to_records() == (
-        list(emitter_replay(stack, "vehicle", N_FRAMES))
-    )
+    assert replay_stack_batch(stack, "vehicle", N_FRAMES) == [
+        record.to_wire() for record in emitter_replay(stack, "vehicle", N_FRAMES)
+    ]

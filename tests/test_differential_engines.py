@@ -4,7 +4,7 @@ Every observable artifact the repo pins -- golden-trace fingerprints,
 fault-campaign scenario payloads, executor-model dispatch logs,
 gateway/adaptive chaos reports, telemetry store digests and alert logs
 -- is produced twice: once by production (``stamped`` simulator heap, ``batched``
-columnar store fold) and once with the oracles of
+one-pass row fold) and once with the oracles of
 ``tests/_reference/`` substituted in (``heap`` kernel, ``scalar``
 per-record fold).  The canonical JSON serializations must match byte
 for byte; see ``tests/_differential.py`` for the fixture layer.  Every
@@ -208,7 +208,7 @@ class TestAdaptiveChaos:
 
 
 # ----------------------------------------------------------------------
-# Telemetry fleet stream: columnar store fold vs the scalar fold
+# Telemetry fleet stream: the one-pass row fold vs the scalar fold
 # ----------------------------------------------------------------------
 class TestTelemetryFleetStream:
     """One fleet record stream through the production fold and the
@@ -230,32 +230,32 @@ class TestTelemetryFleetStream:
             "accounting_ok": stats["accounting_ok"],
         }
 
-    def _ingested(self, batch, slice_size):
+    def _ingested(self, rows, slice_size):
         service = TelemetryService(
             ServiceConfig(store=self.FLEET.store_config())
         )
-        for start in range(0, len(batch), slice_size):
-            service.ingest_batch(batch.slice(start, start + slice_size))
+        for start in range(0, len(rows), slice_size):
+            service.ingest_batch(rows[start:start + slice_size])
         service.poll()
         return self._observables(service)
 
     def test_columnar_batch_matches_scalar_reference(self):
-        batch = FleetLoadGenerator(self.FLEET).batch()
+        rows = FleetLoadGenerator(self.FLEET).batch()
         start = scalar_store.folded
         results = run_under_telemetry_engines(
-            lambda: self._ingested(batch, len(batch))
+            lambda: self._ingested(rows, len(rows))
         )
-        assert scalar_store.folded - start == len(batch)
-        assert_identical(results, context="fleet:columnar")
+        assert scalar_store.folded - start == len(rows) > 0
+        assert_identical(results, context="fleet:rows")
 
     def test_sliced_batches_match_scalar_reference(self):
         # 97-record slices cut keys, (m,k) windows and latency windows
         # mid-stream on the production side; the scalar fold takes the
         # stream whole.
-        batch = FleetLoadGenerator(self.FLEET).batch()
-        sliced = self._ingested(batch, 97)
+        rows = FleetLoadGenerator(self.FLEET).batch()
+        sliced = self._ingested(rows, 97)
         with reference_engines(telemetry=True):
-            scalar = self._ingested(batch, len(batch))
+            scalar = self._ingested(rows, len(rows))
         assert_identical(
             {"sliced": sliced, "scalar": scalar}, context="fleet:sliced"
         )

@@ -6,12 +6,7 @@ import json
 import pytest
 
 from repro.telemetry.gateway import gateway_scenarios
-from repro.telemetry.uplink.chaos import (
-    ChaosConfig,
-    KNOWN_PROTOCOL_COUNTERS,
-    load_report,
-    SEGMENT_MAX_RECORDS,
-)
+from repro.telemetry.uplink.chaos import ChaosConfig, SEGMENT_MAX_RECORDS
 
 QUICK = ChaosConfig(vehicles=3, frames=10, seed=2025)
 
@@ -119,40 +114,18 @@ class TestDurabilitySyscallBudget:
 
 
 class TestChaosReport:
-    def _report(self, counters):
-        return {
-            "schema": "repro-chaos-report/1",
-            "scenarios": [{"name": "s", "ok": True, "protocol": counters}],
-        }
-
-    def test_known_counters_load_silently(self, recwarn):
-        report = load_report(self._report(
-            {"frames_sent": 3, "retransmits": 1, "shed_by_class": {}}
-        ))
-        assert report["scenarios"][0]["protocol"]["frames_sent"] == 3
-        assert not recwarn.list
-
-    def test_unknown_counters_warn_but_load(self):
-        with pytest.warns(UserWarning, match="flux_capacitors"):
-            report = load_report(self._report(
-                {"frames_sent": 3, "flux_capacitors": 88}
-            ))
-        assert report["scenarios"][0]["protocol"]["flux_capacitors"] == 88
-
-    def test_wrong_schema_is_rejected(self):
-        with pytest.raises(ValueError, match="schema"):
-            load_report({"schema": "something-else/9", "scenarios": []})
-
     def test_report_round_trips_through_json(self, tmp_path):
         result = _run("gw_window_stall")
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps({
+        document = {
             "schema": "repro-chaos-report/1",
             "scenarios": [result.to_json()],
-        }))
-        report = load_report(path)
+        }
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(document))
+        report = json.loads(path.read_text())
+        assert report == document
         counters = report["scenarios"][0]["protocol"]
-        assert set(counters) <= KNOWN_PROTOCOL_COUNTERS
+        assert counters["frames_sent"] > 0 and "shed_by_class" in counters
 
 
 class TestGatewayCommandReport:

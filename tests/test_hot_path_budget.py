@@ -30,8 +30,10 @@ The fleet path has the same kind of guard: a clean 4 x 30 gateway
 episode pins what a frame may cost between the wire and the store --
 one header decode and one row parse by the codec's C scanner, no
 record object, no queue hop -- and that the store is applied once per
-gateway step, not once per frame.  Its frame count covers the stdlib
-too: calls into ``json`` (none: ``repro.schema`` builds its C encoders
+gateway step, not once per frame.  The store's fold itself, on the
+same ~32-rows-a-step shape, may make no Python call for a segment row
+and one (``MKAutomaton.record``) for a chain row once their key exists.
+The episode's count covers the stdlib too: calls into ``json`` (none: ``repro.schema`` builds its C encoders
 and scanner once and the per-line sites call them inline) and into
 ``enum``, each under a ceiling of its own.
 
@@ -70,10 +72,14 @@ from repro.faults import CampaignConfig, FaultCampaign, default_scenarios
 from repro.perception import PerceptionStack, StackConfig
 from repro.perception.scenario import ScenarioConfig
 from repro.sim.kernel import ScheduledEvent, Simulator
-from repro.telemetry.batch import RecordBatch
 from repro.telemetry.gateway.chaos import GatewayChaosScenario
 from repro.telemetry.gateway.service import FleetGateway
-from repro.telemetry.records import TelemetryRecord, segment_record
+from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator
+from repro.telemetry.records import (
+    TelemetryRecord,
+    record_from_row,
+    segment_record,
+)
 from repro.telemetry.service import TelemetryService
 from repro.telemetry.store import ChainStateStore
 from repro.telemetry.uplink import transport
@@ -112,28 +118,35 @@ UNMONITORED_EVENTS = 545
 LABELLED_CEILING = 7
 
 #: Calls per frame of one 60-frame ``loss_burst`` campaign scenario on
-#: CPython 3.11: 686.0 (688.0 before the perception kernels' rewrite,
+#: CPython 3.11: 689.3 (686.0 while the store ran each chain's verdicts
+#: through a numpy-vectorized automaton step instead of one
+#: ``MKAutomaton.record`` call per verdict, 688.0 before the perception
+#: kernels' rewrite,
 #: 688.2 while the service kept a record queue,
 #: 695.4 with the zero jitter and render draws,
 #: 709.1 while the kernel activated calendar buckets, 935.7 before the
 #: campaign stopped arming trace points, replaying record by record and
-#: summing the health window).
+#: summing the health window).  The ceiling stays 2.4% above.
 CAMPAIGN_FRAMES = 60
 CAMPAIGN_CEILING = 706
 
 #: Calls into ``repro`` of one clean 4 x 30 gateway episode (driver
-#: built, run, verified) on CPython 3.11: 30.1k (30.2k while the
-#: service kept a record queue, 30.7k while the load generator drew one
-#: scalar per draw, 32.8k while a checkpoint re-serialised every key it
-#: dirtied, 44.1k while every frame paid a parse per line, a record per
-#: row and an apply of its own); the ceiling is 3% above 30,055.
-FLEET_CEILING = 30_957
+#: built, run, verified) on CPython 3.11: 27.7k (30.1k while the store
+#: regrouped every step's rows into columns and per-key groups, 30.2k
+#: while the service kept a record queue, 30.7k while the load generator
+#: drew one scalar per draw, 32.8k while a checkpoint re-serialised every
+#: key it dirtied, 44.1k while every frame paid a parse per line, a
+#: record per row and an apply of its own); the ceiling is 3% above
+#: 27,745.
+FLEET_CEILING = 28_577
 #: Calls into the stdlib ``json`` and ``enum`` modules over the same
 #: episode: 0 and 261, 3% above (3,972 and 2,205 while every record
 #: line built a C encoder, every parse ran ``json.loads`` and
 #: ``to_wire`` read ``RecordKind.value``).
 FLEET_JSON_CEILING = 0
 FLEET_ENUM_CEILING = 268
+#: Rows a gateway step hands the store on the clean 4 x 30 episode: ~32.
+FLEET_STEP_ROWS = 32
 
 #: Calls into ``repro`` of the independent, greedy and branch-and-bound
 #: solves on CPython 3.11.  The (2,8) trace at B_seg = 100 is infeasible
@@ -320,12 +333,12 @@ def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
     watched = {
         TelemetryRecord.from_wire.__code__: "from_wire",
         TelemetryRecord.__init__.__code__: "records",
+        record_from_row.__code__: "records",
         ChainStateStore.apply_batch.__code__: "apply_batch",
         FleetGateway.step.__code__: "steps",
         transport.decode_frame_header.__code__: "headers",
     }
     counts = collections.Counter()
-    to_records = RecordBatch.to_records.__code__
     scan = schema.c_scan_json
 
     def counted_scan(text, index):
@@ -334,13 +347,10 @@ def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
         counts["parses"] += 1
         return scan(text, index)
 
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "return" and code is to_records:
-            # A materialized batch builds one record per row it returns.
-            counts["records"] += len(arg)
+    def profile(frame, event, _arg):
         if event != "call":
             return
+        code = frame.f_code
         if code in watched:
             counts[watched[code]] += 1
         filename = code.co_filename
@@ -370,10 +380,9 @@ def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
     applied = driver.ingestor.service.store.applied
     checkpoints = result.ingest["checkpoints"]
     assert frames == 120 and checkpoints == 30 and applied > 900
-    # Records built (``TelemetryRecord.__init__`` calls plus the rows of
-    # every ``RecordBatch.to_records``): only the ones the load
-    # generator hands the vehicles, one per applied row; nothing
-    # crosses a queue.
+    # Records built: only the ones the load generator hands the
+    # vehicles, one per applied row; the rows a frame decodes reach the
+    # store as rows, and nothing crosses a queue.
     assert counts["records"] == applied
     assert counts["from_wire"] == 0
     assert counts["headers"] == frames
@@ -390,6 +399,48 @@ def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
     # No JSONEncoder built, no json.loads run: the codec's C objects.
     assert counts["json"] <= FLEET_JSON_CEILING
     assert counts["enum"] <= FLEET_ENUM_CEILING
+
+
+def test_fold_pays_no_call_per_row_past_a_keys_first_touch():
+    """The store fold on the live fleet shape (~32 rows a step over
+    ~32 keys): past a key's first touch, a segment row makes no Python
+    call and a chain row one, ``MKAutomaton.record``; a flagged row adds
+    its outcome and, for a seq gap, ``note_missing``."""
+    fleet = FleetConfig(vehicles=4, frames=30)
+    rows = FleetLoadGenerator(fleet).batch()
+    store = ChainStateStore(fleet.store_config())
+    fold = ChainStateStore.apply_batch.__code__
+    calls = collections.Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_back.f_code is fold:
+            calls[frame.f_code.co_name] += 1
+
+    flagged = []
+    sys.setprofile(profile)
+    try:
+        for start in range(0, len(rows), FLEET_STEP_ROWS):
+            flagged += store.apply_batch(rows[start:start + FLEET_STEP_ROWS])
+    finally:
+        sys.setprofile(None)
+    chain_rows = sum(row[0] == "chain" for row in rows)
+    segment_keys = sum(len(state.segments) for state in store._chains.values())
+    gaps = sum(1 for outcome in flagged if outcome.seq_gap)
+    assert 0 < gaps < len(flagged) < len(rows) // 10
+    first_touch = {
+        "_segment_state": segment_keys,
+        "chain_state": 0,  # a chain's segments came first
+        "__init__": len(store.sources),  # SourceState
+    }
+    per_row = {
+        "record": chain_rows,  # MKAutomaton.record
+        "_outcome": len(flagged),
+        "note_missing": gaps,
+    }
+    assert dict(calls) == {
+        name: count for name, count in {**first_touch, **per_row}.items()
+        if count
+    }
 
 
 def _budgeting_problem(budget_seg, budget_e2e):

@@ -138,6 +138,18 @@ class TestGroundFilter:
         with pytest.raises(ValueError, match="n_rays must be at least 1"):
             classify_ground(cloud, n_rays=n_rays)
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_refused(self, axis, value):
+        """A NaN used to leak "invalid value encountered in cast" and an
+        infinite x came back as ground; ``euclidean_clusters`` refuses
+        both."""
+        points = flat_ground(n=4)
+        points[2, axis] = value
+        cloud = PointCloud(points=points, frame_index=0, stamp=0)
+        with pytest.raises(ValueError, match="non-finite"):
+            classify_ground(cloud)
+
     def test_steep_wall_rejected_by_slope(self):
         """A vertical surface near ground level fails the slope test
         even where its lowest points sit within the height threshold."""

@@ -1,5 +1,6 @@
 """CLI surfaces: subcommand help, README table sync, telemetry command."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -12,6 +13,12 @@ from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator, run_load
 from repro.telemetry.service import ServiceConfig, TelemetryService
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+#: sha256 of ``repro telemetry --vehicles 4 --frames 200``'s alert log
+#: and snapshot, and of the same run with ``--queue-capacity 256``, as
+#: ``sha256sum`` writes them (CI's telemetry smoke checks the files).
+SMOKE_PINS = (
+    Path(__file__).resolve().parent / "golden" / "telemetry_smoke.sha256"
+)
 
 
 class TestSubcommandHelp:
@@ -66,6 +73,35 @@ class TestTelemetryCommand:
         data = json.loads(snapshot.read_text())
         assert data["schema"] == "repro-telemetry-store/1"
         assert "restore round-trip OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra, suffix", [
+        ([], ""),
+        (["--batch", "97"], ""),
+        (["--batch", "1"], ""),
+        (["--queue-capacity", "256"], "-cap256"),
+    ], ids=["default", "batch-97", "batch-1", "cap-256"])
+    def test_smoke_outputs_match_their_pinned_sha256(
+        self, extra, suffix, tmp_path, capsys
+    ):
+        """The faulty fleet's alert log and store snapshot, byte for
+        byte, however ``run_load`` slices the rows (a capacity below the
+        batch drops, so it has pins of its own)."""
+        pins = {
+            name: digest for digest, name in
+            (line.split() for line in SMOKE_PINS.read_text().splitlines())
+        }
+        alerts = tmp_path / f"telemetry-alerts{suffix}.jsonl"
+        snapshot = tmp_path / f"telemetry-snapshot{suffix}.json"
+        assert telemetry_main([
+            "--vehicles", "4", "--frames", "200", *extra,
+            "--alert-log", str(alerts), "--snapshot", str(snapshot),
+        ]) == 0
+        lines = alerts.read_text().splitlines()
+        rules = {json.loads(line)["rule"] for line in lines}
+        assert len(rules) >= 3, rules
+        for path in (alerts, snapshot):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == pins[path.name], path.name
 
     def test_min_throughput_gate_fails_when_missed(self, capsys):
         # An impossible gate must exit non-zero.

@@ -13,19 +13,12 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.telemetry.alerts import RULE_QUEUE_DROPS
-from repro.telemetry.batch import RecordBatch
-from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
 
 
-def _record(seq, source="v0"):
-    return TelemetryRecord(
-        kind=RecordKind.HEARTBEAT, source=source, timestamp_ns=seq, seq=seq
-    )
-
-
 def _batch(seqs, source="v0"):
-    return RecordBatch.from_records([_record(i, source) for i in seqs])
+    """Heartbeat wire rows stamped and sequenced by *seqs*."""
+    return [("heartbeat", source, "", "", -1, None, "", "", i, i) for i in seqs]
 
 
 class TestIngestQueue:

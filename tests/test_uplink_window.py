@@ -4,7 +4,6 @@ acks, fast retransmit, and the circuit breaker's single-probe rule."""
 from pathlib import Path
 
 from repro.telemetry import ServiceConfig, TelemetryService
-from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.uplink import (
     UplinkIngestor,
@@ -70,7 +69,7 @@ class TestWindowDiscipline:
         assert ack_marks == sorted(ack_marks), "cumulative ack went backwards"
         assert spooler.pending == 0
         reference = TelemetryService(ServiceConfig())
-        reference.ingest_batch(RecordBatch.from_records(records))
+        reference.ingest_batch([record.to_wire() for record in records])
         reference.poll()
         ingestor.service.poll()
         assert store_digest(ingestor.service) == store_digest(reference)

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry import ServiceConfig, TelemetryService
-from repro.telemetry.batch import RecordBatch
 from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.uplink import (
     AdversarialChannel,
@@ -48,7 +47,7 @@ def _records():
 
 def _direct_ingest_digest() -> str:
     reference = TelemetryService(ServiceConfig())
-    reference.ingest_batch(RecordBatch.from_records(_records()))
+    reference.ingest_batch([record.to_wire() for record in _records()])
     reference.poll()
     return store_digest(reference)
 

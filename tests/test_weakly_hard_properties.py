@@ -13,7 +13,6 @@ from repro.core.weakly_hard import (
     MKAutomaton,
     MKConstraint,
     max_window_misses,
-    satisfies_mk,
 )
 
 miss_sequences = st.lists(st.booleans(), max_size=60)
@@ -34,13 +33,6 @@ class TestSlidingWindowProperties:
     def test_max_window_misses_matches_brute_force(self, misses, k):
         assert max_window_misses(misses, k) == brute_force_max_window(misses, k)
 
-    @given(misses=miss_sequences, k=window_sizes, m=st.integers(0, 12))
-    @settings(max_examples=200, deadline=None)
-    def test_satisfies_mk_is_max_window_comparison(self, misses, k, m):
-        assert satisfies_mk(misses, m, k) == (
-            brute_force_max_window(misses, k) <= m
-        )
-
     @given(misses=miss_sequences, k=window_sizes, data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_online_window_agrees_with_offline(self, misses, k, data):
@@ -52,7 +44,7 @@ class TestSlidingWindowProperties:
             local = sum(misses[max(0, i - k + 1): i + 1])
             assert verdict == (local > m), f"step {i}"
         # Aggregates agree with the offline functions.
-        assert window.violated == (not satisfies_mk(misses, m, k))
+        assert window.violated == (max_window_misses(misses, k) > m)
         assert window.total_misses == sum(misses)
         assert window.misses_in_window == sum(misses[-k:])
 
@@ -94,5 +86,3 @@ class TestParameterValidation:
     def test_function_level_validation(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             max_window_misses([True], 0)
-        with pytest.raises(ValueError, match="non-negative"):
-            satisfies_mk([True], -1, 3)
