@@ -4,9 +4,9 @@
 Four stages, all through the public `repro.telemetry.uplink` API
 (DESIGN.md §9):
 
-1. **Append-before-emit** -- spool a vehicle's telemetry into a
-   CRC-framed write-ahead log; nothing is eligible to send before it
-   is durable.
+1. **Append-before-emit** -- spool a vehicle's telemetry (the load
+   generator's wire rows, as they are) into a CRC-framed write-ahead
+   log; nothing is eligible to send before it is durable.
 2. **Torn-tail crash** -- damage the last WAL line mid-write (the only
    line a crash can tear), recover, and show the repair is *counted*,
    never silent.
@@ -48,24 +48,22 @@ def tear_tail(directory: Path) -> None:
 
 
 def main() -> None:
-    records = FleetLoadGenerator(FLEET).materialize()
     streams = {}
-    for record in records:
-        streams.setdefault(record.source, []).append(record)
+    for row in FleetLoadGenerator(FLEET).batch():
+        streams.setdefault(row[1], []).append(row)  # row[1]: the source
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
 
         # --------------------------------------------------------------
-        # 1. Append-before-emit: every record is durable in the WAL
+        # 1. Append-before-emit: every row is durable in the WAL
         #    before the client may send it.
         # --------------------------------------------------------------
         source, stream = sorted(streams.items())[0]
         config = WalConfig(root / source, fsync="never",
                            segment_max_records=64)
         spooler = WalSpooler.open_fresh(config, source)
-        for record in stream:
-            spooler.append(record)
+        spooler.append_many(stream)
         stats = spooler.stats()
         print("--- 1. spool ---")
         print(f"{stats['pending']} records pending in "
@@ -85,7 +83,7 @@ def main() -> None:
               f"pending={report.pending} (of {len(stream)} appended)")
         assert report.truncated_lines == 1
         assert report.pending == len(stream) - 1
-        spooler.append(stream[-1])  # the vehicle re-emits the torn record
+        spooler.append_many(stream[-1:])  # the vehicle re-emits the torn row
         spooler.close()
 
         # --------------------------------------------------------------

@@ -353,8 +353,8 @@ class _AdaptiveVehicle(_Vehicle):
         self.pending_recoveries = 0
         self.activation = 0  # next activation index to generate
         self.seq = 0
-        # ``records`` grows one activation per step; ``cursor`` is the
-        # next record index to spool.
+        # ``rows`` grows one activation per step; ``cursor`` is the
+        # next row index to spool.
         super().__init__(
             source, [],
             WalConfig(
@@ -388,8 +388,8 @@ class _AdaptiveVehicle(_Vehicle):
         activation only a torn tail is left to re-spool."""
         if self.activation < self.config.frames:
             self._generate()
-        if self.cursor < len(self.records):
-            self.emit(len(self.records) - self.cursor)
+        if self.cursor < len(self.rows):
+            self.emit(len(self.rows) - self.cursor)
 
     def _generate(self) -> None:
         activation = self.activation
@@ -409,27 +409,27 @@ class _AdaptiveVehicle(_Vehicle):
             budget = self.active_budgets.get(segment.name)
             miss = budget is not None and latency > budget
             missed = missed or miss
-            self.records.append(segment_record(
+            self.rows.append(segment_record(
                 source=self.source, chain=self.chain.name,
                 segment=segment.name, activation=activation,
                 latency_ns=latency, verdict="miss" if miss else "ok",
                 timestamp_ns=timestamp, seq=self.seq,
-            ))
+            ).to_wire())
             self.seq += 1
-        self.records.append(TelemetryRecord(
+        self.rows.append(TelemetryRecord(
             kind=RecordKind.CHAIN, source=self.source,
             chain=self.chain.name, segment="", activation=activation,
             latency_ns=sum(latencies.values()),
             verdict="miss" if missed else "ok",
             timestamp_ns=timestamp, seq=self.seq,
-        ))
+        ).to_wire())
         self.seq += 1
 
     @property
     def drained(self) -> bool:
         return (
             self.activation >= self.config.frames
-            and self.cursor >= len(self.records)
+            and self.cursor >= len(self.rows)
         )
 
     # ------------------------------------------------------------------

@@ -89,12 +89,15 @@ class OverloadLadder:
     def __init__(self, policy: OverloadPolicy):
         self.policy = policy
         self.mode = GatewayMode.NORMAL
+        #: ``SHED_AT[self.mode]``, looked up once per rung change: a
+        #: lookup per frame would hash an enum member in Python.
+        self.shed_classes = SHED_AT[self.mode]
         #: ``(step, from, to, backlog)`` -- every rung change.
         self.transitions: List[Tuple[int, str, str, int]] = []
         self._calm_since: int = -1
 
     def sheds(self, traffic_class: str) -> bool:
-        return traffic_class in SHED_AT[self.mode]
+        return traffic_class in self.shed_classes
 
     def observe(self, backlog: int, now: int) -> GatewayMode:
         """Fold one step's backlog reading; returns the (new) mode."""
@@ -105,7 +108,7 @@ class OverloadLadder:
         elif backlog > policy.degraded_above:
             if self.mode is not GatewayMode.SAFE:
                 target = GatewayMode.DEGRADED
-        if target.value != self.mode.value and _rank(target) > _rank(self.mode):
+        if target is not self.mode and _rank(target) > _rank(self.mode):
             self._enter(target, backlog, now)
             self._calm_since = -1
             return self.mode
@@ -131,6 +134,7 @@ class OverloadLadder:
             (now, self.mode.value, mode.value, backlog)
         )
         self.mode = mode
+        self.shed_classes = SHED_AT[mode]
 
     def to_json(self) -> dict:
         return {

@@ -304,14 +304,7 @@ class FleetGateway:
         however many frames were drained -- this is the batching that
         buys the pipelined path its throughput."""
         self.ladder.observe(self.backlog_records, now)
-        shed_hook = (
-            self._shed_hook
-            if any(
-                self.ladder.sheds(c)
-                for c in (CLASS_DASHBOARD, CLASS_TELEMETRY, CLASS_ALERT)
-            )
-            else None
-        )
+        shed_hook = self._shed_hook if self.ladder.shed_classes else None
         budget = self.config.drain_records_per_step
         drained = 0
         acked: Dict[str, int] = {}

@@ -211,7 +211,9 @@ class FleetLoadGenerator:
         return rows
 
     def materialize(self) -> List[TelemetryRecord]:
-        """The full stream as records (what the uplink vehicles spool)."""
+        """The full stream as records.  No production path calls it (the
+        uplink vehicles spool :meth:`batch` rows); it stays because
+        ``e2e_bench/trace.py`` wraps it by name."""
         return list(map(record_from_row, self.batch()))
 
 

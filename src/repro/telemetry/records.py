@@ -23,9 +23,9 @@ omitted, so field positions are stable across kinds.
 from __future__ import annotations
 
 import enum
+from itertools import repeat
+from operator import itemgetter
 from typing import Optional, Tuple
-
-from repro.schema import c_encode_json, decode_json, json_markers
 
 #: Schema identifier of the wire record format.
 WIRE_SCHEMA = "repro-telemetry/1"
@@ -52,26 +52,38 @@ class RecordKind(enum.Enum):
 #: Fast path: wire string -> RecordKind (Enum call is surprisingly slow).
 KIND_BY_VALUE = {kind.value: kind for kind in RecordKind}
 
-#: Types a wire row may carry, by position (exact types: ``type(True)``
-#: is ``bool``, so a bool is not an int here).
-_S, _I = {str}, {int}
-_WIRE_TYPES = (_S, _S, _S, _S, _I, {int, type(None)}, _S, _S, _I, _I)
+#: The field types of a well-typed wire row, by position: only
+#: ``latency_ns`` may be ``None`` (exact types: ``type(True)`` is
+#: ``bool``, so a bool is not an int here).
+_WIRE_SIGNATURES = frozenset(
+    (str, str, str, str, int, latency, str, str, int, int)
+    for latency in (int, type(None))
+)
+
+
+def wire_fields_ok(rows) -> bool:
+    """True when every element of *rows* -- a ``list`` or a ``tuple`` --
+    holds :data:`WIRE_FIELDS` scalars of the right types with a known
+    kind.  Each row's tuple of field types is one set lookup, so the
+    check runs no Python code per row.  The vehicle spool checks each
+    batch with it before a row is encoded."""
+    return (
+        {list, tuple}.issuperset(map(type, rows))
+        and _WIRE_SIGNATURES.issuperset(
+            map(tuple, map(map, repeat(type), rows))
+        )
+        and KIND_BY_VALUE.keys() >= set(map(itemgetter(0), rows))
+    )
 
 
 def wire_rows_ok(rows: list) -> bool:
-    """True when every element of *rows* is a well-typed wire row: a
-    ``list`` of :data:`WIRE_FIELDS` scalars of the right types with a
-    known kind.  The one check rows from outside the process (an uplink
-    frame, a log read back) pass before any field is compared or kept."""
-    if not rows:
-        return True
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {WIRE_FIELDS}:
-        return False
-    columns = list(zip(*rows))
-    for column, allowed in zip(columns, _WIRE_TYPES):
-        if not allowed.issuperset(map(type, column)):
-            return False
-    return KIND_BY_VALUE.keys() >= set(columns[0])
+    """True when every element of *rows* is a well-typed wire row held
+    as a ``list`` (what a JSON parse yields): the one check rows from
+    outside the process (an uplink frame, a log read back) pass before
+    any field is compared or kept."""
+    return not rows or (
+        set(map(type, rows)) == {list} and wire_fields_ok(rows)
+    )
 
 
 class TelemetryRecord:
@@ -129,20 +141,6 @@ class TelemetryRecord:
         if fields[0] not in KIND_BY_VALUE:
             raise ValueError(f"unknown record kind {fields[0]!r}")
         return record_from_row(fields)
-
-    def encode_line(self) -> str:
-        """One compact JSON line (the persisted/transport form):
-        :func:`~repro.schema.encode_json` inlined, a call per record."""
-        try:
-            return "".join(c_encode_json(self.to_wire(), 0))
-        except BaseException:
-            json_markers.clear()
-            raise
-
-    @classmethod
-    def decode_line(cls, line: str) -> "TelemetryRecord":
-        """Inverse of :meth:`encode_line`."""
-        return cls.from_wire(tuple(decode_json(line)))
 
     # ------------------------------------------------------------------
     def __eq__(self, other) -> bool:

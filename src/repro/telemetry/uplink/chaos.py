@@ -16,7 +16,9 @@ a flake.
 The driver is the *omniscient ledger*: component counters die with the
 process they live in, so ground truth is kept here, as per-vehicle seq
 sets fed by the spool's ``on_evict`` and the client's ``on_acked`` /
-``on_shed`` hooks.  At the end of every uplink scenario it asserts:
+``on_shed`` hooks, which hand it seqs.  The vehicles spool the load
+generator's wire rows and the fault-free reference folds the same rows.
+At the end of every uplink scenario it asserts:
 
 - **ledger law** -- ``offered == acked + spooled + evicted + shed`` as
   a *disjoint set union* per vehicle (no record lost, none
@@ -44,7 +46,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator
-from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.uplink.ingest import (
     UplinkIngestor,
@@ -331,13 +332,14 @@ class _Vehicle:
     def __init__(
         self,
         source: str,
-        records: List[TelemetryRecord],
+        rows: List[tuple],
         wal_config: WalConfig,
         client_config: WindowedClientConfig,
         send,
     ):
         self.source = source
-        self.records = records
+        #: The wire rows this vehicle emits, in seq order.
+        self.rows = rows
         self.wal_config = wal_config
         self.client_config = client_config
         self._send = send
@@ -365,15 +367,9 @@ class _Vehicle:
             self.spooler, self._send, self.client_config,
             life=self.recoveries,
         )
-        self.spooler.on_evict = lambda lost: self.evicted.update(
-            record.seq for record in lost
-        )
-        self.client.on_acked = lambda released: self.acked.update(
-            record.seq for record in released
-        )
-        self.client.on_shed = lambda released: self.shed.update(
-            record.seq for record in released
-        )
+        self.spooler.on_evict = self.evicted.update
+        self.client.on_acked = self.acked.update
+        self.client.on_shed = self.shed.update
 
     def fold_proto(self) -> None:
         """Fold this client life's cumulative counters into the
@@ -385,14 +381,14 @@ class _Vehicle:
 
     # ------------------------------------------------------------------
     def emit(self, budget: int) -> None:
-        batch = self.records[self.cursor:self.cursor + budget]
+        batch = self.rows[self.cursor:self.cursor + budget]
         self.spooler.append_many(batch)
-        self.offered.update(record.seq for record in batch)
+        self.offered.update([row[9] for row in batch])
         self.cursor += len(batch)
 
     @property
     def drained(self) -> bool:
-        return self.cursor >= len(self.records)
+        return self.cursor >= len(self.rows)
 
     # ------------------------------------------------------------------
     def kill(self, torn_tail: bool) -> None:
@@ -405,10 +401,10 @@ class _Vehicle:
             self._tear_tail()
 
     def _tear_tail(self) -> None:
-        # Only the active segment's newest record can be mid-write, and
-        # only a still-pending record may be rewound in the ledger.
+        # Only the active segment's newest row can be mid-write, and
+        # only a still-pending row may be rewound in the ledger.
         active = self.spooler.segments[-1]
-        if not active.records:
+        if not active.seqs:
             return  # nothing pending in the tail file: clean crash
         raw = active.path.read_bytes()
         lines = raw.split(b"\n")
@@ -513,20 +509,20 @@ class ChaosDriver:
         return None
 
     def _make_vehicles(self) -> list:
-        """One vehicle per share of the materialized fleet stream (the
-        stream also feeds ``reference_digest``, while it is at hand)."""
+        """One vehicle per source of the generated fleet rows (the rows
+        also feed ``reference_digest``, while they are at hand)."""
         config = self.config
         fleet = config.fleet_config()
-        all_records = FleetLoadGenerator(fleet).materialize()
-        streams: Dict[str, List[TelemetryRecord]] = {
+        rows = FleetLoadGenerator(fleet).batch()
+        streams: Dict[str, List[tuple]] = {
             source: [] for source in fleet.vehicle_ids()
         }
-        for record in all_records:
-            streams[record.source].append(record)
+        for row in rows:
+            streams[row[1]].append(row)
 
-        # The fault-free reference: the same stream, ingested directly.
+        # The fault-free reference: the same rows, ingested directly.
         reference = TelemetryService(self._service_config())
-        apply_rows(reference, [record.to_wire() for record in all_records])
+        apply_rows(reference, rows)
         self.reference_digest = store_digest(reference)
 
         return [

@@ -15,10 +15,11 @@ list of rows -- per frame for a caller that syncs per frame, per step
 for the gateway.
 
 Durability follows the vehicle-side rule, mirrored: **append before
-ack**.  Fresh records and the per-frame watermark marker are written to
-an append-only :class:`~repro.telemetry.uplink.wal.RecordLog` -- the
-ingestor's only durable file -- and synced *before* the acknowledgment
-envelope is produced, so a fleet crash after an ack can always rebuild
+ack**.  A frame's fresh record lines (one write) and its watermark
+marker are written to an append-only
+:class:`~repro.telemetry.uplink.wal.RecordLog` -- the ingestor's only
+durable file -- and synced *before* the acknowledgment envelope is
+produced, so a fleet crash after an ack can always rebuild
 the acknowledged state.  The journal is base + redo: a checkpoint is
 one more entry holding the watermarks that moved and the store's
 ``applied`` count, nothing is truncated, and once the journal has
@@ -79,12 +80,30 @@ class DedupWatermark:
 
     def admit(self, seq: int) -> bool:
         """True exactly once per seq, however often it is offered."""
+        if seq == self.watermark + 1:
+            # In order, the common case: ``seen`` never holds the seq
+            # right above the watermark, so no lookup and no add.
+            self.watermark = seq
+            self.admitted += 1
+            if self.seen:
+                self._sweep()
+            return True
         if seq <= self.watermark or seq in self.seen:
             self.duplicates += 1
             return False
         self.seen.add(seq)
         self.admitted += 1
-        self._sweep()
+        return True
+
+    def admit_run(self, seqs: List[int]) -> bool:
+        """Admit all of *seqs* when they run on from the watermark with
+        nothing seen above it -- a frame in order, the common case --
+        as :meth:`admit` of each would; otherwise admit none, False."""
+        first = self.watermark + 1
+        if self.seen or seqs != list(range(first, first + len(seqs))):
+            return False
+        self.watermark += len(seqs)
+        self.admitted += len(seqs)
         return True
 
     def advance_to(self, seq: int) -> None:
@@ -319,6 +338,15 @@ class UplinkIngestor:
         )
         held = self._held.setdefault(source, {})
         newly_shed: List[int] = []
+        fresh: List[str] = []
+        if not (held or nominated) and dedup.admit_run(
+            [row[-1] for row in rows]
+        ):
+            # Every row fresh and settled, none waiting below them: they
+            # go to the store as they came, no stop in ``held``.
+            fresh = lines
+            self._ready += rows
+            rows = ()
         for row, line in zip(rows, lines):
             seq = row[-1]
             if seq in nominated:
@@ -336,11 +364,13 @@ class UplinkIngestor:
                 # per-source gap/reorder accounting, which is what
                 # keeps the store state byte-identical to fault-free
                 # direct ingest.
-                self.log.append_raw(line)
+                fresh.append(line)
                 held[seq] = row
-                self.records_fresh += 1
             else:
                 self.records_duplicate += 1
+        if fresh:
+            self.log.append_lines(fresh)
+            self.records_fresh += len(fresh)
         if newly_shed and self.on_shed_settled is not None:
             self.on_shed_settled(source, newly_shed)
         self.log.append_marker(source, dedup.watermark)

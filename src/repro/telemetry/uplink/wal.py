@@ -13,8 +13,8 @@ places at any time, which is the uplink's ledger law::
 - *spooled*: durable in a WAL segment, not yet acknowledged;
 - *acked*: the fleet service acknowledged it, the spool released it;
 - *evicted*: the bounded disk budget forced the oldest records out --
-  counted and reported through :attr:`WalSpooler.on_evict`, never
-  silent.
+  counted and reported (as seqs) through :attr:`WalSpooler.on_evict`,
+  never silent.
 
 Every durable log file is one format -- a JSON schema header line, then
 one ``crc32(body):body`` line per entry, ``body`` a compact JSON list --
@@ -24,8 +24,10 @@ away in place and counted; damage anywhere else raises
 :class:`WalCorruptionError`; a file holding only a torn header was being
 created when the process died and starts afresh.  The writers:
 
-- :class:`WalSpooler` -- the vehicle side.  Seq-indexed (per-source
-  monotone), supports cumulative acknowledgment (``ack_through``),
+- :class:`WalSpooler` -- the vehicle side.  Takes wire rows, encodes
+  each once and holds a pending row as its seq and its line, nothing
+  else; seq-indexed (per-source monotone), supports cumulative
+  acknowledgment (``ack_through``, which returns the released seqs),
   segment-file rotation every ``segment_max_records`` records written,
   a bounded disk budget with oldest-first eviction, and
   :meth:`WalSpooler.recover` crash recovery.
@@ -53,9 +55,10 @@ from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.schema import (
     SchemaVersionError,
@@ -65,7 +68,7 @@ from repro.schema import (
     encode_json_sorted,
     json_markers,
 )
-from repro.telemetry.records import TelemetryRecord, wire_rows_ok
+from repro.telemetry.records import wire_fields_ok, wire_rows_ok
 
 #: Schema identifier written into every WAL segment header.
 WAL_SCHEMA = "repro-uplink-wal/1"
@@ -240,15 +243,15 @@ class RecoveryReport:
 class _Segment:
     """In-memory mirror of one WAL segment file."""
 
-    __slots__ = ("index", "path", "records", "lines", "nbytes", "max_seq",
+    __slots__ = ("index", "path", "seqs", "lines", "nbytes", "max_seq",
                  "written", "closed")
 
     def __init__(self, index: int, path: Path):
         self.index = index
         self.path = path
-        #: Pending (not yet acked/evicted) records, in append order.
-        self.records: List[TelemetryRecord] = []
-        #: CRC-framed wire lines, aligned 1:1 with :attr:`records`.  The
+        #: Seqs of the pending (not yet acked/evicted) rows, ascending.
+        self.seqs: List[int] = []
+        #: CRC-framed wire lines, aligned 1:1 with :attr:`seqs`.  The
         #: spooler pays the JSON encode exactly once (at append), and
         #: frame building / relay reuses the cached line verbatim.
         self.lines: List[str] = []
@@ -290,8 +293,8 @@ class WalSpooler:
         self.acked = 0
         self.evicted = 0
         self.truncated = 0
-        #: Called with the list of pending records an eviction removed.
-        self.on_evict: Optional[Callable[[List[TelemetryRecord]], None]] = None
+        #: Called with the seqs of the pending rows an eviction removed.
+        self.on_evict: Optional[Callable[[List[int]], None]] = None
         if not _from_recover:
             config.directory.mkdir(parents=True, exist_ok=True)
             if list(config.directory.glob("wal-*.log")):
@@ -327,52 +330,39 @@ class WalSpooler:
         self.segments.append(segment)
         return segment
 
-    def _active(self) -> _Segment:
-        return self.segments[-1]
-
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Records appended but neither acked nor evicted."""
-        return sum(len(segment.records) for segment in self.segments)
+        """Rows appended but neither acked nor evicted."""
+        return sum(len(segment.seqs) for segment in self.segments)
 
     @property
     def total_bytes(self) -> int:
         return sum(segment.nbytes for segment in self.segments)
 
-    def pending_records(
-        self, limit: Optional[int] = None
-    ) -> List[TelemetryRecord]:
-        """The oldest pending records, in seq order (send order)."""
-        out: List[TelemetryRecord] = []
-        for segment in self.segments:
-            for record in segment.records:
-                out.append(record)
-                if limit is not None and len(out) >= limit:
-                    return out
-        return out
-
     def pending_seqs(self) -> List[int]:
-        return [r.seq for s in self.segments for r in s.records]
+        return [seq for segment in self.segments for seq in segment.seqs]
 
     def pending_entries(
         self, limit: Optional[int] = None, above_seq: int = -1
-    ) -> List[Tuple[TelemetryRecord, str]]:
-        """Oldest pending ``(record, wire line)`` pairs above ``above_seq``.
+    ) -> List[Tuple[int, str]]:
+        """Oldest pending ``(seq, wire line)`` pairs above ``above_seq``.
 
         The line is the exact CRC-framed entry on disk; the windowed
         client joins these into multi-record frames without re-encoding.
         """
-        out: List[Tuple[TelemetryRecord, str]] = []
+        out: List[Tuple[int, str]] = []
         for segment in self.segments:
             if segment.max_seq <= above_seq:
                 continue
-            for record, line in zip(segment.records, segment.lines):
-                if record.seq <= above_seq:
-                    continue
-                out.append((record, line))
-                if limit is not None and len(out) >= limit:
-                    return out
+            seqs = segment.seqs
+            start = bisect_right(seqs, above_seq)
+            stop = len(seqs)
+            if limit is not None:
+                stop = min(stop, start + limit - len(out))
+            out += zip(seqs[start:stop], segment.lines[start:stop])
+            if limit is not None and len(out) >= limit:
+                break
         return out
 
     @property
@@ -381,52 +371,51 @@ class WalSpooler:
 
         Equals the oldest pending seq, or ``last_seq + 1`` when the
         spool is drained.  Evictions raise the floor past the evicted
-        records, which is exactly what lets the ingest watermark skip
+        rows, which is exactly what lets the ingest watermark skip
         them instead of waiting forever.
         """
         for segment in self.segments:
-            if segment.records:
-                return segment.records[0].seq
+            if segment.seqs:
+                return segment.seqs[0]
         return self.last_seq + 1
 
     # ------------------------------------------------------------------
-    def append(self, record: TelemetryRecord) -> None:
-        """Durably spool one record (must carry a fresh, higher seq)."""
-        self.append_many([record])
-
-    def append_many(self, records: List[TelemetryRecord]) -> None:
-        """Durably spool a batch with one flush (and one fsync).
-
-        Same per-record guarantees as :meth:`append` -- every record
-        hits the file before the method returns -- but the batch is
-        written once per segment it lands in and the flush/fsync cost
-        is paid once, which is what makes the pipelined uplink's emit
-        path cheap.  A batch whose seqs do not increase is refused
-        whole.
-        """
-        if not records:
+    def append_many(self, rows: list) -> None:
+        """Durably spool a batch of wire rows (``row[9]`` is the seq):
+        written once per segment it lands in, with one flush (and one
+        fsync).  A batch that is not well-typed wire rows
+        (:func:`~repro.telemetry.records.wire_fields_ok`: the fleet
+        would refuse every frame carrying one) or whose seqs do not
+        increase is refused whole, before anything is encoded."""
+        if not rows:
             return
+        if not wire_fields_ok(rows):
+            raise ValueError("append_many takes well-typed wire rows")
+        seqs = [row[9] for row in rows]
         last = self.last_seq
-        for record in records:
-            if record.seq <= last:
-                raise ValueError(
-                    f"seq must increase: {record.seq} after {last}"
-                )
-            last = record.seq
-        lines = [encode_entry(record.encode_line()) for record in records]
+        for seq in seqs:
+            if seq <= last:
+                raise ValueError(f"seq must increase: {seq} after {last}")
+            last = seq
+        # encode_json() and encode_entry() inlined, one line per row;
+        # the check above leaves the encode nothing to fail on.
+        bodies = ["".join(c_encode_json(row, 0)) for row in rows]
+        lines = [
+            "%08x:%s" % (zlib.crc32(body.encode()), body) for body in bodies
+        ]
         limit = self.config.segment_max_records
         start = 0
         while start < len(lines):
-            segment = self._active()
+            segment = self.segments[-1]
             if segment.written >= limit:
                 segment = self._rotate(segment)
             end = start + limit - segment.written
             chunk = lines[start:end]
             self._file.write("\n".join(chunk) + "\n")
-            segment.records.extend(records[start:end])
-            segment.lines.extend(chunk)
+            segment.seqs += seqs[start:end]
+            segment.lines += chunk
             segment.nbytes += sum(map(len, chunk)) + len(chunk)
-            segment.max_seq = segment.records[-1].seq
+            segment.max_seq = segment.seqs[-1]
             segment.written += len(chunk)
             start = end
         self.last_seq = last
@@ -452,7 +441,7 @@ class WalSpooler:
             victim = next((s for s in self.segments if s.closed), None)
             if victim is None:
                 return  # only the active segment left: exempt
-            lost = victim.records
+            lost = victim.seqs
             self.segments.remove(victim)
             victim.path.unlink(missing_ok=True)
             self.evicted += len(lost)
@@ -460,35 +449,30 @@ class WalSpooler:
                 self.on_evict(lost)
 
     # ------------------------------------------------------------------
-    def ack_through(self, seq: int) -> List[TelemetryRecord]:
-        """Release every pending record with ``record.seq <= seq``.
+    def ack_through(self, seq: int) -> List[int]:
+        """Release every pending row with a seq at or below *seq*.
 
-        Returns the released records; persists the watermark so a
-        recovery never resurrects acknowledged records.  Stale (lower)
+        Returns the released seqs; persists the watermark so a
+        recovery never resurrects acknowledged rows.  Stale (lower)
         watermarks are no-ops -- acks are cumulative.
         """
         if seq <= self.ack_mark:
             return []
         # Mark first, release second: a crash mid-write falls back to
-        # the previous mark with every record above it still on disk.
+        # the previous mark with every row above it still on disk.
         self.ack_mark = seq
         if self._mark_lines >= self.config.segment_max_records:
             self._compact_mark()
         else:
             self._write_mark()
-        released: List[TelemetryRecord] = []
+        released: List[int] = []
         for segment in list(self.segments):
-            if segment.records and segment.records[0].seq <= seq:
-                keep = []
-                keep_lines = []
-                for record, line in zip(segment.records, segment.lines):
-                    if record.seq > seq:
-                        keep.append(record)
-                        keep_lines.append(line)
-                    else:
-                        released.append(record)
-                segment.records = keep
-                segment.lines = keep_lines
+            seqs = segment.seqs
+            if seqs and seqs[0] <= seq:
+                cut = bisect_right(seqs, seq)
+                released += seqs[:cut]
+                del seqs[:cut]
+                del segment.lines[:cut]
             if segment.closed and segment.max_seq <= seq:
                 segment.path.unlink(missing_ok=True)
                 self.segments.remove(segment)
@@ -578,21 +562,17 @@ class WalSpooler:
 
         for file_no, path in enumerate(paths):
             is_last = file_no == len(paths) - 1
-            segment, seqs, dropped = cls._read_segment(
+            segment, dropped = cls._read_segment(
                 path, source, is_last=is_last
             )
             report.truncated_lines += dropped
             spooler.truncated += dropped
             if segment is None:
                 continue  # torn header on the last file: removed
-            if seqs:
-                last_seq = max(last_seq, seqs[-1])
-            kept = [
-                (r, ln) for r, ln in zip(segment.records, segment.lines)
-                if r.seq > spooler.ack_mark
-            ]
-            segment.records = [r for r, _ in kept]
-            segment.lines = [ln for _, ln in kept]
+            last_seq = max(last_seq, segment.max_seq)
+            cut = bisect_right(segment.seqs, spooler.ack_mark)
+            del segment.seqs[:cut]
+            del segment.lines[:cut]
             segment.closed = True
             spooler.segments.append(segment)
 
@@ -639,8 +619,9 @@ class WalSpooler:
     @staticmethod
     def _read_segment(
         path: Path, source: str, is_last: bool
-    ) -> Tuple[Optional[_Segment], List[int], int]:
-        """Parse one segment file -> (segment, seqs seen, torn lines).
+    ) -> Tuple[Optional[_Segment], int]:
+        """Parse one segment file -> (segment, torn lines); each entry
+        is kept as its seq and line, no record is built.
 
         Repairs a torn tail in place (truncate); ``segment is None``
         when the last file's *header* was torn (file removed).
@@ -649,7 +630,7 @@ class WalSpooler:
             fields = decode_entry(line)
             if not wire_rows_ok([fields]):
                 return None
-            return TelemetryRecord.from_wire(fields), line
+            return fields[9], line
 
         header, entries, kept_bytes, dropped = scan_log(
             path, WAL_SCHEMA, parse, tail_may_tear=is_last
@@ -657,17 +638,16 @@ class WalSpooler:
         if header is None:
             if is_last:
                 path.unlink(missing_ok=True)
-                return None, [], dropped
+                return None, dropped
             raise WalCorruptionError(f"{path}: unreadable segment header")
         segment = _Segment(int(path.stem.split("-")[1]), path)
-        segment.records = [record for record, _ in entries]
+        segment.seqs = [seq for seq, _ in entries]
         segment.lines = [line for _, line in entries]
         segment.written = len(entries)
-        seqs = [record.seq for record in segment.records]
-        if seqs:
-            segment.max_seq = seqs[-1]
+        if entries:
+            segment.max_seq = segment.seqs[-1]
         segment.nbytes = kept_bytes
-        return segment, seqs, dropped
+        return segment, dropped
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -805,14 +785,15 @@ class RecordLog(AppendLog):
             self.create()
 
     # ------------------------------------------------------------------
-    def append_raw(self, entry: str) -> None:
-        """Append an already CRC-framed entry line verbatim.
+    def append_lines(self, lines: List[str]) -> None:
+        """Append already CRC-framed entry lines verbatim, one write.
 
-        The frame path hands the vehicle's WAL lines straight through:
-        the CRC was verified at decode, so nothing is re-encoded.
+        The frame path hands a frame's fresh WAL lines straight through:
+        their CRCs were verified at decode, so nothing is re-encoded.
         """
-        self._write(entry)
-        self.entries += 1
+        self._file.write("\n".join(lines) + "\n")
+        self.nbytes += sum(map(len, lines)) + len(lines)
+        self.entries += len(lines)
 
     def append_marker(self, source: str, seq: int) -> None:
         try:  # encode_json() inlined: a marker follows every frame

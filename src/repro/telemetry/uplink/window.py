@@ -39,7 +39,8 @@ at all), which keeps a partitioned vehicle from hammering the link.
 The client owns no durability: records live in the
 :class:`~repro.telemetry.uplink.wal.WalSpooler` until acked, so a
 client crash loses nothing -- a fresh client over the recovered spool
-resumes exactly where the acks stopped.
+resumes exactly where the acks stopped.  It reads ``(seq, line)`` pairs
+and hands its ``on_acked`` / ``on_shed`` hooks the released seqs.
 
 Gateway sessions are optional: give the config a ``token`` and the
 client performs the HELLO/WELCOME handshake first, honors advertised
@@ -60,7 +61,6 @@ from typing import Callable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.uplink.transport import (
     ACK_SCHEMA,
     REJECT_SCHEMA,
@@ -189,10 +189,10 @@ class WindowedUplinkClient:
         self._dup_count = 0
         #: Every seq the gateway ever announced as shed (cumulative).
         self.shed_announced: Set[int] = set()
-        #: Called with the records a fresh ack released as *acked*.
-        self.on_acked: Optional[Callable[[List[TelemetryRecord]], None]] = None
-        #: Called with the records a fresh ack released as *shed*.
-        self.on_shed: Optional[Callable[[List[TelemetryRecord]], None]] = None
+        #: Called with the seqs a fresh ack released as *acked*.
+        self.on_acked: Optional[Callable[[List[int]], None]] = None
+        #: Called with the seqs a fresh ack released as *shed*.
+        self.on_shed: Optional[Callable[[List[int]], None]] = None
         # Counters.
         self.frames_sent = 0
         self.records_sent = 0
@@ -252,16 +252,6 @@ class WindowedUplinkClient:
         return None
 
     # ------------------------------------------------------------------
-    def _entries_for(self, lo: int, hi: int) -> List[Tuple[TelemetryRecord, str]]:
-        """Still-pending, not-shed entries of a frame's seq range."""
-        out = []
-        for record, line in self.spooler.pending_entries(above_seq=lo - 1):
-            if record.seq > hi:
-                break
-            if record.seq not in self.shed_announced:
-                out.append((record, line))
-        return out
-
     def _transmit(self, frame: _Frame, now: int) -> None:
         """(Re)send one frame from current spool state.
 
@@ -270,17 +260,21 @@ class WindowedUplinkClient:
         is what lets the ingest watermark sweep past the gap and retire
         the frame.
         """
-        entries = self._entries_for(frame.lo_seq, frame.hi_seq)
+        lo, hi = frame.lo_seq, frame.hi_seq
+        lines = [  # the still-pending, not-shed lines of the range
+            line for seq, line in self.spooler.pending_entries(
+                limit=hi - lo + 1, above_seq=lo - 1
+            ) if seq <= hi and seq not in self.shed_announced
+        ]
         payload = encode_frame(
-            self.source, frame.frame_id, self.spooler.floor_seq,
-            [line for _, line in entries],
+            self.source, frame.frame_id, self.spooler.floor_seq, lines,
         )
         self._send(payload, now)
-        frame.count = len(entries)
+        frame.count = len(lines)
         frame.deadline = now + self.config.ack_timeout
         frame.flying = True
         self.frames_sent += 1
-        self.records_sent += len(entries)
+        self.records_sent += len(lines)
 
     def _backoff(self, tries: int) -> int:
         config = self.config
@@ -434,17 +428,14 @@ class WindowedUplinkClient:
             entries = self.spooler.pending_entries(
                 limit=take, above_seq=self._sent_through
             )
-            entries = [
-                (r, ln) for r, ln in entries
-                if r.seq not in self.shed_announced
-            ]
+            entries = [e for e in entries if e[0] not in self.shed_announced]
             if not entries:
                 break
             self._stalled = False
             frame = _Frame(
                 frame_id=self._next_frame_id,
-                lo_seq=entries[0][0].seq,
-                hi_seq=entries[-1][0].seq,
+                lo_seq=entries[0][0],
+                hi_seq=entries[-1][0],
                 count=len(entries),
                 deadline=now + config.ack_timeout,
             )
@@ -489,9 +480,9 @@ class WindowedUplinkClient:
         ack_through = doc["ack_through"]
         released = self.spooler.ack_through(ack_through)
         if released:
-            acked = [r for r in released
-                     if r.seq not in self.shed_announced]
-            shed = [r for r in released if r.seq in self.shed_announced]
+            announced = self.shed_announced
+            acked = [seq for seq in released if seq not in announced]
+            shed = [seq for seq in released if seq in announced]
             if acked and self.on_acked is not None:
                 self.on_acked(acked)
             if shed:

@@ -61,7 +61,7 @@ class PerFrameIngestor(UplinkIngestor):
                     self.records_duplicate += 1
                 continue
             if dedup.admit(record.seq):
-                self.log.append_raw(line)
+                self.log.append_lines([line])
                 held[record.seq] = list(record.to_wire())
                 self.records_fresh += 1
             else:

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from repro.adaptive import BudgetEpoch, EpochLedger, VehicleEpochAgent
 from repro.adaptive.epochs import EpochLedgerError
 from repro.faults.degradation import DegradationMode
-from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.uplink.transport import encode_epoch_frame
 from repro.telemetry.uplink.wal import RecordLog, WalConfig, WalSpooler
 
@@ -32,12 +31,8 @@ def _epoch(epoch_id):
     )
 
 
-def _rec(seq):
-    return TelemetryRecord(
-        kind=RecordKind.SEGMENT, source="v0", chain="c", segment="c/s0",
-        activation=seq, latency_ns=10, verdict="ok", timestamp_ns=seq,
-        seq=seq,
-    )
+def _row(seq):
+    return ("segment", "v0", "c", "c/s0", seq, 10, "ok", "", seq, seq)
 
 
 def _frame(epoch_id):
@@ -63,7 +58,7 @@ class _WalSegment:
         return spooler, report.truncated_lines, spooler.pending_seqs()
 
     def append(self, spooler):
-        spooler.append(_rec(spooler.last_seq + 1))
+        spooler.append_many([_row(spooler.last_seq + 1)])
 
 
 class _AckMark(_WalSegment):
@@ -76,7 +71,7 @@ class _AckMark(_WalSegment):
         return spooler, report.mark_truncated_lines, spooler.ack_mark
 
     def append(self, spooler):
-        spooler.append(_rec(spooler.last_seq + 1))
+        spooler.append_many([_row(spooler.last_seq + 1)])
         spooler.ack_through(spooler.last_seq)
 
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.schema import encode_json
 from repro.telemetry import ServiceConfig, TelemetryService
 from repro.telemetry.gateway import (
     CLASS_ALERT,
@@ -48,7 +49,7 @@ def _frame(records, frame_id=0, source="veh00", floor=None):
     floor = records[0].seq if floor is None else floor
     return encode_frame(
         source, frame_id, floor,
-        [encode_entry(r.encode_line()) for r in records],
+        [encode_entry(encode_json(r.to_wire())) for r in records],
     )
 
 

@@ -4,8 +4,8 @@
 separators=(",", ":"))`` without and with ``sort_keys``, and
 ``decode_json`` must equal ``json.loads``: the same value, or the same
 exception type and message.  The sites that call the C objects inline
-(record lines, envelopes, WAL bodies, journal markers) are held to the
-same contract.  The encoders share one circular-reference marker dict
+(spooled row lines, envelopes, WAL bodies, journal markers) are held to
+the same contract.  The encoders share one circular-reference marker dict
 that a failed encode would leave dirty, so every failure path must
 leave it empty: an encode after a failure is still correct.
 """
@@ -19,9 +19,14 @@ from hypothesis import strategies as st
 
 from repro import schema
 from repro.schema import decode_json, encode_json, encode_json_sorted
-from repro.telemetry.records import TelemetryRecord, segment_record
 from repro.telemetry.uplink.transport import decode_envelope, encode_envelope
-from repro.telemetry.uplink.wal import RecordLog, _body_fields, encode_entry
+from repro.telemetry.uplink.wal import (
+    RecordLog,
+    WalConfig,
+    WalSpooler,
+    _body_fields,
+    encode_entry,
+)
 
 COMPACT = (",", ":")
 
@@ -128,12 +133,22 @@ def test_inline_envelope_encode_equals_json_dumps(doc):
     assert encode_envelope(doc) == encode_entry(dumps(doc, True))
 
 
-def test_record_line_equals_json_dumps():
-    record = segment_record(
-        "vehicle-\u00e9", "front", "front/s0", 2**70, -0.0, "ok", 5, 6
+def _spooler(tmp_path):
+    return WalSpooler.open_fresh(
+        WalConfig(tmp_path / "wal", fsync="never"), "v"
     )
-    assert record.encode_line() == dumps(list(record.to_wire()))
-    assert TelemetryRecord.decode_line(record.encode_line()) == record
+
+
+def test_record_line_equals_json_dumps(tmp_path):
+    """The spool's inline encode of a row: CRC-framed ``json.dumps``."""
+    row = ("segment", "vehicle-\u00e9\U0001f600", "front", "front/s0",
+           2**70, -(2**64), "ok", "\x00\u2028", 5, 6)
+    spooler = _spooler(tmp_path)
+    spooler.append_many([row])
+    [(seq, line)] = spooler.pending_entries()
+    assert (seq, line) == (6, encode_entry(dumps(list(row))))
+    assert decode_json(line[9:]) == list(row)
+    spooler.close()
 
 
 def _circular():
@@ -175,11 +190,16 @@ def test_failed_encode_raises_like_dumps_and_leaves_no_marker(
 
 
 def test_inline_encode_sites_clear_the_markers_on_failure(tmp_path):
-    record = segment_record("v", "c", "c/s0", 1, 2, "ok", 3, 4)
-    record.chain = object()
-    with pytest.raises(TypeError):
-        record.encode_line()
+    # The spool refuses a row it cannot encode before encoding any.
+    row = ["segment", "v", object(), "c/s0", 1, 2, "ok", "", 3, 4]
+    spooler = _spooler(tmp_path)
+    with pytest.raises(ValueError):
+        spooler.append_many([row])
     assert schema.json_markers == {}
+    row[2] = "c"
+    spooler.append_many([row])
+    assert spooler.pending_entries() == [(4, encode_entry(dumps(row)))]
+    spooler.close()
     envelope = {"schema": "x", "bad": [math.pi, object()]}
     with pytest.raises(TypeError):
         encode_envelope(envelope)

@@ -15,6 +15,7 @@ import pytest
 from _differential import reference_engines
 from _reference import scalar_store
 
+from repro.schema import encode_json
 from repro.faults.campaign import CampaignConfig, FaultCampaign, default_scenarios
 from repro.faults.degradation import GracefulDegradationManager
 from repro.perception.stack import PerceptionStack, StackConfig
@@ -46,7 +47,7 @@ def _stream_bytes(records) -> str:
     """One JSON line per record under a schema header line: the bytes
     the pinned stream digests below were taken of."""
     lines = [json.dumps({"schema": WIRE_SCHEMA})]
-    lines.extend(record.encode_line() for record in records)
+    lines.extend(encode_json(record.to_wire()) for record in records)
     return "\n".join(lines) + "\n"
 
 

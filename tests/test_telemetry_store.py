@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from _telemetry import apply_one
 
+from repro.schema import decode_json, encode_json
 from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.store import ChainStateStore, StoreConfig
 
@@ -169,7 +170,8 @@ class TestWireFormat:
     @settings(max_examples=50, deadline=None)
     def test_stream_codec_round_trip(self, latencies):
         records = [_segment("v0", i, i, lat) for i, lat in enumerate(latencies)]
-        text = "\n".join(record.encode_line() for record in records)
+        text = "\n".join(encode_json(record.to_wire()) for record in records)
         assert [
-            TelemetryRecord.decode_line(line) for line in text.splitlines()
+            TelemetryRecord.from_wire(decode_json(line))
+            for line in text.splitlines()
         ] == records

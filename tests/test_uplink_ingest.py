@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.schema import SchemaVersionError
+from _reference.dedup_admit import SweepEveryAdmitWatermark
+from repro.schema import SchemaVersionError, encode_json
 from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.store import StoreConfig
@@ -36,7 +37,7 @@ def _rec(source, seq, miss=False):
 def _frame(source, frame_id, records, floor=0):
     return encode_frame(
         source, frame_id, floor,
-        [encode_entry(record.encode_line()) for record in records],
+        [encode_entry(encode_json(record.to_wire())) for record in records],
     )
 
 
@@ -147,6 +148,52 @@ class TestDedupWatermark:
         assert dedup.admitted == len(admitted)
         offered = [v for op, v in ops if op == "offer"]
         assert dedup.admitted + dedup.duplicates == len(offered)
+
+
+    @given(data=st.data(), start=st.integers(-1, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_admit_equals_the_sweep_every_admit_oracle(self, data, start):
+        """The in-order fast paths change no outcome: after any admit /
+        ``admit_run`` / ``advance_to`` order, duplicates included, the
+        watermark, the seen set and both counters equal those of the
+        admit that put every seq into ``seen`` and swept after each one
+        (``admit_run`` either admits its whole run, as one oracle admit
+        per seq would, or nothing)."""
+        fresh = list(range(10))
+        replays = data.draw(st.lists(st.sampled_from(fresh), max_size=10))
+        ops = [("offer", seq)
+               for seq in data.draw(st.permutations(fresh + replays))]
+        for at, op in data.draw(st.lists(
+            st.tuples(st.integers(0, len(ops)), st.one_of(
+                st.tuples(st.just("advance"), st.integers(-1, 10)),
+                # admit_run of [watermark + 1 + skew, ...), length n.
+                st.tuples(st.just("run"), st.integers(-1, 1),
+                          st.integers(0, 4)),
+            )),
+            max_size=6,
+        )):
+            ops.insert(at, op)
+        dedup = DedupWatermark(start)
+        oracle = SweepEveryAdmitWatermark(start)
+
+        def state(w):
+            return w.watermark, set(w.seen), w.admitted, w.duplicates
+
+        for op in ops:
+            if op[0] == "offer":
+                assert dedup.admit(op[1]) is oracle.admit(op[1])
+            elif op[0] == "advance":
+                dedup.advance_to(op[1])
+                oracle.advance_to(op[1])
+            else:
+                first = dedup.watermark + 1 + op[1]
+                run = list(range(first, first + op[2]))
+                before = state(dedup)
+                if dedup.admit_run(run):
+                    assert all([oracle.admit(seq) for seq in run])
+                else:
+                    assert state(dedup) == before
+            assert state(dedup) == state(oracle)
 
 
 class TestIngestor:

@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 from _reference.full_snapshot_ingest import FullSnapshotIngestor
 from _reference.per_frame_ingest import PerFrameIngestor
-from repro.schema import SchemaVersionError
+from repro.schema import SchemaVersionError, encode_json
 from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.store import ChainState, StoreConfig
@@ -81,7 +81,8 @@ def _rec(source, seq):
 def _frame(source, frame_id, seqs):
     return encode_frame(
         source, frame_id, 0,
-        [encode_entry(_rec(source, seq).encode_line()) for seq in seqs],
+        [encode_entry(encode_json(_rec(source, seq).to_wire()))
+         for seq in seqs],
     )
 
 
@@ -460,8 +461,9 @@ class TestCheckpointWorkIsProportionalToWhatChanged:
         for vehicle in range(100):  # 100 sources x 2 chains
             ingestor.handle_payload(encode_frame(
                 f"veh{vehicle:03d}", 0, 0,
-                [encode_entry(_wide_rec(vehicle, chain, seq).encode_line())
-                 for seq, chain in enumerate(CHAINS)],
+                [encode_entry(encode_json(
+                    _wide_rec(vehicle, chain, seq).to_wire()
+                )) for seq, chain in enumerate(CHAINS)],
             ))
         ingestor.checkpoint()  # the base: a full snapshot
         assert calls["to_json"] == 200
@@ -474,9 +476,9 @@ class TestCheckpointWorkIsProportionalToWhatChanged:
                 next_seq[vehicle] += 2
                 ingestor.handle_payload(encode_frame(
                     f"veh{vehicle:03d}", 1 + round_no, 0,
-                    [encode_entry(_wide_rec(
+                    [encode_entry(encode_json(_wide_rec(
                         vehicle, chain, next_seq[vehicle] + i
-                    ).encode_line()) for i, chain in enumerate(CHAINS)],
+                    ).to_wire())) for i, chain in enumerate(CHAINS)],
                 ))
             ingestor.checkpoint()
             assert calls["to_json"] == 0

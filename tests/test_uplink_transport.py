@@ -1,6 +1,7 @@
 """Uplink envelopes + the adversarial channel: framing integrity,
 deterministic fault injection, and channel accounting."""
 
+from repro.schema import encode_json
 from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.uplink.transport import (
     ACK_SCHEMA,
@@ -42,7 +43,8 @@ class TestEnvelopes:
 
     def test_batch_round_trip(self):
         records = [_rec(i) for i in range(5)]
-        lines = [encode_entry(record.encode_line()) for record in records]
+        lines = [encode_entry(encode_json(record.to_wire()))
+                 for record in records]
         header, decoded, raw = decode_frame(encode_frame("v0", 3, 0, lines))
         assert header["schema"] == FRAME_SCHEMA
         assert header["source"] == "v0"

@@ -1,6 +1,7 @@
 """Vehicle WAL spooler + fleet record log: rotation, ack, eviction,
-crash recovery with torn tails, the ack-mark journal, and the replay
-round-trip / crash-interleaving properties."""
+crash recovery with torn tails, the ack-mark journal, the refusal of
+rows the fleet would refuse, and the replay round-trip /
+crash-interleaving properties against a dict model of seq -> line."""
 
 import tempfile
 from pathlib import Path
@@ -9,8 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.schema import SchemaVersionError
-from repro.telemetry.records import RecordKind, TelemetryRecord
+from repro import schema
+from repro.schema import SchemaVersionError, encode_json
+from repro.telemetry import ServiceConfig, TelemetryService
+from repro.telemetry.records import (
+    segment_record,
+    wire_fields_ok,
+    wire_rows_ok,
+)
+from repro.telemetry.uplink import (
+    UplinkIngestor,
+    WindowedClientConfig,
+    WindowedUplinkClient,
+    decode_envelope,
+)
 from repro.telemetry.uplink.wal import (
     RecordLog,
     WAL_MARK_SCHEMA,
@@ -22,12 +35,18 @@ from repro.telemetry.uplink.wal import (
 )
 
 
-def _rec(source, seq, latency=10):
-    return TelemetryRecord(
-        kind=RecordKind.SEGMENT, source=source, chain="c", segment="c/s0",
-        activation=seq, latency_ns=latency, verdict="ok",
-        timestamp_ns=seq * 100, seq=seq,
-    )
+def _row(source, seq, latency=10):
+    return ("segment", source, "c", "c/s0", seq, latency, "ok", "",
+            seq * 100, seq)
+
+
+def _line(row):
+    """The spool's line of *row*: CRC-framed compact JSON."""
+    return encode_entry(encode_json(row))
+
+
+def _seqs(spooler, **kwargs):
+    return [seq for seq, _ in spooler.pending_entries(**kwargs)]
 
 
 def _config(tmp_path, **kwargs):
@@ -49,11 +68,11 @@ def _tear_tail(directory):
 
 class TestFraming:
     def test_entry_round_trip(self):
-        body = _rec("v0", 3).encode_line()
+        body = encode_json(_row("v0", 3))
         assert decode_entry(encode_entry(body)) is not None
 
     def test_damaged_entry_rejected(self):
-        line = encode_entry(_rec("v0", 3).encode_line())
+        line = encode_entry(encode_json(_row("v0", 3)))
         assert decode_entry(line[:-4]) is None
         assert decode_entry("zz" + line[2:]) is None
         assert decode_entry("short") is None
@@ -63,7 +82,7 @@ class TestSpooler:
     def test_append_rotates_segments(self, tmp_path):
         spooler = WalSpooler.open_fresh(_config(tmp_path), "v0")
         for i in range(9):
-            spooler.append(_rec("v0", i))
+            spooler.append_many([_row("v0", i)])
         # 4-record segments: two closed + the active third.
         assert len(spooler.segments) == 3
         assert spooler.pending == 9
@@ -71,25 +90,100 @@ class TestSpooler:
 
     def test_seq_must_increase(self, tmp_path):
         spooler = WalSpooler.open_fresh(_config(tmp_path), "v0")
-        spooler.append(_rec("v0", 5))
+        spooler.append_many([_row("v0", 5)])
         with pytest.raises(ValueError):
-            spooler.append(_rec("v0", 5))
+            spooler.append_many([_row("v0", 5)])
         with pytest.raises(ValueError):
-            spooler.append(_rec("v0", 2))
+            spooler.append_many([_row("v0", 2)])
 
-    def test_pending_records_order_and_limit(self, tmp_path):
+    @pytest.mark.parametrize("poison", [
+        _row("v0", 1, latency=1.5),  # a float latency
+        ("segment", "v0", "c", "c/s0", 1, 10, "ok", "", 100, True),
+        ("segment", "v0", "c", "c/s0", 1, 10, "ok", "", 100, "1"),
+        ("bogus", "v0", "c", "c/s0", 1, 10, "ok", "", 100, 1),
+        _row("v0", 1)[:9],
+        segment_record("v0", "c", "c/s0", 1, 10, "ok", 100, 1),
+    ], ids=["float_latency", "bool_seq", "str_seq", "unknown_kind",
+            "nine_fields", "record_object"])
+    def test_a_row_the_fleet_would_refuse_is_refused_whole(
+        self, tmp_path, poison
+    ):
+        spooler = WalSpooler.open_fresh(_config(tmp_path), "v0")
+        spooler.append_many([_row("v0", 0)])
+        path = sorted(spooler.config.directory.glob("wal-*.log"))[-1]
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            spooler.append_many([_row("v0", 1), poison])
+        # Nothing written, nothing counted, no encoder marker left.
+        assert path.read_bytes() == before
+        assert spooler.pending_seqs() == [0]
+        assert (spooler.last_seq, spooler.appended) == (0, 1)
+        assert schema.json_markers == {}
+        spooler.append_many([_row("v0", 1)])
+        assert spooler.pending_seqs() == [0, 1]
+
+    def test_poison_row_cannot_hold_a_good_row_hostage(self, tmp_path):
+        """A row with ``latency_ns=1.5`` once spooled next to a good
+        one: every frame carrying it failed the fleet's row check, the
+        breaker kept opening and the good seq 0 never reached the
+        store.  Refused at the spool, it costs nothing downstream."""
+        spooler = WalSpooler.open_fresh(_config(tmp_path), "v0")
+        poison = segment_record("v0", "c", "c/s0", 1, 1.5, "ok", 100, 1)
+        with pytest.raises(ValueError):
+            spooler.append_many([_row("v0", 0), poison.to_wire()])
+        spooler.append_many([_row("v0", 0)])
+        ingestor = UplinkIngestor(
+            TelemetryService(ServiceConfig()), Path(tmp_path) / "fleet",
+            fsync="never", checkpoint_every=None,
+        )
+        outbox = []
+        client = WindowedUplinkClient(
+            spooler, lambda payload, now: outbox.append(payload) or True,
+            WindowedClientConfig(),
+        )
+        for now in range(200):
+            client.tick(now)
+            while outbox:
+                ack = ingestor.handle_payload(outbox.pop(0), now)
+                if ack:
+                    client.on_ack(decode_envelope(ack), now)
+            if client.idle():
+                break
+        assert client.idle() and client.circuit_opens == 0
+        assert ingestor.corrupt_payloads == 0
+        assert ingestor.service.store.applied == 1
+
+    def test_pending_entries_order_and_limit(self, tmp_path):
         spooler = WalSpooler.open_fresh(_config(tmp_path), "v0")
         for i in range(7):
-            spooler.append(_rec("v0", i))
-        assert [r.seq for r in spooler.pending_records()] == list(range(7))
-        assert [r.seq for r in spooler.pending_records(limit=3)] == [0, 1, 2]
+            spooler.append_many([_row("v0", i)])
+        assert spooler.pending_entries() == [
+            (i, _line(_row("v0", i))) for i in range(7)
+        ]
+        assert _seqs(spooler, limit=3) == [0, 1, 2]
+        # Across the segment boundary (4 rows a segment), and past it.
+        assert _seqs(spooler, limit=3, above_seq=2) == [3, 4, 5]
+        assert _seqs(spooler, above_seq=4) == [5, 6]
+        assert _seqs(spooler, above_seq=6) == []
+
+    def test_tuple_and_list_rows_spool_the_same_line(self, tmp_path):
+        # One column-wise check; only rows from outside the process
+        # (a JSON parse: lists) must also be lists.
+        rows = [_row("v0", 0), list(_row("v0", 1))]
+        assert wire_fields_ok(rows) and not wire_rows_ok(rows)
+        assert wire_rows_ok([list(row) for row in rows])
+        spooler = WalSpooler.open_fresh(_config(tmp_path), "v0")
+        spooler.append_many([_row("v0", 0), list(_row("v0", 1))])
+        assert [line for _, line in spooler.pending_entries()] == [
+            _line(list(_row("v0", seq))) for seq in (0, 1)
+        ]
 
     def test_ack_releases_and_deletes_covered_segments(self, tmp_path):
         spooler = WalSpooler.open_fresh(_config(tmp_path), "v0")
         for i in range(10):
-            spooler.append(_rec("v0", i))
+            spooler.append_many([_row("v0", i)])
         released = spooler.ack_through(5)
-        assert [r.seq for r in released] == [0, 1, 2, 3, 4, 5]
+        assert released == [0, 1, 2, 3, 4, 5]
         assert spooler.pending == 4
         # The first closed segment (seqs 0-3) is fully covered: gone.
         assert not (Path(tmp_path) / "wal" / "wal-00000000.log").exists()
@@ -103,13 +197,13 @@ class TestSpooler:
         evicted = []
         spooler.on_evict = evicted.extend
         for i in range(10):
-            spooler.append(_rec("v0", i))
+            spooler.append_many([_row("v0", i)])
         assert spooler.evicted > 0
         assert spooler.evicted == len(evicted)
         # Oldest-first: surviving records are the newest.
-        survivors = [r.seq for r in spooler.pending_records()]
+        survivors = spooler.pending_seqs()
         assert survivors == sorted(survivors)
-        assert set(r.seq for r in evicted) == set(range(10)) - set(survivors)
+        assert set(evicted) == set(range(10)) - set(survivors)
         assert spooler.total_bytes <= 700 or len(spooler.segments) == 1
 
     def test_acks_that_keep_pace_still_rotate(self, tmp_path):
@@ -119,9 +213,9 @@ class TestSpooler:
         (f90c0e9), which left one 646,726-byte ``wal-00000000.log``."""
         config = _config(tmp_path, segment_max_records=16, max_bytes=64_000)
         spooler = WalSpooler.open_fresh(config, "v0")
-        line = encode_entry(_rec("v0", 9_999).encode_line())
+        line = _line(_row("v0", 9_999))
         for seq in range(10_000):
-            spooler.append(_rec("v0", seq))
+            spooler.append_many([_row("v0", seq)])
             spooler.ack_through(seq)
             if seq % 1000 == 999:
                 paths = sorted(config.directory.glob("wal-*.log"))
@@ -135,7 +229,7 @@ class TestSpooler:
     def test_active_segment_is_eviction_exempt(self, tmp_path):
         config = _config(tmp_path, max_bytes=1, segment_max_records=100)
         spooler = WalSpooler.open_fresh(config, "v0")
-        spooler.append(_rec("v0", 0))
+        spooler.append_many([_row("v0", 0)])
         assert spooler.pending == 1  # over budget, but never evicted
 
 
@@ -144,7 +238,7 @@ class TestSpoolerRecovery:
         config = _config(tmp_path)
         spooler = WalSpooler.open_fresh(config, "v0")
         for i in range(6):
-            spooler.append(_rec("v0", i))
+            spooler.append_many([_row("v0", i)])
         spooler.ack_through(1)
         spooler.close()
 
@@ -153,21 +247,21 @@ class TestSpoolerRecovery:
         assert report.ack_through == 1
         assert report.last_seq == 5
         # Acked records are not resurrected.
-        assert [r.seq for r in recovered.pending_records()] == [2, 3, 4, 5]
-        recovered.append(_rec("v0", 6))
+        assert recovered.pending_seqs() == [2, 3, 4, 5]
+        recovered.append_many([_row("v0", 6)])
         assert recovered.pending == 5
 
     def test_torn_tail_truncated_and_counted(self, tmp_path):
         config = _config(tmp_path)
         spooler = WalSpooler.open_fresh(config, "v0")
         for i in range(6):
-            spooler.append(_rec("v0", i))
+            spooler.append_many([_row("v0", i)])
         spooler.close()
         _tear_tail(config.directory)
 
         recovered, report = WalSpooler.recover(_config(tmp_path), "v0")
         assert report.truncated_lines == 1
-        assert [r.seq for r in recovered.pending_records()] == [0, 1, 2, 3, 4]
+        assert recovered.pending_seqs() == [0, 1, 2, 3, 4]
         assert recovered.last_seq == 4
         # The repair is physical: a second recovery is clean.
         recovered.close()
@@ -180,14 +274,14 @@ class TestSpoolerRecovery:
         would fuse the next append onto the same line and lose both."""
         config = _config(tmp_path, segment_max_records=16)
         spooler = WalSpooler.open_fresh(config, "v0")
-        spooler.append_many([_rec("v0", i) for i in range(3)])
+        spooler.append_many([_row("v0", i) for i in range(3)])
         spooler.close()
         path = sorted(config.directory.glob("wal-*.log"))[-1]
         path.write_bytes(path.read_bytes()[:-1])
         recovered, report = WalSpooler.recover(config, "v0")
         assert report.truncated_lines == 1
         assert recovered.pending_seqs() == [0, 1]
-        recovered.append_many([_rec("v0", 2), _rec("v0", 3)])
+        recovered.append_many([_row("v0", 2), _row("v0", 3)])
         recovered.close()
         again, report = WalSpooler.recover(config, "v0")
         again.close()
@@ -198,7 +292,7 @@ class TestSpoolerRecovery:
         config = _config(tmp_path, segment_max_records=100)
         spooler = WalSpooler.open_fresh(config, "v0")
         for i in range(5):
-            spooler.append(_rec("v0", i))
+            spooler.append_many([_row("v0", i)])
         spooler.close()
         path = sorted(config.directory.glob("wal-*.log"))[0]
         lines = path.read_text().split("\n")
@@ -210,7 +304,7 @@ class TestSpoolerRecovery:
     def test_foreign_schema_raises(self, tmp_path):
         config = _config(tmp_path)
         spooler = WalSpooler.open_fresh(config, "v0")
-        spooler.append(_rec("v0", 0))
+        spooler.append_many([_row("v0", 0)])
         spooler.close()
         path = sorted(config.directory.glob("wal-*.log"))[0]
         lines = path.read_text().split("\n")
@@ -240,7 +334,7 @@ class TestAckMarkJournal:
     def test_acks_append_and_recover_to_the_last_mark(self, tmp_path):
         config = _config(tmp_path, segment_max_records=16)
         spooler = WalSpooler.open_fresh(config, "v0")
-        spooler.append_many([_rec("v0", i) for i in range(10)])
+        spooler.append_many([_row("v0", i) for i in range(10)])
         assert len(_mark_lines(config)) == 2  # header + the initial -1
         for seq in (2, 5, 5, 3, 7):  # stale/equal acks write nothing
             spooler.ack_through(seq)
@@ -263,11 +357,11 @@ class TestAckMarkJournal:
     def test_full_journal_compacts_to_the_current_mark(self, tmp_path):
         config = _config(tmp_path, segment_max_records=4)
         spooler = WalSpooler.open_fresh(config, "v0")
-        spooler.append_many([_rec("v0", i) for i in range(3)])
+        spooler.append_many([_row("v0", i) for i in range(3)])
         for seq in range(3):
             spooler.ack_through(seq)
         assert len(_mark_lines(config)) == 4 + 1  # full: header + 4 marks
-        spooler.append_many([_rec("v0", i) for i in range(3, 9)])
+        spooler.append_many([_row("v0", i) for i in range(3, 9)])
         spooler.ack_through(5)
         assert [decode_entry(ln) for ln in _mark_lines(config)[1:]] == [[5]]
         assert not (config.directory / "ackmark.tmp").exists()
@@ -284,11 +378,11 @@ class TestAckMarkJournal:
         config = _config(tmp_path, segment_max_records=5)
         spooler = WalSpooler.open_fresh(config, "v0")
         for i in range(40):
-            spooler.append(_rec("v0", i))
+            spooler.append_many([_row("v0", i)])
             spooler.ack_through(i)
             assert len(_mark_lines(config)) <= 5 + 1
         assert len(spooler.segments) == 1
-        spooler.append_many([_rec("v0", i) for i in range(40, 80)])
+        spooler.append_many([_row("v0", i) for i in range(40, 80)])
         assert len(spooler.segments) > 5
         for i in range(40, 80):
             spooler.ack_through(i)
@@ -299,7 +393,7 @@ class TestAckMarkJournal:
     def test_torn_tail_at_every_byte_falls_back_one_mark(self, tmp_path):
         config = _config(tmp_path, segment_max_records=16)
         spooler = WalSpooler.open_fresh(config, "v0")
-        spooler.append_many([_rec("v0", i) for i in range(10)])
+        spooler.append_many([_row("v0", i) for i in range(10)])
         spooler.ack_through(3)
         spooler.ack_through(7)
         spooler.close()
@@ -339,7 +433,7 @@ class TestAckMarkJournal:
     def test_mid_file_damage_raises(self, tmp_path):
         config = _config(tmp_path, segment_max_records=16)
         spooler = WalSpooler.open_fresh(config, "v0")
-        spooler.append_many([_rec("v0", i) for i in range(6)])
+        spooler.append_many([_row("v0", i) for i in range(6)])
         for seq in (1, 2, 3):
             spooler.ack_through(seq)
         spooler.close()
@@ -367,9 +461,9 @@ class TestRecordLog:
     def test_replay_records_and_markers(self, tmp_path):
         path = Path(tmp_path) / "fleet.log"
         log = RecordLog(path, fsync="never")
-        log.append_raw(encode_entry(_rec("v0", 0).encode_line()))
+        log.append_lines([_line(_row("v0", 0))])
         log.append_marker("v0", 0)
-        log.append_raw(encode_entry(_rec("v1", 7).encode_line()))
+        log.append_lines([_line(_row("v1", 7))])
         log.sync()
         log.close()
 
@@ -377,16 +471,16 @@ class TestRecordLog:
         entries = replayed.replayed
         assert len(entries) == 3
         # Records come back as wire rows (source second, seq last).
-        assert entries[0] == (list(_rec("v0", 0).to_wire()), None)
+        assert entries[0] == (list(_row("v0", 0)), None)
         assert entries[1] == (None, ("v0", 0))
         assert entries[2][0][1] == "v1" and entries[2][0][-1] == 7
 
     def test_checkpoint_entry_settles_what_precedes_it(self, tmp_path):
         path = Path(tmp_path) / "fleet.log"
         log = RecordLog(path, fsync="never")
-        log.append_raw(encode_entry(_rec("v0", 5).encode_line()))
+        log.append_lines([_line(_row("v0", 5))])
         log.append_marker("v0", -1)
-        log.append_raw(encode_entry(_rec("v0", 0).encode_line()))
+        log.append_lines([_line(_row("v0", 0))])
         log.append_checkpoint('["~ck",{"n":1}]')
         log.append_checkpoint('["~ck",{"n":2}]')
         log.append_marker("v0", 0)
@@ -397,7 +491,7 @@ class TestRecordLog:
         # Nothing is truncated: settled lines stay, undecoded until a
         # recovery redoes them -- the records, in log order.
         assert replayed.settled_rows() == [
-            list(_rec("v0", seq).to_wire()) for seq in (5, 0)
+            list(_row("v0", seq)) for seq in (5, 0)
         ]
         assert replayed.nbytes == path.stat().st_size
 
@@ -406,8 +500,8 @@ class TestRecordLog:
     ):
         path = Path(tmp_path) / "fleet.log"
         log = RecordLog(path, fsync="never")
-        log.append_raw(encode_entry(_rec("v0", 0).encode_line()))
-        log.append_raw(encode_entry('{"not":"a row"}'))
+        log.append_lines([_line(_row("v0", 0))])
+        log.append_lines([encode_entry('{"not":"a row"}')])
         log.append_checkpoint('["~ck",{"n":1}]')
         log.close()
         replayed = RecordLog.open_existing(path, fsync="never")
@@ -420,9 +514,9 @@ class TestRecordLog:
         path = Path(tmp_path) / "fleet.log"
         log = RecordLog(path, fsync="never")
         for seq in range(4):
-            log.append_raw(encode_entry(_rec("v0", seq).encode_line()))
+            log.append_lines([_line(_row("v0", seq))])
         log.compact(
-            [encode_entry(_rec("v0", 3).encode_line())], '["~ck",{"n":1}]'
+            [encode_entry(encode_json(_row("v0", 3)))], '["~ck",{"n":1}]'
         )
         log.append_marker("v0", 3)  # the open handle followed the rename
         log.close()
@@ -438,7 +532,7 @@ class TestRecordLog:
         path = Path(tmp_path) / "fleet.log"
         log = RecordLog(path, fsync="never")
         for i in range(4):
-            log.append_raw(encode_entry(_rec("v0", i).encode_line()))
+            log.append_lines([_line(_row("v0", i))])
         log.sync()
         log.close()
         raw = path.read_bytes()
@@ -457,11 +551,15 @@ class TestReplayRoundTripProperty:
         segment_max=st.integers(min_value=1, max_value=7),
         ack=st.integers(min_value=-1, max_value=45),
         tear=st.booleans(),
+        batch=st.integers(min_value=1, max_value=9),
     )
     @settings(max_examples=60, deadline=None)
-    def test_append_rotate_replay_round_trip(self, n, segment_max, ack, tear):
+    def test_append_rotate_replay_round_trip(
+        self, n, segment_max, ack, tear, batch
+    ):
         """Any append/rotate/ack history -- optionally ending in a torn
-        tail -- recovers to exactly the unacked suffix and resumes."""
+        tail -- recovers to exactly the unacked suffix, each seq with
+        the line it was spooled as, and resumes."""
         with tempfile.TemporaryDirectory() as tmp:
             def config():
                 return WalConfig(
@@ -470,33 +568,39 @@ class TestReplayRoundTripProperty:
                 )
 
             spooler = WalSpooler.open_fresh(config(), "v0")
-            for i in range(n):
-                spooler.append(_rec("v0", i))
+            rows = [_row("v0", i) for i in range(n)]
+            for start in range(0, n, batch):
+                spooler.append_many(rows[start:start + batch])
+            model = {row[9]: _line(row) for row in rows}
+            assert dict(spooler.pending_entries()) == model
             ack_eff = min(ack, n - 1)
             if ack_eff >= 0:
                 released = spooler.ack_through(ack_eff)
-                assert [r.seq for r in released] == list(range(ack_eff + 1))
+                assert released == list(range(ack_eff + 1))
+                for seq in released:
+                    del model[seq]
             spooler.close()
 
-            expected = list(range(ack_eff + 1, n))
             torn = 0
             if tear:
                 tail = sorted(Path(tmp, "wal").glob("wal-*.log"))[-1]
                 lines = tail.read_bytes().split(b"\n")
-                # Only a still-pending record line can be mid-write.
-                if len(lines) >= 3 and expected and expected[-1] == n - 1:
+                # Only a still-pending row's line can be mid-write.
+                if len(lines) >= 3 and n - 1 in model:
                     _tear_tail(Path(tmp) / "wal")
-                    expected = expected[:-1]
+                    del model[n - 1]
                     torn = 1
 
             recovered, report = WalSpooler.recover(config(), "v0")
             assert report.truncated_lines == torn
-            assert [r.seq for r in recovered.pending_records()] == expected
+            assert recovered.pending_entries() == sorted(model.items())
             assert recovered.ack_mark == ack_eff
             # The spool resumes: the next append must be accepted.
-            next_seq = recovered.last_seq + 1
-            recovered.append(_rec("v0", next_seq))
-            assert recovered.pending_records()[-1].seq == next_seq
+            next_row = _row("v0", recovered.last_seq + 1)
+            recovered.append_many([next_row])
+            assert recovered.pending_entries()[-1] == (
+                next_row[9], _line(next_row)
+            )
             recovered.close()
 
 
@@ -524,25 +628,33 @@ class TestCrashInterleavingProperty:
     def test_ledger_law_and_marks_survive_any_interleaving(
         self, ops, segment_max, budget
     ):
-        """append_many / ack_through / kill (optionally mid-mark-write)
-        / recover in any order: every offered seq is in exactly one of
-        acked, spooled, evicted, and nothing at or below a fully
-        written mark is ever offered again."""
+        """append_many / ack_through / eviction / kill (optionally
+        mid-mark-write) / recover in any order: ``pending_entries()``
+        equals a dict model of seq -> line, every offered seq is in
+        exactly one of acked, spooled, evicted, and nothing at or below
+        a fully written mark is ever offered again."""
         with tempfile.TemporaryDirectory() as tmp:
             config = WalConfig(
                 directory=Path(tmp) / "wal", fsync="never",
                 segment_max_records=segment_max, max_bytes=budget,
             )
             offered, acked, evicted = set(), set(), set()
+            model = {}
             durable_mark = -1
 
+            def on_evict(lost):
+                # Oldest first: the evicted seqs are the model's lowest.
+                assert lost == sorted(model)[:len(lost)]
+                evicted.update(lost)
+                for seq in lost:
+                    del model[seq]
+
             def wire(spooler):
-                spooler.on_evict = lambda lost: evicted.update(
-                    record.seq for record in lost
-                )
+                spooler.on_evict = on_evict
                 return spooler
 
             def check(spooler):
+                assert spooler.pending_entries() == sorted(model.items())
                 spooled = set(spooler.pending_seqs())
                 assert offered == acked | spooled | evicted
                 assert len(offered) == (
@@ -563,10 +675,11 @@ class TestCrashInterleavingProperty:
             next_seq = 0
             for op in ops:
                 if op[0] == "append":
-                    batch = [_rec("v0", next_seq + i) for i in range(op[1])]
+                    batch = [_row("v0", next_seq + i) for i in range(op[1])]
                     next_seq += op[1]
+                    offered.update(row[9] for row in batch)
+                    model.update((row[9], _line(row)) for row in batch)
                     spooler.append_many(batch)
-                    offered.update(record.seq for record in batch)
                 elif op[0] == "crash":
                     spooler.abandon()
                     spooler = recover()
@@ -576,7 +689,11 @@ class TestCrashInterleavingProperty:
                         continue
                     if op[0] == "ack":
                         released = spooler.ack_through(target)
-                        acked.update(record.seq for record in released)
+                        assert released == [s for s in sorted(model)
+                                            if s <= target]
+                        acked.update(released)
+                        for seq in released:
+                            del model[seq]
                         durable_mark = target
                     else:
                         def torn_write(spooler=spooler, cut=op[2]):

@@ -4,7 +4,6 @@ acks, fast retransmit, and the circuit breaker's single-probe rule."""
 from pathlib import Path
 
 from repro.telemetry import ServiceConfig, TelemetryService
-from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.uplink import (
     UplinkIngestor,
     WalConfig,
@@ -18,19 +17,16 @@ from repro.telemetry.uplink.transport import decode_frame
 from repro.telemetry.uplink.window import CircuitState
 
 
-def _rec(seq, source="veh00"):
-    return TelemetryRecord(
-        kind=RecordKind.SEGMENT, source=source, chain="c", segment="c/s0",
-        activation=seq, latency_ns=10 + seq, verdict="ok",
-        timestamp_ns=(seq + 1) * 1000, seq=seq,
-    )
+def _row(seq, source="veh00"):
+    return ("segment", source, "c", "c/s0", seq, 10 + seq, "ok", "",
+            (seq + 1) * 1000, seq)
 
 
-def _spool(tmp_path: Path, records):
+def _spool(tmp_path: Path, rows):
     spooler = WalSpooler.open_fresh(
         WalConfig(tmp_path / "veh00", fsync="never"), "veh00"
     )
-    spooler.append_many(records)
+    spooler.append_many(rows)
     return spooler
 
 
@@ -45,8 +41,8 @@ class TestWindowDiscipline:
     def test_in_flight_never_exceeds_window_and_acks_are_monotone(
         self, tmp_path
     ):
-        records = [_rec(i) for i in range(30)]
-        spooler = _spool(tmp_path, records)
+        rows = [_row(i) for i in range(30)]
+        spooler = _spool(tmp_path, rows)
         ingestor = _ingestor(tmp_path)
         outbox = []
         client = WindowedUplinkClient(
@@ -69,13 +65,13 @@ class TestWindowDiscipline:
         assert ack_marks == sorted(ack_marks), "cumulative ack went backwards"
         assert spooler.pending == 0
         reference = TelemetryService(ServiceConfig())
-        reference.ingest_batch([record.to_wire() for record in records])
+        reference.ingest_batch(rows)
         reference.poll()
         ingestor.service.poll()
         assert store_digest(ingestor.service) == store_digest(reference)
 
     def test_frames_respect_advertised_peer_window(self, tmp_path):
-        spooler = _spool(tmp_path, [_rec(i) for i in range(40)])
+        spooler = _spool(tmp_path, [_row(i) for i in range(40)])
         outbox = []
         client = WindowedUplinkClient(
             spooler,
@@ -100,8 +96,8 @@ class TestWindowDiscipline:
 
 class TestFastRetransmit:
     def test_dup_acks_trigger_resend_before_timeout(self, tmp_path):
-        records = [_rec(i) for i in range(8)]
-        spooler = _spool(tmp_path, records)
+        rows = [_row(i) for i in range(8)]
+        spooler = _spool(tmp_path, rows)
         ingestor = _ingestor(tmp_path)
         outbox = []
         client = WindowedUplinkClient(
@@ -133,7 +129,7 @@ class TestFastRetransmit:
         client.on_ack(decode_envelope(ack), 2)
         assert client.idle()
         assert spooler.pending == 0
-        assert ingestor.service.store.applied == len(records)
+        assert ingestor.service.store.applied == len(rows)
 
 
 class TestFloorProbe:
@@ -147,8 +143,8 @@ class TestFloorProbe:
         carrier -- without it, neither side ever sends again and the
         protocol deadlocks with durable-but-unreleasable records.
         """
-        records = [_rec(i) for i in (0, 1, 2, 3, 5, 6, 7, 8)]  # hole: 4
-        spooler = _spool(tmp_path, records)
+        rows = [_row(i) for i in (0, 1, 2, 3, 5, 6, 7, 8)]  # hole: 4
+        spooler = _spool(tmp_path, rows)
         ingestor = _ingestor(tmp_path)
         outbox = []
         client = WindowedUplinkClient(
@@ -172,7 +168,7 @@ class TestFloorProbe:
         assert client.floor_probes >= 1
         assert spooler.pending == 0
         ingestor.service.poll()
-        assert ingestor.service.store.applied == len(records)
+        assert ingestor.service.store.applied == len(rows)
 
 
 class TestHalfOpenSingleProbe:
@@ -183,8 +179,8 @@ class TestHalfOpenSingleProbe:
         a regression in the probe discipline (e.g. the whole window
         retransmitting out of HALF_OPEN) shows up as a diff here.
         """
-        records = [_rec(i) for i in range(32)]
-        spooler = _spool(tmp_path, records)
+        rows = [_row(i) for i in range(32)]
+        spooler = _spool(tmp_path, rows)
         ingestor = _ingestor(tmp_path)
         outbox = []
         config = WindowedClientConfig(
@@ -232,4 +228,4 @@ class TestHalfOpenSingleProbe:
         ]
         assert client.probes >= 2
         assert client.circuit_opens == 2
-        assert ingestor.service.store.applied == len(records)
+        assert ingestor.service.store.applied == len(rows)

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry import ServiceConfig, TelemetryService
-from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.uplink import (
     AdversarialChannel,
     ChannelFaultPlan,
@@ -34,20 +33,17 @@ N_RECORDS = 48
 MAX_STEPS = 4000
 
 
-def _records():
+def _rows():
     return [
-        TelemetryRecord(
-            kind=RecordKind.SEGMENT, source="veh00", chain="c",
-            segment="c/s0", activation=seq, latency_ns=10 + seq,
-            verdict="ok", timestamp_ns=(seq + 1) * 1000, seq=seq,
-        )
+        ("segment", "veh00", "c", "c/s0", seq, 10 + seq, "ok", "",
+         (seq + 1) * 1000, seq)
         for seq in range(N_RECORDS)
     ]
 
 
 def _direct_ingest_digest() -> str:
     reference = TelemetryService(ServiceConfig())
-    reference.ingest_batch([record.to_wire() for record in _records()])
+    reference.ingest_batch(_rows())
     reference.poll()
     return store_digest(reference)
 
@@ -55,8 +51,8 @@ def _direct_ingest_digest() -> str:
 def _run_protocol(
     window_frames: int, plan: ChannelFaultPlan, seed: int
 ) -> str:
-    """Records -> spool -> faulty channel -> ingest; returns the digest."""
-    records = _records()
+    """Rows -> spool -> faulty channel -> ingest; returns the digest."""
+    rows = _rows()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         ingestor = UplinkIngestor(
@@ -66,7 +62,7 @@ def _run_protocol(
         spooler = WalSpooler.open_fresh(
             WalConfig(root / "veh00", fsync="never"), "veh00"
         )
-        spooler.append_many(records)
+        spooler.append_many(rows)
         client = None
         down = AdversarialChannel(
             "down",
