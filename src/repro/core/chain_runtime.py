@@ -36,6 +36,9 @@ class Outcome(enum.Enum):
     SKIPPED = "skipped"
 
 
+_OUTCOME_VALUES = tuple(outcome._value_ for outcome in Outcome)
+
+
 @dataclass
 class SegmentRecord:
     """One segment's result for one activation."""
@@ -157,24 +160,29 @@ class ChainRuntime:
     # ------------------------------------------------------------------
     # Offline verdicts
     # ------------------------------------------------------------------
+    def misses(self, through_activation: int) -> List[bool]:
+        """Per activation ``0..through_activation``: was the chain
+        violated (an unrecovered MISS in any segment)?"""
+        violated = self._activation_violated
+        return [violated(n) for n in range(through_activation + 1)]
+
     def finalize(self, through_activation: Optional[int] = None) -> ChainReport:
         """Compute the aggregate report over all observed activations."""
         if through_activation is None:
             through_activation = max(self.records, default=-1)
+        misses = self.misses(through_activation)
+        records = self.records
         activations: List[ActivationOutcome] = []
-        misses: List[bool] = []
-        counts = {outcome: 0 for outcome in Outcome}
-        for n in range(through_activation + 1):
-            per_segment = self.records.get(n, {})
-            violated = False
+        # Keyed by each outcome's value string: hashing a member would
+        # run enum's Python ``__hash__`` once per record.
+        counts = dict.fromkeys(_OUTCOME_VALUES, 0)
+        for n, violated in enumerate(misses):
+            per_segment = records.get(n, {})
             for record in per_segment.values():
-                counts[record.outcome] += 1
-                if record.outcome is Outcome.MISS:
-                    violated = True
+                counts[record.outcome._value_] += 1
             activations.append(
                 ActivationOutcome(activation=n, violated=violated, segments=per_segment)
             )
-            misses.append(violated)
         worst = max_window_misses(misses, self.chain.mk.k) if misses else 0
         return ChainReport(
             chain_name=self.chain.name,
@@ -182,10 +190,10 @@ class ChainRuntime:
             misses=misses,
             mk_satisfied=worst <= self.chain.mk.m,
             max_window_misses=worst,
-            ok_count=counts[Outcome.OK],
-            recovered_count=counts[Outcome.RECOVERED],
-            miss_count=counts[Outcome.MISS],
-            skipped_count=counts[Outcome.SKIPPED],
+            ok_count=counts[Outcome.OK._value_],
+            recovered_count=counts[Outcome.RECOVERED._value_],
+            miss_count=counts[Outcome.MISS._value_],
+            skipped_count=counts[Outcome.SKIPPED._value_],
         )
 
     def segment_outcomes(self, segment_name: str) -> List[Outcome]:

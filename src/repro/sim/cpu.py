@@ -48,6 +48,10 @@ class ConstantGovernor(FrequencyGovernor):
         core.set_speed(self.speed)
 
 
+#: Random stream of a bursty governor, one per core (``:<index>``).
+BURSTY_STREAM = "governor:bursty"
+
+
 class BurstyGovernor(FrequencyGovernor):
     """Random speed excursions (thermal throttling / interference).
 
@@ -63,7 +67,6 @@ class BurstyGovernor(FrequencyGovernor):
         slow_max: float = 0.5,
         mean_interval: int = 200_000_000,
         mean_dwell: int = 30_000_000,
-        rng_stream: str = "governor:bursty",
     ):
         if not (0 < slow_min <= slow_max <= nominal):
             raise ValueError("need 0 < slow_min <= slow_max <= nominal")
@@ -72,7 +75,6 @@ class BurstyGovernor(FrequencyGovernor):
         self.slow_max = slow_max
         self.mean_interval = mean_interval
         self.mean_dwell = mean_dwell
-        self.rng_stream = rng_stream
 
     def attach(self, core: Core, sim: Simulator) -> None:
         super().attach(core, sim)
@@ -80,14 +82,14 @@ class BurstyGovernor(FrequencyGovernor):
         self._schedule_excursion()
 
     def _schedule_excursion(self) -> None:
-        rng = self.sim.rng(f"{self.rng_stream}:{self.core.index}")
+        rng = self.sim.rng(f"{BURSTY_STREAM}:{self.core.index}")
         delay = max(1, int(rng.exponential(self.mean_interval)))
         self.sim.schedule_after(delay, self._begin_excursion, label="governor:burst")
 
     def _begin_excursion(self) -> None:
         # Same stream name as _schedule_excursion: rng() caches per name,
         # so both methods draw from one generator in arrival order.
-        rng = self.sim.rng(f"{self.rng_stream}:{self.core.index}")
+        rng = self.sim.rng(f"{BURSTY_STREAM}:{self.core.index}")
         slow = float(rng.uniform(self.slow_min, self.slow_max))
         dwell = max(1, int(rng.exponential(self.mean_dwell)))
         self.core.set_speed(slow)

@@ -82,7 +82,6 @@ class PeriodicTimer:
         name: str = "ptimer",
         offset: int = 0,
         jitter_ns: int = 0,
-        rng_stream: Optional[str] = None,
     ):
         if period <= 0:
             raise ValueError("period must be positive")
@@ -93,7 +92,8 @@ class PeriodicTimer:
         self._label = f"ptimer:{name}"
         self.offset = offset
         self.jitter_ns = jitter_ns
-        self._rng_stream = rng_stream or f"ptimer:{name}"
+        #: Jitter draws come from the timer's own stream.
+        self._rng_stream = f"ptimer:{name}"
         self._epoch: Optional[int] = None
         self._index = 0
         self._event: Optional[ScheduledEvent] = None

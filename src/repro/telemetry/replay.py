@@ -68,14 +68,15 @@ def replay_stack_batch(
         chain = chain_of.get(
             segment_name, chain_of.get(base_segment_name(segment_name), "")
         )
+        # ``_value_``: enum's ``value`` is a Python property, a frame a row.
         for n, latency, outcome in monitor.latencies:
             append((
                 "segment", source, chain, segment_name, n, latency,
-                outcome.value, "", n * period + max(0, latency), len(rows),
+                outcome._value_, "", n * period + max(0, latency), len(rows),
             ))
 
     for chain_name in sorted(stack.chain_runtimes):
-        misses = stack.chain_runtimes[chain_name].finalize(n_frames - 1).misses
+        misses = stack.chain_runtimes[chain_name].misses(n_frames - 1)
         for n, violated in enumerate(misses):
             append((
                 "chain", source, chain_name, "", n, None,
@@ -85,7 +86,7 @@ def replay_stack_batch(
     if manager is not None:
         for t, _old, new, reason in manager.transitions:
             append((
-                "mode", source, "", "", -1, None, reason, new.value, t,
+                "mode", source, "", "", -1, None, reason, new._value_, t,
                 len(rows),
             ))
     return rows

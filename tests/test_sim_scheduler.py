@@ -347,15 +347,16 @@ class TestSpeedScaling:
 
 
 class TestAccounting:
-    def test_utilization_half(self):
+    def test_busy_time_half(self):
         sim, sched = make_sched()
 
         def body(_):
             yield Compute(msec(5))
 
-        sched.spawn("t", body)
+        thread = sched.spawn("t", body)
         sim.run(until=msec(10))
-        assert sched.utilization == pytest.approx(0.5)
+        assert sched.cores[0].busy_time == thread.total_cpu_time == msec(5)
+        assert sim.now == msec(10)
 
     def test_observer_sees_dispatch_and_exit(self):
         sim, sched = make_sched()
