@@ -11,6 +11,12 @@ point: a function only they reach is the finding.
 
     python3 benchmarks/surface_audit.py [--repo DIR]
 
+The audit is a ratchet over the audited checkout's
+``benchmarks/surface_keep.txt`` (:func:`read_keep`): it exits 1 when
+a symbol it finds unreached is not listed there, or when the unreached
+function-lines exceed the listed total.  A listed symbol that a run now
+reaches is printed as "drop this line", so the list only shrinks.
+
 The hook appends each function the first time a process calls it to a
 per-process file, so nothing is lost when a process never runs its exit
 handlers (``multiprocessing`` workers leave through ``os._exit``, a pool
@@ -67,6 +73,53 @@ sys.setprofile(_hook)
 '''
 
 PY = sys.executable
+
+#: ``4(a)``, ``11``, ``2+6``: the ROADMAP item(s) owning a kept symbol.
+OWNER = re.compile(r"^\d+(\([a-z]\))?(\+\d+(\([a-z]\))?)*$")
+
+
+class KeepListError(ValueError):
+    """A line of the keep list does not parse."""
+
+
+def read_keep(path: Path) -> Tuple[int, Dict[str, Tuple[int, str, str]]]:
+    """``(total, {path:qualname: (lines, owner, reason)})`` of the keep
+    list: a ``total N`` line (the unreached function-lines allowed), then
+    one line per unreached symbol -- its function-lines, ``path:qualname``
+    under ``src/repro``, the ROADMAP item owning it (``-`` for none) and
+    the reason it stays (required without an owner).  ``#`` lines are
+    comments."""
+    total = None
+    entries: Dict[str, Tuple[int, str, str]] = {}
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path.name}:{number}"
+        fields = line.split(None, 3)
+        if fields[0] == "total":
+            if total is not None or len(fields) != 2 \
+                    or not fields[1].isdigit():
+                raise KeepListError(f"{where}: want one 'total N' line")
+            total = int(fields[1])
+            continue
+        if len(fields) < 3 or not fields[0].isdigit() \
+                or fields[1].count(":") != 1:
+            raise KeepListError(f"{where}: want 'LINES PATH:QUALNAME "
+                                f"OWNER [REASON]', got {line!r}")
+        lines, symbol, owner = int(fields[0]), fields[1], fields[2]
+        reason = fields[3] if len(fields) == 4 else ""
+        if owner != "-" and not OWNER.match(owner):
+            raise KeepListError(f"{where}: owner {owner!r} is not an item")
+        if owner == "-" and not reason:
+            raise KeepListError(f"{where}: {symbol} has no owner and no "
+                                f"reason")
+        if symbol in entries:
+            raise KeepListError(f"{where}: {symbol} listed twice")
+        entries[symbol] = (lines, owner, reason)
+    if total is None:
+        raise KeepListError(f"{path.name}: no 'total N' line")
+    return total, entries
 
 
 def entry_points(work: Path) -> List[Tuple[List[str], bool]]:
@@ -166,7 +219,8 @@ def functions(path: Path):
     return found
 
 
-def report(repo: Path, seen: Set[Tuple[str, int]]) -> None:
+def report(repo: Path, seen: Set[Tuple[str, int]]) -> Dict[str, int]:
+    """Print the audit; return ``{path:qualname: lines}`` unreached."""
     root = repo / "src" / "repro"
     text = "\n".join(
         path.read_text()
@@ -197,8 +251,33 @@ def report(repo: Path, seen: Set[Tuple[str, int]]) -> None:
           f"({100.0 * dead_lines / all_lines:.1f}%)")
     print("\nnever called ('*': the name is also absent from e2e_bench/, "
           "examples/, benchmarks/ as text):")
+    unreached: Dict[str, int] = {}
     for rel, qualname, lines, absent in symbols:
         print(f"  {'*' if absent else ' '} {lines:>4d}  {rel}:{qualname}")
+        symbol = f"{rel}:{qualname}"
+        unreached[symbol] = unreached.get(symbol, 0) + lines
+    return unreached
+
+
+def ratchet(unreached: Dict[str, int], keep: Path) -> int:
+    """Hold *unreached* against the keep list; 0 when it passes."""
+    total, entries = read_keep(keep)
+    failed = 0
+    print(f"\nagainst {keep.name} (total {total}):")
+    for symbol, lines in sorted(unreached.items()):
+        if symbol not in entries:
+            failed = 1
+            print(f"  not listed: {lines:>4d}  {symbol} -- delete it, or "
+                  f"list it with its owning item or reason")
+    for symbol in sorted(set(entries) - set(unreached)):
+        print(f"  reached now, drop this line: {symbol}")
+    found = sum(unreached.values())
+    if found > total:
+        failed = 1
+        print(f"  {found} unreached function-lines exceed the listed "
+              f"total {total}")
+    print("  FAIL" if failed else f"  ok: {found} <= {total}")
+    return failed
 
 
 def main(argv=None) -> int:
@@ -207,10 +286,12 @@ def main(argv=None) -> int:
                         default=Path(__file__).resolve().parent.parent,
                         help="checkout to audit (default: this one)")
     repo = parser.parse_args(argv).repo.resolve()
+    keep = repo / "benchmarks" / "surface_keep.txt"
+    read_keep(keep)  # a malformed list fails before the 8-minute run
     with tempfile.TemporaryDirectory(prefix="surface-audit-") as tmp:
         run_all(repo, Path(tmp))
-        report(repo, called(Path(tmp) / "calls"))
-    return 0
+        unreached = report(repo, called(Path(tmp) / "calls"))
+    return ratchet(unreached, keep)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.adaptive.resolver": (
         "BudgetResolver", "ChainResolution", "ResolveOutcome",
-        "ResolverConfig", "significant_drift",
+        "ResolverConfig",
     ),
     "repro.adaptive.shadow": (
         "ShadowConfig", "ShadowValidator", "ShadowVerdict",

@@ -201,9 +201,6 @@ class BudgetControlPlane:
         return self.vehicles[self.config.canary_count:]
 
     # ------------------------------------------------------------------
-    def observe(self, record: TelemetryRecord) -> None:
-        self.window.append(record)
-
     def observe_many(self, records: Sequence[TelemetryRecord]) -> None:
         self.window.extend(records)
 

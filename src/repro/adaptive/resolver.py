@@ -22,10 +22,8 @@ paper's CSP:
    never adds misses, so feasibility is preserved by construction --
    and re-checked anyway.
 
-:func:`significant_drift` is the trigger half of the loop: it compares
-two fleet-wide percentile maps (the store's
-``segment_percentiles()``) and reports whether any segment moved
-enough to justify re-deriving.
+The control plane decides *when* to re-derive: every
+``ControlPlaneConfig.rederive_every`` steps while it is idle.
 """
 
 from __future__ import annotations
@@ -146,29 +144,6 @@ def align_window(
         for source, activation in sorted(rows)
         if wanted <= set(rows[(source, activation)])
     ]
-
-
-def significant_drift(
-    baseline: Mapping[str, Mapping[str, float]],
-    current: Mapping[str, Mapping[str, float]],
-    threshold: float = 0.2,
-    quantile: str = "p95",
-) -> bool:
-    """True when any segment's *quantile* moved by more than
-    *threshold* (relative) between two percentile maps."""
-    for segment, stats in current.items():
-        held = baseline.get(segment)
-        if held is None:
-            return True
-        old = float(held.get(quantile, 0.0))
-        new = float(stats.get(quantile, 0.0))
-        if old <= 0.0:
-            if new > 0.0:
-                return True
-            continue
-        if abs(new - old) / old > threshold:
-            return True
-    return False
 
 
 class BudgetResolver:

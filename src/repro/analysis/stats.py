@@ -29,11 +29,6 @@ class TukeyStats:
     outliers_hi: int
 
     @property
-    def iqr(self) -> float:
-        """Interquartile range."""
-        return self.q3 - self.q1
-
-    @property
     def outliers(self) -> int:
         """Total points outside the whiskers."""
         return self.outliers_lo + self.outliers_hi

@@ -15,8 +15,9 @@ Workflow:
    a greedy descent heuristic and an exact branch-and-bound are
    provided (the paper defers this case to "heuristic methods or ILP").
 4. Optionally distribute leftover budget
-   (:mod:`repro.budgeting.distribution`) and deploy via
-   :meth:`repro.core.chains.EventChain.with_deadlines`.
+   (:mod:`repro.budgeting.distribution`) and deploy the deadlines as the
+   segments' ``d_mon`` (``StackConfig.d_mon`` on the perception stack),
+   where :mod:`repro.budgeting.feasibility` checks them at load time.
 """
 
 from repro import lazy_exports

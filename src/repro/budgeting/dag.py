@@ -59,10 +59,6 @@ class DagSolverResult:
     reason: str = ""
     nodes_explored: int = 0
 
-    def as_monitored(self, problem: "DagBudgetingProblem") -> Dict[str, int]:
-        """The ``d_mon = d - d_ex`` split of the found deadlines."""
-        return problem.monitored_deadlines(self.deadlines)
-
 
 class DagBudgetingProblem:
     """One DAG's deadline-synthesis instance.

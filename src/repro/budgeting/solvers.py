@@ -38,10 +38,6 @@ class SolverResult:
     #: Search statistics (solver dependent).
     nodes_explored: int = 0
 
-    def as_monitored(self, problem: BudgetingProblem) -> dict:
-        """Convenience: the d_mon split of the found deadlines."""
-        return problem.monitored_deadlines(self.deadlines)
-
 
 def minimal_deadline(
     extended_latencies: Sequence[int],

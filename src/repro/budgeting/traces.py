@@ -66,9 +66,6 @@ class ChainTrace:
     def __getitem__(self, segment_name: str) -> SegmentTrace:
         return self.segments[segment_name]
 
-    def __contains__(self, segment_name: str) -> bool:
-        return segment_name in self.segments
-
     @property
     def length(self) -> int:
         """Number of aligned activations (the shortest segment trace)."""

@@ -43,5 +43,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "ActivationOutcome", "ChainRuntime", "Outcome",
     ),
     "repro.core.dag": ("DagChain", "DagPath"),
-    "repro.core.dag_runtime": ("DagChainRuntime",),
 })

@@ -6,7 +6,8 @@ An event chain carries (Sec. III):
 - a per-segment latency bound ``B_seg`` (concurrent segments must each
   keep up with the frame rate),
 - an end-to-end budget ``B_e2e`` that must dominate the sum of segment
-  deadlines (Eq. 1 / Eq. 3),
+  deadlines (Eq. 1 / Eq. 3; an assignment is checked against it and
+  ``B_seg`` by :func:`repro.budgeting.feasibility.feasibility_violations`),
 - a weakly-hard (m,k) constraint on chain executions.
 
 Validation enforces the gap-free property ``e_e^{s_i} = e_st^{s_{i+1}}``
@@ -17,7 +18,7 @@ monitoring is precisely that naive segmentations leave unmonitored gaps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.segments import Segment
 from repro.core.weakly_hard import MKConstraint
@@ -72,9 +73,6 @@ class EventChain:
                     f"{later.name} (starts {later.start})"
                 )
 
-    def __iter__(self):
-        return iter(self.segments)
-
     def __len__(self) -> int:
         return len(self.segments)
 
@@ -90,53 +88,3 @@ class EventChain:
         """True once every segment has a monitored deadline."""
         return all(seg.d_mon is not None for seg in self.segments)
 
-    def deadline_sum(self) -> int:
-        """Sum of total segment deadlines (Eq. 1's right-hand side)."""
-        total = 0
-        for seg in self.segments:
-            if seg.deadline is None:
-                raise ChainValidationError(
-                    f"{self.name}: segment {seg.name} has no deadline assigned"
-                )
-            total += seg.deadline
-        return total
-
-    def check_budget(self) -> None:
-        """Enforce Eq. (1)/(3): ``B_e2e >= sum(d^si)`` and Eq. (4):
-        every deadline within ``B_seg``.  Raises on violation."""
-        total = self.deadline_sum()
-        if total > self.budget_e2e:
-            raise ChainValidationError(
-                f"{self.name}: deadline sum {total} exceeds budget "
-                f"B_e2e={self.budget_e2e}"
-            )
-        for seg in self.segments:
-            assert seg.deadline is not None
-            if seg.deadline > self.budget_seg:
-                raise ChainValidationError(
-                    f"{self.name}: segment {seg.name} deadline {seg.deadline} "
-                    f"exceeds B_seg={self.budget_seg}"
-                )
-
-    def with_deadlines(self, d_mon_by_segment: Sequence[int]) -> "EventChain":
-        """Return a copy of the chain with monitored deadlines assigned."""
-        if len(d_mon_by_segment) != len(self.segments):
-            raise ValueError(
-                f"expected {len(self.segments)} deadlines, "
-                f"got {len(d_mon_by_segment)}"
-            )
-        return EventChain(
-            name=self.name,
-            segments=[
-                seg.with_deadline(d_mon)
-                for seg, d_mon in zip(self.segments, d_mon_by_segment)
-            ],
-            period=self.period,
-            budget_e2e=self.budget_e2e,
-            budget_seg=self.budget_seg,
-            mk=self.mk,
-        )
-
-    def __str__(self) -> str:
-        path = " -> ".join(seg.name for seg in self.segments)
-        return f"EventChain({self.name}: {path}, P={self.period}, {self.mk})"

@@ -6,15 +6,11 @@ sensor branches, and its output forks to consumers with different
 deadlines ("Multi-Deadline DAG Scheduling Model for Autonomous Driving
 Systems", PAPERS.md).  This module generalizes :class:`EventChain` to a
 :class:`DagChain` while keeping the paper's machinery intact: a DAG is
-monitored as the set of its root->sink *paths*, each of which is exactly
-a linear event chain and therefore budgeted by the existing CSP
-(Eqs. 3-7) and supervised by the existing (m,k) automata -- keyed by
-path id instead of chain name.
-
-Degeneracy is the design invariant: a linear chain round-tripped through
-:meth:`DagChain.from_linear` / :meth:`DagChain.to_linear` is *equal* (in
-the dataclass sense) to the original, which ``tests/test_dag_model.py``
-pins for the perception stack's chains and for generated ones.
+the set of its root->sink *paths*, each of which is exactly a linear
+event chain (:meth:`DagChain.path_chain`) and therefore budgeted by the
+existing CSP (Eqs. 3-7, :mod:`repro.budgeting.dag`) and supervised by a
+``ChainRuntime`` of its own: the perception stack's fusion DAG runs as
+its four root->sink chains.
 """
 
 from __future__ import annotations
@@ -274,69 +270,12 @@ class DagChain:
         return {p.path_id: self.path_chain(p) for p in self._paths}
 
     # ------------------------------------------------------------------
-    # Linear degeneracy
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_linear(cls, chain: EventChain) -> "DagChain":
-        """Express a linear chain as a degenerate single-path DAG."""
-        names = [segment.name for segment in chain.segments]
-        assert chain.budget_seg is not None
-        return cls(
-            name=chain.name,
-            segments=list(chain.segments),
-            edges=list(zip(names, names[1:])),
-            period=chain.period,
-            budget_e2e=chain.budget_e2e,
-            budget_seg=chain.budget_seg,
-            mk=chain.mk,
-        )
-
-    def to_linear(self) -> EventChain:
-        """Collapse a single-path DAG back into the equal linear chain.
-
-        Raises :class:`ChainValidationError` when the DAG genuinely
-        forks or joins (more than one root->sink path).
-        """
-        if len(self._paths) != 1:
-            raise ChainValidationError(
-                f"{self.name}: {len(self._paths)} paths; only a "
-                f"single-path DAG collapses to a linear chain"
-            )
-        path = self._paths[0]
-        return EventChain(
-            name=self.name,
-            segments=[self.segments[s] for s in path.segment_names],
-            period=self.period,
-            budget_e2e=self.budget_e2e[path.sink],
-            budget_seg=self.budget_seg,
-            mk=self.mk[path.sink],
-        )
-
-    # ------------------------------------------------------------------
     # Deadlines
     # ------------------------------------------------------------------
     @property
     def deadlines_assigned(self) -> bool:
         """True once every segment has a monitored deadline."""
         return all(s.d_mon is not None for s in self.segments.values())
-
-    def with_deadlines(self, d_mon_by_segment: Mapping[str, int]) -> "DagChain":
-        """Return a copy with monitored deadlines (re)assigned."""
-        missing = [s for s in self.segments if s not in d_mon_by_segment]
-        if missing:
-            raise ValueError(f"{self.name}: no deadline for {missing}")
-        return DagChain(
-            name=self.name,
-            segments=[
-                seg.with_deadline(d_mon_by_segment[name])
-                for name, seg in self.segments.items()
-            ],
-            edges=list(self.edges),
-            period=self.period,
-            budget_e2e=dict(self.budget_e2e),
-            budget_seg=self.budget_seg,
-            mk=dict(self.mk),
-        )
 
     def __len__(self) -> int:
         return len(self.segments)

@@ -195,7 +195,8 @@ class SyncRemoteMonitor:
             self._advance_after(missed)
             self._dispatch_violation(missed, nominal)
         ts = sample.source_timestamp
-        latency = self.ecu.now() - ts
+        now_local = self.ecu.now()
+        latency = now_local - ts
         self.window.record(False)
         self.latencies.append((n, latency, Outcome.OK))
         for runtime in self.reporters:
@@ -205,7 +206,12 @@ class SyncRemoteMonitor:
         # timestamp (valid to within the PTP sync error).
         self.awaiting = n + 1
         self.deadline_local = ts + self.period + self.segment.d_mon
-        self._timer.start_at(self._to_sim_time(self.deadline_local))
+        # _to_sim_time() with the reading taken above: the clock has not
+        # moved since (the reporters run in zero simulated time).
+        sim_now = self.sim.now
+        self._timer.start_at(
+            max(sim_now, self.deadline_local - (now_local - sim_now))
+        )
         if self.sim.tracing_active:
             self.sim.emit_trace(
                 "syncmon.armed",

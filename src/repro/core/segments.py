@@ -97,20 +97,6 @@ class Segment:
             return None
         return self.d_mon + self.d_ex
 
-    def with_deadline(self, d_mon: int, d_ex: Optional[int] = None) -> "Segment":
-        """Return a copy with the monitored deadline (re)assigned."""
-        return Segment(
-            name=self.name,
-            kind=self.kind,
-            start=self.start,
-            end=self.end,
-            d_mon=d_mon,
-            d_ex=self.d_ex if d_ex is None else d_ex,
-        )
-
-    def __str__(self) -> str:
-        return f"{self.name}[{self.kind.value}] {self.start} -> {self.end}"
-
 
 def local_segment(
     name: str,

@@ -64,9 +64,8 @@ class DataReader:
     # ------------------------------------------------------------------
     def _receive(self, sample: Sample) -> None:
         sim = self.participant.sim
-        now_local = self.participant.ecu.now()
         if self.qos.lifespan is not None:
-            age = now_local - sample.source_timestamp
+            age = self.participant.ecu.now() - sample.source_timestamp
             if age > self.qos.lifespan:
                 self.lifespan_expired += 1
                 if sim.tracing_active:

@@ -101,8 +101,8 @@ class LossBurst(FaultInjector):
 class LatencySpike(FaultInjector):
     """Add a fixed extra latency to one link during a window.
 
-    Mutates ``base_latency`` on the simulation clock (plain point-to-
-    point links only; switched links derive latency from queueing).
+    Mutates the :class:`~repro.network.link.Link`'s ``base_latency`` on
+    the simulation clock.
     """
 
     kind = "latency_spike"
@@ -121,7 +121,7 @@ class LatencySpike(FaultInjector):
         link = _resolve_link(stack, self.link_attr)
         if not hasattr(link, "base_latency"):
             raise ValueError(
-                f"{self.link_attr} has no base_latency (switched link?); "
+                f"{self.link_attr} has no base_latency; "
                 "latency spikes need a point-to-point Link"
             )
         start, end = frame_window_ns(stack, self.first_frame, self.last_frame)

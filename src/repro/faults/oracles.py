@@ -70,11 +70,6 @@ class OracleReport:
         """True when no counterexample was found."""
         return not self.failures
 
-    def summary(self) -> str:
-        """One-line human-readable verdict."""
-        verdict = "PASS" if self.passed else f"FAIL ({len(self.failures)})"
-        return f"{self.name}: {verdict} over {self.checked} checks"
-
 
 def check_soundness(stack, truth, epsilon_ns: int,
                     first: int, last: int) -> OracleReport:

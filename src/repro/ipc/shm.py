@@ -37,11 +37,6 @@ class SharedMemoryRegion:
         """The raw memory."""
         return self._shm.buf
 
-    @property
-    def size(self) -> int:
-        """Region size in bytes."""
-        return self._shm.size
-
     def close(self) -> None:
         """Detach from the region (does not destroy it)."""
         self._shm.close()

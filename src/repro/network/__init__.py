@@ -21,7 +21,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.network.link": ("Frame", "JitterModel", "Link", "LinkStats"),
     "repro.network.ptp": ("DriftingClock", "PtpService"),
     "repro.network.stack": ("NetworkStack",),
-    "repro.network.switch": (
-        "BackgroundTraffic", "EthernetSwitch", "SwitchedLink",
-    ),
+    "repro.network.switch": ("BackgroundTraffic", "EthernetSwitch"),
 })

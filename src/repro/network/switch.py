@@ -131,42 +131,6 @@ class EthernetSwitch:
         return f"<EthernetSwitch {self.name} ports={sorted(self._ports)}>"
 
 
-class SwitchedLink:
-    """A Link-compatible adapter routing through an EthernetSwitch.
-
-    Drop-in for :class:`~repro.network.link.Link` in the DDS domain:
-    exposes ``transmit(frame, deliver)`` but with emergent queueing
-    delay instead of drawn jitter.  An optional i.i.d. loss probability
-    models wire-level corruption.
-    """
-
-    def __init__(
-        self,
-        switch: EthernetSwitch,
-        name: str,
-        loss_prob: float = 0.0,
-    ):
-        if not (0.0 <= loss_prob < 1.0):
-            raise ValueError("loss probability must be in [0, 1)")
-        self.switch = switch
-        self.name = name
-        self.loss_prob = float(loss_prob)
-        self.loss_filter: Optional[Callable[[Frame], bool]] = None
-        self.sent = 0
-        self.lost = 0
-
-    def transmit(self, frame: Frame, deliver: Callable[[Frame], None]) -> bool:
-        self.sent += 1
-        forced = self.loss_filter is not None and self.loss_filter(frame)
-        if forced or (
-            self.loss_prob > 0
-            and self.switch.sim.rng(f"swlink:{self.name}").random() < self.loss_prob
-        ):
-            self.lost += 1
-            return False
-        return self.switch.forward(frame, deliver)
-
-
 class BackgroundTraffic:
     """Cross traffic loading one egress port.
 

@@ -130,13 +130,6 @@ class StackConfig:
     ecu2_cores: int = 4
     ecu2_governor: Optional[Callable[[], FrequencyGovernor]] = None
     link_loss: float = 0.0
-    #: Route inter-ECU traffic through a shared store-and-forward switch
-    #: instead of independent links: network jitter becomes *emergent*
-    #: from queueing.  ``switch_bg_load`` adds cross traffic on the
-    #: ECU2-bound port (0 disables).
-    use_switch: bool = False
-    switch_port_rate_bps: float = 1e9
-    switch_bg_load: float = 0.0
     # Workload.
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     # Fault injection (per lidar; frame -> extra delay ns or None=drop).
@@ -227,38 +220,13 @@ class PerceptionStack:
         self.domain.register_stack(self.ecu2, self.stack2)
         jitter = JitterModel("lognormal", LINK_JITTER)
 
-        if cfg.use_switch:
-            from repro.network import BackgroundTraffic, EthernetSwitch, SwitchedLink
-
-            self.switch = EthernetSwitch(
-                self.sim, port_rate_bps=cfg.switch_port_rate_bps,
-                propagation_delay=LINK_LATENCY,
+        def link(name, src, dst):
+            l = Link(
+                self.sim, name, base_latency=LINK_LATENCY,
+                jitter=jitter, bandwidth_bps=1e9, loss_prob=cfg.link_loss,
             )
-            self.switch.attach("ecu1")
-            self.switch.attach("ecu2")
-
-            def link(name, src, dst):
-                l = SwitchedLink(self.switch, name, loss_prob=cfg.link_loss)
-                self.domain.add_link(src, dst, l)
-                return l
-
-            if cfg.switch_bg_load > 0:
-                self.bg_traffic = BackgroundTraffic(
-                    self.switch, "ecu2", utilization=cfg.switch_bg_load
-                )
-            else:
-                self.bg_traffic = None
-        else:
-            self.switch = None
-            self.bg_traffic = None
-
-            def link(name, src, dst):
-                l = Link(
-                    self.sim, name, base_latency=LINK_LATENCY,
-                    jitter=jitter, bandwidth_bps=1e9, loss_prob=cfg.link_loss,
-                )
-                self.domain.add_link(src, dst, l)
-                return l
+            self.domain.add_link(src, dst, l)
+            return l
 
         self.link_front = link("front->ecu1", self.ecu_lidar_front, self.ecu1)
         self.link_rear = link("rear->ecu1", self.ecu_lidar_rear, self.ecu1)
@@ -530,8 +498,6 @@ class PerceptionStack:
             raise ValueError(f"n_frames must be >= 1, got {n_frames}")
         cfg = self.config
         self.ptp.start()
-        if self.bg_traffic is not None:
-            self.bg_traffic.start()
         self.lidar_front.start()
         self.lidar_rear.start()
         horizon = (n_frames - 1) * cfg.period + (settle or 3 * cfg.period)
@@ -547,8 +513,6 @@ class PerceptionStack:
         self.sim.run(until=horizon)
         for monitor in getattr(self, "remote_monitors", {}).values():
             monitor.stop()
-        if self.bg_traffic is not None:
-            self.bg_traffic.stop()
         self.ptp.stop()
 
     # ------------------------------------------------------------------

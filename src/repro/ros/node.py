@@ -26,11 +26,6 @@ class Publisher:
         self.node = node
         self.writer = writer
 
-    @property
-    def topic(self) -> Topic:
-        """The published topic."""
-        return self.writer.topic
-
     def publish(
         self,
         data: Any,
@@ -74,11 +69,6 @@ class Subscription:
         self.reader: DataReader = node.participant.create_reader(
             topic, qos=qos, listener=_SubscriptionListener(self)
         )
-
-    @property
-    def topic(self) -> Topic:
-        """The subscribed topic."""
-        return self.reader.topic
 
 
 class RosTimer:

@@ -37,7 +37,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.sim.sync": ("Semaphore",),
     "repro.sim.timers": ("Timer", "PeriodicTimer"),
     "repro.sim.cpu": ("Core", "Ecu", "ConstantGovernor", "BurstyGovernor"),
-    "repro.sim.workload": (
-        "ExecutionTimeModel", "ConstantModel", "AffineModel",
-    ),
+    "repro.sim.workload": ("ExecutionTimeModel", "AffineModel"),
 })

@@ -52,11 +52,6 @@ class Semaphore:
         """Current semaphore value (0 while threads are blocked)."""
         return self._count
 
-    @property
-    def waiting(self) -> int:
-        """Number of threads currently blocked on the semaphore."""
-        return len(self._waiters)
-
     # -- protocol used by the scheduler's WaitSem handling ---------------
     def _try_acquire(self) -> bool:
         if self._count > 0:

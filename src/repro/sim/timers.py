@@ -98,11 +98,6 @@ class PeriodicTimer:
         self._index = 0
         self._event: Optional[ScheduledEvent] = None
 
-    @property
-    def running(self) -> bool:
-        """True while the timer is active."""
-        return self._event is not None
-
     def start(self) -> None:
         """Begin firing; the first expiry is ``now + offset``."""
         if self._event is not None:

@@ -31,21 +31,6 @@ class ExecutionTimeModel:
         return None
 
 
-class ConstantModel(ExecutionTimeModel):
-    """Fixed execution time regardless of input size."""
-
-    def __init__(self, work_ns: int):
-        if work_ns < 0:
-            raise ValueError("work must be non-negative")
-        self.work_ns = int(work_ns)
-
-    def sample(self, rng: np.random.Generator, size: int = 0) -> int:
-        return self.work_ns
-
-    def bound(self, size: int = 0) -> Optional[int]:
-        return self.work_ns
-
-
 class AffineModel(ExecutionTimeModel):
     """``base + per_item * size`` with multiplicative uniform noise.
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.schema import encode_json
 from repro.telemetry.store import ApplyOutcome, ChainStateStore
@@ -72,15 +72,6 @@ class Alert:
             "detail": self.detail,
         }
 
-    def render(self) -> str:
-        """One human-readable log line."""
-        subject = self.chain or self.segment or "-"
-        return (
-            f"[{self.severity.value.upper():8s}] t={self.timestamp_ns} "
-            f"{self.rule} {self.source}/{subject} n={self.activation}: "
-            f"{self.detail}"
-        )
-
 
 @dataclass
 class AlertLog:
@@ -106,13 +97,6 @@ class AlertLog:
             encode_json(alert.to_json()) + "\n"
             for alert in self.alerts
         )
-
-    def render(self, limit: Optional[int] = None) -> str:
-        shown = self.alerts if limit is None else self.alerts[:limit]
-        lines = [alert.render() for alert in shown]
-        if limit is not None and len(self.alerts) > limit:
-            lines.append(f"... {len(self.alerts) - limit} more alerts")
-        return "\n".join(lines)
 
     def __len__(self) -> int:
         return len(self.alerts)

@@ -340,13 +340,6 @@ class ChannelFaultPlan:
     def partitioned(self, step: int) -> bool:
         return any(start <= step < end for start, end in self.partitions)
 
-    @property
-    def adversarial(self) -> bool:
-        return bool(
-            self.drop_prob or self.dup_prob or self.reorder_prob
-            or self.corrupt_prob or self.partitions
-        )
-
 
 @dataclass
 class ChannelStats:

@@ -214,10 +214,6 @@ class WindowedUplinkClient:
 
     # ------------------------------------------------------------------
     @property
-    def in_flight(self) -> bool:
-        return bool(self._flight)
-
-    @property
     def inflight_records(self) -> int:
         return sum(frame.count for frame in self._flight)
 

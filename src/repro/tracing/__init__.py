@@ -36,6 +36,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "build_edges", "render_attribution", "validate_spans",
     ),
     "repro.tracing.export": (
-        "chrome_trace", "read_jsonl", "write_chrome_trace", "write_jsonl",
+        "chrome_trace", "write_chrome_trace", "write_jsonl",
     ),
 })

@@ -7,29 +7,20 @@ marks, degradation transitions) as ``ph: "i"``.  Timestamps are
 microseconds as the format requires; the original integer nanoseconds
 survive in ``args``.
 
-The JSONL format is the lossless interchange: one span per line,
-round-trippable via :func:`read_jsonl` for offline analysis of a run
-recorded elsewhere (e.g. a CI artifact).  Every export starts with a
-header line carrying the span schema identifier (``repro-spans/1``);
-:func:`read_jsonl` tolerates headerless legacy files and refuses an
-unknown version with a :class:`~repro.schema.SchemaVersionError`.
+The JSONL format is the lossless dump: a header line carrying the span
+schema identifier (``repro-spans/1``) and the span count, then one span
+per line in recording order, every field of the span kept.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, Iterator, List
 
-from repro.schema import SchemaVersionError, decode_json, encode_json
+from repro.schema import encode_json
 from repro.tracing.spans import Span, SpanRecorder
 
 #: Schema identifier written as the first line of every JSONL export.
 SPANS_SCHEMA = "repro-spans/1"
-
-#: Fields a span record may carry; extras warn (additive evolution).
-_SPAN_FIELDS = frozenset(
-    {"name", "cat", "trace", "id", "start", "end", "parent", "links", "attrs"}
-)
 
 
 def chrome_trace(recorder: SpanRecorder) -> Dict[str, Any]:
@@ -81,7 +72,7 @@ def write_chrome_trace(recorder: SpanRecorder, path: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# JSONL (lossless round-trip)
+# JSONL (lossless dump)
 # ----------------------------------------------------------------------
 def span_to_dict(span: Span) -> Dict[str, Any]:
     """The compact JSONL record of one span."""
@@ -100,22 +91,6 @@ def span_to_dict(span: Span) -> Dict[str, Any]:
     if span.attrs:
         record["attrs"] = span.attrs
     return record
-
-
-def span_from_dict(record: Dict[str, Any]) -> Span:
-    """Reconstruct a span from its JSONL record."""
-    span = Span(
-        name=record["name"],
-        category=record["cat"],
-        trace_id=record["trace"],
-        span_id=record["id"],
-        parent_id=record.get("parent"),
-        start=record["start"],
-        attrs=record.get("attrs", {}),
-    )
-    span.end = record["end"]
-    span.links = list(record.get("links", []))
-    return span
 
 
 def jsonl_header(recorder: SpanRecorder) -> str:
@@ -140,37 +115,3 @@ def write_jsonl(recorder: SpanRecorder, path: str) -> int:
             count += 1
     return count
 
-
-def read_jsonl(path: str) -> List[Span]:
-    """Load spans back from a JSONL export (lossless round-trip).
-
-    The schema header is optional: a legacy headerless file (every line
-    a span record) still loads, but a header naming another schema
-    version raises :class:`~repro.schema.SchemaVersionError`.  Unknown
-    *extra* fields on span records are tolerated with one warning per
-    file (additive evolution).
-    """
-    spans: List[Span] = []
-    unknown: set = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = decode_json(line)
-            if not spans and "schema" in record:
-                if record["schema"] != SPANS_SCHEMA:
-                    raise SchemaVersionError(
-                        path, record["schema"], SPANS_SCHEMA
-                    )
-                continue
-            if not record.keys() <= _SPAN_FIELDS:
-                unknown |= set(record) - _SPAN_FIELDS
-            spans.append(span_from_dict(record))
-    if unknown:
-        warnings.warn(
-            f"{path}: ignoring unknown span field(s) {sorted(unknown)} "
-            f"(written by a newer build?)",
-            stacklevel=2,
-        )
-    return spans

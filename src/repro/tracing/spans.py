@@ -187,11 +187,6 @@ class SpanRecorder:
     # ------------------------------------------------------------------
     # Links (causal joins)
     # ------------------------------------------------------------------
-    def add_link(self, span: Span, ctx: Optional[SpanContext]) -> None:
-        """Record *ctx* as an extra causal predecessor of *span*."""
-        if ctx is not None:
-            span.links.append(ctx.span_id)
-
     def link_current(self, ctx: Optional[SpanContext]) -> None:
         """Link *ctx* into the span the ambient context points at."""
         if ctx is None or self.current is None:

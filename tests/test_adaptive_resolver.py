@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.adaptive import BudgetResolver, ResolverConfig, significant_drift
+from repro.adaptive import BudgetResolver, ResolverConfig
 from repro.adaptive.resolver import align_window
 from repro.adaptive.chaos import fleet_chain
 from repro.telemetry.records import segment_record
@@ -56,20 +56,6 @@ class TestAlignWindow:
             shuffled = list(window) + window[:4]  # dups carry equal payloads
             random.Random(seed).shuffle(shuffled)
             assert align_window(shuffled, chain) == baseline
-
-
-class TestSignificantDrift:
-    def test_relative_threshold(self):
-        baseline = {"seg0": {"p95": 10.0}, "seg1": {"p95": 20.0}}
-        assert not significant_drift(baseline, baseline)
-        assert not significant_drift(
-            baseline, {"seg0": {"p95": 11.0}, "seg1": {"p95": 20.0}}
-        )
-        assert significant_drift(
-            baseline, {"seg0": {"p95": 14.0}, "seg1": {"p95": 20.0}}
-        )
-        # A segment the baseline never saw is drift by definition.
-        assert significant_drift(baseline, {"seg9": {"p95": 1.0}})
 
 
 class TestBudgetResolver:

@@ -340,7 +340,7 @@ class TestMonitoredSplit:
         problem = make_problem([[10, 20], [30, 40]], d_ex=5, m=0, k=2,
                                budget_e2e=200, budget_seg=100)
         result = solve_independent(problem)
-        monitored = result.as_monitored(problem)
+        monitored = problem.monitored_deadlines(result.deadlines)
         # d = max extended = raw max + 5; d_mon = d - 5 = raw max.
         assert monitored == {"s0": 20, "s1": 40}
 

@@ -5,20 +5,13 @@ import json
 import pytest
 
 from repro.perception.stack import PerceptionStack, StackConfig
-from repro.schema import SchemaVersionError
 from repro.tracing.critical_path import (
     CriticalPathAnalyzer,
     attribute_chain,
     build_edges,
     render_attribution,
 )
-from repro.tracing.export import (
-    chrome_trace,
-    read_jsonl,
-    to_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro.tracing.export import chrome_trace, write_chrome_trace, write_jsonl
 from repro.tracing.spans import SpanRecorder
 
 
@@ -153,65 +146,28 @@ class TestExport:
     def test_jsonl_round_trip_is_lossless(self, benign_stack, tmp_path):
         path = tmp_path / "spans.jsonl"
         count = write_jsonl(benign_stack.spans, str(path))
-        assert count == len(benign_stack.spans)
-        restored = read_jsonl(str(path))
         original = benign_stack.spans.spans
-        assert len(restored) == len(original)
-        for a, b in zip(original, restored):
+        assert count == len(original)
+        header, *records = [
+            json.loads(line) for line in path.read_text().splitlines()
+        ]
+        assert header == {"schema": "repro-spans/1", "spans": len(original)}
+        assert len(records) == len(original)
+        fields = {"name", "cat", "trace", "id", "start", "end", "parent",
+                  "links", "attrs"}
+        for span, record in zip(original, records):
+            assert set(record) <= fields
             assert (
-                a.name, a.category, a.trace_id, a.span_id, a.parent_id,
-                a.start, a.end, a.links, a.attrs,
+                record["name"], record["cat"], record["trace"], record["id"],
+                record["start"], record["end"], record.get("parent"),
+                record.get("links", []), record.get("attrs", {}),
             ) == (
-                b.name, b.category, b.trace_id, b.span_id, b.parent_id,
-                b.start, b.end, b.links, b.attrs,
+                span.name, span.category, span.trace_id, span.span_id,
+                span.start, span.end, span.parent_id, span.links, span.attrs,
             )
-
-    def test_analyzer_works_on_reimported_spans(self, benign_stack, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        write_jsonl(benign_stack.spans, str(path))
-        replayed = SpanRecorder(benign_stack.sim)
-        replayed.spans = read_jsonl(str(path))
-        replayed._by_id = {s.span_id: s for s in replayed.spans}
-        analyzer = CriticalPathAnalyzer(replayed)
-        chain = benign_stack.chains["front_objects"]
-        path_obj = analyzer.instance_path(chain, 1)
-        assert path_obj is not None
-        assert sum(e.duration for e in path_obj.edges) == path_obj.e2e_ns
-
-
-class TestReadJsonl:
-    """``read_jsonl`` validates outside input: the header is optional, an
-    unknown schema version is refused, unknown extra fields warn once."""
-
-    @staticmethod
-    def write(tmp_path, lines):
-        path = tmp_path / "spans.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        return str(path)
-
-    def test_unknown_span_schema_refused(self, benign_stack, tmp_path):
-        lines = list(to_jsonl(benign_stack.spans))
-        lines[0] = json.dumps({"schema": "repro-spans/99"})
-        with pytest.raises(SchemaVersionError) as excinfo:
-            read_jsonl(self.write(tmp_path, lines))
-        assert "repro-spans/99" in str(excinfo.value)
-
-    def test_headerless_file_still_loads(self, benign_stack, tmp_path):
-        lines = list(to_jsonl(benign_stack.spans))[1:]  # drop the header
-        spans = read_jsonl(self.write(tmp_path, lines))
-        assert len(spans) == len(benign_stack.spans.spans)
-
-    def test_unknown_span_field_warns_once(self, benign_stack, tmp_path):
-        lines = list(to_jsonl(benign_stack.spans))
-        for i in (1, 2):
-            record = json.loads(lines[i])
-            record["gpu_ns"] = 5
-            lines[i] = json.dumps(record)
-        with pytest.warns(UserWarning, match="gpu_ns") as caught:
-            spans = read_jsonl(self.write(tmp_path, lines))
-        assert len(spans) == len(benign_stack.spans.spans)
-        assert len([w for w in caught
-                    if "gpu_ns" in str(w.message)]) == 1
+        # Every optional field is exercised by the benign run.
+        assert all(any(key in record for record in records)
+                   for key in ("parent", "links", "attrs"))
 
 
 class TestTraceCli:

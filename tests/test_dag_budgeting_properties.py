@@ -8,28 +8,17 @@ Hypothesis generates small random fork/join DAGs (optional head fork,
   ``B_e2e`` along **every** root->sink path (checked by brute force over
   the enumerated paths, not via the solver's own bookkeeping) and passes
   the per-path Eq. (3')-(5') checker;
-* the per-path bit-packed :class:`MKAutomaton` driven by
-  :class:`DagChainRuntime` agrees record-for-record with the reference
-  :class:`MissWindow` checker on random outcome sequences;
-* a degenerate single-path DAG runtime reports exactly what the linear
-  :class:`ChainRuntime` reports on generated per-segment outcome streams.
+* the bit-packed :class:`MKAutomaton` of a path's ``ChainRuntime``
+  agrees record-for-record with the reference :class:`MissWindow`
+  checker on random outcome sequences.
 """
-
-import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.budgeting import ChainTrace, DagBudgetingProblem, SegmentTrace
 from repro.budgeting.dag import solve_dag_budgets
-from repro.core import (
-    ChainRuntime,
-    DagChain,
-    DagChainRuntime,
-    EventChain,
-    MKConstraint,
-    Outcome,
-)
+from repro.core import ChainRuntime, DagChain, MKConstraint, Outcome
 from repro.core.segments import local_segment
 
 from _reference.miss_window import MissWindow
@@ -184,7 +173,7 @@ def test_schedulable_solutions_telescope_on_every_path(case):
     for deadline in result.deadlines.values():
         assert deadline <= case["budget_seg"]
     # The d_mon split is positive everywhere (d_ex = 0 in these traces).
-    monitored = result.as_monitored(problem)
+    monitored = problem.monitored_deadlines(result.deadlines)
     assert all(d > 0 for d in monitored.values())
     assert result.path_totals == problem.path_totals(result.deadlines)
 
@@ -220,9 +209,10 @@ def test_per_path_automaton_equivalent_to_miss_window(misses, m, k):
     mk = MKConstraint(m, k)
     seg = local_segment("s", "ecu", "t0", "t1")
     dag = DagChain("one", [seg], [], period=100, budget_e2e=1000, mk=mk)
+    (path,) = dag.paths()
     fired = []
-    runtime = DagChainRuntime(
-        dag, on_violation=lambda pid, n, w: fired.append(n)
+    runtime = ChainRuntime(
+        dag.path_chain(path), on_violation=lambda n, w: fired.append(n)
     )
     reference = MissWindow(mk)
     expected_fired = []
@@ -233,78 +223,11 @@ def test_per_path_automaton_equivalent_to_miss_window(misses, m, k):
         runtime.advance_window(n)
         if reference.record(miss):
             expected_fired.append(n)
-        automaton = runtime.path_runtimes["s"].window
-        assert automaton.misses_in_window == reference.misses_in_window, (
+        assert runtime.window.misses_in_window == reference.misses_in_window, (
             f"divergence at record {n}"
         )
     assert fired == expected_fired
-    assert runtime.path_runtimes["s"].window.violations == reference.violations
-    final = runtime.finalize(len(misses) - 1)["s"]
+    assert runtime.window.violations == reference.violations
+    final = runtime.finalize(len(misses) - 1)
     assert final.mk_satisfied == (reference.violations == 0)
 
-
-@st.composite
-def outcome_streams(draw):
-    """A linear chain plus per-activation, per-segment outcome reports.
-
-    Reports may skip a segment (unreported = OK), skip whole
-    activations, and the window may be advanced at any prefix.
-    """
-    n_segments = draw(st.integers(min_value=1, max_value=4))
-    k = draw(st.integers(min_value=1, max_value=6))
-    m = draw(st.integers(min_value=0, max_value=k))
-    segments = [
-        local_segment(f"s{i}", "ecu", f"t{i}", f"t{i + 1}")
-        for i in range(n_segments)
-    ]
-    for earlier, later in zip(segments, segments[1:]):
-        later.start = earlier.end  # gap-free
-    chain = EventChain(
-        "linear", segments, period=100, budget_e2e=1000, mk=MKConstraint(m, k)
-    )
-    cell = st.none() | st.tuples(
-        st.sampled_from(list(Outcome)),
-        st.none() | st.integers(min_value=0, max_value=500),
-        st.none() | st.integers(min_value=0, max_value=50),
-    )
-    activations = draw(st.lists(
-        st.tuples(st.lists(cell, min_size=n_segments, max_size=n_segments),
-                  st.booleans()),
-        max_size=25,
-    ))
-    return chain, activations
-
-
-@settings(max_examples=100, deadline=None)
-@given(stream=outcome_streams())
-def test_degenerate_dag_runtime_equals_chain_runtime(stream):
-    """The degeneracy invariant at runtime level: a linear chain folded
-    through ``DagChainRuntime(DagChain.from_linear(c))`` yields the same
-    report and the same violation callbacks as ``ChainRuntime(c)``."""
-    chain, activations = stream
-    linear_fired, dag_fired = [], []
-    linear = ChainRuntime(
-        chain, on_violation=lambda n, w: linear_fired.append((n, w))
-    )
-    dag = DagChainRuntime(
-        DagChain.from_linear(chain),
-        on_violation=lambda pid, n, w: dag_fired.append((n, w)),
-    )
-    for n, (cells, advance) in enumerate(activations):
-        for segment, cell in zip(chain.segments, cells):
-            if cell is not None:
-                linear.report(segment.name, n, *cell)
-                dag.report(segment.name, n, *cell)
-        if advance:
-            linear.advance_window(n)
-            dag.advance_window(n)
-    through = len(activations) - 1
-    linear.advance_window(through)
-    dag.advance_window(through)
-    (path_report,) = dag.finalize(through).values()
-    expected = dataclasses.asdict(linear.finalize(through))
-    # A single-path DAG names its one path after its segments.
-    expected["chain_name"] = path_report.chain_name
-    assert dataclasses.asdict(path_report) == expected
-    assert dag_fired == linear_fired
-    assert bool(dag.violated_paths) == linear.window.violated

@@ -1,14 +1,13 @@
-"""DAG event-chain model: validation, path enumeration, degeneracy.
+"""DAG event-chain model (:mod:`repro.core.dag`): validation, path
+enumeration, the per-path linear projection and linear degeneracy."""
 
-Covers :mod:`repro.core.dag` (structure + linear round-trip) and
-:mod:`repro.core.dag_runtime` (per-path (m,k) supervision).
-"""
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DagChain, DagChainRuntime, DagPath, MKConstraint, Outcome
+from repro.core import DagChain, MKConstraint
 from repro.core.chains import ChainValidationError, EventChain
 from repro.core.segments import local_segment, remote_segment
 from repro.perception.stack import PerceptionStack, StackConfig
@@ -188,26 +187,23 @@ class TestStructure:
         chains = dag.path_chains()
         assert set(chains) == {"a>b>d", "a>c>d"}
 
-    def test_with_deadlines_and_check_budgets(self):
-        dag = diamond()
-        assert not dag.deadlines_assigned
-        assigned = dag.with_deadlines({"a": 50, "b": 60, "c": 70, "d": 80})
-        assert assigned.deadlines_assigned
-        assert not dag.deadlines_assigned  # original untouched
-        for chain in assigned.path_chains().values():
-            chain.check_budget()  # worst path a>c>d sums to 200 <= 300
-        # Shrinking one sink's budget below that path sum must raise --
-        # the per-path Eq. (3) check, not the (satisfied) linear one.
-        tight = diamond(budget_e2e=150).with_deadlines(
-            {"a": 50, "b": 60, "c": 70, "d": 80}
-        )
-        with pytest.raises(ChainValidationError, match="exceeds budget"):
-            for chain in tight.path_chains().values():
-                chain.check_budget()
 
-    def test_with_deadlines_missing_segment_rejected(self):
-        with pytest.raises(ValueError, match="no deadline"):
-            diamond().with_deadlines({"a": 50})
+def from_linear(chain):
+    """A linear chain as the degenerate single-path DAG."""
+    names = [segment.name for segment in chain.segments]
+    return DagChain(
+        name=chain.name, segments=list(chain.segments),
+        edges=list(zip(names, names[1:])), period=chain.period,
+        budget_e2e=chain.budget_e2e, budget_seg=chain.budget_seg,
+        mk=chain.mk,
+    )
+
+
+def round_trip(chain):
+    """The chain back from its DAG's one path, under its own name."""
+    dag = from_linear(chain)
+    (path,) = dag.paths()
+    return dataclasses.replace(dag.path_chain(path), name=chain.name)
 
 
 @st.composite
@@ -238,16 +234,19 @@ def linear_chains(draw):
 
 
 def assert_single_path(chain):
-    (path,) = DagChain.from_linear(chain).paths()
+    (path,) = from_linear(chain).paths()
     assert path.segment_names == tuple(s.name for s in chain.segments)
 
 
 class TestLinearDegeneracy:
+    """Linear chains are the degenerate DAG: one path, whose projection
+    is the chain again (``path_chain`` names it ``dag:path``)."""
+
     def test_round_trip_equals_original_for_stack_chains(self):
         stack = PerceptionStack(StackConfig(seed=1))
         assert len(stack.chains) == 4
         for name, chain in stack.chains.items():
-            assert DagChain.from_linear(chain).to_linear() == chain, name
+            assert round_trip(chain) == chain, name
 
     def test_from_linear_is_single_path(self):
         stack = PerceptionStack(StackConfig(seed=1))
@@ -260,76 +259,5 @@ class TestLinearDegeneracy:
         """Equal by dataclass equality after the round trip, and one
         path in segment order -- for any linear chain, not only the
         stack's four."""
-        assert DagChain.from_linear(chain).to_linear() == chain
+        assert round_trip(chain) == chain
         assert_single_path(chain)
-
-    def test_to_linear_rejects_forking_dag(self):
-        with pytest.raises(ChainValidationError, match="single-path"):
-            diamond().to_linear()
-
-
-class TestDagChainRuntime:
-    def mk_diamond(self, m=1, k=4):
-        return diamond(mk=MKConstraint(m, k))
-
-    def test_segment_report_routes_to_containing_paths(self):
-        runtime = DagChainRuntime(self.mk_diamond())
-        runtime.report("b", 0, Outcome.MISS, latency=120)
-        runtime.report("c", 0, Outcome.OK, latency=40)
-        reports = runtime.finalize(0)
-        assert reports["a>b>d"].miss_count == 1
-        assert reports["a>b>d"].misses == [True]
-        assert reports["a>c>d"].miss_count == 0
-        assert reports["a>c>d"].misses == [False]
-
-    def test_shared_segment_report_hits_all_paths(self):
-        runtime = DagChainRuntime(self.mk_diamond())
-        runtime.report("a", 0, Outcome.MISS)
-        reports = runtime.finalize(0)
-        assert reports["a>b>d"].misses == [True]
-        assert reports["a>c>d"].misses == [True]
-
-    def test_report_unknown_segment_raises(self):
-        # A misspelled monitor segment name must fail loudly, not
-        # silently drop every outcome.
-        runtime = DagChainRuntime(self.mk_diamond())
-        with pytest.raises(KeyError, match="unknown segment"):
-            runtime.report("b_typo", 0, Outcome.MISS)
-
-    def test_report_path_targets_one_path(self):
-        # b lies on a>b>d only, so its report lands on that path alone.
-        runtime = DagChainRuntime(self.mk_diamond())
-        runtime.report("b", 0, Outcome.MISS)
-        reports = runtime.finalize(0)
-        assert reports["a>b>d"].misses == [True]
-        assert reports["a>c>d"].misses == [False]
-
-    def test_advance_window_fires_on_violation(self):
-        fired = []
-        runtime = DagChainRuntime(
-            self.mk_diamond(m=1, k=4),
-            on_violation=lambda pid, n, misses: fired.append((pid, n, misses)),
-        )
-        for n in range(4):
-            runtime.report("b", n, Outcome.MISS)
-        runtime.advance_window(3)
-        assert fired and fired[0][0] == "a>b>d"
-        assert runtime.violated_paths == ["a>b>d"]
-
-    def test_finalize_mk_verdict_matches_constraint(self):
-        runtime = DagChainRuntime(self.mk_diamond(m=1, k=4))
-        # 2 misses in a 4-window on a>b>d: violated; a>c>d clean.
-        for n in range(4):
-            outcome = Outcome.MISS if n < 2 else Outcome.OK
-            runtime.report("b", n, outcome)
-            runtime.report("c", n, Outcome.OK)
-        reports = runtime.finalize(3)
-        assert not reports["a>b>d"].mk_satisfied
-        assert reports["a>b>d"].max_window_misses == 2
-        assert reports["a>c>d"].mk_satisfied
-
-    def test_unreported_activations_count_as_ok(self):
-        runtime = DagChainRuntime(self.mk_diamond())
-        runtime.report("b", 2, Outcome.MISS)
-        reports = runtime.finalize(2)
-        assert reports["a>b>d"].misses == [False, False, True]

@@ -16,8 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: document -> (ceiling in bytes, target in KB)
 BUDGET = {
-    "DESIGN.md": (74_194, 55),
-    "EXPERIMENTS.md": (38_278, 30),
+    "DESIGN.md": (73_277, 55),
+    "EXPERIMENTS.md": (37_462, 30),
 }
 
 

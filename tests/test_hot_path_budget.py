@@ -91,17 +91,19 @@ from repro.tracing.tracer import Tracer
 
 FRAMES = 30
 
-#: Calls per frame reached by this code on CPython 3.11.7: 549.4
-#: monitored, 343.2 unmonitored, 206.1 added by the monitor (608.7 /
-#: 377.9 / 230.8 while every wake ran a full scheduling pass and every
-#: compute slice allocated its completion event; 610.7 / 379.9 while
-#: the lidar sweep had a ground-sweep helper and the boxes a loop;
-#: 617.7 / 386.9 while every local DDS delivery drew a zero jitter
+#: Calls per frame reached by this code on CPython 3.11.7: 537.4
+#: monitored, 337.2 unmonitored, 200.1 added by the monitor (549.4 /
+#: 343.2 / 206.1 while every DDS delivery read the ECU clock for a
+#: lifespan no stack reader sets and the sync monitor read it twice per
+#: sample; 608.7 / 377.9 / 230.8 while every wake ran a full scheduling
+#: pass and every compute slice allocated its completion event; 610.7 /
+#: 379.9 while the lidar sweep had a ground-sweep helper and the boxes a
+#: loop; 617.7 / 386.9 while every local DDS delivery drew a zero jitter
 #: sample and the sink drew a render cost from a stream; 629.8 / 396.6 /
 #: 233.2 while the kernel activated calendar buckets).
-MONITORED_CEILING = 566
-UNMONITORED_CEILING = 354
-ADDED_CEILING = 213
+MONITORED_CEILING = 554
+UNMONITORED_CEILING = 348
+ADDED_CEILING = 207
 
 #: Entries into numpy's Python layer from ``repro.perception`` per
 #: monitored frame, on CPython 3.11.7 and numpy 2.4.6: 9.0, 3% above.

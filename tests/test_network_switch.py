@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.network import BackgroundTraffic, EthernetSwitch, Frame, SwitchedLink
+from repro.network import BackgroundTraffic, EthernetSwitch, Frame
 from repro.sim import Simulator, msec, usec
 
 
@@ -68,49 +68,6 @@ class TestSwitchBasics:
         assert arrivals == {"a": usec(100), "b": usec(100)}
 
 
-class TestSwitchedLink:
-    def test_transmit_routes_through_switch(self):
-        sim = Simulator()
-        switch = EthernetSwitch(sim, propagation_delay=0)
-        switch.attach("ecu1")
-        link = SwitchedLink(switch, "l")
-        arrivals = []
-        assert link.transmit(frame(), lambda f: arrivals.append(sim.now))
-        sim.run()
-        assert len(arrivals) == 1
-
-    def test_loss_probability(self):
-        sim = Simulator(seed=2)
-        switch = EthernetSwitch(sim)
-        switch.attach("ecu1")
-        link = SwitchedLink(switch, "l", loss_prob=0.5)
-        delivered = []
-        # Spaced out so the egress queue never overflows.
-        for i in range(200):
-            sim.schedule_at(
-                i * msec(1),
-                lambda: link.transmit(frame(), lambda f: delivered.append(1)),
-            )
-        sim.run()
-        assert 60 < len(delivered) < 140
-        assert link.lost + len(delivered) == 200
-
-    def test_loss_filter(self):
-        sim = Simulator()
-        switch = EthernetSwitch(sim)
-        switch.attach("ecu1")
-        link = SwitchedLink(switch, "l")
-        link.loss_filter = lambda f: f.size_bytes > 1000
-        assert not link.transmit(frame(size=1500), lambda f: None)
-        assert link.transmit(frame(size=500), lambda f: None)
-
-    def test_invalid_loss(self):
-        sim = Simulator()
-        switch = EthernetSwitch(sim)
-        with pytest.raises(ValueError):
-            SwitchedLink(switch, "l", loss_prob=1.0)
-
-
 class TestBackgroundTraffic:
     def test_cross_traffic_inflates_queueing_delay(self):
         """Emergent J_R: the same periodic flow sees higher and more
@@ -120,7 +77,6 @@ class TestBackgroundTraffic:
             sim = Simulator(seed=9)
             switch = EthernetSwitch(sim, port_rate_bps=100e6, propagation_delay=0)
             switch.attach("ecu1")
-            link = SwitchedLink(switch, "flow")
             delays = []
             if utilization > 0:
                 bg = BackgroundTraffic(switch, "ecu1", utilization=utilization)
@@ -129,7 +85,7 @@ class TestBackgroundTraffic:
                 send_at = msec(1) + i * msec(10)
                 sim.schedule_at(
                     send_at,
-                    lambda t0=send_at: link.transmit(
+                    lambda t0=send_at: switch.forward(
                         frame(size=1250),
                         lambda f, t0=t0: delays.append(sim.now - t0),
                     ),

@@ -3,25 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.sim import AffineModel, ConstantModel, usec
+from repro.sim import AffineModel, usec
 
 
 def rng():
     return np.random.default_rng(123)
-
-
-class TestConstantModel:
-    def test_sample_is_constant(self):
-        model = ConstantModel(usec(50))
-        assert model.sample(rng()) == usec(50)
-        assert model.sample(rng(), size=1000) == usec(50)
-
-    def test_bound_equals_value(self):
-        assert ConstantModel(100).bound() == 100
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantModel(-1)
 
 
 class TestAffineModel:
