@@ -41,7 +41,6 @@ from repro.adaptive import (  # noqa: E402
 )
 from repro.adaptive.chaos import fleet_chain  # noqa: E402
 from repro.faults.degradation import DegradationMode  # noqa: E402
-from repro.telemetry.records import segment_record  # noqa: E402
 from repro.telemetry.uplink.transport import (  # noqa: E402
     EPOCH_ACK_SCHEMA,
     decode_envelope,
@@ -59,18 +58,18 @@ def fmt(budgets):
 
 
 def make_window(chain, medians, activations=24):
-    """A steady per-vehicle stream of SEGMENT records."""
-    records = []
+    """A steady per-vehicle stream of segment wire rows."""
+    rows = []
     seq = 0
     for vehicle in VEHICLES:
         for activation in range(activations):
             for segment, latency in medians.items():
-                records.append(segment_record(
-                    vehicle, chain.name, segment, activation, latency,
-                    "ok", (activation + 1) * chain.period, seq,
+                rows.append((
+                    "segment", vehicle, chain.name, segment, activation,
+                    latency, "ok", "", (activation + 1) * chain.period, seq,
                 ))
                 seq += 1
-    return records
+    return rows
 
 
 def main() -> None:

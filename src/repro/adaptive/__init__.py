@@ -38,7 +38,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "ResolverConfig",
     ),
     "repro.adaptive.shadow": (
-        "ShadowConfig", "ShadowValidator", "ShadowVerdict",
+        "ShadowValidator", "ShadowVerdict",
     ),
     "repro.adaptive.downlink": ("DistributorConfig", "EpochDistributor"),
     "repro.adaptive.vehicle": (

@@ -49,13 +49,11 @@ from repro.adaptive.controlplane import (
 )
 from repro.adaptive.epochs import BudgetEpoch, EpochLedger
 from repro.adaptive.resolver import ResolverConfig
-from repro.adaptive.shadow import ShadowConfig
 from repro.adaptive.vehicle import SimulatedApplyCrash, VehicleEpochAgent
 from repro.core.chains import EventChain
 from repro.core.segments import local_segment, remote_segment
 from repro.core.weakly_hard import MKConstraint
 from repro.faults.degradation import DegradationMode
-from repro.telemetry.records import RecordKind, TelemetryRecord, segment_record
 from repro.telemetry.service import ServiceConfig
 from repro.telemetry.store import StoreConfig
 from repro.telemetry.uplink.chaos import (
@@ -409,20 +407,17 @@ class _AdaptiveVehicle(_Vehicle):
             budget = self.active_budgets.get(segment.name)
             miss = budget is not None and latency > budget
             missed = missed or miss
-            self.rows.append(segment_record(
-                source=self.source, chain=self.chain.name,
-                segment=segment.name, activation=activation,
-                latency_ns=latency, verdict="miss" if miss else "ok",
-                timestamp_ns=timestamp, seq=self.seq,
-            ).to_wire())
+            self.rows.append((
+                "segment", self.source, self.chain.name, segment.name,
+                activation, latency, "miss" if miss else "ok", "",
+                timestamp, self.seq,
+            ))
             self.seq += 1
-        self.rows.append(TelemetryRecord(
-            kind=RecordKind.CHAIN, source=self.source,
-            chain=self.chain.name, segment="", activation=activation,
-            latency_ns=sum(latencies.values()),
-            verdict="miss" if missed else "ok",
-            timestamp_ns=timestamp, seq=self.seq,
-        ).to_wire())
+        self.rows.append((
+            "chain", self.source, self.chain.name, "", activation,
+            sum(latencies.values()), "miss" if missed else "ok", "",
+            timestamp, self.seq,
+        ))
         self.seq += 1
 
     @property
@@ -513,7 +508,6 @@ class AdaptDriver(ChaosDriver):
         return dict(
             config=self.scenario.control or _control(),
             resolver_config=self.scenario.resolver or ResolverConfig(),
-            shadow_config=ShadowConfig(),
             fsync=self.config.fsync,
         )
 
@@ -521,7 +515,7 @@ class AdaptDriver(ChaosDriver):
         """Cross-wire the current ingestor and plane (either may have
         just been replaced by a recovery)."""
         self.ingestor.on_fresh = (
-            lambda records: self.plane.observe_many(records)
+            lambda rows: self.plane.observe_many(rows)
         )
         self.plane.percentile_provider = (
             lambda: self.ingestor.service.store.segment_percentiles()

@@ -1,7 +1,7 @@
 """The closed-loop budget control plane.
 
 One instance per fleet server.  It owns the observation window (recent
-telemetry records), the epoch ledger, the resolver, the shadow
+telemetry wire rows), the epoch ledger, the resolver, the shadow
 validator and the downlink distributor, and drives the epoch state
 machine::
 
@@ -56,9 +56,8 @@ from repro.adaptive.resolver import (
     BudgetResolver,
     ResolverConfig,
 )
-from repro.adaptive.shadow import ShadowConfig, ShadowValidator
+from repro.adaptive.shadow import ShadowValidator
 from repro.core.chains import EventChain
-from repro.telemetry.records import TelemetryRecord
 
 
 class ControlPlaneState(enum.Enum):
@@ -109,7 +108,6 @@ class BudgetControlPlane:
         send: Callable[[str, str, int], object],
         config: Optional[ControlPlaneConfig] = None,
         resolver_config: Optional[ResolverConfig] = None,
-        shadow_config: Optional[ShadowConfig] = None,
         fsync: str = "never",
         baseline: Optional[BudgetEpoch] = None,
         _ledger: Optional[EpochLedger] = None,
@@ -121,7 +119,7 @@ class BudgetControlPlane:
         self.directory = Path(directory)
         self.config = config or ControlPlaneConfig()
         self.resolver = BudgetResolver(self.chains, resolver_config)
-        self.shadow = ShadowValidator(self.chains, shadow_config)
+        self.shadow = ShadowValidator(self.chains)
         self.ledger = _ledger if _ledger is not None else EpochLedger(
             self.directory / "epochs.log", fsync=fsync
         )
@@ -129,18 +127,16 @@ class BudgetControlPlane:
             send, self.ledger,
             DistributorConfig(resend_every=self.config.resend_every),
         )
-        self.window: Deque[TelemetryRecord] = deque(
+        #: The newest ``window_records`` wire rows the fleet applied.
+        self.window: Deque[Sequence] = deque(
             maxlen=self.config.window_records
         )
         self.state = ControlPlaneState.IDLE
-        #: Optional taps the host wires up: called (no args) right
-        #: before a timer-driven resolve to fetch the store's streaming
-        #: percentile map / the tracing layer's critical-path weights.
+        #: Optional tap the host wires up: called (no args) right before
+        #: a timer-driven resolve to fetch the store's streaming
+        #: percentile map.
         self.percentile_provider: Optional[
             Callable[[], Mapping[str, Mapping[str, float]]]
-        ] = None
-        self.attribution_provider: Optional[
-            Callable[[], Mapping[str, float]]
         ] = None
         self.canary_epoch: Optional[BudgetEpoch] = None
         self.rollout_epoch: Optional[BudgetEpoch] = None
@@ -201,8 +197,8 @@ class BudgetControlPlane:
         return self.vehicles[self.config.canary_count:]
 
     # ------------------------------------------------------------------
-    def observe_many(self, records: Sequence[TelemetryRecord]) -> None:
-        self.window.extend(records)
+    def observe_many(self, rows: Sequence[Sequence]) -> None:
+        self.window.extend(rows)
 
     # ------------------------------------------------------------------
     def consider(
@@ -276,10 +272,6 @@ class BudgetControlPlane:
             self._next_rederive = now + self.config.rederive_every
             self.consider(
                 now,
-                attribution=(
-                    self.attribution_provider()
-                    if self.attribution_provider is not None else None
-                ),
                 percentiles=(
                     self.percentile_provider()
                     if self.percentile_provider is not None else None
@@ -403,7 +395,6 @@ class BudgetControlPlane:
         send: Callable[[str, str, int], object],
         config: Optional[ControlPlaneConfig] = None,
         resolver_config: Optional[ResolverConfig] = None,
-        shadow_config: Optional[ShadowConfig] = None,
         fsync: str = "never",
     ) -> Tuple["BudgetControlPlane", dict]:
         """Rebuild the plane from the ledger after a server crash.
@@ -421,7 +412,7 @@ class BudgetControlPlane:
         plane = cls(
             chains, vehicles, directory, send,
             config=config, resolver_config=resolver_config,
-            shadow_config=shadow_config, fsync=fsync, _ledger=ledger,
+            fsync=fsync, _ledger=ledger,
         )
         last_fleet = ledger.last_published("fleet")
         assert last_fleet is not None  # bootstrap published fleet-wide

@@ -41,7 +41,14 @@ from repro.budgeting.solvers import (
 )
 from repro.budgeting.traces import ChainTrace, SegmentTrace
 from repro.core.chains import EventChain
-from repro.telemetry.records import RecordKind, TelemetryRecord
+from repro.telemetry.records import (
+    ACTIVATION,
+    CHAIN,
+    KIND,
+    LATENCY_NS,
+    SEGMENT,
+    SOURCE,
+)
 
 _SOLVERS = {
     "independent": solve_independent,
@@ -120,29 +127,29 @@ class ResolveOutcome:
 
 
 def align_window(
-    window: Sequence[TelemetryRecord], chain: EventChain
+    window: Sequence[Sequence], chain: EventChain
 ) -> List[Tuple[str, int, Dict[str, int]]]:
     """Complete ``(source, activation, {segment: latency})`` rows of
-    *chain* in the window, sorted -- the deterministic spine shared by
-    the resolver and the shadow validator."""
+    *chain* in a window of wire rows, sorted -- the deterministic spine
+    shared by the resolver and the shadow validator."""
     wanted = {segment.name for segment in chain.segments}
-    rows: Dict[Tuple[str, int], Dict[str, int]] = {}
-    for record in window:
+    aligned: Dict[Tuple[str, int], Dict[str, int]] = {}
+    for row in window:
         if (
-            record.kind is RecordKind.SEGMENT
-            and record.chain == chain.name
-            and record.segment in wanted
-            and record.latency_ns is not None
-            and record.activation >= 0
+            row[KIND] == "segment"
+            and row[CHAIN] == chain.name
+            and row[SEGMENT] in wanted
+            and row[LATENCY_NS] is not None
+            and row[ACTIVATION] >= 0
         ):
-            row = rows.setdefault((record.source, record.activation), {})
+            latencies = aligned.setdefault((row[SOURCE], row[ACTIVATION]), {})
             # Last write wins within a key; per-source seq order makes
             # that deterministic, and duplicates carry equal payloads.
-            row[record.segment] = int(record.latency_ns)
+            latencies[row[SEGMENT]] = int(row[LATENCY_NS])
     return [
-        (source, activation, rows[(source, activation)])
-        for source, activation in sorted(rows)
-        if wanted <= set(rows[(source, activation)])
+        (source, activation, aligned[(source, activation)])
+        for source, activation in sorted(aligned)
+        if wanted <= set(aligned[(source, activation)])
     ]
 
 
@@ -162,7 +169,7 @@ class BudgetResolver:
     # ------------------------------------------------------------------
     def resolve(
         self,
-        window: Sequence[TelemetryRecord],
+        window: Sequence[Sequence],
         attribution: Optional[Mapping[str, float]] = None,
         percentiles: Optional[Mapping[str, Mapping[str, float]]] = None,
     ) -> ResolveOutcome:
@@ -190,7 +197,7 @@ class BudgetResolver:
     def _resolve_chain(
         self,
         chain: EventChain,
-        window: Sequence[TelemetryRecord],
+        window: Sequence[Sequence],
         solver,
         attribution: Optional[Mapping[str, float]],
         percentiles: Optional[Mapping[str, Mapping[str, float]]],

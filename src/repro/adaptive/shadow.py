@@ -28,26 +28,17 @@ that preserves record content produces the identical verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.adaptive.epochs import BudgetEpoch
 from repro.adaptive.resolver import align_window
 from repro.core.chains import EventChain
 from repro.core.weakly_hard import MKAutomaton
-from repro.telemetry.records import TelemetryRecord
 
 
-@dataclass
-class ShadowConfig:
-    """Validation thresholds."""
-
-    #: Complete activations (summed over chains) required to judge; a
-    #: thinner window rejects -- conservatively -- rather than guesses.
-    min_activations: int = 8
-
-    def __post_init__(self) -> None:
-        if self.min_activations < 1:
-            raise ValueError("min_activations must be >= 1")
+#: Complete activations (summed over chains) required to judge; a
+#: thinner window rejects -- conservatively -- rather than guesses.
+MIN_ACTIVATIONS = 8
 
 
 @dataclass
@@ -113,15 +104,10 @@ def _replay(
 class ShadowValidator:
     """Replays the window on a shadow replica; accepts or rejects."""
 
-    def __init__(
-        self,
-        chains: Mapping[str, EventChain],
-        config: Optional[ShadowConfig] = None,
-    ):
+    def __init__(self, chains: Mapping[str, EventChain]):
         if not chains:
             raise ValueError("need at least one chain to validate against")
         self.chains = dict(chains)
-        self.config = config or ShadowConfig()
         self.validations = 0
         self.accepted = 0
         self.rejected = 0
@@ -129,7 +115,7 @@ class ShadowValidator:
     # ------------------------------------------------------------------
     def validate(
         self,
-        window: Sequence[TelemetryRecord],
+        window: Sequence[Sequence],
         candidate: BudgetEpoch,
         baseline: BudgetEpoch,
     ) -> ShadowVerdict:
@@ -184,11 +170,11 @@ class ShadowValidator:
                     f"{name}: {cand_silent} silent chain violations "
                     f"(e2e > B_e2e with no deadline fired)"
                 )
-        if verdict.activations < self.config.min_activations:
+        if verdict.activations < MIN_ACTIVATIONS:
             verdict.accepted = False
             verdict.reasons.append(
                 f"window too thin to judge: {verdict.activations} "
-                f"activations < {self.config.min_activations}"
+                f"activations < {MIN_ACTIVATIONS}"
             )
         self.validations += 1
         if verdict.accepted:

@@ -2,8 +2,6 @@
 
 Only the policies the paper touches are modelled:
 
-- ``LIFESPAN`` -- samples older than the lifespan (by source timestamp)
-  are dropped instead of delivered.
 - ``RELIABILITY`` -- BEST_EFFORT drops lost frames; RELIABLE retries
   them, trading latency for delivery (the paper notes its monitor is
   transparent to DDS retransmissions).
@@ -14,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 
 class ReliabilityKind(enum.Enum):
@@ -43,8 +40,6 @@ class QosProfile:
         KEEP_LAST with ``history_depth`` or KEEP_ALL.
     history_depth:
         Queue bound for KEEP_LAST.
-    lifespan:
-        Maximum sample age in ns at delivery (None disables).
     max_retransmits:
         For RELIABLE: how many times a lost frame is retried.
     retransmit_delay:
@@ -55,15 +50,12 @@ class QosProfile:
     reliability: ReliabilityKind = ReliabilityKind.BEST_EFFORT
     history: HistoryKind = HistoryKind.KEEP_LAST
     history_depth: int = 10
-    lifespan: Optional[int] = None
     max_retransmits: int = 3
     retransmit_delay: int = 500_000  # 0.5 ms
 
     def __post_init__(self) -> None:
         if self.history_depth < 1:
             raise ValueError("history_depth must be >= 1")
-        if self.lifespan is not None and self.lifespan <= 0:
-            raise ValueError("lifespan must be positive")
         if self.max_retransmits < 0:
             raise ValueError("max_retransmits must be >= 0")
         if self.retransmit_delay < 0:

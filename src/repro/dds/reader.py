@@ -31,9 +31,6 @@ class ReaderListener:
     def on_data_available(self, reader: "DataReader", sample: Sample) -> None:
         """A sample was delivered to the reader."""
 
-    def on_sample_lifespan_expired(self, reader: "DataReader", sample: Sample) -> None:
-        """A sample was dropped because it outlived its lifespan."""
-
 
 class DataReader:
     """Receives samples of one topic from the domain."""
@@ -57,26 +54,12 @@ class DataReader:
         self.history: Deque[Sample] = deque()
         self.received = 0
         self.filtered = 0
-        self.lifespan_expired = 0
 
     # ------------------------------------------------------------------
     # Delivery path (called by the domain / network stack / recovery)
     # ------------------------------------------------------------------
     def _receive(self, sample: Sample) -> None:
         sim = self.participant.sim
-        if self.qos.lifespan is not None:
-            age = self.participant.ecu.now() - sample.source_timestamp
-            if age > self.qos.lifespan:
-                self.lifespan_expired += 1
-                if sim.tracing_active:
-                    sim.emit_trace(
-                        "dds.lifespan_expired",
-                        topic=self.topic.name,
-                        reader=self.guid,
-                        seq=sample.sequence_number,
-                    )
-                self.listener.on_sample_lifespan_expired(self, sample)
-                return
         for receive_filter in self.receive_filters:
             if not receive_filter(sample):
                 self.filtered += 1

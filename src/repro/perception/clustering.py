@@ -264,11 +264,6 @@ class DetectedObjects:
     stamp: int
     boxes: List[BoundingBox]
 
-    @property
-    def nbytes(self) -> int:
-        """Approximate serialized size."""
-        return 64 + 56 * len(self.boxes)
-
 
 class EuclideanClusterDetector:
     """The object-detection service on ECU2.

@@ -132,8 +132,9 @@ class StackConfig:
     link_loss: float = 0.0
     # Workload.
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
-    # Fault injection (per lidar; frame -> extra delay ns or None=drop).
-    fault_front: Optional[FaultFn] = None
+    # Fault injection on the rear lidar (frame -> extra delay ns or
+    # None=drop); the front lidar's ``fault_fn`` is set on the driver,
+    # as the fault injectors do.
     fault_rear: Optional[FaultFn] = None
     # Tracing.  Event-name prefixes the stack's ``Tracer`` records: None
     # records every trace point, ``()`` none -- no hook is registered
@@ -238,9 +239,7 @@ class PerceptionStack:
         self.topic_fused = pointcloud_topic("points_fused")
         self.topic_ground = pointcloud_topic("ground_points")
         self.topic_nonground = pointcloud_topic("points_nonground")
-        self.topic_objects = Topic(
-            "objects", type_name="DetectedObjects", size_fn=lambda o: o.nbytes
-        )
+        self.topic_objects = Topic("objects", type_name="DetectedObjects")
 
     def _build_services(self) -> None:
         cfg = self.config
@@ -260,7 +259,7 @@ class PerceptionStack:
 
         self.lidar_front = LidarDriver(
             node_front, self.scenario, "front", self.topic_front,
-            period=cfg.period, fault_fn=cfg.fault_front,
+            period=cfg.period,
         )
         self.lidar_rear = LidarDriver(
             node_rear, self.scenario, "rear", self.topic_rear,

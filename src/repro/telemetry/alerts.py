@@ -28,6 +28,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.schema import encode_json
+from repro.telemetry.records import (
+    ACTIVATION,
+    CHAIN,
+    SEGMENT,
+    SEQ,
+    SOURCE,
+    TIMESTAMP_NS,
+)
 from repro.telemetry.store import ApplyOutcome, ChainStateStore
 
 #: Rule identifiers (the stable vocabulary of the alert log).
@@ -117,53 +125,53 @@ class AlertEngine:
 
     # ------------------------------------------------------------------
     def observe(self, outcome: ApplyOutcome) -> None:
-        """Apply-path rules: evaluate the facts of one applied record."""
-        record = outcome.record
+        """Apply-path rules: evaluate the facts of one applied row."""
+        row = outcome.row
         if outcome.seq_gap:
             self.log.append(Alert(
-                timestamp_ns=record.timestamp_ns,
+                timestamp_ns=row[TIMESTAMP_NS],
                 rule=RULE_SEQ_GAP,
                 severity=AlertSeverity.WARNING,
-                source=record.source,
-                chain=record.chain,
-                segment=record.segment,
-                activation=record.activation,
+                source=row[SOURCE],
+                chain=row[CHAIN],
+                segment=row[SEGMENT],
+                activation=row[ACTIVATION],
                 detail=(
                     f"{outcome.seq_gap} record(s) missing before seq "
-                    f"{record.seq}"
+                    f"{row[SEQ]}"
                 ),
             ))
         if outcome.mk_violation:
             self.log.append(Alert(
-                timestamp_ns=record.timestamp_ns,
+                timestamp_ns=row[TIMESTAMP_NS],
                 rule=RULE_MK_VIOLATION,
                 severity=AlertSeverity.CRITICAL,
-                source=record.source,
-                chain=record.chain,
-                activation=record.activation,
+                source=row[SOURCE],
+                chain=row[CHAIN],
+                activation=row[ACTIVATION],
                 detail=(
                     f"(m,k) window violated, margin {outcome.margin}"
                 ),
             ))
         elif outcome.margin_exhausted_now:
             self.log.append(Alert(
-                timestamp_ns=record.timestamp_ns,
+                timestamp_ns=row[TIMESTAMP_NS],
                 rule=RULE_MK_MARGIN,
                 severity=AlertSeverity.WARNING,
-                source=record.source,
-                chain=record.chain,
-                activation=record.activation,
+                source=row[SOURCE],
+                chain=row[CHAIN],
+                activation=row[ACTIVATION],
                 detail="(m,k) miss budget exhausted: one more miss violates",
             ))
         if outcome.latency_window_over_streak:
             self.log.append(Alert(
-                timestamp_ns=record.timestamp_ns,
+                timestamp_ns=row[TIMESTAMP_NS],
                 rule=RULE_LATENCY_BUDGET,
                 severity=AlertSeverity.WARNING,
-                source=record.source,
-                chain=record.chain,
-                segment=record.segment,
-                activation=record.activation,
+                source=row[SOURCE],
+                chain=row[CHAIN],
+                segment=row[SEGMENT],
+                activation=row[ACTIVATION],
                 detail=(
                     f"p95 over budget for "
                     f"{outcome.latency_window_over_streak} consecutive "

@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.telemetry.records import RecordKind, TelemetryRecord
+from repro.telemetry.records import KIND, VERDICT
 
 #: Traffic classes, in shed order (first shed under pressure first).
 CLASS_DASHBOARD = "dashboard"
@@ -32,14 +32,12 @@ CLASS_TELEMETRY = "telemetry"
 CLASS_ALERT = "alert"
 
 
-def classify(record: TelemetryRecord) -> str:
-    """Which traffic class a record belongs to (shedding unit)."""
-    kind = record.kind
-    if kind in (RecordKind.EXCEPTION, RecordKind.MODE):
+def classify(row) -> str:
+    """Which traffic class a wire row belongs to (shedding unit)."""
+    kind = row[KIND]
+    if kind == "exception" or kind == "mode" or row[VERDICT] == "miss":
         return CLASS_ALERT
-    if record.verdict == "miss":
-        return CLASS_ALERT
-    if kind is RecordKind.HEARTBEAT:
+    if kind == "heartbeat":
         return CLASS_DASHBOARD
     return CLASS_TELEMETRY
 

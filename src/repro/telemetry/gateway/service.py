@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.telemetry.records import TelemetryRecord
+from repro.telemetry.records import SEQ, SOURCE
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.uplink.ingest import (
     IngestRecoveryReport,
@@ -285,16 +285,16 @@ class FleetGateway:
         shed = self._shed.get(source)
         return sorted(shed) if shed else None
 
-    def _shed_hook(self, records: List[TelemetryRecord]) -> Set[int]:
-        """Overload nomination: seqs whose class the ladder sheds."""
+    def _shed_hook(self, rows: List[list]) -> Set[int]:
+        """Overload nomination: seqs of the rows whose class the ladder
+        sheds."""
         nominated: Set[int] = set()
-        for record in records:
-            traffic_class = classify(record)
+        for row in rows:
+            traffic_class = classify(row)
             if self.ladder.sheds(traffic_class):
-                nominated.add(record.seq)
-                self._nominated_class[(record.source, record.seq)] = (
-                    traffic_class
-                )
+                seq = row[SEQ]
+                nominated.add(seq)
+                self._nominated_class[(row[SOURCE], seq)] = traffic_class
         return nominated
 
     def step(self, now: int) -> int:

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.telemetry.records import TelemetryRecord, record_from_row
 from repro.telemetry.store import StoreConfig
 
 #: ns helpers (kept local: the load generator must not import the sim).
@@ -210,11 +209,10 @@ class FleetLoadGenerator:
                 next_seq[index] = seq
         return rows
 
-    def materialize(self) -> List[TelemetryRecord]:
-        """The full stream as records.  No production path calls it (the
-        uplink vehicles spool :meth:`batch` rows); it stays because
-        ``e2e_bench/trace.py`` wraps it by name."""
-        return list(map(record_from_row, self.batch()))
+    def materialize(self) -> List[tuple]:
+        """:meth:`batch` under the name ``e2e_bench/trace.py`` wraps; no
+        production path calls it."""
+        return self.batch()
 
 
 # ----------------------------------------------------------------------

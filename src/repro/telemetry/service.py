@@ -25,11 +25,11 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from repro.telemetry.alerts import AlertEngine, AlertLog
-from repro.telemetry.records import TelemetryRecord
+from repro.telemetry.records import TIMESTAMP_NS
 from repro.telemetry.store import ChainStateStore, StoreConfig
 
 #: A wire row's ``timestamp_ns`` field.
-_TIMESTAMP = itemgetter(8)
+_TIMESTAMP = itemgetter(TIMESTAMP_NS)
 
 #: Default admission capacity: the most records one offer admits.
 DEFAULT_CAPACITY = 65536
@@ -103,9 +103,9 @@ class TelemetryService:
     # ``e2e_bench/trace.py:426`` wraps ``ingest_many`` and ``pump`` by
     # name and raises ``LookupError`` when either is missing; nothing in
     # ``src/`` calls them.
-    def ingest_many(self, records: Iterable[TelemetryRecord]) -> int:
-        """:meth:`ingest_batch` over records (kept for the e2e tracer)."""
-        return self.ingest_batch([record.to_wire() for record in records])
+    def ingest_many(self, rows: Iterable[Sequence]) -> int:
+        """:meth:`ingest_batch` over wire rows (kept for the e2e tracer)."""
+        return self.ingest_batch(list(rows))
 
     def pump(self, max_records: Optional[int] = None) -> int:
         """Nothing is ever queued: returns 0 (kept for the e2e tracer)."""

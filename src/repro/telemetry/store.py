@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.weakly_hard import MKAutomaton, MKConstraint
 from repro.schema import SchemaVersionError
 from repro.analysis.histogram import DEFAULT_ALPHA, StreamingHistogram
-from repro.telemetry.records import TelemetryRecord, record_from_row
 
 #: Snapshot schema identifier.
 SNAPSHOT_SCHEMA = "repro-telemetry-store/1"
@@ -317,15 +316,15 @@ class SourceState:
 
 
 class ApplyOutcome:
-    """Plain facts one applied record produced (alert-engine input)."""
+    """Plain facts one applied wire row produced (alert-engine input)."""
 
     __slots__ = (
-        "record", "mk_violation", "margin", "margin_exhausted_now",
+        "row", "mk_violation", "margin", "margin_exhausted_now",
         "latency_window_over_streak", "seq_gap",
     )
 
-    def __init__(self, record: TelemetryRecord):
-        self.record = record
+    def __init__(self, row: Sequence):
+        self.row = row
         #: The chain's (m,k) window just violated.
         self.mk_violation = False
         #: Remaining miss budget after this record (None: no automaton).
@@ -337,11 +336,6 @@ class ApplyOutcome:
         self.latency_window_over_streak = 0
         #: Sequence numbers skipped right before this record.
         self.seq_gap = 0
-
-
-def _outcome(row) -> ApplyOutcome:
-    """A flagged row's outcome (rows are checked on their way in)."""
-    return ApplyOutcome(record_from_row(row))
 
 
 class ChainStateStore:
@@ -473,7 +467,7 @@ class ChainStateStore:
                     gap = seq - last - 1
                     src.seq_gaps += gap
                     src.note_missing(last + 1, seq)
-                    out = _outcome(row)
+                    out = ApplyOutcome(row)
                     out.seq_gap = gap
                 src.last_seq = seq
             elif seq in src.missing:
@@ -526,7 +520,7 @@ class ChainStateStore:
                                 seg.consec_over_windows = streak
                                 if streak % latency_windows == 0:
                                     if out is None:
-                                        out = _outcome(row)
+                                        out = ApplyOutcome(row)
                                     out.latency_window_over_streak = streak
                             else:
                                 seg.consec_over_windows = 0
@@ -542,7 +536,7 @@ class ChainStateStore:
                 margin = automaton.m - automaton.misses_in_window
                 if violated:
                     if out is None:
-                        out = _outcome(row)
+                        out = ApplyOutcome(row)
                     out.mk_violation = True
                     state.margin_exhausted = True
                 elif margin > 0:
@@ -550,7 +544,7 @@ class ChainStateStore:
                 elif not state.margin_exhausted:
                     state.margin_exhausted = True
                     if out is None:
-                        out = _outcome(row)
+                        out = ApplyOutcome(row)
                     out.margin_exhausted_now = True
                 if out is not None:
                     out.margin = margin

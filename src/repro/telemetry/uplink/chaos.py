@@ -46,6 +46,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator
+from repro.telemetry.records import SEQ, SOURCE
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.uplink.ingest import (
     UplinkIngestor,
@@ -383,7 +384,7 @@ class _Vehicle:
     def emit(self, budget: int) -> None:
         batch = self.rows[self.cursor:self.cursor + budget]
         self.spooler.append_many(batch)
-        self.offered.update([row[9] for row in batch])
+        self.offered.update([row[SEQ] for row in batch])
         self.cursor += len(batch)
 
     @property
@@ -518,7 +519,7 @@ class ChaosDriver:
             source: [] for source in fleet.vehicle_ids()
         }
         for row in rows:
-            streams[row[1]].append(row)
+            streams[row[SOURCE]].append(row)
 
         # The fault-free reference: the same rows, ingested directly.
         reference = TelemetryService(self._service_config())

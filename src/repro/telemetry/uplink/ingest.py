@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.schema import SchemaVersionError, encode_json, encode_json_sorted
-from repro.telemetry.records import TelemetryRecord
+from repro.telemetry.records import SEQ, SOURCE
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.uplink.transport import (
     decode_envelope,
@@ -228,11 +228,10 @@ class UplinkIngestor:
         #: Rows drained from ``_held``, in the order the store will see
         #: them, until :meth:`flush` applies them.
         self._ready: List[list] = []
-        #: Called by :meth:`flush` with the *fresh* (deduplicated)
-        #: records it just applied (built only when this is set) -- the
-        #: control plane's observation tap.  Soft state: recovery
-        #: replay does not re-fire it.
-        self.on_fresh: Optional[Callable[[List[TelemetryRecord]], None]] = None
+        #: Called by :meth:`flush` with the *fresh* (deduplicated) wire
+        #: rows it just applied -- the control plane's observation tap.
+        #: Soft state: recovery replay does not re-fire it.
+        self.on_fresh: Optional[Callable[[List[list]], None]] = None
         #: Called with ``(source, newly settled shed seqs)`` when an
         #: overload ``shed`` hook rejects records (gateway accounting).
         self.on_shed_settled: Optional[Callable[[str, List[int]], None]] = None
@@ -296,7 +295,7 @@ class UplinkIngestor:
         payload: str,
         now: int = 0,
         sync: bool = True,
-        shed: Optional[Callable[[List[TelemetryRecord]], Set[int]]] = None,
+        shed: Optional[Callable[[List[list]], Set[int]]] = None,
         header: Optional[dict] = None,
     ) -> Optional[dict]:
         """Ingest one frame; returns its header (or ``None``
@@ -310,8 +309,8 @@ class UplinkIngestor:
         coalesces one :meth:`flush` and one sync per step across many
         frames) -- the caller MUST do both before acknowledging.
 
-        ``shed`` is the gateway's overload hook: it nominates seqs to
-        reject by class (records are built only for it).  A
+        ``shed`` is the gateway's overload hook: handed the frame's
+        decoded rows, it nominates seqs to reject by class.  A
         nominated seq is *settled* in dedup (so the
         cumulative ack sweeps past it) but never applied -- unless an
         earlier copy was already admitted, in which case the nomination
@@ -332,15 +331,12 @@ class UplinkIngestor:
         floor = header["floor"]
         if floor > 0:
             dedup.advance_to(floor - 1)
-        nominated = (
-            shed([TelemetryRecord.from_wire(row) for row in rows])
-            if shed is not None else ()
-        )
+        nominated = shed(rows) if shed is not None else ()
         held = self._held.setdefault(source, {})
         newly_shed: List[int] = []
         fresh: List[str] = []
         if not (held or nominated) and dedup.admit_run(
-            [row[-1] for row in rows]
+            [row[SEQ] for row in rows]
         ):
             # Every row fresh and settled, none waiting below them: they
             # go to the store as they came, no stop in ``held``.
@@ -348,7 +344,7 @@ class UplinkIngestor:
             self._ready += rows
             rows = ()
         for row, line in zip(rows, lines):
-            seq = row[-1]
+            seq = row[SEQ]
             if seq in nominated:
                 if dedup.admit(seq):
                     newly_shed.append(seq)
@@ -396,7 +392,7 @@ class UplinkIngestor:
         self._ready = []
         apply_rows(self.service, rows)
         if self.on_fresh is not None:
-            self.on_fresh([TelemetryRecord.from_wire(row) for row in rows])
+            self.on_fresh(rows)
 
     def ack_payload(
         self,
@@ -507,7 +503,7 @@ class UplinkIngestor:
             # order; the ones above the newest one were still held.
             redo: Dict[str, Dict[int, list]] = {}
             for row in log.settled_rows():
-                source, seq = row[1], row[-1]
+                source, seq = row[SOURCE], row[SEQ]
                 if seq > dedup[source].watermark:
                     held.setdefault(source, {})[seq] = row
                 elif seq > floor.get(source, -1):
@@ -531,7 +527,7 @@ class UplinkIngestor:
         for row, marker in log.replayed:
             if row is not None:
                 report.replayed_records += 1
-                source, seq = row[1], row[-1]
+                source, seq = row[SOURCE], row[SEQ]
                 if dedup.setdefault(source, DedupWatermark()).admit(seq):
                     held.setdefault(source, {})[seq] = row
                     report.replayed_fresh += 1

@@ -68,7 +68,7 @@ from repro.schema import (
     encode_json_sorted,
     json_markers,
 )
-from repro.telemetry.records import wire_fields_ok, wire_rows_ok
+from repro.telemetry.records import SEQ, wire_fields_ok, wire_rows_ok
 
 #: Schema identifier written into every WAL segment header.
 WAL_SCHEMA = "repro-uplink-wal/1"
@@ -381,7 +381,7 @@ class WalSpooler:
 
     # ------------------------------------------------------------------
     def append_many(self, rows: list) -> None:
-        """Durably spool a batch of wire rows (``row[9]`` is the seq):
+        """Durably spool a batch of wire rows (``row[SEQ]`` is the seq):
         written once per segment it lands in, with one flush (and one
         fsync).  A batch that is not well-typed wire rows
         (:func:`~repro.telemetry.records.wire_fields_ok`: the fleet
@@ -391,7 +391,7 @@ class WalSpooler:
             return
         if not wire_fields_ok(rows):
             raise ValueError("append_many takes well-typed wire rows")
-        seqs = [row[9] for row in rows]
+        seqs = [row[SEQ] for row in rows]
         last = self.last_seq
         for seq in seqs:
             if seq <= last:
@@ -630,7 +630,7 @@ class WalSpooler:
             fields = decode_entry(line)
             if not wire_rows_ok([fields]):
                 return None
-            return fields[9], line
+            return fields[SEQ], line
 
         header, entries, kept_bytes, dropped = scan_log(
             path, WAL_SCHEMA, parse, tail_may_tear=is_last

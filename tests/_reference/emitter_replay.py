@@ -4,21 +4,22 @@ used to ship, with the emitter it drove.
 ``repro.telemetry.replay.replay_stack_batch`` writes the wire rows of
 a finished run in one pass and is the only replay under ``src/``; this
 is the loop it replaced -- one ``TelemetryEmitter.segment`` / ``chain``
-/ ``mode`` call, hence one ``TelemetryRecord``, per outcome -- and
-``TelemetryEmitter`` itself, both moved here verbatim once no producer
-under ``src/`` built records one at a time.  It is the oracle of
-``tests/test_campaign_trace_free.py``: same emission order, same
-sequence numbering, same synthesized timestamps.
+/ ``mode`` call, hence one record, per outcome -- and
+``TelemetryEmitter`` itself, both moved here once no producer under
+``src/`` built records one at a time (the records are wire rows now).
+It is the oracle of ``tests/test_campaign_trace_free.py``: same
+emission order, same sequence numbering, same synthesized timestamps.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator, List, Optional
 
-from repro.telemetry.records import RecordKind, TelemetryRecord
+from _telemetry import wire_row
+from repro.telemetry.records import KIND, SEQ, TIMESTAMP_NS
 from repro.telemetry.replay import base_segment_name, stack_chain_map
 
-Sink = Callable[[TelemetryRecord], object]
+Sink = Callable[[tuple], object]
 
 
 class TelemetryEmitter:
@@ -36,16 +37,16 @@ class TelemetryEmitter:
         #: uplink/ingestion cost shows up in traces next to the chain.
         self.spans = None
 
-    def _emit(self, record: TelemetryRecord) -> None:
-        self.sink(record)
+    def _emit(self, row: tuple) -> None:
+        self.sink(row)
         self.emitted += 1
         if self.spans is not None:
             self.spans.instant(
                 "telemetry.emit",
                 "telemetry",
-                ts=record.timestamp_ns,
-                kind=record.kind.value,
-                seq=record.seq,
+                ts=row[TIMESTAMP_NS],
+                kind=row[KIND],
+                seq=row[SEQ],
             )
 
     def _next_seq(self) -> int:
@@ -64,8 +65,8 @@ class TelemetryEmitter:
         timestamp_ns: int,
     ) -> None:
         """One segment activation outcome."""
-        self._emit(TelemetryRecord(
-            kind=RecordKind.SEGMENT, source=self.source, chain=chain,
+        self._emit(wire_row(
+            "segment", self.source, chain=chain,
             segment=segment, activation=activation, latency_ns=latency_ns,
             verdict=verdict, timestamp_ns=timestamp_ns,
             seq=self._next_seq(),
@@ -75,8 +76,8 @@ class TelemetryEmitter:
         self, chain: str, activation: int, violated: bool, timestamp_ns: int
     ) -> None:
         """One finalized chain activation verdict."""
-        self._emit(TelemetryRecord(
-            kind=RecordKind.CHAIN, source=self.source, chain=chain,
+        self._emit(wire_row(
+            "chain", self.source, chain=chain,
             activation=activation, verdict="miss" if violated else "ok",
             timestamp_ns=timestamp_ns, seq=self._next_seq(),
         ))
@@ -90,8 +91,8 @@ class TelemetryEmitter:
         timestamp_ns: int,
     ) -> None:
         """One raised temporal exception (diagnostics stream)."""
-        self._emit(TelemetryRecord(
-            kind=RecordKind.EXCEPTION, source=self.source, chain=chain,
+        self._emit(wire_row(
+            "exception", self.source, chain=chain,
             segment=segment, activation=activation,
             latency_ns=detection_latency_ns, verdict="exception",
             timestamp_ns=timestamp_ns, seq=self._next_seq(),
@@ -99,15 +100,15 @@ class TelemetryEmitter:
 
     def mode(self, level: str, reason: str, timestamp_ns: int) -> None:
         """One degradation-mode transition."""
-        self._emit(TelemetryRecord(
-            kind=RecordKind.MODE, source=self.source, verdict=reason,
+        self._emit(wire_row(
+            "mode", self.source, verdict=reason,
             level=level, timestamp_ns=timestamp_ns, seq=self._next_seq(),
         ))
 
     def heartbeat(self, timestamp_ns: int) -> None:
         """Liveness beacon."""
-        self._emit(TelemetryRecord(
-            kind=RecordKind.HEARTBEAT, source=self.source,
+        self._emit(wire_row(
+            "heartbeat", self.source,
             timestamp_ns=timestamp_ns, seq=self._next_seq(),
         ))
 
@@ -117,9 +118,9 @@ def replay_stack_records(
     source: str,
     n_frames: int,
     manager=None,
-) -> Iterator[TelemetryRecord]:
-    """Deterministic record stream of one finished stack run."""
-    emitted: List[TelemetryRecord] = []
+) -> Iterator[tuple]:
+    """Deterministic wire-row stream of one finished stack run."""
+    emitted: List[tuple] = []
     emitter = TelemetryEmitter(source, emitted.append)
     chain_of = stack_chain_map(stack)
     period = stack.config.period

@@ -4,11 +4,12 @@ became the fleet path's unit of work.
 Production ``transport.decode_frame`` checks every line's CRC and then
 parses all record bodies of a frame with one ``json.loads``, returning
 type-checked wire rows.  This is the function it replaced, body
-verbatim: one ``json.loads`` and one ``TelemetryRecord.from_wire`` per
-line, no field type check.  Oracle of
-``tests/test_uplink_frame_decode_differential.py``: over valid frames
-and mutations both must reject, or agree on header, rows and raw lines
--- except where production is stricter on purpose (listed there).
+verbatim but for the record object it built: one ``json.loads`` per
+line, then that record's length and kind check, no field type check.
+Oracle of ``tests/test_uplink_frame_decode_differential.py``: over
+valid frames and mutations both must reject, or agree on header, rows
+and raw lines -- except where production is stricter on purpose
+(listed there).
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ import json
 import zlib
 from typing import List, Optional, Tuple
 
-from repro.telemetry.records import TelemetryRecord
+from repro.telemetry.records import KINDS, WIRE_FIELDS
 from repro.telemetry.uplink.transport import FRAME_SCHEMA
 
 
 def decode_frame(
     payload: str,
-) -> Optional[Tuple[dict, List[TelemetryRecord], List[str]]]:
-    """``(header, records, raw entry lines)``; ``None`` on any damage.
+) -> Optional[Tuple[dict, List[list], List[str]]]:
+    """``(header, rows, raw entry lines)``; ``None`` on any damage.
 
     A frame is all-or-nothing: a corrupt header, a corrupt record line,
     or a truncated tail (``count`` mismatch) rejects the whole frame --
@@ -59,7 +60,7 @@ def decode_frame(
         or header.get("count") != len(lines) - 1
     ):
         return None
-    records: List[TelemetryRecord] = []
+    rows: List[list] = []
     for line in lines[1:]:
         if len(line) < 10 or line[8] != ":":
             return None
@@ -74,10 +75,11 @@ def decode_frame(
             fields = json.loads(entry_body)
         except ValueError:
             return None
-        if not isinstance(fields, list):
+        if (
+            not isinstance(fields, list)
+            or len(fields) != WIRE_FIELDS
+            or fields[0] not in KINDS
+        ):
             return None
-        try:
-            records.append(TelemetryRecord.from_wire(tuple(fields)))
-        except ValueError:
-            return None
-    return header, records, lines[1:]
+        rows.append(fields)
+    return header, rows, lines[1:]

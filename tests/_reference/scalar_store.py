@@ -2,7 +2,7 @@
 
 Production folds wire rows only through ``ChainStateStore.apply_batch``;
 this is the scalar method it was proven against, moved here as a free
-function over :class:`TelemetryRecord` objects.  It returns an
+function over one wire row at a time.  It returns an
 ``ApplyOutcome`` for *every* record (``apply_batch`` materializes only
 the flagged ones -- ``AlertEngine.observe`` is a no-op for the rest).
 Oracle of ``tests/test_batched_store.py``; :func:`apply_batch_scalar`
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.telemetry.records import RecordKind, TelemetryRecord
+from repro.telemetry.records import KINDS
 from repro.telemetry.store import (
     WINDOW_OVER_FRACTION,
     ApplyOutcome,
@@ -23,20 +23,21 @@ from repro.telemetry.store import (
 )
 
 
-def apply_scalar(
-    store: ChainStateStore, record: TelemetryRecord
-) -> ApplyOutcome:
-    """Fold one record into *store*; return the produced facts."""
-    outcome = ApplyOutcome(record)
+def apply_scalar(store: ChainStateStore, row: Sequence) -> ApplyOutcome:
+    """Fold one wire row into *store*; return the produced facts."""
+    (kind, name, chain, segment, activation, latency, verdict, level,
+     timestamp, seq) = row
+    if kind not in KINDS:
+        raise ValueError(f"unknown record kind {kind!r}")
+    outcome = ApplyOutcome(row)
     config = store.config
     store.applied += 1
 
-    source = store.source_state(record.source)
+    source = store.source_state(name)
     source.records += 1
-    if record.timestamp_ns > source.last_seen_ns:
-        source.last_seen_ns = record.timestamp_ns
+    if timestamp > source.last_seen_ns:
+        source.last_seen_ns = timestamp
     source.gap_open = False
-    seq = record.seq
     if seq > source.last_seq:
         # Emitter seqs start at 0, so skipped numbers -- including
         # before the first record we ever saw -- open a gap.
@@ -54,22 +55,19 @@ def apply_scalar(
     else:
         source.duplicates += 1
 
-    kind = record.kind
-    if kind is RecordKind.SEGMENT:
-        state = store.chain_state(record.source, record.chain)
+    if kind == "segment":
+        state = store.chain_state(name, chain)
         state.records += 1
-        if record.activation > state.last_activation:
-            state.last_activation = record.activation
-        seg = state.segments.get(record.segment)
+        if activation > state.last_activation:
+            state.last_activation = activation
+        seg = state.segments.get(segment)
         if seg is None:
             seg = _SegmentState(
                 alpha=config.alpha,
-                budget_ns=config.budget_for(record.segment),
+                budget_ns=config.budget_for(segment),
             )
-            state.segments[record.segment] = seg
-        verdict = record.verdict
+            state.segments[segment] = seg
         seg.verdicts[verdict] = seg.verdicts.get(verdict, 0) + 1
-        latency = record.latency_ns
         if latency is not None:
             seg.hist.add(latency)
             if seg.budget_ns is not None:
@@ -92,13 +90,13 @@ def apply_scalar(
                             )
                     else:
                         seg.consec_over_windows = 0
-    elif kind is RecordKind.CHAIN:
-        state = store.chain_state(record.source, record.chain)
+    elif kind == "chain":
+        state = store.chain_state(name, chain)
         state.records += 1
-        if record.activation > state.last_activation:
-            state.last_activation = record.activation
+        if activation > state.last_activation:
+            state.last_activation = activation
         automaton = state.automaton
-        violated = automaton.record(record.verdict == "miss")
+        violated = automaton.record(verdict == "miss")
         outcome.margin = automaton.margin
         if violated:
             outcome.mk_violation = True
@@ -109,8 +107,8 @@ def apply_scalar(
                 outcome.margin_exhausted_now = True
         else:
             state.margin_exhausted = False
-    elif kind is RecordKind.MODE:
-        source.level = record.level
+    elif kind == "mode":
+        source.level = level
     # EXCEPTION / HEARTBEAT only refresh the source state above.
     return outcome
 
@@ -123,13 +121,11 @@ folded = 0
 def apply_batch_scalar(
     store: ChainStateStore, rows: Sequence[Sequence]
 ) -> List[ApplyOutcome]:
-    """``ChainStateStore.apply_batch`` folding one record at a time.
+    """``ChainStateStore.apply_batch`` folding one row at a time.
 
-    Each wire row becomes a :class:`TelemetryRecord` first.  Returns an
-    outcome for every record; the unflagged ones are no-ops for
+    Returns an outcome for every row; the unflagged ones are no-ops for
     ``AlertEngine.observe``, so the alert log is the same.
     """
     global folded
-    records = [TelemetryRecord.from_wire(row) for row in rows]
-    folded += len(records)
-    return [apply_scalar(store, record) for record in records]
+    folded += len(rows)
+    return [apply_scalar(store, row) for row in rows]

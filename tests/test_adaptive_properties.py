@@ -14,6 +14,7 @@ Two guarantees the closed loop leans on:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _telemetry import wire_row
 from repro.adaptive import (
     BudgetEpoch,
     BudgetResolver,
@@ -21,7 +22,6 @@ from repro.adaptive import (
     ShadowValidator,
 )
 from repro.adaptive.chaos import fleet_chain
-from repro.telemetry.records import segment_record
 
 _MS = 1_000_000
 
@@ -42,9 +42,9 @@ def records_for(chain, rows, source="veh00"):
     seq = 0
     for activation, latencies in enumerate(rows):
         for segment, value in zip(SEGMENTS, latencies):
-            records.append(segment_record(
-                source, chain.name, segment, activation, value, "ok",
-                (activation + 1) * chain.period, seq,
+            records.append(wire_row(
+                "segment", source, chain.name, segment, activation, value,
+                "ok", "", (activation + 1) * chain.period, seq,
             ))
             seq += 1
     return records

@@ -4,16 +4,16 @@ import random
 
 import pytest
 
+from _telemetry import wire_row
 from repro.adaptive import BudgetResolver, ResolverConfig
 from repro.adaptive.resolver import align_window
 from repro.adaptive.chaos import fleet_chain
-from repro.telemetry.records import segment_record
 
 _MS = 1_000_000
 
 
 def window_for(chain, per_activation, source="veh00", drop=()):
-    """SEGMENT records for *per_activation* [{segment: latency_ns}]
+    """Segment wire rows for *per_activation* [{segment: latency_ns}]
     rows; ``drop`` holds (activation, segment) pairs left unobserved."""
     records = []
     seq = 0
@@ -21,9 +21,9 @@ def window_for(chain, per_activation, source="veh00", drop=()):
         for segment in chain.segments:
             if (activation, segment.name) in drop:
                 continue
-            records.append(segment_record(
-                source, chain.name, segment.name, activation,
-                latencies[segment.name], "ok",
+            records.append(wire_row(
+                "segment", source, chain.name, segment.name, activation,
+                latencies[segment.name], "ok", "",
                 (activation + 1) * chain.period, seq,
             ))
             seq += 1

@@ -2,7 +2,7 @@
 
 import random
 
-from repro.adaptive import BudgetEpoch, ShadowConfig, ShadowValidator
+from repro.adaptive import BudgetEpoch, ShadowValidator
 from repro.adaptive.chaos import fleet_chain
 from test_adaptive_resolver import steady_rows, window_for
 
@@ -77,9 +77,9 @@ class TestShadowValidator:
         chain = fleet_chain()
         window = window_for(chain, steady_rows(chain, 3))
         candidate = BudgetEpoch(epoch_id=1, budgets=FACTORY)
-        verdict = ShadowValidator(
-            {chain.name: chain}, ShadowConfig(min_activations=8)
-        ).validate(window, candidate, baseline_epoch())
+        verdict = ShadowValidator({chain.name: chain}).validate(
+            window, candidate, baseline_epoch()
+        )
         assert not verdict.accepted
         assert any("too thin" in r for r in verdict.reasons)
 

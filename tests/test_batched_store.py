@@ -2,7 +2,7 @@
 
 :meth:`ChainStateStore.apply_batch` folds wire rows in one in-order
 pass; the oracle ``tests/_reference/scalar_store.py::apply_scalar``
-folds one :class:`TelemetryRecord` at a time.  For any generated row
+folds one row at a time.  For any generated row
 stream and *any* chunking of it, the two must leave byte-identical
 store snapshots, the same flagged outcomes (the scalar fold's outcomes
 filtered to the ones the alert engine acts on) and the same alert log.
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from _reference.scalar_store import apply_scalar
 
 from repro.telemetry.alerts import HEARTBEAT_GAP_NS, AlertEngine
-from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.store import ChainStateStore, StoreConfig
 
 SOURCES = ("v0", "v1")
@@ -118,7 +117,7 @@ def cuts(draw, n):
 
 def _facts(outcome):
     return (
-        outcome.record.to_wire(), outcome.seq_gap, outcome.mk_violation,
+        tuple(outcome.row), outcome.seq_gap, outcome.mk_violation,
         outcome.margin, outcome.margin_exhausted_now,
         outcome.latency_window_over_streak,
     )
@@ -144,7 +143,7 @@ def scalar_fold(rows, chunks=()):
     flagged = []
     for lo, hi in chunks or [(0, len(rows))]:
         for row in rows[lo:hi]:
-            outcome = apply_scalar(store, TelemetryRecord.from_wire(row))
+            outcome = apply_scalar(store, row)
             engine.observe(outcome)
             if _flagged(outcome):
                 flagged.append(_facts(outcome))

@@ -17,13 +17,9 @@ class Collector(ReaderListener):
     def __init__(self, sim):
         self.sim = sim
         self.samples = []
-        self.expired = []
 
     def on_data_available(self, reader, sample):
         self.samples.append((sample.data, self.sim.now))
-
-    def on_sample_lifespan_expired(self, reader, sample):
-        self.expired.append(sample.data)
 
 
 def two_ecu_domain(seed=1, loss=0.0, base_latency=usec(200)):
@@ -170,23 +166,6 @@ class TestRemoteDelivery:
         sim.run(until=msec(5))
         assert collector.samples == []
         assert domain.incompatible_matches == 1
-
-
-class TestLifespan:
-    def test_stale_sample_dropped(self):
-        sim, ecu1, ecu2, domain = two_ecu_domain(base_latency=msec(5))
-        part1 = domain.create_participant(ecu1, "pub")
-        part2 = domain.create_participant(ecu2, "sub")
-        topic = Topic("t", size_fn=lambda d: 0)
-        collector = Collector(sim)
-        part2.create_reader(
-            topic, qos=QosProfile(lifespan=msec(2)), listener=collector
-        )
-        writer = part1.create_writer(topic)
-        sim.schedule_at(msec(1), writer.write, "stale")
-        sim.run(until=msec(20))
-        assert collector.samples == []
-        assert collector.expired == ["stale"]
 
 
 class TestWriterInstrumentation:

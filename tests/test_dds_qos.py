@@ -13,7 +13,6 @@ class TestQosProfile:
         qos = QosProfile()
         assert qos.reliability is ReliabilityKind.BEST_EFFORT
         assert qos.history is HistoryKind.KEEP_LAST
-        assert qos.lifespan is None
 
     def test_reliable_reader_rejects_best_effort_writer(self):
         reader_qos = QosProfile(reliability=ReliabilityKind.RELIABLE)
@@ -29,7 +28,6 @@ class TestQosProfile:
         "kwargs",
         [
             {"history_depth": 0},
-            {"lifespan": -1},
             {"max_retransmits": -1},
             {"retransmit_delay": -1},
         ],

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from _telemetry import wire_row
 from repro.schema import encode_json
 from repro.telemetry import ServiceConfig, TelemetryService
 from repro.telemetry.gateway import (
@@ -20,10 +21,7 @@ from repro.telemetry.gateway import (
     RateLimitConfig,
     TokenBucket,
 )
-from repro.telemetry.records import (
-    RecordKind,
-    TelemetryRecord,
-)
+from repro.telemetry.records import SEQ, SOURCE
 from repro.telemetry.uplink.transport import (
     ACK_SCHEMA,
     REJECT_SCHEMA,
@@ -37,8 +35,8 @@ from repro.telemetry.uplink.wal import encode_entry
 TOKEN = "unit-secret"
 
 
-def _rec(seq, source="veh00", kind=RecordKind.SEGMENT, verdict="ok"):
-    return TelemetryRecord(
+def _rec(seq, source="veh00", kind="segment", verdict="ok"):
+    return wire_row(
         kind=kind, source=source, chain="c", segment="c/s0",
         activation=seq, latency_ns=10 + seq, verdict=verdict,
         timestamp_ns=(seq + 1) * 1000, seq=seq,
@@ -46,10 +44,10 @@ def _rec(seq, source="veh00", kind=RecordKind.SEGMENT, verdict="ok"):
 
 
 def _frame(records, frame_id=0, source="veh00", floor=None):
-    floor = records[0].seq if floor is None else floor
+    floor = records[0][SEQ] if floor is None else floor
     return encode_frame(
         source, frame_id, floor,
-        [encode_entry(encode_json(r.to_wire())) for r in records],
+        [encode_entry(encode_json(r)) for r in records],
     )
 
 
@@ -208,12 +206,12 @@ class TestShedAccounting:
         gateway = self._overloaded_gateway(tmp_path)
         _establish(gateway)
         records = [
-            _rec(0, kind=RecordKind.HEARTBEAT),          # dashboard
-            _rec(1),                                     # telemetry
-            _rec(2, kind=RecordKind.EXCEPTION),          # alert
-            _rec(3, verdict="miss"),                     # alert
-            _rec(4),                                     # telemetry
-            _rec(5, kind=RecordKind.HEARTBEAT),          # dashboard
+            _rec(0, kind="heartbeat"),   # dashboard
+            _rec(1),                     # telemetry
+            _rec(2, kind="exception"),   # alert
+            _rec(3, verdict="miss"),     # alert
+            _rec(4),                     # telemetry
+            _rec(5, kind="heartbeat"),   # dashboard
         ]
         gateway.handle_payload(_frame(records), 1)
         gateway.step(now=1)  # backlog 6 > safe_above 4 -> SAFE
@@ -233,7 +231,7 @@ class TestShedAccounting:
         gateway = self._overloaded_gateway(tmp_path)
         _establish(gateway)
         gateway.handle_payload(
-            _frame([_rec(i, kind=RecordKind.HEARTBEAT) for i in range(6)]), 1
+            _frame([_rec(i, kind="heartbeat") for i in range(6)]), 1
         )
         gateway.step(now=1)
         (first,) = _drain_outbox(gateway)
@@ -242,7 +240,7 @@ class TestShedAccounting:
         # can never silently strand records.  (The follow-up record is
         # an alert, which even a SAFE-mode gateway never sheds.)
         gateway.handle_payload(
-            _frame([_rec(6, kind=RecordKind.EXCEPTION)],
+            _frame([_rec(6, kind="exception")],
                    frame_id=1, floor=6),
             20,
         )
@@ -267,8 +265,8 @@ class TestStepIsTheUnitOfWork:
             lambda batch: applies.append(len(batch)) or apply_batch(batch),
         )
         seen = []
-        gateway.ingestor.on_fresh = lambda records: seen.append(
-            (store.applied, [(r.source, r.seq) for r in records])
+        gateway.ingestor.on_fresh = lambda rows: seen.append(
+            (store.applied, [(row[SOURCE], row[SEQ]) for row in rows])
         )
         gateway.handle_payload(_frame([_rec(0), _rec(1)]), 1)
         gateway.handle_payload(

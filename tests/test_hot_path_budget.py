@@ -76,13 +76,8 @@ from repro.sim.kernel import ScheduledEvent, Simulator
 from repro.telemetry.gateway.chaos import GatewayChaosScenario
 from repro.telemetry.gateway.service import FleetGateway
 from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator
-from repro.telemetry.records import (
-    TelemetryRecord,
-    record_from_row,
-    segment_record,
-)
 from repro.telemetry.service import TelemetryService
-from repro.telemetry.store import ChainStateStore
+from repro.telemetry.store import ApplyOutcome, ChainStateStore
 from repro.telemetry.uplink import transport
 from repro.telemetry.uplink.chaos import ChaosConfig
 from repro.telemetry.uplink.ingest import UplinkIngestor
@@ -372,10 +367,7 @@ def test_campaign_frame_pays_for_its_verdict_only():
 
 def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
     watched = {
-        TelemetryRecord.from_wire.__code__: "from_wire",
-        TelemetryRecord.__init__.__code__: "records",
-        TelemetryRecord.to_wire.__code__: "to_wire",
-        record_from_row.__code__: "records",
+        ApplyOutcome.__init__.__code__: "outcomes",
         ChainStateStore.apply_batch.__code__: "apply_batch",
         FleetGateway.step.__code__: "steps",
         transport.decode_frame_header.__code__: "headers",
@@ -436,12 +428,11 @@ def test_fleet_frame_pays_one_parse_and_a_step_pays_one_apply(tmp_path):
     applied = driver.ingestor.service.store.applied
     checkpoints = result.ingest["checkpoints"]
     assert frames == 120 and checkpoints == 30 and applied > 900
-    # Records built: only the outcomes the folds flag (none on a clean
+    # Outcomes built: only for the rows the folds flag (none on a clean
     # episode).  The vehicles spool the load generator's rows and the
     # reference folds them; the rows a frame decodes reach the store as
     # rows, and nothing crosses a queue.
-    assert counts["records"] == counts["flagged"] == 0
-    assert counts["from_wire"] == counts["to_wire"] == 0
+    assert counts["outcomes"] == counts["flagged"] == 0
     assert counts["headers"] == frames
     # One journal write of record lines per frame that brings fresh rows.
     assert counts["journal_writes"] == counts["fresh_frames"] > 0
@@ -489,11 +480,11 @@ def test_fold_pays_no_call_per_row_past_a_keys_first_touch():
     first_touch = {
         "_segment_state": segment_keys,
         "chain_state": 0,  # a chain's segments came first
-        "__init__": len(store.sources),  # SourceState
     }
     per_row = {
         "record": chain_rows,  # MKAutomaton.record
-        "_outcome": len(flagged),
+        # SourceState on a source's first touch, ApplyOutcome per flag.
+        "__init__": len(store.sources) + len(flagged),
         "note_missing": gaps,
     }
     assert dict(calls) == {
@@ -564,9 +555,9 @@ def test_budget_resolve_calls_per_record():
     for vehicle in ("veh00", "veh01", "veh02"):
         for activation in range(256):
             for segment, median in medians.items():
-                records.append(segment_record(
-                    vehicle, chain.name, segment, activation,
-                    int(median * rng.lognormal(0.0, 0.18)), "ok",
+                records.append((
+                    "segment", vehicle, chain.name, segment, activation,
+                    int(median * rng.lognormal(0.0, 0.18)), "ok", "",
                     (activation + 1) * chain.period, len(records),
                 ))
     baseline = BudgetEpoch(epoch_id=0, budgets={

@@ -156,10 +156,8 @@ class TestMonitoringUnderLoad:
 
 class TestFaultInjection:
     def test_dropped_lidar_frame_raises_s0_exception(self):
-        stack = PerceptionStack(StackConfig(
-            seed=5,
-            fault_front=lambda frame: None if frame == 10 else 0,
-        ))
+        stack = PerceptionStack(StackConfig(seed=5))
+        stack.lidar_front.fault_fn = lambda frame: None if frame == 10 else 0
         stack.run(n_frames=20)
         exc = stack.exception_records("s0_front")
         assert any(e.activation == 10 for e in exc)

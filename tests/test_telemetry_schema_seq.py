@@ -13,10 +13,9 @@ import warnings
 
 import pytest
 
-from _telemetry import apply_one
+from _telemetry import apply_one, wire_row
 
 from repro.schema import SchemaVersionError
-from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.store import (
     MAX_TRACKED_MISSING,
     ChainStateStore,
@@ -25,8 +24,8 @@ from repro.telemetry.store import (
 
 
 def _segment(source, seq, latency=10, ts=None):
-    return TelemetryRecord(
-        kind=RecordKind.SEGMENT, source=source, chain="c", segment="c/s0",
+    return wire_row(
+        kind="segment", source=source, chain="c", segment="c/s0",
         activation=seq, latency_ns=latency, verdict="ok",
         timestamp_ns=seq * 100 if ts is None else ts, seq=seq,
     )

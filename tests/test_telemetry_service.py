@@ -47,7 +47,7 @@ def _stream_bytes(records) -> str:
     """One JSON line per record under a schema header line: the bytes
     the pinned stream digests below were taken of."""
     lines = [json.dumps({"schema": WIRE_SCHEMA})]
-    lines.extend(encode_json(record.to_wire()) for record in records)
+    lines.extend(encode_json(record) for record in records)
     return "\n".join(lines) + "\n"
 
 

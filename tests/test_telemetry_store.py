@@ -6,25 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _telemetry import apply_one
+from _telemetry import apply_one, wire_row
 
 from repro.schema import decode_json, encode_json
-from repro.telemetry.records import RecordKind, TelemetryRecord
+from repro.telemetry.records import wire_rows_ok
 from repro.telemetry.store import ChainStateStore, StoreConfig
 
 
 def _segment(source, seq, activation, latency, verdict="ok",
              chain="c", segment="c/s0"):
-    return TelemetryRecord(
-        kind=RecordKind.SEGMENT, source=source, chain=chain, segment=segment,
+    return wire_row(
+        "segment", source, chain=chain, segment=segment,
         activation=activation, latency_ns=latency, verdict=verdict,
         timestamp_ns=activation * 100 + latency, seq=seq,
     )
 
 
 def _chain(source, seq, activation, violated, chain="c"):
-    return TelemetryRecord(
-        kind=RecordKind.CHAIN, source=source, chain=chain,
+    return wire_row(
+        "chain", source, chain=chain,
         activation=activation, verdict="miss" if violated else "ok",
         timestamp_ns=(activation + 1) * 100, seq=seq,
     )
@@ -108,11 +108,10 @@ class TestApplyFacts:
 
     def test_mode_record_updates_source_level(self):
         store = ChainStateStore()
-        record = TelemetryRecord(
-            kind=RecordKind.MODE, source="v0", verdict="fault",
-            level="degraded", timestamp_ns=5, seq=0,
-        )
-        apply_one(store, record)
+        apply_one(store, wire_row(
+            "mode", "v0", verdict="fault", level="degraded",
+            timestamp_ns=5, seq=0,
+        ))
         assert store.sources["v0"].level == "degraded"
 
 
@@ -169,9 +168,8 @@ class TestWireFormat:
     )
     @settings(max_examples=50, deadline=None)
     def test_stream_codec_round_trip(self, latencies):
-        records = [_segment("v0", i, i, lat) for i, lat in enumerate(latencies)]
-        text = "\n".join(encode_json(record.to_wire()) for record in records)
-        assert [
-            TelemetryRecord.from_wire(decode_json(line))
-            for line in text.splitlines()
-        ] == records
+        rows = [_segment("v0", i, i, lat) for i, lat in enumerate(latencies)]
+        text = "\n".join(encode_json(row) for row in rows)
+        decoded = [decode_json(line) for line in text.splitlines()]
+        assert wire_rows_ok(decoded)
+        assert list(map(tuple, decoded)) == rows

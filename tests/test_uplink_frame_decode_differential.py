@@ -3,7 +3,7 @@
 ``transport.decode_frame`` checks each line's CRC and then hands every
 record body of the frame to a single ``json.loads``;
 ``tests/_reference/per_line_frame_decode.py`` is the old function, one
-parse and one ``TelemetryRecord`` per line.  Over generated valid frames
+parse and one record check per line.  Over generated valid frames
 and their mutations -- flipped characters, truncation, dropped /
 duplicated / merged / split lines, CRC-valid hostile bodies -- both must
 reject, or agree on header, rows and raw lines.  Production may only be
@@ -88,13 +88,12 @@ def _check(payload) -> None:
     except TypeError:
         # Found by this property, reproduces at the parent: a kind that
         # is a JSON array is unhashable, and the per-line decode raised
-        # out of ``KIND_BY_VALUE.get`` instead of rejecting the frame.
+        # out of its kind lookup instead of rejecting the frame.
         old = None
     if old is None:
         assert new is None, "accepted a frame the per-line decode rejects"
         return
-    header, records, lines = old
-    rows = [list(record.to_wire()) for record in records]
+    header, rows, lines = old
     if new is None:
         assert _stricter_on_purpose(payload, header, rows)
         return

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference.dedup_admit import SweepEveryAdmitWatermark
+from _telemetry import wire_row
 from repro.schema import SchemaVersionError, encode_json
-from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.store import StoreConfig
 from repro.telemetry.uplink.ingest import (
@@ -27,8 +27,8 @@ from repro.telemetry.uplink.wal import decode_entry, encode_entry
 
 
 def _rec(source, seq, miss=False):
-    return TelemetryRecord(
-        kind=RecordKind.CHAIN, source=source, chain="c",
+    return wire_row(
+        kind="chain", source=source, chain="c",
         activation=seq, verdict="miss" if miss else "ok",
         timestamp_ns=(seq + 1) * 100, seq=seq,
     )
@@ -37,7 +37,7 @@ def _rec(source, seq, miss=False):
 def _frame(source, frame_id, records, floor=0):
     return encode_frame(
         source, frame_id, floor,
-        [encode_entry(encode_json(record.to_wire())) for record in records],
+        [encode_entry(encode_json(record)) for record in records],
     )
 
 

@@ -36,8 +36,9 @@ from hypothesis import strategies as st
 
 from _reference.full_snapshot_ingest import FullSnapshotIngestor
 from _reference.per_frame_ingest import PerFrameIngestor
+from _telemetry import wire_row
 from repro.schema import SchemaVersionError, encode_json
-from repro.telemetry.records import RecordKind, TelemetryRecord
+from repro.telemetry.records import SEQ, SOURCE
 from repro.telemetry.service import ServiceConfig, TelemetryService
 from repro.telemetry.store import ChainState, StoreConfig
 from repro.telemetry.uplink import ingest, wal
@@ -61,18 +62,18 @@ def _rec(source, seq):
     store folds, with misses and over-budget latencies sprinkled in."""
     chain = CHAINS[seq % 2]
     if seq % 7 == 3:
-        return TelemetryRecord(
-            kind=RecordKind.MODE, source=source, level=f"L{seq % 3}",
+        return wire_row(
+            kind="mode", source=source, level=f"L{seq % 3}",
             timestamp_ns=(seq + 1) * 100, seq=seq,
         )
     if seq % 3 == 0:
-        return TelemetryRecord(
-            kind=RecordKind.SEGMENT, source=source, chain=chain,
+        return wire_row(
+            kind="segment", source=source, chain=chain,
             segment="s0", activation=seq, latency_ns=100 + 17 * (seq % 9),
             verdict="ok", timestamp_ns=(seq + 1) * 100, seq=seq,
         )
-    return TelemetryRecord(
-        kind=RecordKind.CHAIN, source=source, chain=chain, activation=seq,
+    return wire_row(
+        kind="chain", source=source, chain=chain, activation=seq,
         verdict="miss" if seq % 5 == 0 else "ok",
         timestamp_ns=(seq + 1) * 100, seq=seq,
     )
@@ -81,7 +82,7 @@ def _rec(source, seq):
 def _frame(source, frame_id, seqs):
     return encode_frame(
         source, frame_id, 0,
-        [encode_entry(encode_json(_rec(source, seq).to_wire()))
+        [encode_entry(encode_json(_rec(source, seq)))
          for seq in seqs],
     )
 
@@ -296,8 +297,8 @@ _CHUNKED_OPS = st.one_of(
 )
 
 
-def _nominate(records):
-    return {record.seq for record in records if record.seq % 5 == 4}
+def _nominate(rows):
+    return {row[SEQ] for row in rows if row[SEQ] % 5 == 4}
 
 
 class _Side:
@@ -314,9 +315,9 @@ class _Side:
 
     def _wire(self, ingestor):
         self.ingestor = ingestor
-        ingestor.on_fresh = lambda records: self.fresh.extend(
-            (record.source, record.seq, ingestor.service.store.applied)
-            for record in records
+        ingestor.on_fresh = lambda rows: self.fresh.extend(
+            (row[SOURCE], row[SEQ], ingestor.service.store.applied)
+            for row in rows
         )
         ingestor.on_shed_settled = lambda source, seqs: self.shed.append(
             (source, list(seqs))
@@ -424,8 +425,8 @@ class TestChunkingInvariance:
 # Clock-free budgets
 # ----------------------------------------------------------------------
 def _wide_rec(vehicle, chain, seq):
-    return TelemetryRecord(
-        kind=RecordKind.CHAIN, source=f"veh{vehicle:03d}", chain=chain,
+    return wire_row(
+        kind="chain", source=f"veh{vehicle:03d}", chain=chain,
         activation=seq, verdict="ok", timestamp_ns=(seq + 1) * 100, seq=seq,
     )
 
@@ -462,7 +463,7 @@ class TestCheckpointWorkIsProportionalToWhatChanged:
             ingestor.handle_payload(encode_frame(
                 f"veh{vehicle:03d}", 0, 0,
                 [encode_entry(encode_json(
-                    _wide_rec(vehicle, chain, seq).to_wire()
+                    _wide_rec(vehicle, chain, seq)
                 )) for seq, chain in enumerate(CHAINS)],
             ))
         ingestor.checkpoint()  # the base: a full snapshot
@@ -478,7 +479,7 @@ class TestCheckpointWorkIsProportionalToWhatChanged:
                     f"veh{vehicle:03d}", 1 + round_no, 0,
                     [encode_entry(encode_json(_wide_rec(
                         vehicle, chain, next_seq[vehicle] + i
-                    ).to_wire())) for i, chain in enumerate(CHAINS)],
+                    ))) for i, chain in enumerate(CHAINS)],
                 ))
             ingestor.checkpoint()
             assert calls["to_json"] == 0

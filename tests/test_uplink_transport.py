@@ -1,8 +1,8 @@
 """Uplink envelopes + the adversarial channel: framing integrity,
 deterministic fault injection, and channel accounting."""
 
+from _telemetry import wire_row
 from repro.schema import encode_json
-from repro.telemetry.records import RecordKind, TelemetryRecord
 from repro.telemetry.uplink.transport import (
     ACK_SCHEMA,
     FRAME_SCHEMA,
@@ -18,8 +18,8 @@ from repro.telemetry.uplink.wal import encode_entry
 
 
 def _rec(seq):
-    return TelemetryRecord(
-        kind=RecordKind.SEGMENT, source="v0", chain="c", segment="c/s0",
+    return wire_row(
+        kind="segment", source="v0", chain="c", segment="c/s0",
         activation=seq, latency_ns=10, verdict="ok",
         timestamp_ns=seq * 100, seq=seq,
     )
@@ -43,13 +43,13 @@ class TestEnvelopes:
 
     def test_batch_round_trip(self):
         records = [_rec(i) for i in range(5)]
-        lines = [encode_entry(encode_json(record.to_wire()))
+        lines = [encode_entry(encode_json(record))
                  for record in records]
         header, decoded, raw = decode_frame(encode_frame("v0", 3, 0, lines))
         assert header["schema"] == FRAME_SCHEMA
         assert header["source"] == "v0"
         assert header["frame_id"] == 3
-        assert decoded == [list(record.to_wire()) for record in records]
+        assert decoded == [list(record) for record in records]
         assert raw == lines  # relayed verbatim, no re-encode
 
     def test_ack_round_trip(self):

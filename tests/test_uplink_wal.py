@@ -5,6 +5,7 @@ crash-interleaving properties against a dict model of seq -> line."""
 
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,7 @@ from hypothesis import strategies as st
 from repro import schema
 from repro.schema import SchemaVersionError, encode_json
 from repro.telemetry import ServiceConfig, TelemetryService
-from repro.telemetry.records import (
-    segment_record,
-    wire_fields_ok,
-    wire_rows_ok,
-)
+from repro.telemetry.records import wire_fields_ok, wire_rows_ok
 from repro.telemetry.uplink import (
     UplinkIngestor,
     WindowedClientConfig,
@@ -102,7 +99,10 @@ class TestSpooler:
         ("segment", "v0", "c", "c/s0", 1, 10, "ok", "", 100, "1"),
         ("bogus", "v0", "c", "c/s0", 1, 10, "ok", "", 100, 1),
         _row("v0", 1)[:9],
-        segment_record("v0", "c", "c/s0", 1, 10, "ok", 100, 1),
+        # An object with a row's fields as attributes, not a row.
+        SimpleNamespace(kind="segment", source="v0", chain="c",
+                        segment="c/s0", activation=1, latency_ns=10,
+                        verdict="ok", level="", timestamp_ns=100, seq=1),
     ], ids=["float_latency", "bool_seq", "str_seq", "unknown_kind",
             "nine_fields", "record_object"])
     def test_a_row_the_fleet_would_refuse_is_refused_whole(
@@ -128,9 +128,9 @@ class TestSpooler:
         breaker kept opening and the good seq 0 never reached the
         store.  Refused at the spool, it costs nothing downstream."""
         spooler = WalSpooler.open_fresh(_config(tmp_path), "v0")
-        poison = segment_record("v0", "c", "c/s0", 1, 1.5, "ok", 100, 1)
+        poison = _row("v0", 1, latency=1.5)
         with pytest.raises(ValueError):
-            spooler.append_many([_row("v0", 0), poison.to_wire()])
+            spooler.append_many([_row("v0", 0), poison])
         spooler.append_many([_row("v0", 0)])
         ingestor = UplinkIngestor(
             TelemetryService(ServiceConfig()), Path(tmp_path) / "fleet",
