@@ -41,6 +41,7 @@ from repro.adaptive import (  # noqa: E402
 )
 from repro.adaptive.chaos import fleet_chain  # noqa: E402
 from repro.faults.degradation import DegradationMode  # noqa: E402
+from repro.telemetry.records import KIND_SEGMENT  # noqa: E402
 from repro.telemetry.uplink.transport import (  # noqa: E402
     EPOCH_ACK_SCHEMA,
     decode_envelope,
@@ -65,7 +66,7 @@ def make_window(chain, medians, activations=24):
         for activation in range(activations):
             for segment, latency in medians.items():
                 rows.append((
-                    "segment", vehicle, chain.name, segment, activation,
+                    KIND_SEGMENT, vehicle, chain.name, segment, activation,
                     latency, "ok", "", (activation + 1) * chain.period, seq,
                 ))
                 seq += 1

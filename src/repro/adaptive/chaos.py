@@ -54,6 +54,7 @@ from repro.core.chains import EventChain
 from repro.core.segments import local_segment, remote_segment
 from repro.core.weakly_hard import MKConstraint
 from repro.faults.degradation import DegradationMode
+from repro.telemetry.records import KIND_CHAIN, KIND_SEGMENT
 from repro.telemetry.service import ServiceConfig
 from repro.telemetry.store import StoreConfig
 from repro.telemetry.uplink.chaos import (
@@ -408,13 +409,13 @@ class _AdaptiveVehicle(_Vehicle):
             miss = budget is not None and latency > budget
             missed = missed or miss
             self.rows.append((
-                "segment", self.source, self.chain.name, segment.name,
+                KIND_SEGMENT, self.source, self.chain.name, segment.name,
                 activation, latency, "miss" if miss else "ok", "",
                 timestamp, self.seq,
             ))
             self.seq += 1
         self.rows.append((
-            "chain", self.source, self.chain.name, "", activation,
+            KIND_CHAIN, self.source, self.chain.name, "", activation,
             sum(latencies.values()), "miss" if missed else "ok", "",
             timestamp, self.seq,
         ))

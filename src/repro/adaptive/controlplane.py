@@ -205,7 +205,6 @@ class BudgetControlPlane:
         self,
         now: int,
         candidate: Optional[BudgetEpoch] = None,
-        attribution: Optional[Mapping[str, float]] = None,
         percentiles: Optional[Mapping[str, Mapping[str, float]]] = None,
     ) -> Optional[BudgetEpoch]:
         """Run one resolve + shadow-validate pass (or validate an
@@ -216,8 +215,7 @@ class BudgetControlPlane:
         if candidate is None:
             self.resolves += 1
             outcome = self.resolver.resolve(
-                list(self.window), attribution=attribution,
-                percentiles=percentiles,
+                list(self.window), percentiles=percentiles
             )
             if not outcome.ok:
                 return None

@@ -45,6 +45,7 @@ from repro.telemetry.records import (
     ACTIVATION,
     CHAIN,
     KIND,
+    KIND_SEGMENT,
     LATENCY_NS,
     SEGMENT,
     SOURCE,
@@ -136,7 +137,7 @@ def align_window(
     aligned: Dict[Tuple[str, int], Dict[str, int]] = {}
     for row in window:
         if (
-            row[KIND] == "segment"
+            row[KIND] == KIND_SEGMENT
             and row[CHAIN] == chain.name
             and row[SEGMENT] in wanted
             and row[LATENCY_NS] is not None

@@ -13,8 +13,8 @@ the buffers in a *fixed segment order* (the cause of the ground-points
 skew in the paper's Fig. 10), arm a timeout for every new start event,
 match end events, expire activations after a last look at their end
 buffer -- is :class:`~repro.ipc.decision.DecisionCore`, which the real
-shared-memory monitor runs too; :class:`MonitorThread` charges
-:class:`MonitorCosts` for each decision and runs Algorithm 2 for each
+shared-memory monitor runs too; :class:`MonitorThread` charges the
+``*_COST_NS`` constants for each decision and runs Algorithm 2 for each
 expiry.  After an exception, the corresponding late publication (or
 late reception, for sink segments) is skipped via a shared counter
 evaluated by the instrumented endpoint.
@@ -23,7 +23,6 @@ evaluated by the instrumented endpoint.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.chain_runtime import ChainRuntime, Outcome
@@ -80,14 +79,13 @@ class EventRingBuffer(deque):
         return items
 
 
-@dataclass(frozen=True)
-class MonitorCosts:
-    """CPU work charged to the monitor thread per action (ns)."""
-
-    start_event: int = usec(2)
-    end_event: int = usec(1)
-    exception_detect: int = usec(5)
-    remote_entry: int = usec(3)
+#: CPU work charged to the monitor thread per action (ns): arming a
+#: start event, matching an end event, detecting an expiry, entering a
+#: forwarded remote timeout.
+START_EVENT_COST_NS = usec(2)
+END_EVENT_COST_NS = usec(1)
+EXCEPTION_DETECT_COST_NS = usec(5)
+REMOTE_ENTRY_COST_NS = usec(3)
 
 
 ActivationFn = Callable[[Sample], Optional[int]]
@@ -419,8 +417,6 @@ class MonitorThread:
     priority:
         Scheduling priority; must exceed every application/middleware
         thread for bounded reaction times.
-    costs:
-        Per-action CPU costs charged to the thread.
     """
 
     def __init__(
@@ -428,12 +424,13 @@ class MonitorThread:
         ecu: Ecu,
         name: str = "monitor",
         priority: int = 99,
-        costs: Optional[MonitorCosts] = None,
     ):
         self.ecu = ecu
         self.sim = ecu.sim
         self.name = name
-        self.costs = costs or MonitorCosts()
+        # The two per-event syscalls, built once.
+        self._start_cost = Compute(START_EVENT_COST_NS)
+        self._end_cost = Compute(END_EVENT_COST_NS)
         self.sem = Semaphore(self.sim, name=f"{ecu.name}.{name}.sem")
         self.segments: List[LocalSegmentRuntime] = []
         self.core = DecisionCore()
@@ -441,22 +438,6 @@ class MonitorThread:
         self.wakeups = 0
         self.exceptions_raised = 0
         self.thread = ecu.spawn(name, self._body, priority=priority)
-
-    @property
-    def costs(self) -> MonitorCosts:
-        """Per-action CPU costs (replace the object to change them)."""
-        return self._costs
-
-    @costs.setter
-    def costs(self, costs: MonitorCosts) -> None:
-        self._costs = costs
-        # The two per-event syscalls, built once (None = free).
-        self._start_cost = (
-            Compute(costs.start_event) if costs.start_event > 0 else None
-        )
-        self._end_cost = (
-            Compute(costs.end_event) if costs.end_event > 0 else None
-        )
 
     # ------------------------------------------------------------------
     def add_segment(self, runtime: LocalSegmentRuntime) -> LocalSegmentRuntime:
@@ -491,19 +472,14 @@ class MonitorThread:
             # 1) Remote timeout forwards (Sec. V-B path).
             while remote_queue:
                 fn = remote_queue.popleft()
-                if self.costs.remote_entry > 0:
-                    yield Compute(self.costs.remote_entry)
+                yield Compute(REMOTE_ENTRY_COST_NS)
                 fn()
             # 2) The core's decisions, each charged before it is made;
             # the core is told the time after every charge.
             for decision in core.wake(self.ecu.now()):
                 if decision is ARM:
-                    if self._start_cost is None:
-                        continue
                     yield self._start_cost
                 elif decision is MATCH:
-                    if self._end_cost is None:
-                        continue
                     yield self._end_cost
                 else:
                     lane, start, deadline = decision
@@ -511,8 +487,7 @@ class MonitorThread:
                     # Anchor the exception span at the instant the monitor
                     # started reacting, before detection/handler CPU costs.
                     span_begin = None if self.sim.spans is None else self.sim.now
-                    if self.costs.exception_detect > 0:
-                        yield Compute(self.costs.exception_detect)
+                    yield Compute(EXCEPTION_DETECT_COST_NS)
                     if runtime.handler.cost_ns > 0:
                         yield Compute(runtime.handler.cost_ns)
                     runtime._raise_exception(

@@ -8,18 +8,17 @@ Routing rules:
   over the registered :class:`~repro.network.link.Link`; on arrival it
   passes through the destination ECU's ksoftirq thread
   (:class:`~repro.network.stack.NetworkStack`) before reaching the
-  reader.  RELIABLE endpoints retry lost frames with a delay.
+  reader.  Delivery is best-effort: a frame lost on the link is dropped
+  and counted in ``frames_dropped``, never retried.
 
-Matching respects requested-vs-offered QoS compatibility.  Readers and
+Every reader of a topic matches every writer of it.  Readers and
 writers may join in any order.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Tuple, TYPE_CHECKING
 
-from repro.dds.qos import ReliabilityKind
 from repro.dds.topic import Sample
 from repro.network.link import Frame, Link
 from repro.network.stack import NetworkStack
@@ -47,7 +46,6 @@ class DdsDomain:
         self._readers: Dict[str, List["DataReader"]] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._stacks: Dict[str, NetworkStack] = {}
-        self.incompatible_matches = 0
         self.frames_dropped = 0
 
     # ------------------------------------------------------------------
@@ -106,9 +104,6 @@ class DdsDomain:
     # ------------------------------------------------------------------
     def _route(self, writer: "DataWriter", sample: Sample) -> None:
         for reader in self._readers.get(writer.topic.name, []):
-            if not reader.qos.compatible_with(writer.qos):
-                self.incompatible_matches += 1
-                continue
             src = writer.participant.ecu
             dst = reader.participant.ecu
             if src.name == dst.name:
@@ -130,7 +125,6 @@ class DdsDomain:
         writer: "DataWriter",
         reader: "DataReader",
         sample: Sample,
-        attempt: int = 0,
     ) -> None:
         src = writer.participant.ecu
         dst = reader.participant.ecu
@@ -154,30 +148,15 @@ class DdsDomain:
         delivered = link.transmit(frame, lambda f: stack.deliver(port, f))
         if delivered:
             return
-        # Frame lost on the wire.
-        reliable = (
-            writer.qos.reliability is ReliabilityKind.RELIABLE
-            and reader.qos.reliability is ReliabilityKind.RELIABLE
-        )
-        if reliable and attempt < writer.qos.max_retransmits:
-            self.sim.schedule_after(
-                writer.qos.retransmit_delay,
-                self._deliver_remote,
-                writer,
-                reader,
-                sample,
-                attempt + 1,
-                label=f"dds:retransmit:{sample.topic.name}",
+        # Frame lost on the wire: best-effort, so the sample is gone.
+        self.frames_dropped += 1
+        if self.sim.tracing_active:
+            self.sim.emit_trace(
+                "dds.sample_dropped",
+                topic=sample.topic.name,
+                seq=sample.sequence_number,
+                attempts=1,
             )
-        else:
-            self.frames_dropped += 1
-            if self.sim.tracing_active:
-                self.sim.emit_trace(
-                    "dds.sample_dropped",
-                    topic=sample.topic.name,
-                    seq=sample.sequence_number,
-                    attempts=attempt + 1,
-                )
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

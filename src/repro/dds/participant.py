@@ -1,11 +1,11 @@
 """Domain participants and the middleware event thread.
 
 Each participant (one per process, as in ROS2) owns a *middleware event
-thread* that executes deadline-QoS timeout routines and retransmission
-bookkeeping.  Its priority is deliberately *not* the highest on the ECU:
-the paper observes that running middleware timers at top priority "would
-not be practical anyway, as the entire network load would interfere with
-all regular services" -- and measures (Fig. 12) the resulting 100 us to
+thread* that executes deadline-QoS timeout routines.  Its priority is
+deliberately *not* the highest on the ECU: the paper observes that
+running middleware timers at top priority "would not be practical
+anyway, as the entire network load would interfere with all regular
+services" -- and measures (Fig. 12) the resulting 100 us to
 2 ms exception-entry latencies.  Monitors that want bounded reaction
 times must instead forward timeouts to the high-priority monitor thread
 (Sec. V-B), which our remote monitor supports as a configuration.
@@ -23,7 +23,6 @@ from repro.sim.threads import Compute, WaitSem
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dds.domain import DdsDomain
-    from repro.dds.qos import QosProfile
     from repro.dds.reader import DataReader, ReaderListener
     from repro.dds.topic import Topic
     from repro.dds.writer import DataWriter
@@ -93,29 +92,23 @@ class DomainParticipant:
     # ------------------------------------------------------------------
     # Endpoint factories
     # ------------------------------------------------------------------
-    def create_writer(
-        self,
-        topic: "Topic",
-        qos: Optional["QosProfile"] = None,
-        writer_id: Optional[str] = None,
-    ) -> "DataWriter":
+    def create_writer(self, topic: "Topic") -> "DataWriter":
         """Create a :class:`DataWriter` for *topic* on this participant."""
         from repro.dds.writer import DataWriter
 
-        writer = DataWriter(self, topic, qos, writer_id=writer_id)
+        writer = DataWriter(self, topic)
         self.domain._register_writer(writer)
         return writer
 
     def create_reader(
         self,
         topic: "Topic",
-        qos: Optional["QosProfile"] = None,
         listener: Optional["ReaderListener"] = None,
     ) -> "DataReader":
         """Create a :class:`DataReader` for *topic* on this participant."""
         from repro.dds.reader import DataReader
 
-        reader = DataReader(self, topic, qos, listener)
+        reader = DataReader(self, topic, listener)
         self.domain._register_reader(reader)
         return reader
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional, TYPE_CHECKING
 
-from repro.dds.qos import DEFAULT_QOS, HistoryKind, QosProfile
 from repro.dds.topic import Sample, Topic
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -23,6 +22,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ReceiveHook = Callable[[Sample], None]
 ReceiveFilter = Callable[[Sample], bool]
+
+#: Samples a reader's cache keeps (KEEP_LAST); older ones are evicted.
+HISTORY_DEPTH = 10
 
 
 class ReaderListener:
@@ -39,19 +41,17 @@ class DataReader:
         self,
         participant: "DomainParticipant",
         topic: Topic,
-        qos: Optional[QosProfile] = None,
         listener: Optional[ReaderListener] = None,
     ):
         self.participant = participant
         self.topic = topic
-        self.qos = qos or DEFAULT_QOS
         self.listener = listener or ReaderListener()
         self.guid = f"{participant.guid}/r{participant.sim.next_entity_id('reader')}"
         #: Return False to discard the sample before delivery.
         self.receive_filters: List[ReceiveFilter] = []
         #: Called for every accepted sample, before the listener.
         self.on_receive_hooks: List[ReceiveHook] = []
-        self.history: Deque[Sample] = deque()
+        self.history: Deque[Sample] = deque(maxlen=HISTORY_DEPTH)
         self.received = 0
         self.filtered = 0
 
@@ -114,7 +114,7 @@ class DataReader:
             # Hooks, monitors and the executor enqueue all run inside
             # this delivery: hand them the transport context.
             spans.current = tspan.context
-        self._store(sample)
+        self.history.append(sample)
         for hook in self.on_receive_hooks:
             hook(sample)
         self.listener.on_data_available(self, sample)
@@ -127,12 +127,6 @@ class DataReader:
         subsequent local segment as if it had arrived.
         """
         self._receive(sample)
-
-    def _store(self, sample: Sample) -> None:
-        self.history.append(sample)
-        if self.qos.history is HistoryKind.KEEP_LAST:
-            while len(self.history) > self.qos.history_depth:
-                self.history.popleft()
 
     def take(self) -> Optional[Sample]:
         """Pop the oldest sample from the reader cache (polling access)."""

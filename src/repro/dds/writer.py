@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
-from repro.dds.qos import DEFAULT_QOS, QosProfile
 from repro.dds.topic import Sample, Topic
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,19 +28,10 @@ PublishFilter = Callable[[Sample], bool]
 class DataWriter:
     """Publishes samples of one topic into the domain."""
 
-    def __init__(
-        self,
-        participant: "DomainParticipant",
-        topic: Topic,
-        qos: Optional[QosProfile] = None,
-        writer_id: Optional[str] = None,
-    ):
+    def __init__(self, participant: "DomainParticipant", topic: Topic):
         self.participant = participant
         self.topic = topic
-        self.qos = qos or DEFAULT_QOS
-        self.guid = writer_id or (
-            f"{participant.guid}/w{participant.sim.next_entity_id('writer')}"
-        )
+        self.guid = f"{participant.guid}/w{participant.sim.next_entity_id('writer')}"
         self._seq = itertools.count()
         #: Return False to suppress the publication (monitor skip logic).
         self.publish_filters: List[PublishFilter] = []

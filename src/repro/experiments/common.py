@@ -49,7 +49,7 @@ def interference_governor(
 
 #: The three golden scenario configurations, as ``StackConfig`` keywords:
 #: a benign run, a run under ECU2 frequency interference (latency tail +
-#: exceptions), and a lossy-link run (retransmits + remote monitor
+#: exceptions), and a lossy-link run (dropped frames + remote monitor
 #: timeouts).  ``python -m repro trace --scenario`` runs them, and
 #: ``tests/golden/golden_digests.json`` pins their digests as
 #: ``<name>_seed<seed>``.

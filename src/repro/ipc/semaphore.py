@@ -12,12 +12,12 @@ from typing import Optional
 
 
 class TimedSemaphore:
-    """Counting semaphore with microsecond-granularity timed waits."""
+    """Counting semaphore with microsecond-granularity timed waits.
 
-    def __init__(self, initial: int = 0):
-        if initial < 0:
-            raise ValueError("initial count must be non-negative")
-        self._sem = multiprocessing.Semaphore(initial)
+    The count starts at zero."""
+
+    def __init__(self):
+        self._sem = multiprocessing.Semaphore(0)
 
     def post(self) -> None:
         """Release the semaphore (wakes one waiter)."""

@@ -7,8 +7,7 @@ A frame's delivery time is::
 with ``serialization(size) = size_bytes * 8 / bandwidth_bps``.  Deliveries
 on one link never reorder (FIFO), matching the in-order delivery the
 paper's system model assumes for middleware messages.  Loss is i.i.d.
-per frame; the DDS layer decides whether lost frames are retransmitted
-(RELIABLE) or dropped (BEST_EFFORT).
+per frame; the DDS layer drops a lost frame (best-effort delivery).
 """
 
 from __future__ import annotations

@@ -18,9 +18,5 @@ from repro import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.ros.executor": ("SingleThreadedExecutor",),
-    "repro.ros.executors": (
-        "EXECUTOR_MODELS", "CallbackGroup", "CallbackSpec", "Dispatch",
-        "Ros2MultiThreadedExecutor", "Ros2SingleThreadedExecutor",
-    ),
     "repro.ros.node": ("Node", "Publisher", "RosTimer", "Subscription"),
 })

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional
 
 from repro.dds.domain import DdsDomain
-from repro.dds.qos import QosProfile
 from repro.dds.reader import DataReader, ReaderListener
 from repro.dds.topic import Sample, Topic
 from repro.dds.writer import DataWriter
@@ -62,12 +61,11 @@ class Subscription:
         node: "Node",
         topic: Topic,
         callback: Callable[[Sample], Any],
-        qos: Optional[QosProfile] = None,
     ):
         self.node = node
         self.callback = callback
         self.reader: DataReader = node.participant.create_reader(
-            topic, qos=qos, listener=_SubscriptionListener(self)
+            topic, listener=_SubscriptionListener(self)
         )
 
 
@@ -144,11 +142,9 @@ class Node:
         self.subscriptions: List[Subscription] = []
         self.timers: List[RosTimer] = []
 
-    def create_publisher(
-        self, topic: Topic, qos: Optional[QosProfile] = None
-    ) -> Publisher:
+    def create_publisher(self, topic: Topic) -> Publisher:
         """Create a publisher on *topic*."""
-        publisher = Publisher(self, self.participant.create_writer(topic, qos=qos))
+        publisher = Publisher(self, self.participant.create_writer(topic))
         self.publishers.append(publisher)
         return publisher
 
@@ -156,10 +152,9 @@ class Node:
         self,
         topic: Topic,
         callback: Callable[[Sample], Any],
-        qos: Optional[QosProfile] = None,
     ) -> Subscription:
         """Subscribe to *topic* with *callback(sample)* on the executor."""
-        subscription = Subscription(self, topic, callback, qos=qos)
+        subscription = Subscription(self, topic, callback)
         self.subscriptions.append(subscription)
         return subscription
 

@@ -27,17 +27,16 @@ class _Waiter:
 class Semaphore:
     """Counting semaphore with timed wait (``sem_timedwait`` semantics).
 
-    Waiters are woken in priority order (highest first), FIFO among equal
-    priorities.  The yield-expression result of ``WaitSem`` is ``True`` on
-    acquisition and ``False`` on timeout.
+    The count starts at zero.  Waiters are woken in priority order
+    (highest first), FIFO among equal priorities.  The yield-expression
+    result of ``WaitSem`` is ``True`` on acquisition and ``False`` on
+    timeout.
     """
 
-    def __init__(self, sim: Simulator, initial: int = 0, name: str = "sem"):
-        if initial < 0:
-            raise ValueError("initial count must be non-negative")
+    def __init__(self, sim: Simulator, name: str = "sem"):
         self.sim = sim
         self.name = name
-        self._count = initial
+        self._count = 0
         self._waiters: List[_Waiter] = []
         #: One reusable waiter record (and timeout event handle) per
         #: thread that ever blocked here: a thread waits at most once at

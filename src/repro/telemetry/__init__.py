@@ -31,9 +31,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.telemetry.loadgen": (
         "FleetConfig", "FleetLoadGenerator", "LoadReport", "run_load",
     ),
-    "repro.telemetry.records": (
-        "RecordKind", "WIRE_SCHEMA",
-    ),
+    "repro.telemetry.records": ("WIRE_SCHEMA",),
     "repro.telemetry.replay": (
         "replay_stack_batch", "stack_chain_map", "stack_store_config",
     ),

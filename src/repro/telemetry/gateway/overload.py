@@ -24,7 +24,13 @@ import enum
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.telemetry.records import KIND, VERDICT
+from repro.telemetry.records import (
+    KIND,
+    KIND_EXCEPTION,
+    KIND_HEARTBEAT,
+    KIND_MODE,
+    VERDICT,
+)
 
 #: Traffic classes, in shed order (first shed under pressure first).
 CLASS_DASHBOARD = "dashboard"
@@ -35,9 +41,9 @@ CLASS_ALERT = "alert"
 def classify(row) -> str:
     """Which traffic class a wire row belongs to (shedding unit)."""
     kind = row[KIND]
-    if kind == "exception" or kind == "mode" or row[VERDICT] == "miss":
+    if kind == KIND_EXCEPTION or kind == KIND_MODE or row[VERDICT] == "miss":
         return CLASS_ALERT
-    if kind == "heartbeat":
+    if kind == KIND_HEARTBEAT:
         return CLASS_DASHBOARD
     return CLASS_TELEMETRY
 

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.telemetry.records import KIND_CHAIN, KIND_HEARTBEAT, KIND_SEGMENT
 from repro.telemetry.store import StoreConfig
 
 #: ns helpers (kept local: the load generator must not import the sim).
@@ -172,7 +173,7 @@ class FleetLoadGenerator:
                 base_ts = frame * PERIOD_NS + index * 111_111
                 if frame % HEARTBEAT_FRAMES == 0:
                     rows.append((
-                        "heartbeat", vehicle, "", "", -1, None, "",
+                        KIND_HEARTBEAT, vehicle, "", "", -1, None, "",
                         "", base_ts, seq,
                     ))
                     seq += 1
@@ -195,13 +196,13 @@ class FleetLoadGenerator:
                             self.lost_in_transport += 1
                         else:
                             rows.append((
-                                "segment", vehicle, chain, segment,
+                                KIND_SEGMENT, vehicle, chain, segment,
                                 frame, latency, "miss" if missed else "ok",
                                 "", base_ts + latency, seq,
                             ))
                         seq += 1
                     rows.append((
-                        "chain", vehicle, chain, "", frame, None,
+                        KIND_CHAIN, vehicle, chain, "", frame, None,
                         "miss" if chain_missed else "ok", "",
                         base_ts + PERIOD_NS, seq,
                     ))

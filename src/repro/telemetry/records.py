@@ -14,18 +14,18 @@ Wire schema ``repro-telemetry/1``: a row is the JSON array
     [kind, source, chain, segment, activation, latency_ns, verdict,
      level, timestamp_ns, seq]
 
-with ``kind`` one of :class:`RecordKind`'s values, ``source`` the
-vehicle/process identity, ``seq`` a per-source monotonic sequence
-number (the store uses it for gap accounting), and ``timestamp_ns`` the
-producer's clock.  Unused fields carry ``""`` / ``None`` -- never
-omitted, so field positions are stable across kinds.  A consumer
-reads a field through the column positions named here (``row[SEQ]``),
-never through a literal index.
+with ``kind`` one of :data:`KINDS`, ``source`` the vehicle/process
+identity, ``seq`` a per-source monotonic sequence number (the store
+uses it for gap accounting), and ``timestamp_ns`` the producer's clock.
+Unused fields carry ``""`` / ``None`` -- never omitted, so field
+positions are stable across kinds.  A consumer reads a field through
+the column positions named here (``row[SEQ]``), never through a literal
+index, and names a kind through its ``KIND_*`` constant, never through
+a string literal, so a misspelt kind fails at import.
 """
 
 from __future__ import annotations
 
-import enum
 from itertools import repeat
 from operator import itemgetter
 
@@ -40,23 +40,22 @@ WIRE_FIELDS = 10
  TIMESTAMP_NS, SEQ) = range(WIRE_FIELDS)
 
 
-class RecordKind(enum.Enum):
-    """What kind of event a record describes."""
+#: The record kinds, as their wire strings (``row[KIND]``).
+#: One segment activation outcome (OK/RECOVERED/MISS/SKIPPED).
+KIND_SEGMENT = "segment"
+#: One finalized chain activation verdict (``verdict`` ok/miss).
+KIND_CHAIN = "chain"
+#: A raised temporal exception (diagnostics; no (m,k) effect).
+KIND_EXCEPTION = "exception"
+#: A degradation-mode transition (``level`` = new mode).
+KIND_MODE = "mode"
+#: Liveness beacon from a source with no other traffic.
+KIND_HEARTBEAT = "heartbeat"
 
-    #: One segment activation outcome (OK/RECOVERED/MISS/SKIPPED).
-    SEGMENT = "segment"
-    #: One finalized chain activation verdict (``verdict`` ok/miss).
-    CHAIN = "chain"
-    #: A raised temporal exception (diagnostics; no (m,k) effect).
-    EXCEPTION = "exception"
-    #: A degradation-mode transition (``level`` = new mode).
-    MODE = "mode"
-    #: Liveness beacon from a source with no other traffic.
-    HEARTBEAT = "heartbeat"
-
-
-#: The wire strings of the record kinds.
-KINDS = frozenset(kind.value for kind in RecordKind)
+#: Every record kind.
+KINDS = frozenset(
+    (KIND_SEGMENT, KIND_CHAIN, KIND_EXCEPTION, KIND_MODE, KIND_HEARTBEAT)
+)
 
 #: The field types of a well-typed wire row, by position: only
 #: ``latency_ns`` may be ``None`` (exact types: ``type(True)`` is

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.telemetry.records import KIND_CHAIN, KIND_MODE, KIND_SEGMENT
+
 
 def base_segment_name(segment_name: str) -> str:
     """Strip a keyed-monitor suffix: ``s2[front]`` -> ``s2``."""
@@ -71,7 +73,7 @@ def replay_stack_batch(
         # ``_value_``: enum's ``value`` is a Python property, a frame a row.
         for n, latency, outcome in monitor.latencies:
             append((
-                "segment", source, chain, segment_name, n, latency,
+                KIND_SEGMENT, source, chain, segment_name, n, latency,
                 outcome._value_, "", n * period + max(0, latency), len(rows),
             ))
 
@@ -79,14 +81,14 @@ def replay_stack_batch(
         misses = stack.chain_runtimes[chain_name].misses(n_frames - 1)
         for n, violated in enumerate(misses):
             append((
-                "chain", source, chain_name, "", n, None,
+                KIND_CHAIN, source, chain_name, "", n, None,
                 "miss" if violated else "ok", "", (n + 1) * period, len(rows),
             ))
 
     if manager is not None:
         for t, _old, new, reason in manager.transitions:
             append((
-                "mode", source, "", "", -1, None, reason, new._value_, t,
+                KIND_MODE, source, "", "", -1, None, reason, new._value_, t,
                 len(rows),
             ))
     return rows

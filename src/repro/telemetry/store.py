@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.weakly_hard import MKAutomaton, MKConstraint
 from repro.schema import SchemaVersionError
 from repro.analysis.histogram import DEFAULT_ALPHA, StreamingHistogram
+from repro.telemetry.records import KIND_CHAIN, KIND_MODE, KIND_SEGMENT
 
 #: Snapshot schema identifier.
 SNAPSHOT_SCHEMA = "repro-telemetry-store/1"
@@ -477,7 +478,7 @@ class ChainStateStore:
             else:
                 src.duplicates += 1
 
-            if kind == "segment":
+            if kind == KIND_SEGMENT:
                 entry = segments.get((name, chain, segment))
                 if entry is None:
                     entry = self._segment_state(name, chain, segment)
@@ -524,7 +525,7 @@ class ChainStateStore:
                                     out.latency_window_over_streak = streak
                             else:
                                 seg.consec_over_windows = 0
-            elif kind == "chain":
+            elif kind == KIND_CHAIN:
                 state = chains.get((name, chain))
                 if state is None:
                     state = self.chain_state(name, chain)
@@ -548,7 +549,7 @@ class ChainStateStore:
                     out.margin_exhausted_now = True
                 if out is not None:
                     out.margin = margin
-            elif kind == "mode":
+            elif kind == KIND_MODE:
                 src.level = level
             # EXCEPTION / HEARTBEAT only refresh the source state above.
             if out is not None:

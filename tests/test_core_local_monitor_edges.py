@@ -5,7 +5,7 @@ import pytest
 from _harness import Message, PipelineWorld, activation_of
 
 from repro.core import MKConstraint, Outcome, SkipGate
-from repro.core.local_monitor import MonitorCosts
+from repro.core.local_monitor import EXCEPTION_DETECT_COST_NS
 from repro.dds.topic import Sample, Topic
 from repro.tracing.spans import SpanRecorder
 
@@ -91,20 +91,18 @@ class TestBufferOverflow:
 
 
 class TestMonitorCosts:
-    def test_zero_costs_allowed(self):
+    def test_detection_latency_is_the_detect_cost(self):
         from repro.sim import msec
 
         world = PipelineWorld(worker_time=lambda i: msec(30), d_mon=msec(10))
-        world.monitor.costs = MonitorCosts(
-            start_event=0, end_event=0, exception_detect=0, remote_entry=0
-        )
         world.runtime.handler.cost_ns = 0
         world.publish_frames(3)
         world.run(until=msec(500))
-        # Exceptions still raised, with zero-overhead detection.
+        # The idle top-priority monitor wakes at the deadline and is
+        # charged only the detection before the handler is entered.
         assert len(world.runtime.exceptions) == 3
         for exc in world.runtime.exceptions:
-            assert exc.detection_latency == 0
+            assert exc.detection_latency == EXCEPTION_DETECT_COST_NS
 
 
 class TestMonitorLatencySamples:

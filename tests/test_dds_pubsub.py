@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.dds import (
-    DdsDomain,
-    QosProfile,
-    ReaderListener,
-    ReliabilityKind,
-    Topic,
-)
+from repro.dds import DdsDomain, ReaderListener, Topic
+from repro.dds.reader import HISTORY_DEPTH
 from repro.network import JitterModel, Link, NetworkStack
 from repro.sim import Ecu, Simulator, msec, usec
 
@@ -132,40 +127,8 @@ class TestRemoteDelivery:
             sim.schedule_at(msec(1 + i), writer.write, i)
         sim.run(until=msec(200))
         assert 30 < len(collector.samples) < 90
-        assert domain.frames_dropped > 0
-
-    def test_reliable_retransmits_through_loss(self):
-        sim, ecu1, ecu2, domain = two_ecu_domain(seed=3, loss=0.4)
-        part1 = domain.create_participant(ecu1, "pub")
-        part2 = domain.create_participant(ecu2, "sub")
-        topic = Topic("t", size_fn=lambda d: 100)
-        qos = QosProfile(reliability=ReliabilityKind.RELIABLE, max_retransmits=10)
-        collector = Collector(sim)
-        part2.create_reader(topic, qos=qos, listener=collector)
-        writer = part1.create_writer(topic, qos=qos)
-        for i in range(100):
-            sim.schedule_at(msec(1 + i), writer.write, i)
-        sim.run(until=msec(300))
-        assert len(collector.samples) == 100
-
-    def test_incompatible_qos_not_matched(self):
-        sim, ecu1, ecu2, domain = two_ecu_domain()
-        part1 = domain.create_participant(ecu1, "pub")
-        part2 = domain.create_participant(ecu2, "sub")
-        topic = Topic("t")
-        collector = Collector(sim)
-        part2.create_reader(
-            topic,
-            qos=QosProfile(reliability=ReliabilityKind.RELIABLE),
-            listener=collector,
-        )
-        writer = part1.create_writer(
-            topic, qos=QosProfile(reliability=ReliabilityKind.BEST_EFFORT)
-        )
-        sim.schedule_at(msec(1), writer.write, "x")
-        sim.run(until=msec(5))
-        assert collector.samples == []
-        assert domain.incompatible_matches == 1
+        # Best-effort: every lost frame is dropped once, none is retried.
+        assert len(collector.samples) + domain.frames_dropped == 100
 
 
 class TestWriterInstrumentation:
@@ -260,12 +223,13 @@ class TestReaderInstrumentation:
         domain = DdsDomain(sim, local_latency=usec(1))
         part = domain.create_participant(ecu, "p")
         topic = Topic("t")
-        reader = part.create_reader(topic, qos=QosProfile(history_depth=3))
+        reader = part.create_reader(topic)
         writer = part.create_writer(topic)
-        for i in range(10):
+        n = HISTORY_DEPTH + 5
+        for i in range(n):
             sim.schedule_at(msec(1 + i), writer.write, i)
-        sim.run(until=msec(20))
-        assert [s.data for s in reader.history] == [7, 8, 9]
+        sim.run(until=msec(n + 10))
+        assert [s.data for s in reader.history] == list(range(5, n))
 
     def test_take_pops_fifo(self):
         sim = Simulator()
@@ -273,7 +237,7 @@ class TestReaderInstrumentation:
         domain = DdsDomain(sim, local_latency=usec(1))
         part = domain.create_participant(ecu, "p")
         topic = Topic("t")
-        reader = part.create_reader(topic, qos=QosProfile(history_depth=10))
+        reader = part.create_reader(topic)
         writer = part.create_writer(topic)
         for i in range(3):
             sim.schedule_at(msec(1 + i), writer.write, i)

@@ -1,45 +1,9 @@
-"""Unit tests for QoS profiles and topic/sample plumbing."""
+"""Unit tests for topic/sample plumbing."""
 
 import numpy as np
 import pytest
 
-from repro.dds import QosProfile, ReliabilityKind, Sample, Topic
-from repro.dds.qos import HistoryKind
-from repro.sim import msec
-
-
-class TestQosProfile:
-    def test_defaults(self):
-        qos = QosProfile()
-        assert qos.reliability is ReliabilityKind.BEST_EFFORT
-        assert qos.history is HistoryKind.KEEP_LAST
-
-    def test_reliable_reader_rejects_best_effort_writer(self):
-        reader_qos = QosProfile(reliability=ReliabilityKind.RELIABLE)
-        writer_qos = QosProfile(reliability=ReliabilityKind.BEST_EFFORT)
-        assert not reader_qos.compatible_with(writer_qos)
-
-    def test_best_effort_reader_accepts_reliable_writer(self):
-        reader_qos = QosProfile(reliability=ReliabilityKind.BEST_EFFORT)
-        writer_qos = QosProfile(reliability=ReliabilityKind.RELIABLE)
-        assert reader_qos.compatible_with(writer_qos)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"history_depth": 0},
-            {"max_retransmits": -1},
-            {"retransmit_delay": -1},
-        ],
-    )
-    def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            QosProfile(**kwargs)
-
-    def test_profile_is_frozen(self):
-        qos = QosProfile()
-        with pytest.raises(AttributeError):
-            qos.history_depth = 5
+from repro.dds import Sample, Topic
 
 
 class TestTopic:

@@ -1,10 +1,10 @@
 """The differential suite: production vs reference engines, byte for byte.
 
 Every observable artifact the repo pins -- golden-trace fingerprints,
-fault-campaign scenario payloads, executor-model dispatch logs,
-gateway/adaptive chaos reports, telemetry store digests and alert logs
--- is produced twice: once by production (``stamped`` simulator heap, ``batched``
-one-pass row fold) and once with the oracles of
+fault-campaign scenario payloads, gateway/adaptive chaos reports,
+telemetry store digests and alert logs -- is produced twice: once by
+production (``stamped`` simulator heap, ``batched`` one-pass row fold)
+and once with the oracles of
 ``tests/_reference/`` substituted in (``heap`` kernel, ``scalar``
 per-record fold).  The canonical JSON serializations must match byte
 for byte; see ``tests/_differential.py`` for the fixture layer.  Every
@@ -31,7 +31,6 @@ from _differential import (
     run_under_telemetry_engines,
 )
 from _reference import scalar_store
-from _reference.executor_schedule import consumer_executor, run_consumers
 from _reference.heap_kernel import HeapSimulator
 
 from repro.adaptive.chaos import (
@@ -44,8 +43,7 @@ from repro.faults.campaign import (
     FaultCampaign,
     default_scenarios as fault_scenarios,
 )
-from repro.ros.executors import EXECUTOR_MODELS
-from repro.sim import Simulator, msec
+from repro.sim import Simulator
 from repro.telemetry.gateway import gateway_scenarios
 from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator
 from repro.telemetry.service import ServiceConfig, TelemetryService
@@ -74,10 +72,8 @@ class TestReferenceSubstitution:
         with reference_engines(sim=True):
             assert type(PerceptionStack(StackConfig()).sim) is HeapSimulator
             assert type(PipelineWorld().sim) is HeapSimulator
-            assert type(consumer_executor("single").sim) is HeapSimulator
         assert type(PerceptionStack(StackConfig()).sim) is Simulator
         assert type(PipelineWorld().sim) is Simulator
-        assert type(consumer_executor("single").sim) is Simulator
 
     def test_telemetry_reference_folds_records(self, tmp_path):
         production = ChainStateStore.apply_batch
@@ -150,24 +146,6 @@ class TestFaultCampaign:
         )
         folded = {e: r[1][name] for e, r in campaign_by_engine.items()}
         assert folded["stamped+batched"] == 0 < folded["heap+scalar"]
-
-
-# ----------------------------------------------------------------------
-# Executor models (simulator engine)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("model", sorted(EXECUTOR_MODELS))
-def test_executor_dispatch_log_identical_across_sim_engines(model):
-    # A planner overrun, then a runaway hog: every dispatch path of the
-    # model (snapshot drain, group admission, priority pick) under load.
-    def run():
-        log = run_consumers(
-            model, 24,
-            plan_ns=lambda f: msec(96) if 6 <= f < 12 else msec(8),
-            hog_ns=lambda f: msec(110) if 14 <= f < 20 else None,
-        )
-        return [dataclasses.astuple(d) for d in log]
-
-    assert_identical(run_under_sim_engines(run), context=f"executor:{model}")
 
 
 # ----------------------------------------------------------------------

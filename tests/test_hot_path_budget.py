@@ -86,18 +86,19 @@ from repro.tracing.tracer import Tracer
 
 FRAMES = 30
 
-#: Calls per frame reached by this code on CPython 3.11.7: 537.4
-#: monitored, 337.2 unmonitored, 200.1 added by the monitor (549.4 /
-#: 343.2 / 206.1 while every DDS delivery read the ECU clock for a
-#: lifespan no stack reader sets and the sync monitor read it twice per
-#: sample; 608.7 / 377.9 / 230.8 while every wake ran a full scheduling
+#: Calls per frame reached by this code on CPython 3.11.7: 525.4
+#: monitored, 325.2 unmonitored, 200.1 added by the monitor (537.4 /
+#: 337.2 while every DDS delivery matched reader and writer QoS and
+#: stored its sample through a helper; 549.4 / 343.2 / 206.1 while
+#: every DDS delivery read the ECU clock for a lifespan no stack reader
+#: sets and the sync monitor read it twice per sample; 608.7 / 377.9 / 230.8 while every wake ran a full scheduling
 #: pass and every compute slice allocated its completion event; 610.7 /
 #: 379.9 while the lidar sweep had a ground-sweep helper and the boxes a
 #: loop; 617.7 / 386.9 while every local DDS delivery drew a zero jitter
 #: sample and the sink drew a render cost from a stream; 629.8 / 396.6 /
 #: 233.2 while the kernel activated calendar buckets).
-MONITORED_CEILING = 554
-UNMONITORED_CEILING = 348
+MONITORED_CEILING = 541
+UNMONITORED_CEILING = 335
 ADDED_CEILING = 207
 
 #: Entries into numpy's Python layer from ``repro.perception`` per
@@ -125,7 +126,8 @@ EVENT_ALLOC_CEILING = 6.73
 LABELLED_CEILING = 7
 
 #: Calls per frame of one 60-frame ``loss_burst`` campaign scenario on
-#: CPython 3.11: 636 (689.3 before the scheduler's direct wake path,
+#: CPython 3.11: 611.3 (623.6 while every DDS delivery matched QoS,
+#: 636 earlier, 689.3 before the scheduler's direct wake path,
 #: 686.0 while the store ran each chain's verdicts
 #: through a numpy-vectorized automaton step instead of one
 #: ``MKAutomaton.record`` call per verdict, 688.0 before the perception
@@ -136,7 +138,7 @@ LABELLED_CEILING = 7
 #: campaign stopped arming trace points, replaying record by record and
 #: summing the health window).  The ceiling is 3% above.
 CAMPAIGN_FRAMES = 60
-CAMPAIGN_CEILING = 655
+CAMPAIGN_CEILING = 630
 #: Calls into the stdlib ``enum`` module over the same scenario: 18-24
 #: (the count depends on what earlier tests compiled), 3% above 24
 #: (2,832 while the replay built a chain report to read its misses,
@@ -160,7 +162,7 @@ FLEET_CEILING = 16_465
 #: imported), 3% above 31 (261 while the overload ladder hashed a
 #: ``GatewayMode`` per lookup and compared modes by ``.value``; 3,972
 #: and 2,205 while every record line built a C encoder, every parse ran
-#: ``json.loads`` and ``to_wire`` read ``RecordKind.value``).
+#: ``json.loads`` and ``to_wire`` read the record-kind enum's ``.value``).
 FLEET_JSON_CEILING = 0
 FLEET_ENUM_CEILING = 32
 #: Rows a gateway step hands the store on the clean 4 x 30 episode: ~32.

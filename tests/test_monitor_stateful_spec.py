@@ -46,7 +46,11 @@ from repro.core import (
     MonitorThread, Outcome,
 )
 from repro.core.exceptions import PropagateAlways, RecoverUpTo
-from repro.core.local_monitor import MonitorCosts
+from repro.core.local_monitor import (
+    END_EVENT_COST_NS,
+    EXCEPTION_DETECT_COST_NS,
+    START_EVENT_COST_NS,
+)
 from repro.core.segments import local_segment
 from repro.dds.topic import Sample, Topic
 from repro.ipc import IpcMonitor, IpcSegment, SpscRingBuffer
@@ -55,7 +59,6 @@ from repro.sim import Ecu, Simulator, msec, usec
 
 from _reference.miss_window import MissWindow
 
-COSTS = MonitorCosts()
 #: What every recovering handler charges the monitor thread.
 HANDLER_COST = RecoverUpTo.cost_ns
 TOPIC = Topic("t")
@@ -178,7 +181,7 @@ class LocalMonitorSpec(_MonitorSpec):
         self._setup([d_mon for d_mon, _mk, _decline_every in setups])
         self.sim = Simulator(seed=1)
         self.ecu = Ecu(self.sim, "ecu", n_cores=1)
-        self.monitor = MonitorThread(self.ecu, costs=COSTS)
+        self.monitor = MonitorThread(self.ecu)
         self.runtimes, self.chains, self.sinks = [], [], []
         self.setups = setups
         for i, (d_mon, mk, decline_every) in enumerate(setups):
@@ -221,9 +224,10 @@ class LocalMonitorSpec(_MonitorSpec):
         # buffered end events (which never notify) are consumed.
         self.sim.run(until=self.sim.now + usec(5000))
         stamps = sorted(
-            [(ts, COSTS.start_event) for s in self.started for ts in s.values()]
-            + [(ts, COSTS.end_event) for e in self.ended for ts in e.values()]
-            + [(exc.raised_at, COSTS.exception_detect + HANDLER_COST)
+            [(ts, START_EVENT_COST_NS)
+             for s in self.started for ts in s.values()]
+            + [(ts, END_EVENT_COST_NS) for e in self.ended for ts in e.values()]
+            + [(exc.raised_at, EXCEPTION_DETECT_COST_NS + HANDLER_COST)
                for r in self.runtimes for exc in r.exceptions]
         )
         for seg, runtime in enumerate(self.runtimes):

@@ -27,6 +27,22 @@ from repro.sim import (
 from repro.sim.threads import ThreadState
 
 
+class _RecordingSimulator(Simulator):
+    """The production kernel, noting every entry its ``_pop`` fires."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        self.fired = []
+
+    def _pop(self, limit=None):
+        entry = super()._pop(limit)
+        if entry is not None:
+            self.fired.append(
+                (entry[0], entry[2], entry[3].callback.__qualname__)
+            )
+        return entry
+
+
 task_strategy = st.lists(
     st.tuples(
         st.integers(min_value=1, max_value=10),      # priority
@@ -102,19 +118,22 @@ class TestSchedulerProperties:
     @settings(max_examples=30, deadline=None)
     def test_determinism(self, tasks):
         def run_once():
-            sim = Simulator(seed=7)
+            sim = _RecordingSimulator(seed=7)
             sched = MulticoreScheduler(sim, n_cores=2)
             threads = build(sim, sched, tasks)
-            trace = []
-            sched.observers.append(
-                lambda kind, t: trace.append((sim.now, kind, t.name))
-            )
-            sim.run()
-            return trace, sim.now
+            # ``max_events`` routes ``run`` through ``_pop``.
+            sim.run(max_events=10**9)
+            counters = [
+                (t.name, t.state, t.total_cpu_time, t.preemptions,
+                 t.activations)
+                for t in threads
+            ]
+            cores = [(c.busy_time, c.dispatch_count) for c in sched.cores]
+            return sim.fired, counters, cores, sched.context_switches, sim.now
 
         first = run_once()
         second = run_once()
-        assert first == second
+        assert first[0] and first == second
 
     @given(
         st.lists(st.integers(min_value=1, max_value=100), min_size=2, max_size=8)

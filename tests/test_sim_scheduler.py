@@ -358,19 +358,6 @@ class TestAccounting:
         assert sched.cores[0].busy_time == thread.total_cpu_time == msec(5)
         assert sim.now == msec(10)
 
-    def test_observer_sees_dispatch_and_exit(self):
-        sim, sched = make_sched()
-        events = []
-        sched.observers.append(lambda kind, t: events.append((kind, t.name)))
-
-        def body(_):
-            yield Compute(1)
-
-        sched.spawn("t", body)
-        sim.run()
-        assert ("dispatch", "t") in events
-        assert ("exit", "t") in events
-
     def test_thread_cannot_join_two_schedulers(self):
         sim, sched = make_sched()
         sched2 = MulticoreScheduler(sim, n_cores=1, name="other")

@@ -22,7 +22,9 @@ def make():
 class TestSemaphoreBasics:
     def test_initial_count_allows_immediate_acquire(self):
         sim, sched = make()
-        sem = Semaphore(sim, initial=2)
+        sem = Semaphore(sim)
+        sem.post()
+        sem.post()
         acquired = []
 
         def body(_):
@@ -34,11 +36,6 @@ class TestSemaphoreBasics:
         assert acquired == [True, True]
         assert sim.now == 0
         assert sem.count == 0
-
-    def test_negative_initial_rejected(self):
-        sim, _ = make()
-        with pytest.raises(ValueError):
-            Semaphore(sim, initial=-1)
 
     def test_post_without_waiter_increments_count(self):
         sim, _ = make()

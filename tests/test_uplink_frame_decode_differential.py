@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _reference.per_line_frame_decode import decode_frame as reference_decode
-from repro.telemetry.records import RecordKind
+from repro.telemetry.records import KINDS
 from repro.telemetry.uplink.transport import (
     FRAME_SCHEMA,
     decode_frame,
@@ -110,7 +110,7 @@ _TEXT = st.text(
 _INT = st.integers(-2**40, 2**70)
 _ROWS = st.lists(
     st.tuples(
-        st.sampled_from([kind.value for kind in RecordKind]),
+        st.sampled_from(sorted(KINDS)),
         _TEXT, _TEXT, _TEXT, _INT, st.none() | _INT, _TEXT, _TEXT, _INT, _INT,
     ).map(list),
     max_size=6,
