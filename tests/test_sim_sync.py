@@ -1,7 +1,5 @@
 """Unit tests for semaphores (timed wait, wake order)."""
 
-import pytest
-
 from repro.sim import (
     Compute,
     MulticoreScheduler,
