@@ -2,8 +2,10 @@
 
 Every class in ``src/repro`` is parsed.  Its options are the public
 keyword defaults of its ``__init__`` and, for a ``@dataclass``, the
-public fields that have a default (a ``field(default_factory=...)`` is
-an accumulator, an output, and is skipped).  Each option must be set
+public fields that have a default or a ``default_factory`` (every public
+field of a ``*Config`` or ``*Policy``, which is all input).  A factory
+field a run fills -- a result's list of alerts, say -- is an output, not
+an option, and is named in ``OUTPUTS``.  Each option must be set
 somewhere outside the tests -- in ``src``, an example or a bench -- as
 a keyword (or by position) in a call to the class or to a subclass of
 it, in a subclass's ``super().__init__(...)``, as a keyword to
@@ -30,6 +32,7 @@ KEPT = {
     # path; they stay options by decision.
     "ChaosConfig.max_steps": "step cap a test lowers",
     "AdaptConfig.max_steps": "step cap, kept alongside ChaosConfig's",
+    "EscalationPolicy.health": "threshold policy of the ladder",
     "EscalationPolicy.degrade_after_violations": "ladder threshold",
     "EscalationPolicy.safe_after_violations": "ladder threshold",
     "EscalationPolicy.safe_after_consecutive_recoveries": "ladder threshold",
@@ -41,6 +44,9 @@ KEPT = {
     # kernel-differential tests draw scenes the default does not.
     "ScenarioConfig.spawn_prob": "scene density the perception tests vary",
     "ScenarioConfig.ring_spacing_m": "ground geometry a differential varies",
+    # The application's own exception handlers (the paper's
+    # user-defined recovery); the stack ships defaults for every segment.
+    "StackConfig.handlers": "application handler override",
     # Set by ``experiments/common.py``'s ``GOLDEN_SCENARIOS`` keyword
     # dicts (``lossy_link``), which the scan does not read.
     "StackConfig.link_loss": "set by the lossy_link golden scenario",
@@ -57,6 +63,21 @@ KEPT = {
     # Where the gateway listens is a deployment setting, not a tuning
     # knob: the loopback default is what the in-process runs use.
     "GatewaySocketServer.address": "deployment setting (listen address)",
+}
+
+#: ``field(default_factory=...)`` accumulators: a run fills them, no
+#: caller is meant to pass them.
+OUTPUTS = {
+    "AlertLog.alerts",
+    "ChainAttribution.category_histograms",
+    "ChainAttribution.e2e_histogram",
+    "ChainAttribution.edge_histograms",
+    "EpisodeResult.checks",
+    "MonitorStats.execution_times",
+    "MonitorStats.monitor_latencies",
+    "OracleReport.failures",
+    "ResolveOutcome.reasons",
+    "ShadowVerdict.reasons",
 }
 
 
@@ -79,17 +100,12 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def _is_factory(value: ast.expr) -> bool:
-    """``field(default_factory=...)``: an accumulator, not an option."""
-    return (isinstance(value, ast.Call) and _callee(value) == "field"
-            and any(kw.arg == "default_factory" for kw in value.keywords))
-
-
 def _has_default(value) -> bool:
     if value is None:
         return False
     if isinstance(value, ast.Call) and _callee(value) == "field":
-        return any(kw.arg == "default" for kw in value.keywords)
+        return any(kw.arg in ("default", "default_factory")
+                   for kw in value.keywords)
     return True
 
 
@@ -99,6 +115,7 @@ def _class_info(node: ast.ClassDef) -> ClassInfo:
         for b in node.bases
     )
     if _is_dataclass(node):
+        config = node.name.endswith(("Config", "Policy"))
         fields, options = [], []
         for stmt in node.body:
             if (isinstance(stmt, ast.AnnAssign)
@@ -106,8 +123,8 @@ def _class_info(node: ast.ClassDef) -> ClassInfo:
                     and "ClassVar" not in ast.unparse(stmt.annotation)):
                 name = stmt.target.id
                 fields.append(name)
-                if (not name.startswith("_") and _has_default(stmt.value)
-                        and not _is_factory(stmt.value)):
+                if not name.startswith("_") and (
+                        config or _has_default(stmt.value)):
                     options.append(name)
         return ClassInfo(bases, tuple(fields), tuple(options), True)
     for stmt in node.body:
@@ -246,6 +263,7 @@ def unset_options() -> List[str]:
         if (name, option) not in seen
         and ("*", option) not in seen
         and f"{name}.{option}" not in KEPT
+        and f"{name}.{option}" not in OUTPUTS
     ]
 
 
@@ -258,9 +276,11 @@ def test_the_scan_finds_the_config_classes():
     assert ("DdsDomain", "local_latency") in found
     # An enum has no options.
     assert not classes["GatewayMode"].options
-    # A ``field(default_factory=...)`` accumulator is not an option.
-    assert "default_budget_ns" in classes["StoreConfig"].options
-    assert "budget_by_segment" not in classes["StoreConfig"].options
+    # A ``field(default_factory=...)`` is an option too, and every
+    # field of a *Config / *Policy, a required one included.
+    assert "budget_by_segment" in classes["StoreConfig"].options
+    assert "config_overrides" in classes["FaultScenario"].options
+    assert "directory" in classes["WalConfig"].options
 
 
 def test_a_subclass_call_sets_the_inherited_option():
@@ -271,8 +291,8 @@ def test_a_subclass_call_sets_the_inherited_option():
 
 def test_kept_fields_still_exist():
     found = {f"{name}.{option}" for name, option in options(src_classes())}
-    for name in KEPT:
-        assert name in found, f"stale KEPT entry {name}"
+    for name in [*KEPT, *OUTPUTS]:
+        assert name in found, f"stale KEPT / OUTPUTS entry {name}"
 
 
 def test_every_config_field_is_set_by_some_caller():

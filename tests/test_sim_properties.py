@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference.heap_kernel import HeapSimulator
+from test_scheduler_differential import _StampedRecorder
 
 from repro.sim import (
     Compute,
@@ -25,22 +26,6 @@ from repro.sim import (
     usec,
 )
 from repro.sim.threads import ThreadState
-
-
-class _RecordingSimulator(Simulator):
-    """The production kernel, noting every entry its ``_pop`` fires."""
-
-    def __init__(self, seed: int) -> None:
-        super().__init__(seed)
-        self.fired = []
-
-    def _pop(self, limit=None):
-        entry = super()._pop(limit)
-        if entry is not None:
-            self.fired.append(
-                (entry[0], entry[2], entry[3].callback.__qualname__)
-            )
-        return entry
 
 
 task_strategy = st.lists(
@@ -118,11 +103,12 @@ class TestSchedulerProperties:
     @settings(max_examples=30, deadline=None)
     def test_determinism(self, tasks):
         def run_once():
-            sim = _RecordingSimulator(seed=7)
+            sim = _StampedRecorder(seed=7)
             sched = MulticoreScheduler(sim, n_cores=2)
             threads = build(sim, sched, tasks)
-            # ``max_events`` routes ``run`` through ``_pop``.
-            sim.run(max_events=10**9)
+            # Past the longest task set: 6 threads x 5 jobs x 8 ms.
+            sim.drive(until=msec(500))
+            assert all(t.state is ThreadState.DONE for t in threads)
             counters = [
                 (t.name, t.state, t.total_cpu_time, t.preemptions,
                  t.activations)
