@@ -283,8 +283,7 @@ def default_scenarios() -> List[AdaptScenario]:
             description="tight epoch derived from a calm window, then a "
                         "latency burst in probation: automatic rollback",
             control=_control(rederive_every=0),
-            resolver=ResolverConfig(min_activations=12, solver="greedy",
-                                    slack_share=0.0),
+            resolver=ResolverConfig(min_activations=12, slack_share=0.0),
             force_rederive_at=60,
             # The burst hits only seg0, where the minimal epoch sits
             # far tighter than the factory budgets the control cohort

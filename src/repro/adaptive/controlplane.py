@@ -224,7 +224,7 @@ class BudgetControlPlane:
                 parent_id=self.last_good.epoch_id,
                 basis={
                     "window_records": len(self.window),
-                    "resolver": self.resolver.config.solver,
+                    "resolver": "greedy",
                     "activations": {
                         name: res.activations
                         for name, res in sorted(

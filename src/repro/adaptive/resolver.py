@@ -11,8 +11,9 @@ paper's CSP:
    so the derived trace -- and therefore the whole epoch -- is
    invariant under delivery interleavings.
 2. **Solve** -- pose :class:`~repro.budgeting.csp.BudgetingProblem`
-   over the aligned trace and solve with the configured solver.  The
-   solution is the *minimal* feasible assignment.
+   over the aligned trace and solve it with the greedy descent
+   (:func:`~repro.budgeting.solvers.solve_greedy_propagated`).  The
+   solution is the *minimal* feasible assignment it finds.
 3. **Slack redistribution** -- minimal deadlines are brittle under
    drift, so the leftover end-to-end slack ``B_e2e - sum(d)`` is
    handed back to the segments.  The split is weighted by the tracing
@@ -33,12 +34,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.adaptive.epochs import BudgetEpoch
 from repro.budgeting.csp import BudgetingProblem
-from repro.budgeting.solvers import (
-    SolverResult,
-    solve_branch_and_bound,
-    solve_greedy_propagated,
-    solve_independent,
-)
+from repro.budgeting.solvers import SolverResult, solve_greedy_propagated
 from repro.budgeting.traces import ChainTrace, SegmentTrace
 from repro.core.chains import EventChain
 from repro.telemetry.records import (
@@ -51,12 +47,6 @@ from repro.telemetry.records import (
     SOURCE,
 )
 
-_SOLVERS = {
-    "independent": solve_independent,
-    "greedy": solve_greedy_propagated,
-    "bnb": solve_branch_and_bound,
-}
-
 
 @dataclass
 class ResolverConfig:
@@ -64,18 +54,12 @@ class ResolverConfig:
 
     #: Complete activations a chain needs before re-deriving.
     min_activations: int = 12
-    #: Which CSP solver re-derives the minimal assignment.
-    solver: str = "greedy"
     #: Fraction of the leftover e2e slack redistributed as headroom.
     slack_share: float = 0.5
 
     def __post_init__(self) -> None:
         if self.min_activations < 2:
             raise ValueError("min_activations must be >= 2")
-        if self.solver not in _SOLVERS:
-            raise ValueError(
-                f"unknown solver {self.solver!r} (have {sorted(_SOLVERS)})"
-            )
         if not (0.0 <= self.slack_share <= 1.0):
             raise ValueError("slack_share must be in [0, 1]")
 
@@ -183,10 +167,9 @@ class BudgetResolver:
         the weight fallback and recorded in the epoch basis.
         """
         outcome = ResolveOutcome(ok=True)
-        solver = _SOLVERS[self.config.solver]
         for name in sorted(self.chains):
             resolution = self._resolve_chain(
-                self.chains[name], window, solver, attribution, percentiles
+                self.chains[name], window, attribution, percentiles
             )
             outcome.resolutions[name] = resolution
             if not resolution.schedulable:
@@ -199,7 +182,6 @@ class BudgetResolver:
         self,
         chain: EventChain,
         window: Sequence[Sequence],
-        solver,
         attribution: Optional[Mapping[str, float]],
         percentiles: Optional[Mapping[str, Mapping[str, float]]],
     ) -> ChainResolution:
@@ -220,7 +202,7 @@ class BudgetResolver:
                 d_ex=segment.d_ex,
             ))
         problem = BudgetingProblem(chain, trace)
-        result: SolverResult = solver(problem)
+        result: SolverResult = solve_greedy_propagated(problem)
         if not result.schedulable:
             return ChainResolution(
                 chain=chain.name, schedulable=False, activations=len(rows),

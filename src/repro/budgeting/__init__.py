@@ -14,6 +14,10 @@ Workflow:
    splits into exact single-variable problems per segment; for ``p = 1``
    a greedy descent heuristic and an exact branch-and-bound are
    provided (the paper defers this case to "heuristic methods or ILP").
+   Chains that share segments -- the use case's four, or a fork/join
+   DAG's root->sink path chains (:func:`repro.core.dag.path_chains`) --
+   get one deadline per segment from the exact joint search
+   (:mod:`repro.budgeting.multichain`).
 4. Optionally distribute leftover budget
    (:mod:`repro.budgeting.distribution`) and deploy the deadlines as the
    segments' ``d_mon`` (``StackConfig.d_mon`` on the perception stack),
@@ -39,9 +43,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.budgeting.multichain": (
         "MultiChainResult", "reconcile_independent", "solve_joint",
-    ),
-    "repro.budgeting.dag": (
-        "DagBudgetingProblem", "DagFeasibilityReport", "DagSolverResult",
-        "solve_dag_budgets",
     ),
 })

@@ -6,11 +6,14 @@ segments (its Fig. 2).  Budgeting each chain in isolation can assign
 deadline per segment such that **every** chain's Eqs. (3)-(5) hold.
 
 The joint problem remains a search over per-segment candidate
-deadlines; this module solves it with the same branch-and-bound
-machinery, searching over the union of segments and checking every
-chain's constraints.  For the common case where the solutions do not
-conflict, :func:`reconcile_independent` is a cheap first attempt: take
-the per-chain solutions' maximum per shared segment and re-verify.
+deadlines; :func:`solve_joint` searches the union of segments exactly,
+cutting a branch as soon as one chain's Eq. (3) sum cannot fit or its
+full check fails at its last segment.  It is also how a fork/join DAG is
+budgeted: one problem per root->sink path chain
+(:func:`repro.core.dag.path_chains`), each against its own sink's
+``B_e2e``.  For the common case where the solutions do not conflict,
+:func:`reconcile_independent` is a cheap first attempt: take the
+per-chain solutions' maximum per shared segment and re-verify.
 """
 
 from __future__ import annotations
@@ -84,7 +87,19 @@ def solve_joint(
 
     Minimizes the sum of deadlines over all distinct segments subject to
     every chain's Eqs. (3)-(5).  Candidates per segment are the union of
-    that segment's candidates across the chains it appears in.
+    that segment's candidates across the chains it appears in.  Besides
+    the bound on the best total, two prunes cut only subtrees without a
+    feasible leaf:
+
+    - **Eq. (3) per chain**: a chain's assigned deadlines plus the
+      smallest candidates of its unassigned segments exceed its
+      ``B_e2e`` (candidates ascend, so the loop stops there);
+    - **early full check**: each chain's Eqs. (3)-(5) run at the depth
+      that assigns its last segment, so every leaf has passed every
+      chain's check.
+
+    A search cut by *max_nodes* after it found an assignment says so in
+    ``reason``: the total may not be minimal.
     """
     if not problems:
         raise ValueError("need at least one problem")
@@ -119,24 +134,46 @@ def solve_joint(
         filtered = [c for c in candidates[name] if c >= lower_bounds[name]]
         candidates[name] = filtered or [lower_bounds[name]]
 
-    suffix_min = [0] * (len(names) + 1)
-    for i in range(len(names) - 1, -1, -1):
+    depth = len(names)
+    suffix_min = [0] * (depth + 1)
+    for i in range(depth - 1, -1, -1):
         suffix_min[i] = suffix_min[i + 1] + candidates[names[i]][0]
+    # Per depth: the chains through that segment, and the chains whose
+    # last segment it is.  Per chain: the sum of its segments' smallest
+    # candidates from each depth on, and its assigned deadline sum.
+    position = {name: i for i, name in enumerate(names)}
+    through: List[List[int]] = [[] for _ in names]
+    completes: List[List[int]] = [[] for _ in names]
+    rest_min: List[List[int]] = []
+    for c, problem in enumerate(problems):
+        mine = sorted(position[name] for name in problem.order)
+        for i in mine:
+            through[i].append(c)
+        completes[mine[-1]].append(c)
+        rest = [0] * (depth + 1)
+        for i in range(depth - 1, -1, -1):
+            rest[i] = rest[i + 1] + (
+                candidates[names[i]][0] if c in through[i] else 0
+            )
+        rest_min.append(rest)
+    budgets = [problem.chain.budget_e2e for problem in problems]
+    chain_sums = [0] * len(problems)
 
     best_total: Optional[int] = None
     best: Optional[Dict[str, int]] = None
     nodes = 0
+    truncated = False
 
     def dfs(i: int, partial: Dict[str, int], partial_sum: int) -> None:
-        nonlocal best_total, best, nodes
+        nonlocal best_total, best, nodes, truncated
         if nodes >= max_nodes:
+            truncated = True
             return
         if best_total is not None and partial_sum + suffix_min[i] >= best_total:
             return
-        if i == len(names):
-            if _check_all(problems, partial):
-                best_total = partial_sum
-                best = dict(partial)
+        if i == depth:
+            best_total = partial_sum
+            best = dict(partial)
             return
         name = names[i]
         for deadline in candidates[name]:
@@ -146,21 +183,41 @@ def solve_joint(
                 and partial_sum + deadline + suffix_min[i + 1] >= best_total
             ):
                 break
+            if any(
+                chain_sums[c] + deadline + rest_min[c][i + 1] > budgets[c]
+                for c in through[i]
+            ):
+                break
             partial[name] = deadline
+            if not all(
+                problems[c].check(
+                    [partial[n] for n in problems[c].order]
+                ).feasible
+                for c in completes[i]
+            ):
+                continue
+            for c in through[i]:
+                chain_sums[c] += deadline
             dfs(i + 1, partial, partial_sum + deadline)
-        del partial[name]
+            for c in through[i]:
+                chain_sums[c] -= deadline
+        partial.pop(name, None)
 
     dfs(0, {}, 0)
     if best is None:
         return MultiChainResult(
             schedulable=False,
             reason="no joint assignment satisfies every chain"
-            + (" (node limit reached)" if nodes >= max_nodes else ""),
+            + (" (node limit reached)" if truncated else ""),
             nodes_explored=nodes,
         )
     return MultiChainResult(
         schedulable=True,
         deadlines=best,
         total=best_total or 0,
+        reason=(
+            "node limit reached: the total may not be minimal"
+            if truncated else ""
+        ),
         nodes_explored=nodes,
     )

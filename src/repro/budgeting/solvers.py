@@ -191,7 +191,9 @@ def solve_branch_and_bound(
       the full Eq. 5 count for downstream segments) already exceed m.
 
     This is the "ILP" role of the paper made concrete; instances with a
-    handful of segments and hundreds of trace points solve quickly.
+    handful of segments and hundreds of trace points solve quickly.  A
+    search cut by *max_nodes* after it found an assignment says so in
+    ``reason``: the total may not be minimal.
     """
     n_segments = len(problem.order)
     candidates = [problem.candidates(i) for i in range(n_segments)]
@@ -215,6 +217,7 @@ def solve_branch_and_bound(
     best_total = problem.chain.budget_e2e + 1
     best: Optional[List[int]] = None
     nodes = 0
+    truncated = False
 
     # Pre-compute window profiles per (segment, candidate) lazily.
     profile_cache: dict = {}
@@ -231,8 +234,9 @@ def solve_branch_and_bound(
 
     def dfs(i: int, partial: List[int], partial_sum: int, carried: List[int]):
         """carried[n]: propagated window misses of segments < i."""
-        nonlocal best_total, best, nodes
+        nonlocal best_total, best, nodes, truncated
         if nodes >= max_nodes:
+            truncated = True
             return
         if i == n_segments:
             if partial_sum < best_total and problem.check(partial).feasible:
@@ -264,7 +268,7 @@ def solve_branch_and_bound(
             schedulable=False,
             reason=(
                 "no assignment satisfies Eqs. (3)-(5)"
-                + (" (node limit reached)" if nodes >= max_nodes else "")
+                + (" (node limit reached)" if truncated else "")
             ),
             nodes_explored=nodes,
         )
@@ -272,5 +276,9 @@ def solve_branch_and_bound(
         schedulable=True,
         deadlines=best,
         total=best_total,
+        reason=(
+            "node limit reached: the total may not be minimal"
+            if truncated else ""
+        ),
         nodes_explored=nodes,
     )

@@ -42,5 +42,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.chain_runtime": (
         "ActivationOutcome", "ChainRuntime", "Outcome",
     ),
-    "repro.core.dag": ("DagChain", "DagPath"),
 })

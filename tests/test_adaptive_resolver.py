@@ -118,8 +118,6 @@ class TestBudgetResolver:
         with pytest.raises(ValueError):
             ResolverConfig(min_activations=1)
         with pytest.raises(ValueError):
-            ResolverConfig(solver="simplex")
-        with pytest.raises(ValueError):
             ResolverConfig(slack_share=1.5)
         with pytest.raises(ValueError):
             BudgetResolver({})

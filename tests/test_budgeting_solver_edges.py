@@ -91,19 +91,29 @@ class TestGreedyEdges:
 
 class TestBnbEdges:
     def test_node_limit_reported(self):
-        # Many candidates + tight coupling: tiny node budget.
+        # Many candidates + tight coupling: the full search takes 740
+        # nodes (sum 2621).  Cut before it finds an assignment or after,
+        # it reports the limit: a cut search proves neither that none
+        # exists nor that its total is minimal.
         import numpy as np
 
         rng = np.random.default_rng(0)
         lats = [list(rng.integers(1, 1000, 40)) for _ in range(3)]
         problem = build_problem(
-            lats, budget_e2e=2000, budget_seg=1500, m=1, k=5,
+            lats, budget_e2e=3000, budget_seg=1500, m=2, k=5,
             propagation=[1, 1, 1],
         )
-        result = solve_branch_and_bound(problem, max_nodes=10)
-        # Either it found something quickly or reports the limit.
-        if not result.schedulable:
-            assert "node limit" in result.reason
+        none_yet = solve_branch_and_bound(problem, max_nodes=10)
+        assert not none_yet.schedulable
+        assert "node limit reached" in none_yet.reason
+        found = solve_branch_and_bound(problem, max_nodes=200)
+        assert found.schedulable
+        assert found.reason == (
+            "node limit reached: the total may not be minimal"
+        )
+        assert problem.check(found.deadlines).feasible
+        full = solve_branch_and_bound(problem)
+        assert (full.schedulable, full.total, full.reason) == (True, 2621, "")
 
     def test_m_equals_k_everything_may_miss(self):
         # p = 0: every miss is recovered, so with m = k both segments

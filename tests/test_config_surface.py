@@ -9,13 +9,17 @@ an option, and is named in ``OUTPUTS``.  Each option must be set
 somewhere outside the tests -- in ``src``, an example or a bench -- as
 a keyword (or by position) in a call to the class or to a subclass of
 it, in a subclass's ``super().__init__(...)``, as a keyword to
-``dataclasses.replace``, or by assignment to an attribute of that
-name.  An option only a test sets is a module
+``dataclasses.replace``, as a key of a dict literal (or ``dict(...)``
+call) that reaches such a call through ``**`` -- directly, through a
+module-level name, an entry of a module-level dict of dicts, or what a
+function of the same file returns -- or by assignment to an attribute
+of that name.  An option only a test sets is a module
 constant with extra steps (DESIGN.md "Options"): make it one, or list
 it in ``KEPT`` with the reason it stays.
 """
 
 import ast
+import functools
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
 
@@ -47,19 +51,15 @@ KEPT = {
     # The application's own exception handlers (the paper's
     # user-defined recovery); the stack ships defaults for every segment.
     "StackConfig.handlers": "application handler override",
-    # Set by ``experiments/common.py``'s ``GOLDEN_SCENARIOS`` keyword
-    # dicts (``lossy_link``), which the scan does not read.
-    "StackConfig.link_loss": "set by the lossy_link golden scenario",
+    # The use case's end-to-end budget (B_e2e); only the load-time
+    # feasibility gate's tests change it.
+    "StackConfig.budget_e2e": "B_e2e the feasibility gate's tests tighten",
     # Round-tripped by the store snapshot (``StoreConfig.from_json``
     # builds it through ``cls(...)``); tests shrink the windows to
     # reach the latency rule.
     "StoreConfig.default_budget_ns": "store snapshot field",
     "StoreConfig.window_records": "store snapshot field",
     "StoreConfig.latency_windows": "store snapshot field",
-    # Set by the adaptive chaos driver through ``_plane_options()``'s
-    # keyword dict, which the scan does not read (its scenarios pass a
-    # greedy resolver).
-    "BudgetControlPlane.resolver_config": "set by adapt chaos via a dict",
     # Where the gateway listens is a deployment setting, not a tuning
     # knob: the loopback default is what the in-process runs use.
     "GatewaySocketServer.address": "deployment setting (listen address)",
@@ -201,12 +201,72 @@ def caller_files() -> Iterator[Path]:
         yield from sorted((REPO / top).rglob("*.py"))
 
 
-def _record_call(classes, seen, name, call, skip=0):
+def _file_scope(tree: ast.Module) -> Dict[str, ast.AST]:
+    """What ``**`` may resolve through in one file: module-level names
+    (by name) and functions and methods (by ``name()``)."""
+    scope: Dict[str, ast.AST] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    scope[target.id] = node.value
+        elif (isinstance(node, ast.AnnAssign) and node.value is not None
+              and isinstance(node.target, ast.Name)):
+            scope[node.target.id] = node.value
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            scope[node.name + "()"] = node
+    return scope
+
+
+def _dict_keys(expr, scope, depth=0) -> Set[str]:
+    """The string keys of the dict literal(s) *expr* evaluates to, as
+    far as the file alone says."""
+    if depth > 4:
+        return set()
+    keys: Set[str] = set()
+    if isinstance(expr, ast.Name) and expr.id in scope:
+        keys |= _dict_keys(scope[expr.id], scope, depth + 1)
+    elif isinstance(expr, ast.Dict):
+        for key, value in zip(expr.keys, expr.values):
+            if key is None:  # ``**other`` inside the literal
+                keys |= _dict_keys(value, scope, depth + 1)
+            elif isinstance(key, ast.Constant) and isinstance(key.value, str):
+                keys.add(key.value)
+    elif isinstance(expr, ast.Subscript):
+        # One entry of a dict of dicts: any of its values.
+        table = expr.value
+        if isinstance(table, ast.Name):
+            table = scope.get(table.id)
+        if isinstance(table, ast.Dict):
+            for value in table.values:
+                keys |= _dict_keys(value, scope, depth + 1)
+    elif isinstance(expr, ast.Call) and _callee(expr) == "dict":
+        keys |= {kw.arg for kw in expr.keywords if kw.arg}
+    elif isinstance(expr, ast.Call) and _callee(expr) + "()" in scope:
+        for node in ast.walk(scope[_callee(expr) + "()"]):
+            if isinstance(node, ast.Return) and node.value is not None:
+                keys |= _dict_keys(node.value, scope, depth + 1)
+    return keys
+
+
+def _keywords(call: ast.Call, scope) -> List[str]:
+    """Keyword names a call passes, ``**`` dicts included."""
+    names = []
+    for kw in call.keywords:
+        if kw.arg:
+            names.append(kw.arg)
+        else:
+            names.extend(sorted(_dict_keys(kw.value, scope)))
+    return names
+
+
+def _record_call(classes, seen, name, call, scope):
     """(class, option) pairs a call to *name* sets, credited to *name*
     and every ancestor (a subclass call sets the inherited option)."""
-    params = positional_params(classes, name)[skip:]
+    params = positional_params(classes, name)
     bound = [p for p, _ in zip(params, call.args)]
-    bound += [kw.arg for kw in call.keywords if kw.arg]
+    bound += _keywords(call, scope)
     for owner in {name} | ancestors(classes, name):
         seen.update((owner, p) for p in bound)
 
@@ -217,6 +277,7 @@ def settings(classes: Dict[str, ClassInfo]) -> Set[Tuple[str, str]]:
     seen: Set[Tuple[str, str]] = set()
     for path in caller_files():
         tree = ast.parse(path.read_text())
+        scope = _file_scope(tree)
         aliases = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
@@ -235,15 +296,15 @@ def settings(classes: Dict[str, ClassInfo]) -> Set[Tuple[str, str]]:
                     for base in classes.get(klass.name, ClassInfo(
                             (), None, (), False)).bases:
                         if base in classes:
-                            _record_call(classes, seen, base, node)
+                            _record_call(classes, seen, base, node, scope)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = _callee(node)
                 name = aliases.get(name, name)
                 if name in classes:
-                    _record_call(classes, seen, name, node)
+                    _record_call(classes, seen, name, node, scope)
                 elif name == "replace":
-                    seen.update(("*", kw.arg) for kw in node.keywords)
+                    seen.update(("*", kw) for kw in _keywords(node, scope))
             elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (node.targets if isinstance(node, ast.Assign)
                            else [node.target])
@@ -254,9 +315,15 @@ def settings(classes: Dict[str, ClassInfo]) -> Set[Tuple[str, str]]:
     return seen
 
 
-def unset_options() -> List[str]:
+@functools.lru_cache(maxsize=None)
+def scan() -> Tuple[Dict[str, ClassInfo], Set[Tuple[str, str]]]:
+    """The classes and the settings, parsed once for every test here."""
     classes = src_classes()
-    seen = settings(classes)
+    return classes, settings(classes)
+
+
+def unset_options() -> List[str]:
+    classes, seen = scan()
     return [
         f"{name}.{option}"
         for name, option in options(classes)
@@ -268,7 +335,7 @@ def unset_options() -> List[str]:
 
 
 def test_the_scan_finds_the_config_classes():
-    classes = src_classes()
+    classes, _seen = scan()
     found = set(options(classes))
     assert ("StackConfig", "seed") in found
     assert ("HealthPolicy", "degraded_ratio") in found
@@ -284,13 +351,23 @@ def test_the_scan_finds_the_config_classes():
 
 
 def test_a_subclass_call_sets_the_inherited_option():
-    classes = src_classes()
+    classes, seen = scan()
     assert "EpisodeScenario" in ancestors(classes, "GatewayChaosScenario")
-    assert ("EpisodeScenario", "crashes") in settings(classes)
+    assert ("EpisodeScenario", "crashes") in seen
+
+
+def test_a_keyword_dict_sets_the_option():
+    """``**`` dicts count: a golden scenario's dict entry through
+    ``StackConfig(**{**GOLDEN_SCENARIOS[name], ...})``, and a method's
+    returned ``dict(...)`` through ``BudgetControlPlane(...,
+    **self._plane_options())``."""
+    _classes, seen = scan()
+    assert ("StackConfig", "link_loss") in seen
+    assert ("BudgetControlPlane", "resolver_config") in seen
 
 
 def test_kept_fields_still_exist():
-    found = {f"{name}.{option}" for name, option in options(src_classes())}
+    found = {f"{name}.{option}" for name, option in options(scan()[0])}
     for name in [*KEPT, *OUTPUTS]:
         assert name in found, f"stale KEPT / OUTPUTS entry {name}"
 

@@ -1,24 +1,37 @@
-"""Property tests of the DAG budgeting CSP and per-path (m,k) tracking.
+"""Property tests of DAG budgeting and per-path (m,k) tracking.
 
-Hypothesis generates small random fork/join DAGs (optional head fork,
-1-3 branches, optional join tail) with random latency traces; for each:
+A DAG is budgeted as its root->sink path chains
+(:func:`repro.core.dag.path_chains`) by the joint shared-segment solver,
+:func:`repro.budgeting.solve_joint`.  Hypothesis generates small random
+fork/join DAGs (optional head fork, 1-3 branches, optional join tail)
+with random latency traces and a budget per sink; for each:
 
 * path enumeration matches an independent brute-force DFS oracle;
-* every schedulable solver result telescopes within each sink's
+* every schedulable joint result telescopes within each sink's
   ``B_e2e`` along **every** root->sink path (checked by brute force over
   the enumerated paths, not via the solver's own bookkeeping) and passes
-  the per-path Eq. (3')-(5') checker;
+  every path chain's Eqs. (3)-(5) check;
+* an unschedulable verdict has no feasible maximal assignment;
 * the bit-packed :class:`MKAutomaton` of a path's ``ChainRuntime``
   agrees record-for-record with the reference :class:`MissWindow`
   checker on random outcome sequences.
+
+On seeded smaller DAGs the joint result equals the brute-force minimum
+over every combination of candidate deadlines, and a reproducer pins
+what a node-limited search reports.
 """
+
+import itertools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.budgeting import ChainTrace, DagBudgetingProblem, SegmentTrace
-from repro.budgeting.dag import solve_dag_budgets
-from repro.core import ChainRuntime, DagChain, MKConstraint, Outcome
+from repro.budgeting import (
+    BudgetingProblem, ChainTrace, SegmentTrace, solve_joint,
+)
+from repro.core import ChainRuntime, MKConstraint, Outcome
+from repro.core.dag import path_chains
 from repro.core.segments import local_segment
 
 from _reference.miss_window import MissWindow
@@ -87,6 +100,11 @@ def brute_force_paths(segment_names, edges):
     return out
 
 
+def sinks_of(segments, edges):
+    sources = {src for src, _dst in edges}
+    return [s.name for s in segments if s.name not in sources]
+
+
 @st.composite
 def dag_instances(draw):
     has_head = draw(st.booleans())
@@ -110,19 +128,22 @@ def dag_instances(draw):
         "edges": edges,
         "latencies": latencies,
         "budget_seg": draw(st.integers(min_value=4, max_value=14)),
-        "budget_e2e": draw(st.integers(min_value=8, max_value=60)),
+        "budget_e2e": {
+            sink: draw(st.integers(min_value=8, max_value=60))
+            for sink in sinks_of(segments, edges)
+        },
         "mk": MKConstraint(draw(st.integers(min_value=0, max_value=min(3, k))), k),
     }
 
 
-def make_dag(case):
-    return DagChain(
+def make_chains(case):
+    """The case's path chains; ``B_seg`` is the period."""
+    return path_chains(
         name="prop",
         segments=case["segments"],
         edges=case["edges"],
-        period=100,
+        period=case["budget_seg"],
         budget_e2e=case["budget_e2e"],
-        budget_seg=case["budget_seg"],
         mk=case["mk"],
     )
 
@@ -134,28 +155,70 @@ def make_trace(case):
     return trace
 
 
+def make_problems(case):
+    trace = make_trace(case)
+    return [
+        BudgetingProblem(chain, trace) for chain in make_chains(case).values()
+    ]
+
+
+def feasible(problems, deadlines):
+    return all(
+        problem.check([deadlines[n] for n in problem.order]).feasible
+        for problem in problems
+    )
+
+
+#: A fork/join DAG whose joint search runs to 10,766 nodes: head, three
+#: branches (2, 2, 1 segments) and a 2-segment join tail, B_seg = 14,
+#: B_e2e = 48, (2, 2).  The optimum is 59.
+REPRODUCER = {
+    "latencies": {
+        "head": [5, 6, 2, 11, 12, 5, 4],
+        "b0_0": [1, 3, 10, 3, 12, 10, 8],
+        "b0_1": [3, 6, 1, 11, 5, 7, 10],
+        "b1_0": [2, 5, 10, 7, 6, 1, 1],
+        "b1_1": [3, 7, 4, 10, 4, 5, 6],
+        "b2_0": [2, 5, 10, 7, 6, 1, 1],
+        "t0": [8, 1, 4, 3, 11, 1, 7],
+        "t1": [1, 12, 8, 4, 8, 9, 8],
+    },
+    "budget_seg": 14,
+    "budget_e2e": {"t1": 48},
+    "mk": MKConstraint(2, 2),
+}
+
+
+def reproducer_problems():
+    segments, edges = build_fork_join(True, [2, 2, 1], 2)
+    return make_problems(dict(REPRODUCER, segments=segments, edges=edges))
+
+
 @settings(max_examples=50, deadline=None)
 @given(case=dag_instances())
 def test_path_enumeration_matches_brute_force(case):
-    dag = make_dag(case)
+    chains = make_chains(case)
     expected = brute_force_paths(
         [s.name for s in case["segments"]], case["edges"]
     )
-    assert [p.segment_names for p in dag.paths()] == expected
-    # Path ids are the canonical joined rendering, and unique.
-    ids = [p.path_id for p in dag.paths()]
-    assert ids == [">".join(names) for names in expected]
-    assert len(set(ids)) == len(ids)
+    assert [
+        tuple(s.name for s in chain.segments) for chain in chains.values()
+    ] == expected
+    # Path ids are the canonical joined rendering (so unique), and each
+    # path chain carries its own sink's budget.
+    assert list(chains) == [">".join(names) for names in expected]
+    for names, chain in zip(expected, chains.values()):
+        assert chain.budget_e2e == case["budget_e2e"][names[-1]]
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=dag_instances())
 def test_schedulable_solutions_telescope_on_every_path(case):
-    dag = make_dag(case)
-    problem = DagBudgetingProblem(dag, make_trace(case))
-    result = problem.solve_greedy()
+    problems = make_problems(case)
+    result = solve_joint(problems)
     if not result.schedulable:
         return
+    assert not result.reason
     # Brute-force oracle: walk every enumerated path independently of
     # the solver's own path bookkeeping.
     for names in brute_force_paths(
@@ -163,38 +226,128 @@ def test_schedulable_solutions_telescope_on_every_path(case):
     ):
         total = sum(result.deadlines[n] for n in names)
         sink = names[-1]
-        assert total <= dag.budget_e2e[sink], (
+        assert total <= case["budget_e2e"][sink], (
             f"path {'>'.join(names)}: deadline sum {total} exceeds "
-            f"sink budget {dag.budget_e2e[sink]}"
+            f"sink budget {case['budget_e2e'][sink]}"
         )
-    # Eq. (3')-(5') all hold, and segment deadlines respect B_seg.
-    report = problem.check(result.deadlines)
-    assert report.feasible, report.violated_constraints
+    # Eqs. (3)-(5) hold on every path, deadlines respect B_seg, one
+    # deadline per segment, and the total is their sum.
+    assert feasible(problems, result.deadlines)
+    assert set(result.deadlines) == {s.name for s in case["segments"]}
+    assert result.total == sum(result.deadlines.values())
     for deadline in result.deadlines.values():
         assert deadline <= case["budget_seg"]
     # The d_mon split is positive everywhere (d_ex = 0 in these traces).
-    monitored = problem.monitored_deadlines(result.deadlines)
-    assert all(d > 0 for d in monitored.values())
-    assert result.path_totals == problem.path_totals(result.deadlines)
+    for problem in problems:
+        monitored = problem.monitored_deadlines(
+            [result.deadlines[n] for n in problem.order]
+        )
+        assert all(d > 0 for d in monitored.values())
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=dag_instances())
 def test_unschedulable_verdicts_have_no_maximal_witness(case):
-    """When the solver gives up, the most conservative assignment really
-    is infeasible (either Eq. (5') fails there or budgets cannot fit)."""
-    dag = make_dag(case)
-    problem = DagBudgetingProblem(dag, make_trace(case))
-    result = problem.solve_greedy()
+    """When the solver finds nothing, the most conservative assignment
+    really is infeasible (either Eq. (5) fails there or the budgets
+    cannot fit)."""
+    problems = make_problems(case)
+    result = solve_joint(problems)
     if result.schedulable:
         return
+    assert "node limit" not in result.reason
     maximal = {
-        name: problem.candidates(name)[-1] for name in dag.segments
+        name: problem.candidates(index)[-1]
+        for problem in problems
+        for index, name in enumerate(problem.order)
     }
-    report = problem.check(maximal)
-    # Greedy starts at the maximal assignment and only descends, so an
-    # unschedulable verdict with a feasible maximal point is a bug.
-    assert not report.feasible
+    # Raising a deadline never adds misses, so a feasible maximal point
+    # under an unschedulable verdict would be a bug.
+    assert not feasible(problems, maximal)
+
+
+def small_dag(rng):
+    """A seeded DAG of at most four segments, small enough to enumerate
+    every combination of candidate deadlines."""
+    has_head = rng.random() < 0.5
+    segments, edges = build_fork_join(
+        has_head, [1] * rng.randint(1, 3 - has_head), rng.randint(0, 1)
+    )
+    n_activations = rng.randint(4, 6)
+    k = rng.randint(1, 4)
+    return {
+        "segments": segments,
+        "edges": edges,
+        "latencies": {
+            s.name: [rng.randint(1, 8) for _ in range(n_activations)]
+            for s in segments
+        },
+        "budget_seg": rng.randint(4, 10),
+        "budget_e2e": {
+            sink: rng.randint(6, 26) for sink in sinks_of(segments, edges)
+        },
+        "mk": MKConstraint(rng.randint(0, k), k),
+    }
+
+
+def brute_force_minimum(problems):
+    """Least total over every combination of candidate deadlines that
+    passes every path chain's check, or None."""
+    names, candidates = [], {}
+    for problem in problems:
+        for index, name in enumerate(problem.order):
+            if name not in candidates:
+                names.append(name)
+                candidates[name] = problem.candidates(index)
+    checks = {}  # (chain, its deadlines) -> feasible
+
+    def chain_ok(c, problem, deadlines):
+        key = (c, tuple(deadlines[n] for n in problem.order))
+        if key not in checks:
+            checks[key] = problem.check(list(key[1])).feasible
+        return checks[key]
+
+    best = None
+    for combo in itertools.product(*(candidates[n] for n in names)):
+        total = sum(combo)
+        if best is not None and total >= best:
+            continue
+        deadlines = dict(zip(names, combo))
+        if all(chain_ok(c, p, deadlines) for c, p in enumerate(problems)):
+            best = total
+    return best
+
+
+def test_joint_solver_equals_the_brute_force_minimum():
+    rng = random.Random(46)
+    compared, verdicts = 0, set()
+    for _ in range(60):
+        problems = make_problems(small_dag(rng))
+        result = solve_joint(problems)
+        expected = brute_force_minimum(problems)
+        assert result.schedulable == (expected is not None)
+        assert not result.reason or not result.schedulable
+        if result.schedulable:
+            assert result.total == expected
+            assert feasible(problems, result.deadlines)
+        compared += 1
+        verdicts.add(result.schedulable)
+    assert compared > 0
+    assert verdicts == {True, False}
+
+
+def test_a_node_limited_search_says_its_total_may_not_be_minimal():
+    """Cut after it found an assignment, the search still returns it
+    (total 77 against the optimum 59) and says why it may not be
+    minimal; cut before, it says the limit, not that none exists."""
+    problems = reproducer_problems()
+    found = solve_joint(problems, max_nodes=2_000)
+    assert (found.schedulable, found.total) == (True, 77)
+    assert found.reason == "node limit reached: the total may not be minimal"
+    assert feasible(problems, found.deadlines)
+    none_yet = solve_joint(problems, max_nodes=500)
+    assert not none_yet.schedulable
+    assert "node limit reached" in none_yet.reason
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,12 +361,11 @@ def test_per_path_automaton_equivalent_to_miss_window(misses, m, k):
         m = k
     mk = MKConstraint(m, k)
     seg = local_segment("s", "ecu", "t0", "t1")
-    dag = DagChain("one", [seg], [], period=100, budget_e2e=1000, mk=mk)
-    (path,) = dag.paths()
+    (chain,) = path_chains(
+        "one", [seg], [], period=100, budget_e2e={"s": 1000}, mk=mk
+    ).values()
     fired = []
-    runtime = ChainRuntime(
-        dag.path_chain(path), on_violation=lambda n, w: fired.append(n)
-    )
+    runtime = ChainRuntime(chain, on_violation=lambda n, w: fired.append(n))
     reference = MissWindow(mk)
     expected_fired = []
     for n, miss in enumerate(misses):
@@ -230,4 +382,3 @@ def test_per_path_automaton_equivalent_to_miss_window(misses, m, k):
     assert runtime.window.violations == reference.violations
     final = runtime.finalize(len(misses) - 1)
     assert final.mk_satisfied == (reference.violations == 0)
-

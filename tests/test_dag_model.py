@@ -1,5 +1,5 @@
-"""DAG event-chain model (:mod:`repro.core.dag`): validation, path
-enumeration, the per-path linear projection and linear degeneracy."""
+"""DAG event-chain model (:mod:`repro.core.dag`): validation of the edge
+list, the root->sink path chains and linear degeneracy."""
 
 import dataclasses
 
@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DagChain, MKConstraint
+from repro.core import MKConstraint
 from repro.core.chains import ChainValidationError, EventChain
+from repro.core.dag import MAX_PATHS, path_chains
 from repro.core.segments import local_segment, remote_segment
 from repro.perception.stack import PerceptionStack, StackConfig
 from repro.sim import msec
@@ -33,10 +34,11 @@ def diamond(**kwargs):
         segments=diamond_segments(),
         edges=[("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
         period=100,
-        budget_e2e=300,
+        budget_e2e={"d": 300},
+        mk=MKConstraint(0, 1),
     )
     defaults.update(kwargs)
-    return DagChain(**defaults)
+    return path_chains(**defaults)
 
 
 #: The perception stack's fork/join: two lidar branches join at fusion,
@@ -50,25 +52,33 @@ STACK_EDGES = [
 
 def perception_dag(stack):
     """The stack's four chains as one DAG, with per-sink budgets."""
-    return DagChain(
+    return path_chains(
         name="perception",
         segments=list(stack.segments.values()),
         edges=STACK_EDGES,
         period=stack.config.period,
         budget_e2e={"s3_objects": msec(250), "s3_ground": msec(200)},
-        mk={"s3_objects": MKConstraint(3, 10)},
+        mk=MKConstraint(3, 10),
     )
+
+
+def path_names(chains):
+    """Segment names per path, keyed by path id."""
+    return {
+        path_id: tuple(s.name for s in chain.segments)
+        for path_id, chain in chains.items()
+    }
 
 
 class TestValidation:
     def test_duplicate_segment_rejected(self):
         segs = diamond_segments()
         with pytest.raises(ChainValidationError, match="duplicate segment"):
-            DagChain("x", segs + [segs[0]], [], 100, 300)
+            diamond(segments=segs + [segs[0]])
 
     def test_empty_rejected(self):
         with pytest.raises(ChainValidationError, match=">= 1 segment"):
-            DagChain("x", [], [], 100, 300)
+            diamond(segments=[], edges=[])
 
     def test_nonpositive_period_rejected(self):
         with pytest.raises(ChainValidationError, match="period"):
@@ -94,16 +104,34 @@ class TestValidation:
         y.start = x.end
         x.start = y.end
         with pytest.raises(ChainValidationError, match="cycle"):
-            DagChain("loop", [x, y], [("x", "y"), ("y", "x")], 100, 300)
+            diamond(segments=[x, y], edges=[("x", "y"), ("y", "x")],
+                    budget_e2e={})
 
     def test_gap_rejected(self):
         segs = diamond_segments()
         # Break the stitch: d now starts at an unrelated event.
         segs[3].start = segs[0].start
         with pytest.raises(ChainValidationError, match="unmonitored gap"):
-            DagChain("x", segs,
-                     [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
-                     100, 300)
+            diamond(segments=segs)
+
+    def test_more_than_max_paths_rejected(self):
+        # Nine stacked diamonds: 2 ** 9 = 512 root->sink paths.
+        names, edges = ["j0"], []
+        for i in range(9):
+            names += [f"a{i}", f"b{i}", f"j{i + 1}"]
+            edges += [(f"j{i}", f"a{i}"), (f"j{i}", f"b{i}"),
+                      (f"a{i}", f"j{i + 1}"), (f"b{i}", f"j{i + 1}")]
+        segments = {
+            n: local_segment(n, "ecu", f"in_{n}", f"out_{n}") for n in names
+        }
+        for i in range(9):
+            segments[f"b{i}"].end = segments[f"a{i}"].end
+        for src, dst in edges:
+            segments[dst].start = segments[src].end
+        assert 2 ** 9 > MAX_PATHS
+        with pytest.raises(ChainValidationError, match="root->sink paths"):
+            diamond(segments=list(segments.values()), edges=edges,
+                    budget_e2e={"j9": 300})
 
     def test_missing_sink_budget_rejected(self):
         with pytest.raises(ChainValidationError, match="no end-to-end budget"):
@@ -115,101 +143,81 @@ class TestValidation:
         with pytest.raises(ChainValidationError, match="name no sink"):
             diamond(budget_e2e={"d": 300, "d_typo": 100})
 
-    def test_mk_for_a_non_sink_rejected(self):
-        # Dropping the key would leave sink d hard (0,1) without a word.
-        with pytest.raises(ChainValidationError,
-                           match=r"mk key\(s\) \['s_plann'\] name no sink"):
-            diamond(mk={"s_plann": MKConstraint(2, 8)})
-
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(ChainValidationError, match="positive"):
-            diamond(budget_e2e=0)
+            diamond(budget_e2e={"d": 0})
 
 
 class TestStructure:
     def test_roots_sinks_diamond(self):
-        dag = diamond()
-        assert dag.roots() == ["a"]
-        assert dag.sinks() == ["d"]
-        assert dag.successors("a") == ["b", "c"]
-        assert dag.predecessors("d") == ["b", "c"]
+        # Every path runs from the one root to the one sink.
+        for chain in diamond().values():
+            assert chain.segments[0].name == "a"
+            assert chain.segments[-1].name == "d"
 
     def test_diamond_paths(self):
-        paths = diamond().paths()
-        assert [p.path_id for p in paths] == ["a>b>d", "a>c>d"]
-        assert paths[0].root == "a" and paths[0].sink == "d"
-        assert len(paths[0]) == 3
+        assert path_names(diamond()) == {
+            "a>b>d": ("a", "b", "d"),
+            "a>c>d": ("a", "c", "d"),
+        }
 
     def test_perception_dag_has_four_paths(self):
         stack = PerceptionStack(StackConfig(seed=1))
-        dag = perception_dag(stack)
-        assert len(dag) == 7
-        assert dag.roots() == ["s0_front", "s0_rear"]
-        assert dag.sinks() == ["s3_objects", "s3_ground"]
-        ids = [p.path_id for p in dag.paths()]
-        assert ids == [
+        chains = perception_dag(stack)
+        assert list(chains) == [
             "s0_front>s1_front>s2>s3_objects",
             "s0_front>s1_front>s2>s3_ground",
             "s0_rear>s1_rear>s2>s3_objects",
             "s0_rear>s1_rear>s2>s3_ground",
         ]
         # Each path is one of the stack's chains, segment for segment.
-        assert sorted(p.segment_names for p in dag.paths()) == sorted(
+        assert sorted(path_names(chains).values()) == sorted(
             tuple(s.name for s in chain.segments)
             for chain in stack.chains.values()
         )
 
     def test_path_by_id(self):
-        dag = diamond()
-        assert dag.path_by_id("a>c>d").segment_names == ("a", "c", "d")
+        chains = diamond()
+        assert path_names(chains)["a>c>d"] == ("a", "c", "d")
         with pytest.raises(KeyError):
-            dag.path_by_id("a>z>d")
+            chains["a>z>d"]
 
     def test_per_sink_budget_and_mk(self):
-        dag = perception_dag(PerceptionStack(StackConfig(seed=1)))
-        assert dag.budget_e2e == {
-            "s3_objects": msec(250), "s3_ground": msec(200),
-        }
-        # A sink the mk mapping leaves out is hard: (0,1).
-        assert dag.mk == {
-            "s3_objects": MKConstraint(3, 10),
-            "s3_ground": MKConstraint(0, 1),
-        }
-        for path in dag.paths():
-            chain = dag.path_chain(path)
+        stack = PerceptionStack(StackConfig(seed=1))
+        budgets = {"s3_objects": msec(250), "s3_ground": msec(200)}
+        for path_id, chain in perception_dag(stack).items():
             assert isinstance(chain, EventChain)
-            assert chain.budget_e2e == dag.budget_e2e[path.sink]
-            assert chain.mk == dag.mk[path.sink]
-            assert chain.name == f"{dag.name}:{path.path_id}"
+            assert chain.budget_e2e == budgets[chain.segments[-1].name]
+            assert chain.mk == MKConstraint(3, 10)
+            # B_seg is the period, as on the stack's own chains.
+            assert chain.budget_seg == chain.period == stack.config.period
+            assert chain.name == f"perception:{path_id}"
 
     def test_path_chains_keyed_by_id(self):
-        dag = diamond()
-        chains = dag.path_chains()
-        assert set(chains) == {"a>b>d", "a>c>d"}
+        assert set(diamond()) == {"a>b>d", "a>c>d"}
 
 
 def from_linear(chain):
     """A linear chain as the degenerate single-path DAG."""
     names = [segment.name for segment in chain.segments]
-    return DagChain(
+    return path_chains(
         name=chain.name, segments=list(chain.segments),
         edges=list(zip(names, names[1:])), period=chain.period,
-        budget_e2e=chain.budget_e2e, budget_seg=chain.budget_seg,
-        mk=chain.mk,
+        budget_e2e={names[-1]: chain.budget_e2e}, mk=chain.mk,
     )
 
 
 def round_trip(chain):
     """The chain back from its DAG's one path, under its own name."""
-    dag = from_linear(chain)
-    (path,) = dag.paths()
-    return dataclasses.replace(dag.path_chain(path), name=chain.name)
+    (path_chain,) = from_linear(chain).values()
+    return dataclasses.replace(path_chain, name=chain.name)
 
 
 @st.composite
 def linear_chains(draw):
     """A gap-free linear chain: local and remote segments, deadlines
-    assigned or not, any budgets and (m,k)."""
+    assigned or not, any budget and (m,k); ``B_seg`` is the period, the
+    one a DAG's path chains carry."""
     n_segments = draw(st.integers(min_value=1, max_value=5))
     segments = []
     for i in range(n_segments):
@@ -228,19 +236,20 @@ def linear_chains(draw):
         "generated", segments,
         period=draw(st.integers(min_value=1, max_value=1000)),
         budget_e2e=draw(st.integers(min_value=1, max_value=5000)),
-        budget_seg=draw(st.none() | st.integers(min_value=1, max_value=1000)),
         mk=MKConstraint(draw(st.integers(min_value=0, max_value=k)), k),
     )
 
 
 def assert_single_path(chain):
-    (path,) = from_linear(chain).paths()
-    assert path.segment_names == tuple(s.name for s in chain.segments)
+    ((path_id, path_chain),) = from_linear(chain).items()
+    names = tuple(s.name for s in chain.segments)
+    assert tuple(s.name for s in path_chain.segments) == names
+    assert path_id == ">".join(names)
 
 
 class TestLinearDegeneracy:
-    """Linear chains are the degenerate DAG: one path, whose projection
-    is the chain again (``path_chain`` names it ``dag:path``)."""
+    """Linear chains are the degenerate DAG: one path, whose chain is
+    the chain again (``path_chains`` names it ``dag:path``)."""
 
     def test_round_trip_equals_original_for_stack_chains(self):
         stack = PerceptionStack(StackConfig(seed=1))

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: document -> (ceiling in bytes, target in KB)
 BUDGET = {
-    "DESIGN.md": (72_216, 55),
+    "DESIGN.md": (71_898, 55),
     "EXPERIMENTS.md": (37_411, 30),
 }
 

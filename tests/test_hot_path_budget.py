@@ -39,9 +39,11 @@ and scanner once and the per-line sites call them inline) and into
 
 Two layers off those paths keep a budget of their own: the budgeting
 solvers (the exact branch-and-bound node count and the calls of the
-three solves, on a 4-segment x 400-activation trace) and the control
-plane's re-derivation (calls per record of ``BudgetResolver`` +
-``ShadowValidator`` over a 3-vehicle x 256-activation window).
+three solves, on a 4-segment x 400-activation trace, and the joint
+shared-segment search's node count on a fork/join DAG's path chains)
+and the control plane's re-derivation (calls per record of
+``BudgetResolver`` + ``ShadowValidator`` over a 3-vehicle x
+256-activation window).
 """
 
 import collections
@@ -66,6 +68,7 @@ from repro.budgeting import (
     solve_branch_and_bound,
     solve_greedy_propagated,
     solve_independent,
+    solve_joint,
 )
 from repro.core import EventChain, MKConstraint
 from repro.core.segments import local_segment, remote_segment
@@ -177,6 +180,13 @@ FLEET_STEP_ROWS = 32
 SOLVE_REFUSED_CEILING = 206
 SOLVE_NODES = 5272
 SOLVE_SEARCH_CEILING = 2_124_060
+
+#: Nodes of ``solve_joint`` over the fork/join reproducer's three path
+#: chains (``test_dag_budgeting_properties.REPRODUCER``): the optimum 59
+#: after exactly 10,766 nodes.  Without the per-chain Eq. (3) prune the
+#: search takes 10,822; without the early per-chain check it stops at
+#: its 500,000-node limit with a total of 77 after ~30 s.
+JOINT_DAG_NODES = 10_766
 
 #: Calls per record of one BudgetResolver.resolve + epoch + one
 #: ShadowValidator.validate over 2304 records on CPython 3.11: 8.06.
@@ -547,6 +557,15 @@ def test_branch_and_bound_explores_a_pinned_number_of_nodes():
     assert (exact.schedulable, exact.total) == (True, 309)
     assert exact.nodes_explored == SOLVE_NODES
     assert calls <= SOLVE_SEARCH_CEILING
+
+
+def test_joint_search_on_a_dag_explores_a_pinned_number_of_nodes():
+    from test_dag_budgeting_properties import reproducer_problems
+
+    # Twice the pin: a lost prune fails here in about a second.
+    result = solve_joint(reproducer_problems(), max_nodes=2 * JOINT_DAG_NODES)
+    assert (result.schedulable, result.total, result.reason) == (True, 59, "")
+    assert result.nodes_explored == JOINT_DAG_NODES
 
 
 def test_budget_resolve_calls_per_record():

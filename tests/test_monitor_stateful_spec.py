@@ -12,7 +12,9 @@ says what the monitor must have made of them:
   the monitor reacted, makes it exactly one temporal exception (an end
   event posted while the monitor was already reacting may go either
   way -- the paper's last-moment check);
-* at quiescence nothing is pending and no live deadline is left.
+* at quiescence nothing is pending and no live deadline is left;
+* each monitor-latency sample (the paper's Fig. 11 quantity) is the
+  monitor's clock when it armed the start minus the start's stamp.
 
 :class:`LocalMonitorSpec` drives the simulated :class:`MonitorThread` on
 a bare ECU.  It charges CPU costs between decisions, so events posted
@@ -123,6 +125,34 @@ def _sample(n):
     return Sample(topic=TOPIC, data=n, source_timestamp=0, sequence_number=n)
 
 
+class _StampedSamples(list):
+    """A sample list that also keeps the clock at every append."""
+
+    def __init__(self, clock):
+        super().__init__()
+        self.clock = clock
+        self.times = []
+
+    def append(self, value):
+        self.times.append(self.clock())
+        super().append(value)
+
+
+def _stamp_wakes(monitor):
+    """Wrap ``monitor.wake``; returns the wake time of every monitor
+    latency sample, in sample order."""
+    wake, times = monitor.wake, []
+    samples = monitor.stats.monitor_latencies
+
+    def stamped_wake(now):
+        before = len(samples)
+        wake(now)
+        times.extend([now] * (len(samples) - before))
+
+    monitor.wake = stamped_wake
+    return times
+
+
 def _ring(capacity=256):
     return SpscRingBuffer(
         bytearray(SpscRingBuffer.required_size(capacity)), capacity,
@@ -201,6 +231,9 @@ class LocalMonitorSpec(_MonitorSpec):
                 budget_e2e=d_mon, mk=mk,
             ))
             runtime.reporters.append(chain)
+            runtime.monitor_latency_samples = _StampedSamples(
+                lambda: self.sim.now
+            )
             self.monitor.add_segment(runtime)
             self.runtimes.append(runtime)
             self.chains.append(chain)
@@ -269,6 +302,13 @@ class LocalMonitorSpec(_MonitorSpec):
                 outcome is Outcome.RECOVERED for _n, outcome, *_ in chain.log
             )
             assert runtime.pending == {}
+            # Starts are armed in posting order, one sample each.
+            samples = runtime.monitor_latency_samples
+            assert len(samples) == len(self.started[seg])
+            assert samples == [
+                armed - self.started[seg][n]
+                for n, armed in enumerate(samples.times)
+            ]
             # The production bit-packed window saw the spec's stream.
             assert (
                 runtime.window.total,
@@ -293,6 +333,7 @@ class IpcMonitorSpec(_MonitorSpec):
         self.raised = [[], []]
         self.matched = [[], []]
         self.monitor = IpcMonitor(self.segments, on_exception=self._raised)
+        self.wake_times = _stamp_wakes(self.monitor)
         for seg, lane in enumerate(self.monitor.core.lanes):
             lane.on_end = self._observed(seg, lane.on_end)
         for segment in self.segments:
@@ -385,6 +426,13 @@ class IpcMonitorSpec(_MonitorSpec):
             (seg, n) in raised for seg in (0, 1) for n in self.ended[seg]
         )
         assert stats.exceptions == len(raised)
+        # One sample per start, its wake time minus its stamp (both
+        # segments share the list).
+        assert sorted(
+            woke - latency
+            for woke, latency in zip(self.wake_times, stats.monitor_latencies)
+        ) == sorted(ts for s in self.started for ts in s.values())
+        assert len(self.wake_times) == len(stats.monitor_latencies)
         assert all(lane.pending == {} for lane in self.monitor.core.lanes)
         assert self.monitor.core.next_deadline is None
 
@@ -423,7 +471,15 @@ def test_end_overtaking_its_start_is_matched_real():
     segment = IpcSegment("s", msec(20), _ring(), _ring())
     raised = []
     monitor = IpcMonitor([segment], on_exception=lambda *args: raised.append(args))
-    drain = segment.start_buffer.drain
+    wake_times = _stamp_wakes(monitor)
+    drain, push = segment.start_buffer.drain, segment.start_buffer.push
+    stamps = []
+
+    def stamped_push(kind, n, ts):
+        stamps.append(ts)
+        return push(kind, n, ts)
+
+    segment.start_buffer.push = stamped_push
 
     def drain_then_post():
         records = drain()
@@ -439,3 +495,9 @@ def test_end_overtaking_its_start_is_matched_real():
         time.sleep(0.1)
     assert raised == []
     assert (monitor.stats.completions, monitor.stats.stale_end_events) == (2, 0)
+    # Start 1 was armed from the end drain: its sample, too, is the
+    # wake time minus its stamp.
+    assert [
+        woke - latency
+        for woke, latency in zip(wake_times, monitor.stats.monitor_latencies)
+    ] == stamps
